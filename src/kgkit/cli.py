@@ -91,11 +91,8 @@ def cmd_parse(args) -> int:
 
 def cmd_infer(args) -> int:
     graph = _load_graph(args.input, args.format)
-    if args.profile == "rdfs":
-        closure = rdfs.saturate_rdfs(graph)
-        report = closure.report
-    else:
-        closure, report = owl.saturate_owl(graph)
+    closure = rdfs.saturate_rdfs(graph) if args.profile == "rdfs" else owl.saturate_owl(graph)[0]
+    report = closure.report
     emitted = graph_from_triples(closure.derived) if args.derived_only else closure.graph
     _write_out(serialize_ntriples(emitted), args.out)
     if report:
@@ -161,10 +158,11 @@ def cmd_reify(args) -> int:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("KB_SEED")
-    if env is not None:
+    env = os.environ.get("KB_SEED", "0")
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ValidationError(f"KB_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_embed(args) -> int:

@@ -391,6 +391,8 @@ def load_model_text(text: str) -> EmbeddingModel:
     header = lines[0].split()
     if len(header) != 2 or not header[0].startswith("d=") or not header[1].startswith("norm="):
         raise ValidationError(f"bad model header: {lines[0]!r}")
+    if not header[0][2:].isdecimal():
+        raise ValidationError(f"bad dimension in model header: {lines[0]!r}")
     dim = int(header[0][2:])
     norm = header[1][5:]
     if norm not in (L1, L2):
@@ -404,7 +406,10 @@ def load_model_text(text: str) -> EmbeddingModel:
         if len(fields) != dim + 2 or fields[0] not in ("E", "R"):
             raise ValidationError(f"bad model row: {ln!r}")
         term = parse_term(fields[1])
-        values = [float(v) for v in fields[2:]]
+        try:
+            values = [float(v) for v in fields[2:]]
+        except ValueError:
+            raise ValidationError(f"non-numeric value in model row: {ln!r}") from None
         if fields[0] == "E":
             entities.append(term)
             entity_rows.append(values)

@@ -27,17 +27,12 @@ from .rdfs import (
     Closure,
     InconsistencyReport,
     Violation,
-    _build_closure,
     _Ctx,
     _fixpoint,
 )
 from .terms import IRI, BlankNode, Term, Triple, sort_key, triple_sort_key
 
 _SAMEAS = "owl-sameas"
-
-
-def _is_iri(ctx: _Ctx, tid: int) -> bool:
-    return isinstance(ctx.g.term(tid), IRI)
 
 
 def _list_members(ctx: _Ctx, node: int) -> set[int]:
@@ -96,7 +91,7 @@ def _substitutions(ctx: _Ctx, t: IdTriple, old: int, new: int):
     s, p, o = t
     if s == old and not ctx.is_literal(new):
         yield (new, p, o)
-    if p == old and _is_iri(ctx, new):
+    if p == old and ctx.is_iri(new):
         yield (s, new, o)
     if o == old:
         yield (s, p, new)
@@ -168,20 +163,20 @@ def _r_inverse(ctx: _Ctx, delta: list[IdTriple]):
         if p == inv:
             prop_p, prop_q = s, o
             decl = (s, p, o)
-            if _is_iri(ctx, prop_q):
+            if ctx.is_iri(prop_q):
                 for x, _, y in ctx.g.match_ids(None, prop_p, None):
                     if not ctx.is_literal(y):
                         yield (y, prop_q, x), "owl-inverse-property", ((x, prop_p, y), decl)
-            if _is_iri(ctx, prop_p):
+            if ctx.is_iri(prop_p):
                 for x, _, y in ctx.g.match_ids(None, prop_q, None):
                     if not ctx.is_literal(y):
                         yield (y, prop_p, x), "owl-inverse-property", ((x, prop_q, y), decl)
         if not ctx.is_literal(o):
             for _, _, q in ctx.g.match_ids(p, inv, None):
-                if _is_iri(ctx, q):
+                if ctx.is_iri(q):
                     yield (o, q, s), "owl-inverse-property", ((s, p, o), (p, inv, q))
             for r, _, _ in ctx.g.match_ids(None, inv, p):
-                if _is_iri(ctx, r):
+                if ctx.is_iri(r):
                     yield (o, r, s), "owl-inverse-property", ((s, p, o), (r, inv, p))
 
 
@@ -425,10 +420,7 @@ def _collect_violations(work: Graph) -> InconsistencyReport:
         for x, _, _ in work.match_ids(None, typ, nothing):
             record("owl-nothing-member", (x, typ, nothing))
 
-    def to_triple(t: IdTriple) -> Triple:
-        return Triple(work.term(t[0]), work.term(t[1]), work.term(t[2]))
-
-    violations = [Violation(rule, tuple(sorted((to_triple(t) for t in ts), key=triple_sort_key))) for rule, ts in found]
+    violations = [Violation(rule, tuple(sorted(map(work._to_triple, ts), key=triple_sort_key))) for rule, ts in found]
     violations.sort(key=lambda v: (v.rule, tuple(triple_sort_key(t) for t in v.triples)))
     return InconsistencyReport(tuple(violations))
 
@@ -500,10 +492,27 @@ class EqualityPartition:
 
 def saturate_owl(graph: Graph) -> tuple[Closure, InconsistencyReport]:
     """OWL closure of the graph plus the violations found in it."""
-    work, prov = _fixpoint(graph, OWL_RULES)
+    work = graph.copy()
+    derivations = _fixpoint(work, OWL_RULES, work.triple_ids())
     report = _collect_violations(work)
-    closure = _build_closure(graph, work, prov, report)
-    return closure, report
+    return Closure(graph, work, derivations, report), report
+
+
+def _consistent_closure(graph: Graph) -> Closure:
+    """The OWL closure of a KB that reasoning tasks require to be consistent."""
+    closure, report = saturate_owl(graph)
+    if report:
+        raise InconsistentKBError(report)
+    return closure
+
+
+def _breaks(closure: Closure, triple: Triple) -> InconsistencyReport:
+    """Violations of the closure plus one triple, resuming the fixpoint on a copy from that triple."""
+    work = closure.graph.copy()
+    t = (work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object))
+    work.insert_ids(t)
+    _fixpoint(work, OWL_RULES, [t])
+    return _collect_violations(work)
 
 
 def is_consistent(graph: Graph) -> tuple[bool, InconsistencyReport]:
@@ -524,25 +533,18 @@ def check_instance(graph: Graph, individual: Term, cls: Term) -> InstanceCheck:
     NOT_ENTAILED unless asserting the membership would actually break
     the KB, in which case it is INCONSISTENT_IF_ASSERTED.
     """
-    closure, report = saturate_owl(graph)
-    if report:
-        raise InconsistentKBError(report)
+    closure = _consistent_closure(graph)
     assertion = Triple(individual, vocab.RDF_TYPE, cls)
     if assertion in closure.graph:
         return InstanceCheck.ENTAILED
-    probe = graph.copy()
-    probe.insert(assertion)
-    _, probe_report = saturate_owl(probe)
-    if probe_report:
+    if _breaks(closure, assertion):
         return InstanceCheck.INCONSISTENT_IF_ASSERTED
     return InstanceCheck.NOT_ENTAILED
 
 
 def retrieve_instances(graph: Graph, cls: Term) -> set[Term]:
     """All derived members of a class, canonicalized to sameAs representatives."""
-    closure, report = saturate_owl(graph)
-    if report:
-        raise InconsistentKBError(report)
+    closure = _consistent_closure(graph)
     partition = EqualityPartition.from_graph(closure.graph)
     return {
         partition.representative(t.subject)
@@ -557,9 +559,7 @@ def realize(graph: Graph, individual: Term) -> set[Term]:
     strictly more specific competitor; equivalent classes tie and are
     all returned.
     """
-    closure, report = saturate_owl(graph)
-    if report:
-        raise InconsistentKBError(report)
+    closure = _consistent_closure(graph)
     types = {t.object for t in closure.graph.match_terms(individual, vocab.RDF_TYPE, None) if isinstance(t.object, IRI)}
 
     def subclass(d: Term, c: Term) -> bool:
@@ -585,16 +585,8 @@ def is_satisfiable(graph: Graph, cls: Term) -> bool:
 
     Sound and complete only relative to the implemented rule fragment.
     """
-    _, report = saturate_owl(graph)
-    if report:
-        raise InconsistentKBError(report)
+    closure = _consistent_closure(graph)
     n = 0
-    while True:
-        probe_node = BlankNode(f"satprobe{n}")
-        if graph.lookup(probe_node) is None:
-            break
+    while closure.graph.lookup(BlankNode(f"satprobe{n}")) is not None:
         n += 1
-    probe = graph.copy()
-    probe.insert(Triple(probe_node, vocab.RDF_TYPE, cls))
-    _, probe_report = saturate_owl(probe)
-    return not probe_report
+    return not _breaks(closure, Triple(BlankNode(f"satprobe{n}"), vocab.RDF_TYPE, cls))

@@ -94,8 +94,7 @@ def query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
     elif regime == "rdfs":
         work = saturate_rdfs(graph).graph
     else:
-        closure, _ = saturate_owl(graph)
-        work = closure.graph
+        work = saturate_owl(graph)[0].graph
         partition = EqualityPartition.from_graph(work)
 
     bindings = _join(work, q.patterns)

@@ -6,16 +6,21 @@ range typing.  Evaluation is semi-naive: each round joins only the
 triples derived in the previous round (the delta) against the rest, so
 nothing is re-derived from scratch.  The closure is the least fixpoint;
 rules only ever combine existing terms, so it is finite.
+
+Resume invariant: every rule finds every consequence that has at least
+one premise in the delta.  Rules only add triples, so a closed graph takes
+new triples by running the same loop from a delta of just those triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from . import vocab
 from .graph import Graph, IdTriple
-from .terms import Literal, Term, Triple, triple_sort_key
+from .terms import IRI, Literal, Term, Triple, triple_sort_key
 
 
 @dataclass(frozen=True)
@@ -40,15 +45,32 @@ class Derivation:
     premises: tuple[Triple, ...]
 
 
+IdDerivations = dict[IdTriple, tuple[str, tuple[IdTriple, ...]]]
+
+
 @dataclass
 class Closure:
-    """A saturated graph plus where each derived triple came from."""
+    """A saturated graph plus where each derived triple came from.
+
+    `derived` and `provenance` are built from the id-level `derivations` on first access.
+    """
 
     base: Graph
     graph: Graph
-    derived: frozenset[Triple]
-    provenance: dict[Triple, Derivation]
+    derivations: IdDerivations
     report: InconsistencyReport = field(default_factory=InconsistencyReport)
+
+    @cached_property
+    def derived(self) -> frozenset[Triple]:
+        return frozenset(map(self.graph._to_triple, self.derivations))
+
+    @cached_property
+    def provenance(self) -> dict[Triple, Derivation]:
+        to_triple = self.graph._to_triple
+        return {
+            to_triple(t): Derivation(name, tuple(map(to_triple, premises)))
+            for t, (name, premises) in self.derivations.items()
+        }
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.graph
@@ -72,6 +94,9 @@ class _Ctx:
 
     def is_literal(self, tid: int) -> bool:
         return isinstance(self.g.term(tid), Literal)
+
+    def is_iri(self, tid: int) -> bool:
+        return isinstance(self.g.term(tid), IRI)
 
 
 # A rule yields (new id-triple, rule name, premise id-triples) for every
@@ -125,20 +150,14 @@ def _r_property_propagation(ctx: _Ctx, delta: list[IdTriple]):
     spo = ctx.vid(vocab.RDFS_SUBPROPERTYOF)
     if spo is None:
         return
-
-    def q_ok(q: int) -> bool:
-        from .terms import IRI
-
-        return isinstance(ctx.g.term(q), IRI)
-
     for s, p, o in delta:
         if p == spo:
             # s is the subproperty, o the superproperty
-            if q_ok(o):
+            if ctx.is_iri(o):
                 for x, _, y in ctx.g.match_ids(None, s, None):
                     yield (x, o, y), "rdfs-subproperty-propagation", ((x, s, y), (s, spo, o))
         for _, _, q in ctx.g.match_ids(p, spo, None):
-            if q_ok(q):
+            if ctx.is_iri(q):
                 yield (s, q, o), "rdfs-subproperty-propagation", ((s, p, o), (p, spo, q))
 
 
@@ -180,14 +199,16 @@ RDFS_RULES: list[Rule] = [
 ]
 
 
-def _fixpoint(graph: Graph, rules: Iterable[Rule]) -> tuple[Graph, dict[IdTriple, tuple[str, tuple[IdTriple, ...]]]]:
-    """Run rules to the least fixpoint; returns the work graph and id-level provenance."""
-    work = graph.copy()
+def _fixpoint(work: Graph, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> IdDerivations:
+    """Saturate `work` in place, starting from `delta`; returns the provenance of what it added.
+
+    Requires `delta` to be in `work` and the rest of `work` to be closed under `rules`.
+    """
     ctx = _Ctx(work)
-    provenance: dict[IdTriple, tuple[str, tuple[IdTriple, ...]]] = {}
-    delta = sorted(work.triple_ids())
+    provenance: IdDerivations = {}
+    delta = sorted(delta)
     while delta:
-        fresh: dict[IdTriple, tuple[str, tuple[IdTriple, ...]]] = {}
+        fresh: IdDerivations = {}
         for rule in rules:
             for t, name, premises in rule(ctx, delta):
                 if not work.contains_ids(t) and t not in fresh:
@@ -196,30 +217,13 @@ def _fixpoint(graph: Graph, rules: Iterable[Rule]) -> tuple[Graph, dict[IdTriple
             work.insert_ids(t)
         provenance.update(fresh)
         delta = sorted(fresh)
-    return work, provenance
-
-
-def _build_closure(
-    base: Graph,
-    work: Graph,
-    provenance_ids: dict[IdTriple, tuple[str, tuple[IdTriple, ...]]],
-    report: InconsistencyReport,
-) -> Closure:
-    def to_triple(t: IdTriple) -> Triple:
-        return Triple(work.term(t[0]), work.term(t[1]), work.term(t[2]))
-
-    derived = frozenset(to_triple(t) for t in provenance_ids)
-    provenance = {
-        to_triple(t): Derivation(name, tuple(to_triple(p) for p in premises))
-        for t, (name, premises) in provenance_ids.items()
-    }
-    return Closure(base=base, graph=work, derived=derived, provenance=provenance, report=report)
+    return provenance
 
 
 def saturate_rdfs(graph: Graph) -> Closure:
     """Least fixpoint of the RDFS rule set over the graph."""
-    work, prov = _fixpoint(graph, RDFS_RULES)
-    return _build_closure(graph, work, prov, InconsistencyReport())
+    work = graph.copy()
+    return Closure(graph, work, _fixpoint(work, RDFS_RULES, work.triple_ids()))
 
 
 def entails(graph: Graph, triple: Triple) -> bool:

@@ -225,6 +225,13 @@ def test_embed_seed_env_override(tmp_path, monkeypatch):
     assert open(m_both, "rb").read() == open(m_flag, "rb").read()
 
 
+def test_embed_non_integer_seed_env_exits_1(tmp_path, monkeypatch, capsys):
+    kb = embed_fixture(tmp_path)
+    monkeypatch.setenv("KB_SEED", "x")
+    assert main(["embed", "train", kb, "--dim", "4", "--epochs", "2", "--model", str(tmp_path / "m.tsv")]) == 1
+    assert capsys.readouterr().err.startswith("error: KB_SEED")
+
+
 def test_embed_eval_reports_metrics(tmp_path, capsys):
     kb = embed_fixture(tmp_path)
     model = str(tmp_path / "m.tsv")

@@ -15,6 +15,7 @@ from kgkit import (
     UnknownPrefixError,
     Var,
     expand_qname,
+    load_model_text,
 )
 from kgkit.terms import sort_key
 
@@ -204,3 +205,16 @@ def test_copy_isolated_from_original():
     h.add(edu("c"), edu("p"), edu("d"))
     assert len(g) == 1 and len(h) == 2
     assert not g.contains(Triple(edu("c"), edu("p"), edu("d")))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "d=abc norm=L1\n",
+        "d=-1 norm=L1\n",
+        "d=2 norm=L1\nE\t<http://example.edu#a>\t0.5\tabc\n",
+    ],
+)
+def test_malformed_model_file_raises_validation_error(text):
+    with pytest.raises(ValidationError):
+        load_model_text(text)

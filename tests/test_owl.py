@@ -19,6 +19,9 @@ from kgkit import (
     subsumes,
     vocab,
 )
+from kgkit import owl
+from kgkit.owl import OWL_RULES, _breaks, _collect_violations
+from kgkit.rdfs import _fixpoint
 from kgkit.terms import sort_key
 
 from helpers import (
@@ -234,6 +237,20 @@ def test_check_instance_trichotomy_on_random_consistent_kbs():
                     assert ok
 
 
+def test_probing_tasks_saturate_the_kb_once(monkeypatch):
+    calls = []
+    saturate = owl.saturate_owl
+    monkeypatch.setattr(owl, "saturate_owl", lambda g: calls.append(g) or saturate(g))
+    assert check_instance(pumpkin_kb(), edu("Pumpkin"), edu("Herbivore")) is InstanceCheck.INCONSISTENT_IF_ASSERTED
+    assert len(calls) == 1
+    g = Graph()
+    g.add(edu("C"), vocab.RDFS_SUBCLASSOF, edu("Herbivore"))
+    g.add(edu("C"), vocab.RDFS_SUBCLASSOF, edu("Carnivore"))
+    g.add(edu("Herbivore"), vocab.OWL_DISJOINTWITH, edu("Carnivore"))
+    assert not is_satisfiable(g, edu("C"))
+    assert len(calls) == 2
+
+
 def test_retrieve_instances_city_kb():
     assert retrieve_instances(city_kb(), edu("Locality")) == {edu("Warsaw")}
 
@@ -423,3 +440,65 @@ def test_owl_closure_idempotent_and_permutation_invariant():
             h.insert(t)
         permuted, _ = saturate_owl(h)
         assert closure_triples(permuted) == closure_triples(closure)
+
+
+# ---------------------------------------------------------------------------
+# Resuming the fixpoint from new triples
+# ---------------------------------------------------------------------------
+
+
+def _resume(work: Graph, triple: Triple) -> None:
+    t = (work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object))
+    if work.insert_ids(t):
+        _fixpoint(work, OWL_RULES, [t])
+
+
+def test_resumed_probe_equals_saturating_graph_plus_probe():
+    nodes = [IRI(f"http://t.example/n{i}") for i in range(10)]
+    predicates = [
+        vocab.RDF_TYPE,
+        vocab.RDF_TYPE,
+        vocab.OWL_SAMEAS,
+        vocab.OWL_DIFFERENTFROM,
+        vocab.OWL_DISJOINTWITH,
+        vocab.RDFS_SUBCLASSOF,
+        vocab.OWL_INVERSEOF,
+        nodes[0],
+    ]
+    for seed in range(200):
+        g = random_owl_graph(seed, max_triples=40)
+        closure, _ = saturate_owl(g)
+        rng = random.Random(seed)
+        for _ in range(2):
+            probe = Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes))
+            with_probe = g.copy()
+            with_probe.insert(probe)
+            expected, expected_report = saturate_owl(with_probe)
+            work = closure.graph.copy()
+            _resume(work, probe)
+            assert triples_of(work) == closure_triples(expected), f"seed {seed}, probe {probe}"
+            assert _breaks(closure, probe) == expected_report, f"seed {seed}, probe {probe}"
+
+
+def test_incremental_insertion_in_random_order_equals_saturation():
+    # List cells go in the base graph: the intersection build rule fires
+    # on a partial list, so inserting cells one by one is not equivalent.
+    list_predicates = (vocab.RDF_FIRST, vocab.RDF_REST)
+    for seed in range(30):
+        g = random_owl_graph(seed, max_triples=50)
+        base = Graph()
+        inserted = []
+        for t in g.triples():
+            if t.predicate in list_predicates:
+                base.insert(t)
+            else:
+                inserted.append(t)
+        random.Random(seed).shuffle(inserted)
+        work = saturate_owl(base)[0].graph
+        for t in inserted:
+            _resume(work, t)
+        expected, report = saturate_owl(g)
+        assert triples_of(work) == closure_triples(expected), f"seed {seed}"
+        assert _collect_violations(work) == report, f"seed {seed}"
+        if seed < 5:
+            assert triples_of(work) == naive_owl_closure(triples_of(g)), f"seed {seed}"
