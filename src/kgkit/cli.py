@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 parse error, 3 inconsistent KB,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -165,6 +166,10 @@ def _resolve_seed(args) -> int:
         raise ValidationError(f"KB_SEED must be an integer, got {env!r}") from None
 
 
+def _rank_metrics(metrics: embeddings.RankMetrics) -> dict[str, float]:
+    return {f.name: getattr(metrics, f.name) for f in dataclasses.fields(embeddings.RankMetrics)}
+
+
 def cmd_embed(args) -> int:
     graph = _load_graph(args.graph, args.format)
     if args.action == "train":
@@ -186,13 +191,9 @@ def cmd_embed(args) -> int:
     if args.action == "eval":
         test_graph = parse_ntriples(_read(args.test))
         report = embeddings.evaluate(model, graph, test_graph.triples())
-        payload = {
-            "mean_rank": report.mean_rank,
-            "mrr": report.mrr,
-            "hits_at_1": report.hits_at_1,
-            "hits_at_3": report.hits_at_3,
-            "hits_at_10": report.hits_at_10,
-        }
+        payload = _rank_metrics(report)
+        if args.per_relation:
+            payload["per_relation"] = {format_term(rel): _rank_metrics(m) for rel, m in report.per_relation.items()}
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     # predict
@@ -265,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", default=None)
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--filtered", action="store_true")
+    p.add_argument("--per-relation", action="store_true", help="add per-relation metrics to the eval JSON")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_embed)
 

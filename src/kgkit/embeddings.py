@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import SamplingError, UnknownTermError, ValidationError
-from .graph import Graph
+from .graph import Graph, IdTriple
 from .io import format_term, parse_term
 from .terms import Literal, Term, Triple, sort_key, triple_sort_key
 
@@ -171,59 +173,106 @@ def loss_and_gradients(
     return float(loss), grads
 
 
-def negative_sample(triple: Triple, graph: Graph, config: TrainConfig, rng: np.random.Generator) -> Triple:
+class _Sampler:
+    """Id-level view of a graph for negative sampling, built once per run.
+
+    Entities are the graph's ids in canonical `Graph.entities()` order, so
+    the i-th draw names the same entity the term list would; the filter
+    probes the graph's own id-triple set.  `positives`, the training
+    triples in canonical order, are sorted on first use.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.entities = [graph.lookup(t) for t in graph.entities()]
+        self.literals = {e for e in self.entities if isinstance(graph.term(e), Literal)}
+        self.known = graph._triples
+
+    @cached_property
+    def positives(self) -> list[Triple]:
+        return self.graph.triples()
+
+    def draw(self, triple: IdTriple, config: TrainConfig, rng: np.random.Generator) -> IdTriple | None:
+        """A corruption of `triple`, or None when none differs from it."""
+        entities = self.entities
+        if config.corruption == CORRUPT_BOTH:
+            corrupt_head = bool(rng.integers(0, 2))
+        else:
+            corrupt_head = config.corruption == CORRUPT_HEAD
+        s, p, o = triple
+
+        def build(side_head: bool, entity: int) -> IdTriple | None:
+            if side_head:
+                if entity in self.literals:
+                    return None
+                return (entity, p, o)
+            return (s, p, entity)
+
+        for _ in range(100):
+            candidate = build(corrupt_head, entities[int(rng.integers(0, len(entities)))])
+            if candidate is None or candidate == triple:
+                continue
+            if config.filtered_sampling and candidate in self.known:
+                continue
+            return candidate
+
+        sides = [corrupt_head] if config.corruption != CORRUPT_BOTH else [corrupt_head, not corrupt_head]
+        fallback = None
+        for side in sides:
+            for entity in entities:
+                candidate = build(side, entity)
+                if candidate is None or candidate == triple:
+                    continue
+                if config.filtered_sampling and candidate in self.known:
+                    if fallback is None:
+                        fallback = candidate
+                    continue
+                return candidate
+        return fallback
+
+
+def negative_sample(
+    triple: Triple, graph: Graph, config: TrainConfig, rng: np.random.Generator, *, sampler: _Sampler | None = None
+) -> Triple:
     """Corrupt the head or tail with a uniformly drawn entity.
 
     With filtered sampling the draw is retried while it hits a known
     positive; after the retry budget a deterministic scan finds a clean
     corruption, falling back to any non-identical one.  Raises
     SamplingError when no corruption different from the triple exists.
+    `sampler` is the id-level view of `graph` that a training run builds
+    once; without it one is built for this call.
     """
-    entities = graph.entities()
-    if config.corruption == CORRUPT_BOTH:
-        corrupt_head = bool(rng.integers(0, 2))
-    else:
-        corrupt_head = config.corruption == CORRUPT_HEAD
-
-    def build(side_head: bool, entity: Term) -> Triple | None:
-        if side_head:
-            if isinstance(entity, Literal):
-                return None
-            return Triple(entity, triple.predicate, triple.object)
-        return Triple(triple.subject, triple.predicate, entity)
-
-    for _ in range(100):
-        candidate = build(corrupt_head, entities[int(rng.integers(0, len(entities)))])
-        if candidate is None or candidate == triple:
-            continue
-        if config.filtered_sampling and candidate in graph:
-            continue
-        return candidate
-
-    sides = [corrupt_head] if config.corruption != CORRUPT_BOTH else [corrupt_head, not corrupt_head]
-    fallback = None
-    for side in sides:
-        for entity in entities:
-            candidate = build(side, entity)
-            if candidate is None or candidate == triple:
-                continue
-            if config.filtered_sampling and candidate in graph:
-                if fallback is None:
-                    fallback = candidate
-                continue
-            return candidate
-    if fallback is not None:
-        return fallback
-    raise SamplingError(f"no corruption of {format_term(triple.subject)} triple is possible")
+    if sampler is None:
+        sampler = _Sampler(graph)
+    ids = tuple(graph.lookup(t) for t in (triple.subject, triple.predicate, triple.object))
+    # a term the graph never interned gets id -1, which no triple holds
+    ids = tuple(-1 if i is None else i for i in ids)
+    corrupted = sampler.draw(ids, config, rng)
+    if corrupted is None:
+        raise SamplingError(f"no corruption of {format_term(triple.subject)} triple is possible")
+    if corrupted[0] != ids[0]:
+        return Triple(graph.term(corrupted[0]), triple.predicate, triple.object)
+    return Triple(triple.subject, triple.predicate, graph.term(corrupted[2]))
 
 
 def train_epoch(
-    model: EmbeddingModel, graph: Graph, config: TrainConfig, rng: np.random.Generator | None = None
+    model: EmbeddingModel,
+    graph: Graph,
+    config: TrainConfig,
+    rng: np.random.Generator | None = None,
+    *,
+    sampler: _Sampler | None = None,
 ) -> float:
-    """One pass of per-sample SGD over shuffled positives; returns mean loss."""
+    """One pass of per-sample SGD over shuffled positives; returns mean loss.
+
+    `sampler` is the view `train` builds once for all its epochs.
+    """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    positives = graph.triples()
+    if sampler is None:
+        sampler = _Sampler(graph)
+    positives = sampler.positives
     order = rng.permutation(len(positives))
     total = 0.0
     count = 0
@@ -231,7 +280,7 @@ def train_epoch(
         pos = positives[int(idx)]
         pos_ids = (model.entity_id(pos.subject), model.relation_id(pos.predicate), model.entity_id(pos.object))
         for _ in range(config.negatives_per_positive):
-            neg = negative_sample(pos, graph, config, rng)
+            neg = negative_sample(pos, graph, config, rng, sampler=sampler)
             neg_ids = (model.entity_id(neg.subject), model.relation_id(neg.predicate), model.entity_id(neg.object))
             loss, grads = loss_and_gradients(model, pos_ids, neg_ids, config.margin)
             total += loss
@@ -246,16 +295,31 @@ def train_epoch(
 def train(model: EmbeddingModel, graph: Graph, config: TrainConfig) -> list[float]:
     """Run config.epochs epochs from one seeded generator; returns epoch losses."""
     rng = np.random.default_rng(config.seed)
-    return [train_epoch(model, graph, config, rng) for _ in range(config.epochs)]
+    sampler = _Sampler(graph)
+    return [train_epoch(model, graph, config, rng, sampler=sampler) for _ in range(config.epochs)]
 
 
-def _candidate_scores(model: EmbeddingModel, free_head: bool, p: Term, bound: Term) -> np.ndarray:
-    r = model.relation_vecs[model.relation_id(p)]
-    e = model.entity_vecs[model.entity_id(bound)]
+def _candidate_scores(model: EmbeddingModel, free_head: bool, p: int, bound: int) -> np.ndarray:
+    r = model.relation_vecs[p]
+    e = model.entity_vecs[bound]
     diff = (model.entity_vecs + r - e) if free_head else (e + r - model.entity_vecs)
     if model.norm == L1:
         return -np.abs(diff).sum(axis=1)
     return -np.sqrt((diff * diff).sum(axis=1))
+
+
+def _candidate_rows(model: EmbeddingModel, free_head: bool) -> np.ndarray:
+    """Rows that may fill the free slot: any entity, but no literal as subject."""
+    if free_head:
+        return np.fromiter((not isinstance(t, Literal) for t in model.entities), bool, len(model.entities))
+    return np.ones(len(model.entities), dtype=bool)
+
+
+def _filter_mask(candidates: np.ndarray, known: list[int]) -> np.ndarray:
+    """The candidate rows minus the rows of known completions."""
+    allowed = candidates.copy()
+    allowed[known] = False
+    return allowed
 
 
 def predict_links(
@@ -280,15 +344,16 @@ def predict_links(
         raise ValidationError("exactly one of subject and object must be free")
     free_head = s is None
     bound = o if free_head else s
-    scores = _candidate_scores(model, free_head, p, bound)
-    ranked = []
-    for i, term in enumerate(model.entities):
-        if free_head and isinstance(term, Literal):
-            continue
-        candidate = Triple(term, p, o) if free_head else Triple(s, p, term)
-        if filtered and candidate in graph:
-            continue
-        ranked.append((term, float(scores[i])))
+    scores = _candidate_scores(model, free_head, model.relation_id(p), model.entity_id(bound))
+    known = []
+    if filtered:
+        if free_head:
+            completions = [t.subject for t in graph.match_terms(None, p, o)]
+        else:
+            completions = [t.object for t in graph.match_terms(s, p, None)]
+        known = [model.entity_index[t] for t in completions if t in model.entity_index]
+    allowed = _filter_mask(_candidate_rows(model, free_head), known)
+    ranked = [(model.entities[i], float(scores[i])) for i in np.flatnonzero(allowed)]
     ranked.sort(key=lambda pair: (-pair[1], sort_key(pair[0])))
     return ranked[:k]
 
@@ -318,6 +383,35 @@ def _metrics(ranks: list[int]) -> RankMetrics:
     )
 
 
+def _filtered_ranks(model: EmbeddingModel, train_graph: Graph, test_triples: list[Triple]) -> list[tuple[Term, int]]:
+    """(relation, filtered rank) per test triple in canonical order, head side first.
+
+    The known completions of each (relation, bound entity) under test are
+    listed once as model rows; a rank counts the candidates left by the
+    filter mask that score strictly better than the truth, plus one.
+    """
+    ent, rel = model.entity_index, model.relation_index
+    ordered = sorted(test_triples, key=triple_sort_key)
+    rows = [(ent[t.subject], rel[t.predicate], ent[t.object]) for t in ordered]
+    heads: dict[tuple[int, int], list[int]] = {(p, o): [] for _, p, o in rows}
+    tails: dict[tuple[int, int], list[int]] = {(s, p): [] for s, p, _ in rows}
+    for t in chain(train_graph.match_terms(), test_triples):
+        s, p, o = ent.get(t.subject), rel.get(t.predicate), ent.get(t.object)
+        if s is not None and (p, o) in heads:
+            heads[p, o].append(s)
+        if o is not None and (s, p) in tails:
+            tails[s, p].append(o)
+    candidates = {side: _candidate_rows(model, side) for side in (True, False)}
+    ranks = []
+    for t, (s, p, o) in zip(ordered, rows):
+        for free_head, true_row, bound, known in ((True, s, o, heads[p, o]), (False, o, s, tails[s, p])):
+            scores = _candidate_scores(model, free_head, p, bound)
+            # the truth is one of its own known completions, and never beats itself
+            better = (scores > scores[true_row]) & _filter_mask(candidates[free_head], known)
+            ranks.append((t.predicate, 1 + int(np.count_nonzero(better))))
+    return ranks
+
+
 def evaluate(model: EmbeddingModel, train_graph: Graph, test_triples: list[Triple]) -> EvalReport:
     """Filtered link-prediction protocol over head and tail replacement.
 
@@ -333,32 +427,11 @@ def evaluate(model: EmbeddingModel, train_graph: Graph, test_triples: list[Tripl
     if offenders:
         raise UnknownTermError("test triples mention unknown terms: " + ", ".join(sorted(set(offenders))))
 
-    known = {(t.subject, t.predicate, t.object) for t in train_graph.triples()}
-    known.update((t.subject, t.predicate, t.object) for t in test_triples)
-
-    ranks: list[int] = []
+    ranks = _filtered_ranks(model, train_graph, test_triples)
     by_relation: dict[Term, list[int]] = {}
-    for t in sorted(test_triples, key=triple_sort_key):
-        for free_head in (True, False):
-            true_term = t.subject if free_head else t.object
-            bound = t.object if free_head else t.subject
-            scores = _candidate_scores(model, free_head, t.predicate, bound)
-            true_score = scores[model.entity_id(true_term)]
-            rank = 1
-            for i, term in enumerate(model.entities):
-                if term == true_term:
-                    continue
-                if free_head and isinstance(term, Literal):
-                    continue
-                completion = (term, t.predicate, t.object) if free_head else (t.subject, t.predicate, term)
-                if completion in known:
-                    continue
-                if scores[i] > true_score:
-                    rank += 1
-            ranks.append(rank)
-            by_relation.setdefault(t.predicate, []).append(rank)
-
-    overall = _metrics(ranks)
+    for relation, rank in ranks:
+        by_relation.setdefault(relation, []).append(rank)
+    overall = _metrics([rank for _, rank in ranks])
     return EvalReport(
         mean_rank=overall.mean_rank,
         mrr=overall.mrr,
@@ -416,6 +489,9 @@ def load_model_text(text: str) -> EmbeddingModel:
         else:
             relations.append(term)
             relation_rows.append(values)
+    for kind, terms in (("entity", entities), ("relation", relations)):
+        if len(set(terms)) != len(terms):
+            raise ValidationError(f"duplicate {kind} row in model file")
     return EmbeddingModel(
         dim=dim,
         norm=norm,

@@ -62,7 +62,7 @@ class Graph:
 
     def lookup(self, term: Term) -> int | None:
         """Id of `term` if already interned (relative IRIs resolved), else None."""
-        if isinstance(term, IRI) and not term.is_absolute() and self.base is not None:
+        if isinstance(term, IRI) and self.base is not None and not term.is_absolute():
             term = self._resolve(term)
         return self._term_to_id.get(term)
 
@@ -248,23 +248,19 @@ class Graph:
 
     def entities(self) -> list[Term]:
         """Terms occurring in subject or object position, canonical order."""
-        seen = set()
-        for s, _, o in self._triples:
-            seen.add(s)
-            seen.add(o)
-        return sorted((self._id_to_term[i] for i in seen), key=sort_key)
+        return self._sorted_terms(self._spo.keys() | self._osp.keys())
 
     def relations(self) -> list[Term]:
         """Terms occurring in predicate position, canonical order."""
-        seen = {p for _, p, _ in self._triples}
-        return sorted((self._id_to_term[i] for i in seen), key=sort_key)
+        return self._sorted_terms(self._pos.keys())
 
     def terms(self) -> list[Term]:
         """Terms occurring in any triple position, canonical order."""
-        seen = set()
-        for t in self._triples:
-            seen.update(t)
-        return sorted((self._id_to_term[i] for i in seen), key=sort_key)
+        return self._sorted_terms(self._spo.keys() | self._pos.keys() | self._osp.keys())
+
+    def _sorted_terms(self, ids) -> list[Term]:
+        # index keys are exact: a key is added with its first triple and no triple is ever removed
+        return sorted((self._id_to_term[i] for i in ids), key=sort_key)
 
 
 def graph_from_triples(triples: Iterable[Triple], base: str | None = None) -> Graph:

@@ -37,22 +37,38 @@ _SAMEAS = "owl-sameas"
 
 def _list_members(ctx: _Ctx, node: int) -> set[int]:
     """Members of an RDF collection, following first/rest edges from node."""
+    return _list_walk(ctx, node)[0]
+
+
+def _list_walk(ctx: _Ctx, node: int) -> tuple[set[int], bool]:
+    """Members of the collection at node, and whether it is complete.
+
+    Complete means the walk reaches rdf:nil and every cell on the way has
+    an rdf:first: OWL 2 RL's LIST premise.  A list whose cells are still
+    arriving one at a time is a prefix, and not complete.
+    """
     first = ctx.vid(vocab.RDF_FIRST)
     rest = ctx.vid(vocab.RDF_REST)
     nil = ctx.vid(vocab.RDF_NIL)
     members: set[int] = set()
     stack = [node]
     seen: set[int] = set()
+    reached_nil = False
+    every_cell_has_first = True
     while stack:
         n = stack.pop()
-        if n in seen or (nil is not None and n == nil):
+        if n == nil:
+            reached_nil = True
+            continue
+        if n in seen:
             continue
         seen.add(n)
-        if first is not None:
-            members.update(o for _, _, o in ctx.g.match_ids(n, first, None))
+        firsts = [o for _, _, o in ctx.g.match_ids(n, first, None)] if first is not None else []
+        every_cell_has_first &= bool(firsts)
+        members.update(firsts)
         if rest is not None:
             stack.extend(o for _, _, o in ctx.g.match_ids(n, rest, None))
-    return members
+    return members, reached_nil and every_cell_has_first
 
 
 def _structural(ctx: _Ctx, delta: list[IdTriple], *preds: Term) -> bool:
@@ -246,8 +262,10 @@ def _r_intersection(ctx: _Ctx, delta: list[IdTriple]):
             yield (x, typ, m), "owl-intersection-member", ((x, typ, c), (c, inter, l))
 
     def build_direction(x: int, c: int, l: int):
-        mem = sorted(_list_members(ctx, l))
-        if mem and all(ctx.g.contains_ids((x, typ, m)) for m in mem):
+        # unlike the other directions, building is unsound on a list prefix
+        members, complete = _list_walk(ctx, l)
+        mem = sorted(members)
+        if complete and mem and all(ctx.g.contains_ids((x, typ, m)) for m in mem):
             premises = ((c, inter, l),) + tuple((x, typ, m) for m in mem)
             yield (x, typ, c), "owl-intersection-build", premises
 

@@ -8,8 +8,13 @@ term tuples.
 
 from __future__ import annotations
 
+import numpy as np
+
 from kgkit import vocab
-from kgkit.terms import IRI, Literal, Term, TriplePattern, Var
+from kgkit.embeddings import CORRUPT_BOTH, CORRUPT_HEAD
+from kgkit.errors import SamplingError
+from kgkit.io import format_term
+from kgkit.terms import IRI, Literal, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
 TermTriple = tuple[Term, Term, Term]
 
@@ -400,3 +405,100 @@ def numeric_gradient(fn, vec, h: float = 1e-6):
         down[i] -= h
         grad.append((fn(up) - fn(down)) / (2.0 * h))
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Embeddings: the term-level sampler, filtered ranking and link prediction
+# ---------------------------------------------------------------------------
+
+
+def oracle_negative_sample(triple, graph, config, rng):
+    """Negative sampling over terms: one graph.entities() list per call."""
+    entities = graph.entities()
+    if config.corruption == CORRUPT_BOTH:
+        corrupt_head = bool(rng.integers(0, 2))
+    else:
+        corrupt_head = config.corruption == CORRUPT_HEAD
+
+    def build(side_head, entity):
+        if side_head:
+            if isinstance(entity, Literal):
+                return None
+            return Triple(entity, triple.predicate, triple.object)
+        return Triple(triple.subject, triple.predicate, entity)
+
+    for _ in range(100):
+        candidate = build(corrupt_head, entities[int(rng.integers(0, len(entities)))])
+        if candidate is None or candidate == triple:
+            continue
+        if config.filtered_sampling and candidate in graph:
+            continue
+        return candidate
+
+    sides = [corrupt_head] if config.corruption != CORRUPT_BOTH else [corrupt_head, not corrupt_head]
+    fallback = None
+    for side in sides:
+        for entity in entities:
+            candidate = build(side, entity)
+            if candidate is None or candidate == triple:
+                continue
+            if config.filtered_sampling and candidate in graph:
+                if fallback is None:
+                    fallback = candidate
+                continue
+            return candidate
+    if fallback is not None:
+        return fallback
+    raise SamplingError(f"no corruption of {format_term(triple.subject)} triple is possible")
+
+
+def _oracle_scores(model, free_head, p, bound):
+    """Candidate scores for every entity row, as the library computed them over terms."""
+    r = model.relation_vecs[model.relation_id(p)]
+    e = model.entity_vecs[model.entity_id(bound)]
+    diff = (model.entity_vecs + r - e) if free_head else (e + r - model.entity_vecs)
+    if model.norm == "L1":
+        return -np.abs(diff).sum(axis=1)
+    return -np.sqrt((diff * diff).sum(axis=1))
+
+
+def oracle_filtered_ranks(model, train_graph, test_triples):
+    """(relation, rank) per test triple and side: a term-level scan of every entity."""
+    known = {(t.subject, t.predicate, t.object) for t in train_graph.triples()}
+    known.update((t.subject, t.predicate, t.object) for t in test_triples)
+    ranks = []
+    for t in sorted(test_triples, key=triple_sort_key):
+        for free_head in (True, False):
+            true_term = t.subject if free_head else t.object
+            bound = t.object if free_head else t.subject
+            scores = _oracle_scores(model, free_head, t.predicate, bound)
+            true_score = scores[model.entity_index[true_term]]
+            rank = 1
+            for i, term in enumerate(model.entities):
+                if term == true_term:
+                    continue
+                if free_head and isinstance(term, Literal):
+                    continue
+                completion = (term, t.predicate, t.object) if free_head else (t.subject, t.predicate, term)
+                if completion in known:
+                    continue
+                if scores[i] > true_score:
+                    rank += 1
+            ranks.append((t.predicate, rank))
+    return ranks
+
+
+def oracle_predict_links(model, graph, s, p, o, k, filtered):
+    """Top-k completions by a full term-level scan; ties break by canonical order."""
+    free_head = s is None
+    scores = _oracle_scores(model, free_head, p, o if free_head else s)
+    ranked = []
+    for i, term in enumerate(model.entities):
+        if free_head and isinstance(term, Literal):
+            continue
+        candidate = Triple(term, p, o) if free_head else Triple(s, p, term)
+        if filtered and candidate in graph:
+            continue
+        ranked.append((term, float(scores[i])))
+    ranked.sort(key=lambda pair: (-pair[1], sort_key(pair[0])))
+    return ranked[:k]

@@ -263,3 +263,36 @@ def test_embed_predict_requires_exactly_one_free_slot(tmp_path, capsys):
     model = str(tmp_path / "m.tsv")
     assert main(["embed", "train", kb, "--dim", "4", "--epochs", "2", "--seed", "1", "--model", model]) == 0
     assert main(["embed", "predict", kb, "--model", model, "--relation", f"{EDU}next"]) == 1
+
+
+def _eval_fixture(tmp_path) -> tuple[str, str, str]:
+    kb = embed_fixture(tmp_path)
+    model = str(tmp_path / "m.tsv")
+    test_file = write(tmp_path / "test.nt", f"<{EDU}n0> <{EDU}next> <{EDU}n1> .\n<{EDU}n3> <{EDU}prev> <{EDU}n5> .\n")
+    assert main(["embed", "train", kb, "--dim", "6", "--epochs", "30", "--seed", "1", "--model", model]) == 0
+    return kb, model, test_file
+
+
+def test_embed_eval_stdout_without_per_relation_is_unchanged(tmp_path, capsys):
+    kb, model, test_file = _eval_fixture(tmp_path)
+    capsys.readouterr()
+    assert main(["embed", "eval", kb, "--model", model, "--test", test_file]) == 0
+    assert capsys.readouterr().out == (
+        '{"hits_at_1": 0.25, "hits_at_10": 1.0, "hits_at_3": 0.5, "mean_rank": 4.75, "mrr": 0.40029761904761907}\n'
+    )
+
+
+def test_embed_eval_per_relation(tmp_path, capsys):
+    kb, model, test_file = _eval_fixture(tmp_path)
+    capsys.readouterr()
+    assert main(["embed", "eval", kb, "--model", model, "--test", test_file]) == 0
+    overall = json.loads(capsys.readouterr().out)
+    assert main(["embed", "eval", kb, "--model", model, "--test", test_file, "--per-relation"]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    per_relation = metrics.pop("per_relation")
+    assert metrics == overall
+    assert set(per_relation) == {f"<{EDU}next>", f"<{EDU}prev>"}
+    for row in per_relation.values():
+        assert set(row) == set(overall)
+    # one test triple per relation, so the overall mean rank averages the two
+    assert overall["mean_rank"] == sum(row["mean_rank"] for row in per_relation.values()) / 2

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from kgkit import (
     Graph,
     IRI,
+    Literal,
     SamplingError,
     TrainConfig,
     Triple,
@@ -21,10 +24,11 @@ from kgkit import (
     train,
     train_epoch,
 )
-from kgkit.embeddings import L1, L2, loss_and_gradients
+from kgkit import graph_from_triples
+from kgkit.embeddings import L1, L2, RankMetrics, _filtered_ranks, _metrics, _Sampler, loss_and_gradients
 
-from helpers import EDU, edu, location_graph
-from oracles import numeric_gradient
+from helpers import EDU, edu, location_graph, random_rdfs_graph
+from oracles import numeric_gradient, oracle_filtered_ranks, oracle_negative_sample, oracle_predict_links
 
 
 def ring_graph(n_entities: int = 6, relation: str = "rel") -> Graph:
@@ -444,3 +448,102 @@ def test_model_header_format():
     model = init_model(ring_graph(), 3, seed=0, norm=L2)
     first = dump_model(model).splitlines()[0]
     assert first == "d=3 norm=L2"
+
+
+# ---------------------------------------------------------------------------
+# Id-space sampling and ranking against the term-level oracles
+# ---------------------------------------------------------------------------
+
+
+def dense_graph() -> Graph:
+    # every (x, r, y) over three entities: filtered draws all hit, forcing the fallback scan
+    g = Graph()
+    for x in ("a", "b", "c"):
+        for y in ("a", "b", "c"):
+            g.add(edu(x), edu("r"), edu(y))
+    return g
+
+
+def _outcome(sample, triple, graph, config, seed, **kwargs):
+    rng = np.random.default_rng(seed)
+    try:
+        result = sample(triple, graph, config, rng, **kwargs)
+    except SamplingError as exc:
+        result = ("SamplingError", str(exc))
+    return result, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("corruption", ["head", "tail", "both"])
+@pytest.mark.parametrize("filtered", [True, False])
+def test_negative_sample_matches_term_level_oracle(corruption, filtered):
+    config = TrainConfig(corruption=corruption, filtered_sampling=filtered)
+    single = Graph()
+    single.add(edu("only"), edu("self"), edu("only"))
+    dense = dense_graph()
+    graphs = [random_rdfs_graph(seed, max_triples=40) for seed in range(12)] + [dense, single]
+    for g in graphs:
+        sampler = _Sampler(g)
+        probes = g.triples() + [Triple(edu("stranger"), edu("r"), g.entities()[0])]
+        for k, t in enumerate(probes):
+            expected = _outcome(oracle_negative_sample, t, g, config, k)
+            assert _outcome(negative_sample, t, g, config, k) == expected, t
+            assert _outcome(negative_sample, t, g, config, k, sampler=sampler) == expected, t
+    if filtered:  # every corruption in the dense graph is known, so the fallback scan answers
+        assert _outcome(negative_sample, dense.triples()[0], dense, config, 0)[0] in dense
+
+
+@pytest.mark.parametrize("norm", [L1, L2])
+def test_filtered_ranks_match_term_level_oracle(norm):
+    for seed in range(12):
+        g = random_rdfs_graph(seed, max_triples=60)
+        triples = g.triples()
+        held = random.Random(seed).sample(triples, max(1, len(triples) // 4))
+        train_graph = graph_from_triples(t for t in triples if t not in held)
+        model = init_model(g, 2, seed=seed, norm=norm)
+        # small integer vectors: many candidates tie with the truth
+        rng = np.random.default_rng(seed)
+        model.entity_vecs = rng.integers(-2, 3, model.entity_vecs.shape).astype(float)
+        model.relation_vecs = rng.integers(-2, 3, model.relation_vecs.shape).astype(float)
+        expected = oracle_filtered_ranks(model, train_graph, held)
+        assert _filtered_ranks(model, train_graph, held) == expected, f"seed {seed}"
+        report = evaluate(model, train_graph, held)
+        overall = _metrics([rank for _, rank in expected])
+        assert RankMetrics(report.mean_rank, report.mrr, report.hits_at_1, report.hits_at_3, report.hits_at_10) == overall
+        by_relation = {}
+        for relation, rank in expected:
+            by_relation.setdefault(relation, []).append(rank)
+        assert report.per_relation == {rel: _metrics(ranks) for rel, ranks in by_relation.items()}
+
+
+@pytest.mark.parametrize("filtered", [True, False])
+def test_predict_links_matches_term_level_oracle(filtered):
+    for seed in range(8):
+        g = random_rdfs_graph(seed, max_triples=60)
+        model = init_model(g, 2, seed=seed)
+        rng = np.random.default_rng(seed)
+        model.entity_vecs = rng.integers(-2, 3, model.entity_vecs.shape).astype(float)
+        for p in model.relations:
+            for t in model.entities:
+                for k in (1, 4):
+                    if not isinstance(t, Literal):
+                        got = predict_links(model, g, s=t, p=p, k=k, filtered=filtered)
+                        assert got == oracle_predict_links(model, g, t, p, None, k, filtered)
+                    got = predict_links(model, g, p=p, o=t, k=k, filtered=filtered)
+                    assert got == oracle_predict_links(model, g, None, p, t, k, filtered)
+
+
+def test_model_file_bytes_are_pinned():
+    # the model file this graph, config and seed gave with the term-level sampler
+    g = random_rdfs_graph(3)
+    model = init_model(g, 6, seed=5)
+    train(model, g, TrainConfig(epochs=3, seed=5, negatives_per_positive=2, learning_rate=0.05))
+    digest = hashlib.sha256(dump_model(model).encode()).hexdigest()
+    assert digest == "e3005125bc960209f16048982d1cd5fd2cf54ad8641b29a6dcdeffe66e582ccb"
+
+
+def test_model_file_with_a_repeated_term_is_rejected():
+    # ranking works on one row per term
+    text = dump_model(init_model(ring_graph(), 2, seed=0))
+    entity_row = next(line for line in text.splitlines() if line.startswith("E\t"))
+    with pytest.raises(ValidationError, match="duplicate entity"):
+        load_model_text(text + entity_row + "\n")

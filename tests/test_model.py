@@ -218,3 +218,13 @@ def test_copy_isolated_from_original():
 def test_malformed_model_file_raises_validation_error(text):
     with pytest.raises(ValidationError):
         load_model_text(text)
+
+
+def test_term_views_equal_a_scan_of_every_triple():
+    for seed in range(20):
+        g = random_rdfs_graph(seed)
+        g.intern(edu("interned-but-unused"))
+        ts = triples_of(g)
+        assert g.entities() == sorted({x for s, _, o in ts for x in (s, o)}, key=sort_key)
+        assert g.relations() == sorted({p for _, p, _ in ts}, key=sort_key)
+        assert g.terms() == sorted({x for t in ts for x in t}, key=sort_key)

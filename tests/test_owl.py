@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kgkit import (
+    BlankNode,
     EqualityPartition,
     Graph,
     IRI,
@@ -502,3 +503,39 @@ def test_incremental_insertion_in_random_order_equals_saturation():
         assert _collect_violations(work) == report, f"seed {seed}"
         if seed < 5:
             assert triples_of(work) == naive_owl_closure(triples_of(g)), f"seed {seed}"
+
+
+def test_every_triple_inserted_in_random_order_equals_saturation():
+    # list cells arrive one at a time too, so intersection lists pass through prefixes
+    for seed in range(100):
+        g = random_owl_graph(seed, max_triples=50)
+        inserted = g.triples()
+        random.Random(seed).shuffle(inserted)
+        work = Graph()
+        for t in inserted:
+            _resume(work, t)
+        expected, report = saturate_owl(g)
+        assert triples_of(work) == closure_triples(expected), f"seed {seed}"
+        assert _collect_violations(work) == report, f"seed {seed}"
+        if seed < 5:
+            assert triples_of(work) == naive_owl_closure(triples_of(g)), f"seed {seed}"
+
+
+def test_intersection_builds_only_from_a_complete_list():
+    l1, l2 = BlankNode("l1"), BlankNode("l2")
+    g = Graph()
+    g.add(N("C"), vocab.OWL_INTERSECTIONOF, l1)
+    g.add(l1, vocab.RDF_FIRST, N("A"))
+    g.add(l1, vocab.RDF_REST, l2)
+    g.add(l2, vocab.RDF_FIRST, N("B"))
+    g.add(N("x"), vocab.RDF_TYPE, N("A"))
+    g.add(N("x"), vocab.RDF_TYPE, N("B"))
+    g.add(N("y"), vocab.RDF_TYPE, N("C"))
+    closure, _ = saturate_owl(g)
+    # no rdf:nil yet: members still follow from C, but x is not built into C
+    assert Triple(N("x"), vocab.RDF_TYPE, N("C")) not in closure.graph
+    for member in (N("A"), N("B")):
+        assert Triple(N("y"), vocab.RDF_TYPE, member) in closure.graph
+    work = closure.graph.copy()
+    _resume(work, Triple(l2, vocab.RDF_REST, vocab.RDF_NIL))
+    assert Triple(N("x"), vocab.RDF_TYPE, N("C")) in work
