@@ -419,6 +419,8 @@ def evaluate(model: EmbeddingModel, train_graph: Graph, test_triples: list[Tripl
     candidate entities, excluding every other completion known from
     train or test; the rank counts strictly better scores plus one.
     """
+    if not test_triples:
+        raise ValidationError("evaluation needs at least one test triple")
     offenders = []
     for t in test_triples:
         for term, known in ((t.subject, model.entity_index), (t.predicate, model.relation_index), (t.object, model.entity_index)):

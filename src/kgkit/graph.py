@@ -232,7 +232,10 @@ class Graph:
         return out
 
     def cardinality(self, s: Term | Var | None = None, p: Term | Var | None = None, o: Term | Var | None = None) -> int:
-        """Estimated result size of a pattern, used for join ordering."""
+        """Exact number of triples matching a pattern, read from index set sizes; used for join ordering.
+
+        Variables count as wildcards, so a repeated variable is not checked.
+        """
         ids = []
         for t in (s, p, o):
             if t is None or isinstance(t, Var):
@@ -242,7 +245,22 @@ class Graph:
                 if tid is None:
                     return 0
                 ids.append(tid)
-        return sum(1 for _ in self.match_ids(*ids))
+        s, p, o = ids
+        if s is not None and p is not None and o is not None:
+            return int((s, p, o) in self._triples)
+        if s is not None and p is not None:
+            return len(self._spo.get(s, {}).get(p, ()))
+        if s is not None and o is not None:
+            return len(self._osp.get(o, {}).get(s, ()))
+        if p is not None and o is not None:
+            return len(self._pos.get(p, {}).get(o, ()))
+        if s is not None:
+            return sum(map(len, self._spo.get(s, {}).values()))
+        if p is not None:
+            return sum(map(len, self._pos.get(p, {}).values()))
+        if o is not None:
+            return sum(map(len, self._osp.get(o, {}).values()))
+        return len(self._triples)
 
     # -- knowledge-graph views ------------------------------------------
 

@@ -10,12 +10,14 @@ sorted line per triple, byte-identical across runs for equal graphs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import vocab
 from .errors import ParseError, UnknownPrefixError, ValidationError
 from .graph import Graph
-from .terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple
+from .terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, sort_key
 
 
 @dataclass
@@ -53,141 +55,118 @@ _PUNCT = {".": DOT, ";": SEMICOLON, ",": COMMA, "[": LBRACKET, "]": RBRACKET, "(
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
     col: int
 
 
+_ESCAPE = r"""\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"""
+_IRI_BODY = rf"[^>\\\n]*(?:{_ESCAPE}[^>\\\n]*)*"
+_STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
+
+# One alternative per token kind.  Only `skip` can hold a newline, so every
+# other token lies on one line.  `bad` takes the one character that starts no
+# well-formed token (an unterminated or badly escaped IRI or literal, a lone
+# '^', '>', or whitespace other than space, tab, CR and LF); `_malformed`
+# then names the fault.
+_SCANNER = re.compile(
+    rf"""
+      (?P<skip>[ \t\r\n]+|\#[^\n]*)
+    | <(?P<iriref>{_IRI_BODY})>
+    | "(?P<string>{_STRING_BODY})"
+    | @(?P<at>(?:[^\W_]|-)*)
+    | (?P<hathat>\^\^)
+    | _:(?P<blank>[^\s.;,()\[\]<"]*)
+    | (?P<punct>[.;,\[\]()])
+    | (?P<word>[^\s.;,()\[\]<>"^@]+(?:\.(?=[^\s;,()\[\]])[^\s.;,()\[\]<>"^@]*)*)
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_BODIES = {"<": (re.compile(_IRI_BODY), "IRI"), '"': (re.compile(_STRING_BODY), "literal")}
+_ESCAPE_RE = re.compile(_ESCAPE)
+
+
+def _unescape(value: str, line: int, col: int) -> str:
+    """Decode the escapes of a token body whose first character is at `col`."""
+
+    def decode(m: re.Match) -> str:
+        esc = m.group()
+        if len(esc) == 2:
+            return _ESCAPES[esc[1]]
+        code = int(esc[2:], 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:  # not a Unicode scalar value
+            raise ParseError(f"bad \\{esc[1]} escape", line, col + m.start())
+        return chr(code)
+
+    return _ESCAPE_RE.sub(decode, value)
+
+
+def _malformed(text: str, start: int, line: int, col: int) -> ParseError:
+    """The error for the character at `start`, which begins no well-formed token."""
+    c = text[start]
+    if c == "^":
+        return ParseError("expected '^^'", line, col)
+    if c not in _BODIES:
+        return ParseError(f"unexpected character {c!r}", line, col)
+    body, what = _BODIES[c]
+    stop = body.match(text, start + 1).end()
+    if stop >= len(text):
+        return ParseError(f"unterminated {what}", line, col)
+    if text[stop] == "\n":
+        return ParseError(f"newline inside {what}", line, col)
+    # the body stopped at a backslash that starts no valid escape
+    col += stop - start
+    if stop + 1 >= len(text):
+        return ParseError("dangling escape", line, col)
+    e = text[stop + 1]
+    return ParseError(f"bad \\{e} escape" if e in "uU" else f"unknown escape \\{e}", line, col)
+
+
 def _tokenize(text: str, start_line: int = 1) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
+    append = tokens.append
     line = start_line
-    col = 1
-    n = len(text)
-
-    def err(msg: str):
-        raise ParseError(msg, line, col)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def read_escape() -> str:
-        # called with text[i] == '\\'
-        nonlocal i
-        if i + 1 >= n:
-            err("dangling escape")
-        c = text[i + 1]
-        if c in _ESCAPES:
-            advance(2)
-            return _ESCAPES[c]
-        if c == "u" or c == "U":
-            width = 4 if c == "u" else 8
-            hexpart = text[i + 2 : i + 2 + width]
-            if len(hexpart) < width or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-                err(f"bad \\{c} escape")
-            advance(2 + width)
-            return chr(int(hexpart, 16))
-        err(f"unknown escape \\{c}")
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance()
+    line_start = 0  # offset of the first character of the current line
+    for m in _SCANNER.finditer(text):
+        kind = m.lastgroup
+        start = m.start()
+        if kind == "skip":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, m.end()) + 1
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        tline, tcol = line, col
-        if c == "<":
-            advance()
-            buf = []
-            while i < n and text[i] != ">":
-                if text[i] == "\\":
-                    buf.append(read_escape())
-                elif text[i] == "\n":
-                    raise ParseError("newline inside IRI", tline, tcol)
-                else:
-                    buf.append(text[i])
-                    advance()
-            if i >= n:
-                raise ParseError("unterminated IRI", tline, tcol)
-            advance()  # '>'
-            tokens.append(_Token(IRIREF, "".join(buf), tline, tcol))
-        elif c == '"':
-            advance()
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\":
-                    buf.append(read_escape())
-                elif text[i] == "\n":
-                    raise ParseError("newline inside literal", tline, tcol)
-                else:
-                    buf.append(text[i])
-                    advance()
-            if i >= n:
-                raise ParseError("unterminated literal", tline, tcol)
-            advance()  # closing quote
-            tokens.append(_Token(STRING, "".join(buf), tline, tcol))
-        elif c == "@":
-            advance()
-            buf = []
-            while i < n and (text[i].isalnum() or text[i] == "-"):
-                buf.append(text[i])
-                advance()
-            word = "".join(buf)
-            if word == "prefix":
-                tokens.append(_Token(AT_PREFIX, word, tline, tcol))
-            elif word:
-                tokens.append(_Token(LANGTAG, word, tline, tcol))
+        col = start - line_start + 1
+        value = m.group(kind)
+        if kind == "iriref" or kind == "string":
+            if "\\" in value:
+                value = _unescape(value, line, col + 1)
+            append(_Token(IRIREF if kind == "iriref" else STRING, value, line, col))
+        elif kind == "punct":
+            append(_Token(_PUNCT[value], value, line, col))
+        elif kind == "word":
+            if value == "a":
+                append(_Token(KEYWORD_A, value, line, col))
+            elif ":" in value:
+                append(_Token(QNAME, value, line, col))
             else:
-                raise ParseError("dangling '@'", tline, tcol)
-        elif c == "^":
-            if text[i : i + 2] != "^^":
-                err("expected '^^'")
-            advance(2)
-            tokens.append(_Token(HATHAT, "^^", tline, tcol))
-        elif c == "_" and text[i : i + 2] == "_:":
-            advance(2)
-            buf = []
-            while i < n and not text[i].isspace() and text[i] not in ".;,()[]<\"":
-                buf.append(text[i])
-                advance()
-            if not buf:
-                raise ParseError("empty blank node label", tline, tcol)
-            tokens.append(_Token(BLANK, "".join(buf), tline, tcol))
-        elif c in _PUNCT:
-            advance()
-            tokens.append(_Token(_PUNCT[c], c, tline, tcol))
+                raise ParseError(f"unexpected token {value!r}", line, col)
+        elif kind == "blank":
+            if not value:
+                raise ParseError("empty blank node label", line, col)
+            append(_Token(BLANK, value, line, col))
+        elif kind == "at":
+            if not value:
+                raise ParseError("dangling '@'", line, col)
+            append(_Token(AT_PREFIX if value == "prefix" else LANGTAG, value, line, col))
+        elif kind == "hathat":
+            append(_Token(HATHAT, value, line, col))
         else:
-            # bare word: either the keyword 'a' or a qname like edu:Warsaw
-            buf = []
-            while i < n and not text[i].isspace() and text[i] not in ";,()[]<>\"^@":
-                # '.' ends a statement unless it is part of the local name
-                if text[i] == "." and (i + 1 >= n or text[i + 1].isspace() or text[i + 1] in ";,()[]"):
-                    break
-                buf.append(text[i])
-                advance()
-            word = "".join(buf)
-            if not word:
-                err(f"unexpected character {c!r}")
-            if word == "a":
-                tokens.append(_Token(KEYWORD_A, word, tline, tcol))
-            elif ":" in word:
-                tokens.append(_Token(QNAME, word, tline, tcol))
-            else:
-                raise ParseError(f"unexpected token {word!r}", tline, tcol)
-    tokens.append(_Token(EOF, "", line, col))
+            raise _malformed(text, start, line, col)
+    append(_Token(EOF, "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -406,34 +385,25 @@ def parse_turtle(text: str) -> ParseReport:
 # ---------------------------------------------------------------------------
 
 
+_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_STRING_UNSAFE = re.compile(r'[\x00-\x1f"\\]')
+_IRI_UNSAFE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+
+
+def _uchar(m: re.Match) -> str:
+    return f"\\u{ord(m.group()):04X}"
+
+
 def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    if not _STRING_UNSAFE.search(s):
+        return s
+    return _STRING_UNSAFE.sub(lambda m: _STRING_ESCAPES.get(m.group()) or _uchar(m), s)
 
 
 def _escape_iri(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in '<>"{}|^`\\' or ord(ch) <= 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    if not _IRI_UNSAFE.search(s):
+        return s
+    return _IRI_UNSAFE.sub(_uchar, s)
 
 
 def format_term(term: Term) -> str:
@@ -452,13 +422,15 @@ def format_term(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-def format_triple(t: Triple) -> str:
-    return f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)} ."
-
-
 def serialize_ntriples(graph: Graph) -> str:
-    """Canonical N-Triples: sorted, one line per triple, trailing newline."""
-    lines = [format_triple(t) for t in graph.triples()]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    """Canonical N-Triples: sorted, one line per triple, trailing newline.
+
+    Each distinct term is formatted and keyed once; the id triples are then
+    sorted by the terms' canonical ranks.  Terms with equal sort keys have
+    equal text, so ties cannot change the output.
+    """
+    ids = sorted({i for t in graph._triples for i in t}, key=lambda i: sort_key(graph.term(i)))
+    rank = {tid: r for r, tid in enumerate(ids)}
+    text = [format_term(graph.term(tid)) for tid in ids]
+    rows = sorted((rank[s], rank[p], rank[o]) for s, p, o in graph._triples)
+    return "".join([f"{text[s]} {text[p]} {text[o]} .\n" for s, p, o in rows])

@@ -12,9 +12,23 @@ import numpy as np
 
 from kgkit import vocab
 from kgkit.embeddings import CORRUPT_BOTH, CORRUPT_HEAD
-from kgkit.errors import SamplingError
-from kgkit.io import format_term
-from kgkit.terms import IRI, Literal, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
+from kgkit.errors import ParseError, SamplingError
+from kgkit.io import (
+    _ESCAPES,
+    _PUNCT,
+    AT_PREFIX,
+    BLANK,
+    EOF,
+    HATHAT,
+    IRIREF,
+    KEYWORD_A,
+    LANGTAG,
+    QNAME,
+    STRING,
+    _Token,
+    format_term,
+)
+from kgkit.terms import IRI, BlankNode, Literal, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
 TermTriple = tuple[Term, Term, Term]
 
@@ -502,3 +516,201 @@ def oracle_predict_links(model, graph, s, p, o, k, filtered):
         ranked.append((term, float(scores[i])))
     ranked.sort(key=lambda pair: (-pair[1], sort_key(pair[0])))
     return ranked[:k]
+
+
+# ---------------------------------------------------------------------------
+# N-Triples / Turtle: the per-character tokenizer
+# ---------------------------------------------------------------------------
+
+
+def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    line = start_line
+    col = 1
+    n = len(text)
+
+    def err(msg: str):
+        raise ParseError(msg, line, col)
+
+    def advance(k: int = 1):
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    def read_escape() -> str:
+        # called with text[i] == '\\'
+        nonlocal i
+        if i + 1 >= n:
+            err("dangling escape")
+        c = text[i + 1]
+        if c in _ESCAPES:
+            advance(2)
+            return _ESCAPES[c]
+        if c == "u" or c == "U":
+            width = 4 if c == "u" else 8
+            hexpart = text[i + 2 : i + 2 + width]
+            if len(hexpart) < width or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
+                err(f"bad \\{c} escape")
+            advance(2 + width)
+            return chr(int(hexpart, 16))
+        err(f"unknown escape \\{c}")
+
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            advance()
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                advance()
+            continue
+        tline, tcol = line, col
+        if c == "<":
+            advance()
+            buf = []
+            while i < n and text[i] != ">":
+                if text[i] == "\\":
+                    buf.append(read_escape())
+                elif text[i] == "\n":
+                    raise ParseError("newline inside IRI", tline, tcol)
+                else:
+                    buf.append(text[i])
+                    advance()
+            if i >= n:
+                raise ParseError("unterminated IRI", tline, tcol)
+            advance()  # '>'
+            tokens.append(_Token(IRIREF, "".join(buf), tline, tcol))
+        elif c == '"':
+            advance()
+            buf = []
+            while i < n and text[i] != '"':
+                if text[i] == "\\":
+                    buf.append(read_escape())
+                elif text[i] == "\n":
+                    raise ParseError("newline inside literal", tline, tcol)
+                else:
+                    buf.append(text[i])
+                    advance()
+            if i >= n:
+                raise ParseError("unterminated literal", tline, tcol)
+            advance()  # closing quote
+            tokens.append(_Token(STRING, "".join(buf), tline, tcol))
+        elif c == "@":
+            advance()
+            buf = []
+            while i < n and (text[i].isalnum() or text[i] == "-"):
+                buf.append(text[i])
+                advance()
+            word = "".join(buf)
+            if word == "prefix":
+                tokens.append(_Token(AT_PREFIX, word, tline, tcol))
+            elif word:
+                tokens.append(_Token(LANGTAG, word, tline, tcol))
+            else:
+                raise ParseError("dangling '@'", tline, tcol)
+        elif c == "^":
+            if text[i : i + 2] != "^^":
+                err("expected '^^'")
+            advance(2)
+            tokens.append(_Token(HATHAT, "^^", tline, tcol))
+        elif c == "_" and text[i : i + 2] == "_:":
+            advance(2)
+            buf = []
+            while i < n and not text[i].isspace() and text[i] not in ".;,()[]<\"":
+                buf.append(text[i])
+                advance()
+            if not buf:
+                raise ParseError("empty blank node label", tline, tcol)
+            tokens.append(_Token(BLANK, "".join(buf), tline, tcol))
+        elif c in _PUNCT:
+            advance()
+            tokens.append(_Token(_PUNCT[c], c, tline, tcol))
+        else:
+            # bare word: either the keyword 'a' or a qname like edu:Warsaw
+            buf = []
+            while i < n and not text[i].isspace() and text[i] not in ";,()[]<>\"^@":
+                # '.' ends a statement unless it is part of the local name
+                if text[i] == "." and (i + 1 >= n or text[i + 1].isspace() or text[i + 1] in ";,()[]"):
+                    break
+                buf.append(text[i])
+                advance()
+            word = "".join(buf)
+            if not word:
+                err(f"unexpected character {c!r}")
+            if word == "a":
+                tokens.append(_Token(KEYWORD_A, word, tline, tcol))
+            elif ":" in word:
+                tokens.append(_Token(QNAME, word, tline, tcol))
+            else:
+                raise ParseError(f"unexpected token {word!r}", tline, tcol)
+    tokens.append(_Token(EOF, "", line, col))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Canonical N-Triples: per-character escaping and term-level sorting
+# ---------------------------------------------------------------------------
+
+
+def oracle_escape_string(s: str) -> str:
+    out = []
+    for ch in s:
+        if ch == "\\":
+            out.append("\\\\")
+        elif ch == '"':
+            out.append('\\"')
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def oracle_escape_iri(s: str) -> str:
+    out = []
+    for ch in s:
+        if ch in '<>"{}|^`\\' or ord(ch) <= 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def oracle_format_term(term: Term) -> str:
+    """N-Triples text for one term, escaping one character at a time."""
+    if isinstance(term, IRI):
+        return f"<{oracle_escape_iri(term.value)}>"
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    if isinstance(term, Literal):
+        base = f'"{oracle_escape_string(term.lexical)}"'
+        if term.language:
+            return f"{base}@{term.language}"
+        if term.datatype:
+            return f"{base}^^<{oracle_escape_iri(term.datatype)}>"
+        return base
+    raise TypeError(f"not a term: {term!r}")
+
+
+def oracle_format_triple(t: Triple) -> str:
+    return f"{oracle_format_term(t.subject)} {oracle_format_term(t.predicate)} {oracle_format_term(t.object)} ."
+
+
+def oracle_serialize_ntriples(graph) -> str:
+    """Canonical N-Triples over Triple objects sorted by their term keys."""
+    lines = [oracle_format_triple(t) for t in graph.triples()]
+    if not lines:
+        return ""
+    return "\n".join(lines) + "\n"

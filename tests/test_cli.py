@@ -244,6 +244,16 @@ def test_embed_eval_reports_metrics(tmp_path, capsys):
     assert metrics["mean_rank"] >= 1.0
 
 
+def test_embed_eval_empty_test_file_exits_1(tmp_path, capsys):
+    kb, model, _ = _eval_fixture(tmp_path)
+    empty = write(tmp_path / "empty.nt", "")
+    capsys.readouterr()
+    assert main(["embed", "eval", kb, "--model", model, "--test", empty]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: evaluation needs at least one test triple\n"
+
+
 def test_embed_predict_top_k_shape(tmp_path, capsys):
     kb = embed_fixture(tmp_path)
     model = str(tmp_path / "m.tsv")

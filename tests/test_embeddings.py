@@ -403,6 +403,13 @@ def test_evaluate_rejects_unknown_terms():
         evaluate(model, g, [alien])
 
 
+def test_evaluate_without_test_triples_is_a_validation_error():
+    g = ring_graph()
+    model = init_model(g, 2, seed=0)
+    with pytest.raises(ValidationError, match="at least one test triple"):
+        evaluate(model, g, [])
+
+
 def test_hits_are_monotone_in_k():
     train_graph, test = location_graph()
     model = init_model(train_graph, 8, seed=3)

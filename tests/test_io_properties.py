@@ -1,0 +1,221 @@
+"""Differential and property tests for the N-Triples/Turtle scanner and the canonical serializer.
+
+The regular-expression scanner must produce the tokens, and raise the
+ParseError messages, lines and columns, of the per-character tokenizer kept
+in `oracles.oracle_tokenize`.  Canonical N-Triples must keep the bytes of the
+term-level serializer kept in `oracles.oracle_serialize_ntriples`.
+"""
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from kgkit import BlankNode, Graph, IRI, Literal, ParseError, Triple, parse_ntriples, parse_term, serialize_ntriples
+from kgkit.io import _escape_iri, _escape_string, _tokenize, format_term
+
+from oracles import oracle_escape_iri, oracle_escape_string, oracle_serialize_ntriples, oracle_tokenize, triples_of
+
+
+def outcome(tokenize, text: str, start_line: int = 1):
+    try:
+        return ("tokens", tokenize(text, start_line))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+# ---------------------------------------------------------------------------
+# Scanner against the per-character tokenizer
+# ---------------------------------------------------------------------------
+
+# Pieces of real documents, the separators between them, and every malformed
+# form the tokenizer reports.
+TOKENS = [
+    "<http://example.org/a>", "<http://e.x/caf\\u00e9>", "<http://e.x/\\U0001F600>", "<a\\tb>", "<żółw>",
+    '"plain"', '"tab\\there"', '"caf\\u00e9"', '"\\U0001F600"', '"naïve ☃"', '"q\\"uote"', '"\\\\"',
+    "@en", "@en-GB", "@prefix", "@préfixe", "^^", "_:b1", "_:bé", "_:b>#", "a", "ex:a", "ex:a.b", ":x", "ex:a..",
+    "ex:", "ex:a#b", "ex:a.<", ".", ";", ",", "[", "]", "(", ")",
+]
+SEPARATORS = ["", " ", "\t", "\n", "\r\n", " # comment\n", "#", " ", " "]
+MALFORMED = [
+    "<unterminated", '"unterminated', "<new\nline>", '"new\nline"', "\\q", "\\u12", "\\U0001F6", "\\",
+    "@", "^", "_:", "_: x", ">", "word", "_x", "\x0b", "\x0c", "\x1c", "\x85", " ", "'",
+]
+ALPHABET = '<>"@^_:.;,()[]# \t\r\n\\abeuxU0123456789fF-é☃ '
+
+
+@st.composite
+def documents(draw):
+    """Tokens and separators, with at most one malformed piece or random snippet spliced in."""
+    pieces = draw(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEPARATORS)), max_size=14))
+    text = "".join(token + sep for token, sep in pieces)
+    extra = draw(st.one_of(st.just(""), st.sampled_from(MALFORMED), st.text(alphabet=ALPHABET, max_size=8)))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    return text[:at] + extra + text[at:]
+
+
+def assert_same_as_oracle(text: str, start_line: int = 1) -> None:
+    try:
+        expected = outcome(oracle_tokenize, text, start_line)
+    except ValueError:
+        # the per-character tokenizer crashed on a \U escape beyond U+10FFFF
+        assume(False)
+    assert outcome(_tokenize, text, start_line) == expected
+
+
+@settings(max_examples=500)
+@given(documents(), st.integers(min_value=1, max_value=5))
+@example('<http://e.x/a> <http://e.x/p> "v\\u00e9"@fr .\n_:b <http://e.x/p> "1"^^<http://e.x/int> . # c\n', 1)
+@example("@prefix ex: <http://e.x/> .\nex:a a ex:B ; ex:p ( ex:c ex:d.e ) , [ ex:q ex:r ] .\n", 3)
+def test_scanner_matches_the_per_character_tokenizer(text, start_line):
+    assert_same_as_oracle(text, start_line)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<http://e.x/a",  # unterminated IRI
+        '"abc',  # unterminated literal
+        "<http://e.x/a\nb>",  # newline inside an IRI
+        '  "ab\ncd"',  # newline inside a literal
+        '"a\\qb"',  # unknown escape
+        "<a\\x>",
+        '"\\u12"',  # short escapes
+        '"\\u12',
+        "<\\U0001F6>",
+        '"a\\',  # dangling escape
+        '"\\\n"',
+        "x:y @ .",  # dangling '@'
+        "@",
+        '"v"^<http://e.x/t>',  # lone '^'
+        "^",
+        "_: x",  # empty blank labels
+        "_:",
+        " ",  # whitespace that is not a separator
+        "ex:a ex:b",
+        "ex:a > ex:b",
+        "word",
+        "_x",
+        "\r\n\r\n  <a> <b> \"c\" .  # done\r\n\t@de-AT ^^ _:b.c",
+        "ex:a.b. ex:c.",
+    ],
+)
+def test_scanner_matches_the_per_character_tokenizer_on_malformed_input(text):
+    assert_same_as_oracle(text)
+    assert_same_as_oracle(text, start_line=4)
+
+
+def test_escape_of_no_unicode_scalar_value_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        _tokenize('<a> <b> "xy\\U00110000" .')
+    assert str(err.value) == "bad \\U escape at line 1, column 12"
+    with pytest.raises(ParseError) as err:
+        _tokenize('<a> <b> "\\uDFFF" .')
+    assert str(err.value) == "bad \\u escape at line 1, column 10"
+    with pytest.raises(ParseError, match="bad \\\\U escape at line 2"):
+        parse_ntriples('<http://e.x/a> <http://e.x/b> "ok" .\n<http://e.x/\\UFFFFFFFF> <http://e.x/p> "x" .\n')
+
+
+def test_cli_rejects_an_escaped_surrogate_with_exit_2(tmp_path, capsys):
+    from kgkit.cli import main
+
+    path = tmp_path / "surrogate.nt"
+    path.write_text('<http://e.x/a> <http://e.x/p> "\\uD800" .\n', encoding="utf-8")
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: bad \\u escape at line 1, column 32\n"
+
+
+# ---------------------------------------------------------------------------
+# Serializer against the term-level serializer, and round trips
+# ---------------------------------------------------------------------------
+
+
+@given(st.text())
+@example("tab\tquote\"back\\slash\nnew\rcr\x00\x1f\x7f<>{}|^` é☃\U0001F600")
+def test_escapes_match_the_per_character_loops(s):
+    assert _escape_string(s) == oracle_escape_string(s)
+    assert _escape_iri(s) == oracle_escape_iri(s)
+
+
+iris = st.text(max_size=12).map(lambda local: IRI("http://e.x/" + local))
+blanks = st.text(alphabet="abcXYZ019_-é", min_size=1, max_size=5).map(BlankNode)
+language_tags = st.text(alphabet="abcXYZ019-", min_size=1, max_size=6)
+literals = st.one_of(
+    st.builds(Literal, st.text(max_size=12)),
+    st.builds(Literal, st.text(max_size=12), datatype=iris.map(lambda i: i.value)),
+    st.builds(Literal, st.text(max_size=12), language=language_tags),
+)
+triples = st.builds(Triple, st.one_of(iris, blanks), iris, st.one_of(iris, blanks, literals))
+
+
+def graph_of(ts) -> Graph:
+    g = Graph()
+    for t in ts:
+        g.insert(t)
+    return g
+
+
+@given(st.lists(triples, max_size=25))
+def test_serialize_round_trips_arbitrary_terms(ts):
+    g = graph_of(ts)
+    text = serialize_ntriples(g)
+    assert text == oracle_serialize_ntriples(g)
+    again = parse_ntriples(text)
+    assert triples_of(again) == triples_of(g)
+    assert serialize_ntriples(again) == text
+    for t in ts:
+        assert parse_term(format_term(t.object)) == t.object
+
+
+# Terms whose sort keys tie: a plain literal and one typed with an empty datatype,
+# a language tag of "" and an explicit rdf:langString datatype.
+TIES = [
+    Literal("x"),
+    Literal("x", datatype=""),
+    Literal("x", language=""),
+    Literal("x", datatype="http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"),
+]
+
+
+@given(st.lists(st.tuples(st.sampled_from([IRI("http://e.x/s"), BlankNode("b")]), st.sampled_from(TIES)), max_size=8))
+def test_serialize_matches_the_term_level_order_when_sort_keys_tie(pairs):
+    g = graph_of(Triple(s, IRI("http://e.x/p"), o) for s, o in pairs)
+    assert serialize_ntriples(g) == oracle_serialize_ntriples(g)
+
+
+def fixed_random_graph(seed: int = 20231101, n: int = 300) -> Graph:
+    """Triples over escaped, non-ASCII, typed, tagged and blank terms."""
+    rng = random.Random(seed)
+    pieces = ["a", "b", "é", "☃", "\U0001F600", " ", "\t", "\n", '"', "\\", "<", ">", "{", "|", "^", "`", "\x01", "."]
+
+    def text(k: int) -> str:
+        return "".join(rng.choice(pieces) for _ in range(rng.randint(0, k)))
+
+    def node():
+        return BlankNode(f"b{rng.randint(0, 9)}") if rng.random() < 0.2 else IRI(f"http://e.x/n{rng.randint(0, 40)}{text(2)}")
+
+    def obj():
+        r = rng.random()
+        if r < 0.4:
+            return node()
+        if r < 0.6:
+            return Literal(text(6))
+        if r < 0.8:
+            return Literal(text(4), datatype=f"http://e.x/dt{rng.randint(0, 3)}")
+        return Literal(text(4), language=rng.choice(["en", "pl", "de-AT"]))
+
+    g = Graph()
+    for _ in range(n):
+        g.insert(Triple(node(), IRI(f"http://e.x/p{rng.randint(0, 7)}"), obj()))
+    return g
+
+
+def test_canonical_ntriples_bytes_are_pinned():
+    # taken from the term-level serializer that escaped one character at a time
+    text = serialize_ntriples(fixed_random_graph())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "e2b2b5d277514985fd6f3f582cef6d9074f8dbd378663c1a089f9b50fa496713"
+    )
+    assert triples_of(parse_ntriples(text)) == triples_of(fixed_random_graph())

@@ -136,6 +136,20 @@ def test_match_agrees_with_brute_force_all_combinations():
             assert got == expected
 
 
+def test_cardinality_counts_the_matching_triples_exactly():
+    # _plan orders joins by cardinality, so an exact count keeps the join order of the counting version
+    rng = random.Random(7)
+    for seed in range(20):
+        g = random_rdfs_graph(seed, max_triples=80)
+        pool = sorted({x for t in triples_of(g) for x in t}, key=sort_key)
+        for mask in itertools.product([False, True], repeat=3):
+            for _ in range(4):
+                pattern = [rng.choice(pool) if bound else rng.choice([None, Var("v")]) for bound in mask]
+                ids = [None if t is None or isinstance(t, Var) else g.lookup(t) for t in pattern]
+                assert g.cardinality(*pattern) == sum(1 for _ in g.match_ids(*ids))
+        assert g.cardinality(edu("absent"), None, None) == 0
+
+
 def test_match_output_order_is_canonical():
     g = Graph()
     g.add(edu("b"), edu("p"), edu("x"))
@@ -228,3 +242,18 @@ def test_term_views_equal_a_scan_of_every_triple():
         assert g.entities() == sorted({x for s, _, o in ts for x in (s, o)}, key=sort_key)
         assert g.relations() == sorted({p for _, p, _ in ts}, key=sort_key)
         assert g.terms() == sorted({x for t in ts for x in t}, key=sort_key)
+
+
+def test_star_import_exports_the_public_names_and_no_submodule():
+    import types
+
+    import kgkit
+
+    namespace: dict = {}
+    exec("from kgkit import *", namespace)
+    exported = {name for name in namespace if name != "__builtins__"}
+    assert exported == set(kgkit.__all__)
+    assert not [name for name in exported if isinstance(namespace[name], types.ModuleType)]
+    assert "io" not in exported
+    public = {n for n, v in vars(kgkit).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == exported
