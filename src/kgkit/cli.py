@@ -17,13 +17,7 @@ import os
 import sys
 
 from . import embeddings, owl, rdfs, reify
-from .errors import (
-    KGError,
-    ParseError,
-    QueryValidationError,
-    ReifyError,
-    ValidationError,
-)
+from .errors import KGError, ParseError, QueryValidationError, ValidationError
 from .query import REGIMES, parse_competency, parse_query, query as run_query
 from .graph import Graph, graph_from_triples
 from .io import format_term, parse_ntriples, parse_term, parse_turtle, serialize_ntriples
@@ -102,30 +96,43 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
+def _ask(work: Graph, questions, regime: str, outcome: dict[int, bool | str]) -> None:
+    # `work` is closed under the regime; a question only asks whether it has answers,
+    # which sameAs canonicalization never changes
+    for i, (name, q, r) in enumerate(questions):
+        if r == regime:
+            try:
+                outcome[i] = bool(run_query(work, q, "none"))
+            except QueryValidationError as exc:
+                outcome[i] = f"competency {name}: {exc}"
+
+
 def cmd_check(args) -> int:
     graph = _load_graph(args.input, args.format)
-    consistent, report = owl.is_consistent(graph)
-    competency_rows = []
-    if args.competency:
-        for name, q, regime in parse_competency(_read(args.competency)):
-            try:
-                answers = run_query(graph, q, regime)
-            except QueryValidationError as exc:
-                print(f"competency {name}: {exc}", file=sys.stderr)
-                answers = []
-            competency_rows.append((name, bool(answers)))
+    questions = parse_competency(_read(args.competency)) if args.competency else []
+    closure, report = owl.saturate_owl(graph)
+    outcome: dict[int, bool | str] = {}
+    _ask(closure.graph, questions, "owl", outcome)
+    closure = None  # hold one closure at a time
+    if any(regime == "rdfs" for _, _, regime in questions):
+        _ask(rdfs.saturate_rdfs(graph).graph, questions, "rdfs", outcome)
+    _ask(graph, questions, "none", outcome)
+    for i in sorted(outcome):
+        if isinstance(outcome[i], str):
+            print(outcome[i], file=sys.stderr)
+    competency_rows = [(name, outcome[i] is True) for i, (name, _, _) in enumerate(questions)]
     if args.json:
         payload = {
-            "consistent": consistent,
+            "consistent": not report,
             "violations": _report_json(report),
             "competency": [{"name": n, "pass": ok} for n, ok in competency_rows],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("consistent" if consistent else "inconsistent")
+        print("inconsistent" if report else "consistent")
         for name, ok in competency_rows:
             print(f"{'PASS' if ok else 'FAIL'}\t{name}")
-    if not consistent:
+    if report:
         _print_report(report)
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -293,13 +300,10 @@ def main(argv=None) -> int:
     except QueryValidationError as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return EXIT_QUERY
-    except (ReifyError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KGError as exc:
+    except UnicodeDecodeError as exc:
+        print(f"parse error: invalid UTF-8 at byte {exc.start}: {exc.reason}", file=sys.stderr)
+        return EXIT_PARSE
+    except (KGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -182,6 +182,8 @@ def _term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = False,
         return IRI(tok.value), pos + 1
     if tok.kind == BLANK:
         return BlankNode(tok.value), pos + 1
+    if tok.kind == KEYWORD_A and allow_qname:
+        return vocab.RDF_TYPE, pos + 1
     if tok.kind == QNAME and allow_qname:
         assert prefixes is not None
         try:
@@ -197,8 +199,7 @@ def _term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = False,
             if dt_tok.kind == IRIREF:
                 return Literal(tok.value, datatype=dt_tok.value), pos + 3
             if dt_tok.kind == QNAME and allow_qname:
-                assert prefixes is not None
-                return Literal(tok.value, datatype=prefixes.expand(dt_tok.value).value), pos + 3
+                return Literal(tok.value, datatype=_term_from_tokens(tokens, pos + 2, True, prefixes)[0].value), pos + 3
             raise ParseError("expected datatype IRI after '^^'", dt_tok.line, dt_tok.col)
         return Literal(tok.value), pos + 1
     raise ParseError(f"expected a term, got {tok.value!r}", tok.line, tok.col)
@@ -327,10 +328,7 @@ class _TurtleParser:
 
     def _verb(self) -> Term:
         tok = self._peek()
-        if tok.kind == KEYWORD_A:
-            self._next()
-            return vocab.RDF_TYPE
-        if tok.kind in (IRIREF, QNAME):
+        if tok.kind in (IRIREF, QNAME, KEYWORD_A):
             term, self.pos = _term_from_tokens(self.tokens, self.pos, allow_qname=True, prefixes=self.prefixes)
             return term
         raise ParseError(f"expected a predicate, got {tok.value!r}", tok.line, tok.col)

@@ -144,12 +144,13 @@ def _r_functional(ctx: _Ctx, delta: list[IdTriple]):
     fp = ctx.vid(vocab.OWL_FUNCTIONALPROPERTY)
     if typ is None or fp is None:
         return
+    sa = ctx.iid(vocab.OWL_SAMEAS)
 
     def pairs(prop: int, decl: IdTriple):
         for x, _, y1 in ctx.g.match_ids(None, prop, None):
             for _, _, y2 in ctx.g.match_ids(x, prop, None):
                 if y1 != y2 and not ctx.is_literal(y1) and not ctx.is_literal(y2):
-                    yield (y1, ctx.iid(vocab.OWL_SAMEAS), y2), "owl-functional-property", (
+                    yield (y1, sa, y2), "owl-functional-property", (
                         decl,
                         (x, prop, y1),
                         (x, prop, y2),
@@ -163,7 +164,7 @@ def _r_functional(ctx: _Ctx, delta: list[IdTriple]):
             if ctx.g.contains_ids(decl) and not ctx.is_literal(o):
                 for _, _, y2 in ctx.g.match_ids(s, p, None):
                     if y2 != o and not ctx.is_literal(y2):
-                        yield (o, ctx.iid(vocab.OWL_SAMEAS), y2), "owl-functional-property", (
+                        yield (o, sa, y2), "owl-functional-property", (
                             decl,
                             (s, p, o),
                             (s, p, y2),
@@ -221,15 +222,15 @@ def _r_equivalent_class(ctx: _Ctx, delta: list[IdTriple]):
     """(C equivalentClass D) <-> (C sco D) and (D sco C)"""
     eqc = ctx.vid(vocab.OWL_EQUIVALENTCLASS)
     sco = ctx.vid(vocab.RDFS_SUBCLASSOF)
+    sco_id = ctx.iid(vocab.RDFS_SUBCLASSOF) if eqc is not None else None
+    eqc_id = ctx.iid(vocab.OWL_EQUIVALENTCLASS) if sco is not None else None
     for s, p, o in delta:
         if eqc is not None and p == eqc:
-            sco_id = ctx.iid(vocab.RDFS_SUBCLASSOF)
             yield (s, sco_id, o), "owl-equivalence-subclass", ((s, eqc, o),)
             if not ctx.is_literal(o):
                 yield (o, sco_id, s), "owl-equivalence-subclass", ((s, eqc, o),)
         if sco is not None and p == sco and not ctx.is_literal(o):
             if ctx.g.contains_ids((o, sco, s)):
-                eqc_id = ctx.iid(vocab.OWL_EQUIVALENTCLASS)
                 yield (s, eqc_id, o), "owl-subclass-equivalence", ((s, sco, o), (o, sco, s))
                 yield (o, eqc_id, s), "owl-subclass-equivalence", ((o, sco, s), (s, sco, o))
 
@@ -245,9 +246,10 @@ def _r_intersection_subclass(ctx: _Ctx, delta: list[IdTriple]):
         return
     if not _structural(ctx, delta, vocab.OWL_INTERSECTIONOF):
         return
+    sco = ctx.iid(vocab.RDFS_SUBCLASSOF)
     for c, _, l in list(ctx.g.match_ids(None, inter, None)):
         for m in sorted(_list_members(ctx, l)):
-            yield (c, ctx.iid(vocab.RDFS_SUBCLASSOF), m), "owl-intersection-subclass", ((c, inter, l),)
+            yield (c, sco, m), "owl-intersection-subclass", ((c, inter, l),)
 
 
 def _r_intersection(ctx: _Ctx, delta: list[IdTriple]):

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from . import vocab
 from .errors import ParseError, QueryValidationError
 from .graph import Binding, Graph
+from .io import BLANK, EOF, _term_from_tokens, _tokenize
 from .owl import EqualityPartition, saturate_owl
 from .rdfs import saturate_rdfs
-from .terms import IRI, Literal, PrefixMap, Term, TriplePattern, Var, sort_key
+from .terms import PrefixMap, Term, TriplePattern, Var, sort_key
 
 OPEN = "open"
 CLOSED = "closed"
@@ -50,15 +51,6 @@ def _validate(q: Query) -> None:
             raise QueryValidationError(f"projection variable ?{v} occurs in no pattern")
 
 
-def _substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
-    def sub(pos):
-        if isinstance(pos, Var) and pos.name in binding:
-            return binding[pos.name]
-        return pos
-
-    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
-
-
 def _plan(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePattern]:
     """Most selective first: more bound positions, then smaller index estimate."""
 
@@ -70,13 +62,30 @@ def _plan(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePatter
     return [p for _, p in sorted(enumerate(patterns), key=lambda ip: key(ip))]
 
 
-def _join(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[Binding]:
-    bindings: list[Binding] = [{}]
-    for pattern in _plan(work, patterns):
-        grown: list[Binding] = []
-        for binding in bindings:
-            for _, extra in work.match(_substitute(pattern, binding)):
-                grown.append({**binding, **extra})
+def _resolve(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[tuple] | None:
+    """Planned patterns, each position (variable name, None) or (None, constant id); None if a constant is absent."""
+    plan = []
+    for p in _plan(work, patterns):
+        slots = tuple((pos.name, None) if isinstance(pos, Var) else (None, work.lookup(pos)) for pos in p.positions())
+        if any(name is None and tid is None for name, tid in slots):
+            return None
+        plan.append(slots)
+    return plan
+
+
+def _join(work: Graph, plan: list[tuple] | None, binding: dict[str, int]) -> list[dict[str, int]]:
+    """Every extension of the id binding that matches all the resolved patterns."""
+    if plan is None:
+        return []
+    bindings = [binding]
+    for slots in plan:
+        grown = []
+        for b in bindings:
+            for t in work.match_ids(*(tid if name is None else b.get(name) for name, tid in slots)):
+                extended = dict(b)
+                # a variable repeated within the pattern must bind one id
+                if all(extended.setdefault(name, v) == v for (name, _), v in zip(slots, t) if name is not None):
+                    grown.append(extended)
         bindings = grown
         if not bindings:
             break
@@ -97,24 +106,17 @@ def query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
         work = saturate_owl(graph)[0].graph
         partition = EqualityPartition.from_graph(work)
 
-    bindings = _join(work, q.patterns)
-    if q.negations:
-        kept = []
-        for binding in bindings:
-            blocked = any(
-                _join(work, tuple(_substitute(p, binding) for p in block)) for block in q.negations
-            )
-            if not blocked:
-                kept.append(binding)
-        bindings = kept
+    bindings = _join(work, _resolve(work, q.patterns), {})
+    blocks = [_resolve(work, block) for block in q.negations]
+    bindings = [b for b in bindings if not any(_join(work, block, b) for block in blocks)]
 
     projection = q.projection or tuple(sorted(set().union(*(p.variables() for p in q.patterns))))
     rows: dict[tuple, Binding] = {}
-    for binding in bindings:
-        projected = {v: binding[v] for v in projection}
+    for ids in {tuple(b[v] for v in projection) for b in bindings}:
+        row = {v: work.term(i) for v, i in zip(projection, ids)}
         if partition is not None:
-            projected = {v: partition.representative(t) for v, t in projected.items()}
-        rows[tuple(sort_key(projected[v]) for v in projection)] = projected
+            row = {v: partition.representative(t) for v, t in row.items()}
+        rows[tuple(sort_key(t) for t in row.values())] = row
     return [rows[k] for k in sorted(rows)]
 
 
@@ -122,10 +124,11 @@ def query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
 # Query text format
 # ---------------------------------------------------------------------------
 
+# Splits a query line into tokens; the data scanner then reads each term token.
 _TOKEN = re.compile(
     r"""
-    (?P<iri><[^<>\s]*>)
-  | (?P<literal>"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^(?:<[^<>\s]*>|[^\s{}.]+))?)
+    (?P<iri><[^>]*>)
+  | (?P<literal>"(?:[^"\\]|\\.)*"(?:@(?:[^\W_]|-)*|\^\^(?:<[^>]*>|[^\s{}.]+))?)
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<brace>[{}])
   | (?P<dot>\.(?=\s|$))
@@ -134,45 +137,26 @@ _TOKEN = re.compile(
     re.X,
 )
 
-_UNESCAPE = {"\\n": "\n", "\\r": "\r", "\\t": "\t", '\\"': '"', "\\\\": "\\"}
+
+def _to_term(m: re.Match, prefixes: PrefixMap, lineno: int) -> Term | Var:
+    if m.group().startswith("?"):
+        return Var(m.group()[1:])
+    # blank padding keeps the scanner's columns those of the query line
+    tokens = _tokenize(" " * m.start() + m.group(), lineno)
+    if tokens[0].kind == BLANK:  # a label means nothing outside its own document
+        raise ParseError(f"blank node _:{tokens[0].value} in a query", lineno, tokens[0].col)
+    term, pos = _term_from_tokens(tokens, 0, allow_qname=True, prefixes=prefixes)
+    if tokens[pos].kind != EOF:
+        raise ParseError(f"expected one term or variable, got {m.group()!r}", lineno, m.start() + 1)
+    return term
 
 
-def _unquote(text: str) -> str:
-    return re.sub(r"\\[nrt\"\\]", lambda m: _UNESCAPE[m.group(0)], text)
-
-
-def _to_term(token: str, prefixes: PrefixMap, lineno: int) -> Term | Var:
-    if token.startswith("<"):
-        return IRI(token[1:-1])
-    if token.startswith("?"):
-        return Var(token[1:])
-    if token.startswith('"'):
-        m = re.match(r'"((?:[^"\\]|\\.)*)"(?:@([A-Za-z][A-Za-z0-9-]*)|\^\^(.+))?$', token)
-        if m is None:
-            raise ParseError(f"bad literal {token!r}", lineno)
-        lexical, lang, dt = m.group(1), m.group(2), m.group(3)
-        if lang:
-            return Literal(_unquote(lexical), language=lang)
-        if dt:
-            dt_iri = dt[1:-1] if dt.startswith("<") else prefixes.expand(dt).value
-            return Literal(_unquote(lexical), datatype=dt_iri)
-        return Literal(_unquote(lexical))
-    if token == "a":
-        return vocab.RDF_TYPE
-    if ":" in token:
-        return prefixes.expand(token)
-    raise ParseError(f"expected a term or variable, got {token!r}", lineno)
-
-
-def _patterns_from_tokens(tokens: list[str], prefixes: PrefixMap, lineno: int) -> list[TriplePattern]:
-    positions = [t for t in tokens if t != "."]
+def _patterns_from_tokens(tokens: list[re.Match], prefixes: PrefixMap, lineno: int) -> list[TriplePattern]:
+    positions = [m for m in tokens if m.group() != "."]
     if len(positions) % 3 != 0 or not positions:
         raise ParseError("each triple pattern needs exactly three terms", lineno)
-    out = []
-    for i in range(0, len(positions), 3):
-        s, p, o = (_to_term(tok, prefixes, lineno) for tok in positions[i : i + 3])
-        out.append(TriplePattern(s, p, o))
-    return out
+    terms = [_to_term(m, prefixes, lineno) for m in positions]
+    return [TriplePattern(*terms[i : i + 3]) for i in range(0, len(terms), 3)]
 
 
 def parse_query(text: str) -> tuple[Query, str]:
@@ -191,16 +175,17 @@ def parse_query(text: str) -> tuple[Query, str]:
     patterns: list[TriplePattern] = []
     negations: list[tuple[TriplePattern, ...]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = [m.group(0) for m in _TOKEN.finditer(line)]
+        matches = list(_TOKEN.finditer(raw))
+        tokens = [m.group() for m in matches]
         head = tokens[0].upper()
         if head == "PREFIX":
             if len(tokens) != 3 or not tokens[1].endswith(":") or not tokens[2].startswith("<"):
                 raise ParseError("expected 'PREFIX p: <namespace>'", lineno)
-            prefixes.bind(tokens[1][:-1], tokens[2][1:-1])
+            prefixes.bind(tokens[1][:-1], _to_term(matches[2], prefixes, lineno).value)
         elif head == "ASSUME":
             if len(tokens) != 2 or tokens[1] not in (OPEN, CLOSED):
                 raise ParseError("expected 'ASSUME open' or 'ASSUME closed'", lineno)
@@ -217,9 +202,9 @@ def parse_query(text: str) -> tuple[Query, str]:
         elif head == "NOT":
             if len(tokens) < 3 or tokens[1] != "{" or tokens[-1] != "}":
                 raise ParseError("expected 'NOT { pattern ... }'", lineno)
-            negations.append(tuple(_patterns_from_tokens(tokens[2:-1], prefixes, lineno)))
+            negations.append(tuple(_patterns_from_tokens(matches[2:-1], prefixes, lineno)))
         else:
-            patterns.extend(_patterns_from_tokens(tokens, prefixes, lineno))
+            patterns.extend(_patterns_from_tokens(matches, prefixes, lineno))
 
     q = Query(
         patterns=tuple(patterns),
@@ -238,7 +223,7 @@ def parse_competency(text: str) -> list[tuple[str, Query, str]]:
     """
     blocks: list[tuple[str, list[str]]] = []
     current: list[str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if stripped.upper().startswith("QUERY "):
             name = stripped[6:].strip()

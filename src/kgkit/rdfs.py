@@ -166,12 +166,13 @@ def _r_domain(ctx: _Ctx, delta: list[IdTriple]):
     dom = ctx.vid(vocab.RDFS_DOMAIN)
     if dom is None:
         return
+    typ = ctx.iid(vocab.RDF_TYPE)
     for s, p, o in delta:
         if p == dom:
             for x, _, y in ctx.g.match_ids(None, s, None):
-                yield (x, ctx.iid(vocab.RDF_TYPE), o), "rdfs-domain", ((s, dom, o), (x, s, y))
+                yield (x, typ, o), "rdfs-domain", ((s, dom, o), (x, s, y))
         for _, _, c in ctx.g.match_ids(p, dom, None):
-            yield (s, ctx.iid(vocab.RDF_TYPE), c), "rdfs-domain", ((p, dom, c), (s, p, o))
+            yield (s, typ, c), "rdfs-domain", ((p, dom, c), (s, p, o))
 
 
 def _r_range(ctx: _Ctx, delta: list[IdTriple]):
@@ -179,14 +180,15 @@ def _r_range(ctx: _Ctx, delta: list[IdTriple]):
     rng = ctx.vid(vocab.RDFS_RANGE)
     if rng is None:
         return
+    typ = ctx.iid(vocab.RDF_TYPE)
     for s, p, o in delta:
         if p == rng:
             for x, _, y in ctx.g.match_ids(None, s, None):
                 if not ctx.is_literal(y):
-                    yield (y, ctx.iid(vocab.RDF_TYPE), o), "rdfs-range", ((s, rng, o), (x, s, y))
+                    yield (y, typ, o), "rdfs-range", ((s, rng, o), (x, s, y))
         if not ctx.is_literal(o):
             for _, _, c in ctx.g.match_ids(p, rng, None):
-                yield (o, ctx.iid(vocab.RDF_TYPE), c), "rdfs-range", ((p, rng, c), (s, p, o))
+                yield (o, typ, c), "rdfs-range", ((p, rng, c), (s, p, o))
 
 
 RDFS_RULES: list[Rule] = [

@@ -12,7 +12,7 @@ import numpy as np
 
 from kgkit import vocab
 from kgkit.embeddings import CORRUPT_BOTH, CORRUPT_HEAD
-from kgkit.errors import ParseError, SamplingError
+from kgkit.errors import ParseError, QueryValidationError, SamplingError
 from kgkit.io import (
     _ESCAPES,
     _PUNCT,
@@ -28,6 +28,10 @@ from kgkit.io import (
     _Token,
     format_term,
 )
+from kgkit.graph import Binding, Graph
+from kgkit.owl import EqualityPartition, saturate_owl
+from kgkit.query import REGIMES, Query, _validate
+from kgkit.rdfs import saturate_rdfs
 from kgkit.terms import IRI, BlankNode, Literal, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
 TermTriple = tuple[Term, Term, Term]
@@ -714,3 +718,77 @@ def oracle_serialize_ntriples(graph) -> str:
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Queries: the term-level join, one substituted pattern and one sorted
+# Graph.match per probe
+# ---------------------------------------------------------------------------
+
+
+def _oracle_substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
+    def sub(pos):
+        if isinstance(pos, Var) and pos.name in binding:
+            return binding[pos.name]
+        return pos
+
+    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
+
+
+def _oracle_plan(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePattern]:
+    """Most selective first: more bound positions, then smaller index estimate."""
+
+    def key(indexed: tuple[int, TriplePattern]):
+        i, p = indexed
+        bound = [None if isinstance(pos, Var) else pos for pos in p.positions()]
+        return (3 - p.bound_count(), work.cardinality(*bound), i)
+
+    return [p for _, p in sorted(enumerate(patterns), key=lambda ip: key(ip))]
+
+
+def _oracle_join(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[Binding]:
+    bindings: list[Binding] = [{}]
+    for pattern in _oracle_plan(work, patterns):
+        grown: list[Binding] = []
+        for binding in bindings:
+            for _, extra in work.match(_oracle_substitute(pattern, binding)):
+                grown.append({**binding, **extra})
+        bindings = grown
+        if not bindings:
+            break
+    return bindings
+
+
+def oracle_query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
+    """Evaluate the query against the chosen closure; deterministic order."""
+    if regime not in REGIMES:
+        raise QueryValidationError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    _validate(q)
+    partition = None
+    if regime == "none":
+        work = graph
+    elif regime == "rdfs":
+        work = saturate_rdfs(graph).graph
+    else:
+        work = saturate_owl(graph)[0].graph
+        partition = EqualityPartition.from_graph(work)
+
+    bindings = _oracle_join(work, q.patterns)
+    if q.negations:
+        kept = []
+        for binding in bindings:
+            blocked = any(
+                _oracle_join(work, tuple(_oracle_substitute(p, binding) for p in block)) for block in q.negations
+            )
+            if not blocked:
+                kept.append(binding)
+        bindings = kept
+
+    projection = q.projection or tuple(sorted(set().union(*(p.variables() for p in q.patterns))))
+    rows: dict[tuple, Binding] = {}
+    for binding in bindings:
+        projected = {v: binding[v] for v in projection}
+        if partition is not None:
+            projected = {v: partition.representative(t) for v, t in projected.items()}
+        rows[tuple(sort_key(projected[v]) for v in projection)] = projected
+    return [rows[k] for k in sorted(rows)]

@@ -1,4 +1,8 @@
+import gc
+import importlib
 import json
+import weakref
+from collections import Counter
 
 from kgkit.cli import main
 
@@ -306,3 +310,144 @@ def test_embed_eval_per_relation(tmp_path, capsys):
         assert set(row) == set(overall)
     # one test triple per relation, so the overall mean rank averages the two
     assert overall["mean_rank"] == sum(row["mean_rank"] for row in per_relation.values()) / 2
+
+
+def test_query_unknown_prefix_is_a_parse_error_exit_2(tmp_path, capsys):
+    kb = write(tmp_path / "city.ttl", CITY_TTL)
+    qf = write(tmp_path / "q.txt", "?x nope:p ?y\n")
+    assert main(["query", kb, qf]) == 2
+    assert capsys.readouterr().err == "parse error: unknown prefix: 'nope' at line 1, column 4\n"
+
+
+def test_invalid_utf8_exits_2_naming_the_byte(tmp_path, capsys):
+    good = write(tmp_path / "city.ttl", CITY_TTL)
+    bad_graph = tmp_path / "bad.nt"
+    bad_graph.write_bytes(f'<{EDU}a> <{EDU}p> "caf\xff" .\n'.encode("latin-1"))
+    assert main(["parse", str(bad_graph)]) == 2
+    offset = len(f'<{EDU}a> <{EDU}p> "caf')
+    assert capsys.readouterr().err == f"parse error: invalid UTF-8 at byte {offset}: invalid start byte\n"
+
+    bad_query = tmp_path / "q.txt"
+    bad_query.write_bytes(b"?x a \xfe\n")
+    assert main(["query", good, str(bad_query)]) == 2
+    assert capsys.readouterr().err == "parse error: invalid UTF-8 at byte 5: invalid start byte\n"
+
+    kb = embed_fixture(tmp_path)
+    bad_model = tmp_path / "m.tsv"
+    bad_model.write_bytes(b"d=2 norm=L1\n\xff\n")
+    assert main(["embed", "eval", kb, "--model", str(bad_model), "--test", kb]) == 2
+    assert capsys.readouterr().err == "parse error: invalid UTF-8 at byte 12: invalid start byte\n"
+
+
+MIXED_KB_TTL = f"""
+@prefix edu: <{EDU}> .
+edu:City rdfs:subClassOf edu:Locality .
+edu:Warsaw a edu:City .
+edu:Ola edu:has_father edu:Jan .
+edu:Ola edu:has_father edu:Marcin .
+edu:has_father rdf:type owl:FunctionalProperty .
+edu:Herbivore owl:disjointWith edu:Carnivore .
+edu:Pumpkin a edu:Carnivore , edu:Herbivore .
+"""
+
+# regimes in file order: none, none (an open-world NOT), owl, rdfs, owl (a bad projection), rdfs, none
+MIXED_COMPETENCY = f"""
+QUERY fathers
+PREFIX edu: <{EDU}>
+?x edu:has_father ?y
+
+QUERY open-world-negation
+PREFIX edu: <{EDU}>
+NOT {{ ?x a edu:Ghost }}
+?x a edu:City
+
+QUERY identities
+REGIME owl
+?x owl:sameAs ?y
+
+QUERY localities
+REGIME rdfs
+PREFIX edu: <{EDU}>
+?x a edu:Locality
+
+QUERY unknown-projection
+REGIME owl
+SELECT ?nope
+?x owl:sameAs ?y
+
+QUERY starships
+REGIME rdfs
+?x a <{EDU}Starship>
+
+QUERY raw-localities
+PREFIX edu: <{EDU}>
+?x a edu:Locality
+"""
+
+# taken from the parent, which saturated the KB once per question
+MIXED_ERR = (
+    "competency open-world-negation: negation requires the closed-world assumption: "
+    "under the open world, absence of a fact is not its negation\n"
+    "competency unknown-projection: projection variable ?nope occurs in no pattern\n"
+    f"violation: owl-disjoint-classes: <{EDU}Herbivore> <http://www.w3.org/2002/07/owl#disjointWith> <{EDU}Carnivore>; "
+    f"<{EDU}Pumpkin> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <{EDU}Carnivore>; "
+    f"<{EDU}Pumpkin> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <{EDU}Herbivore>\n"
+)
+MIXED_VERDICTS = [
+    ("fathers", True),
+    ("open-world-negation", False),
+    ("identities", True),
+    ("localities", True),
+    ("unknown-projection", False),
+    ("starships", False),
+    ("raw-localities", False),
+]
+
+
+def test_check_saturates_once_per_regime_holding_one_closure(tmp_path, capsys, monkeypatch):
+    from kgkit import owl, rdfs
+
+    query = importlib.import_module("kgkit.query")  # the package's `query` is the function
+    kb = write(tmp_path / "kb.ttl", MIXED_KB_TTL)
+    questions = write(tmp_path / "competency.txt", MIXED_COMPETENCY)
+    calls = Counter()
+    closures = []  # weak references to every closed graph handed out
+    real_owl, real_rdfs = owl.saturate_owl, rdfs.saturate_rdfs
+
+    def saturate_owl(graph):
+        calls["owl"] += 1
+        closure, report = real_owl(graph)
+        closures.append(weakref.ref(closure.graph))
+        return closure, report
+
+    def saturate_rdfs(graph):
+        calls["rdfs"] += 1
+        gc.collect()
+        assert all(ref() is None for ref in closures), "another closure is still held"
+        closure = real_rdfs(graph)
+        closures.append(weakref.ref(closure.graph))
+        return closure
+
+    def is_consistent(graph):
+        raise AssertionError("kgkit check takes its verdict from the one saturate_owl")
+
+    for module in (owl, query):
+        monkeypatch.setattr(module, "saturate_owl", saturate_owl)
+    for module in (rdfs, query):
+        monkeypatch.setattr(module, "saturate_rdfs", saturate_rdfs)
+    monkeypatch.setattr(owl, "is_consistent", is_consistent)
+
+    assert main(["check", kb, "--competency", questions]) == 3
+    captured = capsys.readouterr()
+    rows = "".join(f"{'PASS' if ok else 'FAIL'}\t{name}\n" for name, ok in MIXED_VERDICTS)
+    assert captured.out == "inconsistent\n" + rows
+    assert captured.err == MIXED_ERR
+    assert calls == {"owl": 1, "rdfs": 1}
+
+    assert main(["check", kb, "--competency", questions, "--json"]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert [(c["name"], c["pass"]) for c in payload["competency"]] == MIXED_VERDICTS
+    assert payload["consistent"] is False and len(payload["violations"]) == 1
+    assert captured.err == MIXED_ERR
+    assert calls == {"owl": 2, "rdfs": 2}

@@ -539,3 +539,33 @@ def test_intersection_builds_only_from_a_complete_list():
     work = closure.graph.copy()
     _resume(work, Triple(l2, vocab.RDF_REST, vocab.RDF_NIL))
     assert Triple(N("x"), vocab.RDF_TYPE, N("C")) in work
+
+
+def test_rules_intern_the_vocabulary_they_derive_once_per_call(monkeypatch):
+    g = Graph()
+    g.add(edu("p"), vocab.RDFS_DOMAIN, edu("C"))
+    g.add(edu("p"), vocab.RDFS_RANGE, edu("D"))
+    g.add(edu("q"), vocab.RDF_TYPE, vocab.OWL_FUNCTIONALPROPERTY)
+    g.add(edu("E"), vocab.OWL_EQUIVALENTCLASS, edu("F"))
+    g.add(edu("I"), vocab.OWL_INTERSECTIONOF, BlankNode("l1"))
+    g.add(BlankNode("l1"), vocab.RDF_FIRST, edu("C"))
+    g.add(BlankNode("l1"), vocab.RDF_REST, vocab.RDF_NIL)
+    for i in range(40):
+        g.add(edu(f"a{i}"), edu("p"), edu(f"b{i}"))
+    for i in range(10):
+        g.add(edu(f"x{i}"), edu("q"), edu(f"y{i}"))
+        g.add(edu(f"x{i}"), edu("q"), edu(f"z{i}"))
+    calls = []
+    real_intern = Graph.intern
+    monkeypatch.setattr(Graph, "intern", lambda self, term: calls.append(term) or real_intern(self, term))
+    closure, _ = saturate_owl(g)
+    # one lookup per rule call, not one per firing (80 domain/range and 20 functional firings)
+    assert len(closure.derived) > 100
+    assert len(calls) <= 30
+
+    plain = Graph()
+    plain.add(edu("a"), edu("p"), edu("b"))
+    closure, _ = saturate_owl(plain)
+    assert not closure.derived
+    for term in (vocab.RDF_TYPE, vocab.OWL_SAMEAS, vocab.RDFS_SUBCLASSOF, vocab.OWL_EQUIVALENTCLASS):
+        assert closure.graph.lookup(term) is None

@@ -1,23 +1,32 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgkit import (
+    IRI,
+    Literal,
+    ParseError,
     Query,
     QueryValidationError,
     TriplePattern,
     Var,
     parse_competency,
+    parse_ntriples,
     parse_query,
+    parse_turtle,
     query,
     reify_table,
     saturate_owl,
     vocab,
 )
+from kgkit.io import format_term
 from kgkit.owl import EqualityPartition
 
 from helpers import GLUTEN_FREE_QUERY, allergen_kb, city_kb, edu, fathers_kb, random_owl_graph, random_rdfs_graph
-from oracles import brute_join, triples_of
+from oracles import brute_join, oracle_query, triples_of
+from test_io_properties import iris, literals
 
 
 def gluten_query() -> Query:
@@ -59,6 +68,8 @@ def test_join_correctness_against_brute_force():
             TriplePattern(Var("y"), rng.choice(preds), Var("z")),
             TriplePattern(Var("x"), rng.choice(preds), rng.choice(pool)),
         )[: rng.randint(1, 3)]
+        if seed % 2:
+            patterns += (TriplePattern(Var("x"), rng.choice(preds), Var("x")),)
         q = Query(patterns=tuple(patterns))
         got = query(g, q, "none")
         want = brute_join(ts, patterns)
@@ -66,6 +77,73 @@ def test_join_correctness_against_brute_force():
         got_set = {tuple(b[v] for v in vars_) for b in got}
         want_set = {tuple(b[v] for v in vars_) for b in want}
         assert got_set == want_set, f"seed {seed}"
+
+
+def random_query(rng: random.Random, g) -> Query:
+    """Patterns over the graph's terms plus absent ones, with projections and closed-world NOT blocks."""
+    ts = sorted(triples_of(g), key=repr)
+    absent = [edu("absent"), Literal("absent")]
+
+    def pattern(names, object_var):
+        # a graph triple with some positions made variables, so that answers are common
+        s, p, o = (rng.choice(absent) if rng.random() < 0.05 else pos for pos in rng.choice(ts))
+        s = Var(rng.choice(names)) if rng.random() < 0.85 else s
+        p = Var(rng.choice(names)) if rng.random() < 0.1 else p
+        o = Var(rng.choice(names)) if rng.random() < object_var else o
+        return TriplePattern(s, p, o)
+
+    def narrowed(p):
+        # one position of a positive pattern fixed to a term of a graph triple with its predicate
+        t = rng.choice([t for t in ts if t[1] == p.predicate] or ts)
+        positions = list(p.positions())
+        i = rng.randrange(3)
+        positions[i] = t[i]
+        return TriplePattern(*positions)
+
+    names = ["x", "y", "z"][: rng.choice([1, 2, 3, 3])]
+    patterns = tuple(pattern(names, 0.8) for _ in range(rng.randint(1, 3)))
+    a = rng.choice(ts)
+    onward = [t for t in ts if t[0] == a[2]]
+    if onward and rng.random() < 0.4:
+        # a path of two graph triples, joined on ?y
+        b = rng.choice(onward)
+        patterns = (TriplePattern(Var("x"), a[1], Var("y")), TriplePattern(Var("y"), b[1], rng.choice([Var("z"), b[2]])))
+    used = sorted(set().union(*(p.variables() for p in patterns)))
+    projection = tuple(rng.sample(used, rng.randint(1, len(used)))) if used and rng.random() < 0.5 else ()
+    if rng.random() < 0.5:
+        # "n" occurs in no positive pattern, so a block over only "n" shares no variable with them
+        blocks = [
+            lambda: (narrowed(rng.choice(patterns)),),
+            lambda: (narrowed(rng.choice(patterns)), pattern(used + ["n"], 0.7)),
+            lambda: (pattern(["n"], 0.7),),
+        ]
+        negations = tuple(rng.choice(blocks)() for _ in range(rng.randint(1, 2)))
+        return Query(patterns, negations, projection, assumption="closed")
+    return Query(patterns, projection=projection)
+
+
+def test_id_space_join_matches_the_term_level_join():
+    # how often each case came up: repeated variables (in queries with answers), absent constants, ...
+    seen = {"repeated": 0, "absent": 0, "projected": 0, "shared-not": 0, "unshared-not": 0, "rows": 0}
+    for seed in range(100):
+        g = random_owl_graph(seed, max_triples=40) if seed % 2 else random_rdfs_graph(seed, max_triples=40)
+        rng = random.Random(seed)
+        for regime in ("none", "rdfs", "owl"):
+            for _ in range(3):
+                q = random_query(rng, g)
+                got = query(g, q, regime)
+                want = oracle_query(g, q, regime)
+                # equal rows in equal order, each with its variables in equal order
+                assert [list(row.items()) for row in got] == [list(row.items()) for row in want], (seed, regime, q)
+                positions = [pos for p in q.patterns for pos in p.positions()]
+                seen["repeated"] += bool(got) and any(len(p.variables()) < 3 - p.bound_count() for p in q.patterns)
+                seen["absent"] += any(pos in (edu("absent"), Literal("absent")) for pos in positions)
+                seen["projected"] += bool(q.projection)
+                for block in q.negations:
+                    shares = set().union(*(p.variables() for p in block)) & set().union(*(p.variables() for p in q.patterns))
+                    seen["shared-not" if shares else "unshared-not"] += 1
+                seen["rows"] += len(got)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_regime_monotonicity_for_positive_queries():
@@ -162,8 +240,6 @@ def test_parse_query_directives_and_literals():
 
 
 def test_parse_query_bad_pattern_reports_line():
-    from kgkit import ParseError
-
     with pytest.raises(ParseError) as err:
         parse_query("?x a\n")
     assert err.value.line == 1
@@ -187,3 +263,53 @@ def test_parse_competency_blocks():
     g = allergen_kb()
     assert len(query(g, blocks[0][1], blocks[0][2])) == 3
     assert len(query(g, blocks[1][1], blocks[1][2])) == 5
+
+
+# ---------------------------------------------------------------------------
+# Query constants are read with the N-Triples/Turtle term grammar
+# ---------------------------------------------------------------------------
+
+
+def test_escaped_query_constants_match_the_data():
+    g = parse_ntriples('<http://x/café> <http://x/p> "café" .\n')
+    q, _ = parse_query('?s <http://x/p> "caf\\u00e9"\n')
+    assert [b["s"] for b in query(g, q)] == [IRI("http://x/café")]
+    q, _ = parse_query('<http://x/caf\\u00e9> <http://x/p> ?o\n')
+    assert [b["o"] for b in query(g, q)] == [Literal("café")]
+    q, _ = parse_query('PREFIX x: <http://x/caf\\u00e9>\n?s <http://x/p> ?o\nNOT { x: <http://x/p> ?o }\n')
+    assert q.negations[0][0].subject == IRI("http://x/café")
+
+
+@given(st.one_of(iris, literals))
+def test_every_printed_term_reads_back_as_a_query_constant(term):
+    text = format_term(term)
+    q, _ = parse_query(f"?s ?p {text}\nNOT {{ ?s ?p {text} }}\n")
+    assert q.patterns[0].object == term
+    assert q.negations[0][0].object == term
+    if isinstance(term, IRI):
+        q, _ = parse_query(f"{text} {text} ?o .\n")
+        assert q.patterns[0].subject == term and q.patterns[0].predicate == term
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ('?x <http://e.x/p> "bad\\q"', "unknown escape \\q at line 3, column 23", 3),
+        ('?x <http://e.x/p> "open', "unterminated literal at line 3, column 19", 3),
+        ("?x <http://e.x/p> _:b1", "blank node _:b1 in a query", 3),
+        ("NOT { ?x <http://e.x/p> _:b1 }", "blank node _:b1 in a query", 3),
+        ("?x nope:p ?y", "unknown prefix: 'nope' at line 3, column 4", 3),
+        ('?x e:p "1"^^nope:int', "unknown prefix: 'nope' at line 3, column 13", 3),
+        ("?x e:p e:a,e:b", "expected one term or variable, got 'e:a,e:b' at line 3, column 8", 3),
+    ],
+)
+def test_bad_query_constants_are_parse_errors_naming_the_line(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_query(f"PREFIX e: <http://e.x/>\nASSUME closed\n{text}\n")
+    assert message in str(err.value)
+    assert err.value.line == line
+
+
+def test_turtle_datatype_with_an_unknown_prefix_is_a_parse_error():
+    with pytest.raises(ParseError, match="unknown prefix: 'nope' at line 1, column 36"):
+        parse_turtle('<http://e.x/a> <http://e.x/p> "1"^^nope:int .\n')
