@@ -113,7 +113,8 @@ def cmd_check(args) -> int:
     closure, report = owl.saturate_owl(graph)
     outcome: dict[int, bool | str] = {}
     _ask(closure.graph, questions, "owl", outcome)
-    closure = None  # hold one closure at a time
+    closure = None  # hold one closure at a time, the graph's cached one included
+    graph._closures.pop("owl", None)
     if any(regime == "rdfs" for _, _, regime in questions):
         _ask(rdfs.saturate_rdfs(graph).graph, questions, "rdfs", outcome)
     _ask(graph, questions, "none", outcome)

@@ -1,10 +1,16 @@
-"""Dictionary-encoded triple store with SPO/POS/OSP positional indexes.
+"""Dictionary-encoded triple store with SPO and POS positional indexes.
 
 Terms are interned into integer ids (a bijective dictionary) and triples
-are kept as id tuples in a set, plus three nested-dict indexes so any
-single triple pattern is answered by one index probe.  Mutation is
-single-writer; readers should work on a `copy()` when the original may
-still change.
+are kept as id tuples in an insertion-ordered dict used as a set, plus
+two nested-dict indexes.  A pattern that binds its subject or predicate
+is one index probe; a pattern that binds only its object walks the
+predicates of POS.  Mutation is single-writer; readers should work on a
+`copy()` when the original may still change.
+
+Triples are never removed, so a graph's `version`, its number of
+triples, names its state, and the triples after the first v are those
+added since version v.  Saturation caches its closures on the graph by
+version (`rdfs._saturate`).
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ class Graph:
         self.base = base
         self._term_to_id: dict[Term, int] = {}
         self._id_to_term: list[Term] = []
-        self._triples: set[IdTriple] = set()
+        self._triples: dict[IdTriple, None] = {}  # insertion order: see `version`
         self._spo: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
-        self._osp: dict[int, dict[int, set[int]]] = {}
+        self._closures: dict[str, tuple] = {}  # profile -> (closure, version, closure graph version)
 
     # -- dictionary ----------------------------------------------------
 
@@ -92,11 +98,15 @@ class Graph:
         if t in self._triples:
             return False
         s, p, o = t
-        self._triples.add(t)
+        self._triples[t] = None
         self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         return True
+
+    @property
+    def version(self) -> int:
+        """Number of triples inserted; it grows with every insertion that adds one."""
+        return len(self._triples)
 
     def contains(self, triple: Triple) -> bool:
         s = self.lookup(triple.subject)
@@ -114,7 +124,7 @@ class Graph:
         tid = self.lookup(term)
         if tid is None:
             return False
-        return tid in self._spo or tid in self._pos or tid in self._osp
+        return tid in self._spo or tid in self._pos or any(tid in os_ for os_ in self._pos.values())
 
     def __contains__(self, triple: Triple) -> bool:
         return self.contains(triple)
@@ -141,10 +151,9 @@ class Graph:
         g = Graph(base=self.base)
         g._term_to_id = dict(self._term_to_id)
         g._id_to_term = list(self._id_to_term)
-        g._triples = set(self._triples)
+        g._triples = dict(self._triples)
         g._spo = {s: {p: set(os) for p, os in ps.items()} for s, ps in self._spo.items()}
         g._pos = {p: {o: set(ss) for o, ss in os.items()} for p, os in self._pos.items()}
-        g._osp = {o: {s: set(ps) for s, ps in ss.items()} for o, ss in self._osp.items()}
         return g
 
     # -- matching ------------------------------------------------------
@@ -152,8 +161,8 @@ class Graph:
     def match_ids(self, s: int | None = None, p: int | None = None, o: int | None = None) -> Iterator[IdTriple]:
         """Triples matching a pattern of ids, None being a wildcard.
 
-        Each of the eight bound/unbound combinations is served by a probe
-        into exactly one of the three indexes.
+        A bound subject or predicate is one probe into SPO or POS; a
+        pattern with only the object bound walks the predicates.
         """
         if s is not None and p is not None and o is not None:
             if (s, p, o) in self._triples:
@@ -162,8 +171,9 @@ class Graph:
             for oo in self._spo.get(s, {}).get(p, ()):
                 yield (s, p, oo)
         elif s is not None and o is not None:
-            for pp in self._osp.get(o, {}).get(s, ()):
-                yield (s, pp, o)
+            for pp, os_ in self._spo.get(s, {}).items():
+                if o in os_:
+                    yield (s, pp, o)
         elif p is not None and o is not None:
             for ss in self._pos.get(p, {}).get(o, ()):
                 yield (ss, p, o)
@@ -176,8 +186,8 @@ class Graph:
                 for s_ in ss:
                     yield (s_, p, oo)
         elif o is not None:
-            for ss, ps in self._osp.get(o, {}).items():
-                for pp in ps:
+            for pp, os_ in self._pos.items():
+                for ss in os_.get(o, ()):
                     yield (ss, pp, o)
         else:
             yield from self._triples
@@ -251,7 +261,7 @@ class Graph:
         if s is not None and p is not None:
             return len(self._spo.get(s, {}).get(p, ()))
         if s is not None and o is not None:
-            return len(self._osp.get(o, {}).get(s, ()))
+            return sum(o in os_ for os_ in self._spo.get(s, {}).values())
         if p is not None and o is not None:
             return len(self._pos.get(p, {}).get(o, ()))
         if s is not None:
@@ -259,14 +269,14 @@ class Graph:
         if p is not None:
             return sum(map(len, self._pos.get(p, {}).values()))
         if o is not None:
-            return sum(map(len, self._osp.get(o, {}).values()))
+            return sum(len(os_.get(o, ())) for os_ in self._pos.values())
         return len(self._triples)
 
     # -- knowledge-graph views ------------------------------------------
 
     def entities(self) -> list[Term]:
         """Terms occurring in subject or object position, canonical order."""
-        return self._sorted_terms(self._spo.keys() | self._osp.keys())
+        return self._sorted_terms(self._spo.keys() | self._objects())
 
     def relations(self) -> list[Term]:
         """Terms occurring in predicate position, canonical order."""
@@ -274,11 +284,55 @@ class Graph:
 
     def terms(self) -> list[Term]:
         """Terms occurring in any triple position, canonical order."""
-        return self._sorted_terms(self._spo.keys() | self._pos.keys() | self._osp.keys())
+        return self._sorted_terms(self._spo.keys() | self._pos.keys() | self._objects())
+
+    def _objects(self) -> set[int]:
+        return {o for os_ in self._pos.values() for o in os_}
 
     def _sorted_terms(self, ids) -> list[Term]:
         # index keys are exact: a key is added with its first triple and no triple is ever removed
         return sorted((self._id_to_term[i] for i in ids), key=sort_key)
+
+
+class Overlay:
+    """A graph layered over `under`, which it reads and never changes.
+
+    Inserted triples and newly interned terms live only in the overlay; a
+    new term's id continues after `under`'s ids.  Serves the part of the
+    `Graph` API that saturation and violation detection use, so a fixpoint
+    can resume on top of a shared closure without copying it.
+    """
+
+    def __init__(self, under: Graph):
+        self._under = under
+        self._top = Graph(under.base)  # the new terms (local ids) and the added triples (layered ids)
+        self._first = len(under._id_to_term)
+
+    def lookup(self, term: Term) -> int | None:
+        tid = self._under.lookup(term)
+        if tid is None and (tid := self._top.lookup(term)) is not None:
+            tid += self._first
+        return tid
+
+    def intern(self, term: Term) -> int:
+        tid = self.lookup(term)
+        return self._first + self._top.intern(term) if tid is None else tid
+
+    def term(self, tid: int) -> Term:
+        return self._under.term(tid) if tid < self._first else self._top.term(tid - self._first)
+
+    def _to_triple(self, t: IdTriple) -> Triple:
+        return Triple(*map(self.term, t))
+
+    def insert_ids(self, t: IdTriple) -> bool:
+        return not self._under.contains_ids(t) and self._top.insert_ids(t)
+
+    def contains_ids(self, t: IdTriple) -> bool:
+        return self._under.contains_ids(t) or self._top.contains_ids(t)
+
+    def match_ids(self, s: int | None = None, p: int | None = None, o: int | None = None) -> Iterator[IdTriple]:
+        yield from self._under.match_ids(s, p, o)
+        yield from self._top.match_ids(s, p, o)
 
 
 def graph_from_triples(triples: Iterable[Triple], base: str | None = None) -> Graph:

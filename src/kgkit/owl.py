@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import vocab
 from .errors import InconsistentKBError
-from .graph import Graph, IdTriple
+from .graph import Graph, IdTriple, Overlay
 from .rdfs import (
     RDFS_RULES,
     Closure,
@@ -29,6 +29,7 @@ from .rdfs import (
     Violation,
     _Ctx,
     _fixpoint,
+    _saturate,
 )
 from .terms import IRI, BlankNode, Term, Triple, sort_key, triple_sort_key
 
@@ -393,7 +394,7 @@ OWL_RULES = RDFS_RULES + [
 # ---------------------------------------------------------------------------
 
 
-def _collect_violations(work: Graph) -> InconsistencyReport:
+def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
     ctx = _Ctx(work)
     typ = ctx.vid(vocab.RDF_TYPE)
     found: set[tuple[str, tuple[IdTriple, ...]]] = set()
@@ -511,11 +512,9 @@ class EqualityPartition:
 
 
 def saturate_owl(graph: Graph) -> tuple[Closure, InconsistencyReport]:
-    """OWL closure of the graph plus the violations found in it."""
-    work = graph.copy()
-    derivations = _fixpoint(work, OWL_RULES, work.triple_ids())
-    report = _collect_violations(work)
-    return Closure(graph, work, derivations, report), report
+    """OWL closure of the graph plus the violations found in it, cached on the graph (see `rdfs._saturate`)."""
+    closure = _saturate(graph, "owl", OWL_RULES, _collect_violations)
+    return closure, closure.report
 
 
 def _consistent_closure(graph: Graph) -> Closure:
@@ -527,8 +526,11 @@ def _consistent_closure(graph: Graph) -> Closure:
 
 
 def _breaks(closure: Closure, triple: Triple) -> InconsistencyReport:
-    """Violations of the closure plus one triple, resuming the fixpoint on a copy from that triple."""
-    work = closure.graph.copy()
+    """Violations of the closure plus one triple, resuming the fixpoint from that triple on an overlay.
+
+    The overlay leaves the closure as it is, so probes need no copy and no lock.
+    """
+    work = Overlay(closure.graph)
     t = (work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object))
     work.insert_ids(t)
     _fixpoint(work, OWL_RULES, [t])
@@ -565,9 +567,8 @@ def check_instance(graph: Graph, individual: Term, cls: Term) -> InstanceCheck:
 def retrieve_instances(graph: Graph, cls: Term) -> set[Term]:
     """All derived members of a class, canonicalized to sameAs representatives."""
     closure = _consistent_closure(graph)
-    partition = EqualityPartition.from_graph(closure.graph)
     return {
-        partition.representative(t.subject)
+        closure.partition.representative(t.subject)
         for t in closure.graph.match_terms(None, vocab.RDF_TYPE, cls)
     }
 

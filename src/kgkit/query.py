@@ -17,7 +17,7 @@ from . import vocab
 from .errors import ParseError, QueryValidationError
 from .graph import Binding, Graph
 from .io import BLANK, EOF, _term_from_tokens, _tokenize
-from .owl import EqualityPartition, saturate_owl
+from .owl import saturate_owl
 from .rdfs import saturate_rdfs
 from .terms import PrefixMap, Term, TriplePattern, Var, sort_key
 
@@ -103,8 +103,8 @@ def query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
     elif regime == "rdfs":
         work = saturate_rdfs(graph).graph
     else:
-        work = saturate_owl(graph)[0].graph
-        partition = EqualityPartition.from_graph(work)
+        closure = saturate_owl(graph)[0]
+        work, partition = closure.graph, closure.partition
 
     bindings = _join(work, _resolve(work, q.patterns), {})
     blocks = [_resolve(work, block) for block in q.negations]
@@ -221,7 +221,7 @@ def parse_competency(text: str) -> list[tuple[str, Query, str]]:
     Each block starts with ``QUERY <name>`` and continues in the normal
     query format until the next QUERY line.
     """
-    blocks: list[tuple[str, list[str]]] = []
+    blocks: list[tuple[str, int, list[str]]] = []
     current: list[str] | None = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
@@ -230,13 +230,14 @@ def parse_competency(text: str) -> list[tuple[str, Query, str]]:
             if not name:
                 raise ParseError("QUERY line has no name", lineno)
             current = []
-            blocks.append((name, current))
+            blocks.append((name, lineno, current))
         elif stripped and current is None and not stripped.startswith("#"):
             raise ParseError("content before the first QUERY line", lineno)
         elif current is not None:
             current.append(raw)
     out = []
-    for name, lines in blocks:
-        q, regime = parse_query("\n".join(lines))
+    for name, start, lines in blocks:
+        # blank lines before the block keep error line numbers those of the file
+        q, regime = parse_query("\n" * start + "\n".join(lines))
         out.append((name, q, regime))
     return out

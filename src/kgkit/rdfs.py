@@ -16,11 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import vocab
-from .graph import Graph, IdTriple
+from .graph import Graph, IdTriple, Overlay
 from .terms import IRI, Literal, Term, Triple, triple_sort_key
+
+if TYPE_CHECKING:
+    from .owl import EqualityPartition
 
 
 @dataclass(frozen=True)
@@ -45,14 +49,19 @@ class Derivation:
     premises: tuple[Triple, ...]
 
 
-IdDerivations = dict[IdTriple, tuple[str, tuple[IdTriple, ...]]]
+# a derived triple -> (rule name, its premises flattened: s1, p1, o1, s2, p2, o2, ...)
+IdDerivations = dict[IdTriple, tuple[str, tuple[int, ...]]]
 
 
 @dataclass
 class Closure:
     """A saturated graph plus where each derived triple came from.
 
-    `derived` and `provenance` are built from the id-level `derivations` on first access.
+    `derived`, `provenance` and the sameAs `partition` are built from the
+    closed graph and its id-level `derivations` on first access.  A closure
+    that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
+    never changes it, and a later saturation of the grown base builds a
+    new one.
     """
 
     base: Graph
@@ -68,9 +77,16 @@ class Closure:
     def provenance(self) -> dict[Triple, Derivation]:
         to_triple = self.graph._to_triple
         return {
-            to_triple(t): Derivation(name, tuple(map(to_triple, premises)))
+            to_triple(t): Derivation(name, tuple(to_triple(premises[i : i + 3]) for i in range(0, len(premises), 3)))
             for t, (name, premises) in self.derivations.items()
         }
+
+    @cached_property
+    def partition(self) -> "EqualityPartition":
+        """The owl:sameAs classes of the closed graph."""
+        from .owl import EqualityPartition  # owl builds on this module
+
+        return EqualityPartition.from_graph(self.graph)
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.graph
@@ -82,7 +98,7 @@ class Closure:
 class _Ctx:
     """Working state handed to rule functions during saturation."""
 
-    def __init__(self, work: Graph):
+    def __init__(self, work: Graph | Overlay):
         self.g = work
 
     def vid(self, term: Term) -> int | None:
@@ -201,7 +217,7 @@ RDFS_RULES: list[Rule] = [
 ]
 
 
-def _fixpoint(work: Graph, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> IdDerivations:
+def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> IdDerivations:
     """Saturate `work` in place, starting from `delta`; returns the provenance of what it added.
 
     Requires `delta` to be in `work` and the rest of `work` to be closed under `rules`.
@@ -214,7 +230,7 @@ def _fixpoint(work: Graph, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> 
         for rule in rules:
             for t, name, premises in rule(ctx, delta):
                 if not work.contains_ids(t) and t not in fresh:
-                    fresh[t] = (name, premises)
+                    fresh[t] = (name, tuple(chain.from_iterable(premises)))
         for t in fresh:
             work.insert_ids(t)
         provenance.update(fresh)
@@ -222,10 +238,48 @@ def _fixpoint(work: Graph, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> 
     return provenance
 
 
+def _saturate(
+    graph: Graph, profile: str, rules: list[Rule], violations: Callable[[Graph], InconsistencyReport]
+) -> Closure:
+    """The closure of `graph` under `rules`, cached on the graph per profile.
+
+    The cached closure is returned while neither the graph nor the
+    closure's graph has changed since it was made.  When only the graph
+    has grown, the fixpoint resumes from the new triples on a copy of the
+    cached closure, so a closure once returned never changes.  Any change
+    to the closure's graph drops it, and the graph is saturated afresh.
+    """
+    cached = graph._closures.get(profile)
+    if cached is not None:
+        closure, version, closed_version = cached
+        if closure.graph.version != closed_version:
+            cached = None
+        elif version == graph.version:
+            return closure
+    if cached is None:
+        work = graph.copy()
+        derivations = _fixpoint(work, rules, work.triple_ids())
+    else:
+        # the closure's dictionary has interned derived terms since it was
+        # copied, so its ids are not the graph's: translate through terms
+        work = closure.graph.copy()
+        derivations = dict(closure.derivations)
+        delta = []
+        for t in islice(graph._triples, version, None):  # the triples added since `version`
+            t = (work.intern(graph.term(t[0])), work.intern(graph.term(t[1])), work.intern(graph.term(t[2])))
+            if work.insert_ids(t):
+                delta.append(t)
+            else:
+                del derivations[t]  # derived before, asserted now
+        derivations.update(_fixpoint(work, rules, delta))
+    closure = Closure(graph, work, derivations, violations(work))
+    graph._closures[profile] = (closure, graph.version, work.version)
+    return closure
+
+
 def saturate_rdfs(graph: Graph) -> Closure:
-    """Least fixpoint of the RDFS rule set over the graph."""
-    work = graph.copy()
-    return Closure(graph, work, _fixpoint(work, RDFS_RULES, work.triple_ids()))
+    """Least fixpoint of the RDFS rule set over the graph, cached on it (see `_saturate`)."""
+    return _saturate(graph, "rdfs", RDFS_RULES, lambda work: InconsistencyReport())
 
 
 def entails(graph: Graph, triple: Triple) -> bool:

@@ -185,11 +185,12 @@ class PrefixMap:
     def expand(self, qname: str) -> IRI:
         """Expand ``prefix:local`` into a full IRI.
 
-        The qname must contain exactly one colon; an unregistered prefix
-        raises UnknownPrefixError.
+        The prefix ends at the first colon; the local part may hold more,
+        as in Turtle's PNAME_LN.  An unregistered prefix raises
+        UnknownPrefixError.
         """
-        if qname.count(":") != 1:
-            raise ValidationError(f"qname must contain exactly one colon: {qname!r}")
+        if ":" not in qname:
+            raise ValidationError(f"qname must contain a colon: {qname!r}")
         prefix, local = qname.split(":", 1)
         ns = self._ns.get(prefix)
         if ns is None:

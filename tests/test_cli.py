@@ -69,6 +69,29 @@ def test_parse_malformed_line_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_parse_qname_with_colons_in_its_local_part(tmp_path, capsys):
+    # Turtle's PNAME_LN: the prefix ends at the first colon, and the local part may hold more
+    kb = write(tmp_path / "colons.ttl", f"@prefix ex: <{EDU}> .\nex:a ex:p ex:b:c .\n")
+    assert main(["parse", kb]) == 0
+    assert capsys.readouterr().out == f"<{EDU}a> <{EDU}p> <{EDU}b:c> .\n"
+
+
+def test_check_competency_parse_error_names_the_file_line(tmp_path, capsys):
+    kb = write(tmp_path / "city.ttl", CITY_TTL)
+    questions = write(
+        tmp_path / "competency.txt",
+        f"""QUERY localities
+?x a <{EDU}Locality>
+
+QUERY bad-escape
+PREFIX edu: <{EDU}>
+?x a "\\q"
+""",
+    )
+    assert main(["check", kb, "--competency", questions]) == 2
+    assert capsys.readouterr().err == "parse error: unknown escape \\q at line 6, column 7\n"
+
+
 def test_parse_missing_file_exits_1(tmp_path):
     assert main(["parse", str(tmp_path / "absent.nt")]) == 1
 

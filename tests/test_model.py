@@ -244,6 +244,30 @@ def test_term_views_equal_a_scan_of_every_triple():
         assert g.terms() == sorted({x for t in ts for x in t}, key=sort_key)
 
 
+def test_object_bound_patterns_over_many_predicates_equal_a_scan():
+    # with no OSP index, a pattern that binds the object but not the predicate walks the predicates
+    rng = random.Random(5)
+    subjects = [edu(f"s{i}") for i in range(40)]
+    objects = subjects[:20] + [edu(f"o{i}") for i in range(20)] + [Literal("7"), Literal("7", language="pl")]
+    g = Graph()
+    for i in range(6000):
+        g.add(rng.choice(subjects), edu(f"p{i % 2500}"), rng.choice(objects))
+    ts = triples_of(g)
+    assert len({p for _, p, _ in ts}) >= 2000
+    for o in objects + [edu("absent")]:
+        for s in [None, edu("absent"), *rng.sample(subjects, 6)]:
+            expected = {t for t in ts if s in (None, t[0]) and t[2] == o}
+            got = {(t.subject, t.predicate, t.object) for t in g.match_terms(s, None, o)}
+            assert got == expected
+            assert g.cardinality(s, Var("p"), o) == len(expected)
+            pattern = TriplePattern(Var("s") if s is None else s, Var("p"), o)
+            assert {(t.subject, t.predicate, t.object) for t, _ in g.match(pattern)} == expected
+        assert g.mentions(o) == any(o in t for t in ts)
+    assert g.entities() == sorted({x for s, _, o in ts for x in (s, o)}, key=sort_key)
+    assert g.relations() == sorted({p for _, p, _ in ts}, key=sort_key)
+    assert g.terms() == sorted({x for t in ts for x in t}, key=sort_key)
+
+
 def test_star_import_exports_the_public_names_and_no_submodule():
     import types
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -13,19 +15,23 @@ from kgkit import (
     check_instance,
     is_consistent,
     is_satisfiable,
+    parse_query,
     parse_turtle,
+    query,
     realize,
     retrieve_instances,
     saturate_owl,
+    saturate_rdfs,
     subsumes,
     vocab,
 )
-from kgkit import owl
+from kgkit import owl, rdfs
 from kgkit.owl import OWL_RULES, _breaks, _collect_violations
 from kgkit.rdfs import _fixpoint
-from kgkit.terms import sort_key
+from kgkit.terms import sort_key, triple_sort_key
 
 from helpers import (
+    EDU,
     NS,
     city_kb,
     edu,
@@ -33,6 +39,7 @@ from helpers import (
     pumpkin_kb,
     random_consistent_owl_graph,
     random_owl_graph,
+    random_rdfs_graph,
 )
 from oracles import closure_triples, naive_owl_closure, naive_violation_rules, triples_of
 
@@ -569,3 +576,175 @@ def test_rules_intern_the_vocabulary_they_derive_once_per_call(monkeypatch):
     assert not closure.derived
     for term in (vocab.RDF_TYPE, vocab.OWL_SAMEAS, vocab.RDFS_SUBCLASSOF, vocab.OWL_EQUIVALENTCLASS):
         assert closure.graph.lookup(term) is None
+
+
+# ---------------------------------------------------------------------------
+# The closure cache: one saturation per graph version
+# ---------------------------------------------------------------------------
+
+
+def _count_saturations(monkeypatch) -> list[bool]:
+    """Patch `_fixpoint` in both modules; each call records whether it started from every triple."""
+    runs: list[bool] = []
+    real = rdfs._fixpoint
+
+    def fixpoint(work, rules, delta):
+        delta = list(delta)
+        runs.append(isinstance(work, Graph) and len(delta) == len(work))
+        return real(work, rules, delta)
+
+    monkeypatch.setattr(rdfs, "_fixpoint", fixpoint)
+    monkeypatch.setattr(owl, "_fixpoint", fixpoint)
+    return runs
+
+
+def _snapshot(closure) -> tuple:
+    return closure_triples(closure), closure.derived, closure.report
+
+
+def _assert_same_closure(cached, fresh, note: str) -> None:
+    assert closure_triples(cached) == closure_triples(fresh), note
+    assert cached.derived == fresh.derived, note
+    assert cached.provenance.keys() == fresh.provenance.keys(), note
+    assert cached.report == fresh.report, note
+
+
+def test_cached_and_resumed_closures_equal_saturation_from_scratch(monkeypatch):
+    runs = _count_saturations(monkeypatch)
+    profiles = {"owl": lambda g: saturate_owl(g)[0], "rdfs": saturate_rdfs}
+    asserted_after_derived = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        source = random_owl_graph(seed, max_triples=50) if seed % 2 else random_rdfs_graph(seed, max_triples=50)
+        pending = source.triples()
+        rng.shuffle(pending)
+        g = Graph()
+        runs.clear()
+        used, fresh = set(), 0
+
+        def check(name: str, note: str):
+            nonlocal fresh
+            cached = profiles[name](g)
+            used.add(name)
+            assert profiles[name](g) is cached, note
+            _assert_same_closure(cached, profiles[name](g.copy()), note)
+            fresh += 1
+            return cached
+
+        while pending:
+            for _ in range(rng.randint(1, 6)):
+                if pending:
+                    g.insert(pending.pop())
+            for name in rng.sample(sorted(profiles), rng.randint(1, 2)):
+                cached = check(name, f"seed {seed}, {name}")
+                if cached.derived and rng.random() < 0.3:
+                    t = rng.choice(sorted(cached.derived, key=triple_sort_key))
+                    g.insert(t)
+                    again = check(name, f"seed {seed}, {name}, asserted {t}")
+                    assert t not in again.derived and t in again.graph
+                    asserted_after_derived += 1
+        # only the first saturation of `g` per profile, and those of the copies, start from every triple
+        assert runs.count(True) == len(used) + fresh, f"seed {seed}"
+    assert asserted_after_derived >= 50
+
+
+def _pets_kb() -> Graph:
+    g = pumpkin_kb()
+    g.add(edu("Cat"), vocab.RDFS_SUBCLASSOF, edu("Carnivore"))
+    g.add(edu("Tom"), vocab.RDF_TYPE, edu("Cat"))
+    g.add(edu("Tom"), vocab.OWL_SAMEAS, edu("Thomas"))
+    g.add(edu("Chimera"), vocab.RDFS_SUBCLASSOF, edu("Herbivore"))
+    g.add(edu("Chimera"), vocab.RDFS_SUBCLASSOF, edu("Carnivore"))
+    return g
+
+
+def test_closures_handed_out_are_snapshots(monkeypatch):
+    runs = _count_saturations(monkeypatch)
+    g = _pets_kb()
+    c1, _ = saturate_owl(g)
+    before, terms = _snapshot(c1), dict(c1.graph._term_to_id)
+    assert check_instance(g, edu("Thomas"), edu("Carnivore")) is InstanceCheck.ENTAILED
+    assert check_instance(g, edu("Tom"), edu("Pet")) is InstanceCheck.NOT_ENTAILED
+    assert check_instance(g, edu("Pumpkin"), edu("Herbivore")) is InstanceCheck.INCONSISTENT_IF_ASSERTED
+    assert is_satisfiable(g, edu("Cat")) and not is_satisfiable(g, edu("Chimera"))
+    assert saturate_owl(g)[0] is c1
+    assert _snapshot(c1) == before
+    assert c1.graph._term_to_id == terms  # probes intern their terms in an overlay
+    assert runs == [True, False, False, False, False]  # one saturation, four probes
+    runs.clear()
+
+    g.add(edu("Kitten"), vocab.RDFS_SUBCLASSOF, edu("Cat"))
+    g.add(edu("Felix"), vocab.RDF_TYPE, edu("Kitten"))
+    c2, _ = saturate_owl(g)
+    assert Triple(edu("Felix"), vocab.RDF_TYPE, edu("Carnivore")) in c2.derived
+    assert _snapshot(c1) == before
+    assert runs == [False]  # the base grew: the fixpoint resumed from the two new triples
+
+    # changing a handed-out closure drops it from the cache: the next call saturates afresh
+    c2.graph.add(edu("Felix"), vocab.RDF_TYPE, edu("Herbivore"))
+    c3, report = saturate_owl(g)
+    assert runs == [False, True] and c3 is not c2
+    assert not report and Triple(edu("Felix"), vocab.RDF_TYPE, edu("Herbivore")) not in c3
+    _assert_same_closure(c3, saturate_owl(g.copy())[0], "after a mutated closure")
+
+
+def test_reasoning_tasks_on_an_unchanged_graph_saturate_once_per_profile_and_never_copy_to_probe(monkeypatch):
+    runs = _count_saturations(monkeypatch)
+    copies = []
+    real_copy = Graph.copy
+    monkeypatch.setattr(Graph, "copy", lambda self: copies.append(self) or real_copy(self))
+    g = _pets_kb()
+    q, _ = parse_query(f"SELECT ?x\n?x a <{EDU}Carnivore>\n")
+    answers = [
+        is_consistent(g)[0],
+        check_instance(g, edu("Thomas"), edu("Carnivore")),
+        check_instance(g, edu("Tom"), edu("Pet")),
+        check_instance(g, edu("Pumpkin"), edu("Herbivore")),
+        realize(g, edu("Tom")),
+        retrieve_instances(g, edu("Carnivore")),
+        subsumes(g, edu("Carnivore"), edu("Cat")),
+        is_satisfiable(g, edu("Chimera")),
+        *(query(g, q, regime) for regime in ("none", "rdfs", "owl")),
+    ]
+    assert answers[:4] == [True, InstanceCheck.ENTAILED, InstanceCheck.NOT_ENTAILED, InstanceCheck.INCONSISTENT_IF_ASSERTED]
+    assert answers[5] == {edu("Pumpkin"), edu("Thomas")} and answers[-1] == [{"x": edu("Pumpkin")}, {"x": edu("Thomas")}]
+    assert runs.count(True) == 2  # one saturation each for owl and rdfs
+    assert runs.count(False) == 3  # the three probes resume on an overlay
+    assert copies == [g, g]  # each copy builds a closure
+
+
+def test_tasks_from_several_threads_give_the_serial_answers():
+    q, _ = parse_query(f"SELECT ?x\n?x a <{EDU}Carnivore>\n")
+
+    def answers(g):
+        return [
+            check_instance(g, edu("Thomas"), edu("Carnivore")),
+            check_instance(g, edu("Tom"), edu("Pet")),
+            check_instance(g, edu("Pumpkin"), edu("Herbivore")),
+            is_satisfiable(g, edu("Cat")),
+            is_satisfiable(g, edu("Chimera")),
+            query(g, q, "owl"),
+        ]
+
+    serial = answers(_pets_kb())
+    shared = _pets_kb()
+    results: dict[int, list] = {}
+
+    def work(i: int) -> None:
+        results[i] = [answers(shared) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    assert all(got == serial for runs in results.values() for got in runs)
+    closure, _ = saturate_owl(shared)
+    assert closure_triples(closure) == closure_triples(saturate_owl(_pets_kb())[0])

@@ -265,6 +265,13 @@ def test_parse_competency_blocks():
     assert len(query(g, blocks[1][1], blocks[1][2])) == 5
 
 
+def test_parse_competency_errors_name_the_file_line():
+    text = "QUERY first\n?x a ?y\n\n# the second block\nQUERY second\nPREFIX edu: <http://example.edu#>\n?x a\n"
+    with pytest.raises(ParseError) as err:
+        parse_competency(text)
+    assert err.value.line == 7
+
+
 # ---------------------------------------------------------------------------
 # Query constants are read with the N-Triples/Turtle term grammar
 # ---------------------------------------------------------------------------
