@@ -53,17 +53,25 @@ class Graph:
         """Return the id of `term`, assigning a fresh one on first sight.
 
         Relative IRIs are resolved against the graph's base IRI; with no
-        base they are rejected.
+        base they are rejected.  Only resolved terms are stored, so a term
+        found in the dictionary needs no resolving.
         """
+        try:
+            tid = self._term_to_id.get(term)
+        except TypeError:  # unhashable: not a term
+            tid = None
+        if tid is not None:
+            return tid
         if isinstance(term, IRI):
             term = self._resolve(term)
+            tid = self._term_to_id.get(term)  # a relative IRI may resolve to a known one
+            if tid is not None:
+                return tid
         elif not isinstance(term, (BlankNode, Literal)):
             raise ValidationError(f"not an RDF term: {term!r}")
-        tid = self._term_to_id.get(term)
-        if tid is None:
-            tid = len(self._id_to_term)
-            self._term_to_id[term] = tid
-            self._id_to_term.append(term)
+        tid = len(self._id_to_term)
+        self._term_to_id[term] = tid
+        self._id_to_term.append(term)
         return tid
 
     def lookup(self, term: Term) -> int | None:
@@ -86,12 +94,6 @@ class Graph:
 
     def add(self, subject: Term, predicate: Term, object: Term) -> bool:
         """Construct and insert; positional constraints are checked here."""
-        if isinstance(subject, IRI):
-            subject = self._resolve(subject)
-        if isinstance(predicate, IRI):
-            predicate = self._resolve(predicate)
-        if isinstance(object, IRI):
-            object = self._resolve(object)
         return self.insert(Triple(subject, predicate, object))
 
     def insert_ids(self, t: IdTriple) -> bool:

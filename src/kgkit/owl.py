@@ -1,12 +1,17 @@
 """OWL-RL-style rule reasoning on top of the RDFS closure.
 
 Covers identity under the missing unique-names assumption (owl:sameAs
-symmetry, transitivity and substitution; functional properties deriving
-sameAs), inverse and transitive properties, class equivalence,
-intersection and union operators, someValuesFrom recognition and
-allValuesFrom propagation.  Disjointness, complement, differentFrom,
-AllDifferent lists and owl:Nothing membership are violation triggers:
-inconsistency is reported as data, never raised during saturation.
+symmetry and substitution; functional properties deriving sameAs),
+inverse and transitive properties, class equivalence, intersection and
+union operators, someValuesFrom recognition and allValuesFrom
+propagation.  Disjointness, complement, differentFrom, AllDifferent
+lists and owl:Nothing membership are violation triggers: inconsistency
+is reported as data, never raised during saturation.
+
+Some consequences need no rule of their own, as in the OWL 2 RL rule
+table: sameAs transitivity is substitution in the object position, and
+a member of an intersection gets each member class through the
+intersection's subclass edges and RDFS type propagation.
 
 Deliberate boundary: no rule introduces fresh individuals, so a
 someValuesFrom on the superclass side is stored but never instantiated.
@@ -27,30 +32,21 @@ from .rdfs import (
     Closure,
     InconsistencyReport,
     Violation,
-    _Ctx,
     _fixpoint,
     _saturate,
 )
-from .terms import IRI, BlankNode, Term, Triple, sort_key, triple_sort_key
+from .terms import IRI, BlankNode, Literal, Term, Triple, sort_key, triple_sort_key
 
-_SAMEAS = "owl-sameas"
-
-
-def _list_members(ctx: _Ctx, node: int) -> set[int]:
-    """Members of an RDF collection, following first/rest edges from node."""
-    return _list_walk(ctx, node)[0]
-
-
-def _list_walk(ctx: _Ctx, node: int) -> tuple[set[int], bool]:
+def _list_walk(g: Graph | Overlay, node: int) -> tuple[set[int], bool]:
     """Members of the collection at node, and whether it is complete.
 
     Complete means the walk reaches rdf:nil and every cell on the way has
     an rdf:first: OWL 2 RL's LIST premise.  A list whose cells are still
     arriving one at a time is a prefix, and not complete.
     """
-    first = ctx.vid(vocab.RDF_FIRST)
-    rest = ctx.vid(vocab.RDF_REST)
-    nil = ctx.vid(vocab.RDF_NIL)
+    first = g.lookup(vocab.RDF_FIRST)
+    rest = g.lookup(vocab.RDF_REST)
+    nil = g.lookup(vocab.RDF_NIL)
     members: set[int] = set()
     stack = [node]
     seen: set[int] = set()
@@ -64,93 +60,82 @@ def _list_walk(ctx: _Ctx, node: int) -> tuple[set[int], bool]:
         if n in seen:
             continue
         seen.add(n)
-        firsts = [o for _, _, o in ctx.g.match_ids(n, first, None)] if first is not None else []
+        firsts = [o for _, _, o in g.match_ids(n, first, None)] if first is not None else []
         every_cell_has_first &= bool(firsts)
         members.update(firsts)
         if rest is not None:
-            stack.extend(o for _, _, o in ctx.g.match_ids(n, rest, None))
+            stack.extend(o for _, _, o in g.match_ids(n, rest, None))
     return members, reached_nil and every_cell_has_first
 
 
-def _structural(ctx: _Ctx, delta: list[IdTriple], *preds: Term) -> bool:
-    ids = {ctx.vid(p) for p in preds} | {ctx.vid(vocab.RDF_FIRST), ctx.vid(vocab.RDF_REST)}
+def _structural(g: Graph | Overlay, delta: list[IdTriple], *preds: Term) -> bool:
+    ids = {g.lookup(p) for p in preds} | {g.lookup(vocab.RDF_FIRST), g.lookup(vocab.RDF_REST)}
     ids.discard(None)
     return any(p in ids for _, p, _ in delta)
 
 
-def _r_sameas_symmetry(ctx: _Ctx, delta: list[IdTriple]):
+def _r_sameas_symmetry(g: Graph | Overlay, delta: list[IdTriple]):
     """(x sameAs y) -> (y sameAs x)"""
-    sa = ctx.vid(vocab.OWL_SAMEAS)
+    sa = g.lookup(vocab.OWL_SAMEAS)
     if sa is None:
         return
     for x, p, y in delta:
-        if p == sa and not ctx.is_literal(y):
+        if p == sa and not isinstance(g.term(y), Literal):
             yield (y, sa, x), "owl-sameas-symmetry", ((x, sa, y),)
 
 
-def _r_sameas_transitivity(ctx: _Ctx, delta: list[IdTriple]):
-    """(x sameAs y), (y sameAs z) -> (x sameAs z)"""
-    sa = ctx.vid(vocab.OWL_SAMEAS)
-    if sa is None:
-        return
-    for x, p, y in delta:
-        if p != sa or ctx.is_literal(y):
-            continue
-        for _, _, z in ctx.g.match_ids(y, sa, None):
-            if not ctx.is_literal(z):
-                yield (x, sa, z), "owl-sameas-transitivity", ((x, sa, y), (y, sa, z))
-        for w, _, _ in ctx.g.match_ids(None, sa, x):
-            yield (w, sa, y), "owl-sameas-transitivity", ((w, sa, x), (x, sa, y))
-
-
-def _substitutions(ctx: _Ctx, t: IdTriple, old: int, new: int):
+def _substitutions(g: Graph | Overlay, t: IdTriple, old: int, new: int):
     """Rewrites of one triple under old = new, where the result stays well-formed."""
     s, p, o = t
-    if s == old and not ctx.is_literal(new):
+    if s == old and not isinstance(g.term(new), Literal):
         yield (new, p, o)
-    if p == old and ctx.is_iri(new):
+    if p == old and isinstance(g.term(new), IRI):
         yield (s, new, o)
     if o == old:
         yield (s, p, new)
 
 
-def _r_sameas_substitution(ctx: _Ctx, delta: list[IdTriple]):
-    """(a sameAs b) materializes every triple mentioning a with b in its place."""
-    sa = ctx.vid(vocab.OWL_SAMEAS)
+def _r_sameas_substitution(g: Graph | Overlay, delta: list[IdTriple]):
+    """(a sameAs b) materializes every triple mentioning a with b in its place.
+
+    Rewriting (x sameAs a) under (a sameAs b) gives (x sameAs b), so this
+    also makes sameAs transitive.
+    """
+    sa = g.lookup(vocab.OWL_SAMEAS)
     if sa is None:
         return
     for t in delta:
         s, p, o = t
-        if p == sa and not ctx.is_literal(o) and s != o:
+        if p == sa and not isinstance(g.term(o), Literal) and s != o:
             a, b = s, o
             mentioning = set()
-            mentioning.update(ctx.g.match_ids(a, None, None))
-            mentioning.update(ctx.g.match_ids(None, a, None))
-            mentioning.update(ctx.g.match_ids(None, None, a))
+            mentioning.update(g.match_ids(a, None, None))
+            mentioning.update(g.match_ids(None, a, None))
+            mentioning.update(g.match_ids(None, None, a))
             for src in mentioning:
-                for rewritten in _substitutions(ctx, src, a, b):
+                for rewritten in _substitutions(g, src, a, b):
                     yield rewritten, "owl-sameas-substitution", ((a, sa, b), src)
         # a newly derived triple is itself subject to all known equalities
         for u in set(t):
-            for _, _, v in ctx.g.match_ids(u, sa, None):
-                if u == v or ctx.is_literal(v):
+            for _, _, v in g.match_ids(u, sa, None):
+                if u == v or isinstance(g.term(v), Literal):
                     continue
-                for rewritten in _substitutions(ctx, t, u, v):
+                for rewritten in _substitutions(g, t, u, v):
                     yield rewritten, "owl-sameas-substitution", ((u, sa, v), t)
 
 
-def _r_functional(ctx: _Ctx, delta: list[IdTriple]):
+def _r_functional(g: Graph | Overlay, delta: list[IdTriple]):
     """(P a FunctionalProperty), (x P y1), (x P y2) -> (y1 sameAs y2)"""
-    typ = ctx.vid(vocab.RDF_TYPE)
-    fp = ctx.vid(vocab.OWL_FUNCTIONALPROPERTY)
+    typ = g.lookup(vocab.RDF_TYPE)
+    fp = g.lookup(vocab.OWL_FUNCTIONALPROPERTY)
     if typ is None or fp is None:
         return
-    sa = ctx.iid(vocab.OWL_SAMEAS)
+    sa = g.intern(vocab.OWL_SAMEAS)
 
     def pairs(prop: int, decl: IdTriple):
-        for x, _, y1 in ctx.g.match_ids(None, prop, None):
-            for _, _, y2 in ctx.g.match_ids(x, prop, None):
-                if y1 != y2 and not ctx.is_literal(y1) and not ctx.is_literal(y2):
+        for x, _, y1 in g.match_ids(None, prop, None):
+            for _, _, y2 in g.match_ids(x, prop, None):
+                if y1 != y2 and not isinstance(g.term(y1), Literal) and not isinstance(g.term(y2), Literal):
                     yield (y1, sa, y2), "owl-functional-property", (
                         decl,
                         (x, prop, y1),
@@ -162,9 +147,9 @@ def _r_functional(ctx: _Ctx, delta: list[IdTriple]):
             yield from pairs(s, (s, typ, o))
         else:
             decl = (p, typ, fp)
-            if ctx.g.contains_ids(decl) and not ctx.is_literal(o):
-                for _, _, y2 in ctx.g.match_ids(s, p, None):
-                    if y2 != o and not ctx.is_literal(y2):
+            if g.contains_ids(decl) and not isinstance(g.term(o), Literal):
+                for _, _, y2 in g.match_ids(s, p, None):
+                    if y2 != o and not isinstance(g.term(y2), Literal):
                         yield (o, sa, y2), "owl-functional-property", (
                             decl,
                             (s, p, o),
@@ -172,216 +157,199 @@ def _r_functional(ctx: _Ctx, delta: list[IdTriple]):
                         )
 
 
-def _r_inverse(ctx: _Ctx, delta: list[IdTriple]):
+def _r_inverse(g: Graph | Overlay, delta: list[IdTriple]):
     """(P inverseOf Q): (x P y) -> (y Q x) and (x Q y) -> (y P x)"""
-    inv = ctx.vid(vocab.OWL_INVERSEOF)
+    inv = g.lookup(vocab.OWL_INVERSEOF)
     if inv is None:
         return
     for s, p, o in delta:
         if p == inv:
             prop_p, prop_q = s, o
             decl = (s, p, o)
-            if ctx.is_iri(prop_q):
-                for x, _, y in ctx.g.match_ids(None, prop_p, None):
-                    if not ctx.is_literal(y):
+            if isinstance(g.term(prop_q), IRI):
+                for x, _, y in g.match_ids(None, prop_p, None):
+                    if not isinstance(g.term(y), Literal):
                         yield (y, prop_q, x), "owl-inverse-property", ((x, prop_p, y), decl)
-            if ctx.is_iri(prop_p):
-                for x, _, y in ctx.g.match_ids(None, prop_q, None):
-                    if not ctx.is_literal(y):
+            if isinstance(g.term(prop_p), IRI):
+                for x, _, y in g.match_ids(None, prop_q, None):
+                    if not isinstance(g.term(y), Literal):
                         yield (y, prop_p, x), "owl-inverse-property", ((x, prop_q, y), decl)
-        if not ctx.is_literal(o):
-            for _, _, q in ctx.g.match_ids(p, inv, None):
-                if ctx.is_iri(q):
+        if not isinstance(g.term(o), Literal):
+            for _, _, q in g.match_ids(p, inv, None):
+                if isinstance(g.term(q), IRI):
                     yield (o, q, s), "owl-inverse-property", ((s, p, o), (p, inv, q))
-            for r, _, _ in ctx.g.match_ids(None, inv, p):
-                if ctx.is_iri(r):
+            for r, _, _ in g.match_ids(None, inv, p):
+                if isinstance(g.term(r), IRI):
                     yield (o, r, s), "owl-inverse-property", ((s, p, o), (r, inv, p))
 
 
-def _r_transitive(ctx: _Ctx, delta: list[IdTriple]):
+def _r_transitive(g: Graph | Overlay, delta: list[IdTriple]):
     """(P a TransitiveProperty), (x P y), (y P z) -> (x P z)"""
-    typ = ctx.vid(vocab.RDF_TYPE)
-    tp = ctx.vid(vocab.OWL_TRANSITIVEPROPERTY)
+    typ = g.lookup(vocab.RDF_TYPE)
+    tp = g.lookup(vocab.OWL_TRANSITIVEPROPERTY)
     if typ is None or tp is None:
         return
     for s, p, o in delta:
         if p == typ and o == tp:
             decl = (s, typ, tp)
-            for x, _, y in ctx.g.match_ids(None, s, None):
-                for _, _, z in ctx.g.match_ids(y, s, None):
+            for x, _, y in g.match_ids(None, s, None):
+                for _, _, z in g.match_ids(y, s, None):
                     yield (x, s, z), "owl-transitive-property", (decl, (x, s, y), (y, s, z))
         decl = (p, typ, tp)
-        if ctx.g.contains_ids(decl):
-            if not ctx.is_literal(o):
-                for _, _, z in ctx.g.match_ids(o, p, None):
+        if g.contains_ids(decl):
+            if not isinstance(g.term(o), Literal):
+                for _, _, z in g.match_ids(o, p, None):
                     yield (s, p, z), "owl-transitive-property", (decl, (s, p, o), (o, p, z))
-            for w, _, _ in ctx.g.match_ids(None, p, s):
+            for w, _, _ in g.match_ids(None, p, s):
                 yield (w, p, o), "owl-transitive-property", (decl, (w, p, s), (s, p, o))
 
 
-def _r_equivalent_class(ctx: _Ctx, delta: list[IdTriple]):
+def _r_equivalent_class(g: Graph | Overlay, delta: list[IdTriple]):
     """(C equivalentClass D) <-> (C sco D) and (D sco C)"""
-    eqc = ctx.vid(vocab.OWL_EQUIVALENTCLASS)
-    sco = ctx.vid(vocab.RDFS_SUBCLASSOF)
-    sco_id = ctx.iid(vocab.RDFS_SUBCLASSOF) if eqc is not None else None
-    eqc_id = ctx.iid(vocab.OWL_EQUIVALENTCLASS) if sco is not None else None
+    eqc = g.lookup(vocab.OWL_EQUIVALENTCLASS)
+    sco = g.lookup(vocab.RDFS_SUBCLASSOF)
+    sco_id = g.intern(vocab.RDFS_SUBCLASSOF) if eqc is not None else None
+    eqc_id = g.intern(vocab.OWL_EQUIVALENTCLASS) if sco is not None else None
     for s, p, o in delta:
         if eqc is not None and p == eqc:
             yield (s, sco_id, o), "owl-equivalence-subclass", ((s, eqc, o),)
-            if not ctx.is_literal(o):
+            if not isinstance(g.term(o), Literal):
                 yield (o, sco_id, s), "owl-equivalence-subclass", ((s, eqc, o),)
-        if sco is not None and p == sco and not ctx.is_literal(o):
-            if ctx.g.contains_ids((o, sco, s)):
+        if sco is not None and p == sco and not isinstance(g.term(o), Literal):
+            if g.contains_ids((o, sco, s)):
                 yield (s, eqc_id, o), "owl-subclass-equivalence", ((s, sco, o), (o, sco, s))
                 yield (o, eqc_id, s), "owl-subclass-equivalence", ((o, sco, s), (s, sco, o))
 
 
-def _r_intersection_subclass(ctx: _Ctx, delta: list[IdTriple]):
-    """(C intersectionOf L) -> (C sco M) for each member M.
+def _r_intersection(g: Graph | Overlay, delta: list[IdTriple]):
+    """(C intersectionOf L): C is a subclass of each member of L, and membership in all of L builds C.
 
-    Needed so realization sees an intersection as strictly more specific
-    than its members.
+    A member of C gets each type in L from these subclass edges through
+    rdfs type propagation.  Building C needs the whole list, so it waits
+    for a complete one; the subclass edges hold for a prefix too.
     """
-    inter = ctx.vid(vocab.OWL_INTERSECTIONOF)
+    inter = g.lookup(vocab.OWL_INTERSECTIONOF)
     if inter is None:
         return
-    if not _structural(ctx, delta, vocab.OWL_INTERSECTIONOF):
-        return
-    sco = ctx.iid(vocab.RDFS_SUBCLASSOF)
-    for c, _, l in list(ctx.g.match_ids(None, inter, None)):
-        for m in sorted(_list_members(ctx, l)):
-            yield (c, sco, m), "owl-intersection-subclass", ((c, inter, l),)
+    typ = g.lookup(vocab.RDF_TYPE)
 
-
-def _r_intersection(ctx: _Ctx, delta: list[IdTriple]):
-    """(C intersectionOf L): membership in C and in all of L imply each other."""
-    inter = ctx.vid(vocab.OWL_INTERSECTIONOF)
-    typ = ctx.vid(vocab.RDF_TYPE)
-    if inter is None or typ is None:
-        return
-
-    def member_direction(x: int, c: int, l: int):
-        for m in sorted(_list_members(ctx, l)):
-            yield (x, typ, m), "owl-intersection-member", ((x, typ, c), (c, inter, l))
-
-    def build_direction(x: int, c: int, l: int):
-        # unlike the other directions, building is unsound on a list prefix
-        members, complete = _list_walk(ctx, l)
-        mem = sorted(members)
-        if complete and mem and all(ctx.g.contains_ids((x, typ, m)) for m in mem):
-            premises = ((c, inter, l),) + tuple((x, typ, m) for m in mem)
+    def build(x: int, c: int, l: int, members: list[int]):
+        if all(g.contains_ids((x, typ, m)) for m in members):
+            premises = ((c, inter, l),) + tuple((x, typ, m) for m in members)
             yield (x, typ, c), "owl-intersection-build", premises
 
-    if _structural(ctx, delta, vocab.OWL_INTERSECTIONOF):
-        for c, _, l in list(ctx.g.match_ids(None, inter, None)):
-            for x, _, _ in list(ctx.g.match_ids(None, typ, c)):
-                yield from member_direction(x, c, l)
-            candidates = {x for m in _list_members(ctx, l) for x, _, _ in ctx.g.match_ids(None, typ, m)}
-            for x in sorted(candidates):
-                yield from build_direction(x, c, l)
+    if _structural(g, delta, vocab.OWL_INTERSECTIONOF):
+        sco = g.intern(vocab.RDFS_SUBCLASSOF)
+        for c, _, l in list(g.match_ids(None, inter, None)):
+            members, complete = _list_walk(g, l)
+            ordered = sorted(members)
+            for m in ordered:
+                yield (c, sco, m), "owl-intersection-subclass", ((c, inter, l),)
+            if typ is not None and complete and members:
+                for x in sorted({x for m in members for x, _, _ in g.match_ids(None, typ, m)}):
+                    yield from build(x, c, l, ordered)
+        return
+    if typ is None:
         return
     for x, p, d in delta:
         if p != typ:
             continue
-        for _, _, l in ctx.g.match_ids(d, inter, None):
-            yield from member_direction(x, d, l)
-        for c, _, l in list(ctx.g.match_ids(None, inter, None)):
-            if d in _list_members(ctx, l):
-                yield from build_direction(x, c, l)
+        for c, _, l in list(g.match_ids(None, inter, None)):
+            members, complete = _list_walk(g, l)
+            if complete and d in members:
+                yield from build(x, c, l, sorted(members))
 
 
-def _r_union(ctx: _Ctx, delta: list[IdTriple]):
+def _r_union(g: Graph | Overlay, delta: list[IdTriple]):
     """(C unionOf L), (x type M), M in L -> (x type C)"""
-    uni = ctx.vid(vocab.OWL_UNIONOF)
-    typ = ctx.vid(vocab.RDF_TYPE)
+    uni = g.lookup(vocab.OWL_UNIONOF)
+    typ = g.lookup(vocab.RDF_TYPE)
     if uni is None or typ is None:
         return
-    if _structural(ctx, delta, vocab.OWL_UNIONOF):
-        for c, _, l in list(ctx.g.match_ids(None, uni, None)):
-            for m in sorted(_list_members(ctx, l)):
-                for x, _, _ in ctx.g.match_ids(None, typ, m):
+    if _structural(g, delta, vocab.OWL_UNIONOF):
+        for c, _, l in list(g.match_ids(None, uni, None)):
+            for m in sorted(_list_walk(g, l)[0]):
+                for x, _, _ in g.match_ids(None, typ, m):
                     yield (x, typ, c), "owl-union-member", ((x, typ, m), (c, uni, l))
         return
     for x, p, m in delta:
         if p != typ:
             continue
-        for c, _, l in list(ctx.g.match_ids(None, uni, None)):
-            if m in _list_members(ctx, l):
+        for c, _, l in list(g.match_ids(None, uni, None)):
+            if m in _list_walk(g, l)[0]:
                 yield (x, typ, c), "owl-union-member", ((x, typ, m), (c, uni, l))
 
 
-def _r_somevalues(ctx: _Ctx, delta: list[IdTriple]):
+def _r_somevalues(g: Graph | Overlay, delta: list[IdTriple]):
     """(R onProperty P), (R someValuesFrom D), (x P y), (y type D) -> (x type R)"""
-    svf = ctx.vid(vocab.OWL_SOMEVALUESFROM)
-    onp = ctx.vid(vocab.OWL_ONPROPERTY)
-    typ = ctx.vid(vocab.RDF_TYPE)
+    svf = g.lookup(vocab.OWL_SOMEVALUESFROM)
+    onp = g.lookup(vocab.OWL_ONPROPERTY)
+    typ = g.lookup(vocab.RDF_TYPE)
     if svf is None or onp is None or typ is None:
         return
 
     def fire(r: int, prop: int, d: int, x: int, y: int):
         yield (x, typ, r), "owl-somevalues-recognition", ((r, onp, prop), (r, svf, d), (x, prop, y), (y, typ, d))
 
-    if _structural(ctx, delta, vocab.OWL_SOMEVALUESFROM, vocab.OWL_ONPROPERTY):
-        for r, _, d in list(ctx.g.match_ids(None, svf, None)):
-            for _, _, prop in list(ctx.g.match_ids(r, onp, None)):
-                for x, _, y in list(ctx.g.match_ids(None, prop, None)):
-                    if ctx.g.contains_ids((y, typ, d)):
+    if _structural(g, delta, vocab.OWL_SOMEVALUESFROM, vocab.OWL_ONPROPERTY):
+        for r, _, d in list(g.match_ids(None, svf, None)):
+            for _, _, prop in list(g.match_ids(r, onp, None)):
+                for x, _, y in list(g.match_ids(None, prop, None)):
+                    if g.contains_ids((y, typ, d)):
                         yield from fire(r, prop, d, x, y)
         return
     for s, p, o in delta:
         if p == typ:
             y, d = s, o
-            for r, _, _ in ctx.g.match_ids(None, svf, d):
-                for _, _, prop in ctx.g.match_ids(r, onp, None):
-                    for x, _, _ in ctx.g.match_ids(None, prop, y):
+            for r, _, _ in g.match_ids(None, svf, d):
+                for _, _, prop in g.match_ids(r, onp, None):
+                    for x, _, _ in g.match_ids(None, prop, y):
                         yield from fire(r, prop, d, x, y)
-        for r, _, _ in ctx.g.match_ids(None, onp, p):
-            for _, _, d in ctx.g.match_ids(r, svf, None):
-                if ctx.g.contains_ids((o, typ, d)):
+        for r, _, _ in g.match_ids(None, onp, p):
+            for _, _, d in g.match_ids(r, svf, None):
+                if g.contains_ids((o, typ, d)):
                     yield from fire(r, p, d, s, o)
 
 
-def _r_allvalues(ctx: _Ctx, delta: list[IdTriple]):
+def _r_allvalues(g: Graph | Overlay, delta: list[IdTriple]):
     """(R onProperty P), (R allValuesFrom D), (x type R), (x P y) -> (y type D)"""
-    avf = ctx.vid(vocab.OWL_ALLVALUESFROM)
-    onp = ctx.vid(vocab.OWL_ONPROPERTY)
-    typ = ctx.vid(vocab.RDF_TYPE)
+    avf = g.lookup(vocab.OWL_ALLVALUESFROM)
+    onp = g.lookup(vocab.OWL_ONPROPERTY)
+    typ = g.lookup(vocab.RDF_TYPE)
     if avf is None or onp is None or typ is None:
         return
 
     def fire(r: int, prop: int, d: int, x: int, y: int):
-        if not ctx.is_literal(y):
+        if not isinstance(g.term(y), Literal):
             yield (y, typ, d), "owl-allvalues-propagation", ((r, onp, prop), (r, avf, d), (x, typ, r), (x, prop, y))
 
-    if _structural(ctx, delta, vocab.OWL_ALLVALUESFROM, vocab.OWL_ONPROPERTY):
-        for r, _, d in list(ctx.g.match_ids(None, avf, None)):
-            for _, _, prop in list(ctx.g.match_ids(r, onp, None)):
-                for x, _, _ in list(ctx.g.match_ids(None, typ, r)):
-                    for _, _, y in list(ctx.g.match_ids(x, prop, None)):
+    if _structural(g, delta, vocab.OWL_ALLVALUESFROM, vocab.OWL_ONPROPERTY):
+        for r, _, d in list(g.match_ids(None, avf, None)):
+            for _, _, prop in list(g.match_ids(r, onp, None)):
+                for x, _, _ in list(g.match_ids(None, typ, r)):
+                    for _, _, y in list(g.match_ids(x, prop, None)):
                         yield from fire(r, prop, d, x, y)
         return
     for s, p, o in delta:
         if p == typ:
             x, r = s, o
-            for _, _, d in ctx.g.match_ids(r, avf, None):
-                for _, _, prop in ctx.g.match_ids(r, onp, None):
-                    for _, _, y in ctx.g.match_ids(x, prop, None):
+            for _, _, d in g.match_ids(r, avf, None):
+                for _, _, prop in g.match_ids(r, onp, None):
+                    for _, _, y in g.match_ids(x, prop, None):
                         yield from fire(r, prop, d, x, y)
-        for r, _, _ in ctx.g.match_ids(None, onp, p):
-            for _, _, d in ctx.g.match_ids(r, avf, None):
-                if ctx.g.contains_ids((s, typ, r)):
+        for r, _, _ in g.match_ids(None, onp, p):
+            for _, _, d in g.match_ids(r, avf, None):
+                if g.contains_ids((s, typ, r)):
                     yield from fire(r, p, d, s, o)
 
 
 OWL_RULES = RDFS_RULES + [
     _r_sameas_symmetry,
-    _r_sameas_transitivity,
     _r_sameas_substitution,
     _r_functional,
     _r_inverse,
     _r_transitive,
     _r_equivalent_class,
-    _r_intersection_subclass,
     _r_intersection,
     _r_union,
     _r_somevalues,
@@ -395,15 +363,14 @@ OWL_RULES = RDFS_RULES + [
 
 
 def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
-    ctx = _Ctx(work)
-    typ = ctx.vid(vocab.RDF_TYPE)
+    typ = work.lookup(vocab.RDF_TYPE)
     found: set[tuple[str, tuple[IdTriple, ...]]] = set()
 
     def record(rule: str, *triples: IdTriple):
         found.add((rule, tuple(sorted(set(triples)))))
 
     for pred, rule in ((vocab.OWL_DISJOINTWITH, "owl-disjoint-classes"), (vocab.OWL_COMPLEMENTOF, "owl-complement")):
-        pid = ctx.vid(pred)
+        pid = work.lookup(pred)
         if pid is None or typ is None:
             continue
         for c, _, d in work.match_ids(None, pid, None):
@@ -411,24 +378,23 @@ def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
                 if work.contains_ids((x, typ, d)):
                     record(rule, (c, pid, d), (x, typ, c), (x, typ, d))
 
-    sa = ctx.vid(vocab.OWL_SAMEAS)
-    diff = ctx.vid(vocab.OWL_DIFFERENTFROM)
+    # sameAs is symmetric in the closure, so (x sameAs y) is there whenever (y sameAs x) is
+    sa = work.lookup(vocab.OWL_SAMEAS)
+    diff = work.lookup(vocab.OWL_DIFFERENTFROM)
     if sa is not None and diff is not None:
         for x, _, y in work.match_ids(None, diff, None):
             if work.contains_ids((x, sa, y)):
                 record("owl-sameas-differentfrom", (x, diff, y), (x, sa, y))
-            elif work.contains_ids((y, sa, x)):
-                record("owl-sameas-differentfrom", (x, diff, y), (y, sa, x))
 
-    alldiff = ctx.vid(vocab.OWL_ALLDIFFERENT)
+    alldiff = work.lookup(vocab.OWL_ALLDIFFERENT)
     if alldiff is not None and typ is not None and sa is not None:
         for d, _, _ in work.match_ids(None, typ, alldiff):
             for prop in (vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS):
-                pid = ctx.vid(prop)
+                pid = work.lookup(prop)
                 if pid is None:
                     continue
                 for _, _, lst in work.match_ids(d, pid, None):
-                    members = sorted(_list_members(ctx, lst))
+                    members = sorted(_list_walk(work, lst)[0])
                     for i, a in enumerate(members):
                         for b in members[i + 1 :]:
                             if work.contains_ids((a, sa, b)):
@@ -436,7 +402,7 @@ def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
                             elif work.contains_ids((b, sa, a)):
                                 record("owl-alldifferent", (d, pid, lst), (b, sa, a))
 
-    nothing = ctx.vid(vocab.OWL_NOTHING)
+    nothing = work.lookup(vocab.OWL_NOTHING)
     if nothing is not None and typ is not None:
         for x, _, _ in work.match_ids(None, typ, nothing):
             record("owl-nothing-member", (x, typ, nothing))

@@ -15,13 +15,13 @@ new triples by running the same loop from a delta of just those triples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import vocab
 from .graph import Graph, IdTriple, Overlay
-from .terms import IRI, Literal, Term, Triple, triple_sort_key
+from .terms import IRI, Literal, Term, Triple
 
 if TYPE_CHECKING:
     from .owl import EqualityPartition
@@ -91,126 +91,91 @@ class Closure:
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.graph
 
-    def derived_sorted(self) -> list[Triple]:
-        return sorted(self.derived, key=triple_sort_key)
-
-
-class _Ctx:
-    """Working state handed to rule functions during saturation."""
-
-    def __init__(self, work: Graph | Overlay):
-        self.g = work
-
-    def vid(self, term: Term) -> int | None:
-        """Id of a vocabulary term if it occurs, without interning it."""
-        return self.g.lookup(term)
-
-    def iid(self, term: Term) -> int:
-        return self.g.intern(term)
-
-    def is_literal(self, tid: int) -> bool:
-        return isinstance(self.g.term(tid), Literal)
-
-    def is_iri(self, tid: int) -> bool:
-        return isinstance(self.g.term(tid), IRI)
-
 
 # A rule yields (new id-triple, rule name, premise id-triples) for every
 # consequence whose premises involve at least one delta triple.
-Rule = Callable[[_Ctx, "list[IdTriple]"], Iterator[tuple[IdTriple, str, tuple[IdTriple, ...]]]]
+Rule = Callable[[Graph | Overlay, list[IdTriple]], Iterator[tuple[IdTriple, str, tuple[IdTriple, ...]]]]
 
 
-def _r_subclass_transitivity(ctx: _Ctx, delta: list[IdTriple]):
-    """(A sco B), (B sco C) -> (A sco C)"""
-    sco = ctx.vid(vocab.RDFS_SUBCLASSOF)
-    if sco is None:
+def _r_transitivity(pred: Term, name: str, g: Graph | Overlay, delta: list[IdTriple]):
+    """(A pred B), (B pred C) -> (A pred C), for pred subClassOf or subPropertyOf"""
+    pid = g.lookup(pred)
+    if pid is None:
         return
     for a, p, b in delta:
-        if p != sco:
+        if p != pid:
             continue
-        for _, _, c in ctx.g.match_ids(b, sco, None):
-            yield (a, sco, c), "rdfs-subclass-transitivity", ((a, sco, b), (b, sco, c))
-        for c, _, _ in ctx.g.match_ids(None, sco, a):
-            yield (c, sco, b), "rdfs-subclass-transitivity", ((c, sco, a), (a, sco, b))
+        for _, _, c in g.match_ids(b, pid, None):
+            yield (a, pid, c), name, ((a, pid, b), (b, pid, c))
+        for c, _, _ in g.match_ids(None, pid, a):
+            yield (c, pid, b), name, ((c, pid, a), (a, pid, b))
 
 
-def _r_type_propagation(ctx: _Ctx, delta: list[IdTriple]):
+def _r_type_propagation(g: Graph | Overlay, delta: list[IdTriple]):
     """(x type A), (A sco B) -> (x type B)"""
-    typ = ctx.vid(vocab.RDF_TYPE)
-    sco = ctx.vid(vocab.RDFS_SUBCLASSOF)
+    typ = g.lookup(vocab.RDF_TYPE)
+    sco = g.lookup(vocab.RDFS_SUBCLASSOF)
+    if typ is None or sco is None:
+        return
     for x, p, a in delta:
-        if typ is not None and sco is not None and p == typ:
-            for _, _, b in ctx.g.match_ids(a, sco, None):
+        if p == typ:
+            for _, _, b in g.match_ids(a, sco, None):
                 yield (x, typ, b), "rdfs-type-propagation", ((x, typ, a), (a, sco, b))
-        if sco is not None and typ is not None and p == sco:
-            for y, _, _ in ctx.g.match_ids(None, typ, x):
+        if p == sco:
+            for y, _, _ in g.match_ids(None, typ, x):
                 yield (y, typ, a), "rdfs-type-propagation", ((y, typ, x), (x, sco, a))
 
 
-def _r_subproperty_transitivity(ctx: _Ctx, delta: list[IdTriple]):
-    """(P spo Q), (Q spo R) -> (P spo R)"""
-    spo = ctx.vid(vocab.RDFS_SUBPROPERTYOF)
-    if spo is None:
-        return
-    for a, p, b in delta:
-        if p != spo:
-            continue
-        for _, _, c in ctx.g.match_ids(b, spo, None):
-            yield (a, spo, c), "rdfs-subproperty-transitivity", ((a, spo, b), (b, spo, c))
-        for c, _, _ in ctx.g.match_ids(None, spo, a):
-            yield (c, spo, b), "rdfs-subproperty-transitivity", ((c, spo, a), (a, spo, b))
-
-
-def _r_property_propagation(ctx: _Ctx, delta: list[IdTriple]):
+def _r_property_propagation(g: Graph | Overlay, delta: list[IdTriple]):
     """(x P y), (P spo Q) -> (x Q y); Q must be an IRI to serve as predicate."""
-    spo = ctx.vid(vocab.RDFS_SUBPROPERTYOF)
+    spo = g.lookup(vocab.RDFS_SUBPROPERTYOF)
     if spo is None:
         return
     for s, p, o in delta:
         if p == spo:
             # s is the subproperty, o the superproperty
-            if ctx.is_iri(o):
-                for x, _, y in ctx.g.match_ids(None, s, None):
+            if isinstance(g.term(o), IRI):
+                for x, _, y in g.match_ids(None, s, None):
                     yield (x, o, y), "rdfs-subproperty-propagation", ((x, s, y), (s, spo, o))
-        for _, _, q in ctx.g.match_ids(p, spo, None):
-            if ctx.is_iri(q):
+        for _, _, q in g.match_ids(p, spo, None):
+            if isinstance(g.term(q), IRI):
                 yield (s, q, o), "rdfs-subproperty-propagation", ((s, p, o), (p, spo, q))
 
 
-def _r_domain(ctx: _Ctx, delta: list[IdTriple]):
+def _r_domain(g: Graph | Overlay, delta: list[IdTriple]):
     """(P domain C), (x P y) -> (x type C)"""
-    dom = ctx.vid(vocab.RDFS_DOMAIN)
+    dom = g.lookup(vocab.RDFS_DOMAIN)
     if dom is None:
         return
-    typ = ctx.iid(vocab.RDF_TYPE)
+    typ = g.intern(vocab.RDF_TYPE)
     for s, p, o in delta:
         if p == dom:
-            for x, _, y in ctx.g.match_ids(None, s, None):
+            for x, _, y in g.match_ids(None, s, None):
                 yield (x, typ, o), "rdfs-domain", ((s, dom, o), (x, s, y))
-        for _, _, c in ctx.g.match_ids(p, dom, None):
+        for _, _, c in g.match_ids(p, dom, None):
             yield (s, typ, c), "rdfs-domain", ((p, dom, c), (s, p, o))
 
 
-def _r_range(ctx: _Ctx, delta: list[IdTriple]):
+def _r_range(g: Graph | Overlay, delta: list[IdTriple]):
     """(P range C), (x P y) -> (y type C); skipped when y is a literal."""
-    rng = ctx.vid(vocab.RDFS_RANGE)
+    rng = g.lookup(vocab.RDFS_RANGE)
     if rng is None:
         return
-    typ = ctx.iid(vocab.RDF_TYPE)
+    typ = g.intern(vocab.RDF_TYPE)
     for s, p, o in delta:
         if p == rng:
-            for x, _, y in ctx.g.match_ids(None, s, None):
-                if not ctx.is_literal(y):
+            for x, _, y in g.match_ids(None, s, None):
+                if not isinstance(g.term(y), Literal):
                     yield (y, typ, o), "rdfs-range", ((s, rng, o), (x, s, y))
-        if not ctx.is_literal(o):
-            for _, _, c in ctx.g.match_ids(p, rng, None):
+        if not isinstance(g.term(o), Literal):
+            for _, _, c in g.match_ids(p, rng, None):
                 yield (o, typ, c), "rdfs-range", ((p, rng, c), (s, p, o))
 
 
 RDFS_RULES: list[Rule] = [
-    _r_subclass_transitivity,
+    partial(_r_transitivity, vocab.RDFS_SUBCLASSOF, "rdfs-subclass-transitivity"),
     _r_type_propagation,
-    _r_subproperty_transitivity,
+    partial(_r_transitivity, vocab.RDFS_SUBPROPERTYOF, "rdfs-subproperty-transitivity"),
     _r_property_propagation,
     _r_domain,
     _r_range,
@@ -222,13 +187,12 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
 
     Requires `delta` to be in `work` and the rest of `work` to be closed under `rules`.
     """
-    ctx = _Ctx(work)
     provenance: IdDerivations = {}
     delta = sorted(delta)
     while delta:
         fresh: IdDerivations = {}
         for rule in rules:
-            for t, name, premises in rule(ctx, delta):
+            for t, name, premises in rule(work, delta):
                 if not work.contains_ids(t) and t not in fresh:
                     fresh[t] = (name, tuple(chain.from_iterable(premises)))
         for t in fresh:

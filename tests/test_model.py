@@ -58,6 +58,15 @@ def test_intern_relative_iri_resolves_against_base():
     assert g.term(tid) == IRI(EDU + "Warsaw")
 
 
+@pytest.mark.parametrize("value", [EDU + "Warsaw", Var("x"), None, 5, ["unhashable"], {"a": IRI(EDU + "a")}])
+def test_intern_rejects_what_is_not_a_term(value):
+    g = Graph(base=EDU)
+    g.intern(IRI(EDU + "Warsaw"))
+    with pytest.raises(ValidationError, match="not an RDF term"):
+        g.intern(value)
+    assert [g.term(i) for i in range(len(g._id_to_term))] == [IRI(EDU + "Warsaw")]
+
+
 def test_blank_node_label_invariants():
     with pytest.raises(ValidationError):
         BlankNode("")

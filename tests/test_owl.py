@@ -41,6 +41,7 @@ from helpers import (
     random_owl_graph,
     random_rdfs_graph,
 )
+import oracles
 from oracles import closure_triples, naive_owl_closure, naive_violation_rules, triples_of
 
 N = lambda name: IRI(NS + name)  # noqa: E731
@@ -448,6 +449,48 @@ def test_owl_closure_idempotent_and_permutation_invariant():
             h.insert(t)
         permuted, _ = saturate_owl(h)
         assert closure_triples(permuted) == closure_triples(closure)
+
+
+# each fixed-arity rule name and its naive counterpart
+_ORACLE_RULES = {
+    "rdfs-subclass-transitivity": oracles._o_sco_transitivity,
+    "rdfs-type-propagation": oracles._o_type_propagation,
+    "rdfs-subproperty-transitivity": oracles._o_spo_transitivity,
+    "rdfs-subproperty-propagation": oracles._o_property_propagation,
+    "rdfs-domain": oracles._o_domain,
+    "rdfs-range": oracles._o_range,
+    "owl-sameas-symmetry": oracles._o_sameas_symmetry,
+    "owl-sameas-substitution": oracles._o_sameas_substitution,
+    "owl-functional-property": oracles._o_functional,
+    "owl-inverse-property": oracles._o_inverse,
+    "owl-transitive-property": oracles._o_transitive,
+    "owl-equivalence-subclass": oracles._o_equivalence,
+    "owl-subclass-equivalence": oracles._o_equivalence,
+    "owl-somevalues-recognition": oracles._o_somevalues,
+    "owl-allvalues-propagation": oracles._o_allvalues,
+}
+# sameAs substitution can add list cells after these fired, so their premises
+# need not hold the whole list any more
+_LIST_RULES = {"owl-intersection-subclass", "owl-intersection-build", "owl-union-member"}
+
+
+def test_every_derivation_is_an_instance_of_its_named_rule():
+    fired = set()
+    for seed in range(40):
+        g = random_owl_graph(seed, max_triples=50 if seed % 2 else 100)
+        closure, _ = saturate_owl(g)
+        asserted = triples_of(g)
+        for triple, derivation in closure.provenance.items():
+            note = f"seed {seed}: {derivation}"
+            t = (triple.subject, triple.predicate, triple.object)
+            premises = {(p.subject, p.predicate, p.object) for p in derivation.premises}
+            assert t not in asserted and premises, note
+            assert all(p in closure.graph for p in derivation.premises), note
+            assert derivation.rule in _ORACLE_RULES or derivation.rule in _LIST_RULES, note
+            if derivation.rule in _ORACLE_RULES:
+                assert t in _ORACLE_RULES[derivation.rule](premises), note
+            fired.add(derivation.rule)
+    assert fired == set(_ORACLE_RULES) | _LIST_RULES
 
 
 # ---------------------------------------------------------------------------
