@@ -42,16 +42,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValidationError("margin must be positive")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValidationError(f"margin must be finite and positive, got {self.margin}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValidationError("epoch count must be nonnegative")
         if self.negatives_per_positive < 1:
             raise ValidationError("need at least one negative per positive")
         if self.corruption not in (CORRUPT_HEAD, CORRUPT_TAIL, CORRUPT_BOTH):
             raise ValidationError(f"unknown corruption mode {self.corruption!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -86,6 +88,8 @@ class EmbeddingModel:
 
 def init_model(graph: Graph, dim: int, seed: int, norm: str = L1) -> EmbeddingModel:
     """Fresh model: uniform vectors in [-6/sqrt(d), 6/sqrt(d)], unit entity rows."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if len(graph) == 0:
         raise ValidationError("cannot initialize an embedding model on an empty graph")
     if dim < 1:

@@ -10,8 +10,11 @@ is reported as data, never raised during saturation.
 
 Some consequences need no rule of their own, as in the OWL 2 RL rule
 table: sameAs transitivity is substitution in the object position, and
-a member of an intersection gets each member class through the
-intersection's subclass edges and RDFS type propagation.
+intersection and union membership follow from the operators' subclass
+edges (scm-int, scm-uni) through RDFS type propagation.  Each rule
+handles every premise from the delta, joining an arriving triple in each
+role it can play: a new list cell or restriction triple re-evaluates only
+the class expressions it belongs to.
 
 Deliberate boundary: no rule introduces fresh individuals, so a
 someValuesFrom on the superclass side is stored but never instantiated.
@@ -37,8 +40,8 @@ from .rdfs import (
 )
 from .terms import IRI, BlankNode, Literal, Term, Triple, sort_key, triple_sort_key
 
-def _list_walk(g: Graph | Overlay, node: int) -> tuple[set[int], bool]:
-    """Members of the collection at node, and whether it is complete.
+def _list_walk(g: Graph | Overlay, node: int) -> tuple[list[int], bool]:
+    """Members of the collection at node in id order, and whether it is complete.
 
     Complete means the walk reaches rdf:nil and every cell on the way has
     an rdf:first: OWL 2 RL's LIST premise.  A list whose cells are still
@@ -56,22 +59,36 @@ def _list_walk(g: Graph | Overlay, node: int) -> tuple[set[int], bool]:
         n = stack.pop()
         if n == nil:
             reached_nil = True
-            continue
-        if n in seen:
-            continue
-        seen.add(n)
-        firsts = [o for _, _, o in g.match_ids(n, first, None)] if first is not None else []
-        every_cell_has_first &= bool(firsts)
-        members.update(firsts)
-        if rest is not None:
-            stack.extend(o for _, _, o in g.match_ids(n, rest, None))
-    return members, reached_nil and every_cell_has_first
+        elif n not in seen:
+            seen.add(n)
+            firsts = [o for _, _, o in g.match_ids(n, first, None)] if first is not None else []
+            every_cell_has_first &= bool(firsts)
+            members.update(firsts)
+            if rest is not None:
+                stack.extend(o for _, _, o in g.match_ids(n, rest, None))
+    return sorted(members), reached_nil and every_cell_has_first
 
 
-def _structural(g: Graph | Overlay, delta: list[IdTriple], *preds: Term) -> bool:
-    ids = {g.lookup(p) for p in preds} | {g.lookup(vocab.RDF_FIRST), g.lookup(vocab.RDF_REST)}
-    ids.discard(None)
-    return any(p in ids for _, p, _ in delta)
+def _expressions(g: Graph | Overlay, op: int, delta: Iterable[IdTriple]) -> list[tuple[int, int, list[int], bool]]:
+    """(C, L, members, complete) for each expression (C op L) with a premise in the delta.
+
+    A premise is the operator triple, whose cell is its list head, or a
+    cell of L.  The lists that reach a cell are found by walking rdf:rest
+    backwards from it; each found list is then walked with `_list_walk`.
+    """
+    first = g.lookup(vocab.RDF_FIRST)
+    rest = g.lookup(vocab.RDF_REST)
+    found: set[IdTriple] = set()
+    stack = [o if p == op else s for s, p, o in delta if p in (op, first, rest)]
+    seen = {g.lookup(vocab.RDF_NIL)}  # no list goes on past rdf:nil
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            found.update(g.match_ids(None, op, n))
+            if rest is not None:
+                stack.extend(k for k, _, _ in g.match_ids(None, rest, n))
+    return [(c, l, *_list_walk(g, l)) for c, _, l in sorted(found)]
 
 
 def _r_sameas_symmetry(g: Graph | Overlay, delta: list[IdTriple]):
@@ -224,60 +241,44 @@ def _r_equivalent_class(g: Graph | Overlay, delta: list[IdTriple]):
 def _r_intersection(g: Graph | Overlay, delta: list[IdTriple]):
     """(C intersectionOf L): C is a subclass of each member of L, and membership in all of L builds C.
 
-    A member of C gets each type in L from these subclass edges through
-    rdfs type propagation.  Building C needs the whole list, so it waits
-    for a complete one; the subclass edges hold for a prefix too.
+    Building C needs the whole list, so it waits for a complete one; the
+    subclass edges hold for a prefix too.
     """
     inter = g.lookup(vocab.OWL_INTERSECTIONOF)
     if inter is None:
         return
     typ = g.lookup(vocab.RDF_TYPE)
+    first = g.lookup(vocab.RDF_FIRST)
+    sco = g.intern(vocab.RDFS_SUBCLASSOF)
 
     def build(x: int, c: int, l: int, members: list[int]):
         if all(g.contains_ids((x, typ, m)) for m in members):
             premises = ((c, inter, l),) + tuple((x, typ, m) for m in members)
             yield (x, typ, c), "owl-intersection-build", premises
 
-    if _structural(g, delta, vocab.OWL_INTERSECTIONOF):
-        sco = g.intern(vocab.RDFS_SUBCLASSOF)
-        for c, _, l in list(g.match_ids(None, inter, None)):
-            members, complete = _list_walk(g, l)
-            ordered = sorted(members)
-            for m in ordered:
-                yield (c, sco, m), "owl-intersection-subclass", ((c, inter, l),)
-            if typ is not None and complete and members:
-                for x in sorted({x for m in members for x, _, _ in g.match_ids(None, typ, m)}):
-                    yield from build(x, c, l, ordered)
-        return
-    if typ is None:
-        return
+    for c, l, members, complete in _expressions(g, inter, delta):
+        for m in members:
+            yield (c, sco, m), "owl-intersection-subclass", ((c, inter, l),)
+        if typ is not None and complete and members:
+            for x in sorted(x for x, _, _ in g.match_ids(None, typ, members[0])):
+                yield from build(x, c, l, members)
     for x, p, d in delta:
-        if p != typ:
-            continue
-        for c, _, l in list(g.match_ids(None, inter, None)):
-            members, complete = _list_walk(g, l)
-            if complete and d in members:
-                yield from build(x, c, l, sorted(members))
+        if p == typ and first is not None:
+            for c, l, members, complete in _expressions(g, inter, g.match_ids(None, first, d)):
+                if complete:
+                    yield from build(x, c, l, members)
 
 
 def _r_union(g: Graph | Overlay, delta: list[IdTriple]):
-    """(C unionOf L), (x type M), M in L -> (x type C)"""
+    """(C unionOf L), M in L -> (M subClassOf C), for a list prefix too"""
     uni = g.lookup(vocab.OWL_UNIONOF)
-    typ = g.lookup(vocab.RDF_TYPE)
-    if uni is None or typ is None:
+    if uni is None:
         return
-    if _structural(g, delta, vocab.OWL_UNIONOF):
-        for c, _, l in list(g.match_ids(None, uni, None)):
-            for m in sorted(_list_walk(g, l)[0]):
-                for x, _, _ in g.match_ids(None, typ, m):
-                    yield (x, typ, c), "owl-union-member", ((x, typ, m), (c, uni, l))
-        return
-    for x, p, m in delta:
-        if p != typ:
-            continue
-        for c, _, l in list(g.match_ids(None, uni, None)):
-            if m in _list_walk(g, l)[0]:
-                yield (x, typ, c), "owl-union-member", ((x, typ, m), (c, uni, l))
+    sco = g.intern(vocab.RDFS_SUBCLASSOF)
+    for c, l, members, _ in _expressions(g, uni, delta):
+        for m in members:
+            if not isinstance(g.term(m), Literal):
+                yield (m, sco, c), "owl-union-subclass", ((c, uni, l),)
 
 
 def _r_somevalues(g: Graph | Overlay, delta: list[IdTriple]):
@@ -291,14 +292,13 @@ def _r_somevalues(g: Graph | Overlay, delta: list[IdTriple]):
     def fire(r: int, prop: int, d: int, x: int, y: int):
         yield (x, typ, r), "owl-somevalues-recognition", ((r, onp, prop), (r, svf, d), (x, prop, y), (y, typ, d))
 
-    if _structural(g, delta, vocab.OWL_SOMEVALUESFROM, vocab.OWL_ONPROPERTY):
-        for r, _, d in list(g.match_ids(None, svf, None)):
-            for _, _, prop in list(g.match_ids(r, onp, None)):
-                for x, _, y in list(g.match_ids(None, prop, None)):
-                    if g.contains_ids((y, typ, d)):
-                        yield from fire(r, prop, d, x, y)
-        return
     for s, p, o in delta:
+        if p in (svf, onp):  # a restriction triple joins just its own restriction
+            for _, _, prop in g.match_ids(s, onp, None):
+                for _, _, d in g.match_ids(s, svf, None):
+                    for x, _, y in g.match_ids(None, prop, None):
+                        if g.contains_ids((y, typ, d)):
+                            yield from fire(s, prop, d, x, y)
         if p == typ:
             y, d = s, o
             for r, _, _ in g.match_ids(None, svf, d):
@@ -323,14 +323,13 @@ def _r_allvalues(g: Graph | Overlay, delta: list[IdTriple]):
         if not isinstance(g.term(y), Literal):
             yield (y, typ, d), "owl-allvalues-propagation", ((r, onp, prop), (r, avf, d), (x, typ, r), (x, prop, y))
 
-    if _structural(g, delta, vocab.OWL_ALLVALUESFROM, vocab.OWL_ONPROPERTY):
-        for r, _, d in list(g.match_ids(None, avf, None)):
-            for _, _, prop in list(g.match_ids(r, onp, None)):
-                for x, _, _ in list(g.match_ids(None, typ, r)):
-                    for _, _, y in list(g.match_ids(x, prop, None)):
-                        yield from fire(r, prop, d, x, y)
-        return
     for s, p, o in delta:
+        if p in (avf, onp):  # a restriction triple joins just its own restriction
+            for _, _, prop in g.match_ids(s, onp, None):
+                for _, _, d in g.match_ids(s, avf, None):
+                    for x, _, _ in g.match_ids(None, typ, s):
+                        for _, _, y in g.match_ids(x, prop, None):
+                            yield from fire(s, prop, d, x, y)
         if p == typ:
             x, r = s, o
             for _, _, d in g.match_ids(r, avf, None):
@@ -394,7 +393,7 @@ def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
                 if pid is None:
                     continue
                 for _, _, lst in work.match_ids(d, pid, None):
-                    members = sorted(_list_walk(work, lst)[0])
+                    members = _list_walk(work, lst)[0]
                     for i, a in enumerate(members):
                         for b in members[i + 1 :]:
                             if work.contains_ids((a, sa, b)):

@@ -72,8 +72,10 @@ def reify_table(rows: Iterable[Mapping[str, str]], spec: TableSpec) -> Graph:
             value = row[column]
             if column in spec.literal_columns:
                 term = Literal(value)
-            else:
+            elif value.strip():
                 term = IRI(spec.namespace + camel_case(value))
+            else:
+                raise ReifyError(f"row {i} has an empty cell in IRI column {column!r}")
             g.add(instance, IRI(prop), term)
     return g
 

@@ -256,6 +256,9 @@ def _o_union(ts):
         if p != vocab.OWL_UNIONOF:
             continue
         members = oracle_list_members(ts, l)
+        for m in members:
+            if not _lit(m):
+                out.add((m, SCO, c))
         for x, q, d in ts:
             if q == TYPE and d in members:
                 out.add((x, TYPE, c))

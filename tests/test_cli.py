@@ -214,6 +214,15 @@ def test_reify_missing_column_exits_1_naming_it(tmp_path, capsys):
     assert "Number of pieces" in capsys.readouterr().err
 
 
+def test_reify_empty_iri_cell_exits_1_naming_row_and_column(tmp_path, capsys):
+    csv_path = write(tmp_path / "gap.csv", "Buyer,Seller,Product,Number of pieces\nA,B,C,1\nA, ,C,\n")
+    spec_path = write(tmp_path / "spec.txt", PURCHASE_SPEC)
+    assert main(["reify", csv_path, "--spec", spec_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: row 2 has an empty cell in IRI column 'Seller'\n"
+
+
 def test_usage_error_exits_1():
     assert main(["no-such-command"]) == 1
 
@@ -257,6 +266,27 @@ def test_embed_non_integer_seed_env_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KB_SEED", "x")
     assert main(["embed", "train", kb, "--dim", "4", "--epochs", "2", "--model", str(tmp_path / "m.tsv")]) == 1
     assert capsys.readouterr().err.startswith("error: KB_SEED")
+
+
+def test_embed_negative_seed_exits_1(tmp_path, monkeypatch, capsys):
+    kb = embed_fixture(tmp_path)
+    model = str(tmp_path / "m.tsv")
+    assert main(["embed", "train", kb, "--dim", "4", "--epochs", "2", "--seed", "-1", "--model", model]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    monkeypatch.setenv("KB_SEED", "-1")
+    assert main(["embed", "train", kb, "--dim", "4", "--epochs", "2", "--model", model]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "m.tsv").exists()
+
+
+def test_embed_non_finite_learning_rate_or_margin_exits_1(tmp_path, capsys):
+    kb = embed_fixture(tmp_path)
+    model = str(tmp_path / "m.tsv")
+    for option in ("--lr=nan", "--lr=inf", "--margin=nan", "--margin=-inf"):
+        assert main(["embed", "train", kb, "--dim", "4", "--epochs", "2", option, "--model", model]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite and positive" in err, option
+    assert not (tmp_path / "m.tsv").exists()
 
 
 def test_embed_eval_reports_metrics(tmp_path, capsys):

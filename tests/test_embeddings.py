@@ -75,6 +75,28 @@ def test_init_rejects_empty_graph_and_bad_dim():
         init_model(ring_graph(), 0, seed=0)
 
 
+def test_init_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed"):
+        init_model(ring_graph(), 2, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("margin", math.nan),
+        ("margin", math.inf),
+        ("margin", 0.0),
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("learning_rate", -0.1),
+        ("seed", -1),
+    ],
+)
+def test_train_config_rejects_non_finite_non_positive_values_and_negative_seeds(field, value):
+    with pytest.raises(ValidationError):
+        TrainConfig(**{field: value})
+
+
 def test_init_uniform_range():
     model = init_model(ring_graph(), 4, seed=5)
     bound = 6.0 / math.sqrt(4)

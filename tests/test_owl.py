@@ -315,6 +315,20 @@ def test_realize_intersection_example():
     assert realize(rep.graph, N("x")) == {N("Boy")}
 
 
+def test_union_members_are_subclasses_of_the_union():
+    rep = parse_turtle(
+        """
+        :C owl:unionOf ( :M :N ) .
+        :x rdf:type :M .
+        """
+    )
+    assert realize(rep.graph, N("x")) == {N("M")}
+    assert subsumes(rep.graph, N("C"), N("M"))
+    assert subsumes(rep.graph, N("C"), N("N"))
+    assert not subsumes(rep.graph, N("M"), N("C"))
+    assert N("x") in retrieve_instances(rep.graph, N("C"))
+
+
 def test_realize_returns_all_equivalent_classes():
     g = Graph()
     g.add(edu("Country"), vocab.OWL_EQUIVALENTCLASS, edu("State"))
@@ -471,7 +485,7 @@ _ORACLE_RULES = {
 }
 # sameAs substitution can add list cells after these fired, so their premises
 # need not hold the whole list any more
-_LIST_RULES = {"owl-intersection-subclass", "owl-intersection-build", "owl-union-member"}
+_LIST_RULES = {"owl-intersection-subclass", "owl-intersection-build", "owl-union-subclass"}
 
 
 def test_every_derivation_is_an_instance_of_its_named_rule():
@@ -532,8 +546,8 @@ def test_resumed_probe_equals_saturating_graph_plus_probe():
 
 
 def test_incremental_insertion_in_random_order_equals_saturation():
-    # List cells go in the base graph: the intersection build rule fires
-    # on a partial list, so inserting cells one by one is not equivalent.
+    # List cells go in the base graph, so every list is complete before the
+    # other triples arrive; the test below inserts the cells one by one too.
     list_predicates = (vocab.RDF_FIRST, vocab.RDF_REST)
     for seed in range(30):
         g = random_owl_graph(seed, max_triples=50)
@@ -589,6 +603,30 @@ def test_intersection_builds_only_from_a_complete_list():
     work = closure.graph.copy()
     _resume(work, Triple(l2, vocab.RDF_REST, vocab.RDF_NIL))
     assert Triple(N("x"), vocab.RDF_TYPE, N("C")) in work
+
+
+def test_a_type_triple_walks_only_the_lists_that_name_its_class(monkeypatch):
+    g = Graph()
+    for k in range(400):
+        op = vocab.OWL_INTERSECTIONOF if k < 200 else vocab.OWL_UNIONOF
+        head, tail = BlankNode(f"l{k}a"), BlankNode(f"l{k}b")
+        g.add(N(f"E{k}"), op, head)
+        g.add(head, vocab.RDF_FIRST, N(f"A{k}"))
+        g.add(head, vocab.RDF_REST, tail)
+        g.add(tail, vocab.RDF_FIRST, N(f"B{k}"))
+        g.add(tail, vocab.RDF_REST, vocab.RDF_NIL)
+    closure, _ = saturate_owl(g)
+    walked = []
+    real = owl._list_walk
+    monkeypatch.setattr(owl, "_list_walk", lambda g, node: walked.append(g.term(node)) or real(g, node))
+    # A7 is in one intersection, whose list is walked to see whether x builds it;
+    # A207 is in one union, whose membership needs no walk at all
+    for cls, lists in ((N("A7"), [BlankNode("l7a")]), (N("A207"), [])):
+        walked.clear()
+        work = closure.graph.copy()
+        _resume(work, Triple(N("x"), vocab.RDF_TYPE, cls))
+        assert walked == lists, cls
+    assert Triple(N("x"), vocab.RDF_TYPE, N("E207")) in work
 
 
 def test_rules_intern_the_vocabulary_they_derive_once_per_call(monkeypatch):

@@ -71,6 +71,14 @@ def test_missing_column_names_row_and_column():
         reify_table([ROW_1, bad], purchase_spec())
 
 
+def test_empty_iri_cell_names_row_and_column_and_literal_cells_stay_empty():
+    blank = dict(ROW_2, Product=" ", **{"Number of pieces": ""})
+    with pytest.raises(ReifyError, match="row 2 .*'Product'"):
+        reify_table([ROW_1, blank], purchase_spec())
+    g = reify_table([dict(ROW_1, **{"Number of pieces": ""})], purchase_spec())
+    assert Triple(edu("purchase1"), edu("number_of_pieces"), Literal("")) in g
+
+
 def test_spec_rejects_duplicate_properties():
     with pytest.raises(ValidationError):
         TableSpec(
