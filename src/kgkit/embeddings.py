@@ -346,6 +346,8 @@ def predict_links(
         raise ValidationError("the relation must be bound")
     if (s is None) == (o is None):
         raise ValidationError("exactly one of subject and object must be free")
+    if isinstance(s, Literal):
+        raise ValidationError(f"the subject cannot be a literal, got {s!r}")
     free_head = s is None
     bound = o if free_head else s
     scores = _candidate_scores(model, free_head, model.relation_id(p), model.entity_id(bound))
@@ -470,7 +472,7 @@ def load_model_text(text: str) -> EmbeddingModel:
     header = lines[0].split()
     if len(header) != 2 or not header[0].startswith("d=") or not header[1].startswith("norm="):
         raise ValidationError(f"bad model header: {lines[0]!r}")
-    if not header[0][2:].isdecimal():
+    if not header[0][2:].isdecimal() or int(header[0][2:]) < 1:
         raise ValidationError(f"bad dimension in model header: {lines[0]!r}")
     dim = int(header[0][2:])
     norm = header[1][5:]

@@ -97,16 +97,16 @@ def _r_sameas_symmetry(g: Graph | Overlay, delta: list[IdTriple]):
     if sa is None:
         return
     for x, p, y in delta:
-        if p == sa and not isinstance(g.term(y), Literal):
+        if p == sa:
             yield (y, sa, x), "owl-sameas-symmetry", ((x, sa, y),)
 
 
-def _substitutions(g: Graph | Overlay, t: IdTriple, old: int, new: int):
-    """Rewrites of one triple under old = new, where the result stays well-formed."""
+def _substitutions(t: IdTriple, old: int, new: int):
+    """Rewrites of one triple under old = new."""
     s, p, o = t
-    if s == old and not isinstance(g.term(new), Literal):
+    if s == old:
         yield (new, p, o)
-    if p == old and isinstance(g.term(new), IRI):
+    if p == old:
         yield (s, new, o)
     if o == old:
         yield (s, p, new)
@@ -130,14 +130,14 @@ def _r_sameas_substitution(g: Graph | Overlay, delta: list[IdTriple]):
             mentioning.update(g.match_ids(None, a, None))
             mentioning.update(g.match_ids(None, None, a))
             for src in mentioning:
-                for rewritten in _substitutions(g, src, a, b):
+                for rewritten in _substitutions(src, a, b):
                     yield rewritten, "owl-sameas-substitution", ((a, sa, b), src)
         # a newly derived triple is itself subject to all known equalities
         for u in set(t):
             for _, _, v in g.match_ids(u, sa, None):
                 if u == v or isinstance(g.term(v), Literal):
                     continue
-                for rewritten in _substitutions(g, t, u, v):
+                for rewritten in _substitutions(t, u, v):
                     yield rewritten, "owl-sameas-substitution", ((u, sa, v), t)
 
 
@@ -152,7 +152,7 @@ def _r_functional(g: Graph | Overlay, delta: list[IdTriple]):
     def pairs(prop: int, decl: IdTriple):
         for x, _, y1 in g.match_ids(None, prop, None):
             for _, _, y2 in g.match_ids(x, prop, None):
-                if y1 != y2 and not isinstance(g.term(y1), Literal) and not isinstance(g.term(y2), Literal):
+                if y1 != y2 and not isinstance(g.term(y2), Literal):
                     yield (y1, sa, y2), "owl-functional-property", (
                         decl,
                         (x, prop, y1),
@@ -164,7 +164,7 @@ def _r_functional(g: Graph | Overlay, delta: list[IdTriple]):
             yield from pairs(s, (s, typ, o))
         else:
             decl = (p, typ, fp)
-            if g.contains_ids(decl) and not isinstance(g.term(o), Literal):
+            if g.contains_ids(decl):
                 for _, _, y2 in g.match_ids(s, p, None):
                     if y2 != o and not isinstance(g.term(y2), Literal):
                         yield (o, sa, y2), "owl-functional-property", (
@@ -183,21 +183,14 @@ def _r_inverse(g: Graph | Overlay, delta: list[IdTriple]):
         if p == inv:
             prop_p, prop_q = s, o
             decl = (s, p, o)
-            if isinstance(g.term(prop_q), IRI):
-                for x, _, y in g.match_ids(None, prop_p, None):
-                    if not isinstance(g.term(y), Literal):
-                        yield (y, prop_q, x), "owl-inverse-property", ((x, prop_p, y), decl)
-            if isinstance(g.term(prop_p), IRI):
-                for x, _, y in g.match_ids(None, prop_q, None):
-                    if not isinstance(g.term(y), Literal):
-                        yield (y, prop_p, x), "owl-inverse-property", ((x, prop_q, y), decl)
-        if not isinstance(g.term(o), Literal):
-            for _, _, q in g.match_ids(p, inv, None):
-                if isinstance(g.term(q), IRI):
-                    yield (o, q, s), "owl-inverse-property", ((s, p, o), (p, inv, q))
-            for r, _, _ in g.match_ids(None, inv, p):
-                if isinstance(g.term(r), IRI):
-                    yield (o, r, s), "owl-inverse-property", ((s, p, o), (r, inv, p))
+            for x, _, y in g.match_ids(None, prop_p, None):
+                yield (y, prop_q, x), "owl-inverse-property", ((x, prop_p, y), decl)
+            for x, _, y in g.match_ids(None, prop_q, None):
+                yield (y, prop_p, x), "owl-inverse-property", ((x, prop_q, y), decl)
+        for _, _, q in g.match_ids(p, inv, None):
+            yield (o, q, s), "owl-inverse-property", ((s, p, o), (p, inv, q))
+        for r, _, _ in g.match_ids(None, inv, p):
+            yield (o, r, s), "owl-inverse-property", ((s, p, o), (r, inv, p))
 
 
 def _r_transitive(g: Graph | Overlay, delta: list[IdTriple]):
@@ -214,9 +207,8 @@ def _r_transitive(g: Graph | Overlay, delta: list[IdTriple]):
                     yield (x, s, z), "owl-transitive-property", (decl, (x, s, y), (y, s, z))
         decl = (p, typ, tp)
         if g.contains_ids(decl):
-            if not isinstance(g.term(o), Literal):
-                for _, _, z in g.match_ids(o, p, None):
-                    yield (s, p, z), "owl-transitive-property", (decl, (s, p, o), (o, p, z))
+            for _, _, z in g.match_ids(o, p, None):
+                yield (s, p, z), "owl-transitive-property", (decl, (s, p, o), (o, p, z))
             for w, _, _ in g.match_ids(None, p, s):
                 yield (w, p, o), "owl-transitive-property", (decl, (w, p, s), (s, p, o))
 
@@ -230,12 +222,10 @@ def _r_equivalent_class(g: Graph | Overlay, delta: list[IdTriple]):
     for s, p, o in delta:
         if eqc is not None and p == eqc:
             yield (s, sco_id, o), "owl-equivalence-subclass", ((s, eqc, o),)
-            if not isinstance(g.term(o), Literal):
-                yield (o, sco_id, s), "owl-equivalence-subclass", ((s, eqc, o),)
-        if sco is not None and p == sco and not isinstance(g.term(o), Literal):
-            if g.contains_ids((o, sco, s)):
-                yield (s, eqc_id, o), "owl-subclass-equivalence", ((s, sco, o), (o, sco, s))
-                yield (o, eqc_id, s), "owl-subclass-equivalence", ((o, sco, s), (s, sco, o))
+            yield (o, sco_id, s), "owl-equivalence-subclass", ((s, eqc, o),)
+        if sco is not None and p == sco and g.contains_ids((o, sco, s)):
+            yield (s, eqc_id, o), "owl-subclass-equivalence", ((s, sco, o), (o, sco, s))
+            yield (o, eqc_id, s), "owl-subclass-equivalence", ((o, sco, s), (s, sco, o))
 
 
 def _r_intersection(g: Graph | Overlay, delta: list[IdTriple]):
@@ -262,10 +252,14 @@ def _r_intersection(g: Graph | Overlay, delta: list[IdTriple]):
         if typ is not None and complete and members:
             for x in sorted(x for x, _, _ in g.match_ids(None, typ, members[0])):
                 yield from build(x, c, l, members)
+    typed: dict[int, list[int]] = {}  # class -> the individuals the delta types with it
     for x, p, d in delta:
         if p == typ and first is not None:
-            for c, l, members, complete in _expressions(g, inter, g.match_ids(None, first, d)):
-                if complete:
+            typed.setdefault(d, []).append(x)
+    for d, xs in sorted(typed.items()):
+        for c, l, members, complete in _expressions(g, inter, g.match_ids(None, first, d)):
+            if complete:
+                for x in xs:
                     yield from build(x, c, l, members)
 
 
@@ -277,8 +271,7 @@ def _r_union(g: Graph | Overlay, delta: list[IdTriple]):
     sco = g.intern(vocab.RDFS_SUBCLASSOF)
     for c, l, members, _ in _expressions(g, uni, delta):
         for m in members:
-            if not isinstance(g.term(m), Literal):
-                yield (m, sco, c), "owl-union-subclass", ((c, uni, l),)
+            yield (m, sco, c), "owl-union-subclass", ((c, uni, l),)
 
 
 def _r_somevalues(g: Graph | Overlay, delta: list[IdTriple]):
@@ -320,8 +313,7 @@ def _r_allvalues(g: Graph | Overlay, delta: list[IdTriple]):
         return
 
     def fire(r: int, prop: int, d: int, x: int, y: int):
-        if not isinstance(g.term(y), Literal):
-            yield (y, typ, d), "owl-allvalues-propagation", ((r, onp, prop), (r, avf, d), (x, typ, r), (x, prop, y))
+        yield (y, typ, d), "owl-allvalues-propagation", ((r, onp, prop), (r, avf, d), (x, typ, r), (x, prop, y))
 
     for s, p, o in delta:
         if p in (avf, onp):  # a restriction triple joins just its own restriction
@@ -417,58 +409,29 @@ def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
 
 
 class EqualityPartition:
-    """Union-find over the owl:sameAs pairs of a graph.
+    """The owl:sameAs classes of an OWL-closed graph.
 
-    Only non-literal terms participate.  Each equivalence class is
-    represented by its canonically smallest member, which makes
-    canonicalization stable under any input permutation.
+    Only non-literal terms take part.  The OWL closure makes sameAs
+    symmetric and transitive between them, so a term's class is itself
+    plus its non-literal sameAs objects.  Each class is represented by its
+    canonically smallest member, which makes canonicalization stable under
+    any input permutation.
     """
 
-    def __init__(self, pairs: Iterable[tuple[Term, Term]] = ()):
-        self._parent: dict[Term, Term] = {}
-        for a, b in pairs:
-            self._union(a, b)
-        self._reps: dict[Term, Term] = {}
-        groups: dict[Term, list[Term]] = {}
-        for t in self._parent:
-            groups.setdefault(self._find(t), []).append(t)
-        for members in groups.values():
-            rep = min(members, key=sort_key)
-            for t in members:
-                self._reps[t] = rep
+    def __init__(self, representatives: dict[Term, Term]):
+        self._reps = representatives
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "EqualityPartition":
-        pairs = [
-            (t.subject, t.object)
-            for t in graph.match_terms(None, vocab.OWL_SAMEAS, None)
-            if isinstance(t.object, (IRI, BlankNode))
-        ]
-        return cls(pairs)
-
-    def _find(self, t: Term) -> Term:
-        root = t
-        while self._parent.get(root, root) != root:
-            root = self._parent[root]
-        while self._parent.get(t, t) != root:
-            self._parent[t], t = root, self._parent[t]
-        return root
-
-    def _union(self, a: Term, b: Term) -> None:
-        self._parent.setdefault(a, a)
-        self._parent.setdefault(b, b)
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[rb] = ra
+        """The partition of `graph`, which must be closed under the OWL rules."""
+        classes: dict[Term, list[Term]] = {}
+        for t in graph.match_terms(None, vocab.OWL_SAMEAS, None):
+            if not isinstance(t.object, Literal):
+                classes.setdefault(t.subject, [t.subject]).append(t.object)
+        return cls({term: min(members, key=sort_key) for term, members in classes.items()})
 
     def representative(self, term: Term) -> Term:
         return self._reps.get(term, term)
-
-    def classes(self) -> list[frozenset[Term]]:
-        groups: dict[Term, set[Term]] = {}
-        for t, rep in self._reps.items():
-            groups.setdefault(rep, set()).add(t)
-        return sorted((frozenset(g) for g in groups.values()), key=lambda g: sort_key(min(g, key=sort_key)))
 
 
 # ---------------------------------------------------------------------------

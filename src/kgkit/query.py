@@ -225,12 +225,12 @@ def parse_competency(text: str) -> list[tuple[str, Query, str]]:
     current: list[str] | None = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
-        if stripped.upper().startswith("QUERY "):
-            name = stripped[6:].strip()
-            if not name:
+        words = stripped.split(maxsplit=1)
+        if words and words[0].upper() == "QUERY":
+            if len(words) == 1:
                 raise ParseError("QUERY line has no name", lineno)
             current = []
-            blocks.append((name, lineno, current))
+            blocks.append((words[1], lineno, current))
         elif stripped and current is None and not stripped.startswith("#"):
             raise ParseError("content before the first QUERY line", lineno)
         elif current is not None:

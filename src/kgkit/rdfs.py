@@ -10,6 +10,11 @@ rules only ever combine existing terms, so it is finite.
 Resume invariant: every rule finds every consequence that has at least
 one premise in the delta.  Rules only add triples, so a closed graph takes
 new triples by running the same loop from a delta of just those triples.
+
+Shape invariant: `_fixpoint` inserts only RDF 1.1 triples, with no
+literal subject and an IRI predicate, so rules need not check the shape
+of what they derive: a rule may yield (y type C) for a literal y, and the
+fixpoint drops it.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ class Closure:
 
     @cached_property
     def partition(self) -> "EqualityPartition":
-        """The owl:sameAs classes of the closed graph."""
+        """The owl:sameAs classes of the closed graph, which must be an OWL closure."""
         from .owl import EqualityPartition  # owl builds on this module
 
         return EqualityPartition.from_graph(self.graph)
@@ -127,19 +132,17 @@ def _r_type_propagation(g: Graph | Overlay, delta: list[IdTriple]):
 
 
 def _r_property_propagation(g: Graph | Overlay, delta: list[IdTriple]):
-    """(x P y), (P spo Q) -> (x Q y); Q must be an IRI to serve as predicate."""
+    """(x P y), (P spo Q) -> (x Q y)"""
     spo = g.lookup(vocab.RDFS_SUBPROPERTYOF)
     if spo is None:
         return
     for s, p, o in delta:
         if p == spo:
             # s is the subproperty, o the superproperty
-            if isinstance(g.term(o), IRI):
-                for x, _, y in g.match_ids(None, s, None):
-                    yield (x, o, y), "rdfs-subproperty-propagation", ((x, s, y), (s, spo, o))
+            for x, _, y in g.match_ids(None, s, None):
+                yield (x, o, y), "rdfs-subproperty-propagation", ((x, s, y), (s, spo, o))
         for _, _, q in g.match_ids(p, spo, None):
-            if isinstance(g.term(q), IRI):
-                yield (s, q, o), "rdfs-subproperty-propagation", ((s, p, o), (p, spo, q))
+            yield (s, q, o), "rdfs-subproperty-propagation", ((s, p, o), (p, spo, q))
 
 
 def _r_domain(g: Graph | Overlay, delta: list[IdTriple]):
@@ -157,7 +160,7 @@ def _r_domain(g: Graph | Overlay, delta: list[IdTriple]):
 
 
 def _r_range(g: Graph | Overlay, delta: list[IdTriple]):
-    """(P range C), (x P y) -> (y type C); skipped when y is a literal."""
+    """(P range C), (x P y) -> (y type C)"""
     rng = g.lookup(vocab.RDFS_RANGE)
     if rng is None:
         return
@@ -165,11 +168,9 @@ def _r_range(g: Graph | Overlay, delta: list[IdTriple]):
     for s, p, o in delta:
         if p == rng:
             for x, _, y in g.match_ids(None, s, None):
-                if not isinstance(g.term(y), Literal):
-                    yield (y, typ, o), "rdfs-range", ((s, rng, o), (x, s, y))
-        if not isinstance(g.term(o), Literal):
-            for _, _, c in g.match_ids(p, rng, None):
-                yield (o, typ, c), "rdfs-range", ((p, rng, c), (s, p, o))
+                yield (y, typ, o), "rdfs-range", ((s, rng, o), (x, s, y))
+        for _, _, c in g.match_ids(p, rng, None):
+            yield (o, typ, c), "rdfs-range", ((p, rng, c), (s, p, o))
 
 
 RDFS_RULES: list[Rule] = [
@@ -182,10 +183,16 @@ RDFS_RULES: list[Rule] = [
 ]
 
 
+def _well_formed(work: Graph | Overlay, t: IdTriple) -> bool:
+    """An RDF 1.1 triple: its subject is not a literal and its predicate is an IRI."""
+    return isinstance(work.term(t[1]), IRI) and not isinstance(work.term(t[0]), Literal)
+
+
 def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> IdDerivations:
     """Saturate `work` in place, starting from `delta`; returns the provenance of what it added.
 
     Requires `delta` to be in `work` and the rest of `work` to be closed under `rules`.
+    A rule's candidate that is not `_well_formed` is dropped.
     """
     provenance: IdDerivations = {}
     delta = sorted(delta)
@@ -193,7 +200,7 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
         fresh: IdDerivations = {}
         for rule in rules:
             for t, name, premises in rule(work, delta):
-                if not work.contains_ids(t) and t not in fresh:
+                if t not in fresh and not work.contains_ids(t) and _well_formed(work, t):
                     fresh[t] = (name, tuple(chain.from_iterable(premises)))
         for t in fresh:
             work.insert_ids(t)

@@ -92,6 +92,15 @@ PREFIX edu: <{EDU}>
     assert capsys.readouterr().err == "parse error: unknown escape \\q at line 6, column 7\n"
 
 
+def test_check_bare_query_line_has_no_name(tmp_path, capsys):
+    kb = write(tmp_path / "city.ttl", CITY_TTL)
+    first = write(tmp_path / "first.txt", f"QUERY\n?x a <{EDU}Locality>\n")
+    later = write(tmp_path / "later.txt", f"QUERY localities\n?x a <{EDU}Locality>\n\n  query  \n?x a <{EDU}City>\n")
+    for questions, line in ((first, 1), (later, 4)):
+        assert main(["check", kb, "--competency", questions]) == 2
+        assert capsys.readouterr().err == f"parse error: QUERY line has no name at line {line}\n"
+
+
 def test_parse_missing_file_exits_1(tmp_path):
     assert main(["parse", str(tmp_path / "absent.nt")]) == 1
 
@@ -330,6 +339,26 @@ def test_embed_predict_requires_exactly_one_free_slot(tmp_path, capsys):
     model = str(tmp_path / "m.tsv")
     assert main(["embed", "train", kb, "--dim", "4", "--epochs", "2", "--seed", "1", "--model", model]) == 0
     assert main(["embed", "predict", kb, "--model", model, "--relation", f"{EDU}next"]) == 1
+
+
+def test_embed_predict_literal_head_exits_1(tmp_path, capsys):
+    kb = write(tmp_path / "labelled.nt", f'<{EDU}n0> <{EDU}next> <{EDU}n1> .\n<{EDU}n0> <{EDU}label> "lit" .\n')
+    model = str(tmp_path / "m.tsv")
+    assert main(["embed", "train", kb, "--dim", "4", "--epochs", "2", "--seed", "1", "--model", model]) == 0
+    capsys.readouterr()
+    assert main(["embed", "predict", kb, "--model", model, "--head", '"lit"', "--relation", f"{EDU}next"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the subject cannot be a literal")
+
+
+def test_embed_eval_zero_dimension_model_exits_1(tmp_path, capsys):
+    kb = write(tmp_path / "one.nt", f"<{EDU}n0> <{EDU}next> <{EDU}n1> .\n")
+    model = write(tmp_path / "m.tsv", f"d=0 norm=L1\nE\t<{EDU}n0>\nE\t<{EDU}n1>\nR\t<{EDU}next>\n")
+    assert main(["embed", "eval", kb, "--model", model, "--test", kb]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad dimension in model header")
 
 
 def _eval_fixture(tmp_path) -> tuple[str, str, str]:

@@ -336,6 +336,20 @@ def test_predict_links_ranks_held_out_composition_in_top_3():
         assert edu(target) in {t for t, _ in top}
 
 
+def test_predict_links_rejects_a_literal_subject():
+    g = ring_graph(4)
+    g.add(edu("e0"), edu("label"), Literal("lit"))
+    model = init_model(g, 2, seed=0)
+    assert Literal("lit") in model.entity_index
+    with pytest.raises(ValidationError, match="subject cannot be a literal"):
+        predict_links(model, g, s=Literal("lit"), p=model.relations[0], o=None)
+
+
+def test_load_model_text_rejects_a_zero_dimension():
+    with pytest.raises(ValidationError, match="bad dimension"):
+        load_model_text(f"d=0 norm=L1\nE\t<{EDU}a>\nR\t<{EDU}p>\n")
+
+
 def test_predict_links_k_larger_than_entity_count():
     g = ring_graph(4)
     model = init_model(g, 2, seed=0)

@@ -10,6 +10,7 @@ from kgkit import (
     Graph,
     IRI,
     InconsistentKBError,
+    Literal,
     InstanceCheck,
     Triple,
     check_instance,
@@ -426,6 +427,37 @@ def test_partition_representative_stable_under_permutation():
     assert reps == {edu("a")}
 
 
+def test_partition_representative_is_the_least_member_of_its_naive_sameas_component():
+    # components are grown from the oracle's sameAs pairs, so they do not
+    # assume the closure already holds every pair of each class
+    for seed in range(200):
+        g = random_owl_graph(seed, max_triples=30)
+        closure, _ = saturate_owl(g)
+        part = EqualityPartition.from_graph(closure.graph)
+        adjacent: dict = {}
+        for a, p, b in naive_owl_closure(triples_of(g)):
+            if p == vocab.OWL_SAMEAS and not isinstance(b, Literal):
+                adjacent.setdefault(a, set()).add(b)
+                adjacent.setdefault(b, set()).add(a)
+        seen = set()
+        for start in adjacent:
+            if start in seen:
+                continue
+            component, stack = set(), [start]
+            while stack:
+                n = stack.pop()
+                if n not in component:
+                    component.add(n)
+                    stack.extend(adjacent[n])
+            seen |= component
+            least = min(component, key=sort_key)
+            assert {part.representative(t) for t in component} == {least}, f"seed {seed}"
+        for t in closure.graph.triples():
+            for term in (t.subject, t.predicate, t.object):
+                if term not in adjacent:
+                    assert part.representative(term) == term, f"seed {seed}"
+
+
 def test_sameas_merge_order_does_not_change_the_closure():
     # functional-property merging before or after the other rules is the same fixpoint
     g = fathers_kb()
@@ -627,6 +659,31 @@ def test_a_type_triple_walks_only_the_lists_that_name_its_class(monkeypatch):
         _resume(work, Triple(N("x"), vocab.RDF_TYPE, cls))
         assert walked == lists, cls
     assert Triple(N("x"), vocab.RDF_TYPE, N("E207")) in work
+
+
+def test_type_triples_of_one_class_walk_its_intersection_list_once(monkeypatch):
+    g = Graph()
+    head, tail = BlankNode("l1"), BlankNode("l2")
+    g.add(N("C"), vocab.OWL_INTERSECTIONOF, head)
+    g.add(head, vocab.RDF_FIRST, N("A"))
+    g.add(head, vocab.RDF_REST, tail)
+    g.add(tail, vocab.RDF_FIRST, N("B"))
+    g.add(tail, vocab.RDF_REST, vocab.RDF_NIL)
+    for i in range(0, 40, 2):
+        g.add(N(f"x{i}"), vocab.RDF_TYPE, N("B"))
+    closure, _ = saturate_owl(g)
+    work = closure.graph.copy()
+    typ, a = work.lookup(vocab.RDF_TYPE), work.lookup(N("A"))
+    delta = [(work.intern(N(f"x{i}")), typ, a) for i in range(40)]
+    for t in delta:
+        work.insert_ids(t)
+    walked = []
+    real = owl._list_walk
+    monkeypatch.setattr(owl, "_list_walk", lambda g, node: walked.append(g.term(node)) or real(g, node))
+    _fixpoint(work, OWL_RULES, delta)
+    assert walked == [head]
+    # the grouped join still builds C for exactly the individuals typed with both members
+    assert {t.subject for t in work.match_terms(None, vocab.RDF_TYPE, N("C"))} == {N(f"x{i}") for i in range(0, 40, 2)}
 
 
 def test_rules_intern_the_vocabulary_they_derive_once_per_call(monkeypatch):

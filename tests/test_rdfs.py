@@ -1,6 +1,7 @@
 import random
 
-from kgkit import Graph, Triple, entails, saturate_rdfs, vocab
+from kgkit import BlankNode, Graph, Literal, Triple, entails, saturate_rdfs, vocab
+from kgkit.rdfs import _fixpoint
 
 from helpers import city_kb, district_kb, edu, random_rdfs_graph
 from oracles import closure_triples, naive_rdfs_closure, triples_of
@@ -131,3 +132,20 @@ def test_cyclic_subclass_hierarchies_terminate_with_mutual_subsumption():
     closure = saturate_rdfs(g)
     assert Triple(edu("x"), vocab.RDF_TYPE, edu("B")) in closure
     assert Triple(edu("A"), vocab.RDFS_SUBCLASSOF, edu("A")) in closure
+
+
+def test_fixpoint_inserts_only_well_formed_candidates():
+    g = Graph()
+    g.add(edu("a"), edu("p"), Literal("lit"))
+    a, p, lit = (g.lookup(t) for t in (edu("a"), edu("p"), Literal("lit")))
+    blank = g.intern(BlankNode("b"))
+
+    def toy(work, delta):
+        for s, q, o in delta:
+            yield (o, q, s), "toy-literal-subject", ((s, q, o),)
+            yield (s, blank, o), "toy-blank-predicate", ((s, q, o),)
+            yield (s, q, s), "toy-well-formed", ((s, q, o),)
+
+    derivations = _fixpoint(g, [toy], g.triple_ids())
+    assert derivations == {(a, p, a): ("toy-well-formed", (a, p, lit))}
+    assert set(g.triple_ids()) == {(a, p, lit), (a, p, a)}
