@@ -401,8 +401,12 @@ def _filtered_ranks(model: EmbeddingModel, train_graph: Graph, test_triples: lis
     rows = [(ent[t.subject], rel[t.predicate], ent[t.object]) for t in ordered]
     heads: dict[tuple[int, int], list[int]] = {(p, o): [] for _, p, o in rows}
     tails: dict[tuple[int, int], list[int]] = {(s, p): [] for s, p, _ in rows}
-    for t in chain(train_graph.match_terms(), test_triples):
-        s, p, o = ent.get(t.subject), rel.get(t.predicate), ent.get(t.object)
+    # the train graph's term ids mapped to model rows once, not per occurrence
+    ent_row = [ent.get(term) for term in train_graph._id_to_term]
+    rel_row = [rel.get(term) for term in train_graph._id_to_term]
+    train = ((ent_row[s], rel_row[p], ent_row[o]) for s, p, o in train_graph._triples)
+    test = ((ent.get(t.subject), rel.get(t.predicate), ent.get(t.object)) for t in test_triples)
+    for s, p, o in chain(train, test):
         if s is not None and (p, o) in heads:
             heads[p, o].append(s)
         if o is not None and (s, p) in tails:

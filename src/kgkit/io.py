@@ -205,10 +205,54 @@ def _term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = False,
     raise ParseError(f"expected a term, got {tok.value!r}", tok.line, tok.col)
 
 
+_NT_IRI = r"<[^>\\\n]+>"
+_NT_BLANK = r'_:[^\s.;,()\[\]<"]+'
+# The common line shape, which the scanner reads as exactly these three
+# terms and a '.': no backslash, only spaces and tabs around the terms, no
+# comment.  Labels and tags take the scanner's character sets; a tag of
+# "prefix" would scan as @prefix.
+_NT_LINE = re.compile(
+    rf"""[ \t]*({_NT_IRI}|{_NT_BLANK})[ \t]+({_NT_IRI})[ \t]+
+    ({_NT_IRI}|{_NT_BLANK}|"[^"\\\n]*"(?:@(?!prefix[ \t.])(?:[^\W_]|-)+|\^\^{_NT_IRI})?)[ \t]*\.[ \t]*""",
+    re.VERBOSE,
+)
+
+
+class _TermIds(dict):
+    """Term text -> id in `graph`; a text not seen yet is scanned and interned."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+
+    def __missing__(self, text: str) -> int:
+        tid = self[text] = self.graph.intern(_term_from_tokens(_tokenize(text), 0)[0])
+        return tid
+
+
 def parse_ntriples(text: str) -> Graph:
-    """Parse N-Triples: one '.'-terminated triple per non-comment line."""
+    """Parse N-Triples: one '.'-terminated triple per non-comment line.
+
+    A line of the common shape (see `_NT_LINE`: IRI or blank subject, IRI
+    predicate, IRI, blank or plain, tagged or typed literal object, no
+    backslash, only spaces and tabs around the terms) is one whole-line
+    match, and each term text is scanned and interned once per parse.  Any
+    other line (blank, comment, CRLF, escapes, `<>`, no space between
+    terms, malformed) goes through the token scanner, so terms get the
+    same ids in the same order and errors the same message, line and
+    column either way.
+    """
     g = Graph()
+    ids = _TermIds(g)
+    line_shape = _NT_LINE.fullmatch
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        m = line_shape(raw)
+        if m is not None:
+            s, p, o = m.groups()
+            try:
+                g.insert_ids((ids[s], ids[p], ids[o]))
+            except ValidationError as exc:  # a relative IRI
+                raise ParseError(str(exc), lineno) from exc
+            continue
         if not raw.strip():
             continue
         tokens = _tokenize(raw, start_line=lineno)

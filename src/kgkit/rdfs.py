@@ -25,6 +25,7 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import vocab
+from .errors import ValidationError
 from .graph import Graph, IdTriple, Overlay
 from .terms import IRI, Literal, Term, Triple
 
@@ -63,16 +64,17 @@ class Closure:
     """A saturated graph plus where each derived triple came from.
 
     `derived`, `provenance` and the sameAs `partition` are built from the
-    closed graph and its id-level `derivations` on first access.  A closure
-    that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
-    never changes it, and a later saturation of the grown base builds a
-    new one.
+    closed graph and its id-level `derivations` on first access; the
+    partition needs the "owl" `profile`.  A closure that `saturate_rdfs`
+    or `saturate_owl` returned is a snapshot: kgkit never changes it, and a
+    later saturation of the grown base builds a new one.
     """
 
     base: Graph
     graph: Graph
     derivations: IdDerivations
     report: InconsistencyReport = field(default_factory=InconsistencyReport)
+    profile: str = "rdfs"
 
     @cached_property
     def derived(self) -> frozenset[Triple]:
@@ -88,7 +90,9 @@ class Closure:
 
     @cached_property
     def partition(self) -> "EqualityPartition":
-        """The owl:sameAs classes of the closed graph, which must be an OWL closure."""
+        """The owl:sameAs classes of the closed graph; only an OWL closure has them."""
+        if self.profile != "owl":  # RDFS makes sameAs neither symmetric nor transitive
+            raise ValidationError(f"the sameAs partition needs an OWL closure, got a {self.profile!r} one")
         from .owl import EqualityPartition  # owl builds on this module
 
         return EqualityPartition.from_graph(self.graph)
@@ -243,7 +247,7 @@ def _saturate(
             else:
                 del derivations[t]  # derived before, asserted now
         derivations.update(_fixpoint(work, rules, delta))
-    closure = Closure(graph, work, derivations, violations(work))
+    closure = Closure(graph, work, derivations, violations(work), profile)
     graph._closures[profile] = (closure, graph.version, work.version)
     return closure
 

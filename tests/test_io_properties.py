@@ -2,18 +2,23 @@
 
 The regular-expression scanner must produce the tokens, and raise the
 ParseError messages, lines and columns, of the per-character tokenizer kept
-in `oracles.oracle_tokenize`.  Canonical N-Triples must keep the bytes of the
-term-level serializer kept in `oracles.oracle_serialize_ntriples`.
+in `oracles.oracle_tokenize`.  The whole-line N-Triples path must build the
+graph, or raise the error, of the token scanner alone.  Canonical N-Triples
+must keep the bytes of the term-level serializer kept in
+`oracles.oracle_serialize_ntriples`.
 """
 
 import hashlib
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgkit import BlankNode, Graph, IRI, Literal, ParseError, Triple, parse_ntriples, parse_term, serialize_ntriples
+from kgkit import io
 from kgkit.io import _escape_iri, _escape_string, _tokenize, format_term
 
 from oracles import oracle_escape_iri, oracle_escape_string, oracle_serialize_ntriples, oracle_tokenize, triples_of
@@ -125,6 +130,110 @@ def test_cli_rejects_an_escaped_surrogate_with_exit_2(tmp_path, capsys):
     path.write_text('<http://e.x/a> <http://e.x/p> "\\uD800" .\n', encoding="utf-8")
     assert main(["parse", str(path)]) == 2
     assert capsys.readouterr().err == "parse error: bad \\u escape at line 1, column 32\n"
+
+
+# ---------------------------------------------------------------------------
+# The whole-line N-Triples path against the token scanner
+# ---------------------------------------------------------------------------
+
+# Parts of lines of the common shape, then parts that make a line fall back:
+# escapes, relative and empty IRIs, labels next to '.' or '<', tags the
+# scanner reads otherwise, other whitespace, comments, misplaced or
+# malformed terms and missing or extra punctuation.
+FAST = [
+    ["<http://e.x/s>", "<http://e.x/s2>", "_:b1", "_:b>#", "_:bé"],
+    [" ", "\t", "  \t"],
+    ["<http://e.x/p>", "<http://e.x/q>", "<http://e.x/p#a b>"],
+    [" ", "\t", "  \t"],
+    [
+        "<http://e.x/o>", "<http://e.x/s>", "_:b1", "_:o", '""', '"v"', '"v w # x <y>"', '"v"@en', '"v"@en-GB',
+        '"v"@de-CH-1901', '"v"@prefixes', '"v"@é', '"v"^^<http://e.x/dt>', '"v"^^<dt>', '"é☃"',
+    ],
+    [" .", ".", "\t. ", " . "],
+]
+ODD = [
+    ["<rel>", "<http://e.x/a b>", "<>", "<http://e.x/\\u00e9>", "<http://e.x/\\q>", '"lit"', "_:", "ex:s", "_:b<http://e.x/p>"],
+    ["", "\x0c", " \r"],
+    ["<p>", "_:p", "<http://e.x/p\\u0041>", '"p"', "a", "<>"],
+    ["", "\x0c", "\xa0"],
+    [
+        "_:o.", "_:o<", '"v"@en_GB', '"v"@prefix', '"v"@', '"v"^^<>', '"v"^^ex:dt', '"v" ^^<http://e.x/dt>',
+        '"v\\"q"', '"v\\q"', "<http://e.x/o>>", '"unterminated', "<rel>", "<>",
+    ],
+    [" .\r", " . # comment", " .#c", " . <http://e.x/x>", " ..", "", " ;", " .\x0b", " .\x85"],
+]
+LINES = ["", "  ", "# comment", "\r", "\t# c\r"]
+
+
+@st.composite
+def ntriples_line(draw):
+    """A line of the common shape, or one with a single part that makes it fall back."""
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        return draw(st.sampled_from(LINES))
+    odd = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=len(FAST) - 1)))
+    parts = [draw(st.sampled_from(ODD[i] if i == odd else FAST[i])) for i in range(len(FAST))]
+    return draw(st.sampled_from(["", " ", "\t"])) + "".join(parts)
+
+
+@st.composite
+def ntriples_documents(draw):
+    """Lines of either kind, maybe with a CRLF end and a random snippet spliced in."""
+    text = "\n".join(draw(st.lists(ntriples_line(), max_size=8))) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    extra = draw(st.one_of(st.just(""), st.just(""), st.sampled_from(MALFORMED), st.text(alphabet=ALPHABET, max_size=6)))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    return text[:at] + extra + text[at:]
+
+
+def parse_outcome(text: str):
+    try:
+        g = parse_ntriples(text)
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+    return ("graph", g._id_to_term, list(g._triples))
+
+
+def scanner_outcome(text: str):
+    with mock.patch.object(io, "_NT_LINE", re.compile(r"(?!)")):  # no line takes the whole-line path
+        return parse_outcome(text)
+
+
+@settings(max_examples=600)
+@given(ntriples_documents())
+@example('<http://e.x/s> <http://e.x/p> "v"@prefix .\n')
+@example('<http://e.x/s> <http://e.x/p> "v" .\n<rel> <http://e.x/p> <http://e.x/o> .\n')
+@example('_:b1 <http://e.x/p> _:o.\n<http://e.x/s>\t<http://e.x/p>\t"v"@en-GB\t. \n_:b<http://e.x/p> <http://e.x/o> .\n')
+def test_whole_line_path_matches_the_token_scanner(text):
+    assert parse_outcome(text) == scanner_outcome(text)
+
+
+def test_canonical_lines_take_the_whole_line_path():
+    text = serialize_ntriples(fixed_random_graph())
+    plain = [line for line in text.split("\n")[:-1] if "\\" not in line]
+    assert len(plain) > 100
+    assert all(io._NT_LINE.fullmatch(line) for line in plain)
+
+
+def test_each_distinct_term_text_is_built_once_per_parse():
+    subjects = ["<http://e.x/s0>", "<http://e.x/s1>", "_:b0", "_:b1"]
+    predicates = ["<http://e.x/p0>", "<http://e.x/p1>"]
+    objects = subjects + ['"v"', '"v"@en', '"v"^^<http://e.x/dt>', '"w"']
+    lines = [f"{s} {p} {o} ." for s in subjects for p in predicates for o in objects]
+    text = "\n".join(lines) + "\n"
+    distinct = len(set(subjects + predicates + objects))
+    built = []
+    real = io._term_from_tokens
+
+    def counted(tokens, pos, *args, **kwargs):
+        built.append(tokens[pos].value)
+        return real(tokens, pos, *args, **kwargs)
+
+    with mock.patch.object(io, "_term_from_tokens", counted):
+        g = parse_ntriples(text)
+        assert len(built) == distinct < 3 * len(lines)
+        parse_ntriples(text)  # the memo lives for one parse
+        assert len(built) == 2 * distinct
+    assert len(g) == len(lines)
+    assert parse_outcome(text) == scanner_outcome(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
-from kgkit import BlankNode, Graph, Literal, Triple, entails, saturate_rdfs, vocab
+import pytest
+
+from kgkit import BlankNode, Graph, Literal, Triple, ValidationError, entails, saturate_owl, saturate_rdfs, vocab
 from kgkit.rdfs import _fixpoint
 
 from helpers import city_kb, district_kb, edu, random_rdfs_graph
@@ -149,3 +151,13 @@ def test_fixpoint_inserts_only_well_formed_candidates():
     derivations = _fixpoint(g, [toy], g.triple_ids())
     assert derivations == {(a, p, a): ("toy-well-formed", (a, p, lit))}
     assert set(g.triple_ids()) == {(a, p, lit), (a, p, a)}
+
+
+def test_partition_of_an_rdfs_closure_is_refused():
+    # RDFS does not close sameAs, so reading classes off its closure would give c its own class
+    g = Graph()
+    g.add(edu("b"), vocab.OWL_SAMEAS, edu("c"))
+    g.add(edu("a"), vocab.OWL_SAMEAS, edu("b"))
+    with pytest.raises(ValidationError, match="needs an OWL closure"):
+        saturate_rdfs(g).partition
+    assert saturate_owl(g)[0].partition.representative(edu("c")) == edu("a")
