@@ -3,15 +3,27 @@
 The Turtle subset covers what ontology snippets in the wild actually
 use: @prefix, qnames, 'a' for rdf:type, ';' and ',' continuation lists,
 '[ ... ]' anonymous nodes, '( ... )' collections (expanded into
-rdf:first/rdf:rest chains ending at rdf:nil), and plain, typed and
-language-tagged literals.  Serialization is canonical N-Triples: one
-sorted line per triple, byte-identical across runs for equal graphs.
+rdf:first/rdf:rest chains ending at rdf:nil), plain, typed and
+language-tagged literals, and the numeric and boolean shorthand (42,
+-7, 1.5, 1e3, true, false as xsd:integer, decimal, double and boolean
+literals).  Serialization is canonical N-Triples: one sorted line per
+triple, byte-identical across runs for equal graphs.
+
+Both readers share one scanner whose tokens are (kind, value, offset)
+tuples; a line and column are worked out from the offset only when a
+ParseError is raised.  `_tokenize` adds them to each token for the
+N-Triples lines that are not of the common shape and for query
+patterns.  The Turtle reader memoizes terms by token text for one parse
+and interns each at its first emission; rebinding a prefix to another
+namespace drops the entries of that prefix's qnames.  No base IRI is
+declared, so `<>` and relative datatypes are parse errors.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import vocab
@@ -30,7 +42,7 @@ class ParseReport:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer (shared by the Turtle and N-Triples readers)
+# Scanner (shared by the Turtle and N-Triples readers)
 # ---------------------------------------------------------------------------
 
 IRIREF = "iriref"
@@ -49,8 +61,8 @@ RPAREN = ")"
 KEYWORD_A = "a"
 AT_PREFIX = "@prefix"
 EOF = "eof"
-
-_PUNCT = {".": DOT, ";": SEMICOLON, ",": COMMA, "[": LBRACKET, "]": RBRACKET, "(": LPAREN, ")": RPAREN}
+# the kinds of Turtle's numeric and boolean shorthand: its XSD datatypes' local names
+_SHORTHAND = ("integer", "decimal", "double", "boolean")
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
@@ -66,15 +78,19 @@ _ESCAPE = r"""\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"""
 _IRI_BODY = rf"[^>\\\n]*(?:{_ESCAPE}[^>\\\n]*)*"
 _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 
-# One alternative per token kind.  Only `skip` can hold a newline, so every
-# other token lies on one line.  `bad` takes the one character that starts no
-# well-formed token (an unterminated or badly escaped IRI or literal, a lone
-# '^', '>', or whitespace other than space, tab, CR and LF); `_malformed`
-# then names the fault.
+# Whitespace and comments, then one alternative per token kind; a match
+# that reaches the end of the text may hold no token, and none starts
+# there.  Only the leading `skip` can hold a newline, so every token lies
+# on one line.  `bad` takes the one character that starts no well-formed
+# token (an unterminated or badly escaped IRI or literal, a lone '^', '>',
+# or whitespace other than space, tab, CR and LF); `_malformed` then names
+# the fault.
 _SCANNER = re.compile(
     rf"""
-      (?P<skip>[ \t\r\n]+|\#[^\n]*)
-    | <(?P<iriref>{_IRI_BODY})>
+    (?=.)
+    (?P<skip>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    (?:
+      <(?P<iriref>{_IRI_BODY})>
     | "(?P<string>{_STRING_BODY})"
     | @(?P<at>(?:[^\W_]|-)*)
     | (?P<hathat>\^\^)
@@ -82,15 +98,29 @@ _SCANNER = re.compile(
     | (?P<punct>[.;,\[\]()])
     | (?P<word>[^\s.;,()\[\]<>"^@]+(?:\.(?=[^\s;,()\[\]])[^\s.;,()\[\]<>"^@]*)*)
     | (?P<bad>.)
+    )?
     """,
     re.VERBOSE | re.DOTALL,
 )
 _BODIES = {"<": (re.compile(_IRI_BODY), "IRI"), '"': (re.compile(_STRING_BODY), "literal")}
 _ESCAPE_RE = re.compile(_ESCAPE)
+# RDF 1.1 Turtle, section 6.5: INTEGER, DECIMAL, DOUBLE and BooleanLiteral
+_SHORTHAND_WORD = re.compile(
+    r"""(?P<boolean>true|false)
+    | [+-]?(?: (?P<integer>[0-9]+)
+             | (?P<decimal>[0-9]*\.[0-9]+)
+             | (?P<double>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+) )""",
+    re.VERBOSE,
+)
 
 
-def _unescape(value: str, line: int, col: int) -> str:
-    """Decode the escapes of a token body whose first character is at `col`."""
+def _line_col(text: str, offset: int, start_line: int = 1) -> tuple[int, int]:
+    """Line and column of `offset` in `text`, counted from the newlines before it."""
+    return start_line + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
+
+
+def _unescape(value: str, text: str, offset: int, start_line: int) -> str:
+    """Decode the escapes of a token body that starts at `offset` in `text`."""
 
     def decode(m: re.Match) -> str:
         esc = m.group()
@@ -98,112 +128,152 @@ def _unescape(value: str, line: int, col: int) -> str:
             return _ESCAPES[esc[1]]
         code = int(esc[2:], 16)
         if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:  # not a Unicode scalar value
-            raise ParseError(f"bad \\{esc[1]} escape", line, col + m.start())
+            raise ParseError(f"bad \\{esc[1]} escape", *_line_col(text, offset + m.start(), start_line))
         return chr(code)
 
     return _ESCAPE_RE.sub(decode, value)
 
 
-def _malformed(text: str, start: int, line: int, col: int) -> ParseError:
-    """The error for the character at `start`, which begins no well-formed token."""
+def _malformed(text: str, start: int) -> tuple[str, int]:
+    """The fault of the character at `start`, which begins no well-formed token, and its offset."""
     c = text[start]
     if c == "^":
-        return ParseError("expected '^^'", line, col)
+        return "expected '^^'", start
     if c not in _BODIES:
-        return ParseError(f"unexpected character {c!r}", line, col)
+        return f"unexpected character {c!r}", start
     body, what = _BODIES[c]
     stop = body.match(text, start + 1).end()
     if stop >= len(text):
-        return ParseError(f"unterminated {what}", line, col)
+        return f"unterminated {what}", start
     if text[stop] == "\n":
-        return ParseError(f"newline inside {what}", line, col)
+        return f"newline inside {what}", start
     # the body stopped at a backslash that starts no valid escape
-    col += stop - start
     if stop + 1 >= len(text):
-        return ParseError("dangling escape", line, col)
+        return "dangling escape", stop
     e = text[stop + 1]
-    return ParseError(f"bad \\{e} escape" if e in "uU" else f"unknown escape \\{e}", line, col)
+    return (f"bad \\{e} escape" if e in "uU" else f"unknown escape \\{e}"), stop
+
+
+def _scan(text: str, start_line: int = 1) -> list[tuple[str, str, int]]:
+    """The tokens of `text` as (kind, value, offset) tuples, ending with an EOF token.
+
+    Escapes are decoded and each kind is resolved here; a line and column
+    are worked out only for an error (`start_line` numbers the first line).
+    """
+    tokens: list[tuple[str, str, int]] = []
+    append = tokens.append
+    for m in _SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        start = m.end(1)
+        value = m.group(kind)
+        if kind == "word":
+            if ":" in value:
+                append((QNAME, value, start))
+            elif value == "a":
+                append((KEYWORD_A, value, start))
+            else:
+                shorthand = _SHORTHAND_WORD.fullmatch(value)
+                if shorthand is None:
+                    raise ParseError(f"unexpected token {value!r}", *_line_col(text, start, start_line))
+                append((shorthand.lastgroup, value, start))
+        elif kind == "punct":
+            append((value, value, start))  # each punctuation kind is its own character
+        elif kind == "iriref" or kind == "string":
+            if "\\" in value:
+                value = _unescape(value, text, start + 1, start_line)
+            append((kind, value, start))
+        elif kind == "blank":
+            if not value:
+                raise ParseError("empty blank node label", *_line_col(text, start, start_line))
+            append((BLANK, value, start))
+        elif kind == "at":
+            if not value:
+                raise ParseError("dangling '@'", *_line_col(text, start, start_line))
+            append((AT_PREFIX if value == "prefix" else LANGTAG, value, start))
+        elif kind == "hathat":
+            append((HATHAT, value, start))
+        else:
+            message, at = _malformed(text, start)
+            raise ParseError(message, *_line_col(text, at, start_line))
+    append((EOF, "", len(text)))
+    return tokens
 
 
 def _tokenize(text: str, start_line: int = 1) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
+    """`_scan` with each token's line and column, for callers that report them."""
+    tokens = []
     line = start_line
-    line_start = 0  # offset of the first character of the current line
-    for m in _SCANNER.finditer(text):
-        kind = m.lastgroup
-        start = m.start()
-        if kind == "skip":
-            newlines = m.group().count("\n")
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, m.end()) + 1
-            continue
-        col = start - line_start + 1
-        value = m.group(kind)
-        if kind == "iriref" or kind == "string":
-            if "\\" in value:
-                value = _unescape(value, line, col + 1)
-            append(_Token(IRIREF if kind == "iriref" else STRING, value, line, col))
-        elif kind == "punct":
-            append(_Token(_PUNCT[value], value, line, col))
-        elif kind == "word":
-            if value == "a":
-                append(_Token(KEYWORD_A, value, line, col))
-            elif ":" in value:
-                append(_Token(QNAME, value, line, col))
-            else:
-                raise ParseError(f"unexpected token {value!r}", line, col)
-        elif kind == "blank":
-            if not value:
-                raise ParseError("empty blank node label", line, col)
-            append(_Token(BLANK, value, line, col))
-        elif kind == "at":
-            if not value:
-                raise ParseError("dangling '@'", line, col)
-            append(_Token(AT_PREFIX if value == "prefix" else LANGTAG, value, line, col))
-        elif kind == "hathat":
-            append(_Token(HATHAT, value, line, col))
-        else:
-            raise _malformed(text, start, line, col)
-    append(_Token(EOF, "", line, len(text) - line_start + 1))
+    line_start = last = 0  # offsets of the current line and of the previous token
+    for kind, value, offset in _scan(text, start_line):
+        newlines = text.count("\n", last, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", last, offset) + 1
+        last = offset
+        tokens.append(_Token(kind, value, line, offset - line_start + 1))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Terms
+# ---------------------------------------------------------------------------
+
+_NO_BASE = "relative {} {!r} and no base IRI is declared"
+_token_line_col = attrgetter("line", "col")
+
+
+def _iri(tok, prefixes: PrefixMap | None, at, what: str = "IRI") -> IRI:
+    """The IRI an IRIREF or qname token names; an empty one has no base to resolve against."""
+    try:
+        return IRI(tok[1]) if tok[0] == IRIREF else prefixes.expand(tok[1])
+    except UnknownPrefixError as exc:
+        raise ParseError(str(exc), *at(tok)) from exc
+    except ValidationError as exc:  # `<>`, or a prefix bound to <> and no local part
+        raise ParseError(_NO_BASE.format(what, ""), *at(tok)) from exc
+
+
+def _term_from_tokens(
+    tokens, pos: int, allow_qname: bool = False, prefixes: PrefixMap | None = None, at=_token_line_col
+):
+    """Read one term starting at tokens[pos]; returns (term, next_pos).
+
+    `tokens` are `_Token`s, or `_scan` tuples given `at`, which maps a token
+    to its line and column.  `allow_qname` admits the Turtle forms: qnames,
+    'a' and the numeric and boolean shorthand.
+    """
+    tok = tokens[pos]
+    kind = tok[0]
+    if kind == IRIREF or (kind == QNAME and allow_qname):
+        return _iri(tok, prefixes, at), pos + 1
+    if kind == BLANK:
+        return BlankNode(tok[1]), pos + 1
+    if kind == KEYWORD_A and allow_qname:
+        return vocab.RDF_TYPE, pos + 1
+    if kind == STRING:
+        nxt = tokens[pos + 1]
+        if nxt[0] == LANGTAG:
+            return Literal(tok[1], language=nxt[1]), pos + 2
+        if nxt[0] == HATHAT:
+            dt_tok = tokens[pos + 2]
+            if dt_tok[0] == IRIREF or (dt_tok[0] == QNAME and allow_qname):
+                datatype = _iri(dt_tok, prefixes, at, "datatype IRI")
+                if not datatype.is_absolute():  # a literal's datatype is never resolved
+                    raise ParseError(_NO_BASE.format("datatype IRI", datatype.value), *at(dt_tok))
+                return Literal(tok[1], datatype=datatype.value), pos + 3
+            raise ParseError("expected datatype IRI after '^^'", *at(dt_tok))
+        return Literal(tok[1]), pos + 1
+    if kind in _SHORTHAND:
+        if not allow_qname:  # no shorthand in N-Triples
+            raise ParseError(f"unexpected token {tok[1]!r}", *at(tok))
+        return Literal(tok[1], datatype=vocab.XSD + kind), pos + 1
+    raise ParseError(f"expected a term, got {tok[1]!r}", *at(tok))
 
 
 # ---------------------------------------------------------------------------
 # N-Triples
 # ---------------------------------------------------------------------------
-
-
-def _term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = False, prefixes: PrefixMap | None = None):
-    """Read one term starting at tokens[pos]; returns (term, next_pos)."""
-    tok = tokens[pos]
-    if tok.kind == IRIREF:
-        return IRI(tok.value), pos + 1
-    if tok.kind == BLANK:
-        return BlankNode(tok.value), pos + 1
-    if tok.kind == KEYWORD_A and allow_qname:
-        return vocab.RDF_TYPE, pos + 1
-    if tok.kind == QNAME and allow_qname:
-        assert prefixes is not None
-        try:
-            return prefixes.expand(tok.value), pos + 1
-        except UnknownPrefixError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
-    if tok.kind == STRING:
-        nxt = tokens[pos + 1]
-        if nxt.kind == LANGTAG:
-            return Literal(tok.value, language=nxt.value), pos + 2
-        if nxt.kind == HATHAT:
-            dt_tok = tokens[pos + 2]
-            if dt_tok.kind == IRIREF:
-                return Literal(tok.value, datatype=dt_tok.value), pos + 3
-            if dt_tok.kind == QNAME and allow_qname:
-                return Literal(tok.value, datatype=_term_from_tokens(tokens, pos + 2, True, prefixes)[0].value), pos + 3
-            raise ParseError("expected datatype IRI after '^^'", dt_tok.line, dt_tok.col)
-        return Literal(tok.value), pos + 1
-    raise ParseError(f"expected a term, got {tok.value!r}", tok.line, tok.col)
-
 
 _NT_IRI = r"<[^>\\\n]+>"
 _NT_BLANK = r'_:[^\s.;,()\[\]<"]+'
@@ -225,7 +295,7 @@ class _TermIds(dict):
         self.graph = graph
 
     def __missing__(self, text: str) -> int:
-        tid = self[text] = self.graph.intern(_term_from_tokens(_tokenize(text), 0)[0])
+        tid = self[text] = self.graph.intern(parse_term(text))
         return tid
 
 
@@ -237,9 +307,10 @@ def parse_ntriples(text: str) -> Graph:
     backslash, only spaces and tabs around the terms) is one whole-line
     match, and each term text is scanned and interned once per parse.  Any
     other line (blank, comment, CRLF, escapes, `<>`, no space between
-    terms, malformed) goes through the token scanner, so terms get the
-    same ids in the same order and errors the same message, line and
-    column either way.
+    terms, malformed), and one whose terms do not build (a relative IRI or
+    datatype), goes through the token scanner, so terms get the same ids
+    in the same order and errors the same message, line and column either
+    way.
     """
     g = Graph()
     ids = _TermIds(g)
@@ -250,9 +321,9 @@ def parse_ntriples(text: str) -> Graph:
             s, p, o = m.groups()
             try:
                 g.insert_ids((ids[s], ids[p], ids[o]))
-            except ValidationError as exc:  # a relative IRI
-                raise ParseError(str(exc), lineno) from exc
-            continue
+                continue
+            except (ParseError, ValidationError):
+                pass  # the scanner path reports where
         if not raw.strip():
             continue
         tokens = _tokenize(raw, start_line=lineno)
@@ -267,16 +338,16 @@ def parse_ntriples(text: str) -> Graph:
             raise ParseError("trailing content after '.'", lineno, tokens[pos + 1].col)
         try:
             g.insert(Triple(subject, predicate, object_))
-        except ValidationError as exc:
-            raise ParseError(str(exc), lineno) from exc
+        except ValidationError as exc:  # a misplaced term or a relative IRI: the triple's position
+            raise ParseError(str(exc), lineno, tokens[0].col) from exc
     return g
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term in N-Triples syntax (used by model files)."""
-    tokens = _tokenize(text)
-    term, pos = _term_from_tokens(tokens, 0)
-    if tokens[pos].kind != EOF:
+    tokens = _scan(text)
+    term, pos = _term_from_tokens(tokens, 0, at=lambda tok: _line_col(text, tok[2]))
+    if tokens[pos][0] != EOF:
         raise ParseError(f"trailing content after term: {text!r}")
     return term
 
@@ -287,47 +358,89 @@ def parse_term(text: str) -> Term:
 
 
 class _TurtleParser:
+    """Recursive descent over `_scan` tuples.
+
+    Each term is read through a memo keyed by its token text (kind and
+    value, and a literal's tag or datatype token), holding a [term, id]
+    slot: a miss builds the term with `_term_from_tokens`, and the id is
+    interned at the term's first emission, so ids come in the order of
+    `Graph.insert` on each triple.  Rebinding a prefix to another namespace
+    drops the keys of the qnames that use it.
+    """
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _scan(text)
         self.pos = 0
         self.graph = Graph()
         self.prefixes = PrefixMap.common()
         self.prefixes.bind("", vocab.DEFAULT_NS)
         self.warnings: list[tuple[int, str]] = []
-        self._doc_labels = {t.value for t in self.tokens if t.kind == BLANK}
+        self._doc_labels = {value for kind, value, _ in self.tokens if kind == BLANK}
         self._anon = 0
+        self._memo: dict[tuple, list] = {}
+        self._qname_keys: dict[str, list[tuple]] = {}  # prefix -> memo keys that expanded it
+        self._first, self._rest, self._nil = ([t, -1] for t in (vocab.RDF_FIRST, vocab.RDF_REST, vocab.RDF_NIL))
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def _at(self, tok) -> tuple[int, int]:
+        return _line_col(self.text, tok[2])
 
-    def _next(self) -> _Token:
+    def _expect(self, kind: str) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", *self._at(tok))
         return tok
 
-    def _expect(self, kind: str) -> _Token:
-        tok = self._next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, got {tok.value!r}", tok.line, tok.col)
-        return tok
-
-    def _fresh_blank(self) -> BlankNode:
+    def _fresh_blank(self) -> list:
         while True:
             self._anon += 1
             label = f"anon{self._anon}"
             if label not in self._doc_labels:
                 self._doc_labels.add(label)
-                return BlankNode(label)
+                return [BlankNode(label), -1]
 
-    def _emit(self, s: Term, p: Term, o: Term, tok: _Token) -> None:
-        try:
-            self.graph.insert(Triple(s, p, o))
-        except ValidationError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+    def _term(self) -> list:
+        """The slot of the term at the cursor."""
+        tokens = self.tokens
+        pos = self.pos
+        kind, value, _ = tokens[pos]
+        end = pos + 1
+        key = (kind, value)
+        if kind == STRING:
+            suffix = tokens[end]
+            if suffix[0] == LANGTAG:
+                key, end = (kind, value, LANGTAG, suffix[1]), end + 1
+            elif suffix[0] == HATHAT:
+                dt_kind, dt_value, _ = tokens[end + 1]
+                key, end = (kind, value, dt_kind, dt_value), end + 2
+        slot = self._memo.get(key)
+        if slot is None:
+            term, end = _term_from_tokens(tokens, pos, True, self.prefixes, self._at)
+            slot = self._memo[key] = [term, -1]
+            qname = key[1] if kind == QNAME else key[3] if key[2:3] == (QNAME,) else None
+            if qname is not None:
+                self._qname_keys.setdefault(qname[: qname.index(":")], []).append(key)
+        self.pos = end
+        return slot
+
+    def _emit(self, s: list, p: list, o: list, offset: int) -> None:
+        """Insert a triple of slots, interning new terms in s, p, o order; `offset` locates an error."""
+        ids = (s[1], p[1], o[1])
+        if -1 in ids:
+            try:
+                for slot in (s, p, o):
+                    if slot[1] < 0:
+                        slot[1] = self.graph.intern(slot[0])
+            except ValidationError as exc:  # a relative IRI
+                raise ParseError(str(exc), *_line_col(self.text, offset)) from exc
+            ids = (s[1], p[1], o[1])
+        self.graph.insert_ids(ids)
 
     def parse(self) -> ParseReport:
-        while self._peek().kind != EOF:
-            if self._peek().kind == AT_PREFIX:
+        tokens = self.tokens
+        while tokens[self.pos][0] != EOF:
+            if tokens[self.pos][0] == AT_PREFIX:
                 self._prefix_directive()
             else:
                 self._triples_statement()
@@ -335,14 +448,18 @@ class _TurtleParser:
 
     def _prefix_directive(self) -> None:
         self._expect(AT_PREFIX)
-        tok = self._next()
-        if tok.kind != QNAME or not tok.value.endswith(":"):
-            raise ParseError("expected 'prefix:' after @prefix", tok.line, tok.col)
-        prefix = tok.value[:-1]
-        ns = self._expect(IRIREF).value
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok[0] != QNAME or not tok[1].endswith(":"):
+            raise ParseError("expected 'prefix:' after @prefix", *self._at(tok))
+        prefix = tok[1][:-1]
+        ns = self._expect(IRIREF)[1]
         old = self.prefixes.namespace(prefix)
-        if old is not None and old != ns and not (prefix == "" and old == vocab.DEFAULT_NS):
-            self.warnings.append((tok.line, f"prefix {prefix!r} redefined from <{old}> to <{ns}>"))
+        if old is not None and old != ns:
+            if not (prefix == "" and old == vocab.DEFAULT_NS):
+                self.warnings.append((self._at(tok)[0], f"prefix {prefix!r} redefined from <{old}> to <{ns}>"))
+            for key in self._qname_keys.pop(prefix, ()):
+                del self._memo[key]
         self.prefixes.bind(prefix, ns)
         self._expect(DOT)
 
@@ -351,69 +468,67 @@ class _TurtleParser:
         self._predicate_object_list(subject)
         self._expect(DOT)
 
-    def _predicate_object_list(self, subject: Term) -> None:
+    def _predicate_object_list(self, subject: list) -> None:
+        tokens = self.tokens
         while True:
-            verb_tok = self._peek()
+            verb_offset = tokens[self.pos][2]
             predicate = self._verb()
             while True:
                 obj = self._node()
-                self._emit(subject, predicate, obj, verb_tok)
-                if self._peek().kind == COMMA:
-                    self._next()
+                self._emit(subject, predicate, obj, verb_offset)
+                if tokens[self.pos][0] == COMMA:
+                    self.pos += 1
                     continue
                 break
-            if self._peek().kind == SEMICOLON:
-                self._next()
+            if tokens[self.pos][0] == SEMICOLON:
+                self.pos += 1
                 # tolerate a trailing ';' before '.' or ']'
-                if self._peek().kind in (DOT, RBRACKET):
+                if tokens[self.pos][0] in (DOT, RBRACKET):
                     return
                 continue
             return
 
-    def _verb(self) -> Term:
-        tok = self._peek()
-        if tok.kind in (IRIREF, QNAME, KEYWORD_A):
-            term, self.pos = _term_from_tokens(self.tokens, self.pos, allow_qname=True, prefixes=self.prefixes)
-            return term
-        raise ParseError(f"expected a predicate, got {tok.value!r}", tok.line, tok.col)
+    def _verb(self) -> list:
+        tok = self.tokens[self.pos]
+        if tok[0] in (IRIREF, QNAME, KEYWORD_A):
+            return self._term()
+        raise ParseError(f"expected a predicate, got {tok[1]!r}", *self._at(tok))
 
-    def _node(self, as_subject: bool = False) -> Term:
-        tok = self._peek()
-        if tok.kind == LBRACKET:
-            self._next()
+    def _node(self, as_subject: bool = False) -> list:
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind in (IRIREF, QNAME, BLANK):
+            return self._term()
+        if kind == LBRACKET:
+            self.pos += 1
             node = self._fresh_blank()
-            if self._peek().kind != RBRACKET:
+            if self.tokens[self.pos][0] != RBRACKET:
                 self._predicate_object_list(node)
             self._expect(RBRACKET)
             return node
-        if tok.kind == LPAREN:
-            self._next()
+        if kind == LPAREN:
+            self.pos += 1
             return self._collection()
-        if tok.kind == STRING:
+        if kind == STRING or kind in _SHORTHAND:
             if as_subject:
-                raise ParseError("literal cannot be a subject", tok.line, tok.col)
-            term, self.pos = _term_from_tokens(self.tokens, self.pos, allow_qname=True, prefixes=self.prefixes)
-            return term
-        if tok.kind in (IRIREF, QNAME, BLANK):
-            term, self.pos = _term_from_tokens(self.tokens, self.pos, allow_qname=True, prefixes=self.prefixes)
-            return term
-        raise ParseError(f"expected a node, got {tok.value!r}", tok.line, tok.col)
+                raise ParseError("literal cannot be a subject", *self._at(tok))
+            return self._term()
+        raise ParseError(f"expected a node, got {tok[1]!r}", *self._at(tok))
 
-    def _collection(self) -> Term:
+    def _collection(self) -> list:
         items = []
-        open_tok = self._peek()
-        while self._peek().kind != RPAREN:
-            if self._peek().kind == EOF:
-                raise ParseError("unterminated collection", open_tok.line, open_tok.col)
+        open_tok = self.tokens[self.pos]  # the token after '(' locates the collection's errors
+        while self.tokens[self.pos][0] != RPAREN:
+            if self.tokens[self.pos][0] == EOF:
+                raise ParseError("unterminated collection", *self._at(open_tok))
             items.append(self._node())
-        self._next()  # ')'
+        self.pos += 1  # ')'
         if not items:
-            return vocab.RDF_NIL
+            return self._nil
         nodes = [self._fresh_blank() for _ in items]
         for i, item in enumerate(items):
-            self._emit(nodes[i], vocab.RDF_FIRST, item, open_tok)
-            rest = nodes[i + 1] if i + 1 < len(nodes) else vocab.RDF_NIL
-            self._emit(nodes[i], vocab.RDF_REST, rest, open_tok)
+            self._emit(nodes[i], self._first, item, open_tok[2])
+            self._emit(nodes[i], self._rest, nodes[i + 1] if i + 1 < len(nodes) else self._nil, open_tok[2])
         return nodes[0]
 
 

@@ -12,19 +12,26 @@ import numpy as np
 
 from kgkit import vocab
 from kgkit.embeddings import CORRUPT_BOTH, CORRUPT_HEAD
-from kgkit.errors import ParseError, QueryValidationError, SamplingError
+from kgkit.errors import ParseError, QueryValidationError, SamplingError, UnknownPrefixError, ValidationError
 from kgkit.io import (
     _ESCAPES,
-    _PUNCT,
     AT_PREFIX,
     BLANK,
+    COMMA,
+    DOT,
     EOF,
     HATHAT,
     IRIREF,
     KEYWORD_A,
     LANGTAG,
+    LBRACKET,
+    LPAREN,
     QNAME,
+    RBRACKET,
+    RPAREN,
+    SEMICOLON,
     STRING,
+    ParseReport,
     _Token,
     format_term,
 )
@@ -32,7 +39,7 @@ from kgkit.graph import Binding, Graph
 from kgkit.owl import EqualityPartition, saturate_owl
 from kgkit.query import REGIMES, Query, _validate
 from kgkit.rdfs import saturate_rdfs
-from kgkit.terms import IRI, BlankNode, Literal, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
+from kgkit.terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
 TermTriple = tuple[Term, Term, Term]
 
@@ -529,6 +536,38 @@ def oracle_predict_links(model, graph, s, p, o, k, filtered):
 # N-Triples / Turtle: the per-character tokenizer
 # ---------------------------------------------------------------------------
 
+_PUNCT = {".": DOT, ";": SEMICOLON, ",": COMMA, "[": LBRACKET, "]": RBRACKET, "(": LPAREN, ")": RPAREN}
+_DIGITS = "0123456789"
+INTEGER, DECIMAL, DOUBLE, BOOLEAN = "integer", "decimal", "double", "boolean"
+
+
+def _digits(s: str) -> bool:
+    return s != "" and all(c in _DIGITS for c in s)
+
+
+def oracle_shorthand_kind(word: str) -> str | None:
+    """INTEGER, DECIMAL, DOUBLE or BOOLEAN when `word` is that Turtle shorthand (RDF 1.1 Turtle 6.5), else None."""
+    if word in ("true", "false"):
+        return BOOLEAN
+    body = word[1:] if word[0] in "+-" else word
+    exponent = None
+    for i, c in enumerate(body):
+        if c in "eE":
+            body, exponent = body[:i], body[i + 1 :]
+            break
+    whole, dot, fraction = body.partition(".")
+    if exponent is not None:
+        if exponent[:1] in ("+", "-"):
+            exponent = exponent[1:]
+        if not _digits(exponent):
+            return None
+        if _digits(whole) and (fraction == "" or _digits(fraction)):
+            return DOUBLE
+        return DOUBLE if whole == "" and dot and _digits(fraction) else None
+    if dot:
+        return DECIMAL if (whole == "" or _digits(whole)) and _digits(fraction) else None
+    return INTEGER if _digits(whole) else None
+
 
 def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
     tokens: list[_Token] = []
@@ -654,10 +693,217 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
                 tokens.append(_Token(KEYWORD_A, word, tline, tcol))
             elif ":" in word:
                 tokens.append(_Token(QNAME, word, tline, tcol))
+            elif oracle_shorthand_kind(word) is not None:
+                tokens.append(_Token(oracle_shorthand_kind(word), word, tline, tcol))
             else:
                 raise ParseError(f"unexpected token {word!r}", tline, tcol)
     tokens.append(_Token(EOF, "", line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Turtle: the Term-per-occurrence recursive descent over the tokenizer above
+# ---------------------------------------------------------------------------
+#
+# The parser as it was before the memo, extended only for three grammar
+# changes, each marked "extension": an empty IRI term is an error at its
+# token; a relative or empty datatype IRI is an error at its token; and the
+# numeric and boolean shorthand reads as XSD-typed literals.
+
+
+def _oracle_is_absolute(iri: str) -> bool:
+    """A scheme: an ASCII letter, then letters, digits, '+', '.' or '-', then ':'."""
+    if not iri or not ("a" <= iri[0].lower() <= "z"):
+        return False
+    for c in iri[1:]:
+        if c == ":":
+            return True
+        if not (c.isascii() and (c.isalnum() or c in "+.-")):
+            return False
+    return False
+
+
+def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = False, prefixes=None):
+    """Read one term starting at tokens[pos]; returns (term, next_pos)."""
+    tok = tokens[pos]
+    if tok.kind == IRIREF:
+        if not tok.value:  # extension: `<>`
+            raise ParseError("relative IRI '' and no base IRI is declared", tok.line, tok.col)
+        return IRI(tok.value), pos + 1
+    if tok.kind == BLANK:
+        return BlankNode(tok.value), pos + 1
+    if tok.kind == KEYWORD_A and allow_qname:
+        return vocab.RDF_TYPE, pos + 1
+    if tok.kind == QNAME and allow_qname:
+        assert prefixes is not None
+        try:
+            return prefixes.expand(tok.value), pos + 1
+        except UnknownPrefixError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from exc
+        except ValidationError:  # extension: a qname that expands to the empty IRI
+            raise ParseError("relative IRI '' and no base IRI is declared", tok.line, tok.col)
+    if tok.kind == STRING:
+        nxt = tokens[pos + 1]
+        if nxt.kind == LANGTAG:
+            return Literal(tok.value, language=nxt.value), pos + 2
+        if nxt.kind == HATHAT:
+            dt_tok = tokens[pos + 2]
+            if dt_tok.kind == IRIREF:
+                datatype = dt_tok.value
+            elif dt_tok.kind == QNAME and allow_qname:
+                prefix, local = dt_tok.value.split(":", 1)
+                if prefixes.namespace(prefix) is None:
+                    raise ParseError(str(UnknownPrefixError(prefix)), dt_tok.line, dt_tok.col)
+                datatype = prefixes.namespace(prefix) + local
+            else:
+                raise ParseError("expected datatype IRI after '^^'", dt_tok.line, dt_tok.col)
+            if not _oracle_is_absolute(datatype):  # extension: no base resolves a datatype
+                raise ParseError(
+                    f"relative datatype IRI {datatype!r} and no base IRI is declared", dt_tok.line, dt_tok.col
+                )
+            return Literal(tok.value, datatype=datatype), pos + 3
+        return Literal(tok.value), pos + 1
+    if tok.kind in (INTEGER, DECIMAL, DOUBLE, BOOLEAN):  # extension: shorthand literals
+        if not allow_qname:
+            raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
+        return Literal(tok.value, datatype=vocab.XSD + tok.kind), pos + 1
+    raise ParseError(f"expected a term, got {tok.value!r}", tok.line, tok.col)
+
+
+class _OracleTurtleParser:
+    def __init__(self, text: str):
+        self.tokens = oracle_tokenize(text)
+        self.pos = 0
+        self.graph = Graph()
+        self.prefixes = PrefixMap.common()
+        self.prefixes.bind("", vocab.DEFAULT_NS)
+        self.warnings: list[tuple[int, str]] = []
+        self._doc_labels = {t.value for t in self.tokens if t.kind == BLANK}
+        self._anon = 0
+
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def _next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def _expect(self, kind: str) -> _Token:
+        tok = self._next()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, got {tok.value!r}", tok.line, tok.col)
+        return tok
+
+    def _fresh_blank(self) -> BlankNode:
+        while True:
+            self._anon += 1
+            label = f"anon{self._anon}"
+            if label not in self._doc_labels:
+                self._doc_labels.add(label)
+                return BlankNode(label)
+
+    def _emit(self, s: Term, p: Term, o: Term, tok: _Token) -> None:
+        try:
+            self.graph.insert(Triple(s, p, o))
+        except ValidationError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from exc
+
+    def parse(self) -> ParseReport:
+        while self._peek().kind != EOF:
+            if self._peek().kind == AT_PREFIX:
+                self._prefix_directive()
+            else:
+                self._triples_statement()
+        return ParseReport(self.graph, self.prefixes, self.warnings)
+
+    def _prefix_directive(self) -> None:
+        self._expect(AT_PREFIX)
+        tok = self._next()
+        if tok.kind != QNAME or not tok.value.endswith(":"):
+            raise ParseError("expected 'prefix:' after @prefix", tok.line, tok.col)
+        prefix = tok.value[:-1]
+        ns = self._expect(IRIREF).value
+        old = self.prefixes.namespace(prefix)
+        if old is not None and old != ns and not (prefix == "" and old == vocab.DEFAULT_NS):
+            self.warnings.append((tok.line, f"prefix {prefix!r} redefined from <{old}> to <{ns}>"))
+        self.prefixes.bind(prefix, ns)
+        self._expect(DOT)
+
+    def _triples_statement(self) -> None:
+        subject = self._node(as_subject=True)
+        self._predicate_object_list(subject)
+        self._expect(DOT)
+
+    def _predicate_object_list(self, subject: Term) -> None:
+        while True:
+            verb_tok = self._peek()
+            predicate = self._verb()
+            while True:
+                obj = self._node()
+                self._emit(subject, predicate, obj, verb_tok)
+                if self._peek().kind == COMMA:
+                    self._next()
+                    continue
+                break
+            if self._peek().kind == SEMICOLON:
+                self._next()
+                # tolerate a trailing ';' before '.' or ']'
+                if self._peek().kind in (DOT, RBRACKET):
+                    return
+                continue
+            return
+
+    def _verb(self) -> Term:
+        tok = self._peek()
+        if tok.kind in (IRIREF, QNAME, KEYWORD_A):
+            term, self.pos = oracle_term_from_tokens(self.tokens, self.pos, allow_qname=True, prefixes=self.prefixes)
+            return term
+        raise ParseError(f"expected a predicate, got {tok.value!r}", tok.line, tok.col)
+
+    def _node(self, as_subject: bool = False) -> Term:
+        tok = self._peek()
+        if tok.kind == LBRACKET:
+            self._next()
+            node = self._fresh_blank()
+            if self._peek().kind != RBRACKET:
+                self._predicate_object_list(node)
+            self._expect(RBRACKET)
+            return node
+        if tok.kind == LPAREN:
+            self._next()
+            return self._collection()
+        if tok.kind in (STRING, INTEGER, DECIMAL, DOUBLE, BOOLEAN):  # extension: shorthand literals
+            if as_subject:
+                raise ParseError("literal cannot be a subject", tok.line, tok.col)
+            term, self.pos = oracle_term_from_tokens(self.tokens, self.pos, allow_qname=True, prefixes=self.prefixes)
+            return term
+        if tok.kind in (IRIREF, QNAME, BLANK):
+            term, self.pos = oracle_term_from_tokens(self.tokens, self.pos, allow_qname=True, prefixes=self.prefixes)
+            return term
+        raise ParseError(f"expected a node, got {tok.value!r}", tok.line, tok.col)
+
+    def _collection(self) -> Term:
+        items = []
+        open_tok = self._peek()
+        while self._peek().kind != RPAREN:
+            if self._peek().kind == EOF:
+                raise ParseError("unterminated collection", open_tok.line, open_tok.col)
+            items.append(self._node())
+        self._next()  # ')'
+        if not items:
+            return vocab.RDF_NIL
+        nodes = [self._fresh_blank() for _ in items]
+        for i, item in enumerate(items):
+            self._emit(nodes[i], vocab.RDF_FIRST, item, open_tok)
+            rest = nodes[i + 1] if i + 1 < len(nodes) else vocab.RDF_NIL
+            self._emit(nodes[i], vocab.RDF_REST, rest, open_tok)
+        return nodes[0]
+
+
+def oracle_parse_turtle(text: str) -> ParseReport:
+    """The Turtle subset, one Term and Triple per occurrence; rdf/rdfs/owl/xsd and ':' pre-bound."""
+    return _OracleTurtleParser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -231,3 +231,80 @@ def test_turtle_warning_on_prefix_redefinition():
 def test_parse_report_round_trip_through_ntriples():
     g = parse_turtle(BOY_LISTING).graph
     assert triples_of(parse_ntriples(serialize_ntriples(g))) == triples_of(g)
+
+
+XSD = "http://www.w3.org/2001/XMLSchema#"
+
+
+def test_turtle_numeric_and_boolean_shorthand_round_trip():
+    g = parse_turtle(":x :p 42 , -7 , +0 , 1.5 , -.5 , 1e3 , 2.E-1 , +.5e+2 , true , false .").graph
+    expected = [
+        ("42", "integer"), ("-7", "integer"), ("+0", "integer"), ("1.5", "decimal"), ("-.5", "decimal"),
+        ("1e3", "double"), ("2.E-1", "double"), ("+.5e+2", "double"), ("true", "boolean"), ("false", "boolean"),
+    ]
+    # the lexical form is the token as written (RDF 1.1 Turtle, section 7.2)
+    assert triples_of(g) == {(N("x"), N("p"), Literal(text, datatype=XSD + kind)) for text, kind in expected}
+    text = serialize_ntriples(g)
+    assert '"-.5"^^<http://www.w3.org/2001/XMLSchema#decimal>' in text
+    assert triples_of(parse_ntriples(text)) == triples_of(g)
+    assert serialize_ntriples(parse_ntriples(text)) == text
+
+
+def test_turtle_shorthand_ends_before_a_statement_dot():
+    g = parse_turtle(":x :p 1.\n:y :p 2.5.\n:z :p true.").graph
+    assert triples_of(g) == {
+        (N("x"), N("p"), Literal("1", datatype=XSD + "integer")),
+        (N("y"), N("p"), Literal("2.5", datatype=XSD + "decimal")),
+        (N("z"), N("p"), Literal("true", datatype=XSD + "boolean")),
+    }
+
+
+@pytest.mark.parametrize("word", ["4x2", "1e", "e3", "1.5.2", "+", "-", "0x1F", "True", "1e3.5", "--1", "TRUE"])
+def test_other_bare_words_are_still_unexpected_tokens(word):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(f":x :p {word} .")
+    assert str(err.value) == f"unexpected token {word!r} at line 1, column 7"
+
+
+@pytest.mark.parametrize("word", ["42", "1.5", "1e3", "true"])
+def test_ntriples_has_no_shorthand(word):
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(f"<http://e.x/s> <http://e.x/p> {word} .\n")
+    assert str(err.value) == f"unexpected token {word!r} at line 1, column 31"
+    with pytest.raises(ParseError, match="unexpected token"):
+        parse_term(word)
+
+
+def test_typed_literal_with_an_absolute_datatype_round_trips():
+    line = '<http://e.x/s> <http://e.x/p> "v"^^<http://e.x/dt> .\n'
+    g = parse_ntriples(line)
+    assert triples_of(g) == {(IRI("http://e.x/s"), IRI("http://e.x/p"), Literal("v", datatype="http://e.x/dt"))}
+    assert serialize_ntriples(g) == line
+    ttl = parse_turtle('@prefix e: <http://e.x/> .\ne:s e:p "v"^^e:dt , "w"^^xsd:int .').graph
+    assert triples_of(parse_ntriples(serialize_ntriples(ttl))) == triples_of(ttl) == {
+        (IRI("http://e.x/s"), IRI("http://e.x/p"), Literal("v", datatype="http://e.x/dt")),
+        (IRI("http://e.x/s"), IRI("http://e.x/p"), Literal("w", datatype=XSD + "int")),
+    }
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, column",
+    [
+        (parse_ntriples, "<http://e.x/s> <http://e.x/p> <> .", "relative IRI ''", 31),
+        (parse_ntriples, "<> <http://e.x/p> <http://e.x/o> .", "relative IRI ''", 1),
+        (parse_turtle, ":s :p <> .", "relative IRI ''", 7),
+        (parse_turtle, "@prefix e: <> .\n:s :p e: .", "relative IRI ''", 7),
+        (parse_ntriples, '<http://e.x/s> <http://e.x/p> "v"^^<> .', "relative datatype IRI ''", 36),
+        (parse_ntriples, '<http://e.x/s> <http://e.x/p> "v"^^<rel> .', "relative datatype IRI 'rel'", 36),
+        (parse_turtle, ':s :p "v"^^<> .', "relative datatype IRI ''", 12),
+        (parse_turtle, ':s :p ( "v"^^<rel> ) .', "relative datatype IRI 'rel'", 14),
+        (parse_turtle, '@prefix r: <rel#> .\n:s :p "v"^^r:dt .', "relative datatype IRI 'rel#dt'", 12),
+        (parse_ntriples, '<rel> <http://e.x/p> "v" .', "relative IRI 'rel'", 1),
+        (parse_ntriples, '<http://e.x/s>  <http://e.x/p> <rel> .', "relative IRI 'rel'", 1),
+    ],
+)
+def test_empty_and_relative_iris_are_parse_errors_with_a_position(parse, text, message, column):
+    lines = text.split("\n")
+    with pytest.raises(ParseError) as err:
+        parse("# header\n" + text + "\n")
+    assert str(err.value) == f"{message} and no base IRI is declared at line {len(lines) + 1}, column {column}"

@@ -1,27 +1,54 @@
-"""Differential and property tests for the N-Triples/Turtle scanner and the canonical serializer.
+"""Differential and property tests for the N-Triples/Turtle readers and the canonical serializer.
 
 The regular-expression scanner must produce the tokens, and raise the
 ParseError messages, lines and columns, of the per-character tokenizer kept
 in `oracles.oracle_tokenize`.  The whole-line N-Triples path must build the
-graph, or raise the error, of the token scanner alone.  Canonical N-Triples
-must keep the bytes of the term-level serializer kept in
+graph, or raise the error, of the token scanner alone, and the memoized
+Turtle parser those of the Term-per-occurrence parser kept in
+`oracles.oracle_parse_turtle`.  `kgkit parse` answers any document with
+exit 0, or exit 2 and one positioned error line.  Canonical N-Triples must
+keep the bytes of the term-level serializer kept in
 `oracles.oracle_serialize_ntriples`.
 """
 
 import hashlib
+import os
 import random
 import re
+import tempfile
+from collections import Counter
+from contextlib import redirect_stderr
+from io import StringIO
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kgkit import BlankNode, Graph, IRI, Literal, ParseError, Triple, parse_ntriples, parse_term, serialize_ntriples
+from kgkit import (
+    BlankNode,
+    Graph,
+    IRI,
+    Literal,
+    ParseError,
+    Triple,
+    parse_ntriples,
+    parse_term,
+    parse_turtle,
+    serialize_ntriples,
+)
 from kgkit import io
+from kgkit.cli import main
 from kgkit.io import _escape_iri, _escape_string, _tokenize, format_term
 
-from oracles import oracle_escape_iri, oracle_escape_string, oracle_serialize_ntriples, oracle_tokenize, triples_of
+from oracles import (
+    oracle_escape_iri,
+    oracle_escape_string,
+    oracle_parse_turtle,
+    oracle_serialize_ntriples,
+    oracle_tokenize,
+    triples_of,
+)
 
 
 def outcome(tokenize, text: str, start_line: int = 1):
@@ -110,6 +137,21 @@ def test_scanner_matches_the_per_character_tokenizer(text, start_line):
 def test_scanner_matches_the_per_character_tokenizer_on_malformed_input(text):
     assert_same_as_oracle(text)
     assert_same_as_oracle(text, start_line=4)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "42 -7 +0 1.5 -.5 +.5 1e3 1E-3 2.e+1 -.5e2 true false",
+        "1. 2.5. 1e3. true.",
+        "4x2 1e e3 1.5.2 0x1F True 1e3.5 --1 + -",
+    ],
+)
+def test_shorthand_words_match_the_per_character_tokenizer(text):
+    for word in text.split():
+        assert_same_as_oracle(word)
+        assert_same_as_oracle(f":s :p {word} .\n", start_line=2)
+    assert_same_as_oracle(text)
 
 
 def test_escape_of_no_unicode_scalar_value_is_a_parse_error():
@@ -224,7 +266,7 @@ def test_each_distinct_term_text_is_built_once_per_parse():
     real = io._term_from_tokens
 
     def counted(tokens, pos, *args, **kwargs):
-        built.append(tokens[pos].value)
+        built.append(tokens[pos][1])
         return real(tokens, pos, *args, **kwargs)
 
     with mock.patch.object(io, "_term_from_tokens", counted):
@@ -234,6 +276,159 @@ def test_each_distinct_term_text_is_built_once_per_parse():
         assert len(built) == 2 * distinct
     assert len(g) == len(lines)
     assert parse_outcome(text) == scanner_outcome(text)
+
+
+# ---------------------------------------------------------------------------
+# The memoized Turtle parser against the Term-per-occurrence parser
+# ---------------------------------------------------------------------------
+
+# Directives that bind or rebind a prefix (to another or the same
+# namespace), and the terms of each kind: absolute IRIs, qnames of bound and
+# rebound prefixes, document labels that collide with generated ones, and
+# plain, tagged, typed and shorthand literals.  Each list has a second one of
+# pieces that fail (relative and empty IRIs, unknown prefixes, misplaced or
+# malformed terms), which a third of the documents draw one time in ten.
+TTL_DIRECTIVES = [
+    "@prefix ex: <http://e.y/#> .", "@prefix ex: <http://e.x/> .", "@prefix : <http://e.z/> .",
+    "@prefix ns: <http://n.s/> .", "@prefix xsd: <http://e.x/dt#> .", "@prefix e: <> .",
+], ["@prefix ex: <rel/> .", "@prefix geo <http://g/> .", "@prefix ex: ex:b ."]
+TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1", "_:anon1", "_:anon3"], [
+    "<rel>", "<>", "geo:z", "e:", "e:x", '"v"', "42", "true",
+]
+TTL_OBJECTS = TTL_SUBJECTS[0] + [
+    "<http://e.x/b#c>", '"v"', '"w\\n"', '"v"@en', '"v"@en-GB', '"v"^^<http://e.x/dt>', '"v"^^xsd:string',
+    '"v"^^ex:dt', "42", "-7", "+1.5", "1e3", "1.E-2", "true", "false",
+], TTL_SUBJECTS[1][:5] + ['"v"^^<rel>', '"v"^^<>', '"v"^^geo:t', '"v"^^42', '"v"^^e:', "(", "[ ]]"]
+TTL_VERBS = ["a", "ex:p", ":q", "<http://e.x/p>", "ns:y", "rdf:type"], ["<rel>", "geo:p", '"p"', "42", "_:p", "[]"]
+
+
+def ttl_piece(pieces, faulty: bool):
+    good, bad = pieces
+    return st.one_of([st.sampled_from(good)] * 9 + [st.sampled_from(bad)]) if faulty else st.sampled_from(good)
+
+
+def ttl_nodes(depth: int, faulty: bool, pieces=TTL_OBJECTS):
+    leaves = ttl_piece(pieces, faulty)
+    if depth == 0:
+        return leaves
+    return st.one_of(
+        leaves,
+        leaves,
+        st.just("[]"),
+        ttl_predicate_objects(depth - 1, faulty).map(lambda pol: f"[ {pol} ]"),
+        st.lists(ttl_nodes(depth - 1, faulty), max_size=3).map(lambda items: "( " + " ".join(items) + " )"),
+    )
+
+
+def ttl_predicate_objects(depth: int, faulty: bool):
+    objects = st.lists(ttl_nodes(depth, faulty), min_size=1, max_size=3)
+    pairs = st.lists(st.tuples(ttl_piece(TTL_VERBS, faulty), objects), min_size=1, max_size=3)
+    tail = st.sampled_from(["", "", " ;"])
+    return st.builds(lambda ps, t: " ; ".join(v + " " + " , ".join(os_) for v, os_ in ps) + t, pairs, tail)
+
+
+@st.composite
+def turtle_documents(draw):
+    """Directives and statements after the usual prefixes; a faulty document may get a malformed piece spliced in."""
+    faulty = draw(st.integers(min_value=0, max_value=2)) == 0
+    subject = ttl_nodes(1, faulty, TTL_SUBJECTS)
+    statement = st.builds(lambda s, pol: f"{s} {pol} .", subject, ttl_predicate_objects(1, faulty))
+    parts = draw(st.lists(st.one_of(ttl_piece(TTL_DIRECTIVES, faulty), statement, statement, statement), max_size=6))
+    if draw(st.integers(min_value=0, max_value=5)):
+        parts = ["@prefix ex: <http://e.x/> .", "@prefix ns: <http://n.s/> ."] + parts
+    text = draw(st.sampled_from(["\n", " ", "\n# c\n"])).join(parts)
+    if not faulty:
+        return text
+    extra = draw(st.one_of(st.just(""), st.sampled_from(MALFORMED + TOKENS)))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    return text[:at] + extra + text[at:]
+
+
+def turtle_outcome(parse, text: str):
+    try:
+        report = parse(text)
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+    g = report.graph
+    return ("report", g._id_to_term, list(g._triples), report.warnings, report.prefixes.prefixes())
+
+
+@settings(max_examples=700)
+@given(turtle_documents())
+@example("@prefix ex: <http://e.x/> .\nex:a ex:p ex:b .\n@prefix ex: <http://e.y/#> .\nex:a ex:p ex:b , ns:y .\n")
+@example('ex:a ex:p [ :q "v"^^ex:dt ; a _:anon1 ] .\n@prefix ex: <http://e.y/#> .\nex:a ex:p "v"^^ex:dt .\n')
+@example(":x :q ( <http://e.x/a> ( ) [] ) .\n_:anon2 :q ( _:anon1 ) .\n")
+@example(":x <rel> :y .\n")
+@example(":x :q ( :y\n <rel> ) .\n")
+@example(":x :q ( :y\n")
+@example(':x :q "v" .\n@prefix : <http://e.z/> .\n:x :q 42 , 1e3 , true .\n')
+def test_turtle_parser_matches_the_term_per_occurrence_parser(text):
+    try:
+        expected = turtle_outcome(oracle_parse_turtle, text)
+    except ValueError:
+        # the per-character tokenizer crashed on a \U escape beyond U+10FFFF
+        assume(False)
+    assert turtle_outcome(parse_turtle, text) == expected
+
+
+def test_each_distinct_turtle_term_text_is_built_once_per_parse():
+    block = '''ex:s ex:p ex:o , "v" , "v"@en , "v"^^ex:dt , 42 ; a ex:C ; ns:q ns:r , <http://e.x/o> .
+ns:r ex:p [ ns:q ex:o ] , ( ex:o "v" ) .
+'''
+    text = (
+        "@prefix ex: <http://e.x/> .\n@prefix ns: <http://n.s/> .\n"
+        + block * 3
+        + "@prefix ns: <http://n.s/> .\n"  # the same namespace: nothing to rebuild
+        + block
+        + "@prefix ex: <http://e.y/#> .\n"
+        + block * 2
+    )
+    built = []
+    real = io._term_from_tokens
+
+    def counted(tokens, pos, *args, **kwargs):
+        term, end = real(tokens, pos, *args, **kwargs)
+        built.append(" ".join(tok[1] for tok in tokens[pos:end]))
+        return term, end
+
+    with mock.patch.object(io, "_term_from_tokens", counted):
+        report = parse_turtle(text)
+        rebound = {"ex:s", "ex:p", "ex:o", "v ^^ ex:dt", "ex:C"}
+        others = {"v", "v en", "42", "a", "ns:q", "ns:r", "http://e.x/o"}
+        assert Counter(built) == {**{t: 2 for t in rebound}, **{t: 1 for t in others}}
+        parse_turtle(text)  # the memo lives for one parse
+        assert len(built) == 2 * (2 * len(rebound) + len(others))
+    assert turtle_outcome(lambda _: report, text) == turtle_outcome(oracle_parse_turtle, text)
+    assert report.graph.contains(Triple(IRI("http://e.y/#s"), IRI("http://e.y/#p"), IRI("http://e.y/#o")))
+
+
+# ---------------------------------------------------------------------------
+# `kgkit parse`: the exit-code table
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(documents(), st.sampled_from(["nt", "ttl"]))
+@example("<http://e.x/a> <http://e.x/p> <> .\n", "nt")
+@example(":a :p <> .\n", "ttl")
+@example('<http://e.x/a> <http://e.x/p> "v"^^<> .\n', "nt")
+@example('<http://e.x/a> <http://e.x/p> "v"^^<rel> .\n', "nt")
+@example(':a :p "v"^^<> .\n', "ttl")
+@example(':a :p "v"^^<rel> .\n', "ttl")
+@example("<rel> <http://e.x/p> <http://e.x/o> .\n", "nt")
+def test_cli_parse_exits_0_or_2_with_one_positioned_error_line(text, fmt):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, f"doc.{fmt}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        stderr = StringIO()
+        with redirect_stderr(stderr):
+            code = main(["parse", path, "--out", os.path.join(d, "out.nt")])
+    if code == 0:
+        assert stderr.getvalue() == ""
+    else:
+        assert code == 2
+        assert re.fullmatch(r"(parse )?error: [^\n]* at line \d+, column \d+\n", stderr.getvalue())
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,9 @@ def test_every_printed_term_reads_back_as_a_query_constant(term):
         ("?x nope:p ?y", "unknown prefix: 'nope' at line 3, column 4", 3),
         ('?x e:p "1"^^nope:int', "unknown prefix: 'nope' at line 3, column 13", 3),
         ("?x e:p e:a,e:b", "expected one term or variable, got 'e:a,e:b' at line 3, column 8", 3),
+        ("?x e:p <>", "relative IRI '' and no base IRI is declared at line 3, column 8", 3),
+        ('?x e:p "1"^^<int>', "relative datatype IRI 'int' and no base IRI is declared at line 3, column 13", 3),
+        ("?x e:p 4x2", "unexpected token '4x2' at line 3, column 8", 3),
     ],
 )
 def test_bad_query_constants_are_parse_errors_naming_the_line(text, message, line):
@@ -320,3 +323,11 @@ def test_bad_query_constants_are_parse_errors_naming_the_line(text, message, lin
 def test_turtle_datatype_with_an_unknown_prefix_is_a_parse_error():
     with pytest.raises(ParseError, match="unknown prefix: 'nope' at line 1, column 36"):
         parse_turtle('<http://e.x/a> <http://e.x/p> "1"^^nope:int .\n')
+
+
+def test_turtle_shorthand_query_constants_match_the_data():
+    g = parse_turtle(":a :age 42 ; :ok true ; :h 1.5 ; :w 1e3 .").graph
+    for word, kind in [("42", "integer"), ("true", "boolean"), ("1.5", "decimal"), ("1e3", "double")]:
+        q, _ = parse_query(f"?s ?p {word} .\n")
+        assert q.patterns[0].object == Literal(word, datatype="http://www.w3.org/2001/XMLSchema#" + kind)
+        assert [b["s"] for b in query(g, q)] == [IRI("http://example.org/ns#a")]
