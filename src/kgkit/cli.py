@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 parse error, 3 inconsistent KB,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -78,6 +79,17 @@ def _report_json(report: rdfs.InconsistencyReport) -> list[dict]:
     ]
 
 
+@contextlib.contextmanager
+def _stats(args):
+    """With --stats, write the counts of every fixpoint run inside the block to stderr as one JSON line."""
+    if not args.stats:
+        yield
+        return
+    with rdfs.fixpoint_stats() as runs:
+        yield
+    print(json.dumps({"fixpoints": [run.as_json() for run in runs]}, sort_keys=True), file=sys.stderr)
+
+
 def cmd_parse(args) -> int:
     graph = _load_graph(args.input, args.format)
     _write_out(serialize_ntriples(graph), args.out)
@@ -86,7 +98,8 @@ def cmd_parse(args) -> int:
 
 def cmd_infer(args) -> int:
     graph = _load_graph(args.input, args.format)
-    closure = rdfs.saturate_rdfs(graph) if args.profile == "rdfs" else owl.saturate_owl(graph)[0]
+    with _stats(args):
+        closure = rdfs.saturate_rdfs(graph) if args.profile == "rdfs" else owl.saturate_owl(graph)[0]
     report = closure.report
     emitted = graph_from_triples(closure.derived) if args.derived_only else closure.graph
     _write_out(serialize_ntriples(emitted), args.out)
@@ -110,13 +123,14 @@ def _ask(work: Graph, questions, regime: str, outcome: dict[int, bool | str]) ->
 def cmd_check(args) -> int:
     graph = _load_graph(args.input, args.format)
     questions = parse_competency(_read(args.competency)) if args.competency else []
-    closure, report = owl.saturate_owl(graph)
     outcome: dict[int, bool | str] = {}
-    _ask(closure.graph, questions, "owl", outcome)
-    closure = None  # hold one closure at a time, the graph's cached one included
-    graph._closures.pop("owl", None)
-    if any(regime == "rdfs" for _, _, regime in questions):
-        _ask(rdfs.saturate_rdfs(graph).graph, questions, "rdfs", outcome)
+    with _stats(args):
+        closure, report = owl.saturate_owl(graph)
+        _ask(closure.graph, questions, "owl", outcome)
+        closure = None  # hold one closure at a time, the graph's cached one included
+        graph._closures.pop("owl", None)
+        if any(regime == "rdfs" for _, _, regime in questions):
+            _ask(rdfs.saturate_rdfs(graph).graph, questions, "rdfs", outcome)
     _ask(graph, questions, "none", outcome)
     for i in sorted(outcome):
         if isinstance(outcome[i], str):
@@ -216,6 +230,9 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+_STATS_HELP = "print each fixpoint run's rounds, delta sizes and per-rule candidate and new-triple counts on stderr as JSON"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgkit", description="Knowledge-graph toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -232,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=["rdfs", "owl"], default="rdfs")
     p.add_argument("--derived-only", action="store_true")
     p.add_argument("--out", default=None)
+    p.add_argument("--stats", action="store_true", help=_STATS_HELP)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("check", help="consistency check, optionally with competency questions")
@@ -239,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["nt", "ttl"], default=None)
     p.add_argument("--competency", default=None)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true", help=_STATS_HELP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("query", help="run a query file against a graph")

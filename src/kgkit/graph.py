@@ -4,8 +4,11 @@ Terms are interned into integer ids (a bijective dictionary) and triples
 are kept as id tuples in an insertion-ordered dict used as a set, plus
 two nested-dict indexes.  A pattern that binds its subject or predicate
 is one index probe; a pattern that binds only its object walks the
-predicates of POS.  Mutation is single-writer; readers should work on a
-`copy()` when the original may still change.
+predicates of POS.  The fixpoint's rules read the index sets directly
+through small id accessors (`objects`, `subjects`, `pairs`, `lacking`),
+which `Overlay` answers from both of its layers.  Mutation is
+single-writer; readers should work on a `copy()` when the original may
+still change.
 
 Triples are never removed, so a graph's `version`, its number of
 triples, names its state, and the triples after the first v are those
@@ -15,7 +18,8 @@ version (`rdfs._saturate`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import filterfalse
+from typing import AbstractSet, Iterable, Iterator
 from urllib.parse import urljoin
 
 from .errors import ValidationError
@@ -24,6 +28,9 @@ from .terms import IRI, BlankNode, Literal, Term, Triple, TriplePattern, Var, so
 Binding = dict[str, Term]
 
 IdTriple = tuple[int, int, int]
+
+_NO_INDEX: dict = {}  # the index entry of an absent key; never written
+_NONE: frozenset[int] = frozenset()
 
 
 class Graph:
@@ -101,8 +108,21 @@ class Graph:
             return False
         s, p, o = t
         self._triples[t] = None
-        self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        # build an inner dict or set only when it is missing
+        by_p = self._spo.get(s)
+        if by_p is None:
+            self._spo[s] = {p: {o}}
+        elif (os_ := by_p.get(p)) is None:
+            by_p[p] = {o}
+        else:
+            os_.add(o)
+        by_o = self._pos.get(p)
+        if by_o is None:
+            self._pos[p] = {o: {s}}
+        elif (ss := by_o.get(o)) is None:
+            by_o[o] = {s}
+        else:
+            ss.add(s)
         return True
 
     @property
@@ -157,6 +177,29 @@ class Graph:
         g._spo = {s: {p: set(os) for p, os in ps.items()} for s, ps in self._spo.items()}
         g._pos = {p: {o: set(ss) for o, ss in os.items()} for p, os in self._pos.items()}
         return g
+
+    # -- id accessors for the rules -----------------------------------
+    #
+    # `objects` and `subjects` return the index's own set, or an empty
+    # frozenset; callers read it and never change it.
+
+    def objects(self, s: int, p: int) -> AbstractSet[int]:
+        """The o of every (s, p, o)."""
+        return self._spo.get(s, _NO_INDEX).get(p, _NONE)
+
+    def subjects(self, p: int, o: int) -> AbstractSet[int]:
+        """The s of every (s, p, o)."""
+        return self._pos.get(p, _NO_INDEX).get(o, _NONE)
+
+    def pairs(self, p: int) -> Iterator[tuple[int, int]]:
+        """(s, o) for every (s, p, o)."""
+        for o, ss in self._pos.get(p, _NO_INDEX).items():
+            for s in ss:
+                yield s, o
+
+    def lacking(self, xs: Iterable[int], p: int, o: int) -> Iterator[int]:
+        """The members x of `xs` with no (x, p, o), tested in C against the POS entry (p, o)."""
+        return filterfalse(self.subjects(p, o).__contains__, xs)
 
     # -- matching ------------------------------------------------------
 
@@ -335,6 +378,24 @@ class Overlay:
     def match_ids(self, s: int | None = None, p: int | None = None, o: int | None = None) -> Iterator[IdTriple]:
         yield from self._under.match_ids(s, p, o)
         yield from self._top.match_ids(s, p, o)
+
+    # the id accessors of `Graph`, answered from both layers: a set is
+    # merged only when both layers hold part of it
+
+    def objects(self, s: int, p: int) -> AbstractSet[int]:
+        under, top = self._under.objects(s, p), self._top.objects(s, p)
+        return under | top if under and top else under or top
+
+    def subjects(self, p: int, o: int) -> AbstractSet[int]:
+        under, top = self._under.subjects(p, o), self._top.subjects(p, o)
+        return under | top if under and top else under or top
+
+    def pairs(self, p: int) -> Iterator[tuple[int, int]]:
+        yield from self._under.pairs(p)
+        yield from self._top.pairs(p)
+
+    def lacking(self, xs: Iterable[int], p: int, o: int) -> Iterator[int]:
+        return self._top.lacking(self._under.lacking(xs, p, o), p, o)
 
 
 def graph_from_triples(triples: Iterable[Triple], base: str | None = None) -> Graph:

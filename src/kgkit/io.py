@@ -5,7 +5,7 @@ use: @prefix, qnames, 'a' for rdf:type, ';' and ',' continuation lists,
 '[ ... ]' anonymous nodes, '( ... )' collections (expanded into
 rdf:first/rdf:rest chains ending at rdf:nil), plain, typed and
 language-tagged literals, and the numeric and boolean shorthand (42,
--7, 1.5, 1e3, true, false as xsd:integer, decimal, double and boolean
+-7, 1.5, .5, 1e3, true, false as xsd:integer, decimal, double and boolean
 literals).  Serialization is canonical N-Triples: one sorted line per
 triple, byte-identical across runs for equal graphs.
 
@@ -16,7 +16,8 @@ N-Triples lines that are not of the common shape and for query
 patterns.  The Turtle reader memoizes terms by token text for one parse
 and interns each at its first emission; rebinding a prefix to another
 namespace drops the entries of that prefix's qnames.  No base IRI is
-declared, so `<>` and relative datatypes are parse errors.
+declared, so `<>`, relative IRIs and relative datatypes are parse errors;
+the Turtle reader reports each at its own token.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 # on one line.  `bad` takes the one character that starts no well-formed
 # token (an unterminated or badly escaped IRI or literal, a lone '^', '>',
 # or whitespace other than space, tab, CR and LF); `_malformed` then names
-# the fault.
+# the fault.  A '.' before a digit starts a word (a number such as .5 or
+# .5e3), so `word` comes before `punct`; any other '.' outside a word is
+# punctuation.
 _SCANNER = re.compile(
     rf"""
     (?=.)
@@ -95,8 +98,8 @@ _SCANNER = re.compile(
     | @(?P<at>(?:[^\W_]|-)*)
     | (?P<hathat>\^\^)
     | _:(?P<blank>[^\s.;,()\[\]<"]*)
+    | (?P<word>(?:[^\s.;,()\[\]<>"^@]+|\.(?=[0-9])[^\s.;,()\[\]<>"^@]*)(?:\.(?=[^\s;,()\[\]])[^\s.;,()\[\]<>"^@]*)*)
     | (?P<punct>[.;,\[\]()])
-    | (?P<word>[^\s.;,()\[\]<>"^@]+(?:\.(?=[^\s;,()\[\]])[^\s.;,()\[\]<>"^@]*)*)
     | (?P<bad>.)
     )?
     """,
@@ -417,6 +420,8 @@ class _TurtleParser:
         slot = self._memo.get(key)
         if slot is None:
             term, end = _term_from_tokens(tokens, pos, True, self.prefixes, self._at)
+            if isinstance(term, IRI) and not term.is_absolute():  # no base resolves it: report it here
+                raise ParseError(_NO_BASE.format("IRI", term.value), *self._at(tokens[pos]))
             slot = self._memo[key] = [term, -1]
             qname = key[1] if kind == QNAME else key[3] if key[2:3] == (QNAME,) else None
             if qname is not None:
@@ -424,16 +429,13 @@ class _TurtleParser:
         self.pos = end
         return slot
 
-    def _emit(self, s: list, p: list, o: list, offset: int) -> None:
-        """Insert a triple of slots, interning new terms in s, p, o order; `offset` locates an error."""
+    def _emit(self, s: list, p: list, o: list) -> None:
+        """Insert a triple of slots, interning new terms in s, p, o order."""
         ids = (s[1], p[1], o[1])
         if -1 in ids:
-            try:
-                for slot in (s, p, o):
-                    if slot[1] < 0:
-                        slot[1] = self.graph.intern(slot[0])
-            except ValidationError as exc:  # a relative IRI
-                raise ParseError(str(exc), *_line_col(self.text, offset)) from exc
+            for slot in (s, p, o):
+                if slot[1] < 0:
+                    slot[1] = self.graph.intern(slot[0])
             ids = (s[1], p[1], o[1])
         self.graph.insert_ids(ids)
 
@@ -471,11 +473,10 @@ class _TurtleParser:
     def _predicate_object_list(self, subject: list) -> None:
         tokens = self.tokens
         while True:
-            verb_offset = tokens[self.pos][2]
             predicate = self._verb()
             while True:
                 obj = self._node()
-                self._emit(subject, predicate, obj, verb_offset)
+                self._emit(subject, predicate, obj)
                 if tokens[self.pos][0] == COMMA:
                     self.pos += 1
                     continue
@@ -517,7 +518,7 @@ class _TurtleParser:
 
     def _collection(self) -> list:
         items = []
-        open_tok = self.tokens[self.pos]  # the token after '(' locates the collection's errors
+        open_tok = self.tokens[self.pos]  # the token after '(' locates an unterminated collection
         while self.tokens[self.pos][0] != RPAREN:
             if self.tokens[self.pos][0] == EOF:
                 raise ParseError("unterminated collection", *self._at(open_tok))
@@ -527,8 +528,8 @@ class _TurtleParser:
             return self._nil
         nodes = [self._fresh_blank() for _ in items]
         for i, item in enumerate(items):
-            self._emit(nodes[i], self._first, item, open_tok[2])
-            self._emit(nodes[i], self._rest, nodes[i + 1] if i + 1 < len(nodes) else self._nil, open_tok[2])
+            self._emit(nodes[i], self._first, item)
+            self._emit(nodes[i], self._rest, nodes[i + 1] if i + 1 < len(nodes) else self._nil)
         return nodes[0]
 
 

@@ -33,6 +33,7 @@ from .graph import Graph, IdTriple, Overlay
 from .rdfs import (
     RDFS_RULES,
     Closure,
+    Delta,
     InconsistencyReport,
     Violation,
     _fixpoint,
@@ -61,44 +62,46 @@ def _list_walk(g: Graph | Overlay, node: int) -> tuple[list[int], bool]:
             reached_nil = True
         elif n not in seen:
             seen.add(n)
-            firsts = [o for _, _, o in g.match_ids(n, first, None)] if first is not None else []
+            firsts = g.objects(n, first)
             every_cell_has_first &= bool(firsts)
             members.update(firsts)
-            if rest is not None:
-                stack.extend(o for _, _, o in g.match_ids(n, rest, None))
+            stack.extend(g.objects(n, rest))
     return sorted(members), reached_nil and every_cell_has_first
 
 
-def _expressions(g: Graph | Overlay, op: int, delta: Iterable[IdTriple]) -> list[tuple[int, int, list[int], bool]]:
-    """(C, L, members, complete) for each expression (C op L) with a premise in the delta.
+def _delta_cells(g: Graph | Overlay, op: int, delta: Delta) -> list[int]:
+    """The list heads of the delta's (C op L) triples and the cells of its rdf:first and rdf:rest triples."""
+    by_predicate = delta.by_predicate
+    cells = [l for _, _, l in by_predicate.get(op, ())]
+    for p in (g.lookup(vocab.RDF_FIRST), g.lookup(vocab.RDF_REST)):
+        cells.extend(s for s, _, _ in by_predicate.get(p, ()))
+    return cells
 
-    A premise is the operator triple, whose cell is its list head, or a
-    cell of L.  The lists that reach a cell are found by walking rdf:rest
-    backwards from it; each found list is then walked with `_list_walk`.
+
+def _expressions(g: Graph | Overlay, op: int, cells: Iterable[int]) -> list[tuple[int, int, list[int], bool]]:
+    """(C, L, members, complete) for each expression (C op L) whose list L holds one of `cells`.
+
+    A cell is a list head or any later cell.  The lists that reach a cell
+    are found by walking rdf:rest backwards from it; each found list is
+    then walked with `_list_walk`.
     """
-    first = g.lookup(vocab.RDF_FIRST)
     rest = g.lookup(vocab.RDF_REST)
-    found: set[IdTriple] = set()
-    stack = [o if p == op else s for s, p, o in delta if p in (op, first, rest)]
+    found: set[tuple[int, int]] = set()
+    stack = list(cells)
     seen = {g.lookup(vocab.RDF_NIL)}  # no list goes on past rdf:nil
     while stack:
         n = stack.pop()
         if n not in seen:
             seen.add(n)
-            found.update(g.match_ids(None, op, n))
-            if rest is not None:
-                stack.extend(k for k, _, _ in g.match_ids(None, rest, n))
-    return [(c, l, *_list_walk(g, l)) for c, _, l in sorted(found)]
+            found.update((c, n) for c in g.subjects(op, n))
+            stack.extend(g.subjects(rest, n))
+    return [(c, l, *_list_walk(g, l)) for c, l in sorted(found)]
 
 
-def _r_sameas_symmetry(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_sameas_symmetry(g: Graph | Overlay, delta: Delta):
     """(x sameAs y) -> (y sameAs x)"""
-    sa = g.lookup(vocab.OWL_SAMEAS)
-    if sa is None:
-        return
-    for x, p, y in delta:
-        if p == sa:
-            yield (y, sa, x), "owl-sameas-symmetry", ((x, sa, y),)
+    for t in delta.by_predicate.get(g.lookup(vocab.OWL_SAMEAS), ()):
+        yield (t[2], t[1], t[0]), "owl-sameas-symmetry", (t,)
 
 
 def _substitutions(t: IdTriple, old: int, new: int):
@@ -112,7 +115,7 @@ def _substitutions(t: IdTriple, old: int, new: int):
         yield (s, p, new)
 
 
-def _r_sameas_substitution(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_sameas_substitution(g: Graph | Overlay, delta: Delta):
     """(a sameAs b) materializes every triple mentioning a with b in its place.
 
     Rewriting (x sameAs a) under (a sameAs b) gives (x sameAs b), so this
@@ -121,114 +124,114 @@ def _r_sameas_substitution(g: Graph | Overlay, delta: list[IdTriple]):
     sa = g.lookup(vocab.OWL_SAMEAS)
     if sa is None:
         return
-    for t in delta:
-        s, p, o = t
-        if p == sa and not isinstance(g.term(o), Literal) and s != o:
-            a, b = s, o
+    for equality in delta.by_predicate.get(sa, ()):
+        a, _, b = equality
+        if a != b and not isinstance(g.term(b), Literal):
             mentioning = set()
             mentioning.update(g.match_ids(a, None, None))
             mentioning.update(g.match_ids(None, a, None))
             mentioning.update(g.match_ids(None, None, a))
             for src in mentioning:
                 for rewritten in _substitutions(src, a, b):
-                    yield rewritten, "owl-sameas-substitution", ((a, sa, b), src)
-        # a newly derived triple is itself subject to all known equalities
+                    yield rewritten, "owl-sameas-substitution", (equality, src)
+    # a newly derived triple is itself subject to all known equalities
+    equals: dict[int, list[int]] = {}  # u -> the non-literal terms other than u that u is sameAs, read once per round
+    for t in delta:
         for u in set(t):
-            for _, _, v in g.match_ids(u, sa, None):
-                if u == v or isinstance(g.term(v), Literal):
-                    continue
+            vs = equals.get(u)
+            if vs is None:
+                vs = equals[u] = [v for v in g.objects(u, sa) if v != u and not isinstance(g.term(v), Literal)]
+            for v in vs:
                 for rewritten in _substitutions(t, u, v):
                     yield rewritten, "owl-sameas-substitution", ((u, sa, v), t)
 
 
-def _r_functional(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_functional(g: Graph | Overlay, delta: Delta):
     """(P a FunctionalProperty), (x P y1), (x P y2) -> (y1 sameAs y2)"""
     typ = g.lookup(vocab.RDF_TYPE)
     fp = g.lookup(vocab.OWL_FUNCTIONALPROPERTY)
     if typ is None or fp is None:
         return
     sa = g.intern(vocab.OWL_SAMEAS)
-
-    def pairs(prop: int, decl: IdTriple):
-        for x, _, y1 in g.match_ids(None, prop, None):
-            for _, _, y2 in g.match_ids(x, prop, None):
+    for prop in delta.by_object(typ).get(fp, ()):  # a new declaration pairs the objects of every subject
+        decl = (prop, typ, fp)
+        for x, y1 in g.pairs(prop):
+            for y2 in g.objects(x, prop):
                 if y1 != y2 and not isinstance(g.term(y2), Literal):
-                    yield (y1, sa, y2), "owl-functional-property", (
-                        decl,
-                        (x, prop, y1),
-                        (x, prop, y2),
-                    )
-
-    for s, p, o in delta:
-        if p == typ and o == fp:
-            yield from pairs(s, (s, typ, o))
-        else:
-            decl = (p, typ, fp)
-            if g.contains_ids(decl):
-                for _, _, y2 in g.match_ids(s, p, None):
+                    yield (y1, sa, y2), "owl-functional-property", (decl, (x, prop, y1), (x, prop, y2))
+    for p, triples in delta.by_predicate.items():
+        decl = (p, typ, fp)
+        if g.contains_ids(decl):
+            for t in triples:
+                s, _, o = t
+                for y2 in g.objects(s, p):
                     if y2 != o and not isinstance(g.term(y2), Literal):
-                        yield (o, sa, y2), "owl-functional-property", (
-                            decl,
-                            (s, p, o),
-                            (s, p, y2),
-                        )
+                        yield (o, sa, y2), "owl-functional-property", (decl, t, (s, p, y2))
 
 
-def _r_inverse(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_inverse(g: Graph | Overlay, delta: Delta):
     """(P inverseOf Q): (x P y) -> (y Q x) and (x Q y) -> (y P x)"""
     inv = g.lookup(vocab.OWL_INVERSEOF)
     if inv is None:
         return
-    for s, p, o in delta:
-        if p == inv:
-            prop_p, prop_q = s, o
-            decl = (s, p, o)
-            for x, _, y in g.match_ids(None, prop_p, None):
-                yield (y, prop_q, x), "owl-inverse-property", ((x, prop_p, y), decl)
-            for x, _, y in g.match_ids(None, prop_q, None):
-                yield (y, prop_p, x), "owl-inverse-property", ((x, prop_q, y), decl)
-        for _, _, q in g.match_ids(p, inv, None):
-            yield (o, q, s), "owl-inverse-property", ((s, p, o), (p, inv, q))
-        for r, _, _ in g.match_ids(None, inv, p):
-            yield (o, r, s), "owl-inverse-property", ((s, p, o), (r, inv, p))
+    for decl in delta.by_predicate.get(inv, ()):
+        p, _, q = decl
+        for x, y in g.pairs(p):
+            yield (y, q, x), "owl-inverse-property", ((x, p, y), decl)
+        for x, y in g.pairs(q):
+            yield (y, p, x), "owl-inverse-property", ((x, q, y), decl)
+    for p, triples in delta.by_predicate.items():
+        for q in g.objects(p, inv):
+            decl = (p, inv, q)
+            for t in triples:
+                yield (t[2], q, t[0]), "owl-inverse-property", (t, decl)
+        for r in g.subjects(inv, p):
+            decl = (r, inv, p)
+            for t in triples:
+                yield (t[2], r, t[0]), "owl-inverse-property", (t, decl)
 
 
-def _r_transitive(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_transitive(g: Graph | Overlay, delta: Delta):
     """(P a TransitiveProperty), (x P y), (y P z) -> (x P z)"""
     typ = g.lookup(vocab.RDF_TYPE)
     tp = g.lookup(vocab.OWL_TRANSITIVEPROPERTY)
     if typ is None or tp is None:
         return
-    for s, p, o in delta:
-        if p == typ and o == tp:
-            decl = (s, typ, tp)
-            for x, _, y in g.match_ids(None, s, None):
-                for _, _, z in g.match_ids(y, s, None):
-                    yield (x, s, z), "owl-transitive-property", (decl, (x, s, y), (y, s, z))
+    for prop in delta.by_object(typ).get(tp, ()):  # a new declaration composes every pair of P triples
+        decl = (prop, typ, tp)
+        for x, y in g.pairs(prop):
+            for z in g.objects(y, prop):
+                yield (x, prop, z), "owl-transitive-property", (decl, (x, prop, y), (y, prop, z))
+    for p, triples in delta.by_predicate.items():
         decl = (p, typ, tp)
         if g.contains_ids(decl):
-            for _, _, z in g.match_ids(o, p, None):
-                yield (s, p, z), "owl-transitive-property", (decl, (s, p, o), (o, p, z))
-            for w, _, _ in g.match_ids(None, p, s):
-                yield (w, p, o), "owl-transitive-property", (decl, (w, p, s), (s, p, o))
+            for t in triples:
+                s, _, o = t
+                for z in g.objects(o, p) - g.objects(s, p):
+                    yield (s, p, z), "owl-transitive-property", (decl, t, (o, p, z))
+                for w in g.subjects(p, s) - g.subjects(p, o):
+                    yield (w, p, o), "owl-transitive-property", (decl, (w, p, s), t)
 
 
-def _r_equivalent_class(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_equivalent_class(g: Graph | Overlay, delta: Delta):
     """(C equivalentClass D) <-> (C sco D) and (D sco C)"""
     eqc = g.lookup(vocab.OWL_EQUIVALENTCLASS)
     sco = g.lookup(vocab.RDFS_SUBCLASSOF)
     sco_id = g.intern(vocab.RDFS_SUBCLASSOF) if eqc is not None else None
     eqc_id = g.intern(vocab.OWL_EQUIVALENTCLASS) if sco is not None else None
-    for s, p, o in delta:
-        if eqc is not None and p == eqc:
-            yield (s, sco_id, o), "owl-equivalence-subclass", ((s, eqc, o),)
-            yield (o, sco_id, s), "owl-equivalence-subclass", ((s, eqc, o),)
-        if sco is not None and p == sco and g.contains_ids((o, sco, s)):
-            yield (s, eqc_id, o), "owl-subclass-equivalence", ((s, sco, o), (o, sco, s))
-            yield (o, eqc_id, s), "owl-subclass-equivalence", ((o, sco, s), (s, sco, o))
+    for t in delta.by_predicate.get(eqc, ()):
+        s, _, o = t
+        yield (s, sco_id, o), "owl-equivalence-subclass", (t,)
+        yield (o, sco_id, s), "owl-equivalence-subclass", (t,)
+    for t in delta.by_predicate.get(sco, ()):
+        s, _, o = t
+        back = (o, sco, s)
+        if g.contains_ids(back):
+            yield (s, eqc_id, o), "owl-subclass-equivalence", (t, back)
+            yield (o, eqc_id, s), "owl-subclass-equivalence", (back, t)
 
 
-def _r_intersection(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_intersection(g: Graph | Overlay, delta: Delta):
     """(C intersectionOf L): C is a subclass of each member of L, and membership in all of L builds C.
 
     Building C needs the whole list, so it waits for a complete one; the
@@ -246,35 +249,38 @@ def _r_intersection(g: Graph | Overlay, delta: list[IdTriple]):
             premises = ((c, inter, l),) + tuple((x, typ, m) for m in members)
             yield (x, typ, c), "owl-intersection-build", premises
 
-    for c, l, members, complete in _expressions(g, inter, delta):
+    for c, l, members, complete in _expressions(g, inter, _delta_cells(g, inter, delta)):
         for m in members:
             yield (c, sco, m), "owl-intersection-subclass", ((c, inter, l),)
         if typ is not None and complete and members:
-            for x in sorted(x for x, _, _ in g.match_ids(None, typ, members[0])):
+            for x in sorted(g.subjects(typ, members[0])):
                 yield from build(x, c, l, members)
-    typed: dict[int, list[int]] = {}  # class -> the individuals the delta types with it
-    for x, p, d in delta:
-        if p == typ and first is not None:
-            typed.setdefault(d, []).append(x)
-    for d, xs in sorted(typed.items()):
-        for c, l, members, complete in _expressions(g, inter, g.match_ids(None, first, d)):
+    # the individuals the delta types with D, joined once per class D
+    for d, xs in sorted(delta.by_object(typ).items()):
+        for c, l, members, complete in _expressions(g, inter, g.subjects(first, d)):
             if complete:
                 for x in xs:
                     yield from build(x, c, l, members)
 
 
-def _r_union(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_union(g: Graph | Overlay, delta: Delta):
     """(C unionOf L), M in L -> (M subClassOf C), for a list prefix too"""
     uni = g.lookup(vocab.OWL_UNIONOF)
     if uni is None:
         return
     sco = g.intern(vocab.RDFS_SUBCLASSOF)
-    for c, l, members, _ in _expressions(g, uni, delta):
+    for c, l, members, _ in _expressions(g, uni, _delta_cells(g, uni, delta)):
         for m in members:
             yield (m, sco, c), "owl-union-subclass", ((c, uni, l),)
 
 
-def _r_somevalues(g: Graph | Overlay, delta: list[IdTriple]):
+def _restrictions(delta: Delta, *predicates: int) -> set[int]:
+    """The subjects of the delta's triples with these predicates: restrictions that gained a triple."""
+    by_predicate = delta.by_predicate
+    return {r for p in predicates for r, _, _ in by_predicate.get(p, ())}
+
+
+def _r_somevalues(g: Graph | Overlay, delta: Delta):
     """(R onProperty P), (R someValuesFrom D), (x P y), (y type D) -> (x type R)"""
     svf = g.lookup(vocab.OWL_SOMEVALUESFROM)
     onp = g.lookup(vocab.OWL_ONPROPERTY)
@@ -283,28 +289,31 @@ def _r_somevalues(g: Graph | Overlay, delta: list[IdTriple]):
         return
 
     def fire(r: int, prop: int, d: int, x: int, y: int):
-        yield (x, typ, r), "owl-somevalues-recognition", ((r, onp, prop), (r, svf, d), (x, prop, y), (y, typ, d))
+        return (x, typ, r), "owl-somevalues-recognition", ((r, onp, prop), (r, svf, d), (x, prop, y), (y, typ, d))
 
-    for s, p, o in delta:
-        if p in (svf, onp):  # a restriction triple joins just its own restriction
-            for _, _, prop in g.match_ids(s, onp, None):
-                for _, _, d in g.match_ids(s, svf, None):
-                    for x, _, y in g.match_ids(None, prop, None):
-                        if g.contains_ids((y, typ, d)):
-                            yield from fire(s, prop, d, x, y)
-        if p == typ:
-            y, d = s, o
-            for r, _, _ in g.match_ids(None, svf, d):
-                for _, _, prop in g.match_ids(r, onp, None):
-                    for x, _, _ in g.match_ids(None, prop, y):
-                        yield from fire(r, prop, d, x, y)
-        for r, _, _ in g.match_ids(None, onp, p):
-            for _, _, d in g.match_ids(r, svf, None):
-                if g.contains_ids((o, typ, d)):
-                    yield from fire(r, p, d, s, o)
+    for r in _restrictions(delta, svf, onp):  # a restriction triple joins just its own restriction
+        for prop in g.objects(r, onp):
+            for d in g.objects(r, svf):
+                members = g.subjects(typ, d)
+                for x, y in g.pairs(prop):
+                    if y in members:
+                        yield fire(r, prop, d, x, y)
+    for d, ys in delta.by_object(typ).items():
+        for r in g.subjects(svf, d):
+            for prop in g.objects(r, onp):
+                for y in ys:
+                    for x in g.subjects(prop, y):
+                        yield fire(r, prop, d, x, y)
+    for p, triples in delta.by_predicate.items():
+        for r in g.subjects(onp, p):
+            for d in g.objects(r, svf):
+                members = g.subjects(typ, d)
+                for x, _, y in triples:
+                    if y in members:
+                        yield fire(r, p, d, x, y)
 
 
-def _r_allvalues(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_allvalues(g: Graph | Overlay, delta: Delta):
     """(R onProperty P), (R allValuesFrom D), (x type R), (x P y) -> (y type D)"""
     avf = g.lookup(vocab.OWL_ALLVALUESFROM)
     onp = g.lookup(vocab.OWL_ONPROPERTY)
@@ -313,25 +322,27 @@ def _r_allvalues(g: Graph | Overlay, delta: list[IdTriple]):
         return
 
     def fire(r: int, prop: int, d: int, x: int, y: int):
-        yield (y, typ, d), "owl-allvalues-propagation", ((r, onp, prop), (r, avf, d), (x, typ, r), (x, prop, y))
+        return (y, typ, d), "owl-allvalues-propagation", ((r, onp, prop), (r, avf, d), (x, typ, r), (x, prop, y))
 
-    for s, p, o in delta:
-        if p in (avf, onp):  # a restriction triple joins just its own restriction
-            for _, _, prop in g.match_ids(s, onp, None):
-                for _, _, d in g.match_ids(s, avf, None):
-                    for x, _, _ in g.match_ids(None, typ, s):
-                        for _, _, y in g.match_ids(x, prop, None):
-                            yield from fire(s, prop, d, x, y)
-        if p == typ:
-            x, r = s, o
-            for _, _, d in g.match_ids(r, avf, None):
-                for _, _, prop in g.match_ids(r, onp, None):
-                    for _, _, y in g.match_ids(x, prop, None):
-                        yield from fire(r, prop, d, x, y)
-        for r, _, _ in g.match_ids(None, onp, p):
-            for _, _, d in g.match_ids(r, avf, None):
-                if g.contains_ids((s, typ, r)):
-                    yield from fire(r, p, d, s, o)
+    for r in _restrictions(delta, avf, onp):  # a restriction triple joins just its own restriction
+        for prop in g.objects(r, onp):
+            for d in g.objects(r, avf):
+                for x in g.subjects(typ, r):
+                    for y in g.objects(x, prop):
+                        yield fire(r, prop, d, x, y)
+    for r, xs in delta.by_object(typ).items():
+        for d in g.objects(r, avf):
+            for prop in g.objects(r, onp):
+                for x in xs:
+                    for y in g.objects(x, prop):
+                        yield fire(r, prop, d, x, y)
+    for p, triples in delta.by_predicate.items():
+        for r in g.subjects(onp, p):
+            for d in g.objects(r, avf):
+                members = g.subjects(typ, r)
+                for x, _, y in triples:
+                    if x in members:
+                        yield fire(r, p, d, x, y)
 
 
 OWL_RULES = RDFS_RULES + [
@@ -364,27 +375,26 @@ def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
         pid = work.lookup(pred)
         if pid is None or typ is None:
             continue
-        for c, _, d in work.match_ids(None, pid, None):
-            for x, _, _ in work.match_ids(None, typ, c):
-                if work.contains_ids((x, typ, d)):
-                    record(rule, (c, pid, d), (x, typ, c), (x, typ, d))
+        for c, d in work.pairs(pid):
+            for x in work.subjects(typ, c) & work.subjects(typ, d):
+                record(rule, (c, pid, d), (x, typ, c), (x, typ, d))
 
     # sameAs is symmetric in the closure, so (x sameAs y) is there whenever (y sameAs x) is
     sa = work.lookup(vocab.OWL_SAMEAS)
     diff = work.lookup(vocab.OWL_DIFFERENTFROM)
     if sa is not None and diff is not None:
-        for x, _, y in work.match_ids(None, diff, None):
+        for x, y in work.pairs(diff):
             if work.contains_ids((x, sa, y)):
                 record("owl-sameas-differentfrom", (x, diff, y), (x, sa, y))
 
     alldiff = work.lookup(vocab.OWL_ALLDIFFERENT)
     if alldiff is not None and typ is not None and sa is not None:
-        for d, _, _ in work.match_ids(None, typ, alldiff):
+        for d in work.subjects(typ, alldiff):
             for prop in (vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS):
                 pid = work.lookup(prop)
                 if pid is None:
                     continue
-                for _, _, lst in work.match_ids(d, pid, None):
+                for lst in work.objects(d, pid):
                     members = _list_walk(work, lst)[0]
                     for i, a in enumerate(members):
                         for b in members[i + 1 :]:
@@ -395,7 +405,7 @@ def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
 
     nothing = work.lookup(vocab.OWL_NOTHING)
     if nothing is not None and typ is not None:
-        for x, _, _ in work.match_ids(None, typ, nothing):
+        for x in work.subjects(typ, nothing):
             record("owl-nothing-member", (x, typ, nothing))
 
     violations = [Violation(rule, tuple(sorted(map(work._to_triple, ts), key=triple_sort_key))) for rule, ts in found]

@@ -7,9 +7,21 @@ triples derived in the previous round (the delta) against the rest, so
 nothing is re-derived from scratch.  The closure is the least fixpoint;
 rules only ever combine existing terms, so it is finite.
 
+Rule protocol: `_fixpoint` hands every rule of a round the same `Delta`,
+the round's sorted id triples grouped by predicate once.  A rule joins
+those groups against the graph's index sets through its id accessors
+(`objects`, `subjects`, `pairs`, `lacking`), so it reads a schema entry
+once per round and predicate (or class), not once per delta triple.  It
+yields (triple, rule name, premises) and may leave out a consequence that
+is already in the graph: type propagation, domain and range test a
+class's candidate members in C against its rdf:type index entry
+(`lacking`), so only missing ones reach Python.  The fixpoint still drops
+duplicates.
+
 Resume invariant: every rule finds every consequence that has at least
-one premise in the delta.  Rules only add triples, so a closed graph takes
-new triples by running the same loop from a delta of just those triples.
+one premise in the delta and is not yet in the graph.  Rules only add
+triples, so a closed graph takes new triples by running the same loop
+from a delta of just those triples.
 
 Shape invariant: `_fixpoint` inserts only RDF 1.1 triples, with no
 literal subject and an IRI predicate, so rules need not check the shape
@@ -19,9 +31,12 @@ fixpoint drops it.
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, islice
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import vocab
@@ -101,80 +116,131 @@ class Closure:
         return triple in self.graph
 
 
+class Delta(list):
+    """One round's delta: its id triples in sorted order, grouped for the rules.
+
+    The groupings are built on first use and shared by every rule of the
+    round; they hold the delta's own triples, so grouping builds no tuple.
+    A Delta is a list, so a rule may also walk the triples one by one.
+    """
+
+    def __init__(self, triples: Iterable[IdTriple]):
+        super().__init__(triples)
+        self.sort()
+        self._by_object: dict[int | None, dict[int, list[int]]] = {}
+
+    @cached_property
+    def by_predicate(self) -> dict[int, list[IdTriple]]:
+        """p -> the delta's triples with predicate p, in delta order."""
+        groups: dict[int, list[IdTriple]] = {}
+        for t in self:
+            triples = groups.get(t[1])
+            if triples is None:
+                groups[t[1]] = [t]
+            else:
+                triples.append(t)
+        return groups
+
+    def by_object(self, p: int | None) -> dict[int, list[int]]:
+        """o -> the s of the delta's triples (s, p, o) in ascending order, for one predicate p.
+
+        For rdf:type: each class -> its new members.
+        """
+        groups = self._by_object.get(p)
+        if groups is None:
+            groups = self._by_object[p] = {}
+            for s, _, o in self.by_predicate.get(p, ()):
+                members = groups.get(o)
+                if members is None:
+                    groups[o] = [s]
+                else:
+                    members.append(s)
+        return groups
+
+
 # A rule yields (new id-triple, rule name, premise id-triples) for every
-# consequence whose premises involve at least one delta triple.
-Rule = Callable[[Graph | Overlay, list[IdTriple]], Iterator[tuple[IdTriple, str, tuple[IdTriple, ...]]]]
+# consequence whose premises involve at least one delta triple; it may
+# leave out a consequence that is already in the graph.
+Rule = Callable[[Graph | Overlay, Delta], Iterator[tuple[IdTriple, str, tuple[IdTriple, ...]]]]
 
 
-def _r_transitivity(pred: Term, name: str, g: Graph | Overlay, delta: list[IdTriple]):
+def _r_transitivity(pred: Term, name: str, g: Graph | Overlay, delta: Delta):
     """(A pred B), (B pred C) -> (A pred C), for pred subClassOf or subPropertyOf"""
     pid = g.lookup(pred)
-    if pid is None:
-        return
-    for a, p, b in delta:
-        if p != pid:
-            continue
-        for _, _, c in g.match_ids(b, pid, None):
-            yield (a, pid, c), name, ((a, pid, b), (b, pid, c))
-        for c, _, _ in g.match_ids(None, pid, a):
-            yield (c, pid, b), name, ((c, pid, a), (a, pid, b))
+    for t in delta.by_predicate.get(pid, ()):
+        a, _, b = t
+        for c in g.objects(b, pid):
+            yield (a, pid, c), name, (t, (b, pid, c))
+        for c in g.subjects(pid, a):
+            yield (c, pid, b), name, ((c, pid, a), t)
 
 
-def _r_type_propagation(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_type_propagation(g: Graph | Overlay, delta: Delta):
     """(x type A), (A sco B) -> (x type B)"""
     typ = g.lookup(vocab.RDF_TYPE)
     sco = g.lookup(vocab.RDFS_SUBCLASSOF)
     if typ is None or sco is None:
         return
-    for x, p, a in delta:
-        if p == typ:
-            for _, _, b in g.match_ids(a, sco, None):
-                yield (x, typ, b), "rdfs-type-propagation", ((x, typ, a), (a, sco, b))
-        if p == sco:
-            for y, _, _ in g.match_ids(None, typ, x):
-                yield (y, typ, a), "rdfs-type-propagation", ((y, typ, x), (x, sco, a))
+    edges = delta.by_predicate.get(sco, ())
+    for edge in edges:  # a new edge types every member of A, new members too
+        a, _, b = edge
+        for y in g.lacking(g.subjects(typ, a), typ, b):
+            yield (y, typ, b), "rdfs-type-propagation", ((y, typ, a), edge)
+    new_edges = set(edges)
+    for a, xs in delta.by_object(typ).items():  # A's superclasses, read once per class
+        for b in g.objects(a, sco):
+            edge = (a, sco, b)
+            if edge not in new_edges:
+                for x in g.lacking(xs, typ, b):
+                    yield (x, typ, b), "rdfs-type-propagation", ((x, typ, a), edge)
 
 
-def _r_property_propagation(g: Graph | Overlay, delta: list[IdTriple]):
+def _r_property_propagation(g: Graph | Overlay, delta: Delta):
     """(x P y), (P spo Q) -> (x Q y)"""
     spo = g.lookup(vocab.RDFS_SUBPROPERTYOF)
     if spo is None:
         return
-    for s, p, o in delta:
-        if p == spo:
-            # s is the subproperty, o the superproperty
-            for x, _, y in g.match_ids(None, s, None):
-                yield (x, o, y), "rdfs-subproperty-propagation", ((x, s, y), (s, spo, o))
-        for _, _, q in g.match_ids(p, spo, None):
-            yield (s, q, o), "rdfs-subproperty-propagation", ((s, p, o), (p, spo, q))
+    edges = delta.by_predicate.get(spo, ())
+    for edge in edges:  # a new edge lifts every triple of P, new triples too
+        p, _, q = edge
+        for x, y in g.pairs(p):
+            yield (x, q, y), "rdfs-subproperty-propagation", ((x, p, y), edge)
+    new_edges = set(edges)
+    for p, triples in delta.by_predicate.items():
+        for q in g.objects(p, spo):
+            edge = (p, spo, q)
+            if edge not in new_edges:
+                for t in triples:
+                    yield (t[0], q, t[2]), "rdfs-subproperty-propagation", (t, edge)
 
 
-def _r_domain(g: Graph | Overlay, delta: list[IdTriple]):
-    """(P domain C), (x P y) -> (x type C)"""
-    dom = g.lookup(vocab.RDFS_DOMAIN)
-    if dom is None:
+def _r_typing(decl: Term, name: str, position: int, g: Graph | Overlay, delta: Delta):
+    """(P decl C), (x P y) -> (x type C) for decl domain (`position` 0), (y type C) for decl range (2)"""
+    did = g.lookup(decl)
+    if did is None:
         return
     typ = g.intern(vocab.RDF_TYPE)
-    for s, p, o in delta:
-        if p == dom:
-            for x, _, y in g.match_ids(None, s, None):
-                yield (x, typ, o), "rdfs-domain", ((s, dom, o), (x, s, y))
-        for _, _, c in g.match_ids(p, dom, None):
-            yield (s, typ, c), "rdfs-domain", ((p, dom, c), (s, p, o))
 
+    def witnesses(triples: Iterable[IdTriple]) -> dict[int, IdTriple]:
+        """each node in the typed position -> one of the triples that has it there"""
+        return {t[position]: t for t in triples}
 
-def _r_range(g: Graph | Overlay, delta: list[IdTriple]):
-    """(P range C), (x P y) -> (y type C)"""
-    rng = g.lookup(vocab.RDFS_RANGE)
-    if rng is None:
-        return
-    typ = g.intern(vocab.RDF_TYPE)
-    for s, p, o in delta:
-        if p == rng:
-            for x, _, y in g.match_ids(None, s, None):
-                yield (y, typ, o), "rdfs-range", ((s, rng, o), (x, s, y))
-        for _, _, c in g.match_ids(p, rng, None):
-            yield (o, typ, c), "rdfs-range", ((p, rng, c), (s, p, o))
+    decls = delta.by_predicate.get(did, ())
+    for d in decls:  # a new declaration types the nodes of every triple of P
+        p, _, c = d
+        witness = witnesses([(s, p, o) for s, o in g.pairs(p)])
+        for x in g.lacking(witness.keys(), typ, c):
+            yield (x, typ, c), name, (d, witness[x])
+    new_decls = set(decls)
+    for p, triples in delta.by_predicate.items():
+        classes = g.objects(p, did)  # P's declarations, read once per predicate
+        if classes:
+            witness = witnesses(triples)
+            for c in classes:
+                d = (p, did, c)
+                if d not in new_decls:
+                    for x in g.lacking(witness.keys(), typ, c):
+                        yield (x, typ, c), name, (d, witness[x])
 
 
 RDFS_RULES: list[Rule] = [
@@ -182,34 +248,94 @@ RDFS_RULES: list[Rule] = [
     _r_type_propagation,
     partial(_r_transitivity, vocab.RDFS_SUBPROPERTYOF, "rdfs-subproperty-transitivity"),
     _r_property_propagation,
-    _r_domain,
-    _r_range,
+    partial(_r_typing, vocab.RDFS_DOMAIN, "rdfs-domain", 0),
+    partial(_r_typing, vocab.RDFS_RANGE, "rdfs-range", 2),
 ]
 
 
-def _well_formed(work: Graph | Overlay, t: IdTriple) -> bool:
-    """An RDF 1.1 triple: its subject is not a literal and its predicate is an IRI."""
-    return isinstance(work.term(t[1]), IRI) and not isinstance(work.term(t[0]), Literal)
+@dataclass
+class FixpointStats:
+    """What one `_fixpoint` run did: each round's delta size, and per rule name its candidates and new triples."""
+
+    deltas: list[int] = field(default_factory=list)
+    candidates: Counter = field(default_factory=Counter)
+    new: Counter = field(default_factory=Counter)
+
+    def counted(self, candidates: Iterator[tuple]) -> Iterator[tuple]:
+        for candidate in candidates:
+            self.candidates[candidate[1]] += 1
+            yield candidate
+
+    def as_json(self) -> dict:
+        return {
+            "rounds": len(self.deltas),
+            "delta": self.deltas,
+            "rules": {name: {"candidates": n, "new": self.new[name]} for name, n in sorted(self.candidates.items())},
+        }
+
+
+_recording: ContextVar[list[FixpointStats] | None] = ContextVar("kgkit_fixpoint_stats", default=None)
+
+
+@contextmanager
+def fixpoint_stats() -> Iterator[list[FixpointStats]]:
+    """Collect a `FixpointStats` for each `_fixpoint` run inside the block, in run order.
+
+    Outside such a block a fixpoint counts nothing.
+    """
+    runs: list[FixpointStats] = []
+    token = _recording.set(runs)
+    try:
+        yield runs
+    finally:
+        _recording.reset(token)
+
+
+class _TermKinds(dict):
+    """id -> the class of its term (IRI, BlankNode or Literal), looked up once per id."""
+
+    def __init__(self, term: Callable[[int], Term]):
+        self.term = term
+
+    def __missing__(self, tid: int) -> type:
+        kind = self[tid] = type(self.term(tid))
+        return kind
 
 
 def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> IdDerivations:
     """Saturate `work` in place, starting from `delta`; returns the provenance of what it added.
 
     Requires `delta` to be in `work` and the rest of `work` to be closed under `rules`.
-    A rule's candidate that is not `_well_formed` is dropped.
+    Each round hands every rule the same `Delta`.  A candidate already in
+    `work` or found earlier in the round is dropped, and so is one that is
+    not an RDF 1.1 triple: a literal subject or a predicate that is not an
+    IRI, tested once per id.  A round's new triples are inserted together.
     """
+    runs = _recording.get()
+    stats = None
+    if runs is not None:
+        stats = FixpointStats()
+        runs.append(stats)
+    contains = work.contains_ids
+    kinds = _TermKinds(work.term)
     provenance: IdDerivations = {}
-    delta = sorted(delta)
+    delta = Delta(delta)
     while delta:
         fresh: IdDerivations = {}
         for rule in rules:
-            for t, name, premises in rule(work, delta):
-                if t not in fresh and not work.contains_ids(t) and _well_formed(work, t):
-                    fresh[t] = (name, tuple(chain.from_iterable(premises)))
+            candidates = rule(work, delta)
+            if stats is not None:
+                candidates = stats.counted(candidates)
+            for t, name, premises in candidates:
+                if t not in fresh and not contains(t) and kinds[t[1]] is IRI and kinds[t[0]] is not Literal:
+                    fresh[t] = (name, sum(premises, ()))
+        if stats is not None:
+            stats.deltas.append(len(delta))
+            stats.new.update(name for name, _ in fresh.values())
+        delta = Delta(fresh)  # drops this round's groupings before the graph grows
         for t in fresh:
             work.insert_ids(t)
         provenance.update(fresh)
-        delta = sorted(fresh)
     return provenance
 
 

@@ -80,6 +80,14 @@ def random_owl_graph(seed: int, max_triples: int = 100, allow_violations: bool =
     return g
 
 
+def shuffled_batches(rng: random.Random, triples: list, batches: int) -> list[list]:
+    """`triples` in a random order, cut into `batches` runs; a run may be empty."""
+    triples = list(triples)
+    rng.shuffle(triples)
+    cuts = sorted(rng.randrange(len(triples) + 1) for _ in range(batches - 1))
+    return [triples[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(triples)])]
+
+
 def random_consistent_owl_graph(seed: int, max_triples: int = 60) -> Graph:
     """Seeded search for a random OWL graph with no violations."""
     from kgkit import is_consistent

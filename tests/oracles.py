@@ -674,7 +674,7 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
             if not buf:
                 raise ParseError("empty blank node label", tline, tcol)
             tokens.append(_Token(BLANK, "".join(buf), tline, tcol))
-        elif c in _PUNCT:
+        elif c in _PUNCT and not (c == "." and _digits(text[i + 1 : i + 2])):  # extension: '.' then a digit is a number
             advance()
             tokens.append(_Token(_PUNCT[c], c, tline, tcol))
         else:
@@ -705,10 +705,11 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
 # Turtle: the Term-per-occurrence recursive descent over the tokenizer above
 # ---------------------------------------------------------------------------
 #
-# The parser as it was before the memo, extended only for three grammar
-# changes, each marked "extension": an empty IRI term is an error at its
-# token; a relative or empty datatype IRI is an error at its token; and the
-# numeric and boolean shorthand reads as XSD-typed literals.
+# The parser as it was before the memo, extended only for these changes,
+# each marked "extension": an empty or relative IRI term is an error at its
+# own token; a relative or empty datatype IRI is an error at its token; the
+# numeric and boolean shorthand reads as XSD-typed literals; and a '.'
+# before a digit starts a number (in `oracle_tokenize`).
 
 
 def _oracle_is_absolute(iri: str) -> bool:
@@ -727,8 +728,8 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
     """Read one term starting at tokens[pos]; returns (term, next_pos)."""
     tok = tokens[pos]
     if tok.kind == IRIREF:
-        if not tok.value:  # extension: `<>`
-            raise ParseError("relative IRI '' and no base IRI is declared", tok.line, tok.col)
+        if not _oracle_is_absolute(tok.value):  # extension: `<>` or a relative IRI, at its token
+            raise ParseError(f"relative IRI {tok.value!r} and no base IRI is declared", tok.line, tok.col)
         return IRI(tok.value), pos + 1
     if tok.kind == BLANK:
         return BlankNode(tok.value), pos + 1
@@ -737,11 +738,14 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
     if tok.kind == QNAME and allow_qname:
         assert prefixes is not None
         try:
-            return prefixes.expand(tok.value), pos + 1
+            iri = prefixes.expand(tok.value)
         except UnknownPrefixError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
         except ValidationError:  # extension: a qname that expands to the empty IRI
             raise ParseError("relative IRI '' and no base IRI is declared", tok.line, tok.col)
+        if not _oracle_is_absolute(iri.value):  # extension: a relative IRI, at its token
+            raise ParseError(f"relative IRI {iri.value!r} and no base IRI is declared", tok.line, tok.col)
+        return iri, pos + 1
     if tok.kind == STRING:
         nxt = tokens[pos + 1]
         if nxt.kind == LANGTAG:

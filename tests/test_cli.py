@@ -129,6 +129,36 @@ def test_infer_inconsistent_kb_exits_3_with_report(tmp_path, capsys):
     assert captured.out  # closure still emitted
 
 
+def test_infer_stats_reports_rounds_and_rule_counts_on_stderr_only(tmp_path, capsys):
+    kb = write(tmp_path / "city.ttl", CITY_TTL)
+    for profile in ("rdfs", "owl"):
+        assert main(["infer", kb, "--profile", profile]) == 0
+        plain = capsys.readouterr()
+        assert main(["infer", kb, "--profile", profile, "--stats"]) == 0
+        counted = capsys.readouterr()
+        assert counted.out == plain.out and plain.err == ""
+        [run] = json.loads(counted.err)["fixpoints"]
+        # round 1: the 2 asserted triples; round 2: (Warsaw type Locality)
+        assert run["rounds"] == 2 and run["delta"] == [2, 1]
+        assert run["rules"]["rdfs-type-propagation"] == {"candidates": 1, "new": 1}
+        assert sum(rule["new"] for rule in run["rules"].values()) == 1
+
+
+def test_check_stats_counts_every_saturation_and_keeps_stdout(tmp_path, capsys):
+    kb = write(tmp_path / "pumpkin.ttl", PUMPKIN_TTL)
+    questions = write(tmp_path / "q.txt", f"QUERY carnivores\nREGIME rdfs\n?x a <{EDU}Carnivore>\n")
+    assert main(["check", kb, "--competency", questions, "--json"]) == 3
+    plain = capsys.readouterr()
+    assert main(["check", kb, "--competency", questions, "--json", "--stats"]) == 3
+    counted = capsys.readouterr()
+    assert counted.out == plain.out
+    stats_line, *report = counted.err.splitlines(keepends=True)
+    assert "".join(report) == plain.err
+    runs = json.loads(stats_line)["fixpoints"]
+    assert len(runs) == 2  # the OWL closure, then the RDFS one for the rdfs question
+    assert all(run["rounds"] == len(run["delta"]) and run["delta"][0] == 3 for run in runs)
+
+
 def test_check_consistent_and_inconsistent(tmp_path, capsys):
     good = write(tmp_path / "city.ttl", CITY_TTL)
     assert main(["check", good]) == 0

@@ -15,7 +15,7 @@ from kgkit import (
 )
 
 from helpers import EDU, NS, edu, random_rdfs_graph
-from oracles import triples_of
+from oracles import oracle_parse_turtle, triples_of
 
 N = lambda name: IRI(NS + name)  # noqa: E731
 
@@ -257,6 +257,46 @@ def test_turtle_shorthand_ends_before_a_statement_dot():
         (N("y"), N("p"), Literal("2.5", datatype=XSD + "decimal")),
         (N("z"), N("p"), Literal("true", datatype=XSD + "boolean")),
     }
+
+
+def test_turtle_numbers_that_start_with_a_dot_round_trip():
+    # RDF 1.1 Turtle, section 6.5: DECIMAL and DOUBLE may start with '.'
+    g = parse_turtle(":x :q .5 .\n:y :q .5e3 , .25E-1.\n").graph
+    assert triples_of(g) == {
+        (N("x"), N("q"), Literal(".5", datatype=XSD + "decimal")),
+        (N("y"), N("q"), Literal(".5e3", datatype=XSD + "double")),
+        (N("y"), N("q"), Literal(".25E-1", datatype=XSD + "double")),
+    }
+    text = serialize_ntriples(g)
+    assert '".5"^^<http://www.w3.org/2001/XMLSchema#decimal>' in text
+    assert triples_of(parse_ntriples(text)) == triples_of(g)
+    assert serialize_ntriples(parse_ntriples(text)) == text
+
+
+def test_a_dot_before_whitespace_a_comment_or_the_end_still_ends_the_statement():
+    assert triples_of(parse_turtle(":x :q :y.").graph) == {(N("x"), N("q"), N("y"))}
+    g = parse_turtle(":x :q :y .# c\n:x :q :z.\n:x :q .5 .").graph
+    assert triples_of(g) == {
+        (N("x"), N("q"), N("y")),
+        (N("x"), N("q"), N("z")),
+        (N("x"), N("q"), Literal(".5", datatype=XSD + "decimal")),
+    }
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (":x\n :q\n :y ,\n <rel> .", 4, 2),  # in an object list, lines below its verb
+        (":x :q ( :y\n <rel> ) .", 2, 2),  # inside a collection, after its first item
+    ],
+)
+def test_a_relative_iri_is_reported_at_its_own_token(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    assert str(err.value) == f"relative IRI 'rel' and no base IRI is declared at line {line}, column {column}"
+    with pytest.raises(ParseError) as oracle_err:
+        oracle_parse_turtle(text)
+    assert str(oracle_err.value) == str(err.value)
 
 
 @pytest.mark.parametrize("word", ["4x2", "1e", "e3", "1.5.2", "+", "-", "0x1F", "True", "1e3.5", "--1", "TRUE"])

@@ -68,7 +68,7 @@ TOKENS = [
     "<http://example.org/a>", "<http://e.x/caf\\u00e9>", "<http://e.x/\\U0001F600>", "<a\\tb>", "<żółw>",
     '"plain"', '"tab\\there"', '"caf\\u00e9"', '"\\U0001F600"', '"naïve ☃"', '"q\\"uote"', '"\\\\"',
     "@en", "@en-GB", "@prefix", "@préfixe", "^^", "_:b1", "_:bé", "_:b>#", "a", "ex:a", "ex:a.b", ":x", "ex:a..",
-    "ex:", "ex:a#b", "ex:a.<", ".", ";", ",", "[", "]", "(", ")",
+    "ex:", "ex:a#b", "ex:a.<", ".", ";", ",", "[", "]", "(", ")", ".5", ".5e3",
 ]
 SEPARATORS = ["", " ", "\t", "\n", "\r\n", " # comment\n", "#", " ", " "]
 MALFORMED = [
@@ -145,6 +145,7 @@ def test_scanner_matches_the_per_character_tokenizer_on_malformed_input(text):
         "42 -7 +0 1.5 -.5 +.5 1e3 1E-3 2.e+1 -.5e2 true false",
         "1. 2.5. 1e3. true.",
         "4x2 1e e3 1.5.2 0x1F True 1e3.5 --1 + -",
+        ".5 .5e3 .25E-1 .5. .5e3. .5.5 .e3 .5x",
     ],
 )
 def test_shorthand_words_match_the_per_character_tokenizer(text):
@@ -297,7 +298,7 @@ TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1",
 ]
 TTL_OBJECTS = TTL_SUBJECTS[0] + [
     "<http://e.x/b#c>", '"v"', '"w\\n"', '"v"@en', '"v"@en-GB', '"v"^^<http://e.x/dt>', '"v"^^xsd:string',
-    '"v"^^ex:dt', "42", "-7", "+1.5", "1e3", "1.E-2", "true", "false",
+    '"v"^^ex:dt', "42", "-7", "+1.5", "1e3", "1.E-2", "true", "false", ".5", ".5e3",
 ], TTL_SUBJECTS[1][:5] + ['"v"^^<rel>', '"v"^^<>', '"v"^^geo:t', '"v"^^42', '"v"^^e:', "(", "[ ]]"]
 TTL_VERBS = ["a", "ex:p", ":q", "<http://e.x/p>", "ns:y", "rdf:type"], ["<rel>", "geo:p", '"p"', "42", "_:p", "[]"]
 

@@ -3,6 +3,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgkit import (
     BlankNode,
@@ -41,6 +42,7 @@ from helpers import (
     random_consistent_owl_graph,
     random_owl_graph,
     random_rdfs_graph,
+    shuffled_batches,
 )
 import oracles
 from oracles import closure_triples, naive_owl_closure, naive_violation_rules, triples_of
@@ -615,6 +617,24 @@ def test_every_triple_inserted_in_random_order_equals_saturation():
         assert _collect_violations(work) == report, f"seed {seed}"
         if seed < 5:
             assert triples_of(work) == naive_owl_closure(triples_of(g)), f"seed {seed}"
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 6))
+def test_resuming_after_each_shuffled_batch_equals_saturation_from_scratch(seed, rng, batches):
+    # list cells arrive in any batch, so lists pass through prefixes
+    source = random_owl_graph(seed, max_triples=30)
+    g = Graph()
+    for batch in shuffled_batches(rng, source.triples(), batches):
+        for t in batch:
+            g.insert(t)
+        resumed, report = saturate_owl(g)  # resumes from the batch on a copy of the cached closure
+    fresh, fresh_report = saturate_owl(source.copy())
+    expected = naive_owl_closure(triples_of(source))
+    assert closure_triples(resumed) == closure_triples(fresh) == expected
+    assert resumed.derived == fresh.derived
+    assert report == fresh_report
+    assert {v.rule for v in report.violations} == naive_violation_rules(expected)
 
 
 def test_intersection_builds_only_from_a_complete_list():

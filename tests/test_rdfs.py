@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgkit import BlankNode, Graph, Literal, Triple, ValidationError, entails, saturate_owl, saturate_rdfs, vocab
-from kgkit.rdfs import _fixpoint
+from kgkit.rdfs import RDFS_RULES, _fixpoint, fixpoint_stats
 
-from helpers import city_kb, district_kb, edu, random_rdfs_graph
+from helpers import city_kb, district_kb, edu, random_rdfs_graph, shuffled_batches
 from oracles import closure_triples, naive_rdfs_closure, triples_of
 
 
@@ -161,3 +163,54 @@ def test_partition_of_an_rdfs_closure_is_refused():
     with pytest.raises(ValidationError, match="needs an OWL closure"):
         saturate_rdfs(g).partition
     assert saturate_owl(g)[0].partition.representative(edu("c")) == edu("a")
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 6))
+def test_resuming_after_each_shuffled_batch_equals_saturation_from_scratch(seed, rng, batches):
+    source = random_rdfs_graph(seed, max_triples=40)
+    g = Graph()
+    for batch in shuffled_batches(rng, source.triples(), batches):
+        for t in batch:
+            g.insert(t)
+        resumed = saturate_rdfs(g)  # resumes from the batch on a copy of the cached closure
+    fresh = saturate_rdfs(source.copy())
+    assert closure_triples(resumed) == closure_triples(fresh) == naive_rdfs_closure(triples_of(source))
+    assert resumed.derived == fresh.derived
+    assert resumed.report == fresh.report
+
+
+def test_one_round_reads_a_class_superclasses_once_and_yields_only_missing_types(monkeypatch):
+    g = Graph()
+    for k in range(5):
+        g.add(edu("C"), vocab.RDFS_SUBCLASSOF, edu(f"D{k}"))
+    g.add(edu("p"), vocab.RDFS_DOMAIN, edu("D0"))
+    g.add(edu("p"), vocab.RDFS_RANGE, edu("D1"))
+    for i in range(0, 1000, 2):
+        g.add(edu(f"x{i}"), vocab.RDF_TYPE, edu("D0"))  # half of them are in D0 already
+    for i in range(0, 1000, 4):
+        g.add(edu(f"x{i}"), vocab.RDF_TYPE, edu("D1"))
+    work = saturate_rdfs(g).graph.copy()
+    typ, sco, c, p = (work.lookup(t) for t in (vocab.RDF_TYPE, vocab.RDFS_SUBCLASSOF, edu("C"), edu("p")))
+    xs = [work.intern(edu(f"x{i}")) for i in range(1000)]
+    delta = [(x, typ, c) for x in xs] + [(x, p, xs[(i + 1) % 1000]) for i, x in enumerate(xs)]
+    for t in delta:
+        work.insert_ids(t)
+    supers = sorted(work.objects(c, sco))
+    missing = [(x, typ, d) for x in xs for d in supers if not work.contains_ids((x, typ, d))]
+    assert len(missing) == 5000 - 500 - 250
+
+    reads = Counter()
+    real = Graph.objects
+    monkeypatch.setattr(Graph, "objects", lambda self, s, q: reads.update([(s, q)]) or real(self, s, q))
+    with fixpoint_stats() as runs:
+        derived = _fixpoint(work, RDFS_RULES, delta)
+    [stats] = runs
+    assert reads[(c, sco)] == 1
+    assert stats.deltas == [2000, len(missing)]
+    assert set(derived) == set(missing)
+    # every candidate of the three typing rules is a triple the graph lacked: type
+    # propagation finds each missing one once, domain and range the ones in D0 and D1
+    assert stats.candidates["rdfs-type-propagation"] == stats.new["rdfs-type-propagation"] == len(missing)
+    assert stats.candidates["rdfs-domain"] == sum(d == supers[0] for _, _, d in missing) == 500
+    assert stats.candidates["rdfs-range"] == sum(d == supers[1] for _, _, d in missing) == 750
