@@ -309,7 +309,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "embed":
             if args.action == "eval" and not args.test:
-                parser.error("embed eval requires --test")
+                print("embed eval requires --test", file=sys.stderr)
+                return EXIT_USAGE
             if args.action == "predict" and (args.relation is None or (args.head is None) == (args.tail is None)):
                 print("embed predict needs --relation and exactly one of --head/--tail", file=sys.stderr)
                 return EXIT_USAGE

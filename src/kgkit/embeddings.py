@@ -504,13 +504,17 @@ def load_model_text(text: str) -> EmbeddingModel:
     for kind, terms in (("entity", entities), ("relation", relations)):
         if len(set(terms)) != len(terms):
             raise ValidationError(f"duplicate {kind} row in model file")
+    entity_vecs = np.array(entity_rows, dtype=np.float64).reshape(len(entities), dim)
+    relation_vecs = np.array(relation_rows, dtype=np.float64).reshape(len(relations), dim)
+    if not (np.isfinite(entity_vecs).all() and np.isfinite(relation_vecs).all()):
+        raise ValidationError("non-finite value (nan or inf) in model file")
     return EmbeddingModel(
         dim=dim,
         norm=norm,
         entities=tuple(entities),
         relations=tuple(relations),
-        entity_vecs=np.array(entity_rows, dtype=np.float64).reshape(len(entities), dim),
-        relation_vecs=np.array(relation_rows, dtype=np.float64).reshape(len(relations), dim),
+        entity_vecs=entity_vecs,
+        relation_vecs=relation_vecs,
     )
 
 

@@ -9,23 +9,21 @@ language-tagged literals, and the numeric and boolean shorthand (42,
 literals).  Serialization is canonical N-Triples: one sorted line per
 triple, byte-identical across runs for equal graphs.
 
-Both readers share one scanner whose tokens are (kind, value, offset)
-tuples; a line and column are worked out from the offset only when a
-ParseError is raised.  `_tokenize` adds them to each token for the
-N-Triples lines that are not of the common shape and for query
-patterns.  The Turtle reader memoizes terms by token text for one parse
-and interns each at its first emission; rebinding a prefix to another
-namespace drops the entries of that prefix's qnames.  No base IRI is
-declared, so `<>`, relative IRIs and relative datatypes are parse errors;
-the Turtle reader reports each at its own token.
+Every text reader (the N-Triples lines that are not of the common
+shape, Turtle, `parse_term` and query patterns) reads the one scanner's
+(kind, value, offset) tuples; a line and column are worked out from the
+offset only when a ParseError is raised.  The Turtle reader memoizes
+terms by token text for one parse and interns each at its first
+emission; rebinding a prefix to another namespace drops the entries of
+that prefix's qnames.  No base IRI is declared, so `<>`, relative IRIs
+and relative datatypes are parse errors; the Turtle reader reports each
+at its own token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import NamedTuple
 
 from . import vocab
 from .errors import ParseError, UnknownPrefixError, ValidationError
@@ -66,13 +64,6 @@ EOF = "eof"
 _SHORTHAND = ("integer", "decimal", "double", "boolean")
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-
-
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
 
 
 _ESCAPE = r"""\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"""
@@ -204,27 +195,11 @@ def _scan(text: str, start_line: int = 1) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _tokenize(text: str, start_line: int = 1) -> list[_Token]:
-    """`_scan` with each token's line and column, for callers that report them."""
-    tokens = []
-    line = start_line
-    line_start = last = 0  # offsets of the current line and of the previous token
-    for kind, value, offset in _scan(text, start_line):
-        newlines = text.count("\n", last, offset)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", last, offset) + 1
-        last = offset
-        tokens.append(_Token(kind, value, line, offset - line_start + 1))
-    return tokens
-
-
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
 _NO_BASE = "relative {} {!r} and no base IRI is declared"
-_token_line_col = attrgetter("line", "col")
 
 
 def _iri(tok, prefixes: PrefixMap | None, at, what: str = "IRI") -> IRI:
@@ -237,22 +212,20 @@ def _iri(tok, prefixes: PrefixMap | None, at, what: str = "IRI") -> IRI:
         raise ParseError(_NO_BASE.format(what, ""), *at(tok)) from exc
 
 
-def _term_from_tokens(
-    tokens, pos: int, allow_qname: bool = False, prefixes: PrefixMap | None = None, at=_token_line_col
-):
-    """Read one term starting at tokens[pos]; returns (term, next_pos).
+def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
+    """Read one term starting at tokens[pos] of `_scan` tuples; returns (term, next_pos).
 
-    `tokens` are `_Token`s, or `_scan` tuples given `at`, which maps a token
-    to its line and column.  `allow_qname` admits the Turtle forms: qnames,
-    'a' and the numeric and boolean shorthand.
+    `at` maps a token to its line and column.  Given `prefixes`, the Turtle
+    forms are admitted too: qnames, 'a' and the numeric and boolean shorthand.
     """
     tok = tokens[pos]
     kind = tok[0]
-    if kind == IRIREF or (kind == QNAME and allow_qname):
+    turtle = prefixes is not None
+    if kind == IRIREF or (kind == QNAME and turtle):
         return _iri(tok, prefixes, at), pos + 1
     if kind == BLANK:
         return BlankNode(tok[1]), pos + 1
-    if kind == KEYWORD_A and allow_qname:
+    if kind == KEYWORD_A and turtle:
         return vocab.RDF_TYPE, pos + 1
     if kind == STRING:
         nxt = tokens[pos + 1]
@@ -260,7 +233,7 @@ def _term_from_tokens(
             return Literal(tok[1], language=nxt[1]), pos + 2
         if nxt[0] == HATHAT:
             dt_tok = tokens[pos + 2]
-            if dt_tok[0] == IRIREF or (dt_tok[0] == QNAME and allow_qname):
+            if dt_tok[0] == IRIREF or (dt_tok[0] == QNAME and turtle):
                 datatype = _iri(dt_tok, prefixes, at, "datatype IRI")
                 if not datatype.is_absolute():  # a literal's datatype is never resolved
                     raise ParseError(_NO_BASE.format("datatype IRI", datatype.value), *at(dt_tok))
@@ -268,7 +241,7 @@ def _term_from_tokens(
             raise ParseError("expected datatype IRI after '^^'", *at(dt_tok))
         return Literal(tok[1]), pos + 1
     if kind in _SHORTHAND:
-        if not allow_qname:  # no shorthand in N-Triples
+        if not turtle:  # no shorthand in N-Triples
             raise ParseError(f"unexpected token {tok[1]!r}", *at(tok))
         return Literal(tok[1], datatype=vocab.XSD + kind), pos + 1
     raise ParseError(f"expected a term, got {tok[1]!r}", *at(tok))
@@ -329,27 +302,31 @@ def parse_ntriples(text: str) -> Graph:
                 pass  # the scanner path reports where
         if not raw.strip():
             continue
-        tokens = _tokenize(raw, start_line=lineno)
-        if tokens[0].kind == EOF:  # comment-only line
+        tokens = _scan(raw, lineno)
+        if tokens[0][0] == EOF:  # comment-only line
             continue
-        subject, pos = _term_from_tokens(tokens, 0)
-        predicate, pos = _term_from_tokens(tokens, pos)
-        object_, pos = _term_from_tokens(tokens, pos)
-        if tokens[pos].kind != DOT:
-            raise ParseError("expected '.' terminating the triple", lineno, tokens[pos].col)
-        if tokens[pos + 1].kind != EOF:
-            raise ParseError("trailing content after '.'", lineno, tokens[pos + 1].col)
+
+        def at(tok, lineno=lineno):  # a line holds no newline
+            return lineno, tok[2] + 1
+
+        subject, pos = _term_from_tokens(tokens, 0, at)
+        predicate, pos = _term_from_tokens(tokens, pos, at)
+        object_, pos = _term_from_tokens(tokens, pos, at)
+        if tokens[pos][0] != DOT:
+            raise ParseError("expected '.' terminating the triple", *at(tokens[pos]))
+        if tokens[pos + 1][0] != EOF:
+            raise ParseError("trailing content after '.'", *at(tokens[pos + 1]))
         try:
             g.insert(Triple(subject, predicate, object_))
         except ValidationError as exc:  # a misplaced term or a relative IRI: the triple's position
-            raise ParseError(str(exc), lineno, tokens[0].col) from exc
+            raise ParseError(str(exc), *at(tokens[0])) from exc
     return g
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term in N-Triples syntax (used by model files)."""
     tokens = _scan(text)
-    term, pos = _term_from_tokens(tokens, 0, at=lambda tok: _line_col(text, tok[2]))
+    term, pos = _term_from_tokens(tokens, 0, lambda tok: _line_col(text, tok[2]))
     if tokens[pos][0] != EOF:
         raise ParseError(f"trailing content after term: {text!r}")
     return term
@@ -419,7 +396,7 @@ class _TurtleParser:
                 key, end = (kind, value, dt_kind, dt_value), end + 2
         slot = self._memo.get(key)
         if slot is None:
-            term, end = _term_from_tokens(tokens, pos, True, self.prefixes, self._at)
+            term, end = _term_from_tokens(tokens, pos, self._at, self.prefixes)
             if isinstance(term, IRI) and not term.is_absolute():  # no base resolves it: report it here
                 raise ParseError(_NO_BASE.format("IRI", term.value), *self._at(tokens[pos]))
             slot = self._memo[key] = [term, -1]

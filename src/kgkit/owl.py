@@ -174,21 +174,22 @@ def _r_inverse(g: Graph | Overlay, delta: Delta):
     inv = g.lookup(vocab.OWL_INVERSEOF)
     if inv is None:
         return
-    for decl in delta.by_predicate.get(inv, ()):
+    decls = delta.by_predicate.get(inv, ())
+    for decl in decls:  # a new declaration maps every triple of P and of Q, new triples too
         p, _, q = decl
         for x, y in g.pairs(p):
             yield (y, q, x), "owl-inverse-property", ((x, p, y), decl)
         for x, y in g.pairs(q):
             yield (y, p, x), "owl-inverse-property", ((x, q, y), decl)
+    new_decls = set(decls)
+    contains = g.contains_ids
     for p, triples in delta.by_predicate.items():
-        for q in g.objects(p, inv):
-            decl = (p, inv, q)
-            for t in triples:
-                yield (t[2], q, t[0]), "owl-inverse-property", (t, decl)
-        for r in g.subjects(inv, p):
-            decl = (r, inv, p)
-            for t in triples:
-                yield (t[2], r, t[0]), "owl-inverse-property", (t, decl)
+        mapped = [((p, inv, q), q) for q in g.objects(p, inv)] + [((r, inv, p), r) for r in g.subjects(inv, p)]
+        for decl, image in mapped:
+            if decl not in new_decls:
+                for t in triples:
+                    if not contains((t[2], image, t[0])):
+                        yield (t[2], image, t[0]), "owl-inverse-property", (t, decl)
 
 
 def _r_transitive(g: Graph | Overlay, delta: Delta):

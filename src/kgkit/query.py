@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import vocab
 from .errors import ParseError, QueryValidationError
 from .graph import Binding, Graph
-from .io import BLANK, EOF, _term_from_tokens, _tokenize
+from .io import BLANK, EOF, _scan, _term_from_tokens
 from .owl import saturate_owl
 from .rdfs import saturate_rdfs
 from .terms import PrefixMap, Term, TriplePattern, Var, sort_key
@@ -142,11 +142,12 @@ def _to_term(m: re.Match, prefixes: PrefixMap, lineno: int) -> Term | Var:
     if m.group().startswith("?"):
         return Var(m.group()[1:])
     # blank padding keeps the scanner's columns those of the query line
-    tokens = _tokenize(" " * m.start() + m.group(), lineno)
-    if tokens[0].kind == BLANK:  # a label means nothing outside its own document
-        raise ParseError(f"blank node _:{tokens[0].value} in a query", lineno, tokens[0].col)
-    term, pos = _term_from_tokens(tokens, 0, allow_qname=True, prefixes=prefixes)
-    if tokens[pos].kind != EOF:
+    tokens = _scan(" " * m.start() + m.group(), lineno)
+    kind, label, offset = tokens[0]
+    if kind == BLANK:  # a label means nothing outside its own document
+        raise ParseError(f"blank node _:{label} in a query", lineno, offset + 1)
+    term, pos = _term_from_tokens(tokens, 0, lambda tok: (lineno, tok[2] + 1), prefixes)
+    if tokens[pos][0] != EOF:
         raise ParseError(f"expected one term or variable, got {m.group()!r}", lineno, m.start() + 1)
     return term
 

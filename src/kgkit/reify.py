@@ -81,8 +81,8 @@ def reify_table(rows: Iterable[Mapping[str, str]], spec: TableSpec) -> Graph:
 
 
 def rows_from_csv(text: str) -> list[dict[str, str]]:
-    """Rows of an RFC-4180 CSV with a header line, as dicts."""
-    reader = csv.DictReader(_stdio.StringIO(text))
+    """Rows of an RFC-4180 CSV with a header line, as dicts; one leading byte-order mark is dropped."""
+    reader = csv.DictReader(_stdio.StringIO(text.removeprefix("\ufeff")))
     rows = []
     for row in reader:
         if None in row:

@@ -8,6 +8,8 @@ term tuples.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from kgkit import vocab
@@ -32,7 +34,6 @@ from kgkit.io import (
     SEMICOLON,
     STRING,
     ParseReport,
-    _Token,
     format_term,
 )
 from kgkit.graph import Binding, Graph
@@ -42,6 +43,16 @@ from kgkit.rdfs import saturate_rdfs
 from kgkit.terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
 TermTriple = tuple[Term, Term, Term]
+
+
+class _Token(NamedTuple):
+    """A token with the line and column it starts at."""
+
+    kind: str
+    value: str
+    line: int
+    col: int
+
 
 TYPE = vocab.RDF_TYPE
 SCO = vocab.RDFS_SUBCLASSOF

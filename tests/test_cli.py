@@ -4,6 +4,8 @@ import json
 import weakref
 from collections import Counter
 
+import pytest
+
 from kgkit.cli import main
 
 from helpers import ALLERGEN_TTL, EDU, GLUTEN_FREE_QUERY
@@ -260,6 +262,52 @@ def test_reify_empty_iri_cell_exits_1_naming_row_and_column(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: row 2 has an empty cell in IRI column 'Seller'\n"
+
+
+def test_reify_csv_with_a_byte_order_mark_gives_the_same_bytes(tmp_path, capsys):
+    spec_path = write(tmp_path / "spec.txt", PURCHASE_SPEC)
+    outputs = []
+    for name, text in (("plain.csv", PURCHASES_CSV), ("bom.csv", "\ufeff" + PURCHASES_CSV)):
+        assert main(["reify", write(tmp_path / name, text), "--spec", spec_path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+
+
+ONE_EDGE_NT = f"<{EDU}n0> <{EDU}next> <{EDU}n1> .\n"
+
+
+def one_dimension_model(value: str) -> str:
+    return f"d=1 norm=L1\nE\t<{EDU}n0>\t0.5\nE\t<{EDU}n1>\t0.25\nR\t<{EDU}next>\t{value}\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, code",
+    [
+        ({"g.nt": ONE_EDGE_NT, "m.tsv": one_dimension_model("0.1")}, ["embed", "eval", "g.nt", "--model", "m.tsv"], 1),
+        (
+            {"g.nt": ONE_EDGE_NT, "m.tsv": one_dimension_model("nan")},
+            ["embed", "eval", "g.nt", "--model", "m.tsv", "--test", "g.nt"],
+            1,
+        ),
+        (
+            {"g.nt": ONE_EDGE_NT, "m.tsv": one_dimension_model("-inf")},
+            ["embed", "eval", "g.nt", "--model", "m.tsv", "--test", "g.nt"],
+            1,
+        ),
+        ({"t.csv": "\ufeff" + PURCHASES_CSV, "spec.txt": PURCHASE_SPEC}, ["reify", "t.csv", "--spec", "spec.txt"], 0),
+    ],
+    ids=["eval-without-test", "nan-model", "inf-model", "bom-csv"],
+)
+def test_bad_inputs_return_their_exit_code_without_raising(tmp_path, capsys, files, argv, code):
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+    else:
+        assert captured.out and captured.err == ""
 
 
 def test_usage_error_exits_1():

@@ -39,7 +39,7 @@ from kgkit import (
 )
 from kgkit import io
 from kgkit.cli import main
-from kgkit.io import _escape_iri, _escape_string, _tokenize, format_term
+from kgkit.io import _escape_iri, _escape_string, _line_col, _scan, format_term
 
 from oracles import (
     oracle_escape_iri,
@@ -49,6 +49,11 @@ from oracles import (
     oracle_tokenize,
     triples_of,
 )
+
+
+def scan_with_positions(text: str, start_line: int = 1):
+    """`_scan`'s tokens with each offset turned into a line and column."""
+    return [(k, v, *_line_col(text, off, start_line)) for k, v, off in _scan(text, start_line)]
 
 
 def outcome(tokenize, text: str, start_line: int = 1):
@@ -94,7 +99,7 @@ def assert_same_as_oracle(text: str, start_line: int = 1) -> None:
     except ValueError:
         # the per-character tokenizer crashed on a \U escape beyond U+10FFFF
         assume(False)
-    assert outcome(_tokenize, text, start_line) == expected
+    assert outcome(scan_with_positions, text, start_line) == expected
 
 
 @settings(max_examples=500)
@@ -157,10 +162,10 @@ def test_shorthand_words_match_the_per_character_tokenizer(text):
 
 def test_escape_of_no_unicode_scalar_value_is_a_parse_error():
     with pytest.raises(ParseError) as err:
-        _tokenize('<a> <b> "xy\\U00110000" .')
+        _scan('<a> <b> "xy\\U00110000" .')
     assert str(err.value) == "bad \\U escape at line 1, column 12"
     with pytest.raises(ParseError) as err:
-        _tokenize('<a> <b> "\\uDFFF" .')
+        _scan('<a> <b> "\\uDFFF" .')
     assert str(err.value) == "bad \\u escape at line 1, column 10"
     with pytest.raises(ParseError, match="bad \\\\U escape at line 2"):
         parse_ntriples('<http://e.x/a> <http://e.x/b> "ok" .\n<http://e.x/\\UFFFFFFFF> <http://e.x/p> "x" .\n')

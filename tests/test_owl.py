@@ -85,6 +85,20 @@ def test_inverse_property_bidirectional():
     assert Triple(edu("Jan"), edu("is_parent_of"), edu("Ola")) in closure2
 
 
+def test_inverse_maps_each_triple_once_and_skips_images_already_there():
+    g = Graph()
+    g.add(edu("p"), vocab.OWL_INVERSEOF, edu("q"))
+    for i in range(100):
+        g.add(edu(f"x{i}"), edu("p"), edu(f"y{i}"))
+    with rdfs.fixpoint_stats() as runs:
+        closure, _ = saturate_owl(g)
+    [stats] = runs
+    # the declaration's own branch maps the 100 new p triples; the data branch skips
+    # that declaration, and the q images map back only to p triples already there
+    assert stats.candidates["owl-inverse-property"] == stats.new["owl-inverse-property"] == 100
+    assert all(Triple(edu(f"y{i}"), edu("q"), edu(f"x{i}")) in closure for i in range(100))
+
+
 def test_intersection_membership_through_equivalence():
     rep = parse_turtle(
         """
