@@ -1,5 +1,7 @@
 """kgkit: triple store, RDFS/OWL rule reasoning, frames, queries, embeddings."""
 
+from importlib import import_module as _import_module
+
 from .terms import (
     IRI,
     BlankNode,
@@ -26,26 +28,7 @@ from .owl import (
     saturate_owl,
     subsumes,
 )
-from .frames import Facet, FillResult, Frame, FrameSystem, SlotValue, frames_to_graph, parse_frames
 from .query import Query, parse_competency, parse_query, query
-from .embeddings import (
-    EmbeddingModel,
-    EvalReport,
-    RankMetrics,
-    TrainConfig,
-    dump_model,
-    evaluate,
-    init_model,
-    load_model,
-    load_model_text,
-    loss_and_gradients,
-    negative_sample,
-    predict_links,
-    save_model,
-    score,
-    train,
-    train_epoch,
-)
 from .errors import (
     InconsistentKBError,
     KGError,
@@ -79,3 +62,32 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+# The embeddings (and with them numpy) and the frames layer load on first use of
+# one of their names, so `import kgkit` and the CLI commands that use neither
+# start without them.  A resolved name is kept in the module's namespace.
+_LAZY_MODULES = {
+    "embeddings": (
+        "EmbeddingModel", "EvalReport", "RankMetrics", "TrainConfig", "dump_model", "evaluate",
+        "init_model", "load_model", "load_model_text", "loss_and_gradients", "negative_sample",
+        "predict_links", "save_model", "score", "train", "train_epoch",
+    ),
+    "frames": ("Facet", "FillResult", "Frame", "FrameSystem", "SlotValue", "frames_to_graph", "parse_frames"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = name if name in _LAZY_MODULES else _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys() | _LAZY_MODULES.keys())

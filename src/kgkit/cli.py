@@ -16,13 +16,17 @@ import dataclasses
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import embeddings, owl, rdfs, reify
+from . import owl, rdfs, reify
 from .errors import KGError, ParseError, QueryValidationError, ValidationError
 from .query import REGIMES, parse_competency, parse_query, query as run_query
 from .graph import Graph, graph_from_triples
 from .io import format_term, parse_ntriples, parse_term, parse_turtle, serialize_ntriples
 from .terms import IRI, Term
+
+if TYPE_CHECKING:
+    from . import embeddings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -189,10 +193,14 @@ def _resolve_seed(args) -> int:
 
 
 def _rank_metrics(metrics: embeddings.RankMetrics) -> dict[str, float]:
+    from . import embeddings
+
     return {f.name: getattr(metrics, f.name) for f in dataclasses.fields(embeddings.RankMetrics)}
 
 
 def cmd_embed(args) -> int:
+    from . import embeddings  # numpy loads only for this command
+
     graph = _load_graph(args.graph, args.format)
     if args.action == "train":
         seed = _resolve_seed(args)
@@ -230,6 +238,7 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+_NORMS = ("L1", "L2")  # embeddings.L1 and embeddings.L2, named here so that parsing loads no numpy
 _STATS_HELP = "print each fixpoint run's rounds, delta sizes and per-rule candidate and new-triple counts on stderr as JSON"
 
 
@@ -286,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--negatives", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="overrides KB_SEED; default 0")
-    p.add_argument("--norm", choices=[embeddings.L1, embeddings.L2], default=embeddings.L1)
+    p.add_argument("--norm", choices=list(_NORMS), default=_NORMS[0])
     p.add_argument("--test", default=None, help="held-out N-Triples file (eval)")
     p.add_argument("--head", default=None)
     p.add_argument("--tail", default=None)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from itertools import filterfalse
 from typing import AbstractSet, Iterable, Iterator
-from urllib.parse import urljoin
 
 from .errors import ValidationError
 from .terms import IRI, BlankNode, Literal, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
@@ -54,6 +53,8 @@ class Graph:
             raise ValidationError(f"relative IRI {iri.value!r} and no base IRI is declared")
         if self.base.endswith("#"):
             return IRI(self.base + iri.value)
+        from urllib.parse import urljoin  # loaded only by a graph with a base IRI
+
         return IRI(urljoin(self.base, iri.value))
 
     def intern(self, term: Term) -> int:

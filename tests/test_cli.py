@@ -1,12 +1,16 @@
 import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
 import pytest
 
-from kgkit.cli import main
+import kgkit
+from kgkit.cli import build_parser, main
 
 from helpers import ALLERGEN_TTL, EDU, GLUTEN_FREE_QUERY
 
@@ -320,6 +324,48 @@ def embed_fixture(tmp_path) -> str:
         lines.append(f"<{EDU}n{i}> <{EDU}next> <{EDU}n{(i + 1) % 8}> .")
         lines.append(f"<{EDU}n{(i + 1) % 8}> <{EDU}prev> <{EDU}n{i}> .")
     return write(tmp_path / "chain.nt", "\n".join(lines) + "\n")
+
+
+COLD_START_SCRIPT = """
+import sys
+import kgkit
+import kgkit.cli
+
+def loaded():
+    return [m for m in ("numpy", "kgkit.embeddings", "kgkit.frames") if m in sys.modules]
+
+assert not loaded(), loaded()
+assert set(kgkit.__all__) <= set(dir(kgkit)), set(kgkit.__all__) - set(dir(kgkit))
+kb, model = sys.argv[1:]
+assert kgkit.cli.main(["parse", kb, "--out", model + ".nt"]) == 0
+assert not loaded(), loaded()
+assert kgkit.cli.main(["embed", "train", kb, "--dim", "4", "--epochs", "1", "--model", model]) == 0
+assert "numpy" in sys.modules
+assert kgkit.frames.__name__ == "kgkit.frames"
+for name in kgkit.__all__:
+    getattr(kgkit, name)
+"""
+
+
+def test_import_and_parse_load_no_numpy_or_frames_and_embed_still_works(tmp_path):
+    kb = embed_fixture(tmp_path)
+    model = str(tmp_path / "m.tsv")
+    src = os.path.dirname(os.path.dirname(kgkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, kb, model], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert open(model, encoding="utf-8").read().startswith("d=4 norm=L1\n")
+
+
+def test_norm_choices_are_the_embeddings_norms():
+    from kgkit import embeddings
+
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+    (norm,) = [action for action in commands.choices["embed"]._actions if action.dest == "norm"]
+    assert tuple(norm.choices) == (embeddings.L1, embeddings.L2)
+    assert norm.default == embeddings.L1
 
 
 def test_embed_train_deterministic_model_files(tmp_path):
