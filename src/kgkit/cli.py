@@ -54,7 +54,10 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
         fmt = "nt" if path.endswith(".nt") else "ttl"
     if fmt == "nt":
         return parse_ntriples(text)
-    return parse_turtle(text).graph
+    report = parse_turtle(text)
+    for line, message in report.warnings:
+        print(f"warning: line {line}: {message}", file=sys.stderr)
+    return report.graph
 
 
 def _term_arg(value: str) -> Term:
@@ -219,7 +222,7 @@ def cmd_embed(args) -> int:
         return EXIT_OK
     model = embeddings.load_model(args.model)
     if args.action == "eval":
-        test_graph = parse_ntriples(_read(args.test))
+        test_graph = _load_graph(args.test, args.format)
         report = embeddings.evaluate(model, graph, test_graph.triples())
         payload = _rank_metrics(report)
         if args.per_relation:
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="overrides KB_SEED; default 0")
     p.add_argument("--norm", choices=list(_NORMS), default=_NORMS[0])
-    p.add_argument("--test", default=None, help="held-out N-Triples file (eval)")
+    p.add_argument("--test", default=None, help="held-out triples (eval), read like the graph")
     p.add_argument("--head", default=None)
     p.add_argument("--tail", default=None)
     p.add_argument("--relation", default=None)

@@ -10,6 +10,12 @@ which `Overlay` answers from both of its layers.  Mutation is
 single-writer; readers should work on a `copy()` when the original may
 still change.
 
+On the read path terms become ids once, at the edge: `_pattern_ids`
+looks a pattern's constants up for `contains`, `match_terms`, `match`,
+`cardinality` and the query planner, and everything after it (matching,
+counting, joins, the sameAs partition, retrieval and realization) runs
+on ids until the answers are turned back into terms.
+
 Triples are never removed, so a graph's `version`, its number of
 triples, names its state, and the triples after the first v are those
 added since version v.  Saturation caches its closures on the graph by
@@ -132,12 +138,8 @@ class Graph:
         return len(self._triples)
 
     def contains(self, triple: Triple) -> bool:
-        s = self.lookup(triple.subject)
-        p = self.lookup(triple.predicate)
-        o = self.lookup(triple.object)
-        if s is None or p is None or o is None:
-            return False
-        return (s, p, o) in self._triples
+        ids = self._pattern_ids((triple.subject, triple.predicate, triple.object))
+        return ids is not None and tuple(ids) in self._triples
 
     def contains_ids(self, t: IdTriple) -> bool:
         return t in self._triples
@@ -238,21 +240,23 @@ class Graph:
         else:
             yield from self._triples
 
-    def match_terms(
-        self, s: Term | None = None, p: Term | None = None, o: Term | None = None
-    ) -> Iterator[Triple]:
-        """Wildcard matching at the term level; unknown terms match nothing."""
-        ids = []
-        for t in (s, p, o):
-            if t is None:
+    def _pattern_ids(self, positions: Iterable[Term | Var | None]) -> list[int | None] | None:
+        """The id of each constant position, None for a variable or wildcard; None if a constant is not interned."""
+        ids: list[int | None] = []
+        for t in positions:
+            if t is None or isinstance(t, Var):
                 ids.append(None)
+            elif (tid := self.lookup(t)) is None:
+                return None
             else:
-                tid = self.lookup(t)
-                if tid is None:
-                    return
                 ids.append(tid)
-        for it in self.match_ids(*ids):
-            yield self._to_triple(it)
+        return ids
+
+    def match_terms(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> Iterator[Triple]:
+        """Wildcard matching at the term level; unknown terms match nothing."""
+        ids = self._pattern_ids((s, p, o))
+        if ids is not None:
+            yield from map(self._to_triple, self.match_ids(*ids))
 
     def match(self, pattern: TriplePattern) -> list[tuple[Triple, Binding]]:
         """All triples unifying with the pattern, with variable bindings.
@@ -260,30 +264,15 @@ class Graph:
         Repeated variables must bind consistently.  Output is sorted in
         canonical triple order.
         """
-        ids: list[int | None] = []
-        for pos in pattern.positions():
-            if isinstance(pos, Var):
-                ids.append(None)
-            else:
-                tid = self.lookup(pos)
-                if tid is None:
-                    return []
-                ids.append(tid)
+        positions = pattern.positions()
+        ids = self._pattern_ids(positions)
+        if ids is None:
+            return []
         out = []
         for it in self.match_ids(*ids):
-            triple = self._to_triple(it)
-            binding: Binding = {}
-            ok = True
-            for pos, value in zip(pattern.positions(), (triple.subject, triple.predicate, triple.object)):
-                if isinstance(pos, Var):
-                    seen = binding.get(pos.name)
-                    if seen is None:
-                        binding[pos.name] = value
-                    elif seen != value:
-                        ok = False
-                        break
-            if ok:
-                out.append((triple, binding))
+            bound: dict[str, int] = {}
+            if all(bound.setdefault(pos.name, v) == v for pos, v in zip(positions, it) if isinstance(pos, Var)):
+                out.append((self._to_triple(it), {name: self._id_to_term[v] for name, v in bound.items()}))
         out.sort(key=lambda pair: triple_sort_key(pair[0]))
         return out
 
@@ -292,16 +281,11 @@ class Graph:
 
         Variables count as wildcards, so a repeated variable is not checked.
         """
-        ids = []
-        for t in (s, p, o):
-            if t is None or isinstance(t, Var):
-                ids.append(None)
-            else:
-                tid = self.lookup(t)
-                if tid is None:
-                    return 0
-                ids.append(tid)
-        s, p, o = ids
+        ids = self._pattern_ids((s, p, o))
+        return 0 if ids is None else self.cardinality_ids(*ids)
+
+    def cardinality_ids(self, s: int | None = None, p: int | None = None, o: int | None = None) -> int:
+        """`cardinality` of a pattern of ids, None being a wildcard."""
         if s is not None and p is not None and o is not None:
             return int((s, p, o) in self._triples)
         if s is not None and p is not None:

@@ -359,7 +359,6 @@ class _TurtleParser:
         self._doc_labels = {value for kind, value, _ in self.tokens if kind == BLANK}
         self._anon = 0
         self._memo: dict[tuple, list] = {}
-        self._qname_keys: dict[str, list[tuple]] = {}  # prefix -> memo keys that expanded it
         self._first, self._rest, self._nil = ([t, -1] for t in (vocab.RDF_FIRST, vocab.RDF_REST, vocab.RDF_NIL))
 
     def _at(self, tok) -> tuple[int, int]:
@@ -400,9 +399,6 @@ class _TurtleParser:
             if isinstance(term, IRI) and not term.is_absolute():  # no base resolves it: report it here
                 raise ParseError(_NO_BASE.format("IRI", term.value), *self._at(tokens[pos]))
             slot = self._memo[key] = [term, -1]
-            qname = key[1] if kind == QNAME else key[3] if key[2:3] == (QNAME,) else None
-            if qname is not None:
-                self._qname_keys.setdefault(qname[: qname.index(":")], []).append(key)
         self.pos = end
         return slot
 
@@ -437,8 +433,9 @@ class _TurtleParser:
         if old is not None and old != ns:
             if not (prefix == "" and old == vocab.DEFAULT_NS):
                 self.warnings.append((self._at(tok)[0], f"prefix {prefix!r} redefined from <{old}> to <{ns}>"))
-            for key in self._qname_keys.pop(prefix, ()):
-                del self._memo[key]
+            # a qname's key ends in it: (QNAME, qname) or (STRING, value, QNAME, qname)
+            pname = prefix + ":"
+            self._memo = {k: v for k, v in self._memo.items() if not (QNAME in k[::2] and k[-1].startswith(pname))}
         self.prefixes.bind(prefix, ns)
         self._expect(DOT)
 

@@ -420,7 +420,7 @@ def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
 
 
 class EqualityPartition:
-    """The owl:sameAs classes of an OWL-closed graph.
+    """The owl:sameAs classes of an OWL-closed graph, over the graph's ids.
 
     Only non-literal terms take part.  The OWL closure makes sameAs
     symmetric and transitive between them, so a term's class is itself
@@ -429,20 +429,27 @@ class EqualityPartition:
     any input permutation.
     """
 
-    def __init__(self, representatives: dict[Term, Term]):
+    def __init__(self, graph: Graph, representatives: dict[int, int]):
+        self._graph = graph
         self._reps = representatives
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "EqualityPartition":
         """The partition of `graph`, which must be closed under the OWL rules."""
-        classes: dict[Term, list[Term]] = {}
-        for t in graph.match_terms(None, vocab.OWL_SAMEAS, None):
-            if not isinstance(t.object, Literal):
-                classes.setdefault(t.subject, [t.subject]).append(t.object)
-        return cls({term: min(members, key=sort_key) for term, members in classes.items()})
+        term = graph.term
+        classes: dict[int, list[int]] = {}
+        for x, y in graph.pairs(graph.lookup(vocab.OWL_SAMEAS)):
+            if not isinstance(term(y), Literal):
+                classes.setdefault(x, [x]).append(y)
+        return cls(graph, {x: min(members, key=lambda i: sort_key(term(i))) for x, members in classes.items()})
+
+    def representative_id(self, tid: int) -> int:
+        """`representative` on the graph's ids."""
+        return self._reps.get(tid, tid)
 
     def representative(self, term: Term) -> Term:
-        return self._reps.get(term, term)
+        tid = self._graph.lookup(term)
+        return term if tid is None else self._graph.term(self.representative_id(tid))
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +513,8 @@ def check_instance(graph: Graph, individual: Term, cls: Term) -> InstanceCheck:
 def retrieve_instances(graph: Graph, cls: Term) -> set[Term]:
     """All derived members of a class, canonicalized to sameAs representatives."""
     closure = _consistent_closure(graph)
-    return {
-        closure.partition.representative(t.subject)
-        for t in closure.graph.match_terms(None, vocab.RDF_TYPE, cls)
-    }
+    g, rep = closure.graph, closure.partition.representative_id
+    return {g.term(rep(x)) for x in g.subjects(g.lookup(vocab.RDF_TYPE), g.lookup(cls))}
 
 
 def realize(graph: Graph, individual: Term) -> set[Term]:
@@ -519,13 +524,11 @@ def realize(graph: Graph, individual: Term) -> set[Term]:
     strictly more specific competitor; equivalent classes tie and are
     all returned.
     """
-    closure = _consistent_closure(graph)
-    types = {t.object for t in closure.graph.match_terms(individual, vocab.RDF_TYPE, None) if isinstance(t.object, IRI)}
-
-    def subclass(d: Term, c: Term) -> bool:
-        return d == c or Triple(d, vocab.RDFS_SUBCLASSOF, c) in closure.graph
-
-    return {c for c in types if not any(subclass(d, c) and not subclass(c, d) for d in types)}
+    g = _consistent_closure(graph).graph
+    sco = g.lookup(vocab.RDFS_SUBCLASSOF)
+    types = {c for c in g.objects(g.lookup(individual), g.lookup(vocab.RDF_TYPE)) if isinstance(g.term(c), IRI)}
+    # c is kept when each other type below it is equivalent to it
+    return {g.term(c) for c in types if all(c in g.subjects(sco, d) for d in types & g.subjects(sco, c) if d != c)}
 
 
 def subsumes(graph: Graph, class_d: Term, class_c: Term) -> bool:

@@ -51,26 +51,19 @@ def _validate(q: Query) -> None:
             raise QueryValidationError(f"projection variable ?{v} occurs in no pattern")
 
 
-def _plan(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePattern]:
-    """Most selective first: more bound positions, then smaller index estimate."""
-
-    def key(indexed: tuple[int, TriplePattern]):
-        i, p = indexed
-        bound = [None if isinstance(pos, Var) else pos for pos in p.positions()]
-        return (3 - p.bound_count(), work.cardinality(*bound), i)
-
-    return [p for _, p in sorted(enumerate(patterns), key=lambda ip: key(ip))]
-
-
 def _resolve(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[tuple] | None:
-    """Planned patterns, each position (variable name, None) or (None, constant id); None if a constant is absent."""
-    plan = []
-    for p in _plan(work, patterns):
-        slots = tuple((pos.name, None) if isinstance(pos, Var) else (None, work.lookup(pos)) for pos in p.positions())
-        if any(name is None and tid is None for name, tid in slots):
+    """Planned patterns, each position (variable name, None) or (None, constant id); None if a constant is absent.
+
+    Most selective first: more bound positions, then fewer matching triples, then the given order.
+    """
+    keyed = []
+    for i, p in enumerate(patterns):
+        ids = work._pattern_ids(p.positions())
+        if ids is None:
             return None
-        plan.append(slots)
-    return plan
+        slots = tuple((pos.name if isinstance(pos, Var) else None, tid) for pos, tid in zip(p.positions(), ids))
+        keyed.append(((ids.count(None), work.cardinality_ids(*ids), i), slots))
+    return [slots for _, slots in sorted(keyed)]
 
 
 def _join(work: Graph, plan: list[tuple] | None, binding: dict[str, int]) -> list[dict[str, int]]:
@@ -97,14 +90,14 @@ def query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
     if regime not in REGIMES:
         raise QueryValidationError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     _validate(q)
-    partition = None
+    canonical = None
     if regime == "none":
         work = graph
     elif regime == "rdfs":
         work = saturate_rdfs(graph).graph
     else:
         closure = saturate_owl(graph)[0]
-        work, partition = closure.graph, closure.partition
+        work, canonical = closure.graph, closure.partition.representative_id
 
     bindings = _join(work, _resolve(work, q.patterns), {})
     blocks = [_resolve(work, block) for block in q.negations]
@@ -112,10 +105,8 @@ def query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
 
     projection = q.projection or tuple(sorted(set().union(*(p.variables() for p in q.patterns))))
     rows: dict[tuple, Binding] = {}
-    for ids in {tuple(b[v] for v in projection) for b in bindings}:
+    for ids in {tuple(b[v] if canonical is None else canonical(b[v]) for v in projection) for b in bindings}:
         row = {v: work.term(i) for v, i in zip(projection, ids)}
-        if partition is not None:
-            row = {v: partition.representative(t) for v, t in row.items()}
         rows[tuple(sort_key(t) for t in row.values())] = row
     return [rows[k] for k in sorted(rows)]
 

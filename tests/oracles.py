@@ -376,6 +376,38 @@ def naive_violation_rules(ts: frozenset[TermTriple]) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
+# Reasoning tasks on an already-saturated set
+# ---------------------------------------------------------------------------
+
+
+def oracle_representative(ts: frozenset[TermTriple], term: Term) -> Term:
+    """The canonically least member of the term's sameAs component, grown from the pairs in either direction."""
+    component, stack = set(), [term]
+    while stack:
+        n = stack.pop()
+        if n not in component:
+            component.add(n)
+            stack.extend(y for x, y in _same_pairs(ts) if x == n)
+            stack.extend(x for x, y in _same_pairs(ts) if y == n)
+    return min(component, key=sort_key)
+
+
+def oracle_retrieve_instances(ts: frozenset[TermTriple], cls: Term) -> set[Term]:
+    """The subjects of (x type cls), each replaced by its sameAs representative."""
+    return {oracle_representative(ts, x) for x, p, c in ts if p == TYPE and c == cls}
+
+
+def oracle_realize(ts: frozenset[TermTriple], individual: Term) -> set[Term]:
+    """The individual's IRI types that no other of its types is strictly below."""
+    types = {c for x, p, c in ts if x == individual and p == TYPE and _iri(c)}
+
+    def below(d, c):
+        return d == c or (d, SCO, c) in ts
+
+    return {c for c in types if not any(below(d, c) and not below(c, d) for d in types)}
+
+
+# ---------------------------------------------------------------------------
 # Pattern matching and joins by brute force
 # ---------------------------------------------------------------------------
 

@@ -69,6 +69,20 @@ def test_parse_turtle_listing_to_canonical_ntriples(tmp_path, capsys):
     assert lines == sorted(lines)
 
 
+def test_parse_prints_prefix_redefinitions_as_warnings_on_stderr(tmp_path, capsys):
+    other = "http://other.example/"
+    plain = write(tmp_path / "plain.nt", f"<{EDU}a> <{EDU}p> <{EDU}b> .\n<{other}a> <{EDU}p> <{EDU}b> .\n")
+    assert main(["parse", plain]) == 0
+    expected = capsys.readouterr()
+    assert expected.err == ""
+    rebinding = f"@prefix ex: <{EDU}> .\nex:a ex:p ex:b .\n@prefix ex: <{other}> .\nex:a edu:p edu:b .\n"
+    kb = write(tmp_path / "rebind.ttl", f"@prefix edu: <{EDU}> .\n" + rebinding)
+    assert main(["parse", kb]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected.out
+    assert captured.err == f"warning: line 4: prefix 'ex' redefined from <{EDU}> to <{other}>\n"
+
+
 def test_parse_malformed_line_exits_2(tmp_path, capsys):
     kb = write(tmp_path / "bad.nt", f"<{EDU}a> <{EDU}p> <{EDU}b> .\n<{EDU}a> <{EDU}p>\n")
     assert main(["parse", kb]) == 2
@@ -500,6 +514,19 @@ def test_embed_eval_stdout_without_per_relation_is_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == (
         '{"hits_at_1": 0.25, "hits_at_10": 1.0, "hits_at_3": 0.5, "mean_rank": 4.75, "mrr": 0.40029761904761907}\n'
     )
+
+
+def test_embed_eval_reads_a_turtle_test_file_like_the_graph(tmp_path, capsys):
+    kb, model, test_file = _eval_fixture(tmp_path)
+    capsys.readouterr()
+    assert main(["embed", "eval", kb, "--model", model, "--test", test_file]) == 0
+    expected = capsys.readouterr().out
+    ttl = write(tmp_path / "test.ttl", f"@prefix edu: <{EDU}> .\nedu:n0 edu:next edu:n1 .\nedu:n3 edu:prev edu:n5 .\n")
+    assert main(["embed", "eval", kb, "--model", model, "--test", ttl]) == 0
+    assert capsys.readouterr().out == expected
+    ttl_graph = write(tmp_path / "chain.ttl", (tmp_path / "chain.nt").read_text(encoding="utf-8"))
+    assert main(["embed", "eval", ttl_graph, "--format", "ttl", "--model", model, "--test", ttl]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_embed_eval_per_relation(tmp_path, capsys):

@@ -369,6 +369,40 @@ def test_realize_output_is_an_antichain():
                         assert not strictly_more_specific
 
 
+def test_retrieve_instances_and_realize_agree_with_the_oracles_on_kbs_with_sameas():
+    checked = 0
+    for seed in range(40):
+        g = random_consistent_owl_graph(seed + 200, max_triples=30)
+        if not any(p == vocab.OWL_SAMEAS for _, p, _ in triples_of(g)):
+            continue
+        checked += 1
+        ts = naive_owl_closure(triples_of(g))
+        typed = {(x, c) for x, p, c in ts if p == vocab.RDF_TYPE}
+        for cls in {c for _, c in typed} | {edu("absent")}:
+            assert retrieve_instances(g, cls) == oracles.oracle_retrieve_instances(ts, cls), f"seed {seed}, {cls}"
+        for x in {x for x, _ in typed} | {edu("absent")}:
+            assert realize(g, x) == oracles.oracle_realize(ts, x), f"seed {seed}, {x}"
+    assert checked >= 10
+
+
+def test_read_tasks_build_no_triple_from_the_closure(monkeypatch):
+    g = Graph()
+    g.add(edu("b"), vocab.OWL_SAMEAS, edu("a"))
+    g.add(edu("b"), vocab.RDF_TYPE, edu("City"))
+    g.add(edu("City"), vocab.RDFS_SUBCLASSOF, edu("Locality"))
+    saturate_owl(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Triple was built from the closure")
+
+    monkeypatch.setattr(Graph, "_to_triple", refuse)
+    monkeypatch.setattr(Graph, "match_terms", refuse)
+    assert retrieve_instances(g, edu("Locality")) == {edu("a")}
+    assert realize(g, edu("b")) == {edu("City")}
+    q, _ = parse_query(f"PREFIX edu: <{EDU}>\n?x rdf:type edu:Locality")
+    assert query(g, q, "owl") == [{"x": edu("a")}]
+
+
 def test_subsumes_basics():
     kb = city_kb()
     assert subsumes(kb, edu("Locality"), edu("City"))
