@@ -25,7 +25,7 @@ version (`rdfs._saturate`).
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from .errors import ValidationError
 from .terms import IRI, BlankNode, Literal, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
@@ -141,8 +141,10 @@ class Graph:
         ids = self._pattern_ids((triple.subject, triple.predicate, triple.object))
         return ids is not None and tuple(ids) in self._triples
 
-    def contains_ids(self, t: IdTriple) -> bool:
-        return t in self._triples
+    @property
+    def contains_ids(self) -> Callable[[IdTriple], bool]:
+        """Membership of an id triple: the triple set's own test, so a loop that binds it runs it in C."""
+        return self._triples.__contains__
 
     def mentions(self, term: Term) -> bool:
         """True when the term occurs in at least one triple position."""

@@ -98,6 +98,7 @@ _SCANNER = re.compile(
 )
 _BODIES = {"<": (re.compile(_IRI_BODY), "IRI"), '"': (re.compile(_STRING_BODY), "literal")}
 _ESCAPE_RE = re.compile(_ESCAPE)
+_LOCAL_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
 # RDF 1.1 Turtle, section 6.5: INTEGER, DECIMAL, DOUBLE and BooleanLiteral
 _SHORTHAND_WORD = re.compile(
     r"""(?P<boolean>true|false)
@@ -202,10 +203,28 @@ def _scan(text: str, start_line: int = 1) -> list[tuple[str, str, int]]:
 _NO_BASE = "relative {} {!r} and no base IRI is declared"
 
 
-def _iri(tok, prefixes: PrefixMap | None, at, what: str = "IRI") -> IRI:
-    """The IRI an IRIREF or qname token names; an empty one has no base to resolve against."""
+def _local_escapes(tokens, pos: int, at) -> str:
+    """The qname at tokens[pos] with its local name's escapes decoded: `\\.` stands for `.` (RDF 1.1 Turtle, section 6.4)."""
+    tok, after = tokens[pos], tokens[pos + 1]
+
+    def decode(m: re.Match) -> str:
+        e = m.group(1)
+        if e and e in "_~.-!$&'()*+,;=/?#@%" and m.start() > tok[1].index(":"):
+            return e
+        if not e and after[2] == tok[2] + len(tok[1]):  # the scanner ends a word before ;,()@
+            e = "@" if after[0] in (LANGTAG, AT_PREFIX) else after[1]
+        raise ParseError(f"{'unsupported' if e and e in ';,()@' else 'bad'} escape \\{e} in qname {tok[1]}", *at(tok))
+
+    return _LOCAL_ESCAPE.sub(decode, tok[1])
+
+
+def _iri(tokens, pos: int, prefixes: PrefixMap | None, at, what: str = "IRI") -> IRI:
+    """The IRI the IRIREF or qname token at tokens[pos] names; an empty one has no base to resolve against."""
+    tok = tokens[pos]
     try:
-        return IRI(tok[1]) if tok[0] == IRIREF else prefixes.expand(tok[1])
+        if tok[0] == IRIREF:
+            return IRI(tok[1])
+        return prefixes.expand(_local_escapes(tokens, pos, at) if "\\" in tok[1] else tok[1])
     except UnknownPrefixError as exc:
         raise ParseError(str(exc), *at(tok)) from exc
     except ValidationError as exc:  # `<>`, or a prefix bound to <> and no local part
@@ -222,7 +241,7 @@ def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
     kind = tok[0]
     turtle = prefixes is not None
     if kind == IRIREF or (kind == QNAME and turtle):
-        return _iri(tok, prefixes, at), pos + 1
+        return _iri(tokens, pos, prefixes, at), pos + 1
     if kind == BLANK:
         return BlankNode(tok[1]), pos + 1
     if kind == KEYWORD_A and turtle:
@@ -234,7 +253,7 @@ def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
         if nxt[0] == HATHAT:
             dt_tok = tokens[pos + 2]
             if dt_tok[0] == IRIREF or (dt_tok[0] == QNAME and turtle):
-                datatype = _iri(dt_tok, prefixes, at, "datatype IRI")
+                datatype = _iri(tokens, pos + 2, prefixes, at, "datatype IRI")
                 if not datatype.is_absolute():  # a literal's datatype is never resolved
                     raise ParseError(_NO_BASE.format("datatype IRI", datatype.value), *at(dt_tok))
                 return Literal(tok[1], datatype=datatype.value), pos + 3

@@ -8,13 +8,16 @@ propagation.  Disjointness, complement, differentFrom, AllDifferent
 lists and owl:Nothing membership are violation triggers: inconsistency
 is reported as data, never raised during saturation.
 
-Some consequences need no rule of their own, as in the OWL 2 RL rule
-table: sameAs transitivity is substitution in the object position, and
-intersection and union membership follow from the operators' subclass
-edges (scm-int, scm-uni) through RDFS type propagation.  Each rule
-handles every premise from the delta, joining an arriving triple in each
-role it can play: a new list cell or restriction triple re-evaluates only
-the class expressions it belongs to.
+`OWL_RULES` extends the RDFS table (see `rdfs`) with one row per OWL 2
+RL rule of fixed arity.  Three rules stay hand-written, because no row
+can state them: sameAs substitution rewrites a term in any position of
+any triple, so its body has a predicate that no other atom binds; and
+intersection and union read a list of any length, which a walk over
+rdf:rest (`_expressions`) reaches from any cell that arrives.  Some
+consequences need no rule of their own, as in OWL 2 RL: sameAs
+transitivity is substitution in the object position, and intersection
+and union membership follow from the operators' subclass edges (scm-int,
+scm-uni) through type propagation.
 
 Deliberate boundary: no rule introduces fresh individuals, so a
 someValuesFrom on the superclass side is stored but never instantiated.
@@ -33,6 +36,7 @@ from .graph import Graph, IdTriple, Overlay
 from .rdfs import (
     RDFS_RULES,
     Closure,
+    Row,
     Delta,
     InconsistencyReport,
     Violation,
@@ -98,12 +102,6 @@ def _expressions(g: Graph | Overlay, op: int, cells: Iterable[int]) -> list[tupl
     return [(c, l, *_list_walk(g, l)) for c, l in sorted(found)]
 
 
-def _r_sameas_symmetry(g: Graph | Overlay, delta: Delta):
-    """(x sameAs y) -> (y sameAs x)"""
-    for t in delta.by_predicate.get(g.lookup(vocab.OWL_SAMEAS), ()):
-        yield (t[2], t[1], t[0]), "owl-sameas-symmetry", (t,)
-
-
 def _substitutions(t: IdTriple, old: int, new: int):
     """Rewrites of one triple under old = new."""
     s, p, o = t
@@ -144,92 +142,6 @@ def _r_sameas_substitution(g: Graph | Overlay, delta: Delta):
             for v in vs:
                 for rewritten in _substitutions(t, u, v):
                     yield rewritten, "owl-sameas-substitution", ((u, sa, v), t)
-
-
-def _r_functional(g: Graph | Overlay, delta: Delta):
-    """(P a FunctionalProperty), (x P y1), (x P y2) -> (y1 sameAs y2)"""
-    typ = g.lookup(vocab.RDF_TYPE)
-    fp = g.lookup(vocab.OWL_FUNCTIONALPROPERTY)
-    if typ is None or fp is None:
-        return
-    sa = g.intern(vocab.OWL_SAMEAS)
-    for prop in delta.by_object(typ).get(fp, ()):  # a new declaration pairs the objects of every subject
-        decl = (prop, typ, fp)
-        for x, y1 in g.pairs(prop):
-            for y2 in g.objects(x, prop):
-                if y1 != y2 and not isinstance(g.term(y2), Literal):
-                    yield (y1, sa, y2), "owl-functional-property", (decl, (x, prop, y1), (x, prop, y2))
-    for p, triples in delta.by_predicate.items():
-        decl = (p, typ, fp)
-        if g.contains_ids(decl):
-            for t in triples:
-                s, _, o = t
-                for y2 in g.objects(s, p):
-                    if y2 != o and not isinstance(g.term(y2), Literal):
-                        yield (o, sa, y2), "owl-functional-property", (decl, t, (s, p, y2))
-
-
-def _r_inverse(g: Graph | Overlay, delta: Delta):
-    """(P inverseOf Q): (x P y) -> (y Q x) and (x Q y) -> (y P x)"""
-    inv = g.lookup(vocab.OWL_INVERSEOF)
-    if inv is None:
-        return
-    decls = delta.by_predicate.get(inv, ())
-    for decl in decls:  # a new declaration maps every triple of P and of Q, new triples too
-        p, _, q = decl
-        for x, y in g.pairs(p):
-            yield (y, q, x), "owl-inverse-property", ((x, p, y), decl)
-        for x, y in g.pairs(q):
-            yield (y, p, x), "owl-inverse-property", ((x, q, y), decl)
-    new_decls = set(decls)
-    contains = g.contains_ids
-    for p, triples in delta.by_predicate.items():
-        mapped = [((p, inv, q), q) for q in g.objects(p, inv)] + [((r, inv, p), r) for r in g.subjects(inv, p)]
-        for decl, image in mapped:
-            if decl not in new_decls:
-                for t in triples:
-                    if not contains((t[2], image, t[0])):
-                        yield (t[2], image, t[0]), "owl-inverse-property", (t, decl)
-
-
-def _r_transitive(g: Graph | Overlay, delta: Delta):
-    """(P a TransitiveProperty), (x P y), (y P z) -> (x P z)"""
-    typ = g.lookup(vocab.RDF_TYPE)
-    tp = g.lookup(vocab.OWL_TRANSITIVEPROPERTY)
-    if typ is None or tp is None:
-        return
-    for prop in delta.by_object(typ).get(tp, ()):  # a new declaration composes every pair of P triples
-        decl = (prop, typ, tp)
-        for x, y in g.pairs(prop):
-            for z in g.objects(y, prop):
-                yield (x, prop, z), "owl-transitive-property", (decl, (x, prop, y), (y, prop, z))
-    for p, triples in delta.by_predicate.items():
-        decl = (p, typ, tp)
-        if g.contains_ids(decl):
-            for t in triples:
-                s, _, o = t
-                for z in g.objects(o, p) - g.objects(s, p):
-                    yield (s, p, z), "owl-transitive-property", (decl, t, (o, p, z))
-                for w in g.subjects(p, s) - g.subjects(p, o):
-                    yield (w, p, o), "owl-transitive-property", (decl, (w, p, s), t)
-
-
-def _r_equivalent_class(g: Graph | Overlay, delta: Delta):
-    """(C equivalentClass D) <-> (C sco D) and (D sco C)"""
-    eqc = g.lookup(vocab.OWL_EQUIVALENTCLASS)
-    sco = g.lookup(vocab.RDFS_SUBCLASSOF)
-    sco_id = g.intern(vocab.RDFS_SUBCLASSOF) if eqc is not None else None
-    eqc_id = g.intern(vocab.OWL_EQUIVALENTCLASS) if sco is not None else None
-    for t in delta.by_predicate.get(eqc, ()):
-        s, _, o = t
-        yield (s, sco_id, o), "owl-equivalence-subclass", (t,)
-        yield (o, sco_id, s), "owl-equivalence-subclass", (t,)
-    for t in delta.by_predicate.get(sco, ()):
-        s, _, o = t
-        back = (o, sco, s)
-        if g.contains_ids(back):
-            yield (s, eqc_id, o), "owl-subclass-equivalence", (t, back)
-            yield (o, eqc_id, s), "owl-subclass-equivalence", (back, t)
 
 
 def _r_intersection(g: Graph | Overlay, delta: Delta):
@@ -275,88 +187,27 @@ def _r_union(g: Graph | Overlay, delta: Delta):
             yield (m, sco, c), "owl-union-subclass", ((c, uni, l),)
 
 
-def _restrictions(delta: Delta, *predicates: int) -> set[int]:
-    """The subjects of the delta's triples with these predicates: restrictions that gained a triple."""
-    by_predicate = delta.by_predicate
-    return {r for p in predicates for r, _, _ in by_predicate.get(p, ())}
+_TYPE, _SCO, _SA, _INV = vocab.RDF_TYPE, vocab.RDFS_SUBCLASSOF, vocab.OWL_SAMEAS, vocab.OWL_INVERSEOF
+_EQC, _FP, _TP, _ONP = vocab.OWL_EQUIVALENTCLASS, vocab.OWL_FUNCTIONALPROPERTY, vocab.OWL_TRANSITIVEPROPERTY, vocab.OWL_ONPROPERTY
 
-
-def _r_somevalues(g: Graph | Overlay, delta: Delta):
-    """(R onProperty P), (R someValuesFrom D), (x P y), (y type D) -> (x type R)"""
-    svf = g.lookup(vocab.OWL_SOMEVALUESFROM)
-    onp = g.lookup(vocab.OWL_ONPROPERTY)
-    typ = g.lookup(vocab.RDF_TYPE)
-    if svf is None or onp is None or typ is None:
-        return
-
-    def fire(r: int, prop: int, d: int, x: int, y: int):
-        return (x, typ, r), "owl-somevalues-recognition", ((r, onp, prop), (r, svf, d), (x, prop, y), (y, typ, d))
-
-    for r in _restrictions(delta, svf, onp):  # a restriction triple joins just its own restriction
-        for prop in g.objects(r, onp):
-            for d in g.objects(r, svf):
-                members = g.subjects(typ, d)
-                for x, y in g.pairs(prop):
-                    if y in members:
-                        yield fire(r, prop, d, x, y)
-    for d, ys in delta.by_object(typ).items():
-        for r in g.subjects(svf, d):
-            for prop in g.objects(r, onp):
-                for y in ys:
-                    for x in g.subjects(prop, y):
-                        yield fire(r, prop, d, x, y)
-    for p, triples in delta.by_predicate.items():
-        for r in g.subjects(onp, p):
-            for d in g.objects(r, svf):
-                members = g.subjects(typ, d)
-                for x, _, y in triples:
-                    if y in members:
-                        yield fire(r, p, d, x, y)
-
-
-def _r_allvalues(g: Graph | Overlay, delta: Delta):
-    """(R onProperty P), (R allValuesFrom D), (x type R), (x P y) -> (y type D)"""
-    avf = g.lookup(vocab.OWL_ALLVALUESFROM)
-    onp = g.lookup(vocab.OWL_ONPROPERTY)
-    typ = g.lookup(vocab.RDF_TYPE)
-    if avf is None or onp is None or typ is None:
-        return
-
-    def fire(r: int, prop: int, d: int, x: int, y: int):
-        return (y, typ, d), "owl-allvalues-propagation", ((r, onp, prop), (r, avf, d), (x, typ, r), (x, prop, y))
-
-    for r in _restrictions(delta, avf, onp):  # a restriction triple joins just its own restriction
-        for prop in g.objects(r, onp):
-            for d in g.objects(r, avf):
-                for x in g.subjects(typ, r):
-                    for y in g.objects(x, prop):
-                        yield fire(r, prop, d, x, y)
-    for r, xs in delta.by_object(typ).items():
-        for d in g.objects(r, avf):
-            for prop in g.objects(r, onp):
-                for x in xs:
-                    for y in g.objects(x, prop):
-                        yield fire(r, prop, d, x, y)
-    for p, triples in delta.by_predicate.items():
-        for r in g.subjects(onp, p):
-            for d in g.objects(r, avf):
-                members = g.subjects(typ, r)
-                for x, _, y in triples:
-                    if x in members:
-                        yield fire(r, p, d, x, y)
-
-
+# The OWL table in the order the fixpoint runs it, with the OWL 2 RL rule each row transcribes.
 OWL_RULES = RDFS_RULES + [
-    _r_sameas_symmetry,
-    _r_sameas_substitution,
-    _r_functional,
-    _r_inverse,
-    _r_transitive,
-    _r_equivalent_class,
-    _r_intersection,
-    _r_union,
-    _r_somevalues,
-    _r_allvalues,
+    Row("owl-sameas-symmetry", ("y", _SA, "x"), ("x", _SA, "y")),  # eq-sym
+    _r_sameas_substitution,  # eq-rep-s, eq-rep-p, eq-rep-o, eq-trans
+    Row("owl-functional-property", ("y1", _SA, "y2"), ("p", _TYPE, _FP), ("x", "p", "y1"), ("x", "p", "y2"),
+        distinct=("y1", "y2"), nonliteral="y2"),  # prp-fp
+    Row("owl-inverse-property", ("y", "q", "x"), ("p", _INV, "q"), ("x", "p", "y")),  # prp-inv1
+    Row("owl-inverse-property", ("y", "p", "x"), ("p", _INV, "q"), ("x", "q", "y")),  # prp-inv2
+    Row("owl-transitive-property", ("x", "p", "z"), ("p", _TYPE, _TP), ("x", "p", "y"), ("y", "p", "z")),  # prp-trp
+    Row("owl-equivalence-subclass", ("c", _SCO, "d"), ("c", _EQC, "d")),  # scm-eqc1
+    Row("owl-equivalence-subclass", ("d", _SCO, "c"), ("c", _EQC, "d")),  # scm-eqc1
+    Row("owl-subclass-equivalence", ("c", _EQC, "d"), ("c", _SCO, "d"), ("d", _SCO, "c")),  # scm-eqc2
+    _r_intersection,  # scm-int, cls-int1
+    _r_union,  # scm-uni
+    Row("owl-somevalues-recognition", ("x", _TYPE, "r"),
+        ("r", vocab.OWL_SOMEVALUESFROM, "d"), ("r", _ONP, "p"), ("x", "p", "y"), ("y", _TYPE, "d")),  # cls-svf1
+    Row("owl-allvalues-propagation", ("y", _TYPE, "d"),
+        ("r", vocab.OWL_ALLVALUESFROM, "d"), ("r", _ONP, "p"), ("x", _TYPE, "r"), ("x", "p", "y")),  # cls-avf
 ]
 
 

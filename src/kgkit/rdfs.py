@@ -1,27 +1,27 @@
-"""Forward-chaining RDFS saturation.
+"""Forward-chaining RDFS saturation, and the rule table both profiles are written in.
 
-Four rule families: subClassOf transitivity and type propagation,
-subPropertyOf transitivity and triple propagation, domain typing, and
-range typing.  Evaluation is semi-naive: each round joins only the
-triples derived in the previous round (the delta) against the rest, so
-nothing is re-derived from scratch.  The closure is the least fixpoint;
-rules only ever combine existing terms, so it is finite.
+A rule is a `Row`: a head atom and body atoms in OWL 2 RL notation whose
+slots are variable names or vocabulary IRIs, such as cax-sco's
+`(x type b) <- (a subClassOf b), (x type a)`.  On its first call a row
+compiles itself into one Python function with one semi-naive branch per
+body atom: that atom reads the round's delta, the atoms before it skip
+delta triples, the atoms after it read the whole graph, and a head
+already in the graph is not yielded.  A branch reads its delta atom at
+the levels `Delta` groups it by: by predicate, then by object when
+another atom waits for the object, then row by row (one row per subject,
+or per object, when the other slot only names a premise).  Every other
+atom is joined at the first level that binds what it needs, through
+`contains_ids`, `objects`, `subjects` or `pairs`, and the last
+enumeration is filtered in C by `lacking` when it binds only the head's
+subject.  A schema entry is so read once per round and predicate or
+class, not once per delta triple.
 
-Rule protocol: `_fixpoint` hands every rule of a round the same `Delta`,
-the round's sorted id triples grouped by predicate once.  A rule joins
-those groups against the graph's index sets through its id accessors
-(`objects`, `subjects`, `pairs`, `lacking`), so it reads a schema entry
-once per round and predicate (or class), not once per delta triple.  It
-yields (triple, rule name, premises) and may leave out a consequence that
-is already in the graph: type propagation, domain and range test a
-class's candidate members in C against its rdf:type index entry
-(`lacking`), so only missing ones reach Python.  The fixpoint still drops
-duplicates.
-
-Resume invariant: every rule finds every consequence that has at least
-one premise in the delta and is not yet in the graph.  Rules only add
-triples, so a closed graph takes new triples by running the same loop
-from a delta of just those triples.
+Resume invariant: every rule yields every consequence that has at least
+one premise in the delta and is not yet in the graph, with its rule name
+and premises.  Rules only add triples, so a closed graph takes new
+triples by running the same loop from a delta of just those triples; the
+closure is the least fixpoint, and finite, as rules only combine
+existing terms.
 
 Shape invariant: `_fixpoint` inserts only RDF 1.1 triples, with no
 literal subject and an IRI predicate, so rules need not check the shape
@@ -35,7 +35,7 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -128,6 +128,7 @@ class Delta(list):
         super().__init__(triples)
         self.sort()
         self._by_object: dict[int | None, dict[int, list[int]]] = {}
+        self._sets: dict[int, set[IdTriple]] = {}
 
     @cached_property
     def by_predicate(self) -> dict[int, list[IdTriple]]:
@@ -157,6 +158,13 @@ class Delta(list):
                     members.append(s)
         return groups
 
+    def with_predicate(self, p: int) -> set[IdTriple]:
+        """The delta's triples with predicate p as a set, for the test that a premise is not new."""
+        triples = self._sets.get(p)
+        if triples is None:
+            triples = self._sets[p] = set(self.by_predicate.get(p, ()))
+        return triples
+
 
 # A rule yields (new id-triple, rule name, premise id-triples) for every
 # consequence whose premises involve at least one delta triple; it may
@@ -164,92 +172,206 @@ class Delta(list):
 Rule = Callable[[Graph | Overlay, Delta], Iterator[tuple[IdTriple, str, tuple[IdTriple, ...]]]]
 
 
-def _r_transitivity(pred: Term, name: str, g: Graph | Overlay, delta: Delta):
-    """(A pred B), (B pred C) -> (A pred C), for pred subClassOf or subPropertyOf"""
-    pid = g.lookup(pred)
-    for t in delta.by_predicate.get(pid, ()):
-        a, _, b = t
-        for c in g.objects(b, pid):
-            yield (a, pid, c), name, (t, (b, pid, c))
-        for c in g.subjects(pid, a):
-            yield (c, pid, b), name, ((c, pid, a), t)
+Slot = str | IRI  # a variable name, or a vocabulary IRI
+Atom = tuple[Slot, Slot, Slot]
 
 
-def _r_type_propagation(g: Graph | Overlay, delta: Delta):
-    """(x type A), (A sco B) -> (x type B)"""
-    typ = g.lookup(vocab.RDF_TYPE)
-    sco = g.lookup(vocab.RDFS_SUBCLASSOF)
-    if typ is None or sco is None:
-        return
-    edges = delta.by_predicate.get(sco, ())
-    for edge in edges:  # a new edge types every member of A, new members too
-        a, _, b = edge
-        for y in g.lacking(g.subjects(typ, a), typ, b):
-            yield (y, typ, b), "rdfs-type-propagation", ((y, typ, a), edge)
-    new_edges = set(edges)
-    for a, xs in delta.by_object(typ).items():  # A's superclasses, read once per class
-        for b in g.objects(a, sco):
-            edge = (a, sco, b)
-            if edge not in new_edges:
-                for x in g.lacking(xs, typ, b):
-                    yield (x, typ, b), "rdfs-type-propagation", ((x, typ, a), edge)
+def _vars(atom: Atom) -> set[str]:
+    return {x for x in atom if isinstance(x, str)}
 
 
-def _r_property_propagation(g: Graph | Overlay, delta: Delta):
-    """(x P y), (P spo Q) -> (x Q y)"""
-    spo = g.lookup(vocab.RDFS_SUBPROPERTYOF)
-    if spo is None:
-        return
-    edges = delta.by_predicate.get(spo, ())
-    for edge in edges:  # a new edge lifts every triple of P, new triples too
-        p, _, q = edge
-        for x, y in g.pairs(p):
-            yield (x, q, y), "rdfs-subproperty-propagation", ((x, p, y), edge)
-    new_edges = set(edges)
-    for p, triples in delta.by_predicate.items():
-        for q in g.objects(p, spo):
-            edge = (p, spo, q)
-            if edge not in new_edges:
-                for t in triples:
-                    yield (t[0], q, t[2]), "rdfs-subproperty-propagation", (t, edge)
+def _show(atom: Atom) -> str:
+    return "(" + " ".join(x if isinstance(x, str) else x.value.rsplit("#", 1)[-1] for x in atom) + ")"
 
 
-def _r_typing(decl: Term, name: str, position: int, g: Graph | Overlay, delta: Delta):
-    """(P decl C), (x P y) -> (x type C) for decl domain (`position` 0), (y type C) for decl range (2)"""
-    did = g.lookup(decl)
-    if did is None:
-        return
-    typ = g.intern(vocab.RDF_TYPE)
+class Row:
+    """One rule of the table: a head atom and body atoms, as in the OWL 2 RL rule tables.
 
-    def witnesses(triples: Iterable[IdTriple]) -> dict[int, IdTriple]:
-        """each node in the typed position -> one of the triples that has it there"""
-        return {t[position]: t for t in triples}
+    A slot is a variable name or a vocabulary IRI.  `distinct` names two
+    variables that must bind different ids, `nonliteral` one that must not
+    bind a literal.  A row is a `Rule`: on its first call it writes
+    `source`, one Python function with a semi-naive branch per body atom,
+    and compiles it, so importing the table compiles nothing.  A row the
+    compiler cannot evaluate raises ValueError naming it when it is built.
+    """
 
-    decls = delta.by_predicate.get(did, ())
-    for d in decls:  # a new declaration types the nodes of every triple of P
-        p, _, c = d
-        witness = witnesses([(s, p, o) for s, o in g.pairs(p)])
-        for x in g.lacking(witness.keys(), typ, c):
-            yield (x, typ, c), name, (d, witness[x])
-    new_decls = set(decls)
-    for p, triples in delta.by_predicate.items():
-        classes = g.objects(p, did)  # P's declarations, read once per predicate
-        if classes:
-            witness = witnesses(triples)
-            for c in classes:
-                d = (p, did, c)
-                if d not in new_decls:
-                    for x in g.lacking(witness.keys(), typ, c):
-                        yield (x, typ, c), name, (d, witness[x])
+    def __init__(self, name: str, head: Atom, *body: Atom, distinct: tuple[str, str] | None = None, nonliteral: str = ""):
+        self.name, self.head, self.body = name, head, body
+        self.guards = [(set(distinct), "v_{} != v_{}".format(*distinct))] if distinct else []
+        if nonliteral:
+            self.guards.append(({nonliteral}, f"not isinstance(g.term(v_{nonliteral}), Literal)"))
+        for atom in body:
+            if not isinstance(atom[0], str) or len(_vars(atom)) < sum(isinstance(x, str) for x in atom):
+                raise ValueError(f"row {name!r}: {_show(atom)} has a constant subject or a repeated variable")
+            p = atom[1]  # no accessor enumerates an unbound predicate
+            if isinstance(p, str) and not any(p in (other[0], other[2]) for other in body if other is not atom):
+                raise ValueError(f"row {name!r}: no other atom binds the predicate variable {p!r} of {_show(atom)}")
+        if not _vars(head) <= set().union(*map(_vars, body)):
+            raise ValueError(f"row {name!r}: a head variable is not bound by the body")
+        # the id variable of each constant, the body's first: they are looked up, the head's own interned
+        self._ids = {x: f"c{k}" for k, x in enumerate(dict.fromkeys(x for a in (*body, head) for x in a if isinstance(x, IRI)))}
+        self._rule = None
+
+    def __repr__(self) -> str:
+        return f"<Row {self.name}: {_show(self.head)} <- {', '.join(map(_show, self.body))}>"
+
+    def __call__(self, g: Graph | Overlay, delta: Delta) -> Iterator[tuple[IdTriple, str, tuple[IdTriple, ...]]]:
+        if self._rule is None:
+            namespace = {"Literal": Literal, **{"K" + c[1:]: iri for iri, c in self._ids.items()}}
+            exec(compile(self.source, f"<rule {self.name}>", "exec"), namespace)
+            self._rule = namespace["rule"]
+        return self._rule(g, delta)
+
+    @cached_property
+    def source(self) -> str:
+        """The Python source of the row's rule function."""
+        code = [line for i in range(len(self.body)) for line in self._branch(i)]
+        looked_up = [c for x, c in self._ids.items() if any(x in atom for atom in self.body)]
+        lines = ["def rule(g, delta):"]
+        for c in looked_up:  # a body constant the graph lacks matches no triple
+            lines += [f"    {c} = g.lookup(K{c[1:]})", f"    if {c} is None:", "        return"]
+        lines.append("    by_p = delta.by_predicate")
+        if any("contains(" in line for line in code):
+            lines.append("    contains = g.contains_ids")
+        return "\n".join(lines + code) + "\n"
+
+    def _branch(self, i: int) -> list[str]:
+        """The lines of the branch in which body atom i reads the delta."""
+        body, head, ids = self.body, self.head, self._ids
+        ds, dp, do = body[i]
+        from_delta = _vars(body[i])
+        left = [j for j in range(len(body)) if j != i]
+        guards = list(self.guards)
+        bound: set[str] = set()
+        lines, depth = [f"    # {_show(body[i])} from the delta"], 1
+        innermost: tuple = ()  # the innermost loop: (line, target, iterable, key, variables bound before it, depth)
+        head_ids = [c for x, c in ids.items() if not any(x in atom for atom in body)]
+
+        def c(x: Slot) -> str:
+            return f"v_{x}" if isinstance(x, str) else ids[x]
+
+        def known(x: Slot, among: set[str] = bound) -> bool:
+            return not isinstance(x, str) or x in among
+
+        def triple(atom: Atom) -> str:
+            return "({}, {}, {})".format(*map(c, atom))
+
+        def read_later() -> set[str]:  # the variables of the head, the guards and the atoms not yet joined
+            return _vars(head).union(*(vs for vs, _ in self.guards), *(_vars(body[j]) for j in left))
+
+        def emit(line: str, opens: bool = False) -> None:
+            nonlocal depth
+            lines.append("    " * depth + line)
+            depth += opens
+
+        def loop(target: str, iterable: str, key: Slot | None = None, *after: str) -> None:
+            nonlocal innermost, head_ids
+            for h in head_ids:  # the head's own constants, interned once the branch can fire
+                emit(f"{h} = g.lookup(K{h[1:]})")
+                emit(f"if {h} is None: {h} = g.intern(K{h[1:]})")
+            head_ids = []
+            innermost = (len(lines), target, iterable, key, set(bound), depth)
+            emit(f"for {target} in {iterable}:", True)
+            for line in after:
+                emit(line)
+
+        def bind(*names: Slot) -> None:
+            bound.update(x for x in names if isinstance(x, str))
+            for guard in [guard for guard in guards if guard[0] <= bound]:
+                guards.remove(guard)
+                emit(f"if {guard[1]}:", True)
+
+        def join(j: int) -> None:
+            """Join atom j through the accessor its bound slots allow; an atom before atom i skips delta triples."""
+            left.remove(j)
+            s, p, o = atom = body[j]
+            not_new = f"{triple(atom)} not in delta.with_predicate({c(p)})" if j < i else ""
+            if known(s) and known(o):
+                return emit(f"if contains({triple(atom)}){' and ' * bool(not_new)}{not_new}:", True)
+            if known(s):
+                loop(c(o), f"g.objects({c(s)}, {c(p)})", o)
+            elif known(o):
+                loop(c(s), f"g.subjects({c(p)}, {c(o)})", s)
+            elif {s, o} <= read_later():
+                loop(f"{c(s)}, {c(o)}", f"g.pairs({c(p)})")
+            else:  # one witness per subject, or per object, when the other slot only names a premise
+                key, witness = (s, o) if s in read_later() else (o, s)
+                emit(f"w{j} = {{{c(key)}: {c(witness)} for {c(s)}, {c(o)} in g.pairs({c(p)})}}")
+                loop(c(key), f"w{j}", key, f"{c(witness)} = w{j}[{c(key)}]")
+            bind(s, o)
+            if not_new:
+                emit(f"if {not_new}:", True)
+
+        def join_ready(last_level: bool) -> None:
+            """Join each atom whose predicate and delta variables are bound and, before the last level, its subject or object."""
+            while ready := [
+                (-known(s) - known(o), j)
+                for j in left
+                for s, p, o in [body[j]]
+                if known(p) and _vars(body[j]) & from_delta <= bound and (last_level or known(s) or known(o))
+            ]:
+                join(min(ready)[1])
+            if last_level and left:
+                raise ValueError(f"row {self.name!r}: nothing binds the predicate of {_show(body[left[0]])}")
+
+        # level 1: the delta's triples with the atom's predicate
+        if isinstance(dp, str):
+            loop(f"{c(dp)}, ts", "by_p.items()")
+            bind(dp)
+        else:
+            emit(f"ts = by_p.get({c(dp)})")
+            emit("if ts:", True)
+        level_1 = len(lines), depth
+        join_ready(False)
+        # level 2: grouped by object, when the object is a constant or another atom waits for it
+        need_s, need_o = ds in read_later(), do in read_later()
+        waits = any(do in _vars(body[j]) and known(body[j][1]) and _vars(body[j]) & from_delta <= bound | {do} for j in left)
+        if not isinstance(do, str):
+            emit(f"ss = delta.by_object({c(dp)}).get({c(do)})")
+            emit("if ss:", True)
+        elif waits:
+            loop(f"{c(do)}, ss", f"delta.by_object({c(dp)}).items()")
+            bind(do)
+            join_ready(False)
+        # level 3: row by row, one row per subject, or per object, when the other slot only names a premise
+        rows = None
+        if not isinstance(do, str) or waits:
+            loop(c(ds), "ss", ds)
+        elif need_s and need_o:
+            loop(f"{c(ds)}, _, {c(do)}", "ts")
+        else:
+            (key, k), (witness, w) = ((ds, 0), (do, 2)) if need_s else ((do, 2), (ds, 0))
+            rows = level_1  # built on first use, once per predicate
+            emit(f"if rows is None: rows = {{t[{k}]: t[{w}] for t in ts}}")
+            loop(c(key), "rows", key, f"{c(witness)} = rows[{c(key)}]")
+        bind(ds, do)
+        join_ready(True)
+
+        # the head: the last enumeration goes through `lacking` when it binds only the head's subject
+        hs, hp, ho = head
+        at, target, iterable, key, before, d = innermost
+        if key == hs and known(hp, before) and known(ho, before):
+            lines[at] = "    " * d + f"for {target} in g.lacking({iterable}, {c(hp)}, {c(ho)}):"
+            new = triple(head)
+        else:
+            emit(f"if not contains(h := {triple(head)}):", True)
+            new = "h"
+        emit(f"yield {new}, {self.name!r}, ({''.join(triple(atom) + ', ' for atom in body)})")
+        if rows:
+            lines.insert(rows[0], "    " * rows[1] + "rows = None")
+        return lines
 
 
+_TYPE, _SCO, _SPO = vocab.RDF_TYPE, vocab.RDFS_SUBCLASSOF, vocab.RDFS_SUBPROPERTYOF
+
+# The RDFS table, with the OWL 2 RL rule each row transcribes.
 RDFS_RULES: list[Rule] = [
-    partial(_r_transitivity, vocab.RDFS_SUBCLASSOF, "rdfs-subclass-transitivity"),
-    _r_type_propagation,
-    partial(_r_transitivity, vocab.RDFS_SUBPROPERTYOF, "rdfs-subproperty-transitivity"),
-    _r_property_propagation,
-    partial(_r_typing, vocab.RDFS_DOMAIN, "rdfs-domain", 0),
-    partial(_r_typing, vocab.RDFS_RANGE, "rdfs-range", 2),
+    Row("rdfs-subclass-transitivity", ("a", _SCO, "c"), ("a", _SCO, "b"), ("b", _SCO, "c")),  # scm-sco
+    Row("rdfs-type-propagation", ("x", _TYPE, "b"), ("a", _SCO, "b"), ("x", _TYPE, "a")),  # cax-sco
+    Row("rdfs-subproperty-transitivity", ("p", _SPO, "r"), ("p", _SPO, "q"), ("q", _SPO, "r")),  # scm-spo
+    Row("rdfs-subproperty-propagation", ("x", "q", "y"), ("p", _SPO, "q"), ("x", "p", "y")),  # prp-spo1
+    Row("rdfs-domain", ("x", _TYPE, "c"), ("p", vocab.RDFS_DOMAIN, "c"), ("x", "p", "y")),  # prp-dom
+    Row("rdfs-range", ("y", _TYPE, "c"), ("p", vocab.RDFS_RANGE, "c"), ("x", "p", "y")),  # prp-rng
 ]
 
 

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 from . import vocab
 from .errors import ParseError, ReifyError, ValidationError
 from .graph import Graph
+from .io import _IRI_UNSAFE
 from .terms import IRI, Literal
 
 
@@ -72,10 +73,12 @@ def reify_table(rows: Iterable[Mapping[str, str]], spec: TableSpec) -> Graph:
             value = row[column]
             if column in spec.literal_columns:
                 term = Literal(value)
-            elif value.strip():
-                term = IRI(spec.namespace + camel_case(value))
-            else:
+            elif not value.strip():
                 raise ReifyError(f"row {i} has an empty cell in IRI column {column!r}")
+            elif excluded := _IRI_UNSAFE.search(local := camel_case(value)):  # outside the N-Triples IRIREF
+                raise ReifyError(f"row {i} puts {excluded.group()!r} into an IRI in column {column!r}")
+            else:
+                term = IRI(spec.namespace + local)
             g.add(instance, IRI(prop), term)
     return g
 

@@ -96,6 +96,15 @@ def test_parse_qname_with_colons_in_its_local_part(tmp_path, capsys):
     assert capsys.readouterr().out == f"<{EDU}a> <{EDU}p> <{EDU}b:c> .\n"
 
 
+def test_parse_drops_the_backslash_of_a_local_name_escape_and_exits_2_on_a_bad_one(tmp_path, capsys):
+    kb = write(tmp_path / "escaped.ttl", "@prefix ex: <http://e/> .\nex:a\\.b ex:p ex:c .\n")
+    assert main(["parse", kb]) == 0
+    assert capsys.readouterr().out == "<http://e/a.b> <http://e/p> <http://e/c> .\n"
+    kb = write(tmp_path / "bad.ttl", "@prefix ex: <http://e/> .\nex:a ex:p ex:a\\qb .\n")
+    assert main(["parse", kb]) == 2
+    assert capsys.readouterr().err == "parse error: bad escape \\q in qname ex:a\\qb at line 2, column 11\n"
+
+
 def test_check_competency_parse_error_names_the_file_line(tmp_path, capsys):
     kb = write(tmp_path / "city.ttl", CITY_TTL)
     questions = write(
@@ -280,6 +289,15 @@ def test_reify_empty_iri_cell_exits_1_naming_row_and_column(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: row 2 has an empty cell in IRI column 'Seller'\n"
+
+
+def test_reify_iri_cell_with_a_quote_exits_1_naming_row_and_column(tmp_path, capsys):
+    csv_path = write(tmp_path / "quote.csv", 'Buyer,Seller,Product,Number of pieces\nA,B,C,1\nA,"x""y",C,2\n')
+    spec_path = write(tmp_path / "spec.txt", PURCHASE_SPEC)
+    assert main(["reify", csv_path, "--spec", spec_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: row 2 puts '\"' into an IRI in column 'Seller'\n"
 
 
 def test_reify_csv_with_a_byte_order_mark_gives_the_same_bytes(tmp_path, capsys):

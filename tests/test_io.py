@@ -348,3 +348,29 @@ def test_empty_and_relative_iris_are_parse_errors_with_a_position(parse, text, m
     with pytest.raises(ParseError) as err:
         parse("# header\n" + text + "\n")
     assert str(err.value) == f"{message} and no base IRI is declared at line {len(lines) + 1}, column {column}"
+
+
+def test_a_local_name_escape_stands_for_the_character_after_the_backslash():
+    g = parse_turtle("@prefix ex: <http://e/> .\nex:a\\.b ex:p ex:c\\#d\\-e\\~ , ex:f\\/g\\?h\\=i\\&j\\%20 .").graph
+    assert triples_of(g) == {
+        (IRI("http://e/a.b"), IRI("http://e/p"), IRI("http://e/c#d-e~")),
+        (IRI("http://e/a.b"), IRI("http://e/p"), IRI("http://e/f/g?h=i&j%20")),
+    }
+    assert serialize_ntriples(g).startswith("<http://e/a.b> <http://e/p> <http://e/c#d-e~> .\n")
+
+
+@pytest.mark.parametrize(
+    "qname, message",
+    [
+        ("ex:a\\qb", "bad escape \\q in qname ex:a\\qb"),
+        ("ex:a\\\\b", "bad escape \\\\ in qname ex:a\\\\b"),
+        ("e\\.x:a", "bad escape \\. in qname e\\.x:a"),  # a prefix name has no escapes
+        ("ex:a\\;ex:b", "unsupported escape \\; in qname ex:a\\"),  # ';' ends the word
+        ("ex:a\\,ex:b", "unsupported escape \\, in qname ex:a\\"),
+        ("ex:a\\@b", "unsupported escape \\@ in qname ex:a\\"),
+    ],
+)
+def test_other_backslashes_in_a_qname_are_parse_errors_at_the_qname(qname, message):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(f"@prefix ex: <http://e/> .\nex:s ex:p\n  {qname} .")
+    assert str(err.value) == f"{message} at line 3, column 3"

@@ -954,3 +954,48 @@ def test_tasks_from_several_threads_give_the_serial_answers():
     assert all(got == serial for runs in results.values() for got in runs)
     closure, _ = saturate_owl(shared)
     assert closure_triples(closure) == closure_triples(saturate_owl(_pets_kb())[0])
+
+
+# ---------------------------------------------------------------------------
+# The rule table's compiler
+# ---------------------------------------------------------------------------
+
+
+def _well_formed(triples) -> set:
+    return {t for t in triples if not isinstance(t[0], Literal) and isinstance(t[1], IRI)}
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 5))
+def test_one_call_of_each_row_yields_its_oracle_heads_that_the_grown_graph_lacks(seed, rng, batches):
+    # the closure is closed, so an oracle head the grown graph lacks has a premise in the batch: each
+    # row must find every such head once it skips delta triples before its delta atom, joins in its
+    # own order and filters through `lacking`, and yield nothing else
+    source = random_owl_graph(seed, max_triples=40)
+    *before, batch = shuffled_batches(rng, source.triples(), batches + 1)
+    base = Graph()
+    for t in (t for run in before for t in run):
+        base.insert(t)
+    work = saturate_owl(base)[0].graph.copy()
+    delta = []
+    for t in batch:
+        ids = (work.intern(t.subject), work.intern(t.predicate), work.intern(t.object))
+        if work.insert_ids(ids):
+            delta.append(ids)
+    grown, new = triples_of(work), {work._to_triple(t) for t in delta}
+    rows = [rule for rule in OWL_RULES if isinstance(rule, rdfs.Row)]
+    yielded: dict = {}
+    for row in rows:
+        for t, name, premises in row(work, rdfs.Delta(delta)):
+            assert name == row.name
+            premises = [work._to_triple(p) for p in premises]
+            assert all(p in work for p in premises) and any(p in new for p in premises), (row, premises)
+            yielded.setdefault(_ORACLE_RULES[name], set()).add(tuple(map(work.term, t)))
+    for oracle in {_ORACLE_RULES[row.name] for row in rows}:
+        expected = _well_formed(oracle(grown)) - grown
+        assert _well_formed(yielded.get(oracle, ())) == expected, oracle.__name__
+
+
+def test_a_row_whose_predicate_variable_no_other_atom_binds_is_refused_when_built():
+    with pytest.raises(ValueError, match="row 'typed-by-anything'.*'p'"):
+        rdfs.Row("typed-by-anything", ("x", vocab.RDF_TYPE, "c"), ("x", "p", "y"), ("y", vocab.RDF_TYPE, "c"))

@@ -138,3 +138,12 @@ literal: Number of pieces
 """
     spec = parse_table_spec(text)
     assert spec == purchase_spec()
+
+
+@pytest.mark.parametrize("cell, char", [('x"y', '"'), ("a>b", ">"), ("a\\b", "\\"), ("a{b}", "{"), ("a\x01b", "\x01")])
+def test_an_iri_cell_that_puts_an_excluded_character_into_the_iri_names_row_and_column(cell, char):
+    with pytest.raises(ReifyError) as err:
+        reify_table([ROW_1, dict(ROW_2, Seller=cell)], purchase_spec())
+    assert str(err.value) == f"row 2 puts {char!r} into an IRI in column 'Seller'"
+    g = reify_table([dict(ROW_1, **{"Number of pieces": cell})], purchase_spec())  # a literal cell keeps it
+    assert Triple(edu("purchase1"), edu("number_of_pieces"), Literal(cell)) in g
