@@ -67,18 +67,19 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'"
 
 
 _ESCAPE = r"""\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"""
-_IRI_BODY = rf"[^>\\\n]*(?:{_ESCAPE}[^>\\\n]*)*"
+_IRI_CHAR = r"""[^\x00-\x20<>"{}|^`\\]"""  # RDF 1.1 N-Triples IRIREF: a character that needs no UCHAR escape
+_IRI_BODY = rf"{_IRI_CHAR}*(?:{_ESCAPE}{_IRI_CHAR}*)*"
 _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 
 # Whitespace and comments, then one alternative per token kind; a match
 # that reaches the end of the text may hold no token, and none starts
 # there.  Only the leading `skip` can hold a newline, so every token lies
 # on one line.  `bad` takes the one character that starts no well-formed
-# token (an unterminated or badly escaped IRI or literal, a lone '^', '>',
-# or whitespace other than space, tab, CR and LF); `_malformed` then names
-# the fault.  A '.' before a digit starts a word (a number such as .5 or
-# .5e3), so `word` comes before `punct`; any other '.' outside a word is
-# punctuation.
+# token (an unterminated or badly escaped IRI or literal, a character
+# IRIREF excludes, a lone '^', '>', or whitespace other than space, tab,
+# CR and LF); `_malformed` then names the fault.  A '.' before a digit
+# starts a word (a number such as .5 or .5e3), so `word` comes before
+# `punct`; any other '.' outside a word is punctuation.
 _SCANNER = re.compile(
     rf"""
     (?=.)
@@ -96,7 +97,7 @@ _SCANNER = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-_BODIES = {"<": (re.compile(_IRI_BODY), "IRI"), '"': (re.compile(_STRING_BODY), "literal")}
+_BODIES = {"<": (re.compile(rf"[^>\\\n]*(?:{_ESCAPE}[^>\\\n]*)*"), "IRI"), '"': (re.compile(_STRING_BODY), "literal")}
 _ESCAPE_RE = re.compile(_ESCAPE)
 _LOCAL_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
 # RDF 1.1 Turtle, section 6.5: INTEGER, DECIMAL, DOUBLE and BooleanLiteral
@@ -142,6 +143,9 @@ def _malformed(text: str, start: int) -> tuple[str, int]:
         return f"unterminated {what}", start
     if text[stop] == "\n":
         return f"newline inside {what}", start
+    if text[stop] == ">":  # a well-formed IRI but for a character IRIREF excludes: name the first one
+        at = re.compile(_IRI_BODY).match(text, start + 1).end()
+        return f"unexpected character {text[at]!r} in IRI", at
     # the body stopped at a backslash that starts no valid escape
     if stop + 1 >= len(text):
         return "dangling escape", stop
@@ -270,7 +274,7 @@ def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
 # N-Triples
 # ---------------------------------------------------------------------------
 
-_NT_IRI = r"<[^>\\\n]+>"
+_NT_IRI = rf"<{_IRI_CHAR}+>"
 _NT_BLANK = r'_:[^\s.;,()\[\]<"]+'
 # The common line shape, which the scanner reads as exactly these three
 # terms and a '.': no backslash, only spaces and tabs around the terms, no

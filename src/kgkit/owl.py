@@ -9,10 +9,11 @@ lists and owl:Nothing membership are violation triggers: inconsistency
 is reported as data, never raised during saturation.
 
 `OWL_RULES` extends the RDFS table (see `rdfs`) with one row per OWL 2
-RL rule of fixed arity.  Three rules stay hand-written, because no row
-can state them: sameAs substitution rewrites a term in any position of
-any triple, so its body has a predicate that no other atom binds; and
-intersection and union read a list of any length, which a walk over
+RL rule of fixed arity; the violation triggers are rows with a `false`
+head.  Four rules stay hand-written, because no row can state them:
+sameAs substitution rewrites a term in any position of any triple, so
+its body has a predicate that no other atom binds; and intersection,
+union and AllDifferent read a list of any length, which a walk over
 rdf:rest (`_expressions`) reaches from any cell that arrives.  Some
 consequences need no rule of their own, as in OWL 2 RL: sameAs
 transitivity is substitution in the object position, and intersection
@@ -33,17 +34,8 @@ from typing import Iterable
 from . import vocab
 from .errors import InconsistentKBError
 from .graph import Graph, IdTriple, Overlay
-from .rdfs import (
-    RDFS_RULES,
-    Closure,
-    Row,
-    Delta,
-    InconsistencyReport,
-    Violation,
-    _fixpoint,
-    _saturate,
-)
-from .terms import IRI, BlankNode, Literal, Term, Triple, sort_key, triple_sort_key
+from .rdfs import RDFS_RULES, Closure, Delta, InconsistencyReport, Row, _fixpoint, _report, _saturate
+from .terms import IRI, BlankNode, Literal, Term, Triple, sort_key
 
 def _list_walk(g: Graph | Overlay, node: int) -> tuple[list[int], bool]:
     """Members of the collection at node in id order, and whether it is complete.
@@ -187,6 +179,33 @@ def _r_union(g: Graph | Overlay, delta: Delta):
             yield (m, sco, c), "owl-union-subclass", ((c, uni, l),)
 
 
+def _r_alldifferent(g: Graph | Overlay, delta: Delta):
+    """(D type AllDifferent), (D members L), a and b in L, a sameAs b -> false, for a list prefix too.
+
+    For members a < b the premise is (a sameAs b), which symmetry derives
+    from (b sameAs a), or (b sameAs a) when a is a literal, never a
+    subject.  A list is reached from a new AllDifferent, members triple or
+    list cell, and from a new sameAs through the cells holding its subject.
+    """
+    alldiff = g.lookup(vocab.OWL_ALLDIFFERENT)
+    if alldiff is None:
+        return
+    typ, sa, first = g.lookup(vocab.RDF_TYPE), g.lookup(vocab.OWL_SAMEAS), g.lookup(vocab.RDF_FIRST)
+    for members_of in (g.lookup(vocab.OWL_DISTINCTMEMBERS), g.lookup(vocab.OWL_MEMBERS)):
+        if members_of is None:
+            continue
+        cells = _delta_cells(g, members_of, delta)
+        cells.extend(l for d in delta.by_object(typ).get(alldiff, ()) for l in g.objects(d, members_of))
+        cells.extend(cell for a, _, _ in delta.by_predicate.get(sa, ()) for cell in g.subjects(first, a))
+        for d, l, members, _ in _expressions(g, members_of, cells):
+            if g.contains_ids((d, typ, alldiff)):
+                for i, a in enumerate(members):
+                    literal = isinstance(g.term(a), Literal)
+                    for b in members[i + 1 :]:
+                        if g.contains_ids(t := (b, sa, a) if literal else (a, sa, b)):
+                            yield None, "owl-alldifferent", ((d, members_of, l), t)
+
+
 _TYPE, _SCO, _SA, _INV = vocab.RDF_TYPE, vocab.RDFS_SUBCLASSOF, vocab.OWL_SAMEAS, vocab.OWL_INVERSEOF
 _EQC, _FP, _TP, _ONP = vocab.OWL_EQUIVALENTCLASS, vocab.OWL_FUNCTIONALPROPERTY, vocab.OWL_TRANSITIVEPROPERTY, vocab.OWL_ONPROPERTY
 
@@ -208,61 +227,13 @@ OWL_RULES = RDFS_RULES + [
         ("r", vocab.OWL_SOMEVALUESFROM, "d"), ("r", _ONP, "p"), ("x", "p", "y"), ("y", _TYPE, "d")),  # cls-svf1
     Row("owl-allvalues-propagation", ("y", _TYPE, "d"),
         ("r", vocab.OWL_ALLVALUESFROM, "d"), ("r", _ONP, "p"), ("x", _TYPE, "r"), ("x", "p", "y")),  # cls-avf
+    # the violation triggers: their head is false
+    Row("owl-disjoint-classes", None, ("c", vocab.OWL_DISJOINTWITH, "d"), ("x", _TYPE, "c"), ("x", _TYPE, "d")),  # cax-dw
+    Row("owl-complement", None, ("c", vocab.OWL_COMPLEMENTOF, "d"), ("x", _TYPE, "c"), ("x", _TYPE, "d")),  # cls-com
+    Row("owl-sameas-differentfrom", None, ("x", vocab.OWL_DIFFERENTFROM, "y"), ("x", _SA, "y")),  # eq-diff1
+    _r_alldifferent,  # eq-diff2, eq-diff3
+    Row("owl-nothing-member", None, ("x", _TYPE, vocab.OWL_NOTHING)),  # cls-nothing2
 ]
-
-
-# ---------------------------------------------------------------------------
-# Violation detection
-# ---------------------------------------------------------------------------
-
-
-def _collect_violations(work: Graph | Overlay) -> InconsistencyReport:
-    typ = work.lookup(vocab.RDF_TYPE)
-    found: set[tuple[str, tuple[IdTriple, ...]]] = set()
-
-    def record(rule: str, *triples: IdTriple):
-        found.add((rule, tuple(sorted(set(triples)))))
-
-    for pred, rule in ((vocab.OWL_DISJOINTWITH, "owl-disjoint-classes"), (vocab.OWL_COMPLEMENTOF, "owl-complement")):
-        pid = work.lookup(pred)
-        if pid is None or typ is None:
-            continue
-        for c, d in work.pairs(pid):
-            for x in work.subjects(typ, c) & work.subjects(typ, d):
-                record(rule, (c, pid, d), (x, typ, c), (x, typ, d))
-
-    # sameAs is symmetric in the closure, so (x sameAs y) is there whenever (y sameAs x) is
-    sa = work.lookup(vocab.OWL_SAMEAS)
-    diff = work.lookup(vocab.OWL_DIFFERENTFROM)
-    if sa is not None and diff is not None:
-        for x, y in work.pairs(diff):
-            if work.contains_ids((x, sa, y)):
-                record("owl-sameas-differentfrom", (x, diff, y), (x, sa, y))
-
-    alldiff = work.lookup(vocab.OWL_ALLDIFFERENT)
-    if alldiff is not None and typ is not None and sa is not None:
-        for d in work.subjects(typ, alldiff):
-            for prop in (vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS):
-                pid = work.lookup(prop)
-                if pid is None:
-                    continue
-                for lst in work.objects(d, pid):
-                    members = _list_walk(work, lst)[0]
-                    for i, a in enumerate(members):
-                        for b in members[i + 1 :]:
-                            if work.contains_ids((a, sa, b)):
-                                record("owl-alldifferent", (d, pid, lst), (a, sa, b))
-                            elif work.contains_ids((b, sa, a)):
-                                record("owl-alldifferent", (d, pid, lst), (b, sa, a))
-
-    nothing = work.lookup(vocab.OWL_NOTHING)
-    if nothing is not None and typ is not None:
-        for x in work.subjects(typ, nothing):
-            record("owl-nothing-member", (x, typ, nothing))
-
-    violations = [Violation(rule, tuple(sorted(map(work._to_triple, ts), key=triple_sort_key))) for rule, ts in found]
-    violations.sort(key=lambda v: (v.rule, tuple(triple_sort_key(t) for t in v.triples)))
-    return InconsistencyReport(tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +281,7 @@ class EqualityPartition:
 
 def saturate_owl(graph: Graph) -> tuple[Closure, InconsistencyReport]:
     """OWL closure of the graph plus the violations found in it, cached on the graph (see `rdfs._saturate`)."""
-    closure = _saturate(graph, "owl", OWL_RULES, _collect_violations)
+    closure = _saturate(graph, "owl", OWL_RULES)
     return closure, closure.report
 
 
@@ -330,8 +301,8 @@ def _breaks(closure: Closure, triple: Triple) -> InconsistencyReport:
     work = Overlay(closure.graph)
     t = (work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object))
     work.insert_ids(t)
-    _fixpoint(work, OWL_RULES, [t])
-    return _collect_violations(work)
+    _, found = _fixpoint(work, OWL_RULES, [t])
+    return _report(work, closure.violations | found)
 
 
 def is_consistent(graph: Graph) -> tuple[bool, InconsistencyReport]:

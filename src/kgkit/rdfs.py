@@ -6,22 +6,24 @@ slots are variable names or vocabulary IRIs, such as cax-sco's
 compiles itself into one Python function with one semi-naive branch per
 body atom: that atom reads the round's delta, the atoms before it skip
 delta triples, the atoms after it read the whole graph, and a head
-already in the graph is not yielded.  A branch reads its delta atom at
-the levels `Delta` groups it by: by predicate, then by object when
-another atom waits for the object, then row by row (one row per subject,
-or per object, when the other slot only names a premise).  Every other
-atom is joined at the first level that binds what it needs, through
+already in the graph is not yielded; a row whose head is `false` (cax-dw:
+`false <- (c disjointWith d), (x type c), (x type d)`) yields each
+premise set as a violation.  A branch reads its delta atom at the levels
+`Delta` groups it by: by predicate, then by object when another atom
+waits for the object, then row by row (one row per subject, or per
+object, when the other slot only names a premise).  Every other atom is
+joined at the first level that binds what it needs, through
 `contains_ids`, `objects`, `subjects` or `pairs`, and the last
 enumeration is filtered in C by `lacking` when it binds only the head's
 subject.  A schema entry is so read once per round and predicate or
 class, not once per delta triple.
 
-Resume invariant: every rule yields every consequence that has at least
-one premise in the delta and is not yet in the graph, with its rule name
-and premises.  Rules only add triples, so a closed graph takes new
-triples by running the same loop from a delta of just those triples; the
-closure is the least fixpoint, and finite, as rules only combine
-existing terms.
+Resume invariant: every rule yields every consequence (and violation)
+that has at least one premise in the delta and is not yet in the graph,
+with its rule name and premises.  Rules only add triples, so a closed
+graph takes new triples by running the same loop from a delta of just
+those triples; the closure is the least fixpoint, and finite, as rules
+only combine existing terms.
 
 Shape invariant: `_fixpoint` inserts only RDF 1.1 triples, with no
 literal subject and an IRI predicate, so rules need not check the shape
@@ -42,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from . import vocab
 from .errors import ValidationError
 from .graph import Graph, IdTriple, Overlay
-from .terms import IRI, Literal, Term, Triple
+from .terms import IRI, Literal, Term, Triple, triple_sort_key
 
 if TYPE_CHECKING:
     from .owl import EqualityPartition
@@ -72,24 +74,36 @@ class Derivation:
 
 # a derived triple -> (rule name, its premises flattened: s1, p1, o1, s2, p2, o2, ...)
 IdDerivations = dict[IdTriple, tuple[str, tuple[int, ...]]]
+IdViolations = set[tuple[str, tuple[IdTriple, ...]]]  # (rule name, its distinct premises in id order)
+
+
+def _report(g: Graph | Overlay, found: IdViolations) -> InconsistencyReport:
+    """The violations `found` in `g`, in terms, sorted by rule and premises."""
+    violations = [Violation(rule, tuple(sorted(map(g._to_triple, ts), key=triple_sort_key))) for rule, ts in found]
+    violations.sort(key=lambda v: (v.rule, tuple(triple_sort_key(t) for t in v.triples)))
+    return InconsistencyReport(tuple(violations))
 
 
 @dataclass
 class Closure:
-    """A saturated graph plus where each derived triple came from.
+    """A saturated graph plus where each derived triple came from, and the violations found in it.
 
-    `derived`, `provenance` and the sameAs `partition` are built from the
-    closed graph and its id-level `derivations` on first access; the
-    partition needs the "owl" `profile`.  A closure that `saturate_rdfs`
-    or `saturate_owl` returned is a snapshot: kgkit never changes it, and a
-    later saturation of the grown base builds a new one.
+    `derived`, `provenance`, `report` and the sameAs `partition` are built
+    from the closed graph and its id-level `derivations` and `violations`
+    on first access; the partition needs the "owl" `profile`.  A closure
+    that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
+    never changes it, and a later saturation of the grown base builds a new one.
     """
 
     base: Graph
     graph: Graph
     derivations: IdDerivations
-    report: InconsistencyReport = field(default_factory=InconsistencyReport)
+    violations: IdViolations = field(default_factory=set)
     profile: str = "rdfs"
+
+    @cached_property
+    def report(self) -> InconsistencyReport:
+        return _report(self.graph, self.violations)
 
     @cached_property
     def derived(self) -> frozenset[Triple]:
@@ -168,8 +182,8 @@ class Delta(list):
 
 # A rule yields (new id-triple, rule name, premise id-triples) for every
 # consequence whose premises involve at least one delta triple; it may
-# leave out a consequence that is already in the graph.
-Rule = Callable[[Graph | Overlay, Delta], Iterator[tuple[IdTriple, str, tuple[IdTriple, ...]]]]
+# leave out a consequence that is already in the graph.  A violation has None for the triple.
+Rule = Callable[[Graph | Overlay, Delta], Iterator[tuple[IdTriple | None, str, tuple[IdTriple, ...]]]]
 
 
 Slot = str | IRI  # a variable name, or a vocabulary IRI
@@ -185,7 +199,7 @@ def _show(atom: Atom) -> str:
 
 
 class Row:
-    """One rule of the table: a head atom and body atoms, as in the OWL 2 RL rule tables.
+    """One rule of the table: a head atom, or None for `false`, and body atoms, as in the OWL 2 RL rule tables.
 
     A slot is a variable name or a vocabulary IRI.  `distinct` names two
     variables that must bind different ids, `nonliteral` one that must not
@@ -195,7 +209,7 @@ class Row:
     compiler cannot evaluate raises ValueError naming it when it is built.
     """
 
-    def __init__(self, name: str, head: Atom, *body: Atom, distinct: tuple[str, str] | None = None, nonliteral: str = ""):
+    def __init__(self, name: str, head: Atom | None, *body: Atom, distinct: tuple[str, str] | None = None, nonliteral: str = ""):
         self.name, self.head, self.body = name, head, body
         self.guards = [(set(distinct), "v_{} != v_{}".format(*distinct))] if distinct else []
         if nonliteral:
@@ -206,16 +220,16 @@ class Row:
             p = atom[1]  # no accessor enumerates an unbound predicate
             if isinstance(p, str) and not any(p in (other[0], other[2]) for other in body if other is not atom):
                 raise ValueError(f"row {name!r}: no other atom binds the predicate variable {p!r} of {_show(atom)}")
-        if not _vars(head) <= set().union(*map(_vars, body)):
+        if head and not _vars(head) <= set().union(*map(_vars, body)):
             raise ValueError(f"row {name!r}: a head variable is not bound by the body")
         # the id variable of each constant, the body's first: they are looked up, the head's own interned
-        self._ids = {x: f"c{k}" for k, x in enumerate(dict.fromkeys(x for a in (*body, head) for x in a if isinstance(x, IRI)))}
+        self._ids = {x: f"c{k}" for k, x in enumerate(dict.fromkeys(x for a in (*body, head or ()) for x in a if isinstance(x, IRI)))}
         self._rule = None
 
     def __repr__(self) -> str:
-        return f"<Row {self.name}: {_show(self.head)} <- {', '.join(map(_show, self.body))}>"
+        return f"<Row {self.name}: {_show(self.head) if self.head else 'false'} <- {', '.join(map(_show, self.body))}>"
 
-    def __call__(self, g: Graph | Overlay, delta: Delta) -> Iterator[tuple[IdTriple, str, tuple[IdTriple, ...]]]:
+    def __call__(self, g: Graph | Overlay, delta: Delta) -> Iterator[tuple[IdTriple | None, str, tuple[IdTriple, ...]]]:
         if self._rule is None:
             namespace = {"Literal": Literal, **{"K" + c[1:]: iri for iri, c in self._ids.items()}}
             exec(compile(self.source, f"<rule {self.name}>", "exec"), namespace)
@@ -257,6 +271,8 @@ class Row:
             return "({}, {}, {})".format(*map(c, atom))
 
         def read_later() -> set[str]:  # the variables of the head, the guards and the atoms not yet joined
+            if head is None:  # each premise set is its own violation
+                return set().union(*map(_vars, body))
             return _vars(head).union(*(vs for vs, _ in self.guards), *(_vars(body[j]) for j in left))
 
         def emit(line: str, opens: bool = False) -> None:
@@ -347,11 +363,12 @@ class Row:
         bind(ds, do)
         join_ready(True)
 
-        # the head: the last enumeration goes through `lacking` when it binds only the head's subject
-        hs, hp, ho = head
+        # the head: `false` yields None; the last enumeration goes through `lacking` when it binds only the head's subject
         at, target, iterable, key, before, d = innermost
-        if key == hs and known(hp, before) and known(ho, before):
-            lines[at] = "    " * d + f"for {target} in g.lacking({iterable}, {c(hp)}, {c(ho)}):"
+        if head is None:
+            new = "None"
+        elif key == head[0] and known(head[1], before) and known(head[2], before):
+            lines[at] = "    " * d + f"for {target} in g.lacking({iterable}, {c(head[1])}, {c(head[2])}):"
             new = triple(head)
         else:
             emit(f"if not contains(h := {triple(head)}):", True)
@@ -424,8 +441,8 @@ class _TermKinds(dict):
         return kind
 
 
-def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> IdDerivations:
-    """Saturate `work` in place, starting from `delta`; returns the provenance of what it added.
+def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> tuple[IdDerivations, IdViolations]:
+    """Saturate `work` in place, starting from `delta`; returns the provenance of what it added, and the violations it found.
 
     Requires `delta` to be in `work` and the rest of `work` to be closed under `rules`.
     Each round hands every rule the same `Delta`.  A candidate already in
@@ -441,6 +458,7 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
     contains = work.contains_ids
     kinds = _TermKinds(work.term)
     provenance: IdDerivations = {}
+    violations: IdViolations = set()
     delta = Delta(delta)
     while delta:
         fresh: IdDerivations = {}
@@ -449,7 +467,9 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
             if stats is not None:
                 candidates = stats.counted(candidates)
             for t, name, premises in candidates:
-                if t not in fresh and not contains(t) and kinds[t[1]] is IRI and kinds[t[0]] is not Literal:
+                if t is None:
+                    violations.add((name, tuple(sorted(set(premises)))))
+                elif t not in fresh and not contains(t) and kinds[t[1]] is IRI and kinds[t[0]] is not Literal:
                     fresh[t] = (name, sum(premises, ()))
         if stats is not None:
             stats.deltas.append(len(delta))
@@ -458,12 +478,10 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
         for t in fresh:
             work.insert_ids(t)
         provenance.update(fresh)
-    return provenance
+    return provenance, violations
 
 
-def _saturate(
-    graph: Graph, profile: str, rules: list[Rule], violations: Callable[[Graph], InconsistencyReport]
-) -> Closure:
+def _saturate(graph: Graph, profile: str, rules: list[Rule]) -> Closure:
     """The closure of `graph` under `rules`, cached on the graph per profile.
 
     The cached closure is returned while neither the graph nor the
@@ -481,7 +499,7 @@ def _saturate(
             return closure
     if cached is None:
         work = graph.copy()
-        derivations = _fixpoint(work, rules, work.triple_ids())
+        derivations, violations = _fixpoint(work, rules, work.triple_ids())
     else:
         # the closure's dictionary has interned derived terms since it was
         # copied, so its ids are not the graph's: translate through terms
@@ -494,15 +512,17 @@ def _saturate(
                 delta.append(t)
             else:
                 del derivations[t]  # derived before, asserted now
-        derivations.update(_fixpoint(work, rules, delta))
-    closure = Closure(graph, work, derivations, violations(work), profile)
+        new, found = _fixpoint(work, rules, delta)
+        derivations.update(new)
+        violations = closure.violations | found  # the copy keeps the closure's ids
+    closure = Closure(graph, work, derivations, violations, profile)
     graph._closures[profile] = (closure, graph.version, work.version)
     return closure
 
 
 def saturate_rdfs(graph: Graph) -> Closure:
     """Least fixpoint of the RDFS rule set over the graph, cached on it (see `_saturate`)."""
-    return _saturate(graph, "rdfs", RDFS_RULES, lambda work: InconsistencyReport())
+    return _saturate(graph, "rdfs", RDFS_RULES)
 
 
 def entails(graph: Graph, triple: Triple) -> bool:

@@ -80,6 +80,41 @@ def random_owl_graph(seed: int, max_triples: int = 100, allow_violations: bool =
     return g
 
 
+def random_violation_graph(seed: int, max_triples: int = 40) -> Graph:
+    """`random_owl_graph` plus every violation trigger's vocabulary.
+
+    Adds complementOf, differentFrom, (x type Nothing), (C subClassOf
+    Nothing) and more sameAs triples, some to literals, and AllDifferent
+    nodes over distinctMembers or members lists of 1-4 cells, whose members
+    may be literals too.  A seed keeps its `random_owl_graph` triples.
+    """
+    rng = random.Random(seed * 104729 + 7)
+    g = random_owl_graph(seed, max_triples=max_triples)
+    values = [*_NODES[:6], Literal("v0"), Literal("v1")]
+    for k in range(rng.randint(4, 14)):
+        kind = rng.random()
+        a, b = rng.choice(_NODES[:6]), rng.choice(values)
+        if kind < 0.15:
+            g.add(a, vocab.OWL_COMPLEMENTOF, rng.choice(_NODES))
+        elif kind < 0.3:
+            g.add(a, vocab.OWL_DIFFERENTFROM, b)
+        elif kind < 0.4:
+            g.add(a, vocab.RDF_TYPE, vocab.OWL_NOTHING)
+        elif kind < 0.5:
+            g.add(rng.choice(_NODES), vocab.RDFS_SUBCLASSOF, vocab.OWL_NOTHING)
+        elif kind < 0.75:
+            g.add(a, vocab.OWL_SAMEAS, b)
+        else:
+            d = BlankNode(f"alldiff{k}")
+            cells = [BlankNode(f"alldiff{k}c{i}") for i in range(rng.randint(1, 4))]
+            g.add(d, vocab.RDF_TYPE, vocab.OWL_ALLDIFFERENT)
+            g.add(d, rng.choice([vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS]), cells[0])
+            for cell, rest in zip(cells, [*cells[1:], vocab.RDF_NIL]):
+                g.add(cell, vocab.RDF_FIRST, rng.choice(values))
+                g.add(cell, vocab.RDF_REST, rest)
+    return g
+
+
 def shuffled_batches(rng: random.Random, triples: list, batches: int) -> list[list]:
     """`triples` in a random order, cut into `batches` runs; a run may be empty."""
     triples = list(triples)

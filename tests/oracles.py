@@ -36,10 +36,10 @@ from kgkit.io import (
     ParseReport,
     format_term,
 )
-from kgkit.graph import Binding, Graph
-from kgkit.owl import EqualityPartition, saturate_owl
+from kgkit.graph import Binding, Graph, IdTriple
+from kgkit.owl import EqualityPartition, _list_walk, saturate_owl
 from kgkit.query import REGIMES, Query, _validate
-from kgkit.rdfs import saturate_rdfs
+from kgkit.rdfs import InconsistencyReport, Violation, saturate_rdfs
 from kgkit.terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
 TermTriple = tuple[Term, Term, Term]
@@ -375,6 +375,56 @@ def naive_violation_rules(ts: frozenset[TermTriple]) -> set[str]:
     return out
 
 
+def oracle_violations(work) -> InconsistencyReport:
+    """The violations of a closed graph, by a scan of the whole graph and of every AllDifferent list."""
+    typ = work.lookup(vocab.RDF_TYPE)
+    found: set[tuple[str, tuple[IdTriple, ...]]] = set()
+
+    def record(rule: str, *triples: IdTriple):
+        found.add((rule, tuple(sorted(set(triples)))))
+
+    for pred, rule in ((vocab.OWL_DISJOINTWITH, "owl-disjoint-classes"), (vocab.OWL_COMPLEMENTOF, "owl-complement")):
+        pid = work.lookup(pred)
+        if pid is None or typ is None:
+            continue
+        for c, d in work.pairs(pid):
+            for x in work.subjects(typ, c) & work.subjects(typ, d):
+                record(rule, (c, pid, d), (x, typ, c), (x, typ, d))
+
+    # sameAs is symmetric in the closure, so (x sameAs y) is there whenever (y sameAs x) is
+    sa = work.lookup(vocab.OWL_SAMEAS)
+    diff = work.lookup(vocab.OWL_DIFFERENTFROM)
+    if sa is not None and diff is not None:
+        for x, y in work.pairs(diff):
+            if work.contains_ids((x, sa, y)):
+                record("owl-sameas-differentfrom", (x, diff, y), (x, sa, y))
+
+    alldiff = work.lookup(vocab.OWL_ALLDIFFERENT)
+    if alldiff is not None and typ is not None and sa is not None:
+        for d in work.subjects(typ, alldiff):
+            for prop in (vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS):
+                pid = work.lookup(prop)
+                if pid is None:
+                    continue
+                for lst in work.objects(d, pid):
+                    members = _list_walk(work, lst)[0]
+                    for i, a in enumerate(members):
+                        for b in members[i + 1 :]:
+                            if work.contains_ids((a, sa, b)):
+                                record("owl-alldifferent", (d, pid, lst), (a, sa, b))
+                            elif work.contains_ids((b, sa, a)):
+                                record("owl-alldifferent", (d, pid, lst), (b, sa, a))
+
+    nothing = work.lookup(vocab.OWL_NOTHING)
+    if nothing is not None and typ is not None:
+        for x in work.subjects(typ, nothing):
+            record("owl-nothing-member", (x, typ, nothing))
+
+    violations = [Violation(rule, tuple(sorted(map(work._to_triple, ts), key=triple_sort_key))) for rule, ts in found]
+    violations.sort(key=lambda v: (v.rule, tuple(triple_sort_key(t) for t in v.triples)))
+    return InconsistencyReport(tuple(violations))
+
+
 # ---------------------------------------------------------------------------
 # Reasoning tasks on an already-saturated set
 # ---------------------------------------------------------------------------
@@ -663,16 +713,21 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
         if c == "<":
             advance()
             buf = []
+            excluded = None  # extension: the first character IRIREF excludes, and where it is
             while i < n and text[i] != ">":
                 if text[i] == "\\":
                     buf.append(read_escape())
                 elif text[i] == "\n":
                     raise ParseError("newline inside IRI", tline, tcol)
                 else:
+                    if excluded is None and (text[i] <= " " or text[i] in '<"{}|^`'):
+                        excluded = ParseError(f"unexpected character {text[i]!r} in IRI", line, col)
                     buf.append(text[i])
                     advance()
             if i >= n:
                 raise ParseError("unterminated IRI", tline, tcol)
+            if excluded is not None:  # extension: an error once the IRI is otherwise well-formed
+                raise excluded
             advance()  # '>'
             tokens.append(_Token(IRIREF, "".join(buf), tline, tcol))
         elif c == '"':

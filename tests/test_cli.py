@@ -105,6 +105,22 @@ def test_parse_drops_the_backslash_of_a_local_name_escape_and_exits_2_on_a_bad_o
     assert capsys.readouterr().err == "parse error: bad escape \\q in qname ex:a\\qb at line 2, column 11\n"
 
 
+@pytest.mark.parametrize("char", [" ", "{", "}", "|", "^", "`", "<", '"', "\t", "\x01"])
+def test_parse_exits_2_at_a_raw_character_iriref_excludes_and_reads_its_uchar_escape(tmp_path, capsys, char):
+    for name, text in (("bad.nt", f"<http://e/s> <http://e/p> <http://e/a{char}b> .\n"),
+                       ("bad.ttl", f"@prefix ex: <http://e/> .\nex:s ex:p <http://e/a{char}b> .\n")):
+        kb = write(tmp_path / name, text)
+        assert main(["parse", kb]) == 2
+        line, column = (1, 38) if name == "bad.nt" else (2, 22)
+        assert capsys.readouterr().err == f"parse error: unexpected character {char!r} in IRI at line {line}, column {column}\n"
+    escaped = f"<http://e/s> <http://e/p> <http://e/a\\u{ord(char):04X}b> .\n"
+    kb = write(tmp_path / "escaped.nt", escaped)
+    assert main(["parse", kb]) == 0
+    assert capsys.readouterr().out == escaped
+    assert main(["parse", kb, "--out", str(tmp_path / "again.nt")]) == 0
+    assert (tmp_path / "again.nt").read_text(encoding="utf-8") == escaped
+
+
 def test_check_competency_parse_error_names_the_file_line(tmp_path, capsys):
     kb = write(tmp_path / "city.ttl", CITY_TTL)
     questions = write(
@@ -186,6 +202,8 @@ def test_check_stats_counts_every_saturation_and_keeps_stdout(tmp_path, capsys):
     runs = json.loads(stats_line)["fixpoints"]
     assert len(runs) == 2  # the OWL closure, then the RDFS one for the rdfs question
     assert all(run["rounds"] == len(run["delta"]) and run["delta"][0] == 3 for run in runs)
+    # a rule with a false head counts its violations as candidates and adds no triple
+    assert runs[0]["rules"]["owl-disjoint-classes"] == {"candidates": 1, "new": 0}
 
 
 def test_check_consistent_and_inconsistent(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -14,6 +15,7 @@ from kgkit import (
     Literal,
     InstanceCheck,
     Triple,
+    Violation,
     check_instance,
     is_consistent,
     is_satisfiable,
@@ -28,7 +30,7 @@ from kgkit import (
     vocab,
 )
 from kgkit import owl, rdfs
-from kgkit.owl import OWL_RULES, _breaks, _collect_violations
+from kgkit.owl import OWL_RULES, _breaks
 from kgkit.rdfs import _fixpoint
 from kgkit.terms import sort_key, triple_sort_key
 
@@ -42,10 +44,11 @@ from helpers import (
     random_consistent_owl_graph,
     random_owl_graph,
     random_rdfs_graph,
+    random_violation_graph,
     shuffled_batches,
 )
 import oracles
-from oracles import closure_triples, naive_owl_closure, naive_violation_rules, triples_of
+from oracles import closure_triples, naive_owl_closure, naive_violation_rules, oracle_violations, triples_of
 
 N = lambda name: IRI(NS + name)  # noqa: E731
 
@@ -646,7 +649,7 @@ def test_incremental_insertion_in_random_order_equals_saturation():
             _resume(work, t)
         expected, report = saturate_owl(g)
         assert triples_of(work) == closure_triples(expected), f"seed {seed}"
-        assert _collect_violations(work) == report, f"seed {seed}"
+        assert oracle_violations(work) == report, f"seed {seed}"
         if seed < 5:
             assert triples_of(work) == naive_owl_closure(triples_of(g)), f"seed {seed}"
 
@@ -662,7 +665,7 @@ def test_every_triple_inserted_in_random_order_equals_saturation():
             _resume(work, t)
         expected, report = saturate_owl(g)
         assert triples_of(work) == closure_triples(expected), f"seed {seed}"
-        assert _collect_violations(work) == report, f"seed {seed}"
+        assert oracle_violations(work) == report, f"seed {seed}"
         if seed < 5:
             assert triples_of(work) == naive_owl_closure(triples_of(g)), f"seed {seed}"
 
@@ -683,6 +686,65 @@ def test_resuming_after_each_shuffled_batch_equals_saturation_from_scratch(seed,
     assert resumed.derived == fresh.derived
     assert report == fresh_report
     assert {v.rule for v in report.violations} == naive_violation_rules(expected)
+
+
+_VIOLATION_RULES = {"owl-disjoint-classes", "owl-complement", "owl-sameas-differentfrom", "owl-alldifferent", "owl-nothing-member"}
+
+
+def test_violations_the_fixpoint_finds_equal_a_scan_of_the_whole_closure():
+    nodes = [IRI(f"http://t.example/n{i}") for i in range(6)]
+    objects = [*nodes, Literal("v0"), vocab.OWL_NOTHING, BlankNode("alldiff0c0")]
+    predicates = [vocab.RDF_TYPE, vocab.OWL_SAMEAS, vocab.OWL_DIFFERENTFROM, vocab.OWL_COMPLEMENTOF, vocab.RDF_FIRST]
+    fired = set()
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 6))
+    def check(seed, rng, batches):
+        source = random_violation_graph(seed)
+        # resumed after each batch, list cells in any batch
+        g = Graph()
+        for batch in shuffled_batches(rng, source.triples(), batches):
+            for t in batch:
+                g.insert(t)
+            closure, report = saturate_owl(g)
+            assert report == oracle_violations(closure.graph)
+        fired.update(v.rule for v in report.violations)
+        # one triple at a time, list cells too
+        work, found = Graph(), set()
+        for t in shuffled_batches(rng, source.triples(), 1)[0]:
+            ids = (work.intern(t.subject), work.intern(t.predicate), work.intern(t.object))
+            if work.insert_ids(ids):
+                found |= _fixpoint(work, OWL_RULES, [ids])[1]
+        assert rdfs._report(work, found) == oracle_violations(work)
+        # a probe on an overlay of the closure
+        for _ in range(3):
+            probe = Triple(rng.choice([*nodes, BlankNode("alldiff0c0")]), rng.choice(predicates), rng.choice(objects))
+            with_probe = g.copy()
+            with_probe.insert(probe)
+            assert _breaks(closure, probe) == saturate_owl(with_probe)[1], probe
+
+    check()
+    assert fired == _VIOLATION_RULES
+
+
+def test_an_alldifferent_list_with_a_literal_member_gives_the_scan_report_in_every_insertion_order():
+    # the sameAs premise names the member with the smaller id first, unless that member is a
+    # literal, which no triple has as its subject; which member that is depends on the order
+    d, l1, l2, n, v = BlankNode("d"), BlankNode("l1"), BlankNode("l2"), N("n"), Literal("v")
+    parts = [
+        [Triple(d, vocab.RDF_TYPE, vocab.OWL_ALLDIFFERENT)],
+        [Triple(d, vocab.OWL_DISTINCTMEMBERS, l1)],
+        [Triple(l1, vocab.RDF_FIRST, v), Triple(l1, vocab.RDF_REST, l2), Triple(l2, vocab.RDF_FIRST, n), Triple(l2, vocab.RDF_REST, vocab.RDF_NIL)],
+        [Triple(n, vocab.OWL_SAMEAS, v)],
+    ]
+    for order in itertools.permutations(parts):
+        g = Graph()
+        for part in order:
+            for t in part:
+                g.insert(t)
+            closure, report = saturate_owl(g)
+        assert report == oracle_violations(closure.graph)
+        assert report.violations == (Violation("owl-alldifferent", (Triple(n, vocab.OWL_SAMEAS, v), Triple(d, vocab.OWL_DISTINCTMEMBERS, l1))),)
 
 
 def test_intersection_builds_only_from_a_complete_list():
@@ -970,13 +1032,15 @@ def _well_formed(triples) -> set:
 def test_one_call_of_each_row_yields_its_oracle_heads_that_the_grown_graph_lacks(seed, rng, batches):
     # the closure is closed, so an oracle head the grown graph lacks has a premise in the batch: each
     # row must find every such head once it skips delta triples before its delta atom, joins in its
-    # own order and filters through `lacking`, and yield nothing else
-    source = random_owl_graph(seed, max_triples=40)
+    # own order and filters through `lacking`, and yield nothing else; a row with a false head must
+    # yield the violations of the grown graph that the closure lacks
+    source = random_violation_graph(seed, max_triples=40)
     *before, batch = shuffled_batches(rng, source.triples(), batches + 1)
     base = Graph()
     for t in (t for run in before for t in run):
         base.insert(t)
-    work = saturate_owl(base)[0].graph.copy()
+    closure, closed_report = saturate_owl(base)
+    work = closure.graph.copy()
     delta = []
     for t in batch:
         ids = (work.intern(t.subject), work.intern(t.predicate), work.intern(t.object))
@@ -985,15 +1049,22 @@ def test_one_call_of_each_row_yields_its_oracle_heads_that_the_grown_graph_lacks
     grown, new = triples_of(work), {work._to_triple(t) for t in delta}
     rows = [rule for rule in OWL_RULES if isinstance(rule, rdfs.Row)]
     yielded: dict = {}
+    found = set()
     for row in rows:
         for t, name, premises in row(work, rdfs.Delta(delta)):
             assert name == row.name
-            premises = [work._to_triple(p) for p in premises]
-            assert all(p in work for p in premises) and any(p in new for p in premises), (row, premises)
-            yielded.setdefault(_ORACLE_RULES[name], set()).add(tuple(map(work.term, t)))
-    for oracle in {_ORACLE_RULES[row.name] for row in rows}:
+            assert all(work.contains_ids(p) for p in premises), (row, premises)
+            assert any(work._to_triple(p) in new for p in premises), (row, premises)
+            if row.head is None:
+                found.add((name, tuple(sorted(set(premises)))))
+            else:
+                yielded.setdefault(_ORACLE_RULES[name], set()).add(tuple(map(work.term, t)))
+    for oracle in {_ORACLE_RULES[row.name] for row in rows if row.head}:
         expected = _well_formed(oracle(grown)) - grown
         assert _well_formed(yielded.get(oracle, ())) == expected, oracle.__name__
+    false_heads = {row.name for row in rows if row.head is None}
+    expected = {v for v in oracle_violations(work).violations if v.rule in false_heads} - set(closed_report.violations)
+    assert set(rdfs._report(work, found).violations) == expected
 
 
 def test_a_row_whose_predicate_variable_no_other_atom_binds_is_refused_when_built():

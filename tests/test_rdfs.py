@@ -150,7 +150,7 @@ def test_fixpoint_inserts_only_well_formed_candidates():
             yield (s, blank, o), "toy-blank-predicate", ((s, q, o),)
             yield (s, q, s), "toy-well-formed", ((s, q, o),)
 
-    derivations = _fixpoint(g, [toy], g.triple_ids())
+    derivations, _ = _fixpoint(g, [toy], g.triple_ids())
     assert derivations == {(a, p, a): ("toy-well-formed", (a, p, lit))}
     assert set(g.triple_ids()) == {(a, p, lit), (a, p, a)}
 
@@ -204,7 +204,7 @@ def test_one_round_reads_a_class_superclasses_once_and_yields_only_missing_types
     real = Graph.objects
     monkeypatch.setattr(Graph, "objects", lambda self, s, q: reads.update([(s, q)]) or real(self, s, q))
     with fixpoint_stats() as runs:
-        derived = _fixpoint(work, RDFS_RULES, delta)
+        derived, _ = _fixpoint(work, RDFS_RULES, delta)
     [stats] = runs
     assert reads[(c, sco)] == 1
     assert stats.deltas == [2000, len(missing)]
