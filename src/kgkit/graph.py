@@ -14,7 +14,9 @@ On the read path terms become ids once, at the edge: `_pattern_ids`
 looks a pattern's constants up for `contains`, `match_terms`, `match`,
 `cardinality` and the query planner, and everything after it (matching,
 counting, joins, the sameAs partition, retrieval and realization) runs
-on ids until the answers are turned back into terms.
+on ids until the answers are turned back into terms.  Every dictionary
+starts with the rules' vocabulary, so `vocab.RULE_TERMS[i]` has id i in
+every graph, mentioned or not; what a graph mentions is read off its indexes.
 
 Triples are never removed, so a graph's `version`, its number of
 triples, names its state, and the triples after the first v are those
@@ -27,6 +29,7 @@ from __future__ import annotations
 from itertools import filterfalse
 from typing import AbstractSet, Callable, Iterable, Iterator
 
+from . import vocab
 from .errors import ValidationError
 from .terms import IRI, BlankNode, Literal, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
@@ -43,8 +46,8 @@ class Graph:
 
     def __init__(self, base: str | None = None):
         self.base = base
-        self._term_to_id: dict[Term, int] = {}
-        self._id_to_term: list[Term] = []
+        self._term_to_id: dict[Term, int] = dict(vocab.RULE_IDS)
+        self._id_to_term: list[Term] = list(vocab.RULE_TERMS)
         self._triples: dict[IdTriple, None] = {}  # insertion order: see `version`
         self._spo: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
@@ -89,7 +92,7 @@ class Graph:
         return tid
 
     def lookup(self, term: Term) -> int | None:
-        """Id of `term` if already interned (relative IRIs resolved), else None."""
+        """Id of `term` if already interned (relative IRIs resolved), else None; a `vocab.RULE_TERMS` IRI always has one."""
         if isinstance(term, IRI) and self.base is not None and not term.is_absolute():
             term = self._resolve(term)
         return self._term_to_id.get(term)
@@ -330,7 +333,8 @@ class Overlay:
     """A graph layered over `under`, which it reads and never changes.
 
     Inserted triples and newly interned terms live only in the overlay; a
-    new term's id continues after `under`'s ids.  Serves the part of the
+    new term's id continues after `under`'s ids (the layers share the
+    vocabulary's).  Serves the part of the
     `Graph` API that saturation and violation detection use, so a fixpoint
     can resume on top of a shared closure without copying it.
     """
@@ -339,19 +343,20 @@ class Overlay:
         self._under = under
         self._top = Graph(under.base)  # the new terms (local ids) and the added triples (layered ids)
         self._first = len(under._id_to_term)
+        self._shift = self._first - len(vocab.RULE_TERMS)  # a new term's local id -> its layered id
 
     def lookup(self, term: Term) -> int | None:
         tid = self._under.lookup(term)
         if tid is None and (tid := self._top.lookup(term)) is not None:
-            tid += self._first
+            tid += self._shift
         return tid
 
     def intern(self, term: Term) -> int:
         tid = self.lookup(term)
-        return self._first + self._top.intern(term) if tid is None else tid
+        return self._shift + self._top.intern(term) if tid is None else tid
 
     def term(self, tid: int) -> Term:
-        return self._under.term(tid) if tid < self._first else self._top.term(tid - self._first)
+        return self._under.term(tid) if tid < self._first else self._top.term(tid - self._shift)
 
     def _to_triple(self, t: IdTriple) -> Triple:
         return Triple(*map(self.term, t))

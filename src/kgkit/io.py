@@ -66,9 +66,10 @@ _SHORTHAND = ("integer", "decimal", "double", "boolean")
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
-_ESCAPE = r"""\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"""
+_UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"  # the only escape an IRI admits (RDF 1.1 N-Triples, section 2.3)
+_ESCAPE = rf"""(?:\\[tbnrf"'\\]|{_UCHAR})"""
 _IRI_CHAR = r"""[^\x00-\x20<>"{}|^`\\]"""  # RDF 1.1 N-Triples IRIREF: a character that needs no UCHAR escape
-_IRI_BODY = rf"{_IRI_CHAR}*(?:{_ESCAPE}{_IRI_CHAR}*)*"
+_IRI_BODY = rf"{_IRI_CHAR}*(?:{_UCHAR}{_IRI_CHAR}*)*"
 _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 
 # Whitespace and comments, then one alternative per token kind; a match
@@ -97,7 +98,7 @@ _SCANNER = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-_BODIES = {"<": (re.compile(rf"[^>\\\n]*(?:{_ESCAPE}[^>\\\n]*)*"), "IRI"), '"': (re.compile(_STRING_BODY), "literal")}
+_BODIES = {"<": (re.compile(rf"[^>\\\n]*(?:{_UCHAR}[^>\\\n]*)*"), "IRI"), '"': (re.compile(_STRING_BODY), "literal")}
 _ESCAPE_RE = re.compile(_ESCAPE)
 _LOCAL_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
 # RDF 1.1 Turtle, section 6.5: INTEGER, DECIMAL, DOUBLE and BooleanLiteral
@@ -150,7 +151,9 @@ def _malformed(text: str, start: int) -> tuple[str, int]:
     if stop + 1 >= len(text):
         return "dangling escape", stop
     e = text[stop + 1]
-    return (f"bad \\{e} escape" if e in "uU" else f"unknown escape \\{e}"), stop
+    if e in "uU":
+        return f"bad \\{e} escape", stop
+    return (f"string escape \\{e} in IRI" if what == "IRI" and e in _ESCAPES else f"unknown escape \\{e}"), stop
 
 
 def _scan(text: str, start_line: int = 1) -> list[tuple[str, str, int]]:
@@ -382,7 +385,7 @@ class _TurtleParser:
         self._doc_labels = {value for kind, value, _ in self.tokens if kind == BLANK}
         self._anon = 0
         self._memo: dict[tuple, list] = {}
-        self._first, self._rest, self._nil = ([t, -1] for t in (vocab.RDF_FIRST, vocab.RDF_REST, vocab.RDF_NIL))
+        self._first, self._rest, self._nil = ([t, vocab.RULE_IDS[t]] for t in (vocab.RDF_FIRST, vocab.RDF_REST, vocab.RDF_NIL))
 
     def _at(self, tok) -> tuple[int, int]:
         return _line_col(self.text, tok[2])

@@ -18,7 +18,8 @@ rdf:rest (`_expressions`) reaches from any cell that arrives.  Some
 consequences need no rule of their own, as in OWL 2 RL: sameAs
 transitivity is substitution in the object position, and intersection
 and union membership follow from the operators' subclass edges (scm-int,
-scm-uni) through type propagation.
+scm-uni) through type propagation.  The rules name their vocabulary by
+its fixed ids (`vocab.RULE_TERMS`), and none looks a term up.
 
 Deliberate boundary: no rule introduces fresh individuals, so a
 someValuesFrom on the superclass side is stored but never instantiated.
@@ -37,6 +38,13 @@ from .graph import Graph, IdTriple, Overlay
 from .rdfs import RDFS_RULES, Closure, Delta, InconsistencyReport, Row, _fixpoint, _report, _saturate
 from .terms import IRI, BlankNode, Literal, Term, Triple, sort_key
 
+# the ids of the vocabulary the rules below name, the same in every graph (see `vocab.RULE_TERMS`)
+_TYPE, _FIRST, _REST, _NIL, _SCO, _SA, _INV, _EQC, _FP, _TP, _ONP, _INTER, _UNION, _ALLDIFF, _DISTINCT, _MEMBERS = map(vocab.RULE_IDS.get, (
+    vocab.RDF_TYPE, vocab.RDF_FIRST, vocab.RDF_REST, vocab.RDF_NIL, vocab.RDFS_SUBCLASSOF, vocab.OWL_SAMEAS, vocab.OWL_INVERSEOF,
+    vocab.OWL_EQUIVALENTCLASS, vocab.OWL_FUNCTIONALPROPERTY, vocab.OWL_TRANSITIVEPROPERTY, vocab.OWL_ONPROPERTY,
+    vocab.OWL_INTERSECTIONOF, vocab.OWL_UNIONOF, vocab.OWL_ALLDIFFERENT, vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS))
+
+
 def _list_walk(g: Graph | Overlay, node: int) -> tuple[list[int], bool]:
     """Members of the collection at node in id order, and whether it is complete.
 
@@ -44,9 +52,6 @@ def _list_walk(g: Graph | Overlay, node: int) -> tuple[list[int], bool]:
     an rdf:first: OWL 2 RL's LIST premise.  A list whose cells are still
     arriving one at a time is a prefix, and not complete.
     """
-    first = g.lookup(vocab.RDF_FIRST)
-    rest = g.lookup(vocab.RDF_REST)
-    nil = g.lookup(vocab.RDF_NIL)
     members: set[int] = set()
     stack = [node]
     seen: set[int] = set()
@@ -54,22 +59,22 @@ def _list_walk(g: Graph | Overlay, node: int) -> tuple[list[int], bool]:
     every_cell_has_first = True
     while stack:
         n = stack.pop()
-        if n == nil:
+        if n == _NIL:
             reached_nil = True
         elif n not in seen:
             seen.add(n)
-            firsts = g.objects(n, first)
+            firsts = g.objects(n, _FIRST)
             every_cell_has_first &= bool(firsts)
             members.update(firsts)
-            stack.extend(g.objects(n, rest))
+            stack.extend(g.objects(n, _REST))
     return sorted(members), reached_nil and every_cell_has_first
 
 
-def _delta_cells(g: Graph | Overlay, op: int, delta: Delta) -> list[int]:
+def _delta_cells(op: int, delta: Delta) -> list[int]:
     """The list heads of the delta's (C op L) triples and the cells of its rdf:first and rdf:rest triples."""
     by_predicate = delta.by_predicate
     cells = [l for _, _, l in by_predicate.get(op, ())]
-    for p in (g.lookup(vocab.RDF_FIRST), g.lookup(vocab.RDF_REST)):
+    for p in (_FIRST, _REST):
         cells.extend(s for s, _, _ in by_predicate.get(p, ()))
     return cells
 
@@ -81,16 +86,15 @@ def _expressions(g: Graph | Overlay, op: int, cells: Iterable[int]) -> list[tupl
     are found by walking rdf:rest backwards from it; each found list is
     then walked with `_list_walk`.
     """
-    rest = g.lookup(vocab.RDF_REST)
     found: set[tuple[int, int]] = set()
     stack = list(cells)
-    seen = {g.lookup(vocab.RDF_NIL)}  # no list goes on past rdf:nil
+    seen = {_NIL}  # no list goes on past rdf:nil
     while stack:
         n = stack.pop()
         if n not in seen:
             seen.add(n)
             found.update((c, n) for c in g.subjects(op, n))
-            stack.extend(g.subjects(rest, n))
+            stack.extend(g.subjects(_REST, n))
     return [(c, l, *_list_walk(g, l)) for c, l in sorted(found)]
 
 
@@ -111,10 +115,7 @@ def _r_sameas_substitution(g: Graph | Overlay, delta: Delta):
     Rewriting (x sameAs a) under (a sameAs b) gives (x sameAs b), so this
     also makes sameAs transitive.
     """
-    sa = g.lookup(vocab.OWL_SAMEAS)
-    if sa is None:
-        return
-    for equality in delta.by_predicate.get(sa, ()):
+    for equality in delta.by_predicate.get(_SA, ()):
         a, _, b = equality
         if a != b and not isinstance(g.term(b), Literal):
             mentioning = set()
@@ -130,10 +131,10 @@ def _r_sameas_substitution(g: Graph | Overlay, delta: Delta):
         for u in set(t):
             vs = equals.get(u)
             if vs is None:
-                vs = equals[u] = [v for v in g.objects(u, sa) if v != u and not isinstance(g.term(v), Literal)]
+                vs = equals[u] = [v for v in g.objects(u, _SA) if v != u and not isinstance(g.term(v), Literal)]
             for v in vs:
                 for rewritten in _substitutions(t, u, v):
-                    yield rewritten, "owl-sameas-substitution", ((u, sa, v), t)
+                    yield rewritten, "owl-sameas-substitution", ((u, _SA, v), t)
 
 
 def _r_intersection(g: Graph | Overlay, delta: Delta):
@@ -142,27 +143,21 @@ def _r_intersection(g: Graph | Overlay, delta: Delta):
     Building C needs the whole list, so it waits for a complete one; the
     subclass edges hold for a prefix too.
     """
-    inter = g.lookup(vocab.OWL_INTERSECTIONOF)
-    if inter is None:
-        return
-    typ = g.lookup(vocab.RDF_TYPE)
-    first = g.lookup(vocab.RDF_FIRST)
-    sco = g.intern(vocab.RDFS_SUBCLASSOF)
 
     def build(x: int, c: int, l: int, members: list[int]):
-        if all(g.contains_ids((x, typ, m)) for m in members):
-            premises = ((c, inter, l),) + tuple((x, typ, m) for m in members)
-            yield (x, typ, c), "owl-intersection-build", premises
+        if all(g.contains_ids((x, _TYPE, m)) for m in members):
+            premises = ((c, _INTER, l),) + tuple((x, _TYPE, m) for m in members)
+            yield (x, _TYPE, c), "owl-intersection-build", premises
 
-    for c, l, members, complete in _expressions(g, inter, _delta_cells(g, inter, delta)):
+    for c, l, members, complete in _expressions(g, _INTER, _delta_cells(_INTER, delta)):
         for m in members:
-            yield (c, sco, m), "owl-intersection-subclass", ((c, inter, l),)
-        if typ is not None and complete and members:
-            for x in sorted(g.subjects(typ, members[0])):
+            yield (c, _SCO, m), "owl-intersection-subclass", ((c, _INTER, l),)
+        if complete and members:
+            for x in sorted(g.subjects(_TYPE, members[0])):
                 yield from build(x, c, l, members)
     # the individuals the delta types with D, joined once per class D
-    for d, xs in sorted(delta.by_object(typ).items()):
-        for c, l, members, complete in _expressions(g, inter, g.subjects(first, d)):
+    for d, xs in sorted(delta.by_object(_TYPE).items()):
+        for c, l, members, complete in _expressions(g, _INTER, g.subjects(_FIRST, d)):
             if complete:
                 for x in xs:
                     yield from build(x, c, l, members)
@@ -170,44 +165,33 @@ def _r_intersection(g: Graph | Overlay, delta: Delta):
 
 def _r_union(g: Graph | Overlay, delta: Delta):
     """(C unionOf L), M in L -> (M subClassOf C), for a list prefix too"""
-    uni = g.lookup(vocab.OWL_UNIONOF)
-    if uni is None:
-        return
-    sco = g.intern(vocab.RDFS_SUBCLASSOF)
-    for c, l, members, _ in _expressions(g, uni, _delta_cells(g, uni, delta)):
+    for c, l, members, _ in _expressions(g, _UNION, _delta_cells(_UNION, delta)):
         for m in members:
-            yield (m, sco, c), "owl-union-subclass", ((c, uni, l),)
+            yield (m, _SCO, c), "owl-union-subclass", ((c, _UNION, l),)
 
 
 def _r_alldifferent(g: Graph | Overlay, delta: Delta):
     """(D type AllDifferent), (D members L), a and b in L, a sameAs b -> false, for a list prefix too.
 
-    For members a < b the premise is (a sameAs b), which symmetry derives
-    from (b sameAs a), or (b sameAs a) when a is a literal, never a
-    subject.  A list is reached from a new AllDifferent, members triple or
+    For members a < b in canonical term order the premise is (a sameAs b),
+    which symmetry derives from (b sameAs a); a literal sorts last, so a is
+    never one.  A list is reached from a new AllDifferent, members triple or
     list cell, and from a new sameAs through the cells holding its subject.
     """
-    alldiff = g.lookup(vocab.OWL_ALLDIFFERENT)
-    if alldiff is None:
+    if not g.subjects(_TYPE, _ALLDIFF):  # no AllDifferent node, so no list to check
         return
-    typ, sa, first = g.lookup(vocab.RDF_TYPE), g.lookup(vocab.OWL_SAMEAS), g.lookup(vocab.RDF_FIRST)
-    for members_of in (g.lookup(vocab.OWL_DISTINCTMEMBERS), g.lookup(vocab.OWL_MEMBERS)):
-        if members_of is None:
-            continue
-        cells = _delta_cells(g, members_of, delta)
-        cells.extend(l for d in delta.by_object(typ).get(alldiff, ()) for l in g.objects(d, members_of))
-        cells.extend(cell for a, _, _ in delta.by_predicate.get(sa, ()) for cell in g.subjects(first, a))
+    for members_of in (_DISTINCT, _MEMBERS):
+        cells = _delta_cells(members_of, delta)
+        cells.extend(l for d in delta.by_object(_TYPE).get(_ALLDIFF, ()) for l in g.objects(d, members_of))
+        cells.extend(cell for a, _, _ in delta.by_predicate.get(_SA, ()) for cell in g.subjects(_FIRST, a))
         for d, l, members, _ in _expressions(g, members_of, cells):
-            if g.contains_ids((d, typ, alldiff)):
+            if g.contains_ids((d, _TYPE, _ALLDIFF)):
+                members.sort(key=lambda m: sort_key(g.term(m)))
                 for i, a in enumerate(members):
-                    literal = isinstance(g.term(a), Literal)
                     for b in members[i + 1 :]:
-                        if g.contains_ids(t := (b, sa, a) if literal else (a, sa, b)):
+                        if g.contains_ids(t := (a, _SA, b)):
                             yield None, "owl-alldifferent", ((d, members_of, l), t)
 
-
-_TYPE, _SCO, _SA, _INV = vocab.RDF_TYPE, vocab.RDFS_SUBCLASSOF, vocab.OWL_SAMEAS, vocab.OWL_INVERSEOF
-_EQC, _FP, _TP, _ONP = vocab.OWL_EQUIVALENTCLASS, vocab.OWL_FUNCTIONALPROPERTY, vocab.OWL_TRANSITIVEPROPERTY, vocab.OWL_ONPROPERTY
 
 # The OWL table in the order the fixpoint runs it, with the OWL 2 RL rule each row transcribes.
 OWL_RULES = RDFS_RULES + [
@@ -260,7 +244,7 @@ class EqualityPartition:
         """The partition of `graph`, which must be closed under the OWL rules."""
         term = graph.term
         classes: dict[int, list[int]] = {}
-        for x, y in graph.pairs(graph.lookup(vocab.OWL_SAMEAS)):
+        for x, y in graph.pairs(_SA):
             if not isinstance(term(y), Literal):
                 classes.setdefault(x, [x]).append(y)
         return cls(graph, {x: min(members, key=lambda i: sort_key(term(i))) for x, members in classes.items()})
@@ -336,7 +320,7 @@ def retrieve_instances(graph: Graph, cls: Term) -> set[Term]:
     """All derived members of a class, canonicalized to sameAs representatives."""
     closure = _consistent_closure(graph)
     g, rep = closure.graph, closure.partition.representative_id
-    return {g.term(rep(x)) for x in g.subjects(g.lookup(vocab.RDF_TYPE), g.lookup(cls))}
+    return {g.term(rep(x)) for x in g.subjects(_TYPE, g.lookup(cls))}
 
 
 def realize(graph: Graph, individual: Term) -> set[Term]:
@@ -347,10 +331,9 @@ def realize(graph: Graph, individual: Term) -> set[Term]:
     all returned.
     """
     g = _consistent_closure(graph).graph
-    sco = g.lookup(vocab.RDFS_SUBCLASSOF)
-    types = {c for c in g.objects(g.lookup(individual), g.lookup(vocab.RDF_TYPE)) if isinstance(g.term(c), IRI)}
+    types = {c for c in g.objects(g.lookup(individual), _TYPE) if isinstance(g.term(c), IRI)}
     # c is kept when each other type below it is equivalent to it
-    return {g.term(c) for c in types if all(c in g.subjects(sco, d) for d in types & g.subjects(sco, c) if d != c)}
+    return {g.term(c) for c in types if all(c in g.subjects(_SCO, d) for d in types & g.subjects(_SCO, c) if d != c)}
 
 
 def subsumes(graph: Graph, class_d: Term, class_c: Term) -> bool:

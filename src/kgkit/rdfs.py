@@ -16,7 +16,9 @@ joined at the first level that binds what it needs, through
 `contains_ids`, `objects`, `subjects` or `pairs`, and the last
 enumeration is filtered in C by `lacking` when it binds only the head's
 subject.  A schema entry is so read once per round and predicate or
-class, not once per delta triple.
+class, not once per delta triple.  An IRI is compiled as its id, which
+is the same in every graph (`vocab.RULE_TERMS`), so no rule looks a
+term up.
 
 Resume invariant: every rule yields every consequence (and violation)
 that has at least one premise in the delta and is not yet in the graph,
@@ -141,7 +143,7 @@ class Delta(list):
     def __init__(self, triples: Iterable[IdTriple]):
         super().__init__(triples)
         self.sort()
-        self._by_object: dict[int | None, dict[int, list[int]]] = {}
+        self._by_object: dict[int, dict[int, list[int]]] = {}
         self._sets: dict[int, set[IdTriple]] = {}
 
     @cached_property
@@ -156,7 +158,7 @@ class Delta(list):
                 triples.append(t)
         return groups
 
-    def by_object(self, p: int | None) -> dict[int, list[int]]:
+    def by_object(self, p: int) -> dict[int, list[int]]:
         """o -> the s of the delta's triples (s, p, o) in ascending order, for one predicate p.
 
         For rdf:type: each class -> its new members.
@@ -186,7 +188,7 @@ class Delta(list):
 Rule = Callable[[Graph | Overlay, Delta], Iterator[tuple[IdTriple | None, str, tuple[IdTriple, ...]]]]
 
 
-Slot = str | IRI  # a variable name, or a vocabulary IRI
+Slot = str | IRI | int  # a variable name, or a vocabulary IRI or its id
 Atom = tuple[Slot, Slot, Slot]
 
 
@@ -195,21 +197,26 @@ def _vars(atom: Atom) -> set[str]:
 
 
 def _show(atom: Atom) -> str:
-    return "(" + " ".join(x if isinstance(x, str) else x.value.rsplit("#", 1)[-1] for x in atom) + ")"
+    return "(" + " ".join(x if isinstance(x, str) else vocab.RULE_TERMS[x].value.rsplit("#", 1)[-1] for x in atom) + ")"
 
 
 class Row:
     """One rule of the table: a head atom, or None for `false`, and body atoms, as in the OWL 2 RL rule tables.
 
-    A slot is a variable name or a vocabulary IRI.  `distinct` names two
-    variables that must bind different ids, `nonliteral` one that must not
-    bind a literal.  A row is a `Rule`: on its first call it writes
-    `source`, one Python function with a semi-naive branch per body atom,
-    and compiles it, so importing the table compiles nothing.  A row the
-    compiler cannot evaluate raises ValueError naming it when it is built.
+    A slot is a variable name, or an IRI of `vocab.RULE_TERMS` or its id;
+    the row stores the id.  `distinct` names two variables that must bind
+    different ids, `nonliteral` one that must not bind a literal.  A row is
+    a `Rule`: on its first call it writes `source`, one Python function
+    with a semi-naive branch per body atom, and compiles it, so importing
+    the table compiles nothing.  A row the compiler cannot evaluate raises
+    ValueError naming it when it is built.
     """
 
     def __init__(self, name: str, head: Atom | None, *body: Atom, distinct: tuple[str, str] | None = None, nonliteral: str = ""):
+        ids = vocab.RULE_IDS
+        if unknown := [x for atom in (*body, head or ()) for x in atom if not isinstance(x, (str, int)) and x not in ids]:
+            raise ValueError(f"row {name!r}: {unknown[0]!r} is not in the rule vocabulary")
+        head, body = head and tuple(ids.get(x, x) for x in head), tuple(tuple(ids.get(x, x) for x in atom) for atom in body)
         self.name, self.head, self.body = name, head, body
         self.guards = [(set(distinct), "v_{} != v_{}".format(*distinct))] if distinct else []
         if nonliteral:
@@ -222,8 +229,6 @@ class Row:
                 raise ValueError(f"row {name!r}: no other atom binds the predicate variable {p!r} of {_show(atom)}")
         if head and not _vars(head) <= set().union(*map(_vars, body)):
             raise ValueError(f"row {name!r}: a head variable is not bound by the body")
-        # the id variable of each constant, the body's first: they are looked up, the head's own interned
-        self._ids = {x: f"c{k}" for k, x in enumerate(dict.fromkeys(x for a in (*body, head or ()) for x in a if isinstance(x, IRI)))}
         self._rule = None
 
     def __repr__(self) -> str:
@@ -231,7 +236,7 @@ class Row:
 
     def __call__(self, g: Graph | Overlay, delta: Delta) -> Iterator[tuple[IdTriple | None, str, tuple[IdTriple, ...]]]:
         if self._rule is None:
-            namespace = {"Literal": Literal, **{"K" + c[1:]: iri for iri, c in self._ids.items()}}
+            namespace = {"Literal": Literal}
             exec(compile(self.source, f"<rule {self.name}>", "exec"), namespace)
             self._rule = namespace["rule"]
         return self._rule(g, delta)
@@ -240,18 +245,14 @@ class Row:
     def source(self) -> str:
         """The Python source of the row's rule function."""
         code = [line for i in range(len(self.body)) for line in self._branch(i)]
-        looked_up = [c for x, c in self._ids.items() if any(x in atom for atom in self.body)]
-        lines = ["def rule(g, delta):"]
-        for c in looked_up:  # a body constant the graph lacks matches no triple
-            lines += [f"    {c} = g.lookup(K{c[1:]})", f"    if {c} is None:", "        return"]
-        lines.append("    by_p = delta.by_predicate")
+        lines = ["def rule(g, delta):", "    by_p = delta.by_predicate"]
         if any("contains(" in line for line in code):
             lines.append("    contains = g.contains_ids")
         return "\n".join(lines + code) + "\n"
 
     def _branch(self, i: int) -> list[str]:
         """The lines of the branch in which body atom i reads the delta."""
-        body, head, ids = self.body, self.head, self._ids
+        body, head = self.body, self.head
         ds, dp, do = body[i]
         from_delta = _vars(body[i])
         left = [j for j in range(len(body)) if j != i]
@@ -259,10 +260,9 @@ class Row:
         bound: set[str] = set()
         lines, depth = [f"    # {_show(body[i])} from the delta"], 1
         innermost: tuple = ()  # the innermost loop: (line, target, iterable, key, variables bound before it, depth)
-        head_ids = [c for x, c in ids.items() if not any(x in atom for atom in body)]
 
         def c(x: Slot) -> str:
-            return f"v_{x}" if isinstance(x, str) else ids[x]
+            return f"v_{x}" if isinstance(x, str) else str(x)
 
         def known(x: Slot, among: set[str] = bound) -> bool:
             return not isinstance(x, str) or x in among
@@ -281,11 +281,7 @@ class Row:
             depth += opens
 
         def loop(target: str, iterable: str, key: Slot | None = None, *after: str) -> None:
-            nonlocal innermost, head_ids
-            for h in head_ids:  # the head's own constants, interned once the branch can fire
-                emit(f"{h} = g.lookup(K{h[1:]})")
-                emit(f"if {h} is None: {h} = g.intern(K{h[1:]})")
-            head_ids = []
+            nonlocal innermost
             innermost = (len(lines), target, iterable, key, set(bound), depth)
             emit(f"for {target} in {iterable}:", True)
             for line in after:
@@ -501,8 +497,8 @@ def _saturate(graph: Graph, profile: str, rules: list[Rule]) -> Closure:
         work = graph.copy()
         derivations, violations = _fixpoint(work, rules, work.triple_ids())
     else:
-        # the closure's dictionary has interned derived terms since it was
-        # copied, so its ids are not the graph's: translate through terms
+        # the graph and the closure's graph intern terms apart after the
+        # copy, so a term's ids may differ: translate through terms
         work = closure.graph.copy()
         derivations = dict(closure.derivations)
         delta = []

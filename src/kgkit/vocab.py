@@ -1,4 +1,4 @@
-"""Namespace constants for the RDF, RDFS, OWL and XSD vocabularies."""
+"""Namespace constants for the RDF, RDFS, OWL and XSD vocabularies, and the fixed ids of the rules' vocabulary."""
 
 from .terms import IRI
 
@@ -43,3 +43,11 @@ OWL_RESTRICTION = IRI(OWL + "Restriction")
 OWL_CLASS = IRI(OWL + "Class")
 OWL_THING = IRI(OWL + "Thing")
 OWL_NOTHING = IRI(OWL + "Nothing")
+
+#: The IRIs that the rule table, the hand-written rules and the Turtle collection reader name.  Every
+#: term dictionary starts with them (`Graph.__init__`), so `RULE_TERMS[i]` has id i in every graph.
+RULE_TERMS = (RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, RDFS_DOMAIN, RDFS_RANGE,
+              OWL_SAMEAS, OWL_INVERSEOF, OWL_EQUIVALENTCLASS, OWL_FUNCTIONALPROPERTY, OWL_TRANSITIVEPROPERTY, OWL_ONPROPERTY,
+              OWL_SOMEVALUESFROM, OWL_ALLVALUESFROM, OWL_INTERSECTIONOF, OWL_UNIONOF, OWL_DISJOINTWITH, OWL_COMPLEMENTOF,
+              OWL_DIFFERENTFROM, OWL_ALLDIFFERENT, OWL_DISTINCTMEMBERS, OWL_MEMBERS, OWL_NOTHING)
+RULE_IDS = {iri: i for i, iri in enumerate(RULE_TERMS)}

@@ -407,13 +407,12 @@ def oracle_violations(work) -> InconsistencyReport:
                 if pid is None:
                     continue
                 for lst in work.objects(d, pid):
-                    members = _list_walk(work, lst)[0]
+                    # extension: a pair's premise is (a sameAs b) for a before b in canonical term order
+                    members = sorted(_list_walk(work, lst)[0], key=lambda m: sort_key(work.term(m)))
                     for i, a in enumerate(members):
                         for b in members[i + 1 :]:
-                            if work.contains_ids((a, sa, b)):
+                            if work.contains_ids((a, sa, b)) or work.contains_ids((b, sa, a)):
                                 record("owl-alldifferent", (d, pid, lst), (a, sa, b))
-                            elif work.contains_ids((b, sa, a)):
-                                record("owl-alldifferent", (d, pid, lst), (b, sa, a))
 
     nothing = work.lookup(vocab.OWL_NOTHING)
     if nothing is not None and typ is not None:
@@ -682,12 +681,14 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
                 col += 1
             i += 1
 
-    def read_escape() -> str:
+    def read_escape(iri: bool = False) -> str:
         # called with text[i] == '\\'
         nonlocal i
         if i + 1 >= n:
             err("dangling escape")
         c = text[i + 1]
+        if c in _ESCAPES and iri:  # extension: an IRI admits only \u and \U (RDF 1.1 N-Triples, section 2.3)
+            err(f"string escape \\{c} in IRI")
         if c in _ESCAPES:
             advance(2)
             return _ESCAPES[c]
@@ -716,7 +717,7 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
             excluded = None  # extension: the first character IRIREF excludes, and where it is
             while i < n and text[i] != ">":
                 if text[i] == "\\":
-                    buf.append(read_escape())
+                    buf.append(read_escape(iri=True))
                 elif text[i] == "\n":
                     raise ParseError("newline inside IRI", tline, tcol)
                 else:

@@ -10,7 +10,10 @@ from collections import Counter
 import pytest
 
 import kgkit
+from kgkit import vocab
 from kgkit.cli import build_parser, main
+from kgkit.errors import ParseError
+from kgkit.io import parse_term
 
 from helpers import ALLERGEN_TTL, EDU, GLUTEN_FREE_QUERY
 
@@ -119,6 +122,39 @@ def test_parse_exits_2_at_a_raw_character_iriref_excludes_and_reads_its_uchar_es
     assert capsys.readouterr().out == escaped
     assert main(["parse", kb, "--out", str(tmp_path / "again.nt")]) == 0
     assert (tmp_path / "again.nt").read_text(encoding="utf-8") == escaped
+
+
+@pytest.mark.parametrize("escape", ["\\t", "\\n", '\\"', "\\'", "\\\\"])
+def test_an_iri_admits_no_string_escape_in_any_reader(tmp_path, capsys, escape):
+    # RDF 1.1 N-Triples, section 2.3: inside <...> only \u and \U escapes are read
+    iri = f"<http://e/a{escape}b>"
+    for name, text, line, column in (("bad.nt", f"<http://e/s> <http://e/p> {iri} .\n", 1, 38),
+                                     ("bad.ttl", f"@prefix ex: <http://e/> .\nex:s ex:p {iri} .\n", 2, 22)):
+        assert main(["parse", write(tmp_path / name, text)]) == 2
+        assert capsys.readouterr().err == f"parse error: string escape {escape} in IRI at line {line}, column {column}\n"
+    kb = write(tmp_path / "kb.nt", "<http://e/s> <http://e/p> <http://e/o> .\n")
+    assert main(["query", kb, write(tmp_path / "q.txt", f"?x <http://e/p> {iri}\n")]) == 2
+    assert capsys.readouterr().err == f"parse error: string escape {escape} in IRI at line 1, column 28\n"
+    with pytest.raises(ParseError) as error:
+        parse_term(iri)
+    assert str(error.value) == f"string escape {escape} in IRI at line 1, column 12"
+
+
+def test_check_json_alldifferent_report_does_not_depend_on_line_order(tmp_path, capsys):
+    e = "http://example.org/"
+    kb = [(e + "d", vocab.RDF_TYPE.value, vocab.OWL_ALLDIFFERENT.value), (e + "d", vocab.OWL_DISTINCTMEMBERS.value, e + "l1"),
+          (e + "l1", vocab.RDF_FIRST.value, e + "p"), (e + "l1", vocab.RDF_REST.value, e + "l2"),
+          (e + "l2", vocab.RDF_FIRST.value, e + "q"), (e + "l2", vocab.RDF_REST.value, vocab.RDF_NIL.value),
+          (e + "q", vocab.OWL_SAMEAS.value, e + "p")]
+    lines = ["<{}> <{}> <{}> .\n".format(*t) for t in kb]
+    reports = []
+    for name, ordered in (("kb.nt", lines), ("reversed.nt", lines[::-1])):
+        assert main(["check", write(tmp_path / name, "".join(ordered)), "--json"]) == 3
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # the canonically smaller member is the subject of the cited sameAs
+    [violation] = json.loads(reports[0])["violations"]
+    assert violation["triples"][1] == [f"<{e}p>", f"<{vocab.OWL_SAMEAS.value}>", f"<{e}q>"]
 
 
 def test_check_competency_parse_error_names_the_file_line(tmp_path, capsys):

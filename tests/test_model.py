@@ -62,9 +62,10 @@ def test_intern_relative_iri_resolves_against_base():
 def test_intern_rejects_what_is_not_a_term(value):
     g = Graph(base=EDU)
     g.intern(IRI(EDU + "Warsaw"))
+    before = (dict(g._term_to_id), list(g._id_to_term))
     with pytest.raises(ValidationError, match="not an RDF term"):
         g.intern(value)
-    assert [g.term(i) for i in range(len(g._id_to_term))] == [IRI(EDU + "Warsaw")]
+    assert (g._term_to_id, g._id_to_term) == before
 
 
 def test_blank_node_label_invariants():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 import threading
@@ -30,6 +31,7 @@ from kgkit import (
     vocab,
 )
 from kgkit import owl, rdfs
+from kgkit.graph import Overlay
 from kgkit.owl import OWL_RULES, _breaks
 from kgkit.rdfs import _fixpoint
 from kgkit.terms import sort_key, triple_sort_key
@@ -834,16 +836,49 @@ def test_rules_intern_the_vocabulary_they_derive_once_per_call(monkeypatch):
     real_intern = Graph.intern
     monkeypatch.setattr(Graph, "intern", lambda self, term: calls.append(term) or real_intern(self, term))
     closure, _ = saturate_owl(g)
-    # one lookup per rule call, not one per firing (80 domain/range and 20 functional firings)
+    # the vocabulary has fixed ids, so saturation interns nothing (80 domain/range and 20 functional firings)
     assert len(closure.derived) > 100
-    assert len(calls) <= 30
+    assert len(calls) == 0
 
     plain = Graph()
     plain.add(edu("a"), edu("p"), edu("b"))
     closure, _ = saturate_owl(plain)
     assert not closure.derived
-    for term in (vocab.RDF_TYPE, vocab.OWL_SAMEAS, vocab.RDFS_SUBCLASSOF, vocab.OWL_EQUIVALENTCLASS):
-        assert closure.graph.lookup(term) is None
+    assert closure.graph._term_to_id == plain._term_to_id
+
+
+def test_every_graph_copy_and_overlay_gives_the_vocabulary_its_fixed_ids():
+    g = Graph()
+    g.add(edu("a"), edu("p"), edu("b"))
+    fixed = list(range(len(vocab.RULE_TERMS)))
+    for graph in (Graph(), Graph(base=EDU), g, g.copy(), Overlay(g), Overlay(g.copy())):
+        assert [graph.lookup(iri) for iri in vocab.RULE_TERMS] == fixed
+        assert [graph.term(i) for i in fixed] == list(vocab.RULE_TERMS)
+    # the dictionary holds them, the indexes do not: the graph mentions none of them
+    assert not any(g.mentions(iri) for iri in vocab.RULE_TERMS)
+    assert g.terms() == [edu("a"), edu("b"), edu("p")] and len(g) == 1
+    # an overlay's own terms take the ids after its base's
+    overlay = Overlay(g)
+    tid = overlay.intern(edu("c"))
+    assert tid == len(g._id_to_term) and overlay.term(tid) == edu("c") and overlay.lookup(edu("c")) == tid
+    assert overlay.intern(vocab.OWL_SAMEAS) == vocab.RULE_IDS[vocab.OWL_SAMEAS]
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False))
+def test_saturation_does_not_depend_on_the_order_triples_are_inserted(seed, rng):
+    triples = random_violation_graph(seed).triples()
+    runs = []
+    for _ in range(2):
+        rng.shuffle(triples)
+        g = Graph()
+        for t in triples:
+            g.insert(t)
+        with rdfs.fixpoint_stats() as stats:
+            closure, _ = saturate_owl(g)
+        rules = {t: derivation.rule for t, derivation in closure.provenance.items()}
+        runs.append((closure.graph.triples(), rules, closure.report, json.dumps([run.as_json() for run in stats])))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
