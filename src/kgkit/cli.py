@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import owl, rdfs, reify
 from .errors import KGError, ParseError, QueryValidationError, ValidationError
-from .query import REGIMES, parse_competency, parse_query, query as run_query
+from .query import REGIMES, _answer, parse_competency, parse_query, query as run_query
 from .graph import Graph, graph_from_triples
 from .io import format_term, parse_ntriples, parse_term, parse_turtle, serialize_ntriples
 from .terms import IRI, Term
@@ -116,13 +116,13 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _ask(work: Graph, questions, regime: str, outcome: dict[int, bool | str]) -> None:
-    # `work` is closed under the regime; a question only asks whether it has answers,
-    # which sameAs canonicalization never changes
+def _ask(work: Graph, questions, regime: str, outcome: dict[int, bool | str], find=None) -> None:
+    # `work` is closed under the regime, in sameAs representatives that `find` maps a constant to;
+    # a question only asks whether it has answers, which canonicalizing them never changes
     for i, (name, q, r) in enumerate(questions):
         if r == regime:
             try:
-                outcome[i] = bool(run_query(work, q, "none"))
+                outcome[i] = bool(_answer(work, q, find))
             except QueryValidationError as exc:
                 outcome[i] = f"competency {name}: {exc}"
 
@@ -133,7 +133,7 @@ def cmd_check(args) -> int:
     outcome: dict[int, bool | str] = {}
     with _stats(args):
         closure, report = owl.saturate_owl(graph)
-        _ask(closure.graph, questions, "owl", outcome)
+        _ask(closure.work, questions, "owl", outcome, closure.find)
         closure = None  # hold one closure at a time, the graph's cached one included
         graph._closures.pop("owl", None)
         if any(regime == "rdfs" for _, _, regime in questions):

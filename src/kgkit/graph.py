@@ -21,7 +21,10 @@ every graph, mentioned or not; what a graph mentions is read off its indexes.
 Triples are never removed, so a graph's `version`, its number of
 triples, names its state, and the triples after the first v are those
 added since version v.  Saturation caches its closures on the graph by
-version (`rdfs._saturate`).
+version (`rdfs._saturate`).  The one exception is the graph an OWL
+fixpoint rewrites to sameAs representatives (`equality`, see `owl`),
+which no caller is handed: it drops a triple once its representative
+form replaces it (`_remove_ids`).
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ _NONE: frozenset[int] = frozenset()
 class Graph:
     """A deduplicated set of triples over an interned term dictionary."""
 
+    equality = None  # the sameAs classes of a graph rewritten to their representatives (`owl._Equality`)
+
     def __init__(self, base: str | None = None):
         self.base = base
         self._term_to_id: dict[Term, int] = dict(vocab.RULE_IDS)
@@ -51,7 +56,7 @@ class Graph:
         self._triples: dict[IdTriple, None] = {}  # insertion order: see `version`
         self._spo: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
-        self._closures: dict[str, tuple] = {}  # profile -> (closure, version, closure graph version)
+        self._closures: dict[str, "Closure"] = {}  # profile -> the closure of the graph at some version (`rdfs._saturate`)
 
     # -- dictionary ----------------------------------------------------
 
@@ -135,6 +140,24 @@ class Graph:
             ss.add(s)
         return True
 
+    def _remove_ids(self, t: IdTriple) -> bool:
+        """Drop a present triple, and every index entry it leaves empty, so the indexes' keys stay exact."""
+        del self._triples[t]
+        s, p, o = t
+        by_p = self._spo[s]
+        by_p[p].discard(o)
+        if not by_p[p]:
+            del by_p[p]
+            if not by_p:
+                del self._spo[s]
+        by_o = self._pos[p]
+        by_o[o].discard(s)
+        if not by_o[o]:
+            del by_o[o]
+            if not by_o:
+                del self._pos[p]
+        return True
+
     @property
     def version(self) -> int:
         """Number of triples inserted; it grows with every insertion that adds one."""
@@ -184,12 +207,18 @@ class Graph:
         g._triples = dict(self._triples)
         g._spo = {s: {p: set(os) for p, os in ps.items()} for s, ps in self._spo.items()}
         g._pos = {p: {o: set(ss) for o, ss in os.items()} for p, os in self._pos.items()}
+        if self.equality is not None:
+            g.equality = self.equality.copy()
         return g
 
     # -- id accessors for the rules -----------------------------------
     #
     # `objects` and `subjects` return the index's own set, or an empty
     # frozenset; callers read it and never change it.
+
+    def has_predicate(self, p: int) -> bool:
+        """True when some triple has predicate p: a rule whose body names p as a constant can skip its joins without one."""
+        return p in self._pos
 
     def objects(self, s: int, p: int) -> AbstractSet[int]:
         """The o of every (s, p, o)."""
@@ -336,8 +365,12 @@ class Overlay:
     new term's id continues after `under`'s ids (the layers share the
     vocabulary's).  Serves the part of the
     `Graph` API that saturation and violation detection use, so a fixpoint
-    can resume on top of a shared closure without copying it.
+    can resume on top of a shared closure without copying it.  A triple of
+    `under` cannot be removed: when a merge of sameAs classes rewrites one,
+    its old form stays below its representative form (see `owl._Equality`).
     """
+
+    equality = None
 
     def __init__(self, under: Graph):
         self._under = under
@@ -366,6 +399,13 @@ class Overlay:
 
     def contains_ids(self, t: IdTriple) -> bool:
         return self._under.contains_ids(t) or self._top.contains_ids(t)
+
+    def _remove_ids(self, t: IdTriple) -> bool:
+        """Drop a triple of the top layer; False for one of `under`, which stays."""
+        return self._top.contains_ids(t) and self._top._remove_ids(t)
+
+    def has_predicate(self, p: int) -> bool:
+        return p in self._under._pos or p in self._top._pos
 
     def match_ids(self, s: int | None = None, p: int | None = None, o: int | None = None) -> Iterator[IdTriple]:
         yield from self._under.match_ids(s, p, o)

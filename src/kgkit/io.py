@@ -178,6 +178,10 @@ def _scan(text: str, start_line: int = 1) -> list[tuple[str, str, int]]:
             else:
                 shorthand = _SHORTHAND_WORD.fullmatch(value)
                 if shorthand is None:
+                    # an escaped ;,() that ended the qname before it: name the escape, not this word
+                    if (len(tokens) > 1 and tokens[-2][0] == QNAME and tokens[-1][0] in ";,()"
+                            and tokens[-1][2] == tokens[-2][2] + len(tokens[-2][1])):
+                        _local_escapes(tokens, len(tokens) - 2, lambda tok: _line_col(text, tok[2], start_line))
                     raise ParseError(f"unexpected token {value!r}", *_line_col(text, start, start_line))
                 append((shorthand.lastgroup, value, start))
         elif kind == "punct":

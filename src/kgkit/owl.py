@@ -1,41 +1,61 @@
 """OWL-RL-style rule reasoning on top of the RDFS closure.
 
-Covers identity under the missing unique-names assumption (owl:sameAs
-symmetry and substitution; functional properties deriving sameAs),
-inverse and transitive properties, class equivalence, intersection and
-union operators, someValuesFrom recognition and allValuesFrom
-propagation.  Disjointness, complement, differentFrom, AllDifferent
-lists and owl:Nothing membership are violation triggers: inconsistency
-is reported as data, never raised during saturation.
+Covers identity under the missing unique-names assumption (owl:sameAs;
+functional properties deriving sameAs), inverse and transitive
+properties, class equivalence, intersection and union operators,
+someValuesFrom recognition and allValuesFrom propagation.  Disjointness,
+complement, differentFrom, AllDifferent lists and owl:Nothing membership
+are violation triggers: inconsistency is reported as data, never raised
+during saturation.
+
+owl:sameAs is handled by rewriting, after Motik, Nenov, Piro and
+Horrocks, "Handling owl:sameAs via Rewriting" (AAAI 2015).  The fixpoint
+keeps a union-find over the non-literal terms (`_Equality`) and a graph
+that holds one representative per class: the class's `sort_key`-least
+member, or the rule-vocabulary IRI in it.  A sameAs triple that reaches a
+round's delta, asserted or derived by prp-fp, merges two classes, and the
+triples that mention the merged-away representative are rewritten once;
+every other rule reads only representatives.  So symmetry, transitivity
+and substitution need no rule, and a chain of n sameAs links saturates
+in time linear in n instead of materializing its n^2 copies.
+
+The readers stay on the representative graph and map their constants
+through the classes: the reasoning tasks, `_breaks` probes, `query` under
+the owl regime and `kgkit check`.  `OwlClosure.graph`, `derived` and
+`provenance` expand it over the classes on first access (`kgkit infer`
+does), with each expanded copy derived by owl-sameas-substitution or
+owl-sameas-symmetry from triples of the expanded graph, and `report`
+expands each violation over the classes of its rule's variables.
 
 `OWL_RULES` extends the RDFS table (see `rdfs`) with one row per OWL 2
 RL rule of fixed arity; the violation triggers are rows with a `false`
-head.  Four rules stay hand-written, because no row can state them:
-sameAs substitution rewrites a term in any position of any triple, so
-its body has a predicate that no other atom binds; and intersection,
-union and AllDifferent read a list of any length, which a walk over
-rdf:rest (`_expressions`) reaches from any cell that arrives.  Some
-consequences need no rule of their own, as in OWL 2 RL: sameAs
-transitivity is substitution in the object position, and intersection
-and union membership follow from the operators' subclass edges (scm-int,
-scm-uni) through type propagation.  The rules name their vocabulary by
-its fixed ids (`vocab.RULE_TERMS`), and none looks a term up.
+head.  Three rules stay hand-written, because intersection, union and
+AllDifferent read a list of any length, which a walk over rdf:rest
+(`_expressions`) reaches from any cell that arrives.  Some consequences
+need no rule of their own, as in OWL 2 RL: intersection and union
+membership follow from the operators' subclass edges (scm-int, scm-uni)
+through type propagation.  The rules name their vocabulary by its fixed
+ids (`vocab.RULE_TERMS`), and none looks a term up.
 
-Deliberate boundary: no rule introduces fresh individuals, so a
+Deliberate boundaries: no rule introduces fresh individuals, so a
 someValuesFrom on the superclass side is stored but never instantiated.
 That keeps saturation a finite fixpoint.  Equality rules apply only
-between non-literal terms.
+between non-literal terms.  Two rule-vocabulary IRIs may not be stated
+equal (`rdf:type owl:sameAs rdfs:subClassOf`): the rules name both.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from functools import cached_property
+from itertools import islice, product
+from typing import Iterable, Iterator
 
 from . import vocab
-from .errors import InconsistentKBError
+from .errors import InconsistentKBError, ValidationError
 from .graph import Graph, IdTriple, Overlay
-from .rdfs import RDFS_RULES, Closure, Delta, InconsistencyReport, Row, _fixpoint, _report, _saturate
+from .rdfs import (RDFS_RULES, Closure, Delta, Derivation, IdViolations, InconsistencyReport, Row, _fixpoint, _report,
+                   _saturate)
 from .terms import IRI, BlankNode, Literal, Term, Triple, sort_key
 
 # the ids of the vocabulary the rules below name, the same in every graph (see `vocab.RULE_TERMS`)
@@ -98,51 +118,14 @@ def _expressions(g: Graph | Overlay, op: int, cells: Iterable[int]) -> list[tupl
     return [(c, l, *_list_walk(g, l)) for c, l in sorted(found)]
 
 
-def _substitutions(t: IdTriple, old: int, new: int):
-    """Rewrites of one triple under old = new."""
-    s, p, o = t
-    if s == old:
-        yield (new, p, o)
-    if p == old:
-        yield (s, new, o)
-    if o == old:
-        yield (s, p, new)
-
-
-def _r_sameas_substitution(g: Graph | Overlay, delta: Delta):
-    """(a sameAs b) materializes every triple mentioning a with b in its place.
-
-    Rewriting (x sameAs a) under (a sameAs b) gives (x sameAs b), so this
-    also makes sameAs transitive.
-    """
-    for equality in delta.by_predicate.get(_SA, ()):
-        a, _, b = equality
-        if a != b and not isinstance(g.term(b), Literal):
-            mentioning = set()
-            mentioning.update(g.match_ids(a, None, None))
-            mentioning.update(g.match_ids(None, a, None))
-            mentioning.update(g.match_ids(None, None, a))
-            for src in mentioning:
-                for rewritten in _substitutions(src, a, b):
-                    yield rewritten, "owl-sameas-substitution", (equality, src)
-    # a newly derived triple is itself subject to all known equalities
-    equals: dict[int, list[int]] = {}  # u -> the non-literal terms other than u that u is sameAs, read once per round
-    for t in delta:
-        for u in set(t):
-            vs = equals.get(u)
-            if vs is None:
-                vs = equals[u] = [v for v in g.objects(u, _SA) if v != u and not isinstance(g.term(v), Literal)]
-            for v in vs:
-                for rewritten in _substitutions(t, u, v):
-                    yield rewritten, "owl-sameas-substitution", ((u, _SA, v), t)
-
-
 def _r_intersection(g: Graph | Overlay, delta: Delta):
     """(C intersectionOf L): C is a subclass of each member of L, and membership in all of L builds C.
 
     Building C needs the whole list, so it waits for a complete one; the
     subclass edges hold for a prefix too.
     """
+    if not g.has_predicate(_INTER):  # no intersection to read
+        return
 
     def build(x: int, c: int, l: int, members: list[int]):
         if all(g.contains_ids((x, _TYPE, m)) for m in members):
@@ -165,6 +148,8 @@ def _r_intersection(g: Graph | Overlay, delta: Delta):
 
 def _r_union(g: Graph | Overlay, delta: Delta):
     """(C unionOf L), M in L -> (M subClassOf C), for a list prefix too"""
+    if not g.has_predicate(_UNION):  # no union to read
+        return
     for c, l, members, _ in _expressions(g, _UNION, _delta_cells(_UNION, delta)):
         for m in members:
             yield (m, _SCO, c), "owl-union-subclass", ((c, _UNION, l),)
@@ -173,10 +158,13 @@ def _r_union(g: Graph | Overlay, delta: Delta):
 def _r_alldifferent(g: Graph | Overlay, delta: Delta):
     """(D type AllDifferent), (D members L), a and b in L, a sameAs b -> false, for a list prefix too.
 
-    For members a < b in canonical term order the premise is (a sameAs b),
-    which symmetry derives from (b sameAs a); a literal sorts last, so a is
-    never one.  A list is reached from a new AllDifferent, members triple or
-    list cell, and from a new sameAs through the cells holding its subject.
+    On representatives a member stands for its class, so a member pairs
+    with itself too: (a sameAs a) is there when a's class has two or more
+    members, and `_expand_violations` keeps, of each class pair, the
+    members a < b in canonical term order.  For members a <= b the premise
+    is (a sameAs b); a literal sorts last, so a is never one.  A list is
+    reached from a new AllDifferent, members triple or list cell, and from
+    a new sameAs through the cells holding its subject.
     """
     if not g.subjects(_TYPE, _ALLDIFF):  # no AllDifferent node, so no list to check
         return
@@ -188,15 +176,14 @@ def _r_alldifferent(g: Graph | Overlay, delta: Delta):
             if g.contains_ids((d, _TYPE, _ALLDIFF)):
                 members.sort(key=lambda m: sort_key(g.term(m)))
                 for i, a in enumerate(members):
-                    for b in members[i + 1 :]:
+                    for b in members[i:]:
                         if g.contains_ids(t := (a, _SA, b)):
                             yield None, "owl-alldifferent", ((d, members_of, l), t)
 
 
 # The OWL table in the order the fixpoint runs it, with the OWL 2 RL rule each row transcribes.
+# eq-sym, eq-trans and eq-rep-s/p/o are the rewriting to representatives (`_Equality`).
 OWL_RULES = RDFS_RULES + [
-    Row("owl-sameas-symmetry", ("y", _SA, "x"), ("x", _SA, "y")),  # eq-sym
-    _r_sameas_substitution,  # eq-rep-s, eq-rep-p, eq-rep-o, eq-trans
     Row("owl-functional-property", ("y1", _SA, "y2"), ("p", _TYPE, _FP), ("x", "p", "y1"), ("x", "p", "y2"),
         distinct=("y1", "y2"), nonliteral="y2"),  # prp-fp
     Row("owl-inverse-property", ("y", "q", "x"), ("p", _INV, "q"), ("x", "p", "y")),  # prp-inv1
@@ -214,6 +201,7 @@ OWL_RULES = RDFS_RULES + [
     # the violation triggers: their head is false
     Row("owl-disjoint-classes", None, ("c", vocab.OWL_DISJOINTWITH, "d"), ("x", _TYPE, "c"), ("x", _TYPE, "d")),  # cax-dw
     Row("owl-complement", None, ("c", vocab.OWL_COMPLEMENTOF, "d"), ("x", _TYPE, "c"), ("x", _TYPE, "d")),  # cls-com
+    # on representatives (x sameAs y) is there when x = y has a class of two or more or was stated, or y is a literal
     Row("owl-sameas-differentfrom", None, ("x", vocab.OWL_DIFFERENTFROM, "y"), ("x", _SA, "y")),  # eq-diff1
     _r_alldifferent,  # eq-diff2, eq-diff3
     Row("owl-nothing-member", None, ("x", _TYPE, vocab.OWL_NOTHING)),  # cls-nothing2
@@ -221,18 +209,150 @@ OWL_RULES = RDFS_RULES + [
 
 
 # ---------------------------------------------------------------------------
-# Identity partition
+# sameAs classes
 # ---------------------------------------------------------------------------
+
+_VOCABULARY = len(vocab.RULE_TERMS)  # ids below this are the rules' vocabulary
+
+
+class _Equality:
+    """The owl:sameAs classes of the non-literal terms of one graph, a union-find over its ids.
+
+    `reps` maps each member of a class of two or more to the class's
+    representative, and `members` maps the representative to the whole
+    class; any other term is its own class.  The representative is the
+    class's `sort_key`-least member, or the rule-vocabulary IRI in it, as
+    the rules name those ids.  A copy shares both maps until one side merges.
+
+    The graph that holds the equality (`Graph.equality`) holds
+    representatives only: `absorb` merges the classes a round's delta
+    joins and rewrites every triple that mentions a merged-away
+    representative.  An `Overlay` cannot drop a triple of its lower layer,
+    so after such a merge it is `stale`: the old form stays below the new
+    one, and `absorb` rewrites what the rules derive from it.
+    """
+
+    def __init__(self):
+        self.reps: dict[int, int] = {}
+        self.members: dict[int, list[int]] = {}
+        self.stale = False
+        self._shared = False
+
+    def copy(self) -> "_Equality":
+        other = _Equality()
+        other.reps, other.members, other.stale = self.reps, self.members, self.stale
+        self._shared = other._shared = True
+        return other
+
+    def find(self, tid: int) -> int:
+        return self.reps.get(tid, tid)
+
+    def map(self, t: IdTriple) -> IdTriple:
+        get = self.reps.get
+        return (get(t[0], t[0]), get(t[1], t[1]), get(t[2], t[2]))
+
+    def members_of(self, rep: int) -> list[int] | tuple[int]:
+        return self.members.get(rep) or (rep,)
+
+    def absorb(self, work: Graph | Overlay, delta: Delta) -> Delta:
+        """The round's delta in representatives, after merging the classes its sameAs triples join.
+
+        Every triple of `work` that mentions a merged-away representative
+        is replaced by its representative form, which joins the delta when
+        it is new.
+        """
+        term = work.term
+        pairs = [(a, b) for a, _, b in delta.by_predicate.get(_SA, ()) if a != b and not isinstance(term(b), Literal)]
+        moved = self._merge(work, pairs) if pairs else ()
+        if not moved and not self.stale:
+            return delta
+        old = set()
+        for a in moved:
+            old.update(work.match_ids(a, None, None))
+            old.update(work.match_ids(None, a, None))
+            old.update(work.match_ids(None, None, a))
+        if self.stale:
+            old.update(t for t in delta if self.map(t) != t)
+        kept = [t for t in delta if t not in old]
+        for t in old:
+            if not work._remove_ids(t):
+                self.stale = True
+        kept.extend(t for t in map(self.map, old) if work.insert_ids(t))
+        return Delta(kept)
+
+    def _merge(self, work: Graph | Overlay, pairs: list[tuple[int, int]]) -> list[int]:
+        """Join the classes of each pair; returns the representatives merged away."""
+        parent: dict[int, int] = {}  # a union-find over this call's representatives
+
+        def root(x: int) -> int:
+            while (up := parent.get(x, x)) != x:
+                parent[x] = parent.get(up, up)
+                x = up
+            return x
+
+        for a, b in pairs:
+            ra, rb = root(self.find(a)), root(self.find(b))
+            if ra != rb:
+                parent[ra] = rb
+        groups: dict[int, list[int]] = {}
+        for r in parent:
+            groups.setdefault(root(r), []).append(r)
+        if self._shared:
+            self.reps, self.members, self._shared = dict(self.reps), dict(self.members), False
+        key = lambda r: (r >= _VOCABULARY, sort_key(work.term(r)))  # noqa: E731
+        moved = []
+        for root_, group in groups.items():
+            group.append(root_)
+            if len(named := sorted(work.term(r).value for r in group if r < _VOCABULARY)) > 1:
+                raise ValidationError(f"owl:sameAs between <{named[0]}> and <{named[1]}>: the rules name both")
+            rep = min(group, key=key)
+            merged = list(self.members_of(rep))
+            for r in group:
+                if r != rep:
+                    for m in self.members_of(r):
+                        self.reps[m] = rep
+                    merged.extend(self.members.pop(r, (r,)))
+                    moved.append(r)
+            self.members[rep] = merged
+        return moved
+
+
+def _expand_violations(found: IdViolations, equality: _Equality, term) -> IdViolations:
+    """Each violation found on representatives once per choice of a class member for each variable of its rule.
+
+    The premises of each come out sorted, each once; an AllDifferent pair
+    keeps only members a < b in canonical term order.
+    """
+    out = set()
+    for name, premises in found:
+        atoms, ordered = _VIOLATION_FORMS[name]
+        binding = {x: tid for atom, t in zip(atoms, premises) for x, tid in zip(atom, t) if isinstance(x, str)}
+        names = list(binding)
+        classes = [equality.members_of(equality.find(binding[x])) for x in names]
+        if ordered is None and all(len(c) == 1 for c in classes):  # no variable binds a class of two or more
+            out.add((name, tuple(sorted(set(premises)))))
+            continue
+        for choice in product(*classes):
+            b = dict(zip(names, choice))
+            if ordered and not sort_key(term(b[ordered[0]])) < sort_key(term(b[ordered[1]])):
+                continue
+            ts = {tuple(b[x] if isinstance(x, str) else tid for x, tid in zip(atom, t)) for atom, t in zip(atoms, premises)}
+            out.add((name, tuple(sorted(ts))))
+    return out
+
+
+# each violation rule's premises as atoms, and the pair of variables whose members must be in canonical order
+_VIOLATION_FORMS = {rule.name: (rule.body, None) for rule in OWL_RULES if isinstance(rule, Row) and rule.head is None}
+_VIOLATION_FORMS["owl-alldifferent"] = ((("d", None, "l"), ("a", _SA, "b")), ("a", "b"))
 
 
 class EqualityPartition:
     """The owl:sameAs classes of an OWL-closed graph, over the graph's ids.
 
-    Only non-literal terms take part.  The OWL closure makes sameAs
-    symmetric and transitive between them, so a term's class is itself
-    plus its non-literal sameAs objects.  Each class is represented by its
+    Only non-literal terms take part.  Each class is represented by its
     canonically smallest member, which makes canonicalization stable under
-    any input permutation.
+    any input permutation.  An OWL closure builds it from its fixpoint's
+    union-find; `from_graph` reads it off a graph that holds every sameAs copy.
     """
 
     def __init__(self, graph: Graph, representatives: dict[int, int]):
@@ -241,7 +361,7 @@ class EqualityPartition:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "EqualityPartition":
-        """The partition of `graph`, which must be closed under the OWL rules."""
+        """The partition of `graph`, which must be closed under the OWL rules, every sameAs copy included."""
         term = graph.term
         classes: dict[int, list[int]] = {}
         for x, y in graph.pairs(_SA):
@@ -259,17 +379,140 @@ class EqualityPartition:
 
 
 # ---------------------------------------------------------------------------
+# The OWL closure
+# ---------------------------------------------------------------------------
+
+
+class OwlClosure(Closure):
+    """An OWL closure: `work` holds one representative per sameAs class, and `work.equality` the classes.
+
+    Membership, `find`, `mentions` and the `partition` read the classes;
+    `graph`, `derived`, `provenance` and `report` expand `work` over them on
+    first access.  Changing the expanded `graph` drops the closure from the
+    base's cache, as changing an RDFS closure's graph does.
+    """
+
+    @classmethod
+    def _prepare(cls, work: Graph) -> None:
+        work.equality = _Equality()
+
+    def _changed(self) -> bool:
+        expanded = self.__dict__.get("graph")
+        return super()._changed() or (expanded is not None and expanded.version != self._expanded_version)
+
+    def find(self, tid: int) -> int:
+        """The representative of a term of `work`, by id."""
+        return self.work.equality.find(tid)
+
+    def mentions(self, term: Term) -> bool:
+        """True when the expanded graph mentions the term: when `work` mentions its representative."""
+        tid = self.work.lookup(term)
+        return tid is not None and self.work.mentions(self.work.term(self.find(tid)))
+
+    def __contains__(self, triple: Triple) -> bool:
+        ids = self.work._pattern_ids((triple.subject, triple.predicate, triple.object))
+        return ids is not None and self.work.contains_ids(self.work.equality.map(tuple(ids)))
+
+    @cached_property
+    def partition(self) -> EqualityPartition:
+        reps = self.work.equality.reps
+        if any(r < _VOCABULARY for r in self._classes):  # a vocabulary IRI represents its class inside the engine only
+            reps = {m: ms[0] for ms, _ in self._classes.values() for m in ms}
+        return EqualityPartition(self.work, reps)
+
+    @cached_property
+    def _classes(self) -> dict[int, tuple[list[int], list[int]]]:
+        """Each representative of a class of two or more -> its members in canonical order, and those that are IRIs."""
+        term = self.work.term
+        classes = {}
+        for rep, ms in self.work.equality.members.items():
+            ms = sorted(ms, key=lambda i: sort_key(term(i)))
+            classes[rep] = (ms, [m for m in ms if isinstance(term(m), IRI)])
+        return classes
+
+    def _copies(self) -> Iterator[tuple[IdTriple, IdTriple]]:
+        """(t, r) for every triple t of the expanded graph, r being its representative form in `work`.
+
+        A predicate is replaced by the IRIs of its class only.
+        """
+        classes = self._classes
+        for r in self.work._triples:
+            s, p, o = r
+            cs, cp, co = classes.get(s), classes.get(p), classes.get(o)
+            if cs is None and cp is None and co is None:
+                yield r, r
+                continue
+            for s2 in cs[0] if cs else (s,):
+                for p2 in cp[1] if cp else (p,):
+                    for o2 in co[0] if co else (o,):
+                        yield (s2, p2, o2), r
+
+    @cached_property
+    def _asserted(self) -> set[IdTriple]:
+        """The base's triples when it was saturated, in the ids of `work`."""
+        ids = list(map(self.work._term_to_id.get, self.base._id_to_term))  # a term interned since is in no such triple
+        return {(ids[s], ids[p], ids[o]) for s, p, o in islice(self.base._triples, self._versions[0])}
+
+    @cached_property
+    def graph(self) -> Graph:
+        g = Graph(self.work.base)
+        g._term_to_id, g._id_to_term = dict(self.work._term_to_id), list(self.work._id_to_term)
+        for t, _ in self._copies():
+            g.insert_ids(t)
+        self._expanded_version = g.version
+        return g
+
+    @cached_property
+    def derived(self) -> frozenset[Triple]:
+        asserted = self._asserted
+        return frozenset(self.work._to_triple(t) for t, _ in self._copies() if t not in asserted)
+
+    @cached_property
+    def provenance(self) -> dict[Triple, Derivation]:
+        to_triple, asserted = self.work._to_triple, self._asserted
+        out = {}
+        for t, r in self._copies():
+            if t not in asserted:
+                name, premises = self.derivations.get(t) or self._copy_derivation(t, r)
+                out[to_triple(t)] = Derivation(name, tuple(to_triple(premises[i : i + 3]) for i in range(0, len(premises), 3)))
+        return out
+
+    def _copy_derivation(self, t: IdTriple, r: IdTriple) -> tuple[str, tuple[int, ...]]:
+        """A one-step derivation of t, an expanded copy that no rule derived, from other triples of the expanded graph.
+
+        When t differs from its representative form r, its first differing
+        position is rewritten from r's member there by substitution, or, when
+        t is that equality, (r sameAs m), it follows by symmetry from
+        (m sameAs r).  r itself is rewritten from the copy that has another
+        member in the first position whose class has one.
+        """
+        if t == r:
+            i, m = next((i, m) for i in range(3) for m in self._classes.get(r[i], ((), ()))[i == 1] if m != r[i])
+            src, equal = r[:i] + (m,) + r[i + 1 :], (m, _SA, r[i])
+        else:
+            i = next(i for i in range(3) if t[i] != r[i])
+            src, equal = t[:i] + (r[i],) + t[i + 1 :], (r[i], _SA, t[i])
+            if equal == t:
+                return "owl-sameas-symmetry", (t[2], _SA, t[0])
+        return "owl-sameas-substitution", equal if src == equal else equal + src
+
+    @cached_property
+    def report(self) -> InconsistencyReport:
+        return _report(self.work, _expand_violations(self.violations, self.work.equality, self.work.term))
+
+
+# ---------------------------------------------------------------------------
 # Saturation and the reasoning tasks
 # ---------------------------------------------------------------------------
 
 
-def saturate_owl(graph: Graph) -> tuple[Closure, InconsistencyReport]:
+def saturate_owl(graph: Graph) -> tuple[OwlClosure, InconsistencyReport]:
     """OWL closure of the graph plus the violations found in it, cached on the graph (see `rdfs._saturate`)."""
-    closure = _saturate(graph, "owl", OWL_RULES)
+    closure = _saturate(graph, "owl", OWL_RULES, OwlClosure)
     return closure, closure.report
 
 
-def _consistent_closure(graph: Graph) -> Closure:
+def _consistent_closure(graph: Graph) -> OwlClosure:
     """The OWL closure of a KB that reasoning tasks require to be consistent."""
     closure, report = saturate_owl(graph)
     if report:
@@ -277,16 +520,18 @@ def _consistent_closure(graph: Graph) -> Closure:
     return closure
 
 
-def _breaks(closure: Closure, triple: Triple) -> InconsistencyReport:
+def _breaks(closure: OwlClosure, triple: Triple) -> InconsistencyReport:
     """Violations of the closure plus one triple, resuming the fixpoint from that triple on an overlay.
 
-    The overlay leaves the closure as it is, so probes need no copy and no lock.
+    The overlay and its copy of the classes leave the closure as it is, so
+    probes need no copy of the graph and no lock.
     """
-    work = Overlay(closure.graph)
-    t = (work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object))
+    work = Overlay(closure.work)
+    equality = work.equality = closure.work.equality.copy()
+    t = equality.map((work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object)))
     work.insert_ids(t)
     _, found = _fixpoint(work, OWL_RULES, [t])
-    return _report(work, closure.violations | found)
+    return _report(work, _expand_violations(closure.violations | found, equality, work.term))
 
 
 def is_consistent(graph: Graph) -> tuple[bool, InconsistencyReport]:
@@ -309,7 +554,7 @@ def check_instance(graph: Graph, individual: Term, cls: Term) -> InstanceCheck:
     """
     closure = _consistent_closure(graph)
     assertion = Triple(individual, vocab.RDF_TYPE, cls)
-    if assertion in closure.graph:
+    if assertion in closure:
         return InstanceCheck.ENTAILED
     if _breaks(closure, assertion):
         return InstanceCheck.INCONSISTENT_IF_ASSERTED
@@ -319,8 +564,9 @@ def check_instance(graph: Graph, individual: Term, cls: Term) -> InstanceCheck:
 def retrieve_instances(graph: Graph, cls: Term) -> set[Term]:
     """All derived members of a class, canonicalized to sameAs representatives."""
     closure = _consistent_closure(graph)
-    g, rep = closure.graph, closure.partition.representative_id
-    return {g.term(rep(x)) for x in g.subjects(_TYPE, g.lookup(cls))}
+    g, rep = closure.work, closure.partition.representative_id
+    tid = g.lookup(cls)
+    return set() if tid is None else {g.term(rep(x)) for x in g.subjects(_TYPE, closure.find(tid))}
 
 
 def realize(graph: Graph, individual: Term) -> set[Term]:
@@ -328,12 +574,17 @@ def realize(graph: Graph, individual: Term) -> set[Term]:
 
     Among the individual's derived IRI classes, keeps those with no
     strictly more specific competitor; equivalent classes tie and are
-    all returned.
+    all returned.  Read on representatives, each kept class stands for
+    the IRIs of its sameAs class.
     """
-    g = _consistent_closure(graph).graph
-    types = {c for c in g.objects(g.lookup(individual), _TYPE) if isinstance(g.term(c), IRI)}
+    closure = _consistent_closure(graph)
+    g, tid = closure.work, closure.work.lookup(individual)
+    if tid is None:
+        return set()
+    types = {c for c in g.objects(closure.find(tid), _TYPE) if isinstance(g.term(c), IRI)}
     # c is kept when each other type below it is equivalent to it
-    return {g.term(c) for c in types if all(c in g.subjects(_SCO, d) for d in types & g.subjects(_SCO, c) if d != c)}
+    kept = [c for c in types if all(c in g.subjects(_SCO, d) for d in types & g.subjects(_SCO, c) if d != c)]
+    return {g.term(m) for c in kept for m in closure.work.equality.members_of(c) if isinstance(g.term(m), IRI)}
 
 
 def subsumes(graph: Graph, class_d: Term, class_c: Term) -> bool:
@@ -344,8 +595,8 @@ def subsumes(graph: Graph, class_d: Term, class_c: Term) -> bool:
     """
     closure, _ = saturate_owl(graph)
     if class_c == class_d:
-        return closure.graph.mentions(class_c)
-    return Triple(class_c, vocab.RDFS_SUBCLASSOF, class_d) in closure.graph
+        return closure.mentions(class_c)
+    return Triple(class_c, vocab.RDFS_SUBCLASSOF, class_d) in closure
 
 
 def is_satisfiable(graph: Graph, cls: Term) -> bool:
@@ -355,6 +606,6 @@ def is_satisfiable(graph: Graph, cls: Term) -> bool:
     """
     closure = _consistent_closure(graph)
     n = 0
-    while closure.graph.lookup(BlankNode(f"satprobe{n}")) is not None:
+    while closure.work.lookup(BlankNode(f"satprobe{n}")) is not None:
         n += 1
     return not _breaks(closure, Triple(BlankNode(f"satprobe{n}"), vocab.RDF_TYPE, cls))

@@ -16,9 +16,16 @@ joined at the first level that binds what it needs, through
 `contains_ids`, `objects`, `subjects` or `pairs`, and the last
 enumeration is filtered in C by `lacking` when it binds only the head's
 subject.  A schema entry is so read once per round and predicate or
-class, not once per delta triple.  An IRI is compiled as its id, which
-is the same in every graph (`vocab.RULE_TERMS`), so no rule looks a
-term up.
+class, not once per delta triple, and a row returns at once while some
+predicate its body names has no triple at all.  An IRI is compiled as
+its id, which is the same in every graph (`vocab.RULE_TERMS`), so no
+rule looks a term up.
+
+The OWL profile runs the same fixpoint on a graph rewritten to owl:sameAs
+representatives (`Graph.equality`, see `owl`): each round first merges
+the classes that its delta's sameAs triples join and rewrites what
+mentions a merged-away representative, so every rule reads one member
+per class.  The RDFS profile has no equality and maps nothing.
 
 Resume invariant: every rule yields every consequence (and violation)
 that has at least one premise in the delta and is not yet in the graph,
@@ -76,11 +83,12 @@ class Derivation:
 
 # a derived triple -> (rule name, its premises flattened: s1, p1, o1, s2, p2, o2, ...)
 IdDerivations = dict[IdTriple, tuple[str, tuple[int, ...]]]
-IdViolations = set[tuple[str, tuple[IdTriple, ...]]]  # (rule name, its distinct premises in id order)
+IdViolations = set[tuple[str, tuple[IdTriple, ...]]]  # (rule name, its premises in the rule's body order)
 
 
 def _report(g: Graph | Overlay, found: IdViolations) -> InconsistencyReport:
-    """The violations `found` in `g`, in terms, sorted by rule and premises."""
+    """The violations `found` in `g`, in terms, each premise once, sorted by rule and premises."""
+    found = {(rule, frozenset(ts)) for rule, ts in found}
     violations = [Violation(rule, tuple(sorted(map(g._to_triple, ts), key=triple_sort_key))) for rule, ts in found]
     violations.sort(key=lambda v: (v.rule, tuple(triple_sort_key(t) for t in v.triples)))
     return InconsistencyReport(tuple(violations))
@@ -90,18 +98,36 @@ def _report(g: Graph | Overlay, found: IdViolations) -> InconsistencyReport:
 class Closure:
     """A saturated graph plus where each derived triple came from, and the violations found in it.
 
-    `derived`, `provenance`, `report` and the sameAs `partition` are built
-    from the closed graph and its id-level `derivations` and `violations`
-    on first access; the partition needs the "owl" `profile`.  A closure
-    that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
-    never changes it, and a later saturation of the grown base builds a new one.
+    `work` is the graph the fixpoint closed, and `graph` is `work` here;
+    `owl.OwlClosure` keeps `work` in sameAs representatives and expands it
+    into `graph` on first access.  `derived`, `provenance` and `report` are
+    built from the closed graph and its id-level `derivations` and
+    `violations` on first access; the sameAs `partition` needs an OWL
+    closure.  A closure that `saturate_rdfs` or `saturate_owl` returned is
+    a snapshot: kgkit never changes it, and a later saturation of the grown
+    base builds a new one.
     """
 
     base: Graph
-    graph: Graph
+    work: Graph
     derivations: IdDerivations
     violations: IdViolations = field(default_factory=set)
     profile: str = "rdfs"
+
+    def __post_init__(self):
+        self._versions = (self.base.version, self.work.version)  # what saturation closed
+
+    @classmethod
+    def _prepare(cls, work: Graph) -> None:
+        """Set up a copy of the base before its first fixpoint; an RDFS closure needs nothing."""
+
+    def _changed(self) -> bool:
+        """True once a caller has changed the graph this closure handed out."""
+        return self.work.version != self._versions[1]
+
+    @property
+    def graph(self) -> Graph:
+        return self.work
 
     @cached_property
     def report(self) -> InconsistencyReport:
@@ -119,14 +145,11 @@ class Closure:
             for t, (name, premises) in self.derivations.items()
         }
 
-    @cached_property
+    @property
     def partition(self) -> "EqualityPartition":
         """The owl:sameAs classes of the closed graph; only an OWL closure has them."""
-        if self.profile != "owl":  # RDFS makes sameAs neither symmetric nor transitive
-            raise ValidationError(f"the sameAs partition needs an OWL closure, got a {self.profile!r} one")
-        from .owl import EqualityPartition  # owl builds on this module
-
-        return EqualityPartition.from_graph(self.graph)
+        # RDFS makes sameAs neither symmetric nor transitive
+        raise ValidationError(f"the sameAs partition needs an OWL closure, got a {self.profile!r} one")
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.graph
@@ -245,7 +268,10 @@ class Row:
     def source(self) -> str:
         """The Python source of the row's rule function."""
         code = [line for i in range(len(self.body)) for line in self._branch(i)]
-        lines = ["def rule(g, delta):", "    by_p = delta.by_predicate"]
+        lines = ["def rule(g, delta):"]
+        if named := sorted({p for _, p, _ in self.body if not isinstance(p, str)}):
+            lines += [f"    if not ({' and '.join(f'g.has_predicate({p})' for p in named)}):", "        return"]
+        lines.append("    by_p = delta.by_predicate")
         if any("contains(" in line for line in code):
             lines.append("    contains = g.contains_ids")
         return "\n".join(lines + code) + "\n"
@@ -441,10 +467,13 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
     """Saturate `work` in place, starting from `delta`; returns the provenance of what it added, and the violations it found.
 
     Requires `delta` to be in `work` and the rest of `work` to be closed under `rules`.
-    Each round hands every rule the same `Delta`.  A candidate already in
+    Each round hands every rule the same `Delta`, after `work.equality`,
+    when there is one, has merged the sameAs classes the delta joins and
+    rewritten the delta to representatives.  A candidate already in
     `work` or found earlier in the round is dropped, and so is one that is
     not an RDF 1.1 triple: a literal subject or a predicate that is not an
     IRI, tested once per id.  A round's new triples are inserted together.
+    A violation keeps its premises in its rule's body order.
     """
     runs = _recording.get()
     stats = None
@@ -453,10 +482,13 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
         runs.append(stats)
     contains = work.contains_ids
     kinds = _TermKinds(work.term)
+    equality = work.equality
     provenance: IdDerivations = {}
     violations: IdViolations = set()
     delta = Delta(delta)
     while delta:
+        if equality is not None:
+            delta = equality.absorb(work, delta)
         fresh: IdDerivations = {}
         for rule in rules:
             candidates = rule(work, delta)
@@ -464,7 +496,7 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
                 candidates = stats.counted(candidates)
             for t, name, premises in candidates:
                 if t is None:
-                    violations.add((name, tuple(sorted(set(premises)))))
+                    violations.add((name, premises))
                 elif t not in fresh and not contains(t) and kinds[t[1]] is IRI and kinds[t[0]] is not Literal:
                     fresh[t] = (name, sum(premises, ()))
         if stats is not None:
@@ -477,8 +509,8 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
     return provenance, violations
 
 
-def _saturate(graph: Graph, profile: str, rules: list[Rule]) -> Closure:
-    """The closure of `graph` under `rules`, cached on the graph per profile.
+def _saturate(graph: Graph, profile: str, rules: list[Rule], kind: type[Closure] = Closure) -> Closure:
+    """The closure of `graph` under `rules`, a `kind`, cached on the graph per profile.
 
     The cached closure is returned while neither the graph nor the
     closure's graph has changed since it was made.  When only the graph
@@ -486,33 +518,32 @@ def _saturate(graph: Graph, profile: str, rules: list[Rule]) -> Closure:
     cached closure, so a closure once returned never changes.  Any change
     to the closure's graph drops it, and the graph is saturated afresh.
     """
-    cached = graph._closures.get(profile)
-    if cached is not None:
-        closure, version, closed_version = cached
-        if closure.graph.version != closed_version:
-            cached = None
-        elif version == graph.version:
-            return closure
-    if cached is None:
+    closure = graph._closures.get(profile)
+    if closure is not None and closure._changed():
+        closure = None
+    if closure is None:
         work = graph.copy()
+        kind._prepare(work)
         derivations, violations = _fixpoint(work, rules, work.triple_ids())
+    elif closure._versions[0] == graph.version:
+        return closure
     else:
         # the graph and the closure's graph intern terms apart after the
         # copy, so a term's ids may differ: translate through terms
-        work = closure.graph.copy()
+        work = closure.work.copy()
         derivations = dict(closure.derivations)
+        equality = work.equality
         delta = []
-        for t in islice(graph._triples, version, None):  # the triples added since `version`
+        for t in islice(graph._triples, closure._versions[0], None):  # the triples added since the closure
             t = (work.intern(graph.term(t[0])), work.intern(graph.term(t[1])), work.intern(graph.term(t[2])))
-            if work.insert_ids(t):
-                delta.append(t)
+            if work.insert_ids(r := t if equality is None else equality.map(t)):
+                delta.append(r)
             else:
-                del derivations[t]  # derived before, asserted now
+                derivations.pop(t, None)  # derived before, asserted now
         new, found = _fixpoint(work, rules, delta)
         derivations.update(new)
         violations = closure.violations | found  # the copy keeps the closure's ids
-    closure = Closure(graph, work, derivations, violations, profile)
-    graph._closures[profile] = (closure, graph.version, work.version)
+    closure = graph._closures[profile] = kind(graph, work, derivations, violations, profile)
     return closure
 
 

@@ -661,6 +661,23 @@ def oracle_shorthand_kind(word: str) -> str | None:
     return INTEGER if _digits(whole) else None
 
 
+def _oracle_qname_escapes(tok: _Token, after: str) -> None:
+    """Raise at a qname for its first escape other than a backslash before one of _~.-!$&'()*+,;=/?#@% in its local name.
+
+    A backslash that ends the qname escapes `after`, the character the word stopped at.
+    """
+    word, i = tok.value, 0
+    while i < len(word):
+        if word[i] == "\\":
+            e = word[i + 1 : i + 2]
+            if e and e in "_~.-!$&'()*+,;=/?#@%" and i > word.index(":"):
+                i += 2
+                continue
+            e = e or after
+            raise ParseError(f"{'unsupported' if e in ';,()@' else 'bad'} escape \\{e} in qname {word}", tok.line, tok.col)
+        i += 1
+
+
 def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -795,6 +812,10 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
             elif oracle_shorthand_kind(word) is not None:
                 tokens.append(_Token(oracle_shorthand_kind(word), word, tline, tcol))
             else:
+                prev = tokens[-2:]
+                if len(prev) == 2 and prev[1].kind in [_PUNCT[c] for c in ";,()"] and prev[0].kind == QNAME and prev[0].line == prev[1].line and prev[0].col + len(prev[0].value) == prev[1].col:
+                    # extension: the qname before an escaped ;,() that ended it names its first bad escape
+                    _oracle_qname_escapes(prev[0], prev[1].value)
                 raise ParseError(f"unexpected token {word!r}", tline, tcol)
     tokens.append(_Token(EOF, "", line, col))
     return tokens

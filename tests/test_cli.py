@@ -108,6 +108,14 @@ def test_parse_drops_the_backslash_of_a_local_name_escape_and_exits_2_on_a_bad_o
     assert capsys.readouterr().err == "parse error: bad escape \\q in qname ex:a\\qb at line 2, column 11\n"
 
 
+@pytest.mark.parametrize("escape", [";", ",", "(", ")"])
+def test_parse_names_an_escape_that_ends_a_qname_before_a_bare_word(tmp_path, capsys, escape):
+    # the scanner ends a word before ;,(), so the word after the escape is not a token of its own
+    kb = write(tmp_path / "escaped.ttl", f"@prefix ex: <http://e/> .\nex:s ex:p ex:a\\{escape}b .\n")
+    assert main(["parse", kb]) == 2
+    assert capsys.readouterr().err == f"parse error: unsupported escape \\{escape} in qname ex:a\\ at line 2, column 11\n"
+
+
 @pytest.mark.parametrize("char", [" ", "{", "}", "|", "^", "`", "<", '"', "\t", "\x01"])
 def test_parse_exits_2_at_a_raw_character_iriref_excludes_and_reads_its_uchar_escape(tmp_path, capsys, char):
     for name, text in (("bad.nt", f"<http://e/s> <http://e/p> <http://e/a{char}b> .\n"),

@@ -31,6 +31,7 @@ from kgkit import (
     vocab,
 )
 from kgkit import owl, rdfs
+from kgkit.errors import ValidationError
 from kgkit.graph import Overlay
 from kgkit.owl import OWL_RULES, _breaks
 from kgkit.rdfs import _fixpoint
@@ -599,10 +600,33 @@ def test_every_derivation_is_an_instance_of_its_named_rule():
 # ---------------------------------------------------------------------------
 
 
+def _resume_expanded(work: Graph, delta) -> set:
+    """Resume the OWL fixpoint from `delta`, triples just inserted into `work`, whose other triples are a whole expanded closure.
+
+    The fixpoint runs on a copy rewritten to the sameAs classes of the closed
+    part; `work` grows by the expansion of its result.  Returns the violations
+    found, expanded over the classes as they stand at the end, with premises
+    sorted.  A violation found before on a class this call grew now stands
+    for more members, so the triples that mention a grown class are read again.
+    """
+    new = set(delta)
+    rep = work.copy()
+    equality = rep.equality = owl._Equality()
+    equality.absorb(rep, rdfs.Delta(t for t in rep.triple_ids() if t[1] == vocab.RULE_IDS[vocab.OWL_SAMEAS] and t not in new))
+    before = {r: len(ms) for r, ms in equality.members.items()}
+    _, found = _fixpoint(rep, OWL_RULES, {equality.map(t) for t in delta})
+    grown = [r for r, ms in equality.members.items() if len(ms) != before.get(r)]
+    mentioning = {t for r in grown for pattern in ((r, None, None), (None, r, None), (None, None, r)) for t in rep.match_ids(*pattern)}
+    found |= _fixpoint(rep, OWL_RULES, mentioning)[1]
+    for t, _ in owl.OwlClosure(Graph(), rep, {})._copies():
+        work.insert_ids(t)
+    return owl._expand_violations(found, equality, rep.term)
+
+
 def _resume(work: Graph, triple: Triple) -> None:
     t = (work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object))
     if work.insert_ids(t):
-        _fixpoint(work, OWL_RULES, [t])
+        _resume_expanded(work, [t])
 
 
 def test_resumed_probe_equals_saturating_graph_plus_probe():
@@ -716,7 +740,7 @@ def test_violations_the_fixpoint_finds_equal_a_scan_of_the_whole_closure():
         for t in shuffled_batches(rng, source.triples(), 1)[0]:
             ids = (work.intern(t.subject), work.intern(t.predicate), work.intern(t.object))
             if work.insert_ids(ids):
-                found |= _fixpoint(work, OWL_RULES, [ids])[1]
+                found |= _resume_expanded(work, [ids])
         assert rdfs._report(work, found) == oracle_violations(work)
         # a probe on an overlay of the closure
         for _ in range(3):
@@ -812,7 +836,7 @@ def test_type_triples_of_one_class_walk_its_intersection_list_once(monkeypatch):
     walked = []
     real = owl._list_walk
     monkeypatch.setattr(owl, "_list_walk", lambda g, node: walked.append(g.term(node)) or real(g, node))
-    _fixpoint(work, OWL_RULES, delta)
+    _resume_expanded(work, delta)
     assert walked == [head]
     # the grouped join still builds C for exactly the individuals typed with both members
     assert {t.subject for t in work.match_terms(None, vocab.RDF_TYPE, N("C"))} == {N(f"x{i}") for i in range(0, 40, 2)}
@@ -1105,3 +1129,168 @@ def test_one_call_of_each_row_yields_its_oracle_heads_that_the_grown_graph_lacks
 def test_a_row_whose_predicate_variable_no_other_atom_binds_is_refused_when_built():
     with pytest.raises(ValueError, match="row 'typed-by-anything'.*'p'"):
         rdfs.Row("typed-by-anything", ("x", vocab.RDF_TYPE, "c"), ("x", "p", "y"), ("y", vocab.RDF_TYPE, "c"))
+
+
+def test_a_rule_returns_before_reading_an_index_while_a_predicate_it_names_has_no_triple():
+    # the KB has no someValuesFrom, intersectionOf or unionOf triple
+    g = Graph()
+    g.add(N("x"), vocab.RDF_TYPE, N("C"))
+    g.add(N("x"), N("p"), N("y"))
+    reads = []
+
+    class Recording:
+        def __getattr__(self, name):
+            reads.append(name)
+            return getattr(g, name)
+
+    somevalues = next(rule for rule in OWL_RULES if getattr(rule, "name", "") == "owl-somevalues-recognition")
+    for rule in (somevalues, owl._r_intersection, owl._r_union):
+        reads.clear()
+        assert list(rule(Recording(), rdfs.Delta(g.triple_ids()))) == []
+        assert set(reads) == {"has_predicate"}, rule
+    # with the predicate present, the row goes on to its joins
+    g.add(BlankNode("r"), vocab.OWL_SOMEVALUESFROM, N("D"))
+    g.add(BlankNode("r"), vocab.OWL_ONPROPERTY, N("p"))
+    reads.clear()
+    assert list(somevalues(Recording(), rdfs.Delta(g.triple_ids()))) == []
+    assert set(reads) > {"has_predicate"}
+
+
+# ---------------------------------------------------------------------------
+# sameAs by representatives
+# ---------------------------------------------------------------------------
+
+
+def _sameas_chain(n: int) -> Graph:
+    """n sameAs links c0 - c1 - ... - cn, each linked node with one property triple."""
+    g = Graph()
+    for i in range(n):
+        g.add(N(f"c{i}"), vocab.OWL_SAMEAS, N(f"c{i + 1}"))
+        g.add(N(f"c{i}"), N("p"), N(f"v{i}"))
+    return g
+
+
+def test_a_sameas_chain_costs_work_linear_in_its_length_and_expands_to_its_quadratic_closure():
+    # counted, not timed: per doubling of the chain the fixpoint's candidates and the
+    # representative graph grow at most 2.2x, while the expanded closure grows 4x
+    sizes = []
+    for n in (125, 250, 500, 1000):
+        g = _sameas_chain(n)
+        g.add(N("p"), vocab.RDFS_DOMAIN, N("C"))  # gives the fixpoint candidates to count
+        with rdfs.fixpoint_stats() as runs:
+            closure, _ = saturate_owl(g)
+        sizes.append((sum(sum(run.candidates.values()) for run in runs), len(closure.work)))
+        assert len(closure.partition._reps) == n  # every member but the representative c0
+        plain, _ = saturate_owl(_sameas_chain(n))
+        # the expanded graph of the two larger chains is only counted, as it holds 0.5M and 2M triples
+        expanded = len(plain.graph) if n <= 250 else sum(1 for _ in plain._copies())
+        assert expanded == (n + 1) * (2 * n + 1), n
+    for (c1, w1), (c2, w2) in zip(sizes, sizes[1:]):
+        assert 0 < c2 <= 2.2 * c1 and w2 <= 2.2 * w1, sizes
+    for n in (3, 20):
+        g = _sameas_chain(n)
+        closure, _ = saturate_owl(g)
+        assert len(closure.graph) == (n + 1) * (2 * n + 1)
+        assert closure_triples(closure) == naive_owl_closure(triples_of(g))
+
+
+def _with_equality_cases(g: Graph) -> Graph:
+    """`g` plus a reflexive sameAs, a sameAs to a literal, and a merge that prp-fp derives in round 2."""
+    n = [IRI(f"http://t.example/n{i}") for i in range(10)]
+    g.add(n[6], vocab.OWL_SAMEAS, n[6])
+    g.add(n[7], vocab.OWL_SAMEAS, Literal("v1"))
+    g.add(n[8], vocab.RDF_TYPE, vocab.OWL_FUNCTIONALPROPERTY)
+    g.add(n[9], vocab.RDFS_SUBPROPERTYOF, n[8])
+    g.add(n[1], n[9], n[2])  # (n1 n8 n2) comes in round 1, then (n2 sameAs n3) in round 2
+    g.add(n[1], n[8], n[3])
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 6))
+def test_closures_on_representatives_agree_with_the_oracles(seed, rng, batches):
+    source = _with_equality_cases(random_violation_graph(seed, max_triples=30))
+    g = Graph()
+    for batch in shuffled_batches(rng, source.triples(), batches):
+        for t in batch:
+            g.insert(t)
+        closure, report = saturate_owl(g)
+    asserted = triples_of(source)
+    expected = naive_owl_closure(asserted)
+    assert closure_triples(closure) == expected
+    assert {(t.subject, t.predicate, t.object) for t in closure.derived} == expected - asserted
+    assert report == oracle_violations(closure.graph)
+    for term in {x for t in expected for x in t}:
+        assert closure.partition.representative(term) == oracles.oracle_representative(expected, term), term
+    assert {(t.subject, t.predicate, t.object) for t in closure.provenance} == expected - asserted
+    for triple, derivation in closure.provenance.items():
+        premises = {(p.subject, p.predicate, p.object) for p in derivation.premises}
+        assert premises and premises <= expected, derivation
+        if derivation.rule in _ORACLE_RULES:
+            assert (triple.subject, triple.predicate, triple.object) in _ORACLE_RULES[derivation.rule](premises), derivation
+        else:
+            assert derivation.rule in _LIST_RULES, derivation
+
+
+def test_readers_answer_on_representatives_without_expanding_the_closure(monkeypatch, tmp_path):
+    from kgkit.cli import main
+
+    consistent = _pets_kb()  # Tom sameAs Thomas, Tom a Cat, Cat below Carnivore, disjoint with Herbivore
+    consistent.add(edu("Thomas"), vocab.OWL_SAMEAS, edu("Tommy"))
+    consistent.add(edu("Tommy"), edu("eats"), edu("mouse"))
+    consistent.add(edu("eats"), vocab.OWL_SAMEAS, edu("consumes"))
+    consistent.add(edu("Cat"), vocab.RDFS_SUBCLASSOF, edu("Pet"))
+    consistent.add(edu("Pet"), vocab.OWL_SAMEAS, edu("Companion"))
+    inconsistent = consistent.copy()
+    inconsistent.add(edu("Tommy"), vocab.RDF_TYPE, edu("Herbivore"))  # broken once per member of the clique
+    q, _ = parse_query(f"SELECT ?x ?y\n?x <{EDU}consumes> ?y\n?x a <{EDU}Cat>\n")
+    kb = tmp_path / "pets.nt"
+    kb.write_text(oracles.oracle_serialize_ntriples(inconsistent), encoding="utf-8")
+    competency = tmp_path / "competency.txt"
+    competency.write_text(f"QUERY cats\nREGIME owl\n?x <{EDU}consumes> <{EDU}mouse>\n", encoding="utf-8")
+
+    def answers(kb_graph, open_kb):
+        return [
+            check_instance(open_kb, edu("Tom"), edu("Cat")),
+            check_instance(open_kb, edu("Tommy"), edu("Dog")),
+            check_instance(open_kb, edu("Thomas"), edu("Herbivore")),
+            realize(open_kb, edu("Tommy")),
+            retrieve_instances(open_kb, edu("Companion")),
+            subsumes(open_kb, edu("Companion"), edu("Cat")),
+            subsumes(open_kb, edu("Tommy"), edu("Tommy")),
+            is_satisfiable(open_kb, edu("Cat")),
+            is_satisfiable(open_kb, edu("Chimera")),
+            _breaks(saturate_owl(open_kb)[0], Triple(edu("Tommy"), vocab.RDF_TYPE, edu("Herbivore"))),
+            query(open_kb, q, "owl"),
+            is_consistent(kb_graph),
+            main(["check", str(kb), "--competency", str(competency), "--json"]),
+        ]
+
+    expected = answers(inconsistent.copy(), consistent.copy())
+    assert expected[:3] == [InstanceCheck.ENTAILED, InstanceCheck.NOT_ENTAILED, InstanceCheck.INCONSISTENT_IF_ASSERTED]
+    assert expected[3:9] == [{edu("Cat")}, {edu("Thomas")}, True, True, True, False]
+    assert len(expected[9].violations) == 3 and expected[10] == [{"x": edu("Thomas"), "y": edu("mouse")}]
+    assert not expected[11][0] and expected[11][1] == expected[9] and expected[12] == 3
+    saturate_owl(inconsistent), saturate_owl(consistent)
+
+    def refuse(self):
+        raise AssertionError("the closure was expanded")
+
+    monkeypatch.setattr(owl.OwlClosure, "_copies", refuse)
+    assert answers(inconsistent, consistent) == expected
+
+
+def test_a_rule_vocabulary_iri_represents_its_class_and_two_of_them_are_refused():
+    # the rules name rdf:type by its id, so it stays the representative of a class
+    # whose canonically least member is edu:isA; the partition still names edu:isA
+    g = Graph()
+    g.add(edu("isA"), vocab.OWL_SAMEAS, vocab.RDF_TYPE)
+    g.add(edu("x"), edu("isA"), edu("City"))
+    g.add(edu("City"), vocab.RDFS_SUBCLASSOF, edu("Locality"))
+    closure, _ = saturate_owl(g)
+    assert closure_triples(closure) == naive_owl_closure(triples_of(g))
+    assert closure.partition.representative(vocab.RDF_TYPE) == edu("isA")
+    assert retrieve_instances(g, edu("Locality")) == {edu("x")}
+    g.add(vocab.RDF_TYPE, vocab.OWL_SAMEAS, vocab.RDFS_SUBCLASSOF)
+    with pytest.raises(ValidationError, match="rdf-syntax-ns#type> and <.*#subClassOf>: the rules name both"):
+        saturate_owl(g)
