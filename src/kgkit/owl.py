@@ -259,26 +259,33 @@ class _Equality:
 
         Every triple of `work` that mentions a merged-away representative
         is replaced by its representative form, which joins the delta when
-        it is new.
+        it is new.  A rewritten triple can be a new equality, when its
+        predicate was merged into owl:sameAs, and merges in turn.
         """
         term = work.term
-        pairs = [(a, b) for a, _, b in delta.by_predicate.get(_SA, ()) if a != b and not isinstance(term(b), Literal)]
-        moved = self._merge(work, pairs) if pairs else ()
-        if not moved and not self.stale:
-            return delta
-        old = set()
-        for a in moved:
-            old.update(work.match_ids(a, None, None))
-            old.update(work.match_ids(None, a, None))
-            old.update(work.match_ids(None, None, a))
-        if self.stale:
-            old.update(t for t in delta if self.map(t) != t)
-        kept = [t for t in delta if t not in old]
-        for t in old:
-            if not work._remove_ids(t):
-                self.stale = True
-        kept.extend(t for t in map(self.map, old) if work.insert_ids(t))
-        return Delta(kept)
+
+        def equalities(triples: Iterable[IdTriple]) -> list[tuple[int, int]]:
+            return [(a, b) for a, p, b in triples if p == _SA and a != b and not isinstance(term(b), Literal)]
+
+        pairs, remap, kept = equalities(delta.by_predicate.get(_SA, ())), self.stale, None
+        while (moved := self._merge(work, pairs) if pairs else ()) or remap:
+            old = set()
+            for a in moved:
+                old.update(work.match_ids(a, None, None))
+                old.update(work.match_ids(None, a, None))
+                old.update(work.match_ids(None, None, a))
+            kept = list(delta) if kept is None else kept
+            if remap:  # what the rules derived from the old forms left below
+                old.update(t for t in kept if self.map(t) != t)
+                remap = False
+            kept = [t for t in kept if t not in old]
+            for t in old:
+                if not work._remove_ids(t):
+                    self.stale = True
+            rewritten = [t for t in map(self.map, old) if work.insert_ids(t)]
+            kept += rewritten
+            pairs = equalities(rewritten)
+        return delta if kept is None else Delta(kept)
 
     def _merge(self, work: Graph | Overlay, pairs: list[tuple[int, int]]) -> list[int]:
         """Join the classes of each pair; returns the representatives merged away."""

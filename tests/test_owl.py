@@ -609,12 +609,13 @@ def _resume_expanded(work: Graph, delta) -> set:
     sorted.  A violation found before on a class this call grew now stands
     for more members, so the triples that mention a grown class are read again.
     """
-    new = set(delta)
     rep = work.copy()
+    for t in delta:
+        rep._remove_ids(t)
     equality = rep.equality = owl._Equality()
-    equality.absorb(rep, rdfs.Delta(t for t in rep.triple_ids() if t[1] == vocab.RULE_IDS[vocab.OWL_SAMEAS] and t not in new))
+    equality.absorb(rep, rdfs.Delta(t for t in rep.triple_ids() if t[1] == vocab.RULE_IDS[vocab.OWL_SAMEAS]))
     before = {r: len(ms) for r, ms in equality.members.items()}
-    _, found = _fixpoint(rep, OWL_RULES, {equality.map(t) for t in delta})
+    _, found = _fixpoint(rep, OWL_RULES, [t for t in map(equality.map, delta) if rep.insert_ids(t)])
     grown = [r for r, ms in equality.members.items() if len(ms) != before.get(r)]
     mentioning = {t for r in grown for pattern in ((r, None, None), (None, r, None), (None, None, r)) for t in rep.match_ids(*pattern)}
     found |= _fixpoint(rep, OWL_RULES, mentioning)[1]
@@ -1294,3 +1295,14 @@ def test_a_rule_vocabulary_iri_represents_its_class_and_two_of_them_are_refused(
     g.add(vocab.RDF_TYPE, vocab.OWL_SAMEAS, vocab.RDFS_SUBCLASSOF)
     with pytest.raises(ValidationError, match="rdf-syntax-ns#type> and <.*#subClassOf>: the rules name both"):
         saturate_owl(g)
+
+
+def test_a_predicate_merged_into_sameas_makes_its_triples_equalities():
+    # (a same b) becomes (a sameAs b) when `same` joins owl:sameAs's class, in the same round
+    g = Graph()
+    g.add(edu("same"), vocab.OWL_SAMEAS, vocab.OWL_SAMEAS)
+    g.add(edu("a"), edu("same"), edu("b"))
+    g.add(edu("b"), edu("p"), edu("c"))
+    closure, _ = saturate_owl(g)
+    assert closure_triples(closure) == naive_owl_closure(triples_of(g))
+    assert closure.partition.representative(edu("b")) == edu("a")
