@@ -40,8 +40,8 @@ ids (`vocab.RULE_TERMS`), and none looks a term up.
 Deliberate boundaries: no rule introduces fresh individuals, so a
 someValuesFrom on the superclass side is stored but never instantiated.
 That keeps saturation a finite fixpoint.  Equality rules apply only
-between non-literal terms.  Two rule-vocabulary IRIs may not be stated
-equal (`rdf:type owl:sameAs rdfs:subClassOf`): the rules name both.
+between non-literal terms.  Two rule-vocabulary IRIs may not share a
+sameAs class (`rdf:type owl:sameAs rdfs:subClassOf`): the rules name both.
 """
 
 from __future__ import annotations
