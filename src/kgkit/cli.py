@@ -116,13 +116,12 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _ask(work: Graph, questions, regime: str, outcome: dict[int, bool | str], find=None) -> None:
-    # `work` is closed under the regime, in sameAs representatives that `find` maps a constant to;
-    # a question only asks whether it has answers, which canonicalizing them never changes
+def _ask(work: Graph, questions, regime: str, outcome: dict[int, bool | str]) -> None:
+    # `work` is closed under the regime, under owl in sameAs representatives (`_answer` reads `work.equality`)
     for i, (name, q, r) in enumerate(questions):
         if r == regime:
             try:
-                outcome[i] = bool(_answer(work, q, find))
+                outcome[i] = bool(_answer(work, q))
             except QueryValidationError as exc:
                 outcome[i] = f"competency {name}: {exc}"
 
@@ -133,7 +132,7 @@ def cmd_check(args) -> int:
     outcome: dict[int, bool | str] = {}
     with _stats(args):
         closure, report = owl.saturate_owl(graph)
-        _ask(closure.work, questions, "owl", outcome, closure.find)
+        _ask(closure.work, questions, "owl", outcome)
         closure = None  # hold one closure at a time, the graph's cached one included
         graph._closures.pop("owl", None)
         if any(regime == "rdfs" for _, _, regime in questions):

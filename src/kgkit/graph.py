@@ -13,7 +13,7 @@ still change.
 On the read path terms become ids once, at the edge: `_pattern_ids`
 looks a pattern's constants up for `contains`, `match_terms`, `match`,
 `cardinality` and the query planner, and everything after it (matching,
-counting, joins, the sameAs partition, retrieval and realization) runs
+counting, joins, the sameAs classes, retrieval and realization) runs
 on ids until the answers are turned back into terms.  Every dictionary
 starts with the rules' vocabulary, so `vocab.RULE_TERMS[i]` has id i in
 every graph, mentioned or not; what a graph mentions is read off its indexes.
@@ -47,7 +47,7 @@ _NONE: frozenset[int] = frozenset()
 class Graph:
     """A deduplicated set of triples over an interned term dictionary."""
 
-    equality = None  # the sameAs classes of a graph rewritten to their representatives (`owl._Equality`)
+    equality = None  # the sameAs classes of a graph rewritten to their representatives, kept only here (`owl._Equality`)
 
     def __init__(self, base: str | None = None):
         self.base = base
@@ -370,10 +370,9 @@ class Overlay:
     its old form stays below its representative form (see `owl._Equality`).
     """
 
-    equality = None
-
     def __init__(self, under: Graph):
         self._under = under
+        self.equality = None if under.equality is None else under.equality.copy()  # as `Graph.copy` shares them
         self._top = Graph(under.base)  # the new terms (local ids) and the added triples (layered ids)
         self._first = len(under._id_to_term)
         self._shift = self._first - len(vocab.RULE_TERMS)  # a new term's local id -> its layered id

@@ -19,9 +19,10 @@ every other rule reads only representatives.  So symmetry, transitivity
 and substitution need no rule, and a chain of n sameAs links saturates
 in time linear in n instead of materializing its n^2 copies.
 
-The readers stay on the representative graph and map their constants
-through the classes: the reasoning tasks, `_breaks` probes, `query` under
-the owl regime and `kgkit check`.  `OwlClosure.graph`, `derived` and
+The readers stay on the representative graph and read the classes off
+it (`Graph.equality`, their one holder, in canonical order): the
+reasoning tasks, `_breaks` probes, `query` under the owl regime, `kgkit
+check` and the `partition`.  `OwlClosure.graph`, `derived` and
 `provenance` expand it over the classes on first access (`kgkit infer`
 does), with each expanded copy derived by owl-sameas-substitution or
 owl-sameas-symmetry from triples of the expanded graph, and `report`
@@ -46,6 +47,7 @@ sameAs class (`rdf:type owl:sameAs rdfs:subClassOf`): the rules name both.
 
 from __future__ import annotations
 
+import heapq
 from enum import Enum
 from functools import cached_property
 from itertools import islice, product
@@ -220,9 +222,10 @@ class _Equality:
 
     `reps` maps each member of a class of two or more to the class's
     representative, and `members` maps the representative to the whole
-    class; any other term is its own class.  The representative is the
-    class's `sort_key`-least member, or the rule-vocabulary IRI in it, as
-    the rules name those ids.  A copy shares both maps until one side merges.
+    class in `sort_key` order; any other term is its own class.  The
+    representative is the class's rule-vocabulary IRI, as the rules name
+    those ids, or else its first member (`canonical`).  A copy shares both
+    maps and their lists until one side merges, which builds new ones.
 
     The graph that holds the equality (`Graph.equality`) holds
     representatives only: `absorb` merges the classes a round's delta
@@ -253,6 +256,10 @@ class _Equality:
 
     def members_of(self, rep: int) -> list[int] | tuple[int]:
         return self.members.get(rep) or (rep,)
+
+    def canonical(self, tid: int) -> int:
+        """The `sort_key`-least member of the class of a term, by id."""
+        return self.members_of(self.find(tid))[0]
 
     def absorb(self, work: Graph | Overlay, delta: Delta) -> Delta:
         """The round's delta in representatives, after merging the classes its sameAs triples join.
@@ -306,19 +313,19 @@ class _Equality:
             groups.setdefault(root(r), []).append(r)
         if self._shared:
             self.reps, self.members, self._shared = dict(self.reps), dict(self.members), False
-        key = lambda r: (r >= _VOCABULARY, sort_key(work.term(r)))  # noqa: E731
+        key = lambda m: sort_key(work.term(m))  # noqa: E731
         moved = []
         for root_, group in groups.items():
             group.append(root_)
             if len(named := sorted(work.term(r).value for r in group if r < _VOCABULARY)) > 1:
                 raise ValidationError(f"owl:sameAs between <{named[0]}> and <{named[1]}>: the rules name both")
-            rep = min(group, key=key)
-            merged = list(self.members_of(rep))
+            merged = list(heapq.merge(*map(self.members_of, group), key=key))  # each class is in canonical order
+            rep = min(group) if named else merged[0]
             for r in group:
                 if r != rep:
                     for m in self.members_of(r):
                         self.reps[m] = rep
-                    merged.extend(self.members.pop(r, (r,)))
+                    self.members.pop(r, None)
                     moved.append(r)
             self.members[rep] = merged
         return moved
@@ -420,38 +427,22 @@ class OwlClosure(Closure):
         ids = self.work._pattern_ids((triple.subject, triple.predicate, triple.object))
         return ids is not None and self.work.contains_ids(self.work.equality.map(tuple(ids)))
 
-    @cached_property
-    def partition(self) -> EqualityPartition:
-        reps = self.work.equality.reps
-        if any(r < _VOCABULARY for r in self._classes):  # a vocabulary IRI represents its class inside the engine only
-            reps = {m: ms[0] for ms, _ in self._classes.values() for m in ms}
-        return EqualityPartition(self.work, reps)
-
-    @cached_property
-    def _classes(self) -> dict[int, tuple[list[int], list[int]]]:
-        """Each representative of a class of two or more -> its members in canonical order, and those that are IRIs."""
-        term = self.work.term
-        classes = {}
-        for rep, ms in self.work.equality.members.items():
-            ms = sorted(ms, key=lambda i: sort_key(term(i)))
-            classes[rep] = (ms, [m for m in ms if isinstance(term(m), IRI)])
-        return classes
-
     def _copies(self) -> Iterator[tuple[IdTriple, IdTriple]]:
         """(t, r) for every triple t of the expanded graph, r being its representative form in `work`.
 
         A predicate is replaced by the IRIs of its class only.
         """
-        classes = self._classes
+        members, term = self.work.equality.members, self.work.term
         for r in self.work._triples:
             s, p, o = r
-            cs, cp, co = classes.get(s), classes.get(p), classes.get(o)
+            cs, cp, co = members.get(s), members.get(p), members.get(o)
             if cs is None and cp is None and co is None:
                 yield r, r
                 continue
-            for s2 in cs[0] if cs else (s,):
-                for p2 in cp[1] if cp else (p,):
-                    for o2 in co[0] if co else (o,):
+            ps = (p,) if cp is None else [m for m in cp if isinstance(term(m), IRI)]
+            for s2 in cs or (s,):
+                for p2 in ps:
+                    for o2 in co or (o,):
                         yield (s2, p2, o2), r
 
     @cached_property
@@ -494,7 +485,9 @@ class OwlClosure(Closure):
         member in the first position whose class has one.
         """
         if t == r:
-            i, m = next((i, m) for i in range(3) for m in self._classes.get(r[i], ((), ()))[i == 1] if m != r[i])
+            members, term = self.work.equality.members, self.work.term
+            i, m = next((i, m) for i in range(3) for m in members.get(r[i], ())
+                        if m != r[i] and (i != 1 or isinstance(term(m), IRI)))
             src, equal = r[:i] + (m,) + r[i + 1 :], (m, _SA, r[i])
         else:
             i = next(i for i in range(3) if t[i] != r[i])
@@ -534,7 +527,7 @@ def _breaks(closure: OwlClosure, triple: Triple) -> InconsistencyReport:
     probes need no copy of the graph and no lock.
     """
     work = Overlay(closure.work)
-    equality = work.equality = closure.work.equality.copy()
+    equality = work.equality
     t = equality.map((work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object)))
     work.insert_ids(t)
     _, found = _fixpoint(work, OWL_RULES, [t])
@@ -571,9 +564,9 @@ def check_instance(graph: Graph, individual: Term, cls: Term) -> InstanceCheck:
 def retrieve_instances(graph: Graph, cls: Term) -> set[Term]:
     """All derived members of a class, canonicalized to sameAs representatives."""
     closure = _consistent_closure(graph)
-    g, rep = closure.work, closure.partition.representative_id
-    tid = g.lookup(cls)
-    return set() if tid is None else {g.term(rep(x)) for x in g.subjects(_TYPE, closure.find(tid))}
+    g = closure.work
+    tid, equality = g.lookup(cls), g.equality
+    return set() if tid is None else {g.term(equality.canonical(x)) for x in g.subjects(_TYPE, equality.find(tid))}
 
 
 def realize(graph: Graph, individual: Term) -> set[Term]:

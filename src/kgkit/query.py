@@ -5,15 +5,15 @@ optional negation blocks.  Negation is closed-world only: under the
 open-world assumption the absence of a triple is not its negation, so a
 query combining `NOT` with `ASSUME open` is rejected outright.  Under
 the owl regime a query is joined on the closure's sameAs representatives,
-never on its expansion, and result terms are canonicalized to the
-classes' canonical representatives.
+never on its expansion, with the classes read where the closure keeps
+them (`Graph.equality`), and result terms are canonicalized to each
+class's canonical member.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 from . import vocab
 from .errors import ParseError, QueryValidationError
@@ -53,19 +53,20 @@ def _validate(q: Query) -> None:
             raise QueryValidationError(f"projection variable ?{v} occurs in no pattern")
 
 
-def _resolve(work: Graph, patterns: tuple[TriplePattern, ...], find: Callable[[int], int] | None) -> list[tuple] | None:
+def _resolve(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[tuple] | None:
     """Planned patterns, each position (variable name, None) or (None, constant id); None if a constant is absent.
 
-    `find` maps a constant's id to its sameAs representative in `work`.
+    A constant's id is that of its sameAs representative when `work` holds representatives.
     Most selective first: more bound positions, then fewer matching triples, then the given order.
     """
+    equality = work.equality
     keyed = []
     for i, p in enumerate(patterns):
         ids = work._pattern_ids(p.positions())
         if ids is None:
             return None
-        if find is not None:
-            ids = [None if tid is None else find(tid) for tid in ids]
+        if equality is not None:
+            ids = [None if tid is None else equality.find(tid) for tid in ids]
         slots = tuple((pos.name if isinstance(pos, Var) else None, tid) for pos, tid in zip(p.positions(), ids))
         keyed.append(((ids.count(None), work.cardinality_ids(*ids), i), slots))
     return [slots for _, slots in sorted(keyed)]
@@ -99,27 +100,25 @@ def query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
         return _answer(graph, q)
     if regime == "rdfs":
         return _answer(saturate_rdfs(graph).graph, q)
-    closure = saturate_owl(graph)[0]
-    return _answer(closure.work, q, closure.find, closure.partition.representative_id)
+    return _answer(saturate_owl(graph)[0].work, q)
 
 
-def _answer(work: Graph, q: Query, find: Callable[[int], int] | None = None,
-            canonical: Callable[[int], int] | None = None) -> list[Binding]:
+def _answer(work: Graph, q: Query) -> list[Binding]:
     """The rows of the query on `work`, in canonical order.
 
-    On an OWL closure's representatives `find` maps a constant's id to its
-    representative there, which stands for every sameAs variant of an
-    answer, and `canonical` maps an answer's id to its class's canonical
-    representative.
+    On an OWL closure's representatives (`work.equality`) a constant is
+    mapped to its representative, which stands for every sameAs variant of
+    an answer, and an answer to its class's canonical member.
     """
     _validate(q)
-    bindings = _join(work, _resolve(work, q.patterns, find), {})
-    blocks = [_resolve(work, block, find) for block in q.negations]
+    equality = work.equality
+    bindings = _join(work, _resolve(work, q.patterns), {})
+    blocks = [_resolve(work, block) for block in q.negations]
     bindings = [b for b in bindings if not any(_join(work, block, b) for block in blocks)]
 
     projection = q.projection or tuple(sorted(set().union(*(p.variables() for p in q.patterns))))
     rows: dict[tuple, Binding] = {}
-    for ids in {tuple(b[v] if canonical is None else canonical(b[v]) for v in projection) for b in bindings}:
+    for ids in {tuple(b[v] if equality is None else equality.canonical(b[v]) for v in projection) for b in bindings}:
         row = {v: work.term(i) for v, i in zip(projection, ids)}
         rows[tuple(sort_key(t) for t in row.values())] = row
     return [rows[k] for k in sorted(rows)]

@@ -102,10 +102,10 @@ class Closure:
     `owl.OwlClosure` keeps `work` in sameAs representatives and expands it
     into `graph` on first access.  `derived`, `provenance` and `report` are
     built from the closed graph and its id-level `derivations` and
-    `violations` on first access; the sameAs `partition` needs an OWL
-    closure.  A closure that `saturate_rdfs` or `saturate_owl` returned is
-    a snapshot: kgkit never changes it, and a later saturation of the grown
-    base builds a new one.
+    `violations` on first access, and the sameAs `partition` from the
+    classes of `work.equality`, which only an OWL closure has.  A closure
+    that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
+    never changes it, and a later saturation of the grown base builds a new one.
     """
 
     base: Graph
@@ -145,11 +145,15 @@ class Closure:
             for t, (name, premises) in self.derivations.items()
         }
 
-    @property
+    @cached_property
     def partition(self) -> "EqualityPartition":
-        """The owl:sameAs classes of the closed graph; only an OWL closure has them."""
-        # RDFS makes sameAs neither symmetric nor transitive
-        raise ValidationError(f"the sameAs partition needs an OWL closure, got a {self.profile!r} one")
+        """The owl:sameAs classes of the closed graph, each represented by its first member; only an OWL closure has them."""
+        equality = self.work.equality
+        if equality is None:  # RDFS makes sameAs neither symmetric nor transitive
+            raise ValidationError(f"the sameAs partition needs an OWL closure, got a {self.profile!r} one")
+        from .owl import EqualityPartition  # owl imports this module
+
+        return EqualityPartition(self.work, {m: ms[0] for ms in equality.members.values() for m in ms[1:]})
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.graph

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1015,6 +1016,24 @@ def test_closures_handed_out_are_snapshots(monkeypatch):
     assert not report and Triple(edu("Felix"), vocab.RDF_TYPE, edu("Herbivore")) not in c3
     _assert_same_closure(c3, saturate_owl(g.copy())[0], "after a mutated closure")
 
+    # a probe whose prp-fp merges (a sameAs c) with b leaves the cached closure's classes as they were
+    h = Graph()
+    h.add(edu("x"), edu("P"), edu("a"))
+    h.add(edu("x"), edu("P"), edu("b"))
+    h.add(edu("a"), vocab.OWL_SAMEAS, edu("c"))
+    c4, _ = saturate_owl(h)
+    equality = c4.work.equality
+
+    def classes():
+        members = {r: list(ms) for r, ms in equality.members.items()}
+        return members, dict(equality.reps), c4.work.triple_ids(), dict(c4.partition._reps)
+
+    before = classes()
+    assert check_instance(h, edu("P"), vocab.OWL_FUNCTIONALPROPERTY) is InstanceCheck.NOT_ENTAILED
+    assert saturate_owl(h)[0] is c4 and c4.work.equality is equality
+    assert classes() == before
+    assert c4.partition.representative(edu("c")) == edu("a") and c4.partition.representative(edu("b")) == edu("b")
+
 
 def test_reasoning_tasks_on_an_unchanged_graph_saturate_once_per_profile_and_never_copy_to_probe(monkeypatch):
     runs = _count_saturations(monkeypatch)
@@ -1207,6 +1226,13 @@ def _with_equality_cases(g: Graph) -> Graph:
     return g
 
 
+def _assert_classes_in_canonical_order(work) -> None:
+    """Each sameAs class of `work` lists its members in `sort_key` order, under its rule-vocabulary IRI or else its first member."""
+    for rep, members in work.equality.members.items():
+        assert members == sorted(members, key=lambda m: sort_key(work.term(m))), members
+        assert rep == next((m for m in members if m < len(vocab.RULE_TERMS)), members[0]), (rep, members)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 6))
 def test_closures_on_representatives_agree_with_the_oracles(seed, rng, batches):
@@ -1216,6 +1242,13 @@ def test_closures_on_representatives_agree_with_the_oracles(seed, rng, batches):
         for t in batch:
             g.insert(t)
         closure, report = saturate_owl(g)
+        _assert_classes_in_canonical_order(closure.work)
+    # a probe that states two nodes equal merges their classes on an overlay
+    a, b = rng.sample([IRI(f"http://t.example/n{i}") for i in range(10)], 2)
+    probed, real = [], owl._fixpoint
+    with mock.patch.object(owl, "_fixpoint", lambda work, *rest: probed.append(work) or real(work, *rest)):
+        _breaks(closure, Triple(a, vocab.OWL_SAMEAS, b))
+    _assert_classes_in_canonical_order(probed[0])
     asserted = triples_of(source)
     expected = naive_owl_closure(asserted)
     assert closure_triples(closure) == expected
@@ -1281,9 +1314,11 @@ def test_readers_answer_on_representatives_without_expanding_the_closure(monkeyp
     assert answers(inconsistent, consistent) == expected
 
 
-def test_a_rule_vocabulary_iri_represents_its_class_and_two_of_them_are_refused():
+def test_a_rule_vocabulary_iri_represents_its_class_and_two_of_them_are_refused(tmp_path, capsys):
     # the rules name rdf:type by its id, so it stays the representative of a class
-    # whose canonically least member is edu:isA; the partition still names edu:isA
+    # whose canonically least member is edu:isA; the partition, queries and competency questions still name edu:isA
+    from kgkit.cli import main
+
     g = Graph()
     g.add(edu("isA"), vocab.OWL_SAMEAS, vocab.RDF_TYPE)
     g.add(edu("x"), edu("isA"), edu("City"))
@@ -1292,6 +1327,13 @@ def test_a_rule_vocabulary_iri_represents_its_class_and_two_of_them_are_refused(
     assert closure_triples(closure) == naive_owl_closure(triples_of(g))
     assert closure.partition.representative(vocab.RDF_TYPE) == edu("isA")
     assert retrieve_instances(g, edu("Locality")) == {edu("x")}
+    q, _ = parse_query(f"SELECT ?p\n<{EDU}x> ?p <{EDU}City>\n")
+    assert query(g, q, "owl") == [{"p": edu("isA")}]
+    kb, competency = tmp_path / "isa.nt", tmp_path / "competency.txt"
+    kb.write_text(oracles.oracle_serialize_ntriples(g), encoding="utf-8")
+    competency.write_text(f"QUERY isA\nREGIME owl\n<{EDU}x> <{EDU}isA> <{EDU}Locality>\n", encoding="utf-8")
+    assert main(["check", str(kb), "--competency", str(competency), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["competency"] == [{"name": "isA", "pass": True}]
     g.add(vocab.RDF_TYPE, vocab.OWL_SAMEAS, vocab.RDFS_SUBCLASSOF)
     with pytest.raises(ValidationError, match="rdf-syntax-ns#type> and <.*#subClassOf>: the rules name both"):
         saturate_owl(g)
