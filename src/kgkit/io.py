@@ -2,7 +2,8 @@
 
 The Turtle subset covers what ontology snippets in the wild actually
 use: @prefix, qnames, 'a' for rdf:type, ';' and ',' continuation lists,
-'[ ... ]' anonymous nodes, '( ... )' collections (expanded into
+'[ ... ]' anonymous nodes (one that holds a predicate may be a whole
+statement, as AllDifferent axioms are written), '( ... )' collections (expanded into
 rdf:first/rdf:rest chains ending at rdf:nil), plain, typed and
 language-tagged literals, and the numeric and boolean shorthand (42,
 -7, 1.5, .5, 1e3, true, false as xsd:integer, decimal, double and boolean
@@ -12,7 +13,8 @@ triple, byte-identical across runs for equal graphs.
 Every text reader (the N-Triples lines that are not of the common
 shape, Turtle, `parse_term` and query patterns) reads the one scanner's
 (kind, value, offset) tuples; a line and column are worked out from the
-offset only when a ParseError is raised.  The Turtle reader memoizes
+offset only when a ParseError is raised; so is nesting too deep for
+the recursive Turtle reader.  The Turtle reader memoizes
 terms by token text for one parse and interns each at its first
 emission; rebinding a prefix to another namespace drops the entries of
 that prefix's qnames.  No base IRI is declared, so `<>`, relative IRIs
@@ -444,11 +446,14 @@ class _TurtleParser:
 
     def parse(self) -> ParseReport:
         tokens = self.tokens
-        while tokens[self.pos][0] != EOF:
-            if tokens[self.pos][0] == AT_PREFIX:
-                self._prefix_directive()
-            else:
-                self._triples_statement()
+        try:
+            while tokens[self.pos][0] != EOF:
+                if tokens[self.pos][0] == AT_PREFIX:
+                    self._prefix_directive()
+                else:
+                    self._triples_statement()
+        except RecursionError:  # each '[' or '(' reads its contents one call deeper
+            raise ParseError("nesting too deep", *self._at(tokens[self.pos])) from None
         return ParseReport(self.graph, self.prefixes, self.warnings)
 
     def _prefix_directive(self) -> None:
@@ -470,8 +475,10 @@ class _TurtleParser:
         self._expect(DOT)
 
     def _triples_statement(self) -> None:
+        bracketed = self.tokens[self.pos][0] == LBRACKET and self.tokens[self.pos + 1][0] != RBRACKET
         subject = self._node(as_subject=True)
-        self._predicate_object_list(subject)
+        if not (bracketed and self.tokens[self.pos][0] == DOT):  # `[ p o ] .` is a whole statement
+            self._predicate_object_list(subject)
         self._expect(DOT)
 
     def _predicate_object_list(self, subject: list) -> None:

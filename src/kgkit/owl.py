@@ -56,8 +56,8 @@ from typing import Iterable, Iterator
 from . import vocab
 from .errors import InconsistentKBError, ValidationError
 from .graph import Graph, IdTriple, Overlay
-from .rdfs import (RDFS_RULES, Closure, Delta, Derivation, IdViolations, InconsistencyReport, Row, _fixpoint, _report,
-                   _saturate)
+from .rdfs import (RDFS_RULES, Closure, Delta, Derivation, EqualityPartition, IdViolations, InconsistencyReport, Row,
+                   _fixpoint, _report, _saturate)
 from .terms import IRI, BlankNode, Literal, Term, Triple, sort_key
 
 # the ids of the vocabulary the rules below name, the same in every graph (see `vocab.RULE_TERMS`)
@@ -360,38 +360,6 @@ _VIOLATION_FORMS = {rule.name: (rule.body, None) for rule in OWL_RULES if isinst
 _VIOLATION_FORMS["owl-alldifferent"] = ((("d", None, "l"), ("a", _SA, "b")), ("a", "b"))
 
 
-class EqualityPartition:
-    """The owl:sameAs classes of an OWL-closed graph, over the graph's ids.
-
-    Only non-literal terms take part.  Each class is represented by its
-    canonically smallest member, which makes canonicalization stable under
-    any input permutation.  An OWL closure builds it from its fixpoint's
-    union-find; `from_graph` reads it off a graph that holds every sameAs copy.
-    """
-
-    def __init__(self, graph: Graph, representatives: dict[int, int]):
-        self._graph = graph
-        self._reps = representatives
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "EqualityPartition":
-        """The partition of `graph`, which must be closed under the OWL rules, every sameAs copy included."""
-        term = graph.term
-        classes: dict[int, list[int]] = {}
-        for x, y in graph.pairs(_SA):
-            if not isinstance(term(y), Literal):
-                classes.setdefault(x, [x]).append(y)
-        return cls(graph, {x: min(members, key=lambda i: sort_key(term(i))) for x, members in classes.items()})
-
-    def representative_id(self, tid: int) -> int:
-        """`representative` on the graph's ids."""
-        return self._reps.get(tid, tid)
-
-    def representative(self, term: Term) -> Term:
-        tid = self._graph.lookup(term)
-        return term if tid is None else self._graph.term(self.representative_id(tid))
-
-
 # ---------------------------------------------------------------------------
 # The OWL closure
 # ---------------------------------------------------------------------------
@@ -400,7 +368,7 @@ class EqualityPartition:
 class OwlClosure(Closure):
     """An OWL closure: `work` holds one representative per sameAs class, and `work.equality` the classes.
 
-    Membership, `find`, `mentions` and the `partition` read the classes;
+    Membership, `mentions` and the `partition` read the classes;
     `graph`, `derived`, `provenance` and `report` expand `work` over them on
     first access.  Changing the expanded `graph` drops the closure from the
     base's cache, as changing an RDFS closure's graph does.
@@ -414,14 +382,10 @@ class OwlClosure(Closure):
         expanded = self.__dict__.get("graph")
         return super()._changed() or (expanded is not None and expanded.version != self._expanded_version)
 
-    def find(self, tid: int) -> int:
-        """The representative of a term of `work`, by id."""
-        return self.work.equality.find(tid)
-
     def mentions(self, term: Term) -> bool:
         """True when the expanded graph mentions the term: when `work` mentions its representative."""
         tid = self.work.lookup(term)
-        return tid is not None and self.work.mentions(self.work.term(self.find(tid)))
+        return tid is not None and self.work.mentions(self.work.term(self.work.equality.find(tid)))
 
     def __contains__(self, triple: Triple) -> bool:
         ids = self.work._pattern_ids((triple.subject, triple.predicate, triple.object))
@@ -581,10 +545,10 @@ def realize(graph: Graph, individual: Term) -> set[Term]:
     g, tid = closure.work, closure.work.lookup(individual)
     if tid is None:
         return set()
-    types = {c for c in g.objects(closure.find(tid), _TYPE) if isinstance(g.term(c), IRI)}
+    types = {c for c in g.objects(g.equality.find(tid), _TYPE) if isinstance(g.term(c), IRI)}
     # c is kept when each other type below it is equivalent to it
     kept = [c for c in types if all(c in g.subjects(_SCO, d) for d in types & g.subjects(_SCO, c) if d != c)]
-    return {g.term(m) for c in kept for m in closure.work.equality.members_of(c) if isinstance(g.term(m), IRI)}
+    return {g.term(m) for c in kept for m in g.equality.members_of(c) if isinstance(g.term(m), IRI)}
 
 
 def subsumes(graph: Graph, class_d: Term, class_c: Term) -> bool:

@@ -48,15 +48,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import vocab
 from .errors import ValidationError
 from .graph import Graph, IdTriple, Overlay
 from .terms import IRI, Literal, Term, Triple, triple_sort_key
-
-if TYPE_CHECKING:
-    from .owl import EqualityPartition
 
 
 @dataclass(frozen=True)
@@ -94,6 +91,26 @@ def _report(g: Graph | Overlay, found: IdViolations) -> InconsistencyReport:
     return InconsistencyReport(tuple(violations))
 
 
+class EqualityPartition:
+    """The owl:sameAs classes of an OWL closure, a view of the union-find of its graph of representatives.
+
+    Only non-literal terms take part.  Each class is represented by its
+    canonically smallest member, which makes canonicalization stable under
+    any input permutation.
+    """
+
+    def __init__(self, graph: Graph):
+        self._graph = graph
+
+    def representative_id(self, tid: int) -> int:
+        """`representative` on the graph's ids."""
+        return self._graph.equality.canonical(tid)
+
+    def representative(self, term: Term) -> Term:
+        tid = self._graph.lookup(term)
+        return term if tid is None else self._graph.term(self.representative_id(tid))
+
+
 @dataclass
 class Closure:
     """A saturated graph plus where each derived triple came from, and the violations found in it.
@@ -102,8 +119,8 @@ class Closure:
     `owl.OwlClosure` keeps `work` in sameAs representatives and expands it
     into `graph` on first access.  `derived`, `provenance` and `report` are
     built from the closed graph and its id-level `derivations` and
-    `violations` on first access, and the sameAs `partition` from the
-    classes of `work.equality`, which only an OWL closure has.  A closure
+    `violations` on first access; the sameAs `partition` is a view of
+    `work.equality`, which only an OWL closure has.  A closure
     that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
     never changes it, and a later saturation of the grown base builds a new one.
     """
@@ -146,14 +163,11 @@ class Closure:
         }
 
     @cached_property
-    def partition(self) -> "EqualityPartition":
+    def partition(self) -> EqualityPartition:
         """The owl:sameAs classes of the closed graph, each represented by its first member; only an OWL closure has them."""
-        equality = self.work.equality
-        if equality is None:  # RDFS makes sameAs neither symmetric nor transitive
+        if self.work.equality is None:  # RDFS makes sameAs neither symmetric nor transitive
             raise ValidationError(f"the sameAs partition needs an OWL closure, got a {self.profile!r} one")
-        from .owl import EqualityPartition  # owl imports this module
-
-        return EqualityPartition(self.work, {m: ms[0] for ms in equality.members.values() for m in ms[1:]})
+        return EqualityPartition(self.work)
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.graph

@@ -8,7 +8,7 @@ term tuples.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from kgkit.io import (
     format_term,
 )
 from kgkit.graph import Binding, Graph, IdTriple
-from kgkit.owl import EqualityPartition, _list_walk, saturate_owl
+from kgkit.owl import _list_walk, saturate_owl
 from kgkit.query import REGIMES, Query, _validate
 from kgkit.rdfs import InconsistencyReport, Violation, saturate_rdfs
 from kgkit.terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
@@ -441,6 +441,20 @@ def oracle_representative(ts: frozenset[TermTriple], term: Term) -> Term:
     return min(component, key=sort_key)
 
 
+def oracle_partition(graph: Graph) -> Callable[[Term], Term]:
+    """The sameAs representative of each term of a graph closed under the OWL rules, every sameAs copy included.
+
+    In such a graph the sameAs objects of a member of a class are the whole
+    class, so its representative is the canonically least of them.
+    """
+    classes: dict[Term, list[Term]] = {}
+    for t in graph.match_terms(None, vocab.OWL_SAMEAS, None):
+        if not _lit(t.object):
+            classes.setdefault(t.subject, [t.subject]).append(t.object)
+    reps = {x: min(members, key=sort_key) for x, members in classes.items()}
+    return lambda term: reps.get(term, term)
+
+
 def oracle_retrieve_instances(ts: frozenset[TermTriple], cls: Term) -> set[Term]:
     """The subjects of (x type cls), each replaced by its sameAs representative."""
     return {oracle_representative(ts, x) for x, p, c in ts if p == TYPE and c == cls}
@@ -828,8 +842,9 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
 # The parser as it was before the memo, extended only for these changes,
 # each marked "extension": an empty or relative IRI term is an error at its
 # own token; a relative or empty datatype IRI is an error at its token; the
-# numeric and boolean shorthand reads as XSD-typed literals; and a '.'
-# before a digit starts a number (in `oracle_tokenize`).
+# numeric and boolean shorthand reads as XSD-typed literals; a '.' before a
+# digit starts a number (in `oracle_tokenize`); and a non-empty `[ ... ]`
+# may be a whole statement.
 
 
 def _oracle_is_absolute(iri: str) -> bool:
@@ -955,7 +970,12 @@ class _OracleTurtleParser:
         self._expect(DOT)
 
     def _triples_statement(self) -> None:
+        start = self.pos
         subject = self._node(as_subject=True)
+        # extension: a `[ ... ]` that is more than `[]` may be a whole statement (Turtle 1.1 grammar rule [6])
+        if self.tokens[start].kind == LBRACKET and self.pos > start + 2 and self._peek().kind == DOT:
+            self._next()
+            return
         self._predicate_object_list(subject)
         self._expect(DOT)
 
@@ -1137,14 +1157,14 @@ def oracle_query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
     if regime not in REGIMES:
         raise QueryValidationError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     _validate(q)
-    partition = None
+    representative = None
     if regime == "none":
         work = graph
     elif regime == "rdfs":
         work = saturate_rdfs(graph).graph
     else:
         work = saturate_owl(graph)[0].graph
-        partition = EqualityPartition.from_graph(work)
+        representative = oracle_partition(work)
 
     bindings = _oracle_join(work, q.patterns)
     if q.negations:
@@ -1161,7 +1181,7 @@ def oracle_query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
     rows: dict[tuple, Binding] = {}
     for binding in bindings:
         projected = {v: binding[v] for v in projection}
-        if partition is not None:
-            projected = {v: partition.representative(t) for v, t in projected.items()}
+        if representative is not None:
+            projected = {v: representative(t) for v, t in projected.items()}
         rows[tuple(sort_key(projected[v]) for v in projection)] = projected
     return [rows[k] for k in sorted(rows)]

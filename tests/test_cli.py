@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -15,7 +16,8 @@ from kgkit.cli import build_parser, main
 from kgkit.errors import ParseError
 from kgkit.io import parse_term
 
-from helpers import ALLERGEN_TTL, EDU, GLUTEN_FREE_QUERY
+from helpers import ALLERGEN_TTL, EDU, GLUTEN_FREE_QUERY, random_owl_graph
+from oracles import naive_owl_closure, oracle_format_triple, oracle_serialize_ntriples, triples_of
 
 CITY_TTL = f"""
 @prefix edu: <{EDU}> .
@@ -190,6 +192,42 @@ def test_check_bare_query_line_has_no_name(tmp_path, capsys):
         assert capsys.readouterr().err == f"parse error: QUERY line has no name at line {line}\n"
 
 
+ALLDIFFERENT_TTL = """@prefix ex: <http://example.org/> .
+[ a owl:AllDifferent ; owl:distinctMembers ( ex:a ex:b ) ] .
+"""
+
+ALLDIFFERENT_NT = """_:anon1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.w3.org/2002/07/owl#AllDifferent> .
+_:anon1 <http://www.w3.org/2002/07/owl#distinctMembers> _:anon2 .
+_:anon2 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/a> .
+_:anon2 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> _:anon3 .
+_:anon3 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/b> .
+_:anon3 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> .
+"""
+
+
+def test_parse_a_blank_node_property_list_that_is_a_whole_statement(tmp_path, capsys):
+    # Turtle 1.1 grammar rule [6], the way ontology editors write AllDifferent axioms; `[] .` states nothing
+    assert main(["parse", write(tmp_path / "alldiff.ttl", ALLDIFFERENT_TTL)]) == 0
+    assert capsys.readouterr().out == ALLDIFFERENT_NT
+    assert main(["parse", write(tmp_path / "anon.ttl", "[] .\n")]) == 2
+    assert capsys.readouterr().err == "parse error: expected a predicate, got '.' at line 1, column 4\n"
+
+
+@pytest.mark.parametrize("opening, closing, per_level", [("( ", " )", 2), ("[ ex:q ", " ]", 1)], ids=["collection", "blank-node"])
+def test_deep_nesting_is_a_positioned_parse_error_and_moderate_nesting_parses(tmp_path, capsys, opening, closing, per_level):
+    def nested(depth: int) -> str:
+        return "@prefix ex: <http://example.org/> .\nex:s ex:p " + opening * depth + "ex:o" + closing * depth + " .\n"
+
+    assert main(["parse", write(tmp_path / "moderate.ttl", nested(300))]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 300 * per_level
+    src = os.path.dirname(os.path.dirname(kgkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "kgkit.cli", "parse", write(tmp_path / "deep.ttl", nested(1000))],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2 and result.stdout == ""
+    assert re.fullmatch(r"parse error: nesting too deep at line 2, column \d+\n", result.stderr), result.stderr
+
+
 def test_parse_missing_file_exits_1(tmp_path):
     assert main(["parse", str(tmp_path / "absent.nt")]) == 1
 
@@ -201,6 +239,27 @@ def test_infer_rdfs_derived_only_exact_line(tmp_path, capsys):
     assert out == (
         f"<{EDU}Warsaw> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <{EDU}Locality> .\n"
     )
+
+
+def test_infer_owl_derived_only_is_the_closure_minus_the_input(tmp_path, capsys):
+    # on representatives the derived lines are the expanded copies the input does not state
+    for seed in range(30):
+        g = random_owl_graph(seed, max_triples=30)
+        kb = write(tmp_path / f"kb{seed}.nt", oracle_serialize_ntriples(g))
+        code = main(["infer", kb, "--profile", "owl"])
+        whole = capsys.readouterr().out.splitlines()
+        assert main(["infer", kb, "--profile", "owl", "--derived-only"]) == code in (0, 3)
+        derived = capsys.readouterr().out.splitlines()
+        stated = set(oracle_serialize_ntriples(g).splitlines())
+        assert derived == [line for line in whole if line not in stated], seed
+        asserted = triples_of(g)
+        expected = {oracle_format_triple(kgkit.Triple(*t)) for t in naive_owl_closure(asserted) - asserted}
+        assert set(derived) == expected, seed
+    # the 20-link sameAs chain: (n+1)(2n+1) = 861 closure lines, 40 of them stated
+    chain = "".join(f"<{EDU}c{i}> <{vocab.OWL_SAMEAS.value}> <{EDU}c{i + 1}> .\n<{EDU}c{i}> <{EDU}p> <{EDU}v{i}> .\n"
+                    for i in range(20))
+    assert main(["infer", write(tmp_path / "chain20.nt", chain), "--profile", "owl", "--derived-only"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 821
 
 
 def test_infer_owl_derives_sameas(tmp_path, capsys):

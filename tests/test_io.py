@@ -204,6 +204,22 @@ def test_turtle_empty_collection_is_nil():
     assert triples_of(g) == {(N("x"), N("p"), vocab.RDF_NIL)}
 
 
+def test_turtle_blank_node_property_list_as_a_whole_statement_round_trips():
+    # Turtle 1.1 grammar rule [6]: `blankNodePropertyList predicateObjectList?`, as AllDifferent axioms are written
+    text = ":x :q :y .\n[ a owl:AllDifferent ; owl:distinctMembers ( :a :b ) ; ] .\n[ :p [ :q :r ] ] :s :t .\n"
+    g = parse_turtle(text).graph
+    assert triples_of(g) == triples_of(oracle_parse_turtle(text).graph)
+    assert len(g) == 1 + 6 + 3
+    assert (BlankNode("anon1"), vocab.RDF_TYPE, vocab.OWL_ALLDIFFERENT) in triples_of(g)
+    nt = serialize_ntriples(g)
+    assert triples_of(parse_ntriples(nt)) == triples_of(g) and serialize_ntriples(parse_ntriples(nt)) == nt
+    for statement, column in (("[] .", 4), ("[ ] .", 5), ("( :a ) .", 8)):  # only a `[ ... ]` with a predicate stands alone
+        with pytest.raises(ParseError, match=f"expected a predicate, got '.' at line 1, column {column}$"):
+            parse_turtle(statement)
+        with pytest.raises(ParseError, match=f"expected a predicate, got '.' at line 1, column {column}$"):
+            oracle_parse_turtle(statement)
+
+
 def test_turtle_unknown_prefix_is_error():
     with pytest.raises(ParseError, match="geo"):
         parse_turtle(":x geo:p :y .")

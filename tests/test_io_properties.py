@@ -339,7 +339,8 @@ def turtle_documents(draw):
     faulty = draw(st.integers(min_value=0, max_value=2)) == 0
     subject = ttl_nodes(1, faulty, TTL_SUBJECTS)
     statement = st.builds(lambda s, pol: f"{s} {pol} .", subject, ttl_predicate_objects(1, faulty))
-    parts = draw(st.lists(st.one_of(ttl_piece(TTL_DIRECTIVES, faulty), statement, statement, statement), max_size=6))
+    bare = ttl_predicate_objects(1, faulty).map(lambda pol: f"[ {pol} ] .")  # a blankNodePropertyList alone
+    parts = draw(st.lists(st.one_of(ttl_piece(TTL_DIRECTIVES, faulty), statement, statement, statement, bare), max_size=6))
     if draw(st.integers(min_value=0, max_value=5)):
         parts = ["@prefix ex: <http://e.x/> .", "@prefix ns: <http://n.s/> ."] + parts
     text = draw(st.sampled_from(["\n", " ", "\n# c\n"])).join(parts)
@@ -367,6 +368,7 @@ def turtle_outcome(parse, text: str):
 @example(":x <rel> :y .\n")
 @example(":x :q ( :y\n <rel> ) .\n")
 @example(":x :q ( :y\n")
+@example("[ a owl:AllDifferent ; owl:distinctMembers ( :a :b ) ] .\n[] .\n")
 @example(':x :q "v" .\n@prefix : <http://e.z/> .\n:x :q 42 , 1e3 , true .\n')
 def test_turtle_parser_matches_the_term_per_occurrence_parser(text):
     try:
