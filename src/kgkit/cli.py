@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 from . import owl, rdfs, reify
 from .errors import KGError, ParseError, QueryValidationError, ValidationError
 from .query import REGIMES, _answer, parse_competency, parse_query, query as run_query
-from .graph import Graph, graph_from_triples
-from .io import format_term, parse_ntriples, parse_term, parse_turtle, serialize_ntriples
+from .graph import Graph
+from .io import _serialize_ids, format_term, parse_ntriples, parse_term, parse_turtle, serialize_ntriples
 from .terms import IRI, Term
 
 if TYPE_CHECKING:
@@ -108,8 +108,8 @@ def cmd_infer(args) -> int:
     with _stats(args):
         closure = rdfs.saturate_rdfs(graph) if args.profile == "rdfs" else owl.saturate_owl(graph)[0]
     report = closure.report
-    emitted = graph_from_triples(closure.derived) if args.derived_only else closure.graph
-    _write_out(serialize_ntriples(emitted), args.out)
+    text = _serialize_ids(closure._derived_ids, closure.work.term) if args.derived_only else serialize_ntriples(closure.graph)
+    _write_out(text, args.out)
     if report:
         _print_report(report)
         return EXIT_INCONSISTENT

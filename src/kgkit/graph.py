@@ -354,7 +354,7 @@ class Graph:
         return {o for os_ in self._pos.values() for o in os_}
 
     def _sorted_terms(self, ids) -> list[Term]:
-        # index keys are exact: a key is added with its first triple and no triple is ever removed
+        # index keys are exact: a key is added with its first triple, and `_remove_ids` drops the entries it empties
         return sorted((self._id_to_term[i] for i in ids), key=sort_key)
 
 

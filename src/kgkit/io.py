@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, Collection
 
 from . import vocab
 from .errors import ParseError, UnknownPrefixError, ValidationError
-from .graph import Graph
+from .graph import Graph, IdTriple
 from .terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, sort_key
 
 
@@ -82,7 +83,8 @@ _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 # IRIREF excludes, a lone '^', '>', or whitespace other than space, tab,
 # CR and LF); `_malformed` then names the fault.  A '.' before a digit
 # starts a word (a number such as .5 or .5e3), so `word` comes before
-# `punct`; any other '.' outside a word is punctuation.
+# `punct`; one between label characters stays in a blank node label, and
+# any other '.' outside a word is punctuation.
 _SCANNER = re.compile(
     rf"""
     (?=.)
@@ -92,7 +94,7 @@ _SCANNER = re.compile(
     | "(?P<string>{_STRING_BODY})"
     | @(?P<at>(?:[^\W_]|-)*)
     | (?P<hathat>\^\^)
-    | _:(?P<blank>[^\s.;,()\[\]<"]*)
+    | _:(?P<blank>(?:[^\s.;,()\[\]<"]+(?:\.+[^\s.;,()\[\]<"]+)*)?)
     | (?P<word>(?:[^\s.;,()\[\]<>"^@]+|\.(?=[0-9])[^\s.;,()\[\]<>"^@]*)(?:\.(?=[^\s;,()\[\]])[^\s.;,()\[\]<>"^@]*)*)
     | (?P<punct>[.;,\[\]()])
     | (?P<bad>.)
@@ -261,7 +263,7 @@ def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
         return vocab.RDF_TYPE, pos + 1
     if kind == STRING:
         nxt = tokens[pos + 1]
-        if nxt[0] == LANGTAG:
+        if nxt[0] == LANGTAG or nxt[0] == AT_PREFIX:  # a tag of "prefix" scans as @prefix
             return Literal(tok[1], language=nxt[1]), pos + 2
         if nxt[0] == HATHAT:
             dt_tok = tokens[pos + 2]
@@ -284,14 +286,13 @@ def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
 # ---------------------------------------------------------------------------
 
 _NT_IRI = rf"<{_IRI_CHAR}+>"
-_NT_BLANK = r'_:[^\s.;,()\[\]<"]+'
+_NT_BLANK = r'_:[^\s.;,()\[\]<"]+(?:\.+[^\s.;,()\[\]<"]+)*'
 # The common line shape, which the scanner reads as exactly these three
 # terms and a '.': no backslash, only spaces and tabs around the terms, no
-# comment.  Labels and tags take the scanner's character sets; a tag of
-# "prefix" would scan as @prefix.
+# comment.  Labels and tags take the scanner's character sets.
 _NT_LINE = re.compile(
     rf"""[ \t]*({_NT_IRI}|{_NT_BLANK})[ \t]+({_NT_IRI})[ \t]+
-    ({_NT_IRI}|{_NT_BLANK}|"[^"\\\n]*"(?:@(?!prefix[ \t.])(?:[^\W_]|-)+|\^\^{_NT_IRI})?)[ \t]*\.[ \t]*""",
+    ({_NT_IRI}|{_NT_BLANK}|"[^"\\\n]*"(?:@(?:[^\W_]|-)+|\^\^{_NT_IRI})?)[ \t]*\.[ \t]*""",
     re.VERBOSE,
 )
 
@@ -420,7 +421,7 @@ class _TurtleParser:
         key = (kind, value)
         if kind == STRING:
             suffix = tokens[end]
-            if suffix[0] == LANGTAG:
+            if suffix[0] == LANGTAG or suffix[0] == AT_PREFIX:
                 key, end = (kind, value, LANGTAG, suffix[1]), end + 1
             elif suffix[0] == HATHAT:
                 dt_kind, dt_value, _ = tokens[end + 1]
@@ -592,14 +593,19 @@ def format_term(term: Term) -> str:
 
 
 def serialize_ntriples(graph: Graph) -> str:
-    """Canonical N-Triples: sorted, one line per triple, trailing newline.
+    """Canonical N-Triples: sorted, one line per triple, trailing newline."""
+    return _serialize_ids(graph._triples, graph.term)
+
+
+def _serialize_ids(triples: Collection[IdTriple], term: Callable[[int], Term]) -> str:
+    """`serialize_ntriples` of distinct id triples whose ids `term` names.
 
     Each distinct term is formatted and keyed once; the id triples are then
     sorted by the terms' canonical ranks.  Terms with equal sort keys have
     equal text, so ties cannot change the output.
     """
-    ids = sorted({i for t in graph._triples for i in t}, key=lambda i: sort_key(graph.term(i)))
+    ids = sorted({i for t in triples for i in t}, key=lambda i: sort_key(term(i)))
     rank = {tid: r for r, tid in enumerate(ids)}
-    text = [format_term(graph.term(tid)) for tid in ids]
-    rows = sorted((rank[s], rank[p], rank[o]) for s, p, o in graph._triples)
+    text = [format_term(term(tid)) for tid in ids]
+    rows = sorted((rank[s], rank[p], rank[o]) for s, p, o in triples)
     return "".join([f"{text[s]} {text[p]} {text[o]} .\n" for s, p, o in rows])

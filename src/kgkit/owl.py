@@ -22,10 +22,11 @@ in time linear in n instead of materializing its n^2 copies.
 The readers stay on the representative graph and read the classes off
 it (`Graph.equality`, their one holder, in canonical order): the
 reasoning tasks, `_breaks` probes, `query` under the owl regime, `kgkit
-check` and the `partition`.  `OwlClosure.graph`, `derived` and
-`provenance` expand it over the classes on first access (`kgkit infer`
-does), with each expanded copy derived by owl-sameas-substitution or
-owl-sameas-symmetry from triples of the expanded graph, and `report`
+check` and the `partition`.  `OwlClosure.graph` expands it over the
+classes on first access (`kgkit infer` does), and `rdfs.Closure` reads
+`derived` and `provenance` off `OwlClosure._copies`; an expanded copy
+that no rule derived follows by owl-sameas-substitution or
+owl-sameas-symmetry from triples of the expanded graph.  `report`
 expands each violation over the classes of its rule's variables.
 
 `OWL_RULES` extends the RDFS table (see `rdfs`) with one row per OWL 2
@@ -50,13 +51,13 @@ from __future__ import annotations
 import heapq
 from enum import Enum
 from functools import cached_property
-from itertools import islice, product
+from itertools import product
 from typing import Iterable, Iterator
 
 from . import vocab
 from .errors import InconsistentKBError, ValidationError
 from .graph import Graph, IdTriple, Overlay
-from .rdfs import (RDFS_RULES, Closure, Delta, Derivation, EqualityPartition, IdViolations, InconsistencyReport, Row,
+from .rdfs import (RDFS_RULES, Closure, Delta, EqualityPartition, IdViolations, InconsistencyReport, Row,
                    _fixpoint, _report, _saturate)
 from .terms import IRI, BlankNode, Literal, Term, Triple, sort_key
 
@@ -343,9 +344,6 @@ def _expand_violations(found: IdViolations, equality: _Equality, term) -> IdViol
         binding = {x: tid for atom, t in zip(atoms, premises) for x, tid in zip(atom, t) if isinstance(x, str)}
         names = list(binding)
         classes = [equality.members_of(equality.find(binding[x])) for x in names]
-        if ordered is None and all(len(c) == 1 for c in classes):  # no variable binds a class of two or more
-            out.add((name, tuple(sorted(set(premises)))))
-            continue
         for choice in product(*classes):
             b = dict(zip(names, choice))
             if ordered and not sort_key(term(b[ordered[0]])) < sort_key(term(b[ordered[1]])):
@@ -368,10 +366,10 @@ _VIOLATION_FORMS["owl-alldifferent"] = ((("d", None, "l"), ("a", _SA, "b")), ("a
 class OwlClosure(Closure):
     """An OWL closure: `work` holds one representative per sameAs class, and `work.equality` the classes.
 
-    Membership, `mentions` and the `partition` read the classes;
-    `graph`, `derived`, `provenance` and `report` expand `work` over them on
-    first access.  Changing the expanded `graph` drops the closure from the
-    base's cache, as changing an RDFS closure's graph does.
+    Membership, `mentions` and the `partition` read the classes; `graph`,
+    `report` and `_copies` (which `Closure.derived` and `provenance` read)
+    expand `work` over them.  Changing the expanded `graph` drops the
+    closure from the base's cache, as an RDFS closure's does.
     """
 
     @classmethod
@@ -410,12 +408,6 @@ class OwlClosure(Closure):
                         yield (s2, p2, o2), r
 
     @cached_property
-    def _asserted(self) -> set[IdTriple]:
-        """The base's triples when it was saturated, in the ids of `work`."""
-        ids = list(map(self.work._term_to_id.get, self.base._id_to_term))  # a term interned since is in no such triple
-        return {(ids[s], ids[p], ids[o]) for s, p, o in islice(self.base._triples, self._versions[0])}
-
-    @cached_property
     def graph(self) -> Graph:
         g = Graph(self.work.base)
         g._term_to_id, g._id_to_term = dict(self.work._term_to_id), list(self.work._id_to_term)
@@ -423,21 +415,6 @@ class OwlClosure(Closure):
             g.insert_ids(t)
         self._expanded_version = g.version
         return g
-
-    @cached_property
-    def derived(self) -> frozenset[Triple]:
-        asserted = self._asserted
-        return frozenset(self.work._to_triple(t) for t, _ in self._copies() if t not in asserted)
-
-    @cached_property
-    def provenance(self) -> dict[Triple, Derivation]:
-        to_triple, asserted = self.work._to_triple, self._asserted
-        out = {}
-        for t, r in self._copies():
-            if t not in asserted:
-                name, premises = self.derivations.get(t) or self._copy_derivation(t, r)
-                out[to_triple(t)] = Derivation(name, tuple(to_triple(premises[i : i + 3]) for i in range(0, len(premises), 3)))
-        return out
 
     def _copy_derivation(self, t: IdTriple, r: IdTriple) -> tuple[str, tuple[int, ...]]:
         """A one-step derivation of t, an expanded copy that no rule derived, from other triples of the expanded graph.

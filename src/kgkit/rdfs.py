@@ -118,9 +118,9 @@ class Closure:
     `work` is the graph the fixpoint closed, and `graph` is `work` here;
     `owl.OwlClosure` keeps `work` in sameAs representatives and expands it
     into `graph` on first access.  `derived`, `provenance` and `report` are
-    built from the closed graph and its id-level `derivations` and
-    `violations` on first access; the sameAs `partition` is a view of
-    `work.equality`, which only an OWL closure has.  A closure
+    built on first access, for both profiles from `_copies`, which pairs
+    each triple of `graph` with its form in `work`; the sameAs `partition`
+    is a view of `work.equality`, which only an OWL closure has.  A closure
     that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
     never changes it, and a later saturation of the grown base builds a new one.
     """
@@ -150,17 +150,32 @@ class Closure:
     def report(self) -> InconsistencyReport:
         return _report(self.graph, self.violations)
 
+    def _copies(self) -> Iterator[tuple[IdTriple, IdTriple]]:
+        """(t, r) for every triple t of `graph`, r being its form in `work`: t itself, as RDFS has no sameAs classes."""
+        return ((t, t) for t in self.work._triples)
+
+    @cached_property
+    def _asserted(self) -> set[IdTriple]:
+        """The base's triples when it was saturated, in the ids of `work`."""
+        ids = list(map(self.work._term_to_id.get, self.base._id_to_term))  # a term interned since is in no such triple
+        return {(ids[s], ids[p], ids[o]) for s, p, o in islice(self.base._triples, self._versions[0])}
+
+    @cached_property
+    def _derived_ids(self) -> dict[IdTriple, IdTriple]:
+        """t -> r for every triple t of `graph` that the base did not assert, in `_copies` order."""
+        return {t: r for t, r in self._copies() if t not in self._asserted}
+
     @cached_property
     def derived(self) -> frozenset[Triple]:
-        return frozenset(map(self.graph._to_triple, self.derivations))
+        return frozenset(map(self.work._to_triple, self._derived_ids))
 
     @cached_property
     def provenance(self) -> dict[Triple, Derivation]:
-        to_triple = self.graph._to_triple
-        return {
-            to_triple(t): Derivation(name, tuple(to_triple(premises[i : i + 3]) for i in range(0, len(premises), 3)))
-            for t, (name, premises) in self.derivations.items()
-        }
+        to_triple, out = self.work._to_triple, {}
+        for t, r in self._derived_ids.items():
+            name, premises = self.derivations.get(t) or self._copy_derivation(t, r)  # only an OWL copy lacks one
+            out[to_triple(t)] = Derivation(name, tuple(to_triple(premises[i : i + 3]) for i in range(0, len(premises), 3)))
+        return out
 
     @cached_property
     def partition(self) -> EqualityPartition:

@@ -39,7 +39,7 @@ from kgkit.io import (
 from kgkit.graph import Binding, Graph, IdTriple
 from kgkit.owl import _list_walk, saturate_owl
 from kgkit.query import REGIMES, Query, _validate
-from kgkit.rdfs import InconsistencyReport, Violation, saturate_rdfs
+from kgkit.rdfs import Derivation, InconsistencyReport, Violation, saturate_rdfs
 from kgkit.terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
 TermTriple = tuple[Term, Term, Term]
@@ -343,6 +343,20 @@ def naive_rdfs_closure(triples):
 
 def naive_owl_closure(triples):
     return naive_closure(frozenset(triples), OWL_ORACLE_RULES)
+
+
+def oracle_rdfs_derived(closure) -> frozenset[Triple]:
+    """An RDFS closure's derived triples read off its id-level `derivations`, whose keys are exactly what a rule added."""
+    return frozenset(map(closure.graph._to_triple, closure.derivations))
+
+
+def oracle_rdfs_provenance(closure) -> dict[Triple, Derivation]:
+    """An RDFS closure's provenance read off its id-level `derivations`: each key's rule and flattened premises."""
+    to_triple = closure.graph._to_triple
+    return {
+        to_triple(t): Derivation(name, tuple(to_triple(premises[i : i + 3]) for i in range(0, len(premises), 3)))
+        for t, (name, premises) in closure.derivations.items()
+    }
 
 
 def naive_violation_rules(ts: frozenset[TermTriple]) -> set[str]:
@@ -801,6 +815,13 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
             while i < n and not text[i].isspace() and text[i] not in ".;,()[]<\"":
                 buf.append(text[i])
                 advance()
+                # extension: a run of '.' followed by a label character stays in the label (N-Triples BLANK_NODE_LABEL)
+                j = i
+                while j < n and text[j] == ".":
+                    j += 1
+                if j > i and j < n and not text[j].isspace() and text[j] not in ".;,()[]<\"":
+                    buf.append(text[i:j])
+                    advance(j - i)
             if not buf:
                 raise ParseError("empty blank node label", tline, tcol)
             tokens.append(_Token(BLANK, "".join(buf), tline, tcol))
@@ -843,8 +864,9 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
 # each marked "extension": an empty or relative IRI term is an error at its
 # own token; a relative or empty datatype IRI is an error at its token; the
 # numeric and boolean shorthand reads as XSD-typed literals; a '.' before a
-# digit starts a number (in `oracle_tokenize`); and a non-empty `[ ... ]`
-# may be a whole statement.
+# digit starts a number, and one before a label character stays in a blank
+# node label (both in `oracle_tokenize`); a non-empty `[ ... ]` may be a
+# whole statement; and an @prefix token after a string is its language tag.
 
 
 def _oracle_is_absolute(iri: str) -> bool:
@@ -883,7 +905,7 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
         return iri, pos + 1
     if tok.kind == STRING:
         nxt = tokens[pos + 1]
-        if nxt.kind == LANGTAG:
+        if nxt.kind == LANGTAG or nxt.kind == AT_PREFIX:  # extension: a tag of "prefix" tokenizes as @prefix
             return Literal(tok.value, language=nxt.value), pos + 2
         if nxt.kind == HATHAT:
             dt_tok = tokens[pos + 2]

@@ -17,7 +17,7 @@ from kgkit.errors import ParseError
 from kgkit.io import parse_term
 
 from helpers import ALLERGEN_TTL, EDU, GLUTEN_FREE_QUERY, random_owl_graph
-from oracles import naive_owl_closure, oracle_format_triple, oracle_serialize_ntriples, triples_of
+from oracles import naive_owl_closure, naive_rdfs_closure, oracle_format_triple, oracle_serialize_ntriples, triples_of
 
 CITY_TTL = f"""
 @prefix edu: <{EDU}> .
@@ -228,6 +228,14 @@ def test_deep_nesting_is_a_positioned_parse_error_and_moderate_nesting_parses(tm
     assert re.fullmatch(r"parse error: nesting too deep at line 2, column \d+\n", result.stderr), result.stderr
 
 
+@pytest.mark.parametrize("suffix", ["nt", "ttl"])
+def test_parse_reads_a_prefix_language_tag_and_a_dotted_blank_label(tmp_path, capsys, suffix):
+    # both are N-Triples 1.1 that the canonical writer emits, so parse(serialize(g)) holds for them too
+    text = '<http://a/s> <http://a/p> "x"@prefix .\n_:a.b <http://a/p> _:c .\n'
+    assert main(["parse", write(tmp_path / f"doc.{suffix}", text)]) == 0
+    assert capsys.readouterr() == (text, "")
+
+
 def test_parse_missing_file_exits_1(tmp_path):
     assert main(["parse", str(tmp_path / "absent.nt")]) == 1
 
@@ -241,20 +249,24 @@ def test_infer_rdfs_derived_only_exact_line(tmp_path, capsys):
     )
 
 
-def test_infer_owl_derived_only_is_the_closure_minus_the_input(tmp_path, capsys):
+@pytest.mark.parametrize("profile", ["owl", "rdfs"])
+def test_infer_owl_derived_only_is_the_closure_minus_the_input(tmp_path, capsys, profile):
     # on representatives the derived lines are the expanded copies the input does not state
+    closure_of = naive_owl_closure if profile == "owl" else naive_rdfs_closure
     for seed in range(30):
         g = random_owl_graph(seed, max_triples=30)
         kb = write(tmp_path / f"kb{seed}.nt", oracle_serialize_ntriples(g))
-        code = main(["infer", kb, "--profile", "owl"])
+        code = main(["infer", kb, "--profile", profile])
         whole = capsys.readouterr().out.splitlines()
-        assert main(["infer", kb, "--profile", "owl", "--derived-only"]) == code in (0, 3)
+        assert main(["infer", kb, "--profile", profile, "--derived-only"]) == code in (0, 3)
         derived = capsys.readouterr().out.splitlines()
         stated = set(oracle_serialize_ntriples(g).splitlines())
         assert derived == [line for line in whole if line not in stated], seed
         asserted = triples_of(g)
-        expected = {oracle_format_triple(kgkit.Triple(*t)) for t in naive_owl_closure(asserted) - asserted}
+        expected = {oracle_format_triple(kgkit.Triple(*t)) for t in closure_of(asserted) - asserted}
         assert set(derived) == expected, seed
+    if profile == "rdfs":
+        return
     # the 20-link sameAs chain: (n+1)(2n+1) = 861 closure lines, 40 of them stated
     chain = "".join(f"<{EDU}c{i}> <{vocab.OWL_SAMEAS.value}> <{EDU}c{i + 1}> .\n<{EDU}c{i}> <{EDU}p> <{EDU}v{i}> .\n"
                     for i in range(20))

@@ -390,3 +390,40 @@ def test_other_backslashes_in_a_qname_are_parse_errors_at_the_qname(qname, messa
     with pytest.raises(ParseError) as err:
         parse_turtle(f"@prefix ex: <http://e/> .\nex:s ex:p\n  {qname} .")
     assert str(err.value) == f"{message} at line 3, column 3"
+
+
+def test_a_language_tag_of_prefix_round_trips():
+    # N-Triples 1.1 LANGTAG admits "prefix"; the scanner reads it as the @prefix token
+    line = '<http://e.x/s> <http://e.x/p> "x"@prefix .\n'
+    expected = {(IRI("http://e.x/s"), IRI("http://e.x/p"), Literal("x", language="prefix"))}
+    g = parse_ntriples(line)
+    assert triples_of(g) == expected and serialize_ntriples(g) == line
+    assert triples_of(parse_turtle(line).graph) == triples_of(oracle_parse_turtle(line).graph) == expected
+    ttl = '@prefix e: <http://e.x/> .\ne:s e:p "x"@prefix , "y"@prefix ; e:q "x"@prefix .'
+    text = serialize_ntriples(parse_turtle(ttl).graph)
+    assert text == serialize_ntriples(oracle_parse_turtle(ttl).graph) == serialize_ntriples(parse_ntriples(text))
+    assert text.count('"x"@prefix') == 2 and len(parse_ntriples(text)) == 3
+    assert parse_term('"x"@prefix') == Literal("x", language="prefix")
+
+
+@pytest.mark.parametrize("label", ["a.b", "a..b", "b.1.c", "x-y.z_0"])
+def test_a_blank_node_label_may_hold_an_inner_dot(label):
+    g = Graph()
+    g.add(BlankNode(label), IRI("http://e.x/p"), BlankNode(label))
+    text = serialize_ntriples(g)
+    assert text == f"_:{label} <http://e.x/p> _:{label} .\n"
+    assert triples_of(parse_ntriples(text)) == triples_of(parse_turtle(text).graph) == triples_of(g)
+    assert serialize_ntriples(parse_ntriples(text)) == text
+    assert parse_term(f"_:{label}") == BlankNode(label)
+
+
+def test_a_dot_after_a_blank_node_label_still_ends_the_statement():
+    text = "_:a <http://e.x/p> _:b.\n_:c.d <http://e.x/p> _:e. # done\n"
+    expected = {(BlankNode("a"), IRI("http://e.x/p"), BlankNode("b")), (BlankNode("c.d"), IRI("http://e.x/p"), BlankNode("e"))}
+    assert triples_of(parse_ntriples(text)) == triples_of(parse_turtle(text).graph) == expected
+    with pytest.raises(ParseError) as err:
+        parse_ntriples("_:.a <http://e.x/p> <http://e.x/o> .\n")  # a label starts with no '.'
+    assert str(err.value) == "empty blank node label at line 1, column 1"
+    with pytest.raises(ParseError) as err:
+        parse_ntriples("_:a <http://e.x/p> _:b.. \n")
+    assert str(err.value) == "trailing content after '.' at line 1, column 24"

@@ -72,7 +72,7 @@ def outcome(tokenize, text: str, start_line: int = 1):
 TOKENS = [
     "<http://example.org/a>", "<http://e.x/caf\\u00e9>", "<http://e.x/\\U0001F600>", "<a\\tb>", "<żółw>",
     '"plain"', '"tab\\there"', '"caf\\u00e9"', '"\\U0001F600"', '"naïve ☃"', '"q\\"uote"', '"\\\\"',
-    "@en", "@en-GB", "@prefix", "@préfixe", "^^", "_:b1", "_:bé", "_:b>#", "a", "ex:a", "ex:a.b", ":x", "ex:a..",
+    "@en", "@en-GB", "@prefix", "@préfixe", "^^", "_:b1", "_:bé", "_:b>#", "_:a.b", "_:c..d", "a", "ex:a", "ex:a.b", ":x", "ex:a..",
     "ex:", "ex:a#b", "ex:a.<", ".", ";", ",", "[", "]", "(", ")", ".5", ".5e3",
 ]
 SEPARATORS = ["", " ", "\t", "\n", "\r\n", " # comment\n", "#", " ", " "]
@@ -137,6 +137,9 @@ def test_scanner_matches_the_per_character_tokenizer(text, start_line):
         "_x",
         "\r\n\r\n  <a> <b> \"c\" .  # done\r\n\t@de-AT ^^ _:b.c",
         "ex:a.b. ex:c.",
+        "_:.a",  # a label starts with no '.'
+        "_:a.b. _:c..",
+        "_:a.;_:b.(",
     ],
 )
 def test_scanner_matches_the_per_character_tokenizer_on_malformed_input(text):
@@ -189,13 +192,13 @@ def test_cli_rejects_an_escaped_surrogate_with_exit_2(tmp_path, capsys):
 # scanner reads otherwise, other whitespace, comments, misplaced or
 # malformed terms and missing or extra punctuation.
 FAST = [
-    ["<http://e.x/s>", "<http://e.x/s2>", "_:b1", "_:b>#", "_:bé"],
+    ["<http://e.x/s>", "<http://e.x/s2>", "_:b1", "_:b>#", "_:bé", "_:b.1"],
     [" ", "\t", "  \t"],
     ["<http://e.x/p>", "<http://e.x/q>", "<http://e.x/p#a b>"],
     [" ", "\t", "  \t"],
     [
-        "<http://e.x/o>", "<http://e.x/s>", "_:b1", "_:o", '""', '"v"', '"v w # x <y>"', '"v"@en', '"v"@en-GB',
-        '"v"@de-CH-1901', '"v"@prefixes', '"v"@é', '"v"^^<http://e.x/dt>', '"v"^^<dt>', '"é☃"',
+        "<http://e.x/o>", "<http://e.x/s>", "_:b1", "_:o", "_:o..p", '""', '"v"', '"v w # x <y>"', '"v"@en', '"v"@en-GB',
+        '"v"@de-CH-1901', '"v"@prefix', '"v"@prefixes', '"v"@é', '"v"^^<http://e.x/dt>', '"v"^^<dt>', '"é☃"',
     ],
     [" .", ".", "\t. ", " . "],
 ]
@@ -205,7 +208,7 @@ ODD = [
     ["<p>", "_:p", "<http://e.x/p\\u0041>", '"p"', "a", "<>"],
     ["", "\x0c", "\xa0"],
     [
-        "_:o.", "_:o<", '"v"@en_GB', '"v"@prefix', '"v"@', '"v"^^<>', '"v"^^ex:dt', '"v" ^^<http://e.x/dt>',
+        "_:o.", "_:o<", "_:.o", '"v"@en_GB', '"v"@', '"v"^^<>', '"v"^^ex:dt', '"v" ^^<http://e.x/dt>',
         '"v\\"q"', '"v\\q"', "<http://e.x/o>>", '"unterminated', "<rel>", "<>",
     ],
     [" .\r", " . # comment", " .#c", " . <http://e.x/x>", " ..", "", " ;", " .\x0b", " .\x85"],
@@ -298,11 +301,11 @@ TTL_DIRECTIVES = [
     "@prefix ex: <http://e.y/#> .", "@prefix ex: <http://e.x/> .", "@prefix : <http://e.z/> .",
     "@prefix ns: <http://n.s/> .", "@prefix xsd: <http://e.x/dt#> .", "@prefix e: <> .",
 ], ["@prefix ex: <rel/> .", "@prefix geo <http://g/> .", "@prefix ex: ex:b ."]
-TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1", "_:anon1", "_:anon3"], [
+TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1", "_:b.1", "_:anon1", "_:anon3"], [
     "<rel>", "<>", "geo:z", "e:", "e:x", '"v"', "42", "true",
 ]
 TTL_OBJECTS = TTL_SUBJECTS[0] + [
-    "<http://e.x/b#c>", '"v"', '"w\\n"', '"v"@en', '"v"@en-GB', '"v"^^<http://e.x/dt>', '"v"^^xsd:string',
+    "<http://e.x/b#c>", '"v"', '"w\\n"', '"v"@en', '"v"@en-GB', '"v"@prefix', '"v"^^<http://e.x/dt>', '"v"^^xsd:string',
     '"v"^^ex:dt', "42", "-7", "+1.5", "1e3", "1.E-2", "true", "false", ".5", ".5e3",
 ], TTL_SUBJECTS[1][:5] + ['"v"^^<rel>', '"v"^^<>', '"v"^^geo:t', '"v"^^42', '"v"^^e:', "(", "[ ]]"]
 TTL_VERBS = ["a", "ex:p", ":q", "<http://e.x/p>", "ns:y", "rdf:type"], ["<rel>", "geo:p", '"p"', "42", "_:p", "[]"]
@@ -452,8 +455,8 @@ def test_escapes_match_the_per_character_loops(s):
 
 
 iris = st.text(max_size=12).map(lambda local: IRI("http://e.x/" + local))
-blanks = st.text(alphabet="abcXYZ019_-é", min_size=1, max_size=5).map(BlankNode)
-language_tags = st.text(alphabet="abcXYZ019-", min_size=1, max_size=6)
+blanks = st.from_regex(r"[abcXYZ019_\-é]{1,3}(\.{1,2}[abcXYZ019_\-é]{1,3}){0,2}", fullmatch=True).map(BlankNode)
+language_tags = st.one_of(st.text(alphabet="abcXYZ019-", min_size=1, max_size=6), st.just("prefix"))
 literals = st.one_of(
     st.builds(Literal, st.text(max_size=12)),
     st.builds(Literal, st.text(max_size=12), datatype=iris.map(lambda i: i.value)),

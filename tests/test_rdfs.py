@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from kgkit import BlankNode, Graph, Literal, Triple, ValidationError, entails, saturate_owl, saturate_rdfs, vocab
 from kgkit.rdfs import RDFS_RULES, _fixpoint, fixpoint_stats
+from kgkit.terms import triple_sort_key
 
 from helpers import city_kb, district_kb, edu, random_rdfs_graph, shuffled_batches
-from oracles import closure_triples, naive_rdfs_closure, triples_of
+from oracles import closure_triples, naive_rdfs_closure, oracle_rdfs_derived, oracle_rdfs_provenance, triples_of
 
 
 def test_subclass_inference_city_locality():
@@ -178,6 +179,26 @@ def test_resuming_after_each_shuffled_batch_equals_saturation_from_scratch(seed,
     assert closure_triples(resumed) == closure_triples(fresh) == naive_rdfs_closure(triples_of(source))
     assert resumed.derived == fresh.derived
     assert resumed.report == fresh.report
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 6))
+def test_derived_and_provenance_equal_the_derivations_reference_after_each_shuffled_batch(seed, rng, batches):
+    source = random_rdfs_graph(seed, max_triples=40)
+    g = Graph()
+    for batch in shuffled_batches(rng, source.triples(), batches):
+        for t in batch:
+            g.insert(t)
+        closure = saturate_rdfs(g)
+        assert closure.derived == oracle_rdfs_derived(closure)
+        assert closure.provenance == oracle_rdfs_provenance(closure)
+    if closure.derived:  # a derived triple asserted later is derived no more
+        t = rng.choice(sorted(closure.derived, key=triple_sort_key))
+        g.insert(t)
+        again = saturate_rdfs(g)
+        assert t not in again.derived and t not in again.provenance
+        assert again.derived == oracle_rdfs_derived(again) == closure.derived - {t}
+        assert again.provenance == oracle_rdfs_provenance(again)
 
 
 def test_one_round_reads_a_class_superclasses_once_and_yields_only_missing_types(monkeypatch):
