@@ -12,14 +12,15 @@ triple, byte-identical across runs for equal graphs.
 
 Every text reader (the N-Triples lines that are not of the common
 shape, Turtle, `parse_term` and query patterns) reads the one scanner's
-(kind, value, offset) tuples; a line and column are worked out from the
-offset only when a ParseError is raised; so is nesting too deep for
-the recursive Turtle reader.  The Turtle reader memoizes
-terms by token text for one parse and interns each at its first
-emission; rebinding a prefix to another namespace drops the entries of
-that prefix's qnames.  No base IRI is declared, so `<>`, relative IRIs
-and relative datatypes are parse errors; the Turtle reader reports each
-at its own token.
+(kind, value, offset) tuples.  The scanner, the term functions and the
+Turtle reader raise a fault at an offset into the scanned text (nesting
+too deep for the recursive Turtle reader is one); each reader turns the
+offset into a line and column once, where it raises the ParseError.  The
+Turtle reader memoizes terms by token text for one parse and interns
+each at its first emission; rebinding a prefix to another namespace
+drops the entries of that prefix's qnames.  No base IRI is declared, so
+`<>`, relative IRIs and relative datatypes are parse errors; the Turtle
+reader reports each at its own token.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Collection
 from . import vocab
 from .errors import ParseError, UnknownPrefixError, ValidationError
 from .graph import Graph, IdTriple
-from .terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, sort_key
+from .terms import _BLANK_LABEL, IRI, BlankNode, Literal, PrefixMap, Term, Triple, sort_key
 
 
 @dataclass
@@ -71,7 +72,8 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'"
 
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"  # the only escape an IRI admits (RDF 1.1 N-Triples, section 2.3)
 _ESCAPE = rf"""(?:\\[tbnrf"'\\]|{_UCHAR})"""
-_IRI_CHAR = r"""[^\x00-\x20<>"{}|^`\\]"""  # RDF 1.1 N-Triples IRIREF: a character that needs no UCHAR escape
+_IRI_EXCLUDED = r"""\x00-\x20<>"{}|^`\\"""  # RDF 1.1 N-Triples IRIREF: the characters only a UCHAR escape writes
+_IRI_CHAR = rf"[^{_IRI_EXCLUDED}]"
 _IRI_BODY = rf"{_IRI_CHAR}*(?:{_UCHAR}{_IRI_CHAR}*)*"
 _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 
@@ -94,7 +96,7 @@ _SCANNER = re.compile(
     | "(?P<string>{_STRING_BODY})"
     | @(?P<at>(?:[^\W_]|-)*)
     | (?P<hathat>\^\^)
-    | _:(?P<blank>(?:[^\s.;,()\[\]<"]+(?:\.+[^\s.;,()\[\]<"]+)*)?)
+    | _:(?P<blank>(?:{_BLANK_LABEL})?)
     | (?P<word>(?:[^\s.;,()\[\]<>"^@]+|\.(?=[0-9])[^\s.;,()\[\]<>"^@]*)(?:\.(?=[^\s;,()\[\]])[^\s.;,()\[\]<>"^@]*)*)
     | (?P<punct>[.;,\[\]()])
     | (?P<bad>.)
@@ -115,13 +117,29 @@ _SHORTHAND_WORD = re.compile(
 )
 
 
-def _line_col(text: str, offset: int, start_line: int = 1) -> tuple[int, int]:
+class _Fault(ParseError):
+    """A fault at `offset` into the scanned text, which the reader that scanned it locates with `at`.
+
+    Being a ParseError, a fault that a reader leaves unlocated still ends a
+    command with exit 2.
+    """
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
+
+    def at(self, line: int, column: int) -> ParseError:
+        return ParseError(self.message, line, column)
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
     """Line and column of `offset` in `text`, counted from the newlines before it."""
-    return start_line + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
+    return 1 + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
 
 
-def _unescape(value: str, text: str, offset: int, start_line: int) -> str:
-    """Decode the escapes of a token body that starts at `offset` in `text`."""
+def _unescape(value: str, offset: int) -> str:
+    """Decode the escapes of a token body that starts at `offset` in the scanned text."""
 
     def decode(m: re.Match) -> str:
         esc = m.group()
@@ -129,7 +147,7 @@ def _unescape(value: str, text: str, offset: int, start_line: int) -> str:
             return _ESCAPES[esc[1]]
         code = int(esc[2:], 16)
         if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:  # not a Unicode scalar value
-            raise ParseError(f"bad \\{esc[1]} escape", *_line_col(text, offset + m.start(), start_line))
+            raise _Fault(f"bad \\{esc[1]} escape", offset + m.start())
         return chr(code)
 
     return _ESCAPE_RE.sub(decode, value)
@@ -160,11 +178,11 @@ def _malformed(text: str, start: int) -> tuple[str, int]:
     return (f"string escape \\{e} in IRI" if what == "IRI" and e in _ESCAPES else f"unknown escape \\{e}"), stop
 
 
-def _scan(text: str, start_line: int = 1) -> list[tuple[str, str, int]]:
+def _scan(text: str) -> list[tuple[str, str, int]]:
     """The tokens of `text` as (kind, value, offset) tuples, ending with an EOF token.
 
-    Escapes are decoded and each kind is resolved here; a line and column
-    are worked out only for an error (`start_line` numbers the first line).
+    Escapes are decoded and each kind is resolved here; a malformed token
+    raises a `_Fault` at its offset.
     """
     tokens: list[tuple[str, str, int]] = []
     append = tokens.append
@@ -185,28 +203,27 @@ def _scan(text: str, start_line: int = 1) -> list[tuple[str, str, int]]:
                     # an escaped ;,() that ended the qname before it: name the escape, not this word
                     if (len(tokens) > 1 and tokens[-2][0] == QNAME and tokens[-1][0] in ";,()"
                             and tokens[-1][2] == tokens[-2][2] + len(tokens[-2][1])):
-                        _local_escapes(tokens, len(tokens) - 2, lambda tok: _line_col(text, tok[2], start_line))
-                    raise ParseError(f"unexpected token {value!r}", *_line_col(text, start, start_line))
+                        _local_escapes(tokens, len(tokens) - 2)
+                    raise _Fault(f"unexpected token {value!r}", start)
                 append((shorthand.lastgroup, value, start))
         elif kind == "punct":
             append((value, value, start))  # each punctuation kind is its own character
         elif kind == "iriref" or kind == "string":
             if "\\" in value:
-                value = _unescape(value, text, start + 1, start_line)
+                value = _unescape(value, start + 1)
             append((kind, value, start))
         elif kind == "blank":
             if not value:
-                raise ParseError("empty blank node label", *_line_col(text, start, start_line))
+                raise _Fault("empty blank node label", start)
             append((BLANK, value, start))
         elif kind == "at":
             if not value:
-                raise ParseError("dangling '@'", *_line_col(text, start, start_line))
+                raise _Fault("dangling '@'", start)
             append((AT_PREFIX if value == "prefix" else LANGTAG, value, start))
         elif kind == "hathat":
             append((HATHAT, value, start))
         else:
-            message, at = _malformed(text, start)
-            raise ParseError(message, *_line_col(text, at, start_line))
+            raise _Fault(*_malformed(text, start))
     append((EOF, "", len(text)))
     return tokens
 
@@ -218,7 +235,7 @@ def _scan(text: str, start_line: int = 1) -> list[tuple[str, str, int]]:
 _NO_BASE = "relative {} {!r} and no base IRI is declared"
 
 
-def _local_escapes(tokens, pos: int, at) -> str:
+def _local_escapes(tokens, pos: int) -> str:
     """The qname at tokens[pos] with its local name's escapes decoded: `\\.` stands for `.` (RDF 1.1 Turtle, section 6.4)."""
     tok, after = tokens[pos], tokens[pos + 1]
 
@@ -228,35 +245,35 @@ def _local_escapes(tokens, pos: int, at) -> str:
             return e
         if not e and after[2] == tok[2] + len(tok[1]):  # the scanner ends a word before ;,()@
             e = "@" if after[0] in (LANGTAG, AT_PREFIX) else after[1]
-        raise ParseError(f"{'unsupported' if e and e in ';,()@' else 'bad'} escape \\{e} in qname {tok[1]}", *at(tok))
+        raise _Fault(f"{'unsupported' if e and e in ';,()@' else 'bad'} escape \\{e} in qname {tok[1]}", tok[2])
 
     return _LOCAL_ESCAPE.sub(decode, tok[1])
 
 
-def _iri(tokens, pos: int, prefixes: PrefixMap | None, at, what: str = "IRI") -> IRI:
+def _iri(tokens, pos: int, prefixes: PrefixMap | None, what: str = "IRI") -> IRI:
     """The IRI the IRIREF or qname token at tokens[pos] names; an empty one has no base to resolve against."""
     tok = tokens[pos]
     try:
         if tok[0] == IRIREF:
             return IRI(tok[1])
-        return prefixes.expand(_local_escapes(tokens, pos, at) if "\\" in tok[1] else tok[1])
+        return prefixes.expand(_local_escapes(tokens, pos) if "\\" in tok[1] else tok[1])
     except UnknownPrefixError as exc:
-        raise ParseError(str(exc), *at(tok)) from exc
+        raise _Fault(str(exc), tok[2]) from exc
     except ValidationError as exc:  # `<>`, or a prefix bound to <> and no local part
-        raise ParseError(_NO_BASE.format(what, ""), *at(tok)) from exc
+        raise _Fault(_NO_BASE.format(what, ""), tok[2]) from exc
 
 
-def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
+def _term_from_tokens(tokens, pos: int, prefixes: PrefixMap | None = None):
     """Read one term starting at tokens[pos] of `_scan` tuples; returns (term, next_pos).
 
-    `at` maps a token to its line and column.  Given `prefixes`, the Turtle
-    forms are admitted too: qnames, 'a' and the numeric and boolean shorthand.
+    Given `prefixes`, the Turtle forms are admitted too: qnames, 'a' and the
+    numeric and boolean shorthand.
     """
     tok = tokens[pos]
     kind = tok[0]
     turtle = prefixes is not None
     if kind == IRIREF or (kind == QNAME and turtle):
-        return _iri(tokens, pos, prefixes, at), pos + 1
+        return _iri(tokens, pos, prefixes), pos + 1
     if kind == BLANK:
         return BlankNode(tok[1]), pos + 1
     if kind == KEYWORD_A and turtle:
@@ -268,17 +285,17 @@ def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
         if nxt[0] == HATHAT:
             dt_tok = tokens[pos + 2]
             if dt_tok[0] == IRIREF or (dt_tok[0] == QNAME and turtle):
-                datatype = _iri(tokens, pos + 2, prefixes, at, "datatype IRI")
+                datatype = _iri(tokens, pos + 2, prefixes, "datatype IRI")
                 if not datatype.is_absolute():  # a literal's datatype is never resolved
-                    raise ParseError(_NO_BASE.format("datatype IRI", datatype.value), *at(dt_tok))
+                    raise _Fault(_NO_BASE.format("datatype IRI", datatype.value), dt_tok[2])
                 return Literal(tok[1], datatype=datatype.value), pos + 3
-            raise ParseError("expected datatype IRI after '^^'", *at(dt_tok))
+            raise _Fault("expected datatype IRI after '^^'", dt_tok[2])
         return Literal(tok[1]), pos + 1
     if kind in _SHORTHAND:
         if not turtle:  # no shorthand in N-Triples
-            raise ParseError(f"unexpected token {tok[1]!r}", *at(tok))
+            raise _Fault(f"unexpected token {tok[1]!r}", tok[2])
         return Literal(tok[1], datatype=vocab.XSD + kind), pos + 1
-    raise ParseError(f"expected a term, got {tok[1]!r}", *at(tok))
+    raise _Fault(f"expected a term, got {tok[1]!r}", tok[2])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +303,7 @@ def _term_from_tokens(tokens, pos: int, at, prefixes: PrefixMap | None = None):
 # ---------------------------------------------------------------------------
 
 _NT_IRI = rf"<{_IRI_CHAR}+>"
-_NT_BLANK = r'_:[^\s.;,()\[\]<"]+(?:\.+[^\s.;,()\[\]<"]+)*'
+_NT_BLANK = f"_:{_BLANK_LABEL}"
 # The common line shape, which the scanner reads as exactly these three
 # terms and a '.': no backslash, only spaces and tabs around the terms, no
 # comment.  Labels and tags take the scanner's character sets.
@@ -335,33 +352,35 @@ def parse_ntriples(text: str) -> Graph:
                 pass  # the scanner path reports where
         if not raw.strip():
             continue
-        tokens = _scan(raw, lineno)
-        if tokens[0][0] == EOF:  # comment-only line
-            continue
-
-        def at(tok, lineno=lineno):  # a line holds no newline
-            return lineno, tok[2] + 1
-
-        subject, pos = _term_from_tokens(tokens, 0, at)
-        predicate, pos = _term_from_tokens(tokens, pos, at)
-        object_, pos = _term_from_tokens(tokens, pos, at)
-        if tokens[pos][0] != DOT:
-            raise ParseError("expected '.' terminating the triple", *at(tokens[pos]))
-        if tokens[pos + 1][0] != EOF:
-            raise ParseError("trailing content after '.'", *at(tokens[pos + 1]))
         try:
-            g.insert(Triple(subject, predicate, object_))
-        except ValidationError as exc:  # a misplaced term or a relative IRI: the triple's position
-            raise ParseError(str(exc), *at(tokens[0])) from exc
+            tokens = _scan(raw)
+            if tokens[0][0] == EOF:  # comment-only line
+                continue
+            subject, pos = _term_from_tokens(tokens, 0)
+            predicate, pos = _term_from_tokens(tokens, pos)
+            object_, pos = _term_from_tokens(tokens, pos)
+            if tokens[pos][0] != DOT:
+                raise _Fault("expected '.' terminating the triple", tokens[pos][2])
+            if tokens[pos + 1][0] != EOF:
+                raise _Fault("trailing content after '.'", tokens[pos + 1][2])
+            try:
+                g.insert(Triple(subject, predicate, object_))
+            except ValidationError as exc:  # a misplaced term or a relative IRI: the triple's position
+                raise _Fault(str(exc), tokens[0][2]) from exc
+        except _Fault as fault:  # a line holds no newline
+            raise fault.at(lineno, fault.offset + 1) from None
     return g
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term in N-Triples syntax (used by model files)."""
-    tokens = _scan(text)
-    term, pos = _term_from_tokens(tokens, 0, lambda tok: _line_col(text, tok[2]))
-    if tokens[pos][0] != EOF:
-        raise ParseError(f"trailing content after term: {text!r}")
+    try:
+        tokens = _scan(text)
+        term, pos = _term_from_tokens(tokens, 0)
+        if tokens[pos][0] != EOF:
+            raise _Fault(f"trailing content after term: {text!r}", tokens[pos][2])
+    except _Fault as fault:
+        raise fault.at(*_line_col(text, fault.offset)) from None
     return term
 
 
@@ -394,14 +413,11 @@ class _TurtleParser:
         self._memo: dict[tuple, list] = {}
         self._first, self._rest, self._nil = ([t, vocab.RULE_IDS[t]] for t in (vocab.RDF_FIRST, vocab.RDF_REST, vocab.RDF_NIL))
 
-    def _at(self, tok) -> tuple[int, int]:
-        return _line_col(self.text, tok[2])
-
     def _expect(self, kind: str) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", *self._at(tok))
+            raise _Fault(f"expected {kind!r}, got {tok[1]!r}", tok[2])
         return tok
 
     def _fresh_blank(self) -> list:
@@ -428,9 +444,9 @@ class _TurtleParser:
                 key, end = (kind, value, dt_kind, dt_value), end + 2
         slot = self._memo.get(key)
         if slot is None:
-            term, end = _term_from_tokens(tokens, pos, self._at, self.prefixes)
+            term, end = _term_from_tokens(tokens, pos, self.prefixes)
             if isinstance(term, IRI) and not term.is_absolute():  # no base resolves it: report it here
-                raise ParseError(_NO_BASE.format("IRI", term.value), *self._at(tokens[pos]))
+                raise _Fault(_NO_BASE.format("IRI", term.value), tokens[pos][2])
             slot = self._memo[key] = [term, -1]
         self.pos = end
         return slot
@@ -454,7 +470,7 @@ class _TurtleParser:
                 else:
                     self._triples_statement()
         except RecursionError:  # each '[' or '(' reads its contents one call deeper
-            raise ParseError("nesting too deep", *self._at(tokens[self.pos])) from None
+            raise _Fault("nesting too deep", tokens[self.pos][2]) from None
         return ParseReport(self.graph, self.prefixes, self.warnings)
 
     def _prefix_directive(self) -> None:
@@ -462,13 +478,13 @@ class _TurtleParser:
         tok = self.tokens[self.pos]
         self.pos += 1
         if tok[0] != QNAME or not tok[1].endswith(":"):
-            raise ParseError("expected 'prefix:' after @prefix", *self._at(tok))
+            raise _Fault("expected 'prefix:' after @prefix", tok[2])
         prefix = tok[1][:-1]
         ns = self._expect(IRIREF)[1]
         old = self.prefixes.namespace(prefix)
         if old is not None and old != ns:
             if not (prefix == "" and old == vocab.DEFAULT_NS):
-                self.warnings.append((self._at(tok)[0], f"prefix {prefix!r} redefined from <{old}> to <{ns}>"))
+                self.warnings.append((_line_col(self.text, tok[2])[0], f"prefix {prefix!r} redefined from <{old}> to <{ns}>"))
             # a qname's key ends in it: (QNAME, qname) or (STRING, value, QNAME, qname)
             pname = prefix + ":"
             self._memo = {k: v for k, v in self._memo.items() if not (QNAME in k[::2] and k[-1].startswith(pname))}
@@ -505,7 +521,7 @@ class _TurtleParser:
         tok = self.tokens[self.pos]
         if tok[0] in (IRIREF, QNAME, KEYWORD_A):
             return self._term()
-        raise ParseError(f"expected a predicate, got {tok[1]!r}", *self._at(tok))
+        raise _Fault(f"expected a predicate, got {tok[1]!r}", tok[2])
 
     def _node(self, as_subject: bool = False) -> list:
         tok = self.tokens[self.pos]
@@ -524,16 +540,16 @@ class _TurtleParser:
             return self._collection()
         if kind == STRING or kind in _SHORTHAND:
             if as_subject:
-                raise ParseError("literal cannot be a subject", *self._at(tok))
+                raise _Fault("literal cannot be a subject", tok[2])
             return self._term()
-        raise ParseError(f"expected a node, got {tok[1]!r}", *self._at(tok))
+        raise _Fault(f"expected a node, got {tok[1]!r}", tok[2])
 
     def _collection(self) -> list:
         items = []
         open_tok = self.tokens[self.pos]  # the token after '(' locates an unterminated collection
         while self.tokens[self.pos][0] != RPAREN:
             if self.tokens[self.pos][0] == EOF:
-                raise ParseError("unterminated collection", *self._at(open_tok))
+                raise _Fault("unterminated collection", open_tok[2])
             items.append(self._node())
         self.pos += 1  # ')'
         if not items:
@@ -547,7 +563,10 @@ class _TurtleParser:
 
 def parse_turtle(text: str) -> ParseReport:
     """Parse the Turtle subset; rdf/rdfs/owl/xsd and the empty prefix are pre-bound."""
-    return _TurtleParser(text).parse()
+    try:
+        return _TurtleParser(text).parse()
+    except _Fault as fault:
+        raise fault.at(*_line_col(text, fault.offset)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +576,7 @@ def parse_turtle(text: str) -> ParseReport:
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _STRING_UNSAFE = re.compile(r'[\x00-\x1f"\\]')
-_IRI_UNSAFE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_IRI_UNSAFE = re.compile(f"[{_IRI_EXCLUDED}]")
 
 
 def _uchar(m: re.Match) -> str:

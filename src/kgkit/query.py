@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import vocab
 from .errors import ParseError, QueryValidationError
 from .graph import Binding, Graph
-from .io import BLANK, EOF, _scan, _term_from_tokens
+from .io import BLANK, EOF, _Fault, _scan, _term_from_tokens
 from .owl import saturate_owl
 from .rdfs import saturate_rdfs
 from .terms import PrefixMap, Term, TriplePattern, Var, sort_key
@@ -145,21 +145,24 @@ _TOKEN = re.compile(
 def _to_term(m: re.Match, prefixes: PrefixMap, lineno: int) -> Term | Var:
     if m.group().startswith("?"):
         return Var(m.group()[1:])
-    # blank padding keeps the scanner's columns those of the query line
-    tokens = _scan(" " * m.start() + m.group(), lineno)
-    kind, label, offset = tokens[0]
-    if kind == BLANK:  # a label means nothing outside its own document
-        raise ParseError(f"blank node _:{label} in a query", lineno, offset + 1)
-    term, pos = _term_from_tokens(tokens, 0, lambda tok: (lineno, tok[2] + 1), prefixes)
-    if tokens[pos][0] != EOF:
-        raise ParseError(f"expected one term or variable, got {m.group()!r}", lineno, m.start() + 1)
+    try:
+        tokens = _scan(m.group())
+        kind, label, offset = tokens[0]
+        if kind == BLANK:  # a label means nothing outside its own document
+            raise _Fault(f"blank node _:{label} in a query", offset)
+        term, pos = _term_from_tokens(tokens, 0, prefixes)
+        if tokens[pos][0] != EOF:
+            raise _Fault(f"expected one term or variable, got {m.group()!r}", 0)
+    except _Fault as fault:  # a query line holds no newline
+        raise fault.at(lineno, m.start() + fault.offset + 1) from None
     return term
 
 
 def _patterns_from_tokens(tokens: list[re.Match], prefixes: PrefixMap, lineno: int) -> list[TriplePattern]:
     positions = [m for m in tokens if m.group() != "."]
-    if len(positions) % 3 != 0 or not positions:
-        raise ParseError("each triple pattern needs exactly three terms", lineno)
+    if len(positions) % 3 != 0 or not positions:  # at the pattern short of a term, or at a lone '.'
+        at = (positions[len(positions) // 3 * 3 :] or tokens)[0]
+        raise ParseError("each triple pattern needs exactly three terms", lineno, at.start() + 1)
     terms = [_to_term(m, prefixes, lineno) for m in positions]
     return [TriplePattern(*terms[i : i + 3]) for i in range(0, len(terms), 3)]
 
@@ -205,7 +208,7 @@ def parse_query(text: str) -> tuple[Query, str]:
                     raise ParseError(f"SELECT lists variables, got {tok!r}", lineno)
                 projection.append(tok[1:])
         elif head == "NOT":
-            if len(tokens) < 3 or tokens[1] != "{" or tokens[-1] != "}":
+            if len(tokens) < 4 or tokens[1] != "{" or tokens[-1] != "}":  # `NOT { }` too
                 raise ParseError("expected 'NOT { pattern ... }'", lineno)
             negations.append(tuple(_patterns_from_tokens(matches[2:-1], prefixes, lineno)))
         else:

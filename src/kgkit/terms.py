@@ -20,6 +20,10 @@ from .errors import UnknownPrefixError, ValidationError
 LANG_STRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+# A blank node label as the N-Triples and Turtle readers take it after `_:`:
+# no whitespace and none of .;,()[]<" but for a '.' between other characters.
+_BLANK_LABEL = r'[^\s.;,()\[\]<"]+(?:\.+[^\s.;,()\[\]<"]+)*'
+_is_blank_label = re.compile(_BLANK_LABEL).fullmatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,8 +50,10 @@ class BlankNode:
     label: str
 
     def __post_init__(self):
-        if not self.label or any(c.isspace() for c in self.label):
-            raise ValidationError(f"blank node label must be nonempty and whitespace-free: {self.label!r}")
+        if not _is_blank_label(self.label):
+            raise ValidationError(
+                f"blank node label must be nonempty, with no whitespace or .;,()[]<\" and no '.' at either end: {self.label!r}"
+            )
 
     def __repr__(self):
         return f"BlankNode({self.label!r})"

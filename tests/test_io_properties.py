@@ -6,9 +6,11 @@ in `oracles.oracle_tokenize`.  The whole-line N-Triples path must build the
 graph, or raise the error, of the token scanner alone, and the memoized
 Turtle parser those of the Term-per-occurrence parser kept in
 `oracles.oracle_parse_turtle`.  `kgkit parse` answers any document with
-exit 0, or exit 2 and one positioned error line.  Canonical N-Triples must
-keep the bytes of the term-level serializer kept in
-`oracles.oracle_serialize_ntriples`.
+exit 0, or exit 2 and one positioned error line, and every reader raises
+a fault as a ParseError at a line and column of its input.  Canonical
+N-Triples must keep the bytes of the term-level serializer kept in
+`oracles.oracle_serialize_ntriples`.  A label `BlankNode` accepts reads
+back through both readers.
 """
 
 import hashlib
@@ -32,14 +34,16 @@ from kgkit import (
     Literal,
     ParseError,
     Triple,
+    ValidationError,
     parse_ntriples,
+    parse_query,
     parse_term,
     parse_turtle,
     serialize_ntriples,
 )
-from kgkit import io
+from kgkit import io, terms
 from kgkit.cli import main
-from kgkit.io import _escape_iri, _escape_string, _line_col, _scan, format_term
+from kgkit.io import _Fault, _escape_iri, _escape_string, _line_col, _scan, format_term
 
 from oracles import (
     oracle_escape_iri,
@@ -52,8 +56,17 @@ from oracles import (
 
 
 def scan_with_positions(text: str, start_line: int = 1):
-    """`_scan`'s tokens with each offset turned into a line and column."""
-    return [(k, v, *_line_col(text, off, start_line)) for k, v, off in _scan(text, start_line)]
+    """`_scan`'s tokens, or its fault, with each offset turned into a line and column; the first line is `start_line`."""
+
+    def position(offset: int) -> tuple[int, int]:
+        line, column = _line_col(text, offset)
+        return start_line - 1 + line, column
+
+    try:
+        tokens = _scan(text)
+    except _Fault as fault:
+        raise fault.at(*position(fault.offset)) from None
+    return [(k, v, *position(off)) for k, v, off in tokens]
 
 
 def outcome(tokenize, text: str, start_line: int = 1):
@@ -165,10 +178,10 @@ def test_shorthand_words_match_the_per_character_tokenizer(text):
 
 def test_escape_of_no_unicode_scalar_value_is_a_parse_error():
     with pytest.raises(ParseError) as err:
-        _scan('<a> <b> "xy\\U00110000" .')
+        scan_with_positions('<a> <b> "xy\\U00110000" .')
     assert str(err.value) == "bad \\U escape at line 1, column 12"
     with pytest.raises(ParseError) as err:
-        _scan('<a> <b> "\\uDFFF" .')
+        scan_with_positions('<a> <b> "\\uDFFF" .')
     assert str(err.value) == "bad \\u escape at line 1, column 10"
     with pytest.raises(ParseError, match="bad \\\\U escape at line 2"):
         parse_ntriples('<http://e.x/a> <http://e.x/b> "ok" .\n<http://e.x/\\UFFFFFFFF> <http://e.x/p> "x" .\n')
@@ -442,6 +455,31 @@ def test_cli_parse_exits_0_or_2_with_one_positioned_error_line(text, fmt):
         assert re.fullmatch(r"(parse )?error: [^\n]* at line \d+, column \d+\n", stderr.getvalue())
 
 
+def assert_located(read, text: str) -> None:
+    """`read(text)` returns, or raises exactly ParseError at a line and column inside `text`."""
+    try:
+        read(text)
+    except ParseError as exc:
+        assert type(exc) is ParseError, repr(exc)
+        lines = text.split("\n")
+        assert exc.line is not None and 1 <= exc.line <= len(lines), str(exc)
+        assert exc.column is not None and 1 <= exc.column <= len(lines[exc.line - 1]) + 1, str(exc)
+
+
+@settings(max_examples=300)
+@given(documents())
+@example('"v"^^<rel>')  # a fault the term functions raise
+@example("_:b1")  # one the query reader raises
+@example("_:b1 _:b2 .")  # one the N-Triples reader raises
+@example("[ ( ")  # one the Turtle reader raises
+@example("<a> <b>")  # one parse_term raises after the term
+def test_every_reader_raises_a_fault_as_a_located_parse_error(text):
+    assert_located(parse_term, text)
+    assert_located(parse_ntriples, text)
+    assert_located(parse_turtle, text)
+    assert_located(parse_query, f"?x <http://e.x/p> {text}")
+
+
 # ---------------------------------------------------------------------------
 # Serializer against the term-level serializer, and round trips
 # ---------------------------------------------------------------------------
@@ -482,6 +520,23 @@ def test_serialize_round_trips_arbitrary_terms(ts):
     assert serialize_ntriples(again) == text
     for t in ts:
         assert parse_term(format_term(t.object)) == t.object
+
+
+LABEL_CHARS = st.one_of(st.sampled_from(".;,()[]<>\"'_:-#^@\\{}|`\t\xa0"), st.characters())
+
+
+@given(st.one_of(st.from_regex(terms._BLANK_LABEL, fullmatch=True), st.text(LABEL_CHARS, max_size=6)))
+@example("a.b")
+@example("b>#")
+def test_every_label_a_blank_node_accepts_reads_back(label):
+    try:
+        node = BlankNode(label)
+    except ValidationError:
+        assume(False)
+    g = graph_of([Triple(node, IRI("http://e.x/p"), node)])
+    text = serialize_ntriples(g)
+    assert triples_of(parse_ntriples(text)) == triples_of(g)
+    assert triples_of(parse_turtle(text).graph) == triples_of(g)
 
 
 # Terms whose sort keys tie: a plain literal and one typed with an empty datatype,

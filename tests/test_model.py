@@ -69,10 +69,10 @@ def test_intern_rejects_what_is_not_a_term(value):
 
 
 def test_blank_node_label_invariants():
-    with pytest.raises(ValidationError):
-        BlankNode("")
-    with pytest.raises(ValidationError):
-        BlankNode("a b")
+    # empty, with whitespace, or not read back by the N-Triples and Turtle readers
+    for label in ["", "a b", "a.", ".a", "a;b", "a<b", "a(b", 'a"b']:
+        with pytest.raises(ValidationError):
+            BlankNode(label)
 
 
 def test_literal_language_fixes_datatype():
