@@ -167,6 +167,19 @@ def _patterns_from_tokens(tokens: list[re.Match], prefixes: PrefixMap, lineno: i
     return [TriplePattern(*terms[i : i + 3]) for i in range(0, len(terms), 3)]
 
 
+def _directive(matches: list[re.Match], lineno: int, message: str, *accepts) -> None:
+    """Check a directive line of one word and `len(accepts)` arguments, each passing its test.
+
+    Raises `message` at the first argument that fails its test or is one too many, or at
+    the directive word when an argument is missing.
+    """
+    for m, accept in zip(matches[1:], accepts):
+        if not accept(m.group()):
+            raise ParseError(message, lineno, m.start() + 1)
+    if len(matches) != len(accepts) + 1:  # at the first argument too many, else at the word
+        raise ParseError(message, lineno, (matches[len(accepts) + 1 :] or matches)[0].start() + 1)
+
+
 def parse_query(text: str) -> tuple[Query, str]:
     """Parse the query file format; returns the query and its regime.
 
@@ -191,25 +204,27 @@ def parse_query(text: str) -> tuple[Query, str]:
         tokens = [m.group() for m in matches]
         head = tokens[0].upper()
         if head == "PREFIX":
-            if len(tokens) != 3 or not tokens[1].endswith(":") or not tokens[2].startswith("<"):
-                raise ParseError("expected 'PREFIX p: <namespace>'", lineno)
+            _directive(
+                matches, lineno, "expected 'PREFIX p: <namespace>'", lambda t: t.endswith(":"), lambda t: t.startswith("<")
+            )
             prefixes.bind(tokens[1][:-1], _to_term(matches[2], prefixes, lineno).value)
         elif head == "ASSUME":
-            if len(tokens) != 2 or tokens[1] not in (OPEN, CLOSED):
-                raise ParseError("expected 'ASSUME open' or 'ASSUME closed'", lineno)
+            _directive(matches, lineno, "expected 'ASSUME open' or 'ASSUME closed'", lambda t: t in (OPEN, CLOSED))
             assumption = tokens[1]
         elif head == "REGIME":
-            if len(tokens) != 2 or tokens[1] not in REGIMES:
-                raise ParseError("expected 'REGIME none|rdfs|owl'", lineno)
+            _directive(matches, lineno, "expected 'REGIME none|rdfs|owl'", lambda t: t in REGIMES)
             regime = tokens[1]
         elif head == "SELECT":
-            for tok in tokens[1:]:
-                if not tok.startswith("?"):
-                    raise ParseError(f"SELECT lists variables, got {tok!r}", lineno)
-                projection.append(tok[1:])
+            for m in matches[1:]:
+                if not m.group().startswith("?"):
+                    raise ParseError(f"SELECT lists variables, got {m.group()!r}", lineno, m.start() + 1)
+                projection.append(m.group()[1:])
         elif head == "NOT":
             if len(tokens) < 4 or tokens[1] != "{" or tokens[-1] != "}":  # `NOT { }` too
-                raise ParseError("expected 'NOT { pattern ... }'", lineno)
+                # at what stands in for '{', or follows the block's first '}'; at NOT when a part is missing
+                after = tokens.index("}", 2) + 1 if "}" in tokens[2:-1] else 0
+                at = matches[1] if len(tokens) > 1 and tokens[1] != "{" else matches[after]
+                raise ParseError("expected 'NOT { pattern ... }'", lineno, at.start() + 1)
             negations.append(tuple(_patterns_from_tokens(matches[2:-1], prefixes, lineno)))
         else:
             patterns.extend(_patterns_from_tokens(matches, prefixes, lineno))
@@ -236,11 +251,11 @@ def parse_competency(text: str) -> list[tuple[str, Query, str]]:
         words = stripped.split(maxsplit=1)
         if words and words[0].upper() == "QUERY":
             if len(words) == 1:
-                raise ParseError("QUERY line has no name", lineno)
+                raise ParseError("QUERY line has no name", lineno, len(raw) - len(raw.lstrip()) + 1)
             current = []
             blocks.append((words[1], lineno, current))
         elif stripped and current is None and not stripped.startswith("#"):
-            raise ParseError("content before the first QUERY line", lineno)
+            raise ParseError("content before the first QUERY line", lineno, len(raw) - len(raw.lstrip()) + 1)
         elif current is not None:
             current.append(raw)
     out = []

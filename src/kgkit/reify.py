@@ -4,6 +4,13 @@ Each row of a table becomes one fresh instance of a relation class plus
 one triple per mapped column, n+1 triples for n columns.  Cell values in
 IRI columns are CamelCased ("Natural yoghurt" -> NaturalYoghurt); cells
 in literal columns become plain literals.
+
+Rows are reified in ids: each role keeps a memo from cell text to term
+id, so a cell repeated down a column is checked, CamelCased and interned
+once.  The spec's class, role properties, namespace and instance name
+must make absolute IRIs with no character outside the N-Triples IRIREF,
+and a CSV header that names a column twice, or a row with more or fewer
+cells than its header, is a parse error.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from . import vocab
 from .errors import ParseError, ReifyError, ValidationError
 from .graph import Graph
 from .io import _IRI_UNSAFE
-from .terms import IRI, Literal
+from .terms import _SCHEME, IRI, Literal
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,15 @@ class TableSpec:
         unknown = self.literal_columns - cols
         if unknown:
             raise ValidationError(f"literal columns not in role map: {sorted(unknown)}")
+        # every IRI the spec names or stems goes into the output as written, so each must be absolute and IRIREF-safe
+        stem = self.stem()
+        checks = [("class", self.relation_class, self.relation_class), *(("role", p, p) for p in props)]
+        checks += [("namespace", self.namespace, self.namespace + stem), ("instance-name", stem, self.namespace + stem)]
+        for field, value, iri in checks:
+            if excluded := _IRI_UNSAFE.search(value):
+                raise ValidationError(f"{field} {value!r} in the table spec puts {excluded.group()!r} into an IRI")
+            if not _SCHEME.match(iri):
+                raise ValidationError(f"{field} {value!r} in the table spec does not make an absolute IRI")
 
     def stem(self) -> str:
         if self.instance_name:
@@ -60,37 +76,63 @@ def camel_case(value: str) -> str:
 
 
 def reify_table(rows: Iterable[Mapping[str, str]], spec: TableSpec) -> Graph:
-    """Reify records into n+1 triples per row; instances are numbered from 1."""
+    """Reify records into n+1 triples per row; instances are numbered from 1.
+
+    Works in ids: the relation class and each role's property are interned
+    on first use, and each role keeps a memo from cell text to id, which a
+    cell enters only once it has passed its checks, so a bad cell still
+    fails at its first row.  Terms are interned in the order instance,
+    class, then each property and cell, as term-at-a-time insertion would.
+    """
     g = Graph()
-    cls = IRI(spec.relation_class)
-    stem = spec.stem()
+    rdf_type = g.intern(vocab.RDF_TYPE)
+    cls = None
+    props: list[int | None] = [None] * len(spec.roles)
+    memos: list[dict[str, int]] = [{} for _ in spec.roles]
+    namespace, stem = spec.namespace, spec.stem()
     for i, row in enumerate(rows, start=1):
-        instance = IRI(f"{spec.namespace}{stem}{i}")
-        g.add(instance, vocab.RDF_TYPE, cls)
-        for column, prop in spec.roles:
+        instance = g.intern(IRI(f"{namespace}{stem}{i}"))
+        if cls is None:
+            cls = g.intern(IRI(spec.relation_class))
+        g.insert_ids((instance, rdf_type, cls))
+        for j, (column, prop) in enumerate(spec.roles):
             if column not in row:
                 raise ReifyError(f"row {i} is missing column {column!r}")
             value = row[column]
-            if column in spec.literal_columns:
-                term = Literal(value)
-            elif not value.strip():
-                raise ReifyError(f"row {i} has an empty cell in IRI column {column!r}")
-            elif excluded := _IRI_UNSAFE.search(local := camel_case(value)):  # outside the N-Triples IRIREF
-                raise ReifyError(f"row {i} puts {excluded.group()!r} into an IRI in column {column!r}")
-            else:
-                term = IRI(spec.namespace + local)
-            g.add(instance, IRI(prop), term)
+            o = memos[j].get(value)
+            if o is None:
+                if column in spec.literal_columns:
+                    term = Literal(value)
+                elif not value.strip():
+                    raise ReifyError(f"row {i} has an empty cell in IRI column {column!r}")
+                elif excluded := _IRI_UNSAFE.search(local := camel_case(value)):  # outside the N-Triples IRIREF
+                    raise ReifyError(f"row {i} puts {excluded.group()!r} into an IRI in column {column!r}")
+                else:
+                    term = IRI(namespace + local)
+                if props[j] is None:
+                    props[j] = g.intern(IRI(prop))
+                o = memos[j][value] = g.intern(term)
+            g.insert_ids((instance, props[j], o))
     return g
 
 
 def rows_from_csv(text: str) -> list[dict[str, str]]:
-    """Rows of an RFC-4180 CSV with a header line, as dicts; one leading byte-order mark is dropped."""
+    """Rows of an RFC-4180 CSV with a header line, as dicts; one leading byte-order mark is dropped.
+
+    A header that names a column twice, or a row with more or fewer cells than the header, is a parse error.
+    """
     reader = csv.DictReader(_stdio.StringIO(text.removeprefix("\ufeff")))
+    names = reader.fieldnames or []
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ParseError(f"the header names column {name!r} twice")
     rows = []
     for row in reader:
         if None in row:
             raise ParseError(f"row {reader.line_num} has more cells than the header")
-        rows.append({k: (v if v is not None else "") for k, v in row.items()})
+        if None in row.values():
+            raise ParseError(f"row {reader.line_num} has fewer cells than the header")
+        rows.append(row)
     return rows
 
 

@@ -8,15 +8,16 @@ term tuples.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from kgkit import vocab
 from kgkit.embeddings import CORRUPT_BOTH, CORRUPT_HEAD
-from kgkit.errors import ParseError, QueryValidationError, SamplingError, UnknownPrefixError, ValidationError
+from kgkit.errors import ParseError, QueryValidationError, ReifyError, SamplingError, UnknownPrefixError, ValidationError
 from kgkit.io import (
     _ESCAPES,
+    _IRI_UNSAFE,
     AT_PREFIX,
     BLANK,
     COMMA,
@@ -40,6 +41,7 @@ from kgkit.graph import Binding, Graph, IdTriple
 from kgkit.owl import _list_walk, saturate_owl
 from kgkit.query import REGIMES, Query, _validate
 from kgkit.rdfs import Derivation, InconsistencyReport, Violation, saturate_rdfs
+from kgkit.reify import TableSpec, camel_case
 from kgkit.terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
 TermTriple = tuple[Term, Term, Term]
@@ -1207,3 +1209,32 @@ def oracle_query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
             projected = {v: representative(t) for v, t in projected.items()}
         rows[tuple(sort_key(projected[v]) for v in projection)] = projected
     return [rows[k] for k in sorted(rows)]
+
+
+# ---------------------------------------------------------------------------
+# Table reification: term at a time, every cell built and interned again
+# ---------------------------------------------------------------------------
+
+
+def oracle_reify_table(rows: Iterable[Mapping[str, str]], spec: TableSpec) -> Graph:
+    """Reify records into n+1 triples per row; instances are numbered from 1."""
+    g = Graph()
+    cls = IRI(spec.relation_class)
+    stem = spec.stem()
+    for i, row in enumerate(rows, start=1):
+        instance = IRI(f"{spec.namespace}{stem}{i}")
+        g.add(instance, vocab.RDF_TYPE, cls)
+        for column, prop in spec.roles:
+            if column not in row:
+                raise ReifyError(f"row {i} is missing column {column!r}")
+            value = row[column]
+            if column in spec.literal_columns:
+                term = Literal(value)
+            elif not value.strip():
+                raise ReifyError(f"row {i} has an empty cell in IRI column {column!r}")
+            elif excluded := _IRI_UNSAFE.search(local := camel_case(value)):  # outside the N-Triples IRIREF
+                raise ReifyError(f"row {i} puts {excluded.group()!r} into an IRI in column {column!r}")
+            else:
+                term = IRI(spec.namespace + local)
+            g.add(instance, IRI(prop), term)
+    return g

@@ -187,9 +187,9 @@ def test_check_bare_query_line_has_no_name(tmp_path, capsys):
     kb = write(tmp_path / "city.ttl", CITY_TTL)
     first = write(tmp_path / "first.txt", f"QUERY\n?x a <{EDU}Locality>\n")
     later = write(tmp_path / "later.txt", f"QUERY localities\n?x a <{EDU}Locality>\n\n  query  \n?x a <{EDU}City>\n")
-    for questions, line in ((first, 1), (later, 4)):
+    for questions, line, column in ((first, 1, 1), (later, 4, 3)):
         assert main(["check", kb, "--competency", questions]) == 2
-        assert capsys.readouterr().err == f"parse error: QUERY line has no name at line {line}\n"
+        assert capsys.readouterr().err == f"parse error: QUERY line has no name at line {line}, column {column}\n"
 
 
 ALLDIFFERENT_TTL = """@prefix ex: <http://example.org/> .
@@ -440,6 +440,46 @@ def test_reify_csv_with_a_byte_order_mark_gives_the_same_bytes(tmp_path, capsys)
         assert main(["reify", write(tmp_path / name, text), "--spec", spec_path]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] != ""
+
+
+@pytest.mark.parametrize(
+    "spec, csv_text, code, err",
+    [
+        (
+            PURCHASE_SPEC.replace(f"namespace: {EDU}", "namespace: http://e.org/a b/"),
+            "Buyer,Seller,Product,Number of pieces\n",
+            1,
+            "error: namespace 'http://e.org/a b/' in the table spec puts ' ' into an IRI\n",
+        ),
+        (
+            PURCHASE_SPEC + "instance-name: my row\n",
+            PURCHASES_CSV,
+            1,
+            "error: instance-name 'my row' in the table spec puts ' ' into an IRI\n",
+        ),
+        (
+            PURCHASE_SPEC.replace(f"{EDU}seller", "http://e.org/<p>"),
+            PURCHASES_CSV,
+            1,
+            "error: role 'http://e.org/<p>' in the table spec puts '<' into an IRI\n",
+        ),
+        (
+            PURCHASE_SPEC.replace(f"class: {EDU}Purchase", "class: Purchase"),
+            "Buyer,Seller,Product,Number of pieces\n",
+            1,
+            "error: class 'Purchase' in the table spec does not make an absolute IRI\n",
+        ),
+        (PURCHASE_SPEC, "Buyer,Seller,Buyer,Product,Number of pieces\n", 2, "parse error: the header names column 'Buyer' twice\n"),
+        (PURCHASE_SPEC, PURCHASES_CSV + "A,B,C\n", 2, "parse error: row 4 has fewer cells than the header\n"),
+    ],
+    ids=["namespace-space", "instance-name-space", "property-angle", "relative-class", "duplicate-header", "short-row"],
+)
+def test_reify_rejects_a_bad_spec_iri_or_csv_shape_in_one_error_line(tmp_path, capsys, spec, csv_text, code, err):
+    spec_path = write(tmp_path / "spec.txt", spec)
+    assert main(["reify", write(tmp_path / "t.csv", csv_text), "--spec", spec_path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 ONE_EDGE_NT = f"<{EDU}n0> <{EDU}next> <{EDU}n1> .\n"

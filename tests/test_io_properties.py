@@ -35,6 +35,7 @@ from kgkit import (
     ParseError,
     Triple,
     ValidationError,
+    parse_competency,
     parse_ntriples,
     parse_query,
     parse_term,
@@ -478,6 +479,39 @@ def test_every_reader_raises_a_fault_as_a_located_parse_error(text):
     assert_located(parse_ntriples, text)
     assert_located(parse_turtle, text)
     assert_located(parse_query, f"?x <http://e.x/p> {text}")
+
+
+DIRECTIVES = ["PREFIX", "prefix", "ASSUME", "REGIME", "SELECT", "NOT", "Not", "QUERY", "query"]
+ARGUMENTS = ["e:", "e", ":", "<http://e.x/>", "<rel>", "open", "closed", "maybe", "none", "rdfs", "owl", "?x", "x", "{", "}", "."]
+
+
+@st.composite
+def query_texts(draw):
+    """Lines of directives with right and wrong arguments, among pattern lines and document snippets."""
+    lines = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        indent = draw(st.sampled_from(["", " ", "\t  "]))
+        kind = draw(st.integers(min_value=0, max_value=3))
+        if kind == 0:
+            lines.append(indent + draw(documents()))
+        elif kind == 1:
+            lines.append(indent + "?x <http://e.x/p> ?y")
+        else:
+            arguments = draw(st.lists(st.sampled_from(ARGUMENTS), max_size=4))
+            lines.append(indent + " ".join([draw(st.sampled_from(DIRECTIVES)), *arguments]))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300)
+@given(query_texts())
+@example("ASSUME maybe")
+@example("PREFIX e: <http://e.x/> x")
+@example("NOT { ?x <http://e.x/p> ?y } .")
+@example("  QUERY")
+@example("?x <http://e.x/p> ?y")  # content before the first QUERY line
+def test_query_directives_raise_located_parse_errors(text):
+    assert_located(parse_query, text)
+    assert_located(parse_competency, text)
 
 
 # ---------------------------------------------------------------------------

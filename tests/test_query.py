@@ -319,6 +319,45 @@ def test_bad_query_constants_are_parse_errors_naming_the_line(text, message, lin
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "line, message, column",
+    [
+        ("ASSUME maybe", "expected 'ASSUME open' or 'ASSUME closed'", 8),
+        ("ASSUME", "expected 'ASSUME open' or 'ASSUME closed'", 1),
+        ("ASSUME open closed", "expected 'ASSUME open' or 'ASSUME closed'", 13),
+        ("  REGIME  full", "expected 'REGIME none|rdfs|owl'", 11),
+        ("REGIME", "expected 'REGIME none|rdfs|owl'", 1),
+        ("PREFIX e <http://e.x/>", "expected 'PREFIX p: <namespace>'", 8),
+        ("PREFIX e: http://e.x/", "expected 'PREFIX p: <namespace>'", 11),
+        ("PREFIX e:", "expected 'PREFIX p: <namespace>'", 1),
+        ("PREFIX e: <http://e.x/> <http://f.x/>", "expected 'PREFIX p: <namespace>'", 25),
+        ("SELECT ?x y", "SELECT lists variables, got 'y'", 11),
+        ("NOT ?x e:p ?y }", "expected 'NOT { pattern ... }'", 5),
+        ("NOT { ?x e:p ?y } ?z", "expected 'NOT { pattern ... }'", 19),
+        ("NOT { ?x e:p ?y", "expected 'NOT { pattern ... }'", 1),
+        ("\tNOT { }", "expected 'NOT { pattern ... }'", 2),
+        ("NOT", "expected 'NOT { pattern ... }'", 1),
+    ],
+)
+def test_directive_errors_name_the_column_of_the_token_that_breaks_the_form(line, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_query(f"PREFIX e: <http://e.x/>\n?x e:p ?y\n{line}\n")
+    assert str(err.value) == f"{message} at line 3, column {column}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("QUERY a\n?x a ?y\n   QUERY \n", "QUERY line has no name at line 3, column 4"),
+        ("# questions\n\n  ?x a ?y\nQUERY a\n", "content before the first QUERY line at line 3, column 3"),
+    ],
+)
+def test_competency_errors_name_the_column_of_their_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_competency(text)
+    assert str(err.value) == message
+
+
 def test_turtle_datatype_with_an_unknown_prefix_is_a_parse_error():
     with pytest.raises(ParseError, match="unknown prefix: 'nope' at line 1, column 36"):
         parse_turtle('<http://e.x/a> <http://e.x/p> "1"^^nope:int .\n')
