@@ -470,7 +470,7 @@ def dump_model(model: EmbeddingModel) -> str:
 
 
 def load_model_text(text: str) -> EmbeddingModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.split("\n") if ln.strip()]  # a literal may hold U+0085, U+2028 or U+2029 raw
     if not lines:
         raise ValidationError("empty model file")
     header = lines[0].split()

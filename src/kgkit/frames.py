@@ -1,19 +1,25 @@
 """Frame-based knowledge: named slots, defined/default facets, inheritance.
 
 General frames form an IS-A hierarchy (acyclic, validated on insertion);
-individual frames attach to general ones via INSTANCE-OF.  Slot lookup
-walks the frame itself, then its ancestors breadth-first, ties broken by
-parent declaration order.  A frame system exports to RDF so the RDFS
-engine can rederive the same class memberships.
+individual frames attach to general ones via INSTANCE-OF.  A slot's value
+and fill constraint come from the nearest frame with one: the frame
+itself, then its ancestors breadth-first, ties broken by parent
+declaration order.  A frame system exports to RDF so the RDFS engine can
+rederive the same class memberships.  The frame-file reader walks one
+token pattern and locates each fault once, as the `io` readers do.
 """
 
 from __future__ import annotations
 
+import re
+from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .graph import Graph
-from .terms import IRI, Literal, Triple
+from .io import _IRI_UNSAFE, _Fault, _line_col
+from .terms import _SCHEME, IRI, Literal, Triple
 from . import vocab
 
 GENERAL = "general"
@@ -103,25 +109,28 @@ class FrameSystem:
             if parent is not None and parent.kind == GENERAL:
                 stack.extend(parent.parents)
 
-    def _ancestry(self, name: str) -> list[Frame]:
+    def _ancestry(self, name: str) -> Iterator[Frame]:
         """The frame followed by its ancestors in BFS order, declaration order within a level."""
-        start = self.frames.get(name)
-        if start is None:
-            return []
-        out = [start]
-        queue = list(start.parents)
-        seen = {name}
+        queue = deque([name])
+        seen = set()
         while queue:
-            nxt = queue.pop(0)
+            nxt = queue.popleft()
             if nxt in seen:
                 continue
             seen.add(nxt)
             frame = self.frames.get(nxt)
             if frame is None:
                 continue
-            out.append(frame)
+            yield frame
             queue.extend(frame.parents)
-        return out
+
+    def _nearest(self, frame_name: str, slot_name: str, holds: Callable[[Facet], bool]) -> tuple[Facet, str] | None:
+        """The slot's facet at this frame or the nearest ancestor where `holds` accepts it, and that frame's name."""
+        for frame in self._ancestry(frame_name):
+            facet = frame.slots.get(slot_name)
+            if facet is not None and holds(facet):
+                return facet, frame.name
+        return None
 
     def get_slot(self, frame_name: str, slot_name: str) -> SlotValue | None:
         """Value of a slot at this frame or the nearest ancestor holding one.
@@ -129,25 +138,18 @@ class FrameSystem:
         None means the value is absent everywhere on the chain, which is
         not an error: the system simply does not know.
         """
-        for frame in self._ancestry(frame_name):
-            facet = frame.slots.get(slot_name)
-            if facet is not None and facet.value is not None:
-                return SlotValue(facet.value, frame.name, facet.strength)
-        return None
-
-    def _nearest_constraint(self, frame_name: str, slot_name: str) -> tuple[Facet, str] | None:
-        for frame in self._ancestry(frame_name):
-            facet = frame.slots.get(slot_name)
-            if facet is not None and facet.constrained():
-                return facet, frame.name
-        return None
+        found = self._nearest(frame_name, slot_name, lambda facet: facet.value is not None)
+        if found is None:
+            return None
+        facet, source = found
+        return SlotValue(facet.value, source, facet.strength)
 
     def fill_slot(self, frame_name: str, slot_name: str, value: object) -> FillResult:
         """Store value as a defined facet iff the nearest inherited constraint admits it."""
         frame = self.frames.get(frame_name)
         if frame is None:
             return FillResult(False, reason=f"unknown frame {frame_name!r}")
-        found = self._nearest_constraint(frame_name, slot_name)
+        found = self._nearest(frame_name, slot_name, Facet.constrained)
         if found is not None:
             facet, source = found
             if facet.allowed_values is not None and value not in facet.allowed_values:
@@ -170,33 +172,56 @@ class FrameSystem:
 
         Only defined facets are exported; defaults are defeasible and
         have no place among monotonic triples.  A slot value naming a
-        known frame becomes an IRI, anything else a plain literal.
+        known frame becomes an IRI, anything else a plain literal.  A
+        name that makes a relative IRI or one needing an escape is a
+        ValidationError.
         """
         g = Graph()
         for name in sorted(self.frames):
             frame = self.frames[name]
-            subject = IRI(self.namespace + name)
+            subject = self._iri("frame", name)
             link = vocab.RDFS_SUBCLASSOF if frame.kind == GENERAL else vocab.RDF_TYPE
             for parent in frame.parents:
-                g.insert(Triple(subject, link, IRI(self.namespace + parent)))
+                g.insert(Triple(subject, link, self._iri("parent", parent)))
             for slot_name in frame.slots:
                 facet = frame.slots[slot_name]
                 if facet.strength != DEFINED or facet.value is None:
                     continue
                 if isinstance(facet.value, str) and facet.value in self.frames:
-                    obj = IRI(self.namespace + facet.value)
+                    obj = self._iri("frame", facet.value)
                 else:
                     obj = Literal(str(facet.value))
-                g.insert(Triple(subject, IRI(self.namespace + slot_name), obj))
+                g.insert(Triple(subject, self._iri("slot", slot_name), obj))
         return g
+
+    def _iri(self, what: str, name: str) -> IRI:
+        """The IRI of a frame or slot name: the namespace, then the name as written."""
+        for part, value in (("namespace", self.namespace), (what, name)):
+            if excluded := _IRI_UNSAFE.search(value):
+                raise ValidationError(f"{part} {value!r} puts {excluded.group()!r} into an IRI")
+        iri = self.namespace + name
+        if not _SCHEME.match(iri):
+            raise ValidationError(f"{what} {name!r} in namespace {self.namespace!r} does not make an absolute IRI")
+        return IRI(iri)
 
 
 def frames_to_graph(system: FrameSystem) -> Graph:
     return system.to_graph()
 
 
-_ISA = ":IS-A"
-_INSTANCEOF = ":INSTANCE-OF"
+_LINKS = {":IS-A": GENERAL, ":INSTANCE-OF": INDIVIDUAL}
+
+# No token starts with whitespace, so `finditer` skips it.  `open` holds the
+# name after a '(' (empty if none follows), `slot` the text of a whole
+# `<slot value>`; any other character is `other`, which no frame admits.
+_TOKEN = re.compile(
+    r"""\(\s*(?P<open>[^\s<)]*)
+    | (?P<close>\))
+    | <(?P<slot>[^>]*)>
+    | (?P<unterminated><)
+    | (?P<other>\S)""",
+    re.VERBOSE,
+)
 
 
 def parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem:
@@ -209,69 +234,43 @@ def parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem:
     :IS-A marks a general frame, :INSTANCE-OF an individual; a frame
     with neither is a root general frame.  Multi-token values are kept
     verbatim ("1 860 281").  IS-A / INSTANCE-OF values may list several
-    parents separated by whitespace.
+    parents separated by whitespace.  A malformed file is a ParseError at
+    the line and column of the character at fault.
     """
     system = FrameSystem(namespace=namespace)
-    i = 0
-    n = len(text)
-    line = 1
-
-    def skip_ws():
-        nonlocal i, line
-        while i < n and text[i].isspace():
-            if text[i] == "\n":
-                line += 1
-            i += 1
-
-    while True:
-        skip_ws()
-        if i >= n:
-            break
-        if text[i] != "(":
-            raise ParseError(f"expected '(' to open a frame, got {text[i]!r}", line)
-        i += 1
-        skip_ws()
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in "<)":
-            i += 1
-        name = text[start:i]
-        if not name:
-            raise ParseError("frame has no name", line)
-        parents: list[str] = []
-        kind = None
-        slots: dict[str, Facet] = {}
-        while True:
-            skip_ws()
-            if i >= n:
-                raise ParseError(f"unterminated frame {name!r}", line)
-            if text[i] == ")":
-                i += 1
-                break
-            if text[i] != "<":
-                raise ParseError(f"expected '<slot value>' in frame {name!r}", line)
-            i += 1
-            end = text.find(">", i)
-            if end < 0:
-                raise ParseError(f"unterminated slot in frame {name!r}", line)
-            inner = text[i:end].strip()
-            line += text.count("\n", i, end)
-            i = end + 1
-            if not inner:
-                raise ParseError(f"empty slot in frame {name!r}", line)
-            slot_name, _, raw_value = inner.partition(" ")
-            value = " ".join(raw_value.split())
-            if slot_name.upper() == _ISA:
-                if kind == INDIVIDUAL:
-                    raise ParseError(f"frame {name!r} mixes IS-A and INSTANCE-OF", line)
-                kind = GENERAL
-                parents.extend(value.split())
-            elif slot_name.upper() == _INSTANCEOF:
-                if kind == GENERAL:
-                    raise ParseError(f"frame {name!r} mixes IS-A and INSTANCE-OF", line)
-                kind = INDIVIDUAL
-                parents.extend(value.split())
+    name = None  # of the open frame
+    try:
+        for m in _TOKEN.finditer(text):
+            kind, at = m.lastgroup, m.start()
+            if name is None:
+                if kind != "open":
+                    raise _Fault(f"expected '(' to open a frame, got {text[at]!r}", at)
+                name = m.group("open")
+                if not name:
+                    raise _Fault("frame has no name", m.end())
+                link, parents, slots = None, [], {}
+            elif kind == "close":
+                system.add(Frame(name, link or GENERAL, tuple(parents), slots))
+                name = None
+            elif kind == "unterminated":
+                raise _Fault(f"unterminated slot in frame {name!r}", at)
+            elif kind != "slot":
+                raise _Fault(f"expected '<slot value>' in frame {name!r}", at)
+            elif not (inner := m.group("slot").strip()):
+                raise _Fault(f"empty slot in frame {name!r}", m.end() - 1)
             else:
-                slots[slot_name.lstrip(":")] = Facet(value=value, strength=DEFINED)
-        frame = Frame(name, kind or GENERAL, tuple(parents), slots)
-        system.add(frame)
+                slot_name, _, raw_value = inner.partition(" ")
+                value = " ".join(raw_value.split())
+                linked = _LINKS.get(slot_name.upper())
+                if linked is None:
+                    slots[slot_name.lstrip(":")] = Facet(value=value, strength=DEFINED)
+                elif link not in (None, linked):
+                    raise _Fault(f"frame {name!r} mixes IS-A and INSTANCE-OF", m.end() - 1)
+                else:
+                    link = linked
+                    parents.extend(value.split())
+        if name is not None:
+            raise _Fault(f"unterminated frame {name!r}", len(text))
+    except _Fault as fault:
+        raise fault.at(*_line_col(text, fault.offset)) from None
     return system

@@ -20,7 +20,7 @@ Turtle reader memoizes terms by token text for one parse and interns
 each at its first emission; rebinding a prefix to another namespace
 drops the entries of that prefix's qnames.  No base IRI is declared, so
 `<>`, relative IRIs and relative datatypes are parse errors; the Turtle
-reader reports each at its own token.
+reader and query patterns report each at its own token.
 """
 
 from __future__ import annotations
@@ -267,13 +267,16 @@ def _term_from_tokens(tokens, pos: int, prefixes: PrefixMap | None = None):
     """Read one term starting at tokens[pos] of `_scan` tuples; returns (term, next_pos).
 
     Given `prefixes`, the Turtle forms are admitted too: qnames, 'a' and the
-    numeric and boolean shorthand.
+    numeric and boolean shorthand; and a relative IRI is a fault at its token.
     """
     tok = tokens[pos]
     kind = tok[0]
     turtle = prefixes is not None
     if kind == IRIREF or (kind == QNAME and turtle):
-        return _iri(tokens, pos, prefixes), pos + 1
+        iri = _iri(tokens, pos, prefixes)
+        if turtle and not iri.is_absolute():  # no base resolves it; N-Triples reports it at the triple
+            raise _Fault(_NO_BASE.format("IRI", iri.value), tok[2])
+        return iri, pos + 1
     if kind == BLANK:
         return BlankNode(tok[1]), pos + 1
     if kind == KEYWORD_A and turtle:
@@ -445,8 +448,6 @@ class _TurtleParser:
         slot = self._memo.get(key)
         if slot is None:
             term, end = _term_from_tokens(tokens, pos, self.prefixes)
-            if isinstance(term, IRI) and not term.is_absolute():  # no base resolves it: report it here
-                raise _Fault(_NO_BASE.format("IRI", term.value), tokens[pos][2])
             slot = self._memo[key] = [term, -1]
         self.pos = end
         return slot

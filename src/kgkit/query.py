@@ -215,6 +215,8 @@ def parse_query(text: str) -> tuple[Query, str]:
             _directive(matches, lineno, "expected 'REGIME none|rdfs|owl'", lambda t: t in REGIMES)
             regime = tokens[1]
         elif head == "SELECT":
+            if len(matches) == 1:
+                raise ParseError("SELECT lists no variables", lineno, matches[0].start() + 1)
             for m in matches[1:]:
                 if not m.group().startswith("?"):
                     raise ParseError(f"SELECT lists variables, got {m.group()!r}", lineno, m.start() + 1)

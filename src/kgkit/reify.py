@@ -119,7 +119,8 @@ def reify_table(rows: Iterable[Mapping[str, str]], spec: TableSpec) -> Graph:
 def rows_from_csv(text: str) -> list[dict[str, str]]:
     """Rows of an RFC-4180 CSV with a header line, as dicts; one leading byte-order mark is dropped.
 
-    A header that names a column twice, or a row with more or fewer cells than the header, is a parse error.
+    A header that names a column twice, or a row with more or fewer cells than the header, is a parse error;
+    rows are counted from 1 after the header.
     """
     reader = csv.DictReader(_stdio.StringIO(text.removeprefix("\ufeff")))
     names = reader.fieldnames or []
@@ -127,11 +128,11 @@ def rows_from_csv(text: str) -> list[dict[str, str]]:
         if name in names[:k]:
             raise ParseError(f"the header names column {name!r} twice")
     rows = []
-    for row in reader:
+    for i, row in enumerate(reader, start=1):  # data rows count from 1, as in `reify_table`
         if None in row:
-            raise ParseError(f"row {reader.line_num} has more cells than the header")
+            raise ParseError(f"row {i} has more cells than the header")
         if None in row.values():
-            raise ParseError(f"row {reader.line_num} has fewer cells than the header")
+            raise ParseError(f"row {i} has fewer cells than the header")
         rows.append(row)
     return rows
 
@@ -151,7 +152,7 @@ def parse_table_spec(text: str) -> TableSpec:
     instance_name = None
     roles: list[tuple[str, str]] = []
     literals: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

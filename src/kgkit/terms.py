@@ -153,31 +153,22 @@ class TriplePattern:
 
 
 class PrefixMap:
-    """Registered namespace prefixes plus an optional base IRI.
+    """Registered namespace prefixes.
 
     Expanding a qname concatenates the registered namespace and the local
     part; compressing inverts that when a registered namespace is the
     longest prefix of the IRI.
     """
 
-    def __init__(self, bindings: dict[str, str] | None = None, base: str | None = None):
+    def __init__(self, bindings: dict[str, str] | None = None):
         self._ns: dict[str, str] = dict(bindings or {})
-        self.base = base
 
     @classmethod
-    def common(cls, base: str | None = None) -> "PrefixMap":
+    def common(cls) -> "PrefixMap":
         """A map preloaded with the rdf/rdfs/owl/xsd prefixes."""
         from . import vocab
 
-        return cls(
-            {
-                "rdf": vocab.RDF,
-                "rdfs": vocab.RDFS,
-                "owl": vocab.OWL,
-                "xsd": vocab.XSD,
-            },
-            base=base,
-        )
+        return cls({"rdf": vocab.RDF, "rdfs": vocab.RDFS, "owl": vocab.OWL, "xsd": vocab.XSD})
 
     def bind(self, prefix: str, namespace: str) -> None:
         self._ns[prefix] = namespace

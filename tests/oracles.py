@@ -37,6 +37,7 @@ from kgkit.io import (
     ParseReport,
     format_term,
 )
+from kgkit.frames import DEFINED, GENERAL, INDIVIDUAL, Facet, Frame, FrameSystem
 from kgkit.graph import Binding, Graph, IdTriple
 from kgkit.owl import _list_walk, saturate_owl
 from kgkit.query import REGIMES, Query, _validate
@@ -1238,3 +1239,89 @@ def oracle_reify_table(rows: Iterable[Mapping[str, str]], spec: TableSpec) -> Gr
                 term = IRI(spec.namespace + local)
             g.add(instance, IRI(prop), term)
     return g
+
+
+# ---------------------------------------------------------------------------
+# Frame files: a character-at-a-time reader that keeps its own line count
+# ---------------------------------------------------------------------------
+
+_ISA = ":IS-A"
+_INSTANCEOF = ":INSTANCE-OF"
+
+
+def oracle_parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem:
+    """Read the s-expression frame format::
+
+        (Carrots
+          <:IS-A Vegetables>
+          <:colour orange>)
+
+    :IS-A marks a general frame, :INSTANCE-OF an individual; a frame
+    with neither is a root general frame.  Multi-token values are kept
+    verbatim ("1 860 281").  IS-A / INSTANCE-OF values may list several
+    parents separated by whitespace.
+    """
+    system = FrameSystem(namespace=namespace)
+    i = 0
+    n = len(text)
+    line = 1
+
+    def skip_ws():
+        nonlocal i, line
+        while i < n and text[i].isspace():
+            if text[i] == "\n":
+                line += 1
+            i += 1
+
+    while True:
+        skip_ws()
+        if i >= n:
+            break
+        if text[i] != "(":
+            raise ParseError(f"expected '(' to open a frame, got {text[i]!r}", line)
+        i += 1
+        skip_ws()
+        start = i
+        while i < n and not text[i].isspace() and text[i] not in "<)":
+            i += 1
+        name = text[start:i]
+        if not name:
+            raise ParseError("frame has no name", line)
+        parents: list[str] = []
+        kind = None
+        slots: dict[str, Facet] = {}
+        while True:
+            skip_ws()
+            if i >= n:
+                raise ParseError(f"unterminated frame {name!r}", line)
+            if text[i] == ")":
+                i += 1
+                break
+            if text[i] != "<":
+                raise ParseError(f"expected '<slot value>' in frame {name!r}", line)
+            i += 1
+            end = text.find(">", i)
+            if end < 0:
+                raise ParseError(f"unterminated slot in frame {name!r}", line)
+            inner = text[i:end].strip()
+            line += text.count("\n", i, end)
+            i = end + 1
+            if not inner:
+                raise ParseError(f"empty slot in frame {name!r}", line)
+            slot_name, _, raw_value = inner.partition(" ")
+            value = " ".join(raw_value.split())
+            if slot_name.upper() == _ISA:
+                if kind == INDIVIDUAL:
+                    raise ParseError(f"frame {name!r} mixes IS-A and INSTANCE-OF", line)
+                kind = GENERAL
+                parents.extend(value.split())
+            elif slot_name.upper() == _INSTANCEOF:
+                if kind == GENERAL:
+                    raise ParseError(f"frame {name!r} mixes IS-A and INSTANCE-OF", line)
+                kind = INDIVIDUAL
+                parents.extend(value.split())
+            else:
+                slots[slot_name.lstrip(":")] = Facet(value=value, strength=DEFINED)
+        frame = Frame(name, kind or GENERAL, tuple(parents), slots)
+        system.add(frame)
+    return system

@@ -470,7 +470,7 @@ def test_reify_csv_with_a_byte_order_mark_gives_the_same_bytes(tmp_path, capsys)
             "error: class 'Purchase' in the table spec does not make an absolute IRI\n",
         ),
         (PURCHASE_SPEC, "Buyer,Seller,Buyer,Product,Number of pieces\n", 2, "parse error: the header names column 'Buyer' twice\n"),
-        (PURCHASE_SPEC, PURCHASES_CSV + "A,B,C\n", 2, "parse error: row 4 has fewer cells than the header\n"),
+        (PURCHASE_SPEC, PURCHASES_CSV + "A,B,C\n", 2, "parse error: row 3 has fewer cells than the header\n"),
     ],
     ids=["namespace-space", "instance-name-space", "property-angle", "relative-class", "duplicate-header", "short-row"],
 )

@@ -487,6 +487,17 @@ def test_model_tsv_round_trip_is_exact():
     assert np.array_equal(clone.relation_vecs, model.relation_vecs)
 
 
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+def test_model_round_trips_a_literal_holding_a_line_separator_other_than_newline(char):
+    g = graph_from_triples([Triple(edu("a"), edu("p"), Literal(f"x{char}y")), Triple(edu("a"), edu("p"), edu("b"))])
+    model = init_model(g, 2, seed=0)
+    text = dump_model(model)
+    assert char in text  # written raw: N-Triples escapes none of them
+    clone = load_model_text(text)
+    assert clone.entities == model.entities
+    assert np.array_equal(clone.entity_vecs, model.entity_vecs)
+
+
 def test_model_header_format():
     model = init_model(ring_graph(), 3, seed=0, norm=L2)
     first = dump_model(model).splitlines()[0]

@@ -308,6 +308,8 @@ def test_every_printed_term_reads_back_as_a_query_constant(term):
         ('?x e:p "1"^^nope:int', "unknown prefix: 'nope' at line 3, column 13", 3),
         ("?x e:p e:a,e:b", "expected one term or variable, got 'e:a,e:b' at line 3, column 8", 3),
         ("?x e:p <>", "relative IRI '' and no base IRI is declared at line 3, column 8", 3),
+        ("?x <http://e.x/p> <rel>", "relative IRI 'rel' and no base IRI is declared at line 3, column 19", 3),
+        ("NOT { ?x e:p <rel> }", "relative IRI 'rel' and no base IRI is declared at line 3, column 14", 3),
         ('?x e:p "1"^^<int>', "relative datatype IRI 'int' and no base IRI is declared at line 3, column 13", 3),
         ("?x e:p 4x2", "unexpected token '4x2' at line 3, column 8", 3),
     ],
@@ -332,6 +334,9 @@ def test_bad_query_constants_are_parse_errors_naming_the_line(text, message, lin
         ("PREFIX e:", "expected 'PREFIX p: <namespace>'", 1),
         ("PREFIX e: <http://e.x/> <http://f.x/>", "expected 'PREFIX p: <namespace>'", 25),
         ("SELECT ?x y", "SELECT lists variables, got 'y'", 11),
+        ("SELECT", "SELECT lists no variables", 1),
+        ("  select ", "SELECT lists no variables", 3),
+        ("PREFIX r: <rel/>", "relative IRI 'rel/' and no base IRI is declared", 11),
         ("NOT ?x e:p ?y }", "expected 'NOT { pattern ... }'", 5),
         ("NOT { ?x e:p ?y } ?z", "expected 'NOT { pattern ... }'", 19),
         ("NOT { ?x e:p ?y", "expected 'NOT { pattern ... }'", 1),

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgkit import (
+    IRI,
     KGError,
     Literal,
     ParseError,
@@ -130,6 +131,14 @@ def test_rows_from_csv_with_quoting():
     assert rows == [{"Buyer": "Kowalski, Marcin", "Seller": "Shop1", "Product": "Natural yoghurt", "Number of pieces": "5"}]
 
 
+def test_parse_table_spec_splits_lines_on_newline_only():
+    spec = parse_table_spec(f"class: {EDU}R\nnamespace: {EDU}\nrole: a\u2028b -> http://e.org/p\nliteral: a\u2028b\n")
+    assert spec.roles == (("a\u2028b", "http://e.org/p"),)
+    assert spec.literal_columns == frozenset({"a\u2028b"})
+    g = reify_table(rows_from_csv("a\u2028b\n1\n"), spec)
+    assert Triple(edu("r1"), IRI("http://e.org/p"), Literal("1")) in set(g.triples())
+
+
 def test_parse_table_spec_round_trip():
     text = f"""
 # purchases from the sales table
@@ -186,8 +195,8 @@ def test_spec_accepts_a_relative_namespace_that_an_absolute_instance_name_comple
     "text, message",
     [
         ("a,a\n1,2\n", "the header names column 'a' twice"),
-        ("a,b,c\n1,2,3\n1,2\n", "row 3 has fewer cells than the header"),
-        ("a,b\n1,2,3\n", "row 2 has more cells than the header"),
+        ("a,b,c\n1,2,3\n1,2\n", "row 2 has fewer cells than the header"),
+        ("a,b\n1,2,3\n", "row 1 has more cells than the header"),
     ],
 )
 def test_rows_from_csv_rejects_a_duplicate_column_or_a_row_of_another_width(text, message):
