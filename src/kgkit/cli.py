@@ -338,6 +338,9 @@ def main(argv=None) -> int:
     except (KGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # numpy refuses an array too large for the machine at once
+        print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

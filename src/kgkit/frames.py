@@ -232,10 +232,12 @@ def parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem:
           <:colour orange>)
 
     :IS-A marks a general frame, :INSTANCE-OF an individual; a frame
-    with neither is a root general frame.  Multi-token values are kept
-    verbatim ("1 860 281").  IS-A / INSTANCE-OF values may list several
-    parents separated by whitespace.  A malformed file is a ParseError at
-    the line and column of the character at fault.
+    with neither is a root general frame.  A slot's name ends at its first
+    run of whitespace, of any kind.  Multi-token values are kept with their
+    words joined by one space ("1 860 281").  IS-A / INSTANCE-OF values may
+    list several parents separated by whitespace.  A malformed file, or one
+    that names a frame twice, is a ParseError at the line and column of the
+    character at fault.
     """
     system = FrameSystem(namespace=namespace)
     name = None  # of the open frame
@@ -248,6 +250,8 @@ def parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem:
                 name = m.group("open")
                 if not name:
                     raise _Fault("frame has no name", m.end())
+                if name in system.frames:
+                    raise _Fault(f"frame {name!r} is defined twice", at)
                 link, parents, slots = None, [], {}
             elif kind == "close":
                 system.add(Frame(name, link or GENERAL, tuple(parents), slots))
@@ -259,8 +263,8 @@ def parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem:
             elif not (inner := m.group("slot").strip()):
                 raise _Fault(f"empty slot in frame {name!r}", m.end() - 1)
             else:
-                slot_name, _, raw_value = inner.partition(" ")
-                value = " ".join(raw_value.split())
+                slot_name, *words = inner.split()
+                value = " ".join(words)
                 linked = _LINKS.get(slot_name.upper())
                 if linked is None:
                     slots[slot_name.lstrip(":")] = Facet(value=value, strength=DEFINED)

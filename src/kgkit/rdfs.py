@@ -9,17 +9,16 @@ delta triples, the atoms after it read the whole graph, and a head
 already in the graph is not yielded; a row whose head is `false` (cax-dw:
 `false <- (c disjointWith d), (x type c), (x type d)`) yields each
 premise set as a violation.  A branch reads its delta atom at the levels
-`Delta` groups it by: by predicate, then by object when another atom
-waits for the object, then row by row (one row per subject, or per
-object, when the other slot only names a premise).  Every other atom is
-joined at the first level that binds what it needs, through
-`contains_ids`, `objects`, `subjects` or `pairs`, and the last
-enumeration is filtered in C by `lacking` when it binds only the head's
-subject.  A schema entry is so read once per round and predicate or
-class, not once per delta triple, and a row returns at once while some
-predicate its body names has no triple at all.  An IRI is compiled as
-its id, which is the same in every graph (`vocab.RULE_TERMS`), so no
-rule looks a term up.
+`Delta` groups it by: by predicate, then by object when the object is a
+constant or another atom waits for it, then the subjects of that object,
+or else triple by triple.  Every other atom is joined at the first level
+that binds what it needs, through `contains_ids`, `objects`, `subjects`
+or `pairs`, and the last enumeration is filtered in C by `lacking` when
+it binds only the head's subject.  A schema entry is so read once per
+round and predicate or class, not once per delta triple, and a row
+returns at once while some predicate its body names has no triple at
+all.  An IRI is compiled as its id, which is the same in every graph
+(`vocab.RULE_TERMS`), so no rule looks a term up.
 
 The OWL profile runs the same fixpoint on a graph rewritten to owl:sameAs
 representatives (`Graph.equality`, see `owl`): each round first merges
@@ -264,8 +263,10 @@ class Row:
     different ids, `nonliteral` one that must not bind a literal.  A row is
     a `Rule`: on its first call it writes `source`, one Python function
     with a semi-naive branch per body atom, and compiles it, so importing
-    the table compiles nothing.  A row the compiler cannot evaluate raises
-    ValueError naming it when it is built.
+    the table compiles nothing.  A branch reads the delta by predicate, by
+    object or triple by triple, and joins every other atom through
+    `contains_ids`, `objects`, `subjects` or `pairs`.  A row the compiler
+    cannot evaluate raises ValueError naming it when it is built.
     """
 
     def __init__(self, name: str, head: Atom | None, *body: Atom, distinct: tuple[str, str] | None = None, nonliteral: str = ""):
@@ -329,22 +330,15 @@ class Row:
         def triple(atom: Atom) -> str:
             return "({}, {}, {})".format(*map(c, atom))
 
-        def read_later() -> set[str]:  # the variables of the head, the guards and the atoms not yet joined
-            if head is None:  # each premise set is its own violation
-                return set().union(*map(_vars, body))
-            return _vars(head).union(*(vs for vs, _ in self.guards), *(_vars(body[j]) for j in left))
-
         def emit(line: str, opens: bool = False) -> None:
             nonlocal depth
             lines.append("    " * depth + line)
             depth += opens
 
-        def loop(target: str, iterable: str, key: Slot | None = None, *after: str) -> None:
+        def loop(target: str, iterable: str, key: Slot | None = None) -> None:
             nonlocal innermost
             innermost = (len(lines), target, iterable, key, set(bound), depth)
             emit(f"for {target} in {iterable}:", True)
-            for line in after:
-                emit(line)
 
         def bind(*names: Slot) -> None:
             bound.update(x for x in names if isinstance(x, str))
@@ -363,12 +357,8 @@ class Row:
                 loop(c(o), f"g.objects({c(s)}, {c(p)})", o)
             elif known(o):
                 loop(c(s), f"g.subjects({c(p)}, {c(o)})", s)
-            elif {s, o} <= read_later():
+            else:
                 loop(f"{c(s)}, {c(o)}", f"g.pairs({c(p)})")
-            else:  # one witness per subject, or per object, when the other slot only names a premise
-                key, witness = (s, o) if s in read_later() else (o, s)
-                emit(f"w{j} = {{{c(key)}: {c(witness)} for {c(s)}, {c(o)} in g.pairs({c(p)})}}")
-                loop(c(key), f"w{j}", key, f"{c(witness)} = w{j}[{c(key)}]")
             bind(s, o)
             if not_new:
                 emit(f"if {not_new}:", True)
@@ -392,10 +382,8 @@ class Row:
         else:
             emit(f"ts = by_p.get({c(dp)})")
             emit("if ts:", True)
-        level_1 = len(lines), depth
         join_ready(False)
         # level 2: grouped by object, when the object is a constant or another atom waits for it
-        need_s, need_o = ds in read_later(), do in read_later()
         waits = any(do in _vars(body[j]) and known(body[j][1]) and _vars(body[j]) & from_delta <= bound | {do} for j in left)
         if not isinstance(do, str):
             emit(f"ss = delta.by_object({c(dp)}).get({c(do)})")
@@ -404,17 +392,11 @@ class Row:
             loop(f"{c(do)}, ss", f"delta.by_object({c(dp)}).items()")
             bind(do)
             join_ready(False)
-        # level 3: row by row, one row per subject, or per object, when the other slot only names a premise
-        rows = None
+        # level 3: the subjects of that object, or else triple by triple
         if not isinstance(do, str) or waits:
             loop(c(ds), "ss", ds)
-        elif need_s and need_o:
-            loop(f"{c(ds)}, _, {c(do)}", "ts")
         else:
-            (key, k), (witness, w) = ((ds, 0), (do, 2)) if need_s else ((do, 2), (ds, 0))
-            rows = level_1  # built on first use, once per predicate
-            emit(f"if rows is None: rows = {{t[{k}]: t[{w}] for t in ts}}")
-            loop(c(key), "rows", key, f"{c(witness)} = rows[{c(key)}]")
+            loop(f"{c(ds)}, _, {c(do)}", "ts")
         bind(ds, do)
         join_ready(True)
 
@@ -429,8 +411,6 @@ class Row:
             emit(f"if not contains(h := {triple(head)}):", True)
             new = "h"
         emit(f"yield {new}, {self.name!r}, ({''.join(triple(atom) + ', ' for atom in body)})")
-        if rows:
-            lines.insert(rows[0], "    " * rows[1] + "rows = None")
         return lines
 
 
@@ -485,17 +465,6 @@ def fixpoint_stats() -> Iterator[list[FixpointStats]]:
         _recording.reset(token)
 
 
-class _TermKinds(dict):
-    """id -> the class of its term (IRI, BlankNode or Literal), looked up once per id."""
-
-    def __init__(self, term: Callable[[int], Term]):
-        self.term = term
-
-    def __missing__(self, tid: int) -> type:
-        kind = self[tid] = type(self.term(tid))
-        return kind
-
-
 def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> tuple[IdDerivations, IdViolations]:
     """Saturate `work` in place, starting from `delta`; returns the provenance of what it added, and the violations it found.
 
@@ -505,7 +474,7 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
     rewritten the delta to representatives.  A candidate already in
     `work` or found earlier in the round is dropped, and so is one that is
     not an RDF 1.1 triple: a literal subject or a predicate that is not an
-    IRI, tested once per id.  A round's new triples are inserted together.
+    IRI.  A round's new triples are inserted together.
     A violation keeps its premises in its rule's body order.
     """
     runs = _recording.get()
@@ -513,8 +482,7 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
     if runs is not None:
         stats = FixpointStats()
         runs.append(stats)
-    contains = work.contains_ids
-    kinds = _TermKinds(work.term)
+    contains, term = work.contains_ids, work.term
     equality = work.equality
     provenance: IdDerivations = {}
     violations: IdViolations = set()
@@ -530,7 +498,7 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
             for t, name, premises in candidates:
                 if t is None:
                     violations.add((name, premises))
-                elif t not in fresh and not contains(t) and kinds[t[1]] is IRI and kinds[t[0]] is not Literal:
+                elif t not in fresh and not contains(t) and type(term(t[1])) is IRI and type(term(t[0])) is not Literal:
                     fresh[t] = (name, sum(premises, ()))
         if stats is not None:
             stats.deltas.append(len(delta))

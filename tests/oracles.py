@@ -1279,6 +1279,7 @@ def oracle_parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem
             break
         if text[i] != "(":
             raise ParseError(f"expected '(' to open a frame, got {text[i]!r}", line)
+        open_line = line
         i += 1
         skip_ws()
         start = i
@@ -1287,6 +1288,8 @@ def oracle_parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem
         name = text[start:i]
         if not name:
             raise ParseError("frame has no name", line)
+        if name in system.frames:  # extension: a name defined twice is an error at its second '('
+            raise ParseError(f"frame {name!r} is defined twice", open_line)
         parents: list[str] = []
         kind = None
         slots: dict[str, Facet] = {}
@@ -1308,8 +1311,8 @@ def oracle_parse_frames(text: str, namespace: str = "urn:frame:") -> FrameSystem
             i = end + 1
             if not inner:
                 raise ParseError(f"empty slot in frame {name!r}", line)
-            slot_name, _, raw_value = inner.partition(" ")
-            value = " ".join(raw_value.split())
+            slot_name, *rest = inner.split(None, 1)  # extension: any whitespace ends a slot name, not only a space
+            value = " ".join("".join(rest).split())
             if slot_name.upper() == _ISA:
                 if kind == INDIVIDUAL:
                     raise ParseError(f"frame {name!r} mixes IS-A and INSTANCE-OF", line)

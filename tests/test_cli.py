@@ -304,6 +304,27 @@ def test_infer_stats_reports_rounds_and_rule_counts_on_stderr_only(tmp_path, cap
         assert sum(rule["new"] for rule in run["rules"].values()) == 1
 
 
+DOMAIN_RANGE_TTL = f"""
+@prefix edu: <{EDU}> .
+edu:p rdfs:domain edu:C ; rdfs:range edu:D .
+edu:x edu:p edu:y1 , edu:y2 .
+edu:z edu:p edu:y1 .
+"""
+
+
+def test_infer_domain_and_range_over_a_shared_object_and_a_repeated_subject(tmp_path, capsys):
+    # x has two p triples and y1 is the object of two: each type is derived, and counted as new, once
+    kb = write(tmp_path / "dr.ttl", DOMAIN_RANGE_TTL)
+    assert main(["infer", kb, "--profile", "rdfs", "--derived-only", "--stats"]) == 0
+    captured = capsys.readouterr()
+    rdf_type = vocab.RDF_TYPE.value
+    assert captured.out.encode() == "".join(
+        f"<{EDU}{s}> <{rdf_type}> <{EDU}{c}> .\n" for s, c in [("x", "C"), ("y1", "D"), ("y2", "D"), ("z", "C")]
+    ).encode()
+    [run] = json.loads(captured.err)["fixpoints"]
+    assert run["rules"]["rdfs-domain"]["new"] == run["rules"]["rdfs-range"]["new"] == 2
+
+
 def test_check_stats_counts_every_saturation_and_keeps_stdout(tmp_path, capsys):
     kb = write(tmp_path / "pumpkin.ttl", PUMPKIN_TTL)
     questions = write(tmp_path / "q.txt", f"QUERY carnivores\nREGIME rdfs\n?x a <{EDU}Carnivore>\n")
@@ -580,6 +601,19 @@ def test_embed_train_deterministic_model_files(tmp_path):
     assert main(args + ["--model", m1]) == 0
     assert main(args + ["--model", m2]) == 0
     assert open(m1, "rb").read() == open(m2, "rb").read()
+
+
+def test_embed_train_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    from kgkit import embeddings
+
+    def refuse(*args, **kwargs):  # stands in for numpy refusing an array too large to allocate
+        raise MemoryError("Unable to allocate 1.46 TiB")
+
+    monkeypatch.setattr(embeddings, "init_model", refuse)
+    kb = embed_fixture(tmp_path)
+    assert main(["embed", "train", kb, "--dim", "100000000000", "--model", str(tmp_path / "m.tsv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory (Unable to allocate 1.46 TiB)\n" and captured.out == ""
 
 
 def test_embed_seed_env_override(tmp_path, monkeypatch):

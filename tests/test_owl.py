@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 from unittest import mock
@@ -886,6 +888,15 @@ def test_every_graph_copy_and_overlay_gives_the_vocabulary_its_fixed_ids():
     tid = overlay.intern(edu("c"))
     assert tid == len(g._id_to_term) and overlay.term(tid) == edu("c") and overlay.lookup(edu("c")) == tid
     assert overlay.intern(vocab.OWL_SAMEAS) == vocab.RULE_IDS[vocab.OWL_SAMEAS]
+
+
+def test_the_rules_call_only_what_a_graph_and_an_overlay_both_provide():
+    # a probe runs the same rules on an overlay as saturation runs on a graph
+    sources = [rule.source for rule in OWL_RULES if isinstance(rule, rdfs.Row)]
+    sources += map(inspect.getsource, (owl._r_intersection, owl._r_union, owl._r_alldifferent, owl._expressions, owl._list_walk))
+    called = {name for source in sources for name in re.findall(r"\bg\.(\w+)", source)}
+    assert {"contains_ids", "objects", "subjects", "pairs", "lacking", "has_predicate"} <= called
+    assert [name for name in sorted(called) if not (hasattr(Graph, name) and hasattr(Overlay, name))] == []
 
 
 @settings(max_examples=60)
