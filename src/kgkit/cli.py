@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -216,6 +217,10 @@ def cmd_embed(args) -> int:
         model = embeddings.init_model(graph, args.dim, seed, norm=args.norm)
         losses = embeddings.train(model, graph, config)
         embeddings.save_model(model, args.model)
+        if args.log_every:
+            for epoch, loss in enumerate(losses, 1):
+                if epoch % args.log_every == 0 or epoch == len(losses):
+                    print(f"epoch={epoch} loss={loss:.6f}", file=sys.stderr)
         if losses:
             print(f"epochs={len(losses)} first_loss={losses[0]:.6f} last_loss={losses[-1]:.6f}", file=sys.stderr)
         return EXIT_OK
@@ -297,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--negatives", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="overrides KB_SEED; default 0")
+    p.add_argument("--log-every", type=int, default=None, metavar="N", help="train: each N-th epoch's loss, and the last, on stderr")
     p.add_argument("--norm", choices=list(_NORMS), default=_NORMS[0])
     p.add_argument("--test", default=None, help="held-out triples (eval), read like the graph")
     p.add_argument("--head", default=None)
@@ -312,6 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic collector paused, and leave it on or off as the caller had it.
+
+    A command builds many containers and no garbage cycle, so collections
+    would only walk them; reference counting frees what it drops.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -319,6 +340,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         if args.command == "embed":
+            if args.log_every is not None and args.log_every < 1:
+                print(f"--log-every must be at least 1, got {args.log_every}", file=sys.stderr)
+                return EXIT_USAGE
             if args.action == "eval" and not args.test:
                 print("embed eval requires --test", file=sys.stderr)
                 return EXIT_USAGE

@@ -1,8 +1,8 @@
 """Reading and writing triples: N-Triples and a Turtle subset.
 
 The Turtle subset covers what ontology snippets in the wild actually
-use: @prefix, qnames, 'a' for rdf:type, ';' and ',' continuation lists,
-'[ ... ]' anonymous nodes (one that holds a predicate may be a whole
+use: @prefix and the SPARQL-style PREFIX, qnames, 'a' for rdf:type, ';'
+and ',' continuation lists, '[ ... ]' anonymous nodes (one that holds a predicate may be a whole
 statement, as AllDifferent axioms are written), '( ... )' collections (expanded into
 rdf:first/rdf:rest chains ending at rdf:nil), plain, typed and
 language-tagged literals, and the numeric and boolean shorthand (42,
@@ -63,6 +63,7 @@ LPAREN = "("
 RPAREN = ")"
 KEYWORD_A = "a"
 AT_PREFIX = "@prefix"
+PREFIX = "PREFIX"  # RDF 1.1 Turtle's SPARQL-style directive, in any case and with no '.'
 EOF = "eof"
 # the kinds of Turtle's numeric and boolean shorthand: its XSD datatypes' local names
 _SHORTHAND = ("integer", "decimal", "double", "boolean")
@@ -178,11 +179,14 @@ def _malformed(text: str, start: int) -> tuple[str, int]:
     return (f"string escape \\{e} in IRI" if what == "IRI" and e in _ESCAPES else f"unknown escape \\{e}"), stop
 
 
-def _scan(text: str) -> list[tuple[str, str, int]]:
+def _scan(text: str, turtle: bool = False) -> list[tuple[str, str, int]]:
     """The tokens of `text` as (kind, value, offset) tuples, ending with an EOF token.
 
     Escapes are decoded and each kind is resolved here; a malformed token
-    raises a `_Fault` at its offset.
+    raises a `_Fault` at its offset.  Given `turtle`, the word `PREFIX`
+    in any case is a PREFIX token where a statement starts: first, after a
+    '.', or after another PREFIX directive's three tokens.  Elsewhere, and
+    in every other reader, it is an unexpected token, as any other bare word.
     """
     tokens: list[tuple[str, str, int]] = []
     append = tokens.append
@@ -197,6 +201,9 @@ def _scan(text: str) -> list[tuple[str, str, int]]:
                 append((QNAME, value, start))
             elif value == "a":
                 append((KEYWORD_A, value, start))
+            elif (turtle and value.lower() == "prefix"
+                    and (not tokens or tokens[-1][0] == DOT or (len(tokens) > 2 and tokens[-3][0] == PREFIX))):
+                append((PREFIX, value, start))
             else:
                 shorthand = _SHORTHAND_WORD.fullmatch(value)
                 if shorthand is None:
@@ -405,7 +412,7 @@ class _TurtleParser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _scan(text)
+        self.tokens = _scan(text, turtle=True)
         self.pos = 0
         self.graph = Graph()
         self.prefixes = PrefixMap.common()
@@ -466,7 +473,7 @@ class _TurtleParser:
         tokens = self.tokens
         try:
             while tokens[self.pos][0] != EOF:
-                if tokens[self.pos][0] == AT_PREFIX:
+                if tokens[self.pos][0] in (AT_PREFIX, PREFIX):
                     self._prefix_directive()
                 else:
                     self._triples_statement()
@@ -475,11 +482,10 @@ class _TurtleParser:
         return ParseReport(self.graph, self.prefixes, self.warnings)
 
     def _prefix_directive(self) -> None:
-        self._expect(AT_PREFIX)
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        directive, tok = self.tokens[self.pos : self.pos + 2]
+        self.pos += 2
         if tok[0] != QNAME or not tok[1].endswith(":"):
-            raise _Fault("expected 'prefix:' after @prefix", tok[2])
+            raise _Fault(f"expected 'prefix:' after {'@prefix' if directive[0] == AT_PREFIX else directive[1]}", tok[2])
         prefix = tok[1][:-1]
         ns = self._expect(IRIREF)[1]
         old = self.prefixes.namespace(prefix)
@@ -490,7 +496,10 @@ class _TurtleParser:
             pname = prefix + ":"
             self._memo = {k: v for k, v in self._memo.items() if not (QNAME in k[::2] and k[-1].startswith(pname))}
         self.prefixes.bind(prefix, ns)
-        self._expect(DOT)
+        if directive[0] == AT_PREFIX:
+            self._expect(DOT)
+        elif self.tokens[self.pos][0] == DOT:
+            raise _Fault(f"unexpected '.' after a {directive[1]} directive", self.tokens[self.pos][2])
 
     def _triples_statement(self) -> None:
         bracketed = self.tokens[self.pos][0] == LBRACKET and self.tokens[self.pos + 1][0] != RBRACKET

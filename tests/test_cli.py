@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import json
@@ -544,6 +545,43 @@ def test_usage_error_exits_1():
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["infer", "kb.ttl"], 0), (["parse", "bad.nt"], 2), (["no-such-command"], 1), (["parse", "kb.ttl"], KeyboardInterrupt)],
+    ids=["infer", "parse-error", "usage-error", "interrupt"],
+)
+def test_a_command_runs_with_the_collector_paused_and_leaves_it_as_the_caller_had_it(
+    tmp_path, capsys, monkeypatch, argv, code, enabled
+):
+    from kgkit import cli
+
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "kb.ttl", CITY_TTL)
+    write(tmp_path / "bad.nt", f"<{EDU}a> <{EDU}p>\n")
+    during = []
+
+    def spy(real, args):
+        during.append(gc.isenabled())
+        if code is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        return real(args)
+
+    for name in ("cmd_infer", "cmd_parse"):
+        monkeypatch.setattr(cli, name, functools.partial(spy, getattr(cli, name)))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == ([] if code == 1 else [False])
+
+
 def embed_fixture(tmp_path) -> str:
     lines = []
     for i in range(8):
@@ -601,6 +639,36 @@ def test_embed_train_deterministic_model_files(tmp_path):
     assert main(args + ["--model", m1]) == 0
     assert main(args + ["--model", m2]) == 0
     assert open(m1, "rb").read() == open(m2, "rb").read()
+
+
+@pytest.mark.parametrize("every, epochs", [("1", [1, 2, 3, 4, 5, 6, 7]), ("3", [3, 6, 7]), ("7", [7]), ("10", [7])])
+def test_embed_train_log_every_prints_each_nth_and_the_last_epoch_loss_on_stderr(tmp_path, capsys, every, epochs):
+    kb = embed_fixture(tmp_path)
+    args = ["embed", "train", kb, "--dim", "6", "--epochs", "7", "--seed", "5"]
+    plain_model, logged_model = str(tmp_path / "plain.tsv"), str(tmp_path / "logged.tsv")
+    assert main(args + ["--model", plain_model]) == 0
+    plain = capsys.readouterr()
+    assert main(args + ["--model", logged_model, "--log-every", every]) == 0
+    logged = capsys.readouterr()
+    assert plain.out == logged.out == ""
+    (summary,) = plain.err.splitlines()
+    first, last = re.fullmatch(r"epochs=7 first_loss=(\S+) last_loss=(\S+)", summary).groups()
+    *lines, tail = logged.err.splitlines()
+    assert tail == summary
+    losses = dict(re.fullmatch(r"epoch=(\d+) loss=(\S+)", line).groups() for line in lines)
+    assert [int(epoch) for epoch in losses] == epochs
+    assert losses["7"] == last and losses.get("1", first) == first
+    assert open(plain_model, "rb").read() == open(logged_model, "rb").read()
+
+
+@pytest.mark.parametrize("every", ["0", "-2"])
+def test_embed_train_log_every_below_1_is_a_usage_error(tmp_path, capsys, every):
+    kb = embed_fixture(tmp_path)
+    model = tmp_path / "m.tsv"
+    assert main(["embed", "train", kb, "--model", str(model), "--log-every", every]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"--log-every must be at least 1, got {every}\n"
+    assert not model.exists()
 
 
 def test_embed_train_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

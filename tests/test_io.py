@@ -244,6 +244,48 @@ def test_turtle_warning_on_prefix_redefinition():
     assert report.warnings[0][0] == 2
 
 
+@pytest.mark.parametrize("keyword", ["PREFIX", "prefix", "Prefix"])
+def test_turtle_sparql_style_prefix_reads_like_at_prefix(keyword):
+    # RDF 1.1 Turtle, section 6.5: `PREFIX` in any case, and no '.'
+    body = "e:x e:p ns:y .\n"
+    at = f"@prefix e: <{EDU}> .\n@prefix ns: <{NS}> .\n{body}@prefix e: <{NS}> .\n{body}"
+    sparql = f"{keyword} e: <{EDU}>\n# a comment\n{keyword} ns: <{NS}>\n{body}{keyword} e: <{NS}>\n{body}"
+    expected, report = parse_turtle(at), parse_turtle(sparql)
+    assert serialize_ntriples(report.graph) == serialize_ntriples(expected.graph)
+    assert len(report.graph) == 2
+    assert report.prefixes.prefixes() == expected.prefixes.prefixes()
+    assert report.warnings == [(5, f"prefix 'e' redefined from <{EDU}> to <{NS}>")]
+    mixed = parse_turtle(f"@prefix e: <{EDU}> .\n{keyword} ns: <{NS}>\n{body}")
+    assert triples_of(mixed.graph) == {(edu("x"), edu("p"), N("y"))}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"PREFIX e: <{EDU}> .\n", "unexpected '.' after a PREFIX directive at line 1, column 33"),
+        (f"prefix e: <{EDU}>\n.\n", "unexpected '.' after a prefix directive at line 2, column 1"),
+        ("PREFIX e: e:x\n", "expected 'iriref', got 'e:x' at line 1, column 11"),
+        ("PREFIX\n", "expected 'prefix:' after PREFIX at line 2, column 1"),
+        (f"PREFIX e: <{EDU}> PREFIX\n", "expected 'prefix:' after PREFIX at line 2, column 1"),  # a directive follows one
+        # where no statement starts, PREFIX stays the unexpected token it was
+        (":x PREFIX :y .\n", "unexpected token 'PREFIX' at line 1, column 4"),
+        (":x :p :y ; PREFIX :z .\n", "unexpected token 'PREFIX' at line 1, column 12"),
+        (f"PREFIX e: <{EDU}>\ne:x e:p PREFIX .\n", "unexpected token 'PREFIX' at line 2, column 9"),
+    ],
+)
+def test_a_misplaced_or_dotted_sparql_prefix_is_a_located_parse_error(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text)
+    assert str(err.value) == message
+
+
+def test_sparql_prefix_is_only_turtle():
+    with pytest.raises(ParseError, match="^unexpected token 'PREFIX' at line 1, column 1$"):
+        parse_ntriples(f"PREFIX e: <{EDU}>\n")
+    with pytest.raises(ParseError, match="^unexpected token 'prefix' at line 1, column 1$"):
+        parse_term("prefix")
+
+
 def test_parse_report_round_trip_through_ntriples():
     g = parse_turtle(BOY_LISTING).graph
     assert triples_of(parse_ntriples(serialize_ntriples(g))) == triples_of(g)

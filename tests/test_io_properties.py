@@ -441,6 +441,10 @@ ns:r ex:p [ ns:q ex:o ] , ( ex:o "v" ) .
 @example(':a :p "v"^^<> .\n', "ttl")
 @example(':a :p "v"^^<rel> .\n', "ttl")
 @example("<rel> <http://e.x/p> <http://e.x/o> .\n", "nt")
+@example("PREFIX : <http://e.x/>\nprefix e: <http://e.y/>\n:a e:p :b .\n", "ttl")
+@example("PREFIX : <http://e.x/> .\n", "ttl")
+@example(":a PREFIX :b .\n", "ttl")
+@example("PREFIX : <http://e.x/>\n", "nt")
 def test_cli_parse_exits_0_or_2_with_one_positioned_error_line(text, fmt):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, f"doc.{fmt}")
