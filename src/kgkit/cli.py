@@ -340,6 +340,9 @@ def _run(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         if args.command == "embed":
+            if args.log_every is not None and args.action != "train":
+                print("--log-every applies only to embed train", file=sys.stderr)
+                return EXIT_USAGE
             if args.log_every is not None and args.log_every < 1:
                 print(f"--log-every must be at least 1, got {args.log_every}", file=sys.stderr)
                 return EXIT_USAGE

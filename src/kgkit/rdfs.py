@@ -41,7 +41,6 @@ fixpoint drops it.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -111,6 +110,7 @@ class EqualityPartition:
         return term if tid is None else self._graph.term(self.representative_id(tid))
 
 
+@dataclass
 class Closure:
     """A saturated graph plus where each derived triple came from, and the violations found in it.
 
@@ -122,25 +122,16 @@ class Closure:
     is a view of `work.equality`, which only an OWL closure has.  A closure
     that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
     never changes it, and a later saturation of the grown base builds a new one.
-
-    The base caches its closures, so a closure refers to the base only
-    weakly (`base`) and keeps the two containers `_asserted` reads, which
-    only grow on a base graph: reference counting frees a dropped graph
-    with its closures, and a closure a caller holds keeps its answers.
     """
 
-    def __init__(self, base: Graph, work: Graph, derivations: IdDerivations,
-                 violations: IdViolations | None = None, profile: str = "rdfs"):
-        self._base = weakref.ref(base)
-        self._base_terms, self._base_triples = base._id_to_term, base._triples
-        self.work, self.derivations, self.profile = work, derivations, profile
-        self.violations: IdViolations = set() if violations is None else violations
-        self._versions = (base.version, work.version)  # what saturation closed
+    base: Graph
+    work: Graph
+    derivations: IdDerivations
+    violations: IdViolations = field(default_factory=set)
+    profile: str = "rdfs"
 
-    @property
-    def base(self) -> Graph | None:
-        """The saturated graph while it lives, and None once it is freed."""
-        return self._base()
+    def __post_init__(self):
+        self._versions = (self.base.version, self.work.version)  # what saturation closed
 
     @classmethod
     def _prepare(cls, work: Graph) -> None:
@@ -165,8 +156,8 @@ class Closure:
     @cached_property
     def _asserted(self) -> set[IdTriple]:
         """The base's triples when it was saturated, in the ids of `work`."""
-        ids = list(map(self.work._term_to_id.get, self._base_terms))  # a term interned since is in no such triple
-        return {(ids[s], ids[p], ids[o]) for s, p, o in islice(self._base_triples, self._versions[0])}
+        ids = list(map(self.work._term_to_id.get, self.base._id_to_term))  # a term interned since is in no such triple
+        return {(ids[s], ids[p], ids[o]) for s, p, o in islice(self.base._triples, self._versions[0])}
 
     @cached_property
     def _derived_ids(self) -> dict[IdTriple, IdTriple]:

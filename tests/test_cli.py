@@ -671,6 +671,24 @@ def test_embed_train_log_every_below_1_is_a_usage_error(tmp_path, capsys, every)
     assert not model.exists()
 
 
+@pytest.mark.parametrize("every", ["0", "5"])
+@pytest.mark.parametrize(
+    "action",
+    [["eval", "--test", "{kb}"], ["predict", "--head", f"{EDU}n0", "--relation", f"{EDU}next"]],
+    ids=["eval", "predict"],
+)
+def test_embed_log_every_outside_train_is_a_usage_error(tmp_path, capsys, action, every):
+    kb, model, _ = _eval_fixture(tmp_path)
+    command, *rest = action
+    argv = ["embed", command, kb, "--model", model, *(arg.format(kb=kb) for arg in rest)]
+    capsys.readouterr()
+    assert main(argv) == 0  # the same call runs without the flag
+    capsys.readouterr()
+    assert main(argv + ["--log-every", every]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "--log-every applies only to embed train\n"
+
+
 def test_embed_train_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     from kgkit import embeddings
 

@@ -1,4 +1,3 @@
-import gc
 import inspect
 import itertools
 import json
@@ -6,7 +5,6 @@ import random
 import re
 import sys
 import threading
-import weakref
 from unittest import mock
 
 import pytest
@@ -32,7 +30,6 @@ from kgkit import (
     retrieve_instances,
     saturate_owl,
     saturate_rdfs,
-    serialize_ntriples,
     subsumes,
     vocab,
 )
@@ -1046,51 +1043,6 @@ def test_closures_handed_out_are_snapshots(monkeypatch):
     assert saturate_owl(h)[0] is c4 and c4.work.equality is equality
     assert classes() == before
     assert c4.partition.representative(edu("c")) == edu("a") and c4.partition.representative(edu("b")) == edu("b")
-
-
-def test_a_dropped_graph_and_its_closures_need_no_cyclic_collection():
-    def parse_reason_and_drop() -> weakref.ref:
-        g = parse_turtle(serialize_ntriples(_pets_kb())).graph
-        saturate_rdfs(g)
-        saturate_owl(g)
-        g.add(edu("Felix"), vocab.RDF_TYPE, edu("Cat"))
-        saturate_rdfs(g)  # each profile resumes from the new triple
-        saturate_owl(g)
-        assert check_instance(g, edu("Felix"), edu("Carnivore")) is InstanceCheck.ENTAILED
-        assert check_instance(g, edu("Pumpkin"), edu("Herbivore")) is InstanceCheck.INCONSISTENT_IF_ASSERTED
-        assert is_satisfiable(g, edu("Cat")) and not is_satisfiable(g, edu("Chimera"))
-        q, _ = parse_query(f"SELECT ?x\n?x a <{EDU}Carnivore>\n")
-        assert [len(query(g, q, regime)) for regime in ("none", "rdfs", "owl")] == [1, 3, 3]
-        return weakref.ref(g)
-
-    gc.collect()
-    gc.disable()
-    try:
-        dropped = parse_reason_and_drop()
-        assert dropped() is None  # freed by reference counting on return
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
-def _contradictory_pets_kb() -> Graph:
-    g = _pets_kb()
-    g.add(edu("Pumpkin"), vocab.RDF_TYPE, edu("Herbivore"))
-    return g
-
-
-def test_an_owl_closure_held_after_its_graph_is_dropped_keeps_its_answers():
-    g = _contradictory_pets_kb()
-    alive, _ = saturate_owl(g)
-    held, _ = saturate_owl(_contradictory_pets_kb())  # nothing else holds this graph, so reference counting frees it here
-    assert held.base is None and alive.base is g
-    assert held.derived and held.derived == alive.derived
-    assert held.provenance == alive.provenance
-    assert held.report and held.report == alive.report
-    terms = {x for t in closure_triples(alive) for x in t}
-    representatives = {x: held.partition.representative(x) for x in terms}
-    assert representatives == {x: alive.partition.representative(x) for x in terms}
-    assert representatives[edu("Thomas")] == representatives[edu("Tom")]
 
 
 def test_reasoning_tasks_on_an_unchanged_graph_saturate_once_per_profile_and_never_copy_to_probe(monkeypatch):
