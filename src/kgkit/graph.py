@@ -8,7 +8,11 @@ predicates of POS.  The fixpoint's rules read the index sets directly
 through small id accessors (`objects`, `subjects`, `pairs`, `lacking`),
 which `Overlay` answers from both of its layers.  Mutation is
 single-writer; readers should work on a `copy()` when the original may
-still change.
+still change.  A copy is copy-on-write: it and its original share their
+index entries (each subject's SPO entry and each POS set) until one side
+writes to an entry, and that side copies the entry first.  Each graph
+records the entries it owns since its last copy; a graph never copied
+owns them all and inserts as if no copy existed.
 
 On the read path terms become ids once, at the edge: `_pattern_ids`
 looks a pattern's constants up for `contains`, `match_terms`, `match`,
@@ -29,6 +33,7 @@ form replaces it (`_remove_ids`).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import filterfalse
 from typing import AbstractSet, Callable, Iterable, Iterator
 
@@ -56,6 +61,11 @@ class Graph:
         self._triples: dict[IdTriple, None] = {}  # insertion order: see `version`
         self._spo: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
+        # what this graph owns of its index entries since its last `copy`: the
+        # subjects of its SPO entries, and for each predicate the objects of its
+        # POS sets; None owns every entry, as no copy shares one
+        self._owned: set[int] | None = None
+        self._owned_pos: defaultdict[int, set[int]] | None = None
         self._closures: dict[str, "Closure"] = {}  # profile -> the closure of the graph at some version (`rdfs._saturate`)
 
     # -- dictionary ----------------------------------------------------
@@ -123,18 +133,33 @@ class Graph:
             return False
         s, p, o = t
         self._triples[t] = None
-        # build an inner dict or set only when it is missing
+        # build an inner dict or set only when it is missing; after a copy,
+        # copy an entry the copy shares before the first write to it
+        owned = self._owned
         by_p = self._spo.get(s)
         if by_p is None:
             self._spo[s] = {p: {o}}
-        elif (os_ := by_p.get(p)) is None:
-            by_p[p] = {o}
+            if owned is not None:
+                owned.add(s)
         else:
-            os_.add(o)
+            if owned is not None and s not in owned:
+                owned.add(s)
+                by_p = self._spo[s] = {q: set(os_) for q, os_ in by_p.items()}
+            if (os_ := by_p.get(p)) is None:
+                by_p[p] = {o}
+            else:
+                os_.add(o)
         by_o = self._pos.get(p)
         if by_o is None:
             self._pos[p] = {o: {s}}
-        elif (ss := by_o.get(o)) is None:
+            if owned is not None:
+                self._owned_pos[p] = {o}
+            return True
+        ss = by_o.get(o)
+        if owned is not None and o not in (mine := self._owned_pos[p]):
+            mine.add(o)
+            by_o[o] = {s} if ss is None else ss | {s}
+        elif ss is None:
             by_o[o] = {s}
         else:
             ss.add(s)
@@ -144,13 +169,20 @@ class Graph:
         """Drop a present triple, and every index entry it leaves empty, so the indexes' keys stay exact."""
         del self._triples[t]
         s, p, o = t
+        owned = self._owned
         by_p = self._spo[s]
+        if owned is not None and s not in owned:  # shared with a copy: own it first
+            owned.add(s)
+            by_p = self._spo[s] = {q: set(os_) for q, os_ in by_p.items()}
         by_p[p].discard(o)
         if not by_p[p]:
             del by_p[p]
             if not by_p:
                 del self._spo[s]
         by_o = self._pos[p]
+        if owned is not None and o not in (mine := self._owned_pos[p]):
+            mine.add(o)
+            by_o[o] = set(by_o[o])
         by_o[o].discard(s)
         if not by_o[o]:
             del by_o[o]
@@ -201,12 +233,24 @@ class Graph:
         return set(self._triples)
 
     def copy(self) -> "Graph":
+        """A graph with the same triples and terms, which either side may change without the other seeing it.
+
+        The copy shares its index entries with this graph: each subject's
+        SPO entry, and each POS set (each predicate's dict of POS sets is
+        copied).  From then on neither side owns a shared entry, and each
+        copies one before its first write to it (`insert_ids`,
+        `_remove_ids`), so a copy costs little more than copying the triple
+        list and the term dictionary.  A set that `objects` or `subjects`
+        handed out never changes when the other side writes.
+        """
         g = Graph(base=self.base)
         g._term_to_id = dict(self._term_to_id)
         g._id_to_term = list(self._id_to_term)
         g._triples = dict(self._triples)
-        g._spo = {s: {p: set(os) for p, os in ps.items()} for s, ps in self._spo.items()}
-        g._pos = {p: {o: set(ss) for o, ss in os.items()} for p, os in self._pos.items()}
+        g._spo = dict(self._spo)
+        g._pos = {p: dict(by_o) for p, by_o in self._pos.items()}
+        self._owned, self._owned_pos = set(), defaultdict(set)
+        g._owned, g._owned_pos = set(), defaultdict(set)
         if self.equality is not None:
             g.equality = self.equality.copy()
         return g
@@ -366,9 +410,10 @@ class Overlay:
     vocabulary's).  Serves the part of the `Graph` API that saturation and
     violation detection use, so a fixpoint can resume on top of a shared
     closure without copying it.  Probes (`owl._breaks`) use an overlay
-    because a copy costs as much as a whole probe: copying just the triple
-    list of a 6,419-triple closure takes about 28 µs on a 2-core machine,
-    and an overlay probe of it about 31 µs.  A triple of `under` cannot be removed: when a merge
+    because even a copy-on-write copy costs more than a whole probe: on a
+    2-core machine, copying a 6,419-triple closure takes about 69 µs (28 µs
+    of it the triple list), and a whole `check_instance` through an overlay
+    about 47 µs.  A triple of `under` cannot be removed: when a merge
     of sameAs classes rewrites one, its old form stays below its
     representative form (see `owl._Equality`).
     """

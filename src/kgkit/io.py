@@ -5,15 +5,17 @@ use: @prefix and the SPARQL-style PREFIX, qnames, 'a' for rdf:type, ';'
 and ',' continuation lists, '[ ... ]' anonymous nodes (one that holds a predicate may be a whole
 statement, as AllDifferent axioms are written), '( ... )' collections (expanded into
 rdf:first/rdf:rest chains ending at rdf:nil), plain, typed and
-language-tagged literals, and the numeric and boolean shorthand (42,
+language-tagged literals in any of Turtle's four string forms (a long
+one may span lines), and the numeric and boolean shorthand (42,
 -7, 1.5, .5, 1e3, true, false as xsd:integer, decimal, double and boolean
 literals).  Serialization is canonical N-Triples: one sorted line per
 triple, byte-identical across runs for equal graphs.
 
 Every text reader (the N-Triples lines that are not of the common
 shape, Turtle, `parse_term` and query patterns) reads the one scanner's
-(kind, value, offset) tuples.  The scanner, the term functions and the
-Turtle reader raise a fault at an offset into the scanned text (nesting
+(kind, value, offset) tuples; Turtle's also reads its other string
+forms.  The scanner, the term functions and the Turtle reader raise a
+fault at an offset into the scanned text (nesting
 too deep for the recursive Turtle reader is one); each reader turns the
 offset into a line and column once, where it raises the ParseError.  The
 Turtle reader memoizes terms by token text for one parse and interns
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Collection
 
 from . import vocab
@@ -77,35 +80,64 @@ _IRI_EXCLUDED = r"""\x00-\x20<>"{}|^`\\"""  # RDF 1.1 N-Triples IRIREF: the char
 _IRI_CHAR = rf"[^{_IRI_EXCLUDED}]"
 _IRI_BODY = rf"{_IRI_CHAR}*(?:{_UCHAR}{_IRI_CHAR}*)*"
 _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
+# RDF 1.1 Turtle, section 6.4: Turtle alone also reads 'x', '''x''' and
+# """x""".  A long string may span lines, and holds a run of one or two of
+# its quotes wherever a third does not follow.
+_SINGLE_BODY = rf"[^'\\\n]*(?:{_ESCAPE}[^'\\\n]*)*"
+_LONG_BODIES = {q: rf"[^{q}\\]*(?:(?:{_ESCAPE}|{q}{{1,2}}(?!{q}))[^{q}\\]*)*" for q in "\"'"}
+_WORD_CHAR = r'[^\s.;,()\[\]<>"^@]'
+
 
 # Whitespace and comments, then one alternative per token kind; a match
 # that reaches the end of the text may hold no token, and none starts
-# there.  Only the leading `skip` can hold a newline, so every token lies
-# on one line.  `bad` takes the one character that starts no well-formed
+# there.  Only the leading `skip` and a Turtle long string can hold a
+# newline.  `bad` takes the one character that starts no well-formed
 # token (an unterminated or badly escaped IRI or literal, a character
 # IRIREF excludes, a lone '^', '>', or whitespace other than space, tab,
 # CR and LF); `_malformed` then names the fault.  A '.' before a digit
 # starts a word (a number such as .5 or .5e3), so `word` comes before
 # `punct`; one between label characters stays in a blank node label, and
-# any other '.' outside a word is punctuation.
-_SCANNER = re.compile(
-    rf"""
-    (?=.)
-    (?P<skip>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
-    (?:
-      <(?P<iriref>{_IRI_BODY})>
-    | "(?P<string>{_STRING_BODY})"
-    | @(?P<at>(?:[^\W_]|-)*)
-    | (?P<hathat>\^\^)
-    | _:(?P<blank>(?:{_BLANK_LABEL})?)
-    | (?P<word>(?:[^\s.;,()\[\]<>"^@]+|\.(?=[0-9])[^\s.;,()\[\]<>"^@]*)(?:\.(?=[^\s;,()\[\]])[^\s.;,()\[\]<>"^@]*)*)
-    | (?P<punct>[.;,\[\]()])
-    | (?P<bad>.)
-    )?
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-_BODIES = {"<": (re.compile(rf"[^>\\\n]*(?:{_UCHAR}[^>\\\n]*)*"), "IRI"), '"': (re.compile(_STRING_BODY), "literal")}
+# any other '.' outside a word is punctuation.  Turtle's scanner also
+# reads its other string forms, quotes and all (`quoted`); the opening
+# quotes of a malformed one (`unclosed`) are a fault, as `bad` is.  They
+# come last, so that no other token pays for them: in Turtle a "-quoted
+# string does not open at three quotes, and a word does not start with a
+# quote.  In every other reader `"""x"""` stays three strings and `'x'` a
+# word.
+@cache
+def _scanner(turtle: bool) -> re.Pattern:
+    """The scanner of N-Triples, terms and query patterns, or, given `turtle`, of Turtle; each is compiled on first use."""
+    no_long, word_start, strings = "", _WORD_CHAR + "+", ""
+    if turtle:
+        no_long, word_start = '(?!"")', rf"""[^\s.;,()\[\]<>"^@']{_WORD_CHAR}*"""
+        quoted = [q * 3 + body + q * 3 for q, body in _LONG_BODIES.items()] + [f"'(?!''){_SINGLE_BODY}'"]
+        strings = f"| (?P<quoted>{'|'.join(quoted)}) | (?P<unclosed>\"\"\"|'''|')"
+    return re.compile(
+        rf"""
+        (?=.)
+        (?P<skip>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+        (?:
+          <(?P<iriref>{_IRI_BODY})>
+        | "{no_long}(?P<string>{_STRING_BODY})"
+        | @(?P<at>(?:[^\W_]|-)*)
+        | (?P<hathat>\^\^)
+        | _:(?P<blank>(?:{_BLANK_LABEL})?)
+        | (?P<word>(?:{word_start}|\.(?=[0-9]){_WORD_CHAR}*)(?:\.(?=[^\s;,()\[\]]){_WORD_CHAR}*)*)
+        | (?P<punct>[.;,\[\]()])
+        {strings}
+        | (?P<bad>.)
+        )?
+        """,
+        re.VERBOSE | re.DOTALL,
+    )
+
+
+_BODIES = {  # the opener of each token `_malformed` names a fault in: its body, and what the token is
+    "<": (re.compile(rf"[^>\\\n]*(?:{_UCHAR}[^>\\\n]*)*"), "IRI"),
+    '"': (re.compile(_STRING_BODY), "literal"),
+    "'": (re.compile(_SINGLE_BODY), "literal"),
+    **{q * 3: (re.compile(body), "literal") for q, body in _LONG_BODIES.items()},
+}
 _ESCAPE_RE = re.compile(_ESCAPE)
 _LOCAL_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
 # RDF 1.1 Turtle, section 6.5: INTEGER, DECIMAL, DOUBLE and BooleanLiteral
@@ -159,10 +191,11 @@ def _malformed(text: str, start: int) -> tuple[str, int]:
     c = text[start]
     if c == "^":
         return "expected '^^'", start
-    if c not in _BODIES:
+    opener = text[start : start + 3] if text.startswith(('"""', "'''"), start) else c
+    if opener not in _BODIES:
         return f"unexpected character {c!r}", start
-    body, what = _BODIES[c]
-    stop = body.match(text, start + 1).end()
+    body, what = _BODIES[opener]
+    stop = body.match(text, start + len(opener)).end()
     if stop >= len(text):
         return f"unterminated {what}", start
     if text[stop] == "\n":
@@ -183,14 +216,16 @@ def _scan(text: str, turtle: bool = False) -> list[tuple[str, str, int]]:
     """The tokens of `text` as (kind, value, offset) tuples, ending with an EOF token.
 
     Escapes are decoded and each kind is resolved here; a malformed token
-    raises a `_Fault` at its offset.  Given `turtle`, the word `PREFIX`
-    in any case is a PREFIX token where a statement starts: first, after a
-    '.', or after another PREFIX directive's three tokens.  Elsewhere, and
-    in every other reader, it is an unexpected token, as any other bare word.
+    raises a `_Fault` at its offset.  Given `turtle`, the other string
+    forms ('x', '''x''' and its double-quoted twin) are STRING tokens too,
+    and the word `PREFIX` in any case is a PREFIX token where a statement
+    starts: first, after a '.', or after another PREFIX directive's three
+    tokens.  Elsewhere, and in every other reader, it is an unexpected
+    token, as any other bare word.
     """
     tokens: list[tuple[str, str, int]] = []
     append = tokens.append
-    for m in _SCANNER.finditer(text):
+    for m in _scanner(turtle).finditer(text):
         kind = m.lastgroup
         if kind == "skip":
             continue
@@ -229,6 +264,12 @@ def _scan(text: str, turtle: bool = False) -> list[tuple[str, str, int]]:
             append((AT_PREFIX if value == "prefix" else LANGTAG, value, start))
         elif kind == "hathat":
             append((HATHAT, value, start))
+        elif kind == "quoted":
+            q = 3 if value.startswith(('"""', "'''")) else 1
+            value = value[q:-q]
+            if "\\" in value:
+                value = _unescape(value, start + q)
+            append((STRING, value, start))
         else:
             raise _Fault(*_malformed(text, start))
     append((EOF, "", len(text)))

@@ -525,7 +525,7 @@ def _saturate(graph: Graph, profile: str, rules: list[Rule], kind: type[Closure]
     if closure is None:
         work = graph.copy()
         kind._prepare(work)
-        derivations, violations = _fixpoint(work, rules, work.triple_ids())
+        derivations, violations = _fixpoint(work, rules, work._triples)
     elif closure._versions[0] == graph.version:
         return closure
     else:

@@ -195,6 +195,42 @@ NOT { ?x edu:contains_allergen edu:gluten }
 """
 
 
+def pets_updates() -> tuple[Graph, list[list[Triple]], list[Triple]]:
+    """A small KB, three updates to resume it by, and the triples a write to it after a fresh saturation adds.
+
+    The second update merges sameAs classes whose members already have
+    triples, and the third merges two classes, so an OWL resume rewrites
+    (drops and re-adds) triples of a copied closure.  The late writes reuse
+    subjects, predicates and (predicate, object) entries the KB has.
+    """
+    g = Graph()
+    for s, p, o in [
+        ("Cat", vocab.RDFS_SUBCLASSOF, "Animal"), ("Tom", vocab.RDF_TYPE, "Cat"), ("Tom", "likes", "Fish"),
+        ("Felix", vocab.RDF_TYPE, "Cat"), ("Thomas", "age", "Three"), ("hasPet", vocab.RDFS_DOMAIN, "Person"),
+        ("hasPet", vocab.RDFS_RANGE, "Animal"), ("Ann", "hasPet", "Tom"), ("Bob", "hasPet", "Felix"),
+    ]:
+        g.add(edu(s), p if isinstance(p, IRI) else edu(p), edu(o))
+    updates = [
+        [Triple(edu("Kitten"), vocab.RDFS_SUBCLASSOF, edu("Cat")), Triple(edu("Kit"), vocab.RDF_TYPE, edu("Kitten"))],
+        [Triple(edu("Tom"), vocab.OWL_SAMEAS, edu("Thomas")), Triple(edu("Kit"), vocab.OWL_SAMEAS, edu("Felix"))],
+        [Triple(edu("Thomas"), vocab.OWL_SAMEAS, edu("Felix")), Triple(edu("Cy"), edu("hasPet"), edu("Kit"))],
+    ]
+    late = [
+        Triple(edu("Tom"), vocab.RDF_TYPE, edu("Kitten")), Triple(edu("Dot"), vocab.RDF_TYPE, edu("Cat")),
+        Triple(edu("Ann"), edu("hasPet"), edu("Felix")), Triple(edu("Cat"), vocab.RDFS_SUBCLASSOF, edu("Pet")),
+    ]
+    return g, updates, late
+
+
+def closure_state(closure) -> tuple:
+    """What a closure answers from its `work`: the triples in order, every `match_ids` pattern of one or two of their ids, `derived` and `report`."""
+    work = closure.work
+    triples = list(work._triples)
+    patterns = {pattern for s, p, o in triples for pattern in
+                [(s, None, None), (None, p, None), (None, None, o), (s, p, None), (s, None, o), (None, p, o)]}
+    return triples, {pattern: sorted(work.match_ids(*pattern)) for pattern in patterns}, closure.derived, closure.report
+
+
 # ---------------------------------------------------------------------------
 # Synthetic embedding graph: containment hierarchy with an inverse relation
 # ---------------------------------------------------------------------------

@@ -709,7 +709,7 @@ def _oracle_qname_escapes(tok: _Token, after: str) -> None:
         i += 1
 
 
-def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
+def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
     line = start_line
@@ -779,6 +779,24 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
                 raise excluded
             advance()  # '>'
             tokens.append(_Token(IRIREF, "".join(buf), tline, tcol))
+        elif turtle and (c == "'" or text.startswith('"' * 3, i)):
+            # extension: Turtle's other string forms (RDF 1.1 Turtle, section 6.4); the first
+            # closing quote, or run of three, ends one, and only a long one may hold a newline
+            quote = c * 3 if text.startswith(c * 3, i) else c
+            advance(len(quote))
+            buf = []
+            while i < n and not text.startswith(quote, i):
+                if text[i] == "\\":
+                    buf.append(read_escape())
+                elif text[i] == "\n" and quote == c:
+                    raise ParseError("newline inside literal", tline, tcol)
+                else:
+                    buf.append(text[i])
+                    advance()
+            if i >= n:
+                raise ParseError("unterminated literal", tline, tcol)
+            advance(len(quote))
+            tokens.append(_Token(STRING, "".join(buf), tline, tcol))
         elif c == '"':
             advance()
             buf = []
@@ -868,8 +886,9 @@ def oracle_tokenize(text: str, start_line: int = 1) -> list[_Token]:
 # own token; a relative or empty datatype IRI is an error at its token; the
 # numeric and boolean shorthand reads as XSD-typed literals; a '.' before a
 # digit starts a number, and one before a label character stays in a blank
-# node label (both in `oracle_tokenize`); a non-empty `[ ... ]` may be a
-# whole statement; and an @prefix token after a string is its language tag.
+# node label, and 'x', '''x''' and its double-quoted twin are strings (all
+# three in `oracle_tokenize`); a non-empty `[ ... ]` may be a whole
+# statement; and an @prefix token after a string is its language tag.
 
 
 def _oracle_is_absolute(iri: str) -> bool:
@@ -936,7 +955,7 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
 
 class _OracleTurtleParser:
     def __init__(self, text: str):
-        self.tokens = oracle_tokenize(text)
+        self.tokens = oracle_tokenize(text, turtle=True)
         self.pos = 0
         self.graph = Graph()
         self.prefixes = PrefixMap.common()

@@ -8,6 +8,7 @@ from kgkit import (
     ParseError,
     Triple,
     parse_ntriples,
+    parse_query,
     parse_term,
     parse_turtle,
     serialize_ntriples,
@@ -469,3 +470,69 @@ def test_a_dot_after_a_blank_node_label_still_ends_the_statement():
     with pytest.raises(ParseError) as err:
         parse_ntriples("_:a <http://e.x/p> _:b.. \n")
     assert str(err.value) == "trailing content after '.' at line 1, column 24"
+
+
+# RDF 1.1 Turtle, section 6.4: 'x', '''x''' and """x""" read as "x" does, in Turtle only
+TURTLE_STRINGS = (
+    ":x :p 'v' , 'it\\'s'@en , '''it's'''^^xsd:string .\n"
+    ':y :p """say "hi" or ""bye"" """ , """two\nlines"""@en-GB , \'\'\'\'\'\' , "" .\n'
+)
+
+
+def test_turtle_string_forms_round_trip_through_ntriples():
+    g = parse_turtle(TURTLE_STRINGS).graph
+    assert triples_of(g) == {
+        (N("x"), N("p"), Literal("v")),
+        (N("x"), N("p"), Literal("it's", language="en")),
+        (N("x"), N("p"), Literal("it's", datatype=XSD + "string")),
+        (N("y"), N("p"), Literal('say "hi" or ""bye"" ')),
+        (N("y"), N("p"), Literal("two\nlines", language="en-GB")),
+        (N("y"), N("p"), Literal("")),
+    }
+    text = serialize_ntriples(g)
+    assert '"two\\nlines"@en-GB' in text
+    assert triples_of(parse_ntriples(text)) == triples_of(g)
+    assert serialize_ntriples(parse_ntriples(text)) == text
+    assert triples_of(oracle_parse_turtle(TURTLE_STRINGS).graph) == triples_of(g)
+
+
+def test_a_long_string_moves_the_lines_of_what_follows():
+    with pytest.raises(ParseError, match="^unexpected token 'oops' at line 3, column 5$"):
+        parse_turtle(':x :p """a\nb\n""" oops .\n')
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        (":x :p 'v .", "unterminated literal", 7),
+        (":x :p 'v\n' .", "newline inside literal", 7),
+        (":x :p '''v'' .", "unterminated literal", 7),
+        (':x :p """v\n"" .', "unterminated literal", 7),
+        (":x :p 'a\\qb' .", "unknown escape \\q", 9),
+        (':x :p """a\\qb""" .', "unknown escape \\q", 11),
+        (":x :p '''\\u12''' .", "bad \\u escape", 10),
+    ],
+)
+def test_a_malformed_turtle_string_is_a_parse_error_at_its_fault(text, message, column):
+    for parse in (parse_turtle, oracle_parse_turtle):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} at line 1, column {column}"
+
+
+@pytest.mark.parametrize(
+    "obj, message, column",
+    [
+        ("'x'", "unexpected token \"'x'\"", 31),
+        ('"""x"""', "expected '.' terminating the triple", 33),
+        ("'''it's'''", "unexpected token \"'''it's'''\"", 31),
+        ('"""a\nb"""', "unterminated literal", 33),
+    ],
+)
+def test_ntriples_and_query_patterns_keep_rejecting_the_turtle_string_forms(obj, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(f"<http://e.x/a> <http://e.x/p> {obj} .\n")
+    assert str(err.value) == f"{message} at line 1, column {column}"
+    with pytest.raises(ParseError) as err:
+        parse_query(f"<http://e.x/a> <http://e.x/p> {obj}")
+    assert (err.value.line, err.value.column) == (1, column)

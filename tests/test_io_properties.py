@@ -56,7 +56,7 @@ from oracles import (
 )
 
 
-def scan_with_positions(text: str, start_line: int = 1):
+def scan_with_positions(text: str, start_line: int = 1, turtle: bool = False):
     """`_scan`'s tokens, or its fault, with each offset turned into a line and column; the first line is `start_line`."""
 
     def position(offset: int) -> tuple[int, int]:
@@ -64,15 +64,15 @@ def scan_with_positions(text: str, start_line: int = 1):
         return start_line - 1 + line, column
 
     try:
-        tokens = _scan(text)
+        tokens = _scan(text, turtle)
     except _Fault as fault:
         raise fault.at(*position(fault.offset)) from None
     return [(k, v, *position(off)) for k, v, off in tokens]
 
 
-def outcome(tokenize, text: str, start_line: int = 1):
+def outcome(tokenize, text: str, start_line: int = 1, turtle: bool = False):
     try:
-        return ("tokens", tokenize(text, start_line))
+        return ("tokens", tokenize(text, start_line, turtle))
     except ParseError as exc:
         return ("error", str(exc), exc.line, exc.column)
 
@@ -97,23 +97,33 @@ MALFORMED = [
 ALPHABET = '<>"@^_:.;,()[]# \t\r\n\\abeuxU0123456789fF-é☃ '
 
 
+# Turtle's other string forms (RDF 1.1 Turtle, section 6.4): 'x', '''x''' and
+# its double-quoted twin, long ones holding newlines and runs of their
+# quotes, and each way one of them is malformed
+TURTLE_STRINGS = [
+    "'v'", "''", "'it\\'s'", "'\\u00e9\"'", "'''it's'''", "''''''", "'''a\nb'''", "'''x''y'''",
+    '"""v"""', '""""""', '"""a\nb"""', '"""say "hi" ""twice"" """', '"""q\\""""', "'''\\U0001F600'''",
+]
+TURTLE_MALFORMED = ["'v", "'v\n'", "'''v''", '"""v""', '"""v', "'\\q'", '"""\\u12"""', "'''", '"""', "''''"]
+
+
 @st.composite
-def documents(draw):
+def documents(draw, tokens=TOKENS, malformed=MALFORMED, alphabet=ALPHABET):
     """Tokens and separators, with at most one malformed piece or random snippet spliced in."""
-    pieces = draw(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEPARATORS)), max_size=14))
+    pieces = draw(st.lists(st.tuples(st.sampled_from(tokens), st.sampled_from(SEPARATORS)), max_size=14))
     text = "".join(token + sep for token, sep in pieces)
-    extra = draw(st.one_of(st.just(""), st.sampled_from(MALFORMED), st.text(alphabet=ALPHABET, max_size=8)))
+    extra = draw(st.one_of(st.just(""), st.sampled_from(malformed), st.text(alphabet=alphabet, max_size=8)))
     at = draw(st.integers(min_value=0, max_value=len(text)))
     return text[:at] + extra + text[at:]
 
 
-def assert_same_as_oracle(text: str, start_line: int = 1) -> None:
+def assert_same_as_oracle(text: str, start_line: int = 1, turtle: bool = False) -> None:
     try:
-        expected = outcome(oracle_tokenize, text, start_line)
+        expected = outcome(oracle_tokenize, text, start_line, turtle)
     except ValueError:
         # the per-character tokenizer crashed on a \U escape beyond U+10FFFF
         assume(False)
-    assert outcome(scan_with_positions, text, start_line) == expected
+    assert outcome(scan_with_positions, text, start_line, turtle) == expected
 
 
 @settings(max_examples=500)
@@ -122,6 +132,14 @@ def assert_same_as_oracle(text: str, start_line: int = 1) -> None:
 @example("@prefix ex: <http://e.x/> .\nex:a a ex:B ; ex:p ( ex:c ex:d.e ) , [ ex:q ex:r ] .\n", 3)
 def test_scanner_matches_the_per_character_tokenizer(text, start_line):
     assert_same_as_oracle(text, start_line)
+
+
+@settings(max_examples=500)
+@given(documents(TOKENS + TURTLE_STRINGS, MALFORMED + TURTLE_MALFORMED, ALPHABET + "'"), st.integers(min_value=1, max_value=5))
+@example(":a :p '''a\n'b''c''' ; :q \"\"\"x\"\"\"\"\"\" .", 2)
+@example("'x' '''y\n'''@en \"\"\"\"\"\"\" ''", 1)
+def test_turtle_scanner_matches_the_per_character_tokenizer(text, start_line):
+    assert_same_as_oracle(text, start_line, turtle=True)
 
 
 @pytest.mark.parametrize(
@@ -321,7 +339,8 @@ TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1",
 TTL_OBJECTS = TTL_SUBJECTS[0] + [
     "<http://e.x/b#c>", '"v"', '"w\\n"', '"v"@en', '"v"@en-GB', '"v"@prefix', '"v"^^<http://e.x/dt>', '"v"^^xsd:string',
     '"v"^^ex:dt', "42", "-7", "+1.5", "1e3", "1.E-2", "true", "false", ".5", ".5e3",
-], TTL_SUBJECTS[1][:5] + ['"v"^^<rel>', '"v"^^<>', '"v"^^geo:t', '"v"^^42', '"v"^^e:', "(", "[ ]]"]
+    "'v'", "'v'@en", "'''it's'''^^xsd:string", '"""v"""', '"""a\nb"""@en', "''",
+], TTL_SUBJECTS[1][:5] + ['"v"^^<rel>', '"v"^^<>', '"v"^^geo:t', '"v"^^42', '"v"^^e:', "(", "[ ]]", "'v", '"""v""']
 TTL_VERBS = ["a", "ex:p", ":q", "<http://e.x/p>", "ns:y", "rdf:type"], ["<rel>", "geo:p", '"p"', "42", "_:p", "[]"]
 
 
@@ -433,7 +452,7 @@ ns:r ex:p [ ns:q ex:o ] , ( ex:o "v" ) .
 
 
 @settings(max_examples=300)
-@given(documents(), st.sampled_from(["nt", "ttl"]))
+@given(documents(TOKENS + TURTLE_STRINGS, MALFORMED + TURTLE_MALFORMED), st.sampled_from(["nt", "ttl"]))
 @example("<http://e.x/a> <http://e.x/p> <> .\n", "nt")
 @example(":a :p <> .\n", "ttl")
 @example('<http://e.x/a> <http://e.x/p> "v"^^<> .\n', "nt")
@@ -445,6 +464,10 @@ ns:r ex:p [ ns:q ex:o ] , ( ex:o "v" ) .
 @example("PREFIX : <http://e.x/> .\n", "ttl")
 @example(":a PREFIX :b .\n", "ttl")
 @example("PREFIX : <http://e.x/>\n", "nt")
+@example(":a :p 'x' , '''it's''' , \"\"\"x\"\"\" , \"\"\"a\nb\"\"\" .\n", "ttl")
+@example('<http://e.x/a> <http://e.x/p> """x""" .\n', "nt")
+@example("<http://e.x/a> <http://e.x/p> 'x' .\n", "nt")
+@example(":a :p '''x .\n", "ttl")
 def test_cli_parse_exits_0_or_2_with_one_positioned_error_line(text, fmt):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, f"doc.{fmt}")

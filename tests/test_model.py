@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgkit import (
     Graph,
@@ -229,6 +231,71 @@ def test_copy_isolated_from_original():
     h.add(edu("c"), edu("p"), edu("d"))
     assert len(g) == 1 and len(h) == 2
     assert not g.contains(Triple(edu("c"), edu("p"), edu("d")))
+
+
+# Copies share index entries until one side writes to them: a random run of
+# inserts, removals and copies (of copies too) must leave every live graph
+# equal to one built afresh from its own triple list.
+_NODE_TERMS = [edu(f"n{i}") for i in range(4)]
+_PREDICATE_TERMS = [edu(f"q{i}") for i in range(3)]
+
+
+def _fresh_graph(triples: list) -> Graph:
+    g = Graph()
+    for term in _NODE_TERMS + _PREDICATE_TERMS:
+        g.intern(term)
+    for t in triples:
+        g.insert_ids(t)
+    return g
+
+
+def _assert_same_graph(g: Graph, expected: Graph, nodes: list[int], predicates: list[int]) -> None:
+    assert list(g._triples) == list(expected._triples)
+    ids = nodes + predicates
+    for s, p, o in itertools.product([None] + nodes, [None] + predicates, [None] + ids):
+        assert sorted(g.match_ids(s, p, o)) == sorted(expected.match_ids(s, p, o)), (s, p, o)
+        assert g.cardinality_ids(s, p, o) == expected.cardinality_ids(s, p, o), (s, p, o)
+    for s, p in itertools.product(nodes, predicates):
+        assert set(g.objects(s, p)) == set(expected.objects(s, p))
+        assert set(g.subjects(p, s)) == set(expected.subjects(p, s))
+    for p in predicates:
+        assert sorted(g.pairs(p)) == sorted(expected.pairs(p))
+        assert g.has_predicate(p) == expected.has_predicate(p)
+    assert g.entities() == expected.entities() and g.relations() == expected.relations()
+
+
+@given(st.lists(st.tuples(st.sampled_from(["insert", "insert", "remove", "copy"]), st.integers(0, 99), st.integers(0, 999)), max_size=40))
+def test_copies_match_graphs_built_from_their_own_triples(steps):
+    first = _fresh_graph([])
+    nodes = [first.lookup(t) for t in _NODE_TERMS]
+    predicates = [first.lookup(t) for t in _PREDICATE_TERMS]
+    universe = list(itertools.product(nodes, predicates, nodes))
+    live = [(first, [])]  # each graph with the triples it should hold, in insertion order
+    for op, which, pick in steps:
+        g, triples = live[which % len(live)]
+        if op == "copy":
+            live.append((g.copy(), list(triples)))
+            continue
+        if op == "remove" and not triples:
+            continue
+        # what the other graphs handed out before this write must not change with it
+        held = [
+            (got, set(got))
+            for h, _ in live if h is not g
+            for s, p in itertools.product(nodes, predicates)
+            for got in (h.objects(s, p), h.subjects(p, s))
+        ]
+        if op == "insert":
+            t = universe[pick % len(universe)]
+            assert g.insert_ids(t) == (t not in triples)
+            if t not in triples:
+                triples.append(t)
+        else:
+            t = triples.pop(pick % len(triples))
+            g._remove_ids(t)
+        assert all(set(got) == before for got, before in held)
+        for h, expected in live:
+            _assert_same_graph(h, _fresh_graph(expected), nodes, predicates)
 
 
 @pytest.mark.parametrize(

@@ -44,8 +44,10 @@ from helpers import (
     EDU,
     NS,
     city_kb,
+    closure_state,
     edu,
     fathers_kb,
+    pets_updates,
     pumpkin_kb,
     random_consistent_owl_graph,
     random_owl_graph,
@@ -1043,6 +1045,38 @@ def test_closures_handed_out_are_snapshots(monkeypatch):
     assert saturate_owl(h)[0] is c4 and c4.work.equality is equality
     assert classes() == before
     assert c4.partition.representative(edu("c")) == edu("a") and c4.partition.representative(edu("b")) == edu("b")
+
+
+def test_closures_stay_snapshots_across_resumes_that_merge_sameas_classes(monkeypatch):
+    # each resume works on a copy that shares the index entries of the closure before it
+    runs = _count_saturations(monkeypatch)
+    g, updates, late = pets_updates()
+    closures = [saturate_owl(g)[0]]
+    states = [closure_state(closures[0])]
+    for batch in updates:
+        for t in batch:
+            g.insert(t)
+        resumed, report = saturate_owl(g)
+        for closure, state in zip(closures, states):
+            assert closure_state(closure) == state
+        fresh, fresh_report = saturate_owl(g.copy())
+        assert closure_triples(resumed) == closure_triples(fresh) == naive_owl_closure(triples_of(g))
+        assert resumed.derived == fresh.derived and report == fresh_report
+        closures.append(resumed)
+        states.append(closure_state(resumed))
+    assert runs == [True, False, True, False, True, False, True]  # each fresh run is the check's copy
+    # the sameAs merges rewrote triples of the copied closures: their old forms left the new closures
+    assert set(closures[1].work._triples) - set(closures[2].work._triples)
+    assert set(closures[2].work._triples) - set(closures[3].work._triples)
+
+    # after a fresh saturation, the input graph copies the entries it shares with the closure before writing
+    h = g.copy()
+    closure = saturate_owl(h)[0]
+    state = closure_state(closure)
+    for t in late:
+        h.insert(t)
+    assert closure_state(closure) == state
+    assert closure_triples(saturate_owl(h)[0]) == naive_owl_closure(triples_of(h))
 
 
 def test_reasoning_tasks_on_an_unchanged_graph_saturate_once_per_profile_and_never_copy_to_probe(monkeypatch):

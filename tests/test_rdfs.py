@@ -8,7 +8,7 @@ from kgkit import BlankNode, Graph, Literal, Triple, ValidationError, entails, s
 from kgkit.rdfs import RDFS_RULES, _fixpoint, fixpoint_stats
 from kgkit.terms import triple_sort_key
 
-from helpers import city_kb, district_kb, edu, random_rdfs_graph, shuffled_batches
+from helpers import city_kb, closure_state, district_kb, edu, pets_updates, random_rdfs_graph, shuffled_batches
 from oracles import closure_triples, naive_rdfs_closure, oracle_rdfs_derived, oracle_rdfs_provenance, triples_of
 
 
@@ -179,6 +179,35 @@ def test_resuming_after_each_shuffled_batch_equals_saturation_from_scratch(seed,
     assert closure_triples(resumed) == closure_triples(fresh) == naive_rdfs_closure(triples_of(source))
     assert resumed.derived == fresh.derived
     assert resumed.report == fresh.report
+
+
+def test_closures_stay_snapshots_across_resumes():
+    # each resume works on a copy that shares the index entries of the closure before it
+    g, updates, late = pets_updates()
+    closures = [saturate_rdfs(g)]
+    states = [closure_state(closures[0])]
+    for batch in updates:
+        for t in batch:
+            g.insert(t)
+        with fixpoint_stats() as runs:
+            resumed = saturate_rdfs(g)
+        assert runs[0].deltas[0] == len(batch)  # resumed from the batch alone
+        for closure, state in zip(closures, states):
+            assert closure_state(closure) == state
+        fresh = saturate_rdfs(g.copy())
+        assert closure_triples(resumed) == closure_triples(fresh) == naive_rdfs_closure(triples_of(g))
+        assert resumed.derived == fresh.derived and resumed.report == fresh.report
+        closures.append(resumed)
+        states.append(closure_state(resumed))
+
+    # after a fresh saturation, the input graph copies the entries it shares with the closure before writing
+    h = g.copy()
+    closure = saturate_rdfs(h)
+    state = closure_state(closure)
+    for t in late:
+        h.insert(t)
+    assert closure_state(closure) == state
+    assert closure_triples(saturate_rdfs(h)) == naive_rdfs_closure(triples_of(h))
 
 
 @settings(max_examples=60)
