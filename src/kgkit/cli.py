@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import gc
 import json
 import os
@@ -249,6 +250,7 @@ _NORMS = ("L1", "L2")  # embeddings.L1 and embeddings.L2, named here so that par
 _STATS_HELP = "print each fixpoint run's rounds, delta sizes and per-rule candidate and new-triple counts on stderr as JSON"
 
 
+@functools.cache  # one per process: a parse makes a new namespace and changes no parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgkit", description="Knowledge-graph toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--format", choices=["nt", "ttl"], default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("infer", help="emit the RDFS or OWL closure")
     p.add_argument("input")
@@ -266,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derived-only", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--stats", action="store_true", help=_STATS_HELP)
-    p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("check", help="consistency check, optionally with competency questions")
     p.add_argument("input")
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--competency", default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true", help=_STATS_HELP)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("query", help="run a query file against a graph")
     p.add_argument("input")
@@ -283,13 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=list(REGIMES), default=None)
     p.add_argument("--tsv", action="store_true", help="TSV output instead of JSON")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("reify", help="turn a CSV into reified relation instances")
     p.add_argument("csv")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reify)
 
     p = sub.add_parser("embed", help="train, evaluate or query a TransE model")
     p.add_argument("action", choices=["train", "eval", "predict"])
@@ -312,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filtered", action="store_true")
     p.add_argument("--per-relation", action="store_true", help="add per-relation metrics to the eval JSON")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_embed)
 
     return parser
 
@@ -352,7 +348,7 @@ def _run(argv) -> int:
             if args.action == "predict" and (args.relation is None or (args.head is None) == (args.tail is None)):
                 print("embed predict needs --relation and exactly one of --head/--tail", file=sys.stderr)
                 return EXIT_USAGE
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call, as the parser outlives it
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

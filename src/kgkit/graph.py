@@ -21,6 +21,7 @@ counting, joins, the sameAs classes, retrieval and realization) runs
 on ids until the answers are turned back into terms.  Every dictionary
 starts with the rules' vocabulary, so `vocab.RULE_TERMS[i]` has id i in
 every graph, mentioned or not; what a graph mentions is read off its indexes.
+A closure's graph gives every term of its base the base's id (`rdfs._saturate`).
 
 Triples are never removed, so a graph's `version`, its number of
 triples, names its state, and the triples after the first v are those

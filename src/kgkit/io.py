@@ -304,7 +304,10 @@ def _iri(tokens, pos: int, prefixes: PrefixMap | None, what: str = "IRI") -> IRI
     try:
         if tok[0] == IRIREF:
             return IRI(tok[1])
-        return prefixes.expand(_local_escapes(tokens, pos) if "\\" in tok[1] else tok[1])
+        qname = _local_escapes(tokens, pos) if "\\" in tok[1] else tok[1]
+        if "'" in qname and "'" in _LOCAL_ESCAPE.sub("", tok[1]):  # PN_PREFIX and PN_LOCAL exclude it unescaped
+            raise _Fault(f"unescaped ' in qname {tok[1]}", tok[2])
+        return prefixes.expand(qname)
     except UnknownPrefixError as exc:
         raise _Fault(str(exc), tok[2]) from exc
     except ValidationError as exc:  # `<>`, or a prefix bound to <> and no local part
@@ -560,13 +563,12 @@ class _TurtleParser:
                     self.pos += 1
                     continue
                 break
-            if tokens[self.pos][0] == SEMICOLON:
+            if tokens[self.pos][0] != SEMICOLON:
+                return
+            while tokens[self.pos][0] == SEMICOLON:  # a run of ';' (RDF 1.1 Turtle rule [7])
                 self.pos += 1
-                # tolerate a trailing ';' before '.' or ']'
-                if tokens[self.pos][0] in (DOT, RBRACKET):
-                    return
-                continue
-            return
+            if tokens[self.pos][0] in (DOT, RBRACKET):  # a trailing ';' before '.' or ']'
+                return
 
     def _verb(self) -> list:
         tok = self.tokens[self.pos]

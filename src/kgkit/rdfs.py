@@ -114,14 +114,14 @@ class EqualityPartition:
 class Closure:
     """A saturated graph plus where each derived triple came from, and the violations found in it.
 
-    `work` is the graph the fixpoint closed, and `graph` is `work` here;
-    `owl.OwlClosure` keeps `work` in sameAs representatives and expands it
-    into `graph` on first access.  `derived`, `provenance` and `report` are
-    built on first access, for both profiles from `_copies`, which pairs
-    each triple of `graph` with its form in `work`; the sameAs `partition`
-    is a view of `work.equality`, which only an OWL closure has.  A closure
-    that `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit
-    never changes it, and a later saturation of the grown base builds a new one.
+    `work` is the graph the fixpoint closed, in the base's term ids, and `graph`
+    is `work` here; `owl.OwlClosure` keeps `work` in sameAs representatives and
+    expands it into `graph` on first access.  `derived`, `provenance` and
+    `report` are built on first access, for both profiles from `_copies`, which
+    pairs each triple of `graph` with its form in `work`; the sameAs `partition`
+    is a view of `work.equality`, which only an OWL closure has.  A closure that
+    `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit never
+    changes it, and a later saturation of the grown base builds a new one.
     """
 
     base: Graph
@@ -131,15 +131,15 @@ class Closure:
     profile: str = "rdfs"
 
     def __post_init__(self):
-        self._versions = (self.base.version, self.work.version)  # what saturation closed
+        self._versions = (self.base.version, self.work.version, len(self.work._id_to_term))  # what saturation closed
 
     @classmethod
     def _prepare(cls, work: Graph) -> None:
         """Set up a copy of the base before its first fixpoint; an RDFS closure needs nothing."""
 
     def _changed(self) -> bool:
-        """True once a caller has changed the graph this closure handed out."""
-        return self.work.version != self._versions[1]
+        """True once a caller has changed the graph this closure handed out: its triples or its dictionary."""
+        return (self.work.version, len(self.work._id_to_term)) != self._versions[1:]
 
     @property
     def graph(self) -> Graph:
@@ -155,9 +155,8 @@ class Closure:
 
     @cached_property
     def _asserted(self) -> set[IdTriple]:
-        """The base's triples when it was saturated, in the ids of `work`."""
-        ids = list(map(self.work._term_to_id.get, self.base._id_to_term))  # a term interned since is in no such triple
-        return {(ids[s], ids[p], ids[o]) for s, p, o in islice(self.base._triples, self._versions[0])}
+        """The base's triples when it was saturated: ids of `work` too, as it gives every base term the base's id."""
+        return set(islice(self.base._triples, self._versions[0]))
 
     @cached_property
     def _derived_ids(self) -> dict[IdTriple, IdTriple]:
@@ -517,7 +516,9 @@ def _saturate(graph: Graph, profile: str, rules: list[Rule], kind: type[Closure]
     closure's graph has changed since it was made.  When only the graph
     has grown, the fixpoint resumes from the new triples on a copy of the
     cached closure, so a closure once returned never changes.  Any change
-    to the closure's graph drops it, and the graph is saturated afresh.
+    to the closure's graph, a triple or a term, drops it, and the graph is
+    saturated afresh.  `work` gives every term of the graph the graph's id,
+    as a resume first appends the terms interned since, in order.
     """
     closure = graph._closures.get(profile)
     if closure is not None and closure._changed():
@@ -529,14 +530,11 @@ def _saturate(graph: Graph, profile: str, rules: list[Rule], kind: type[Closure]
     elif closure._versions[0] == graph.version:
         return closure
     else:
-        # the graph and the closure's graph intern terms apart after the
-        # copy, so a term's ids may differ: translate through terms
         work = closure.work.copy()
-        derivations = dict(closure.derivations)
-        equality = work.equality
-        delta = []
+        for term in graph._id_to_term[len(work._id_to_term) :]:  # the terms the graph interned since, in order
+            work.intern(term)
+        derivations, equality, delta = dict(closure.derivations), work.equality, []
         for t in islice(graph._triples, closure._versions[0], None):  # the triples added since the closure
-            t = (work.intern(graph.term(t[0])), work.intern(graph.term(t[1])), work.intern(graph.term(t[2])))
             if work.insert_ids(r := t if equality is None else equality.map(t)):
                 delta.append(r)
             else:

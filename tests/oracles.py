@@ -903,6 +903,12 @@ def _oracle_is_absolute(iri: str) -> bool:
     return False
 
 
+def _oracle_no_bare_quote(tok: _Token) -> None:
+    """Extension: a qname holding a ' that no backslash escapes is an error at its token (PN_PREFIX and PN_LOCAL exclude it)."""
+    if "'" in tok.value.replace("\\'", ""):
+        raise ParseError(f"unescaped ' in qname {tok.value}", tok.line, tok.col)
+
+
 def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = False, prefixes=None):
     """Read one term starting at tokens[pos]; returns (term, next_pos)."""
     tok = tokens[pos]
@@ -916,6 +922,7 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
         return vocab.RDF_TYPE, pos + 1
     if tok.kind == QNAME and allow_qname:
         assert prefixes is not None
+        _oracle_no_bare_quote(tok)
         try:
             iri = prefixes.expand(tok.value)
         except UnknownPrefixError as exc:
@@ -934,6 +941,7 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
             if dt_tok.kind == IRIREF:
                 datatype = dt_tok.value
             elif dt_tok.kind == QNAME and allow_qname:
+                _oracle_no_bare_quote(dt_tok)
                 prefix, local = dt_tok.value.split(":", 1)
                 if prefixes.namespace(prefix) is None:
                     raise ParseError(str(UnknownPrefixError(prefix)), dt_tok.line, dt_tok.col)
@@ -1034,13 +1042,13 @@ class _OracleTurtleParser:
                     self._next()
                     continue
                 break
-            if self._peek().kind == SEMICOLON:
+            if self._peek().kind != SEMICOLON:
+                return
+            while self._peek().kind == SEMICOLON:  # extension: a run of ';' between predicate-object pairs
                 self._next()
-                # tolerate a trailing ';' before '.' or ']'
-                if self._peek().kind in (DOT, RBRACKET):
-                    return
-                continue
-            return
+            # tolerate a trailing ';' before '.' or ']'
+            if self._peek().kind in (DOT, RBRACKET):
+                return
 
     def _verb(self) -> Term:
         tok = self._peek()

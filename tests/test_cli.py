@@ -504,7 +504,46 @@ def test_reify_rejects_a_bad_spec_iri_or_csv_shape_in_one_error_line(tmp_path, c
     assert captured.err == err
 
 
+@pytest.mark.parametrize(
+    "spec, code, err",
+    [
+        (PURCHASE_SPEC + "literal Buyer\n", 2, "parse error: expected 'key: value' at line 9\n"),
+        (PURCHASE_SPEC + "role: Buyer => x\n", 2, "parse error: role line must be '<column> -> <property>' at line 9\n"),
+        (PURCHASE_SPEC + "colour: red\n", 2, "parse error: unknown key 'colour' at line 9\n"),
+        (PURCHASE_SPEC.replace(f"class: {EDU}Purchase", ""), 2, "parse error: spec file is missing 'class:'\n"),
+        (PURCHASE_SPEC.replace(f"namespace: {EDU}", ""), 2, "parse error: spec file is missing 'namespace:'\n"),
+        (f"class: {EDU}Purchase\nnamespace: {EDU}\n", 1, "error: table spec maps no columns\n"),
+    ],
+    ids=["no-colon", "role-without-arrow", "unknown-key", "no-class", "no-namespace", "no-roles"],
+)
+def test_reify_rejects_a_malformed_spec_file_in_one_error_line(tmp_path, capsys, spec, code, err):
+    spec_path = write(tmp_path / "spec.txt", spec)
+    assert main(["reify", write(tmp_path / "t.csv", PURCHASES_CSV), "--spec", spec_path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 ONE_EDGE_NT = f"<{EDU}n0> <{EDU}next> <{EDU}n1> .\n"
+
+
+@pytest.mark.parametrize(
+    "model, err",
+    [
+        ("", "error: empty model file\n"),
+        (f"d=1\nE\t<{EDU}n0>\t0.5\n", "error: bad model header: 'd=1'\n"),
+        ("d=1 norm=L3\n", "error: bad norm in model header: 'L3'\n"),
+        (f"d=1 norm=L1\nE\t<{EDU}n0>\t0.5\t0.5\n", f"error: bad model row: 'E\\t<{EDU}n0>\\t0.5\\t0.5'\n"),
+        (f"d=1 norm=L1\nX\t<{EDU}n0>\t0.5\n", f"error: bad model row: 'X\\t<{EDU}n0>\\t0.5'\n"),
+    ],
+    ids=["empty", "bad-header", "bad-norm", "row-width", "row-kind"],
+)
+def test_embed_eval_rejects_a_malformed_model_file_in_one_error_line(tmp_path, capsys, model, err):
+    kb = write(tmp_path / "g.nt", ONE_EDGE_NT)
+    assert main(["embed", "eval", kb, "--model", write(tmp_path / "m.tsv", model), "--test", kb]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def one_dimension_model(value: str) -> str:
@@ -630,6 +669,21 @@ def test_norm_choices_are_the_embeddings_norms():
     (norm,) = [action for action in commands.choices["embed"]._actions if action.dest == "norm"]
     assert tuple(norm.choices) == (embeddings.L1, embeddings.L2)
     assert norm.default == embeddings.L1
+
+
+def test_commands_in_one_process_share_the_parser_and_not_their_options(tmp_path, capsys):
+    kb = write(tmp_path / "kb.ttl", CITY_TTL)
+    assert build_parser() is build_parser()
+    assert main(["infer", kb, "--derived-only"]) == 0
+    derived = capsys.readouterr().out
+    assert main(["infer", kb]) == 0
+    closure = capsys.readouterr().out
+    assert derived == f"<{EDU}Warsaw> <{vocab.RDF_TYPE.value}> <{EDU}Locality> .\n"
+    assert len(closure.splitlines()) == 3 and derived in closure
+    assert main(["check", kb, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"competency": [], "consistent": True, "violations": []}
+    assert main(["infer", kb, "--profile", "owl", "--derived-only"]) == 0
+    assert capsys.readouterr().out == derived
 
 
 def test_embed_train_deterministic_model_files(tmp_path):

@@ -97,6 +97,27 @@ def test_train_config_rejects_non_finite_non_positive_values_and_negative_seeds(
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epochs", -1, "epoch count must be nonnegative"),
+        ("negatives_per_positive", 0, "need at least one negative per positive"),
+        ("corruption", "sideways", "unknown corruption mode 'sideways'"),
+    ],
+)
+def test_train_config_rejects_a_negative_epoch_count_no_negatives_and_an_unknown_corruption(field, value, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
+
+
+def test_init_rejects_an_unknown_norm_and_a_model_an_unknown_relation():
+    with pytest.raises(ValidationError, match="^norm must be L1 or L2, got 'L3'$"):
+        init_model(ring_graph(), 2, seed=0, norm="L3")
+    model = init_model(ring_graph(), 2, seed=0)
+    with pytest.raises(UnknownTermError, match=f"^unknown relation <{EDU}e0>$"):
+        model.relation_id(edu("e0"))
+
+
 def test_init_uniform_range():
     model = init_model(ring_graph(), 4, seed=5)
     bound = 6.0 / math.sqrt(4)
@@ -242,6 +263,19 @@ def test_inactive_hinge_gives_zero_loss_and_no_gradient():
     assert grads == {}
 
 
+def test_an_l2_positive_at_distance_zero_contributes_a_zero_gradient():
+    g = ring_graph()
+    model = init_model(g, 2, seed=0, norm=L2)
+    model.entity_vecs[0] = [1.0, 0.0]
+    model.relation_vecs[0] = [0.0, 0.0]
+    model.entity_vecs[1] = [1.0, 0.0]
+    model.entity_vecs[2] = [1.5, 0.0]  # the negative at distance 0.5 keeps the hinge active
+    loss, grads = loss_and_gradients(model, (0, 0, 1), (0, 0, 2), margin=1.0)
+    assert loss == 0.5
+    assert np.array_equal(grads[("entity", 1)], [0.0, 0.0])  # the positive's share: no division by its zero distance
+    assert np.array_equal(grads[("entity", 2)], [-1.0, 0.0]) and np.array_equal(grads[("relation", 0)], [1.0, 0.0])
+
+
 @pytest.mark.parametrize("norm", [L1, L2])
 def test_analytic_gradient_matches_central_differences(norm):
     rng = np.random.default_rng(2024)
@@ -348,6 +382,16 @@ def test_predict_links_rejects_a_literal_subject():
 def test_load_model_text_rejects_a_zero_dimension():
     with pytest.raises(ValidationError, match="bad dimension"):
         load_model_text(f"d=0 norm=L1\nE\t<{EDU}a>\nR\t<{EDU}p>\n")
+
+
+def test_predict_links_needs_the_relation_and_exactly_one_free_slot():
+    g = ring_graph()
+    model = init_model(g, 2, seed=0)
+    with pytest.raises(ValidationError, match="^the relation must be bound$"):
+        predict_links(model, g, s=edu("e0"))
+    for s, o in ((edu("e0"), edu("e1")), (None, None)):
+        with pytest.raises(ValidationError, match="^exactly one of subject and object must be free$"):
+            predict_links(model, g, s=s, p=edu("rel"), o=o)
 
 
 def test_predict_links_k_larger_than_entity_count():

@@ -221,6 +221,45 @@ def test_turtle_blank_node_property_list_as_a_whole_statement_round_trips():
             oracle_parse_turtle(statement)
 
 
+@pytest.mark.parametrize(
+    "text, single",
+    [
+        (":x :p :y ;; :q :z .", ":x :p :y ; :q :z ."),
+        (":x :p :y ; ; :q :z .", ":x :p :y ; :q :z ."),
+        (":x :p :y ;;; .", ":x :p :y ."),
+        (":x :s [ :p :o ;; :q :r ] .", ":x :s [ :p :o ; :q :r ] ."),
+        ("[ :p :o ;; :q :r ] .", "[ :p :o ; :q :r ] ."),
+        (":x :s [ :p :o ; ;; ] .", ":x :s [ :p :o ] ."),
+    ],
+)
+def test_a_run_of_semicolons_reads_as_one_and_round_trips(text, single):
+    # RDF 1.1 Turtle grammar rule [7]: predicateObjectList ::= verb objectList (';' (verb objectList)?)*
+    g = parse_turtle(text).graph
+    assert triples_of(g) == triples_of(parse_turtle(single).graph) == triples_of(oracle_parse_turtle(text).graph)
+    nt = serialize_ntriples(g)
+    assert triples_of(parse_ntriples(nt)) == triples_of(g) and serialize_ntriples(parse_ntriples(nt)) == nt
+
+
+@pytest.mark.parametrize("text, column", [(":x ; :p :y .", 4), (":x ;; :p :y .", 4), (":s :q [ ; :p :o ] .", 9)])
+def test_a_semicolon_before_the_first_verb_is_still_an_error(text, column):
+    for parse in (parse_turtle, oracle_parse_turtle):
+        with pytest.raises(ParseError, match=f"^expected a predicate, got ';' at line 1, column {column}$"):
+            parse(text)
+
+
+def test_turtle_datatype_that_is_a_string_is_a_parse_error_at_it():
+    with pytest.raises(ParseError, match=r"^expected datatype IRI after '\^\^' at line 1, column 13$"):
+        parse_turtle(':x :p "x"^^ "y" .')
+
+
+def test_turtle_nested_too_deep_is_a_parse_error_not_a_recursion_error():
+    text = ":s :p " + "( " * 1000 + ")" * 1000 + " .\n"
+    with pytest.raises(ParseError, match=r"^nesting too deep at line 1, column \d+$"):
+        parse_turtle(text)
+    with pytest.raises(ParseError, match=r"^nesting too deep at line 1, column \d+$"):
+        parse_turtle(":s :p " + "[ :q " * 1000 + "]" * 1000 + " .\n")
+
+
 def test_turtle_unknown_prefix_is_error():
     with pytest.raises(ParseError, match="geo"):
         parse_turtle(":x geo:p :y .")
@@ -433,6 +472,36 @@ def test_other_backslashes_in_a_qname_are_parse_errors_at_the_qname(qname, messa
     with pytest.raises(ParseError) as err:
         parse_turtle(f"@prefix ex: <http://e/> .\nex:s ex:p\n  {qname} .")
     assert str(err.value) == f"{message} at line 3, column 3"
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("ex:it's ex:p ex:o .", 1),
+        ("ex:s ex:p ex:it's .", 11),
+        ("ex:s ex:it's ex:o .", 6),
+        ("ex:s ex:p 'v'^^ex:it's .", 16),
+        ("ex:s ex:p ex:o''x .", 11),
+        ("ex:s ex:p ex:it\\'s'x .", 11),  # one escaped, one not
+    ],
+)
+def test_an_unescaped_quote_in_a_qname_is_a_parse_error_at_the_qname(text, column):
+    # PN_PREFIX and PN_LOCAL (RDF 1.1 Turtle) exclude ', which a local name may hold only escaped
+    qname = next(word for word in text.replace("'v'^^", "").split() if "'" in word)
+    for parse in (parse_turtle, oracle_parse_turtle):
+        with pytest.raises(ParseError) as err:
+            parse("@prefix ex: <http://e/> .\n" + text)
+        assert str(err.value) == f"unescaped ' in qname {qname} at line 2, column {column}"
+
+
+def test_an_escaped_quote_and_the_other_reserved_characters_stay_in_a_qname():
+    g = parse_turtle("@prefix ex: <http://e/> .\nex:it\\'s ex:p ex:a~!$&*+=/?#b .").graph
+    assert triples_of(g) == {(IRI("http://e/it's"), IRI("http://e/p"), IRI("http://e/a~!$&*+=/?#b"))}
+
+
+def test_query_patterns_refuse_an_unescaped_quote_in_a_qname():
+    with pytest.raises(ParseError, match="^unescaped ' in qname ex:it's at line 2, column 4$"):
+        parse_query("PREFIX ex: <http://e/>\n?x ex:it's ?y")
 
 
 def test_a_language_tag_of_prefix_round_trips():

@@ -365,7 +365,7 @@ def ttl_nodes(depth: int, faulty: bool, pieces=TTL_OBJECTS):
 def ttl_predicate_objects(depth: int, faulty: bool):
     objects = st.lists(ttl_nodes(depth, faulty), min_size=1, max_size=3)
     pairs = st.lists(st.tuples(ttl_piece(TTL_VERBS, faulty), objects), min_size=1, max_size=3)
-    tail = st.sampled_from(["", "", " ;"])
+    tail = st.sampled_from(["", "", " ;", " ;;"])
     return st.builds(lambda ps, t: " ; ".join(v + " " + " , ".join(os_) for v, os_ in ps) + t, pairs, tail)
 
 
@@ -406,6 +406,10 @@ def turtle_outcome(parse, text: str):
 @example(":x :q ( :y\n")
 @example("[ a owl:AllDifferent ; owl:distinctMembers ( :a :b ) ] .\n[] .\n")
 @example(':x :q "v" .\n@prefix : <http://e.z/> .\n:x :q 42 , 1e3 , true .\n')
+@example(":x :q :y ;; :r :z ; ; a :C ;;; .\n[ :p :o ;; :q :r ] .\n:x :q [ :p :o ;; ] .\n")
+@example(":x ; :q :y .\n")
+@example("@prefix ex: <http://e.x/> .\nex:a ex:p ex:it's .\n")
+@example("@prefix ex: <http://e.x/> .\nex:a ex:p 'v'^^ex:it's .\n")
 def test_turtle_parser_matches_the_term_per_occurrence_parser(text):
     try:
         expected = turtle_outcome(oracle_parse_turtle, text)
@@ -468,6 +472,10 @@ ns:r ex:p [ ns:q ex:o ] , ( ex:o "v" ) .
 @example('<http://e.x/a> <http://e.x/p> """x""" .\n', "nt")
 @example("<http://e.x/a> <http://e.x/p> 'x' .\n", "nt")
 @example(":a :p '''x .\n", "ttl")
+@example(":a :p :b ;; :q :c ; ; :r :d ;;; .\n", "ttl")
+@example(":a ; :p :b .\n", "ttl")
+@example("@prefix ex: <http://e.x/> .\nex:it's ex:p ex:o .\n", "ttl")
+@example("@prefix ex: <http://e.x/> .\nex:it\\'s ex:p ex:o .\n", "ttl")
 def test_cli_parse_exits_0_or_2_with_one_positioned_error_line(text, fmt):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, f"doc.{fmt}")

@@ -60,6 +60,22 @@ def test_intern_relative_iri_resolves_against_base():
     assert g.term(tid) == IRI(EDU + "Warsaw")
 
 
+def test_a_base_without_a_trailing_hash_resolves_by_rfc_3986():
+    g = Graph(base="http://example.edu/cities/index.html")
+    assert g.term(g.intern(IRI("Warsaw"))) == IRI("http://example.edu/cities/Warsaw")
+    assert g.term(g.intern(IRI("../Poland"))) == IRI("http://example.edu/Poland")
+
+
+def test_a_relative_iri_that_resolves_to_a_known_term_gets_its_id_and_lookup_resolves_too():
+    g = Graph(base=EDU)
+    tid = g.intern(IRI(EDU + "Warsaw"))
+    size = len(g._id_to_term)
+    assert g.intern(IRI("Warsaw")) == tid and len(g._id_to_term) == size
+    assert g.lookup(IRI("Warsaw")) == tid
+    assert g.lookup(IRI("Krakow")) is None
+    assert Graph().lookup(IRI("Warsaw")) is None  # no base: nothing to resolve against, and nothing interned
+
+
 @pytest.mark.parametrize("value", [EDU + "Warsaw", Var("x"), None, 5, ["unhashable"], {"a": IRI(EDU + "a")}])
 def test_intern_rejects_what_is_not_a_term(value):
     g = Graph(base=EDU)

@@ -56,7 +56,7 @@ from helpers import (
     shuffled_batches,
 )
 import oracles
-from oracles import closure_triples, naive_owl_closure, naive_violation_rules, oracle_violations, triples_of
+from oracles import closure_triples, naive_owl_closure, naive_rdfs_closure, naive_violation_rules, oracle_violations, triples_of
 
 N = lambda name: IRI(NS + name)  # noqa: E731
 
@@ -437,6 +437,17 @@ def test_is_satisfiable_conjoined_disjoint_superclasses():
     g.add(edu("Herbivore"), vocab.OWL_DISJOINTWITH, edu("Carnivore"))
     assert not is_satisfiable(g, edu("C"))
     assert is_satisfiable(g, edu("Herbivore"))
+
+
+def test_is_satisfiable_probes_with_an_individual_the_kb_does_not_name():
+    g = Graph()
+    g.add(edu("Herbivore"), vocab.OWL_DISJOINTWITH, edu("Carnivore"))
+    g.add(BlankNode("satprobe0"), vocab.RDF_TYPE, edu("Herbivore"))
+    g.add(BlankNode("satprobe1"), vocab.RDF_TYPE, edu("Herbivore"))
+    assert is_satisfiable(g, edu("Carnivore"))  # as _:satprobe0 or _:satprobe1 it would meet Herbivore
+    g.add(edu("C"), vocab.RDFS_SUBCLASSOF, edu("Herbivore"))
+    g.add(edu("C"), vocab.RDFS_SUBCLASSOF, edu("Carnivore"))
+    assert not is_satisfiable(g, edu("C"))
 
 
 def test_is_satisfiable_without_negative_axioms_is_true():
@@ -1079,6 +1090,77 @@ def test_closures_stay_snapshots_across_resumes_that_merge_sameas_classes(monkey
     assert closure_triples(saturate_owl(h)[0]) == naive_owl_closure(triples_of(h))
 
 
+def _assert_derivations_hold(closure, expected: frozenset, note: str) -> None:
+    """Each derivation of the closure names premises of `expected` of which its rule derives the triple."""
+    for triple, derivation in closure.provenance.items():
+        premises = {(p.subject, p.predicate, p.object) for p in derivation.premises}
+        assert premises and premises <= expected, (note, derivation)
+        if derivation.rule in _ORACLE_RULES:
+            assert (triple.subject, triple.predicate, triple.object) in _ORACLE_RULES[derivation.rule](premises), (note, derivation)
+        else:
+            assert derivation.rule in _LIST_RULES, (note, derivation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 6), st.booleans())
+def test_a_closure_gives_every_term_of_its_base_the_base_id_across_resumes(seed, rng, batches, with_owl):
+    # between batches the base also interns terms that no triple uses, or that a later batch uses
+    if with_owl:
+        source = _with_equality_cases(random_owl_graph(seed, max_triples=30))
+        a, b = rng.sample([IRI(f"http://t.example/n{i}") for i in range(10)], 2)
+        source.add(a, vocab.OWL_SAMEAS, b)  # a batch that holds it merges two classes
+    else:
+        source = random_rdfs_graph(seed, max_triples=40)
+    g, batches = Graph(), shuffled_batches(rng, source.triples(), batches)
+    for k, batch in enumerate(batches):
+        for term in rng.sample([IRI(f"http://t.example/unused{k}"), BlankNode(f"unused{k}"), Literal(f"unused{k}"), *source.terms()], 2):
+            g.intern(term)
+        for t in batch:
+            g.insert(t)
+        if batch or k == 0:
+            grown = len(g._id_to_term)  # a closure is of the base as it stood when it last grew
+        closures = {"rdfs": saturate_rdfs(g), "owl": saturate_owl(g)[0]}
+        for tid, term in enumerate(g._id_to_term):
+            known = tid if tid < grown else None
+            assert closures["rdfs"].work.lookup(term) == known, term
+            assert closures["owl"].work.lookup(term) == known == closures["owl"].graph.lookup(term), term
+        asserted = triples_of(g)
+        fresh = {"rdfs": saturate_rdfs(g.copy()), "owl": saturate_owl(g.copy())[0]}
+        expected = {"rdfs": naive_rdfs_closure(asserted)}
+        if k == len(batches) - 1:  # the naive OWL rules read a list before its last cell arrives, and the engine does not
+            expected["owl"] = naive_owl_closure(asserted)
+        for name, closure in closures.items():
+            note = f"{name}, batch {k}"
+            assert closure_triples(closure) == closure_triples(fresh[name]), note
+            assert closure.derived == fresh[name].derived, note
+            assert closure.provenance.keys() == fresh[name].provenance.keys(), note
+            assert closure.report == fresh[name].report, note
+            if name in expected:
+                assert closure_triples(closure) == expected[name], note
+                assert {(t.subject, t.predicate, t.object) for t in closure.derived} == expected[name] - asserted, note
+                _assert_derivations_hold(closure, expected[name], note)
+
+
+@pytest.mark.parametrize("profile", ["rdfs", "owl"])
+def test_a_term_interned_into_a_handed_out_closure_drops_it_from_the_cache(monkeypatch, profile):
+    runs = _count_saturations(monkeypatch)
+    saturate = saturate_rdfs if profile == "rdfs" else lambda g: saturate_owl(g)[0]
+    g, updates, _ = pets_updates()
+    closure = saturate(g)
+    state = closure_state(closure)
+    # the closure's graph now gives the next id to a term its base never interned
+    (closure.graph if profile == "rdfs" else closure.work).intern(edu("Stranger"))
+    for t in updates[0]:
+        g.insert(t)
+    runs.clear()
+    again = saturate(g)
+    assert runs == [True] and again is not closure  # saturated afresh, not resumed
+    assert closure_triples(again) == (naive_rdfs_closure if profile == "rdfs" else naive_owl_closure)(triples_of(g))
+    assert again.derived == saturate(g.copy()).derived
+    assert again.work.lookup(edu("Stranger")) is None
+    assert closure_state(closure) == state
+
+
 def test_reasoning_tasks_on_an_unchanged_graph_saturate_once_per_profile_and_never_copy_to_probe(monkeypatch):
     runs = _count_saturations(monkeypatch)
     copies = []
@@ -1302,13 +1384,7 @@ def test_closures_on_representatives_agree_with_the_oracles(seed, rng, batches):
     for term in {x for t in expected for x in t}:
         assert closure.partition.representative(term) == oracles.oracle_representative(expected, term), term
     assert {(t.subject, t.predicate, t.object) for t in closure.provenance} == expected - asserted
-    for triple, derivation in closure.provenance.items():
-        premises = {(p.subject, p.predicate, p.object) for p in derivation.premises}
-        assert premises and premises <= expected, derivation
-        if derivation.rule in _ORACLE_RULES:
-            assert (triple.subject, triple.predicate, triple.object) in _ORACLE_RULES[derivation.rule](premises), derivation
-        else:
-            assert derivation.rule in _LIST_RULES, derivation
+    _assert_derivations_hold(closure, expected, f"seed {seed}")
 
 
 def test_readers_answer_on_representatives_without_expanding_the_closure(monkeypatch, tmp_path):

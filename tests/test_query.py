@@ -204,6 +204,12 @@ def test_empty_pattern_list_rejected():
         query(allergen_kb(), Query(patterns=()))
 
 
+def test_unknown_world_assumption_rejected():
+    q = Query(patterns=(TriplePattern(Var("x"), vocab.RDF_TYPE, edu("Product")),), assumption="maybe")
+    with pytest.raises(QueryValidationError, match="^unknown world assumption 'maybe'$"):
+        query(allergen_kb(), q)
+
+
 def test_unknown_regime_rejected():
     q = Query(patterns=(TriplePattern(Var("x"), vocab.RDF_TYPE, edu("Product")),))
     with pytest.raises(QueryValidationError):
