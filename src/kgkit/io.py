@@ -531,6 +531,8 @@ class _TurtleParser:
         if tok[0] != QNAME or not tok[1].endswith(":"):
             raise _Fault(f"expected 'prefix:' after {'@prefix' if directive[0] == AT_PREFIX else directive[1]}", tok[2])
         prefix = tok[1][:-1]
+        if "'" in prefix:  # PN_PREFIX excludes it
+            raise _Fault(f"' not allowed in prefix name {tok[1]}", tok[2])
         ns = self._expect(IRIREF)[1]
         old = self.prefixes.namespace(prefix)
         if old is not None and old != ns:

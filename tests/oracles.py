@@ -692,21 +692,25 @@ def oracle_shorthand_kind(word: str) -> str | None:
     return INTEGER if _digits(whole) else None
 
 
-def _oracle_qname_escapes(tok: _Token, after: str) -> None:
-    """Raise at a qname for its first escape other than a backslash before one of _~.-!$&'()*+,;=/?#@% in its local name.
+def _oracle_qname_escapes(tok: _Token, after: str) -> str:
+    """The qname with its local name's escapes decoded (PN_LOCAL_ESC: a backslash before one of _~.-!$&'()*+,;=/?#@%).
 
-    A backslash that ends the qname escapes `after`, the character the word stopped at.
+    Any other escape is an error at the qname.  A backslash that ends the
+    qname escapes `after`, the character the word stopped at.
     """
-    word, i = tok.value, 0
+    word, i, decoded = tok.value, 0, []
     while i < len(word):
         if word[i] == "\\":
             e = word[i + 1 : i + 2]
             if e and e in "_~.-!$&'()*+,;=/?#@%" and i > word.index(":"):
+                decoded.append(e)
                 i += 2
                 continue
             e = e or after
-            raise ParseError(f"{'unsupported' if e in ';,()@' else 'bad'} escape \\{e} in qname {word}", tok.line, tok.col)
+            raise ParseError(f"{'unsupported' if e and e in ';,()@' else 'bad'} escape \\{e} in qname {word}", tok.line, tok.col)
+        decoded.append(word[i])
         i += 1
+    return "".join(decoded)
 
 
 def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> list[_Token]:
@@ -888,7 +892,9 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
 # digit starts a number, and one before a label character stays in a blank
 # node label, and 'x', '''x''' and its double-quoted twin are strings (all
 # three in `oracle_tokenize`); a non-empty `[ ... ]` may be a whole
-# statement; and an @prefix token after a string is its language tag.
+# statement; an @prefix token after a string is its language tag; a
+# qname's local escapes are decoded, and a bad escape or a bare ' in it
+# is an error at its token; and so is a ' in a prefix name.
 
 
 def _oracle_is_absolute(iri: str) -> bool:
@@ -903,10 +909,21 @@ def _oracle_is_absolute(iri: str) -> bool:
     return False
 
 
-def _oracle_no_bare_quote(tok: _Token) -> None:
-    """Extension: a qname holding a ' that no backslash escapes is an error at its token (PN_PREFIX and PN_LOCAL exclude it)."""
+def _oracle_qname(tokens: list[_Token], pos: int) -> str:
+    """Extension: the qname at tokens[pos] with its local escapes decoded (RDF 1.1 Turtle, section 6.4).
+
+    A bad escape is an error at the qname, and so is a ' that no backslash
+    escapes (PN_PREFIX and PN_LOCAL exclude it).  A backslash that ends the
+    qname escapes the token right after it, '@' for a language tag.
+    """
+    tok, nxt = tokens[pos], tokens[pos + 1]
+    after = ""
+    if nxt.line == tok.line and nxt.col == tok.col + len(tok.value):
+        after = "@" if nxt.kind in (LANGTAG, AT_PREFIX) else nxt.value
+    qname = _oracle_qname_escapes(tok, after)
     if "'" in tok.value.replace("\\'", ""):
         raise ParseError(f"unescaped ' in qname {tok.value}", tok.line, tok.col)
+    return qname
 
 
 def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = False, prefixes=None):
@@ -922,9 +939,8 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
         return vocab.RDF_TYPE, pos + 1
     if tok.kind == QNAME and allow_qname:
         assert prefixes is not None
-        _oracle_no_bare_quote(tok)
         try:
-            iri = prefixes.expand(tok.value)
+            iri = prefixes.expand(_oracle_qname(tokens, pos))
         except UnknownPrefixError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
         except ValidationError:  # extension: a qname that expands to the empty IRI
@@ -941,8 +957,7 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
             if dt_tok.kind == IRIREF:
                 datatype = dt_tok.value
             elif dt_tok.kind == QNAME and allow_qname:
-                _oracle_no_bare_quote(dt_tok)
-                prefix, local = dt_tok.value.split(":", 1)
+                prefix, local = _oracle_qname(tokens, pos + 2).split(":", 1)
                 if prefixes.namespace(prefix) is None:
                     raise ParseError(str(UnknownPrefixError(prefix)), dt_tok.line, dt_tok.col)
                 datatype = prefixes.namespace(prefix) + local
@@ -1014,6 +1029,8 @@ class _OracleTurtleParser:
         if tok.kind != QNAME or not tok.value.endswith(":"):
             raise ParseError("expected 'prefix:' after @prefix", tok.line, tok.col)
         prefix = tok.value[:-1]
+        if "'" in prefix:  # extension: PN_PREFIX excludes ', an error at the prefix name
+            raise ParseError(f"' not allowed in prefix name {tok.value}", tok.line, tok.col)
         ns = self._expect(IRIREF).value
         old = self.prefixes.namespace(prefix)
         if old is not None and old != ns and not (prefix == "" and old == vocab.DEFAULT_NS):

@@ -332,9 +332,9 @@ def test_each_distinct_term_text_is_built_once_per_parse():
 TTL_DIRECTIVES = [
     "@prefix ex: <http://e.y/#> .", "@prefix ex: <http://e.x/> .", "@prefix : <http://e.z/> .",
     "@prefix ns: <http://n.s/> .", "@prefix xsd: <http://e.x/dt#> .", "@prefix e: <> .",
-], ["@prefix ex: <rel/> .", "@prefix geo <http://g/> .", "@prefix ex: ex:b ."]
-TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1", "_:b.1", "_:anon1", "_:anon3"], [
-    "<rel>", "<>", "geo:z", "e:", "e:x", '"v"', "42", "true",
+], ["@prefix ex: <rel/> .", "@prefix geo <http://g/> .", "@prefix ex: ex:b .", "@prefix e'x: <http://e/> ."]
+TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1", "_:b.1", "_:anon1", "_:anon3", "ex:it\\'s", "ex:a\\-b\\.c"], [
+    "<rel>", "<>", "geo:z", "e:", "e:x", '"v"', "42", "true", "ex:a\\q",
 ]
 TTL_OBJECTS = TTL_SUBJECTS[0] + [
     "<http://e.x/b#c>", '"v"', '"w\\n"', '"v"@en', '"v"@en-GB', '"v"@prefix', '"v"^^<http://e.x/dt>', '"v"^^xsd:string',
@@ -410,6 +410,9 @@ def turtle_outcome(parse, text: str):
 @example(":x ; :q :y .\n")
 @example("@prefix ex: <http://e.x/> .\nex:a ex:p ex:it's .\n")
 @example("@prefix ex: <http://e.x/> .\nex:a ex:p 'v'^^ex:it's .\n")
+@example("@prefix ex: <http://e.x/> .\nex:it\\'s ex:p 'v'^^ex:it\\'s .\n")
+@example("@prefix ex: <http://e.x/> .\nex:a\\q ex:p ex:o .\n")
+@example("@prefix e'x: <http://e.x/> .\n:a :p :b .\n")
 def test_turtle_parser_matches_the_term_per_occurrence_parser(text):
     try:
         expected = turtle_outcome(oracle_parse_turtle, text)
@@ -476,6 +479,7 @@ ns:r ex:p [ ns:q ex:o ] , ( ex:o "v" ) .
 @example(":a ; :p :b .\n", "ttl")
 @example("@prefix ex: <http://e.x/> .\nex:it's ex:p ex:o .\n", "ttl")
 @example("@prefix ex: <http://e.x/> .\nex:it\\'s ex:p ex:o .\n", "ttl")
+@example("@prefix e'x: <http://e.x/> .\n", "ttl")
 def test_cli_parse_exits_0_or_2_with_one_positioned_error_line(text, fmt):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, f"doc.{fmt}")
