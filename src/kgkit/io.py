@@ -675,8 +675,8 @@ def _serialize_ids(triples: Collection[IdTriple], term: Callable[[int], Term]) -
     """`serialize_ntriples` of distinct id triples whose ids `term` names.
 
     Each distinct term is formatted and keyed once; the id triples are then
-    sorted by the terms' canonical ranks.  Terms with equal sort keys have
-    equal text, so ties cannot change the output.
+    sorted by the terms' canonical ranks.  No two distinct terms share a
+    sort key, so the order has no ties.
     """
     ids = sorted({i for t in triples for i in t}, key=lambda i: sort_key(term(i)))
     rank = {tid: r for r, tid in enumerate(ids)}

@@ -32,8 +32,9 @@ expands each violation over the classes of its rule's variables.
 `OWL_RULES` extends the RDFS table (see `rdfs`) with one row per OWL 2
 RL rule of fixed arity; the violation triggers are rows with a `false`
 head.  Three rules stay hand-written, because intersection, union and
-AllDifferent read a list of any length, which a walk over rdf:rest
-(`_expressions`) reaches from any cell that arrives.  Some consequences
+AllDifferent read a list of any length, once complete (OWL 2 RL's LIST
+premise, `_list_walk`), which a walk back over rdf:rest (`_expressions`)
+finds from whichever of its cells arrives last.  Some consequences
 need no rule of their own, as in OWL 2 RL: intersection and union
 membership follow from the operators' subclass edges (scm-int, scm-uni)
 through type propagation.  The rules name their vocabulary by its fixed
@@ -68,29 +69,28 @@ _TYPE, _FIRST, _REST, _NIL, _SCO, _SA, _INV, _EQC, _FP, _TP, _ONP, _INTER, _UNIO
     vocab.OWL_INTERSECTIONOF, vocab.OWL_UNIONOF, vocab.OWL_ALLDIFFERENT, vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS))
 
 
-def _list_walk(g: Graph | Overlay, node: int) -> tuple[list[int], bool]:
-    """Members of the collection at node in id order, and whether it is complete.
+def _list_walk(g: Graph | Overlay, node: int) -> list[int] | None:
+    """Members of the complete list at node in id order, or None.
 
     Complete means the walk reaches rdf:nil and every cell on the way has
     an rdf:first: OWL 2 RL's LIST premise.  A list whose cells are still
-    arriving one at a time is a prefix, and not complete.
+    arriving is no list yet.
     """
     members: set[int] = set()
     stack = [node]
     seen: set[int] = set()
     reached_nil = False
-    every_cell_has_first = True
     while stack:
         n = stack.pop()
         if n == _NIL:
             reached_nil = True
         elif n not in seen:
             seen.add(n)
-            firsts = g.objects(n, _FIRST)
-            every_cell_has_first &= bool(firsts)
+            if not (firsts := g.objects(n, _FIRST)):
+                return None
             members.update(firsts)
             stack.extend(g.objects(n, _REST))
-    return sorted(members), reached_nil and every_cell_has_first
+    return sorted(members) if reached_nil else None
 
 
 def _delta_cells(op: int, delta: Delta) -> list[int]:
@@ -102,8 +102,8 @@ def _delta_cells(op: int, delta: Delta) -> list[int]:
     return cells
 
 
-def _expressions(g: Graph | Overlay, op: int, cells: Iterable[int]) -> list[tuple[int, int, list[int], bool]]:
-    """(C, L, members, complete) for each expression (C op L) whose list L holds one of `cells`.
+def _expressions(g: Graph | Overlay, op: int, cells: Iterable[int]) -> list[tuple[int, int, list[int]]]:
+    """(C, L, members) for each expression (C op L) whose list L holds one of `cells` and is complete.
 
     A cell is a list head or any later cell.  The lists that reach a cell
     are found by walking rdf:rest backwards from it; each found list is
@@ -118,15 +118,11 @@ def _expressions(g: Graph | Overlay, op: int, cells: Iterable[int]) -> list[tupl
             seen.add(n)
             found.update((c, n) for c in g.subjects(op, n))
             stack.extend(g.subjects(_REST, n))
-    return [(c, l, *_list_walk(g, l)) for c, l in sorted(found)]
+    return [(c, l, members) for c, l in sorted(found) if (members := _list_walk(g, l)) is not None]
 
 
 def _r_intersection(g: Graph | Overlay, delta: Delta):
-    """(C intersectionOf L): C is a subclass of each member of L, and membership in all of L builds C.
-
-    Building C needs the whole list, so it waits for a complete one; the
-    subclass edges hold for a prefix too.
-    """
+    """(C intersectionOf L): C is a subclass of each member of L, and membership in all of L builds C."""
     if not g.has_predicate(_INTER):  # no intersection to read
         return
 
@@ -135,31 +131,30 @@ def _r_intersection(g: Graph | Overlay, delta: Delta):
             premises = ((c, _INTER, l),) + tuple((x, _TYPE, m) for m in members)
             yield (x, _TYPE, c), "owl-intersection-build", premises
 
-    for c, l, members, complete in _expressions(g, _INTER, _delta_cells(_INTER, delta)):
+    for c, l, members in _expressions(g, _INTER, _delta_cells(_INTER, delta)):
         for m in members:
             yield (c, _SCO, m), "owl-intersection-subclass", ((c, _INTER, l),)
-        if complete and members:
+        if members:
             for x in sorted(g.subjects(_TYPE, members[0])):
                 yield from build(x, c, l, members)
     # the individuals the delta types with D, joined once per class D
     for d, xs in sorted(delta.by_object(_TYPE).items()):
-        for c, l, members, complete in _expressions(g, _INTER, g.subjects(_FIRST, d)):
-            if complete:
-                for x in xs:
-                    yield from build(x, c, l, members)
+        for c, l, members in _expressions(g, _INTER, g.subjects(_FIRST, d)):
+            for x in xs:
+                yield from build(x, c, l, members)
 
 
 def _r_union(g: Graph | Overlay, delta: Delta):
-    """(C unionOf L), M in L -> (M subClassOf C), for a list prefix too"""
+    """(C unionOf L), M in L -> (M subClassOf C)"""
     if not g.has_predicate(_UNION):  # no union to read
         return
-    for c, l, members, _ in _expressions(g, _UNION, _delta_cells(_UNION, delta)):
+    for c, l, members in _expressions(g, _UNION, _delta_cells(_UNION, delta)):
         for m in members:
             yield (m, _SCO, c), "owl-union-subclass", ((c, _UNION, l),)
 
 
 def _r_alldifferent(g: Graph | Overlay, delta: Delta):
-    """(D type AllDifferent), (D members L), a and b in L, a sameAs b -> false, for a list prefix too.
+    """(D type AllDifferent), (D members L), a and b in L, a sameAs b -> false.
 
     On representatives a member stands for its class, so a member pairs
     with itself too: (a sameAs a) is there when a's class has two or more
@@ -175,7 +170,7 @@ def _r_alldifferent(g: Graph | Overlay, delta: Delta):
         cells = _delta_cells(members_of, delta)
         cells.extend(l for d in delta.by_object(_TYPE).get(_ALLDIFF, ()) for l in g.objects(d, members_of))
         cells.extend(cell for a, _, _ in delta.by_predicate.get(_SA, ()) for cell in g.subjects(_FIRST, a))
-        for d, l, members, _ in _expressions(g, members_of, cells):
+        for d, l, members in _expressions(g, members_of, cells):
             if g.contains_ids((d, _TYPE, _ALLDIFF)):
                 members.sort(key=lambda m: sort_key(g.term(m)))
                 for i, a in enumerate(members):

@@ -65,7 +65,8 @@ class Literal:
 
     A language tag forces the datatype to the language-string datatype;
     setting both a language and any other datatype is rejected.  Plain
-    literals keep datatype None and compare unequal to typed ones.
+    literals keep datatype None and compare unequal to typed ones.  An
+    empty tag or datatype is rejected: it would print as another literal.
     """
 
     lexical: str
@@ -73,6 +74,8 @@ class Literal:
     language: str | None = None
 
     def __post_init__(self):
+        if self.language == "" or self.datatype == "":
+            raise ValidationError(f"literal {self.lexical!r} has an empty language tag or datatype")
         if self.language is not None:
             if self.datatype is not None and self.datatype != LANG_STRING:
                 raise ValidationError(

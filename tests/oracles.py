@@ -1,9 +1,14 @@
 """Independent reference implementations used only to check the engines.
 
 Everything here is deliberately naive: full rescans of the whole triple
-set until nothing changes, no indexes, no deltas, no sharing with the
-library's rule code.  Triples are plain (subject, predicate, object)
-term tuples.
+set until nothing changes, no indexes, no deltas.  Triples are plain
+(subject, predicate, object) term tuples.  The oracles call no function
+of the rule and query code (`kgkit.rdfs`, `kgkit.owl`, `kgkit.query`;
+`test_the_oracles_import_no_function_of_the_rule_or_query_code` reads
+the imports): they share only its classes and constants, such as
+`Violation`, `Query` and `REGIMES`.  They take and give the library's
+terms and graphs, and the text oracles use the readers' token kinds and
+escape tables.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ from kgkit.io import (
     format_term,
 )
 from kgkit.frames import DEFINED, GENERAL, INDIVIDUAL, Facet, Frame, FrameSystem
-from kgkit.graph import Binding, Graph, IdTriple
-from kgkit.owl import _list_walk, saturate_owl
-from kgkit.query import REGIMES, Query, _validate
-from kgkit.rdfs import Derivation, InconsistencyReport, Violation, saturate_rdfs
+from kgkit.graph import Binding, Graph
+from kgkit.query import REGIMES, Query
+from kgkit.rdfs import Derivation, InconsistencyReport, Violation
 from kgkit.reify import TableSpec, camel_case
 from kgkit.terms import IRI, BlankNode, Literal, PrefixMap, Term, Triple, TriplePattern, Var, sort_key, triple_sort_key
 
@@ -236,30 +240,41 @@ def _o_equivalence(ts):
     return out
 
 
-def oracle_list_members(ts, node):
-    members, stack, seen = set(), [node], set()
+def oracle_list_members(ts, node) -> set[Term] | None:
+    """The members of the list at `node` once it is complete, else None.
+
+    OWL 2 RL reads a list only through its LIST[node, e1, ..., en] premise
+    (W3C, OWL 2 Profiles, section 4.3): cells from `node` along rdf:rest to
+    rdf:nil, each cell with an rdf:first, its ei.  So the list is complete
+    when a cell reached from `node` has rdf:rest rdf:nil (or `node` is
+    rdf:nil) and every cell reached has an rdf:first.  A list whose cells
+    are still arriving is no list yet.  extension: the members are the
+    rdf:first objects of every cell reached, as one set, where OWL 2 RL
+    reads one member per cell in each LIST match.  The two differ on a
+    list that branches, and on a cell with two rdf:first objects, which
+    sameAs substitution gives a cell whose member has a sameAs copy.
+    """
+    cells, stack = set(), [node]
     while stack:
         n = stack.pop()
-        if n in seen or n == NIL:
-            continue
-        seen.add(n)
-        for s, p, o in ts:
-            if s == n and p == FIRST:
-                members.add(o)
-            if s == n and p == REST:
-                stack.append(o)
-    return members
+        if n != NIL and n not in cells:
+            cells.add(n)
+            stack.extend(o for s, p, o in ts if s == n and p == REST)
+    firsts = [{o for s, p, o in ts if s == n and p == FIRST} for n in cells]
+    if all(firsts) and (node == NIL or any((n, REST, NIL) in ts for n in cells)):
+        return set().union(*firsts)
+    return None
 
 
 def _o_intersection(ts):
+    """scm-int, cls-int1 and cls-int2 on each complete intersectionOf list."""
     out = set()
+    typed = {x for x, q, d in ts if q == TYPE}
     for c, p, l in ts:
-        if p != vocab.OWL_INTERSECTIONOF:
+        if p != vocab.OWL_INTERSECTIONOF or (members := oracle_list_members(ts, l)) is None:
             continue
-        members = oracle_list_members(ts, l)
         for m in members:
             out.add((c, SCO, m))
-        typed = {x for x, q, d in ts if q == TYPE}
         for x, q, d in ts:
             if q == TYPE and d == c:
                 for m in members:
@@ -272,11 +287,11 @@ def _o_intersection(ts):
 
 
 def _o_union(ts):
+    """scm-uni and cls-uni on each complete unionOf list."""
     out = set()
     for c, p, l in ts:
-        if p != vocab.OWL_UNIONOF:
+        if p != vocab.OWL_UNIONOF or (members := oracle_list_members(ts, l)) is None:
             continue
-        members = oracle_list_members(ts, l)
         for m in members:
             if not _lit(m):
                 out.add((m, SCO, c))
@@ -381,7 +396,7 @@ def naive_violation_rules(ts: frozenset[TermTriple]) -> set[str]:
     for d in alldiff_nodes:
         for s, p, l in ts:
             if s == d and p in (vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS):
-                members = sorted(oracle_list_members(ts, l), key=repr)
+                members = sorted(oracle_list_members(ts, l) or (), key=repr)
                 for i, a in enumerate(members):
                     for b in members[i + 1 :]:
                         if (a, SA, b) in ts or (b, SA, a) in ts:
@@ -392,51 +407,33 @@ def naive_violation_rules(ts: frozenset[TermTriple]) -> set[str]:
     return out
 
 
-def oracle_violations(work) -> InconsistencyReport:
-    """The violations of a closed graph, by a scan of the whole graph and of every AllDifferent list."""
-    typ = work.lookup(vocab.RDF_TYPE)
-    found: set[tuple[str, tuple[IdTriple, ...]]] = set()
-
-    def record(rule: str, *triples: IdTriple):
-        found.add((rule, tuple(sorted(set(triples)))))
-
-    for pred, rule in ((vocab.OWL_DISJOINTWITH, "owl-disjoint-classes"), (vocab.OWL_COMPLEMENTOF, "owl-complement")):
-        pid = work.lookup(pred)
-        if pid is None or typ is None:
-            continue
-        for c, d in work.pairs(pid):
-            for x in work.subjects(typ, c) & work.subjects(typ, d):
-                record(rule, (c, pid, d), (x, typ, c), (x, typ, d))
-
+def oracle_violations(graph) -> InconsistencyReport:
+    """The violations of a closed graph, by scans of its whole triple set and of every complete AllDifferent list."""
+    ts = triples_of(graph)
+    found: set[tuple[str, frozenset[TermTriple]]] = set()
+    for c, p, d in ts:
+        for pred, rule in ((vocab.OWL_DISJOINTWITH, "owl-disjoint-classes"), (vocab.OWL_COMPLEMENTOF, "owl-complement")):
+            if p == pred:
+                for x, q, e in ts:
+                    if q == TYPE and e == c and (x, TYPE, d) in ts:
+                        found.add((rule, frozenset({(c, p, d), (x, TYPE, c), (x, TYPE, d)})))
     # sameAs is symmetric in the closure, so (x sameAs y) is there whenever (y sameAs x) is
-    sa = work.lookup(vocab.OWL_SAMEAS)
-    diff = work.lookup(vocab.OWL_DIFFERENTFROM)
-    if sa is not None and diff is not None:
-        for x, y in work.pairs(diff):
-            if work.contains_ids((x, sa, y)):
-                record("owl-sameas-differentfrom", (x, diff, y), (x, sa, y))
+    for x, p, y in ts:
+        if p == vocab.OWL_DIFFERENTFROM and (x, SA, y) in ts:
+            found.add(("owl-sameas-differentfrom", frozenset({(x, p, y), (x, SA, y)})))
+    for d, p, l in ts:
+        if p in (vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS) and (d, TYPE, vocab.OWL_ALLDIFFERENT) in ts:
+            # extension: a pair's premise is (a sameAs b) for a before b in canonical term order
+            members = sorted(oracle_list_members(ts, l) or (), key=sort_key)
+            for i, a in enumerate(members):
+                for b in members[i + 1 :]:
+                    if (a, SA, b) in ts or (b, SA, a) in ts:
+                        found.add(("owl-alldifferent", frozenset({(d, p, l), (a, SA, b)})))
+    for x, p, o in ts:
+        if p == TYPE and o == vocab.OWL_NOTHING:
+            found.add(("owl-nothing-member", frozenset({(x, p, o)})))
 
-    alldiff = work.lookup(vocab.OWL_ALLDIFFERENT)
-    if alldiff is not None and typ is not None and sa is not None:
-        for d in work.subjects(typ, alldiff):
-            for prop in (vocab.OWL_DISTINCTMEMBERS, vocab.OWL_MEMBERS):
-                pid = work.lookup(prop)
-                if pid is None:
-                    continue
-                for lst in work.objects(d, pid):
-                    # extension: a pair's premise is (a sameAs b) for a before b in canonical term order
-                    members = sorted(_list_walk(work, lst)[0], key=lambda m: sort_key(work.term(m)))
-                    for i, a in enumerate(members):
-                        for b in members[i + 1 :]:
-                            if work.contains_ids((a, sa, b)) or work.contains_ids((b, sa, a)):
-                                record("owl-alldifferent", (d, pid, lst), (a, sa, b))
-
-    nothing = work.lookup(vocab.OWL_NOTHING)
-    if nothing is not None and typ is not None:
-        for x in work.subjects(typ, nothing):
-            record("owl-nothing-member", (x, typ, nothing))
-
-    violations = [Violation(rule, tuple(sorted(map(work._to_triple, ts), key=triple_sort_key))) for rule, ts in found]
+    violations = [Violation(rule, tuple(sorted((Triple(*t) for t in premises), key=triple_sort_key))) for rule, premises in found]
     violations.sort(key=lambda v: (v.rule, tuple(triple_sort_key(t) for t in v.triples)))
     return InconsistencyReport(tuple(violations))
 
@@ -1183,8 +1180,7 @@ def oracle_serialize_ntriples(graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Queries: the term-level join, one substituted pattern and one sorted
-# Graph.match per probe
+# Queries: a nested-loop join by brute force over the naive closure
 # ---------------------------------------------------------------------------
 
 
@@ -1197,61 +1193,29 @@ def _oracle_substitute(pattern: TriplePattern, binding: Binding) -> TriplePatter
     return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
 
 
-def _oracle_plan(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePattern]:
-    """Most selective first: more bound positions, then smaller index estimate."""
-
-    def key(indexed: tuple[int, TriplePattern]):
-        i, p = indexed
-        bound = [None if isinstance(pos, Var) else pos for pos in p.positions()]
-        return (3 - p.bound_count(), work.cardinality(*bound), i)
-
-    return [p for _, p in sorted(enumerate(patterns), key=lambda ip: key(ip))]
-
-
-def _oracle_join(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[Binding]:
+def _oracle_join(ts: frozenset[TermTriple], patterns: tuple[TriplePattern, ...]) -> list[Binding]:
+    """Every binding that puts each pattern in `ts`, grown one pattern at a time in the given order."""
     bindings: list[Binding] = [{}]
-    for pattern in _oracle_plan(work, patterns):
-        grown: list[Binding] = []
-        for binding in bindings:
-            for _, extra in work.match(_oracle_substitute(pattern, binding)):
-                grown.append({**binding, **extra})
-        bindings = grown
-        if not bindings:
-            break
+    for pattern in patterns:
+        bindings = [{**binding, **extra} for binding in bindings for _, extra in brute_match(ts, _oracle_substitute(pattern, binding))]
     return bindings
 
 
 def oracle_query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
-    """Evaluate the query against the chosen closure; deterministic order."""
+    """Evaluate a valid query against the naive closure of the regime; deterministic order."""
     if regime not in REGIMES:
         raise QueryValidationError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    _validate(q)
-    representative = None
-    if regime == "none":
-        work = graph
-    elif regime == "rdfs":
-        work = saturate_rdfs(graph).graph
-    else:
-        work = saturate_owl(graph)[0].graph
-        representative = oracle_partition(work)
-
-    bindings = _oracle_join(work, q.patterns)
-    if q.negations:
-        kept = []
-        for binding in bindings:
-            blocked = any(
-                _oracle_join(work, tuple(_oracle_substitute(p, binding) for p in block)) for block in q.negations
-            )
-            if not blocked:
-                kept.append(binding)
-        bindings = kept
-
+    ts = {"none": frozenset, "rdfs": naive_rdfs_closure, "owl": naive_owl_closure}[regime](triples_of(graph))
+    bindings = [
+        binding for binding in _oracle_join(ts, q.patterns)
+        if not any(_oracle_join(ts, tuple(_oracle_substitute(p, binding) for p in block)) for block in q.negations)
+    ]
     projection = q.projection or tuple(sorted(set().union(*(p.variables() for p in q.patterns))))
     rows: dict[tuple, Binding] = {}
     for binding in bindings:
         projected = {v: binding[v] for v in projection}
-        if representative is not None:
-            projected = {v: representative(t) for v, t in projected.items()}
+        if regime == "owl":
+            projected = {v: oracle_representative(ts, t) for v, t in projected.items()}
         rows[tuple(sort_key(projected[v]) for v in projection)] = projected
     return [rows[k] for k in sorted(rows)]
 

@@ -42,7 +42,7 @@ from kgkit import (
     parse_turtle,
     serialize_ntriples,
 )
-from kgkit import io, terms
+from kgkit import io, terms, vocab
 from kgkit.cli import main
 from kgkit.io import _Fault, _escape_iri, _escape_string, _line_col, _scan, format_term
 
@@ -612,20 +612,33 @@ def test_every_label_a_blank_node_accepts_reads_back(label):
     assert triples_of(parse_turtle(text).graph) == triples_of(g)
 
 
-# Terms whose sort keys tie: a plain literal and one typed with an empty datatype,
-# a language tag of "" and an explicit rdf:langString datatype.
-TIES = [
-    Literal("x"),
-    Literal("x", datatype=""),
-    Literal("x", language=""),
-    Literal("x", datatype="http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"),
-]
+# The lexical form, datatype and language tag of a literal, each from a few values
+# that differ in one place only, "" included; not every triple makes a literal.
+literal_parts = st.tuples(
+    st.sampled_from(["x", "", "x@en"]),
+    st.sampled_from([None, "", terms.LANG_STRING, vocab.XSD + "string", "http://e.x/dt"]),
+    st.sampled_from([None, "", "en", "EN"]),
+)
 
 
-@given(st.lists(st.tuples(st.sampled_from([IRI("http://e.x/s"), BlankNode("b")]), st.sampled_from(TIES)), max_size=8))
-def test_serialize_matches_the_term_level_order_when_sort_keys_tie(pairs):
-    g = graph_of(Triple(s, IRI("http://e.x/p"), o) for s, o in pairs)
-    assert serialize_ntriples(g) == oracle_serialize_ntriples(g)
+@given(st.lists(literal_parts, max_size=12))
+@example([("x", None, ""), ("x", terms.LANG_STRING, None)])
+@example([("x", "", None), ("x", None, None)])
+def test_distinct_literals_are_written_as_distinct_text(parts):
+    made = set()
+    for lexical, datatype, language in parts:
+        try:
+            made.add(Literal(lexical, datatype, language))
+        except ValidationError:  # a tag with another datatype, or an empty tag or datatype
+            pass
+    assert len({format_term(lit) for lit in made}) == len(made)
+
+
+@pytest.mark.parametrize("part", ["language", "datatype"])
+def test_a_literal_with_an_empty_language_tag_or_datatype_is_rejected(part):
+    # either would be written as another literal's text: "x"^^<...#langString> or "x"
+    with pytest.raises(ValidationError, match="empty language tag or datatype"):
+        Literal("x", **{part: ""})
 
 
 def fixed_random_graph(seed: int = 20231101, n: int = 300) -> Graph:
