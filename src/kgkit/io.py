@@ -11,13 +11,15 @@ one may span lines), and the numeric and boolean shorthand (42,
 literals).  Serialization is canonical N-Triples: one sorted line per
 triple, byte-identical across runs for equal graphs.
 
-Every text reader (the N-Triples lines that are not of the common
-shape, Turtle, `parse_term` and query patterns) reads the one scanner's
-(kind, value, offset) tuples; Turtle's also reads its other string
-forms.  The scanner, the term functions and the Turtle reader raise a
-fault at an offset into the scanned text (nesting
-too deep for the recursive Turtle reader is one); each reader turns the
-offset into a line and column once, where it raises the ParseError.  The
+A term text with no escape, in an N-Triples line split at its spaces
+or given to `parse_term`, is read by one pattern (`_read_term`).  Every
+other text (Turtle, query patterns, and the N-Triples lines and term
+texts that pattern does not read) is read from the one scanner's (kind,
+value, offset) tuples; Turtle's also reads its other string forms.  The
+scanner, the term functions and the Turtle reader raise a fault at an
+offset into the scanned text (nesting too deep for the recursive Turtle
+reader is one); each reader turns the offset into a line and column
+once, where it raises the ParseError.  The
 Turtle reader memoizes terms by token text for one parse and interns
 each at its first emission; rebinding a prefix to another namespace
 drops the entries of that prefix's qnames.  No base IRI is declared, so
@@ -35,7 +37,7 @@ from typing import Callable, Collection
 from . import vocab
 from .errors import ParseError, UnknownPrefixError, ValidationError
 from .graph import Graph, IdTriple
-from .terms import _BLANK_LABEL, IRI, BlankNode, Literal, PrefixMap, Term, Triple, sort_key
+from .terms import _BLANK_LABEL, _SCHEME, IRI, BlankNode, Literal, PrefixMap, Term, Triple, sort_key
 
 
 @dataclass
@@ -86,6 +88,11 @@ _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 _SINGLE_BODY = rf"[^'\\\n]*(?:{_ESCAPE}[^'\\\n]*)*"
 _LONG_BODIES = {q: rf"[^{q}\\]*(?:(?:{_ESCAPE}|{q}{{1,2}}(?!{q}))[^{q}\\]*)*" for q in "\"'"}
 _WORD_CHAR = r'[^\s.;,()\[\]<>"^@]'
+# A word's characters from its first on: a backslash takes the character
+# after it, so a local name may end in an escaped '.' (RDF 1.1 Turtle's
+# PN_LOCAL_ESC), as in `ex:a\.`.  Nothing after a word needs it to give
+# characters back, so its runs are possessive, which scans faster.
+_WORD_BODY = r'[^\s.;,()\[\]<>"^@\\]*+(?:\\[^\s;,()\[\]<>"^@]?[^\s.;,()\[\]<>"^@\\]*+)*+'
 
 
 # Whitespace and comments, then one alternative per token kind; a match
@@ -107,9 +114,9 @@ _WORD_CHAR = r'[^\s.;,()\[\]<>"^@]'
 @cache
 def _scanner(turtle: bool) -> re.Pattern:
     """The scanner of N-Triples, terms and query patterns, or, given `turtle`, of Turtle; each is compiled on first use."""
-    no_long, word_start, strings = "", _WORD_CHAR + "+", ""
+    no_long, word_start, strings = "", f"(?={_WORD_CHAR}){_WORD_BODY}", ""
     if turtle:
-        no_long, word_start = '(?!"")', rf"""[^\s.;,()\[\]<>"^@']{_WORD_CHAR}*"""
+        no_long, word_start = '(?!"")', rf"""(?=[^\s.;,()\[\]<>"^@']){_WORD_BODY}"""
         quoted = [q * 3 + body + q * 3 for q, body in _LONG_BODIES.items()] + [f"'(?!''){_SINGLE_BODY}'"]
         strings = f"| (?P<quoted>{'|'.join(quoted)}) | (?P<unclosed>\"\"\"|'''|')"
     return re.compile(
@@ -122,7 +129,7 @@ def _scanner(turtle: bool) -> re.Pattern:
         | @(?P<at>(?:[^\W_]|-)*)
         | (?P<hathat>\^\^)
         | _:(?P<blank>(?:{_BLANK_LABEL})?)
-        | (?P<word>(?:{word_start}|\.(?=[0-9]){_WORD_CHAR}*)(?:\.(?=[^\s;,()\[\]]){_WORD_CHAR}*)*)
+        | (?P<word>(?:{word_start}|\.(?=[0-9]){_WORD_BODY})(?:\.(?=[^\s;,()\[\]]){_WORD_BODY})*)
         | (?P<punct>[.;,\[\]()])
         {strings}
         | (?P<bad>.)
@@ -356,53 +363,68 @@ def _term_from_tokens(tokens, pos: int, prefixes: PrefixMap | None = None):
 # N-Triples
 # ---------------------------------------------------------------------------
 
-_NT_IRI = rf"<{_IRI_CHAR}+>"
-_NT_BLANK = f"_:{_BLANK_LABEL}"
-# The common line shape, which the scanner reads as exactly these three
-# terms and a '.': no backslash, only spaces and tabs around the terms, no
-# comment.  Labels and tags take the scanner's character sets.
-_NT_LINE = re.compile(
-    rf"""[ \t]*({_NT_IRI}|{_NT_BLANK})[ \t]+({_NT_IRI})[ \t]+
-    ({_NT_IRI}|{_NT_BLANK}|"[^"\\\n]*"(?:@(?:[^\W_]|-)+|\^\^{_NT_IRI})?)[ \t]*\.[ \t]*""",
-    re.VERBOSE,
+# One term text with no escape, which the scanner reads as this one term:
+# an IRI, a blank node, or a literal with no backslash and an optional tag
+# or datatype IRI.  Labels and tags take the scanner's character sets.
+_PLAIN_TERM = re.compile(
+    rf'<({_IRI_CHAR}+)>|_:({_BLANK_LABEL})|"([^"\\\n]*)"(?:@((?:[^\W_]|-)+)|\^\^<({_IRI_CHAR}+)>)?'
 )
 
 
+def _read_term(text: str) -> Term:
+    """The term of a text `_PLAIN_TERM` matches whole; any other text, or a relative datatype, raises ValueError."""
+    m = _PLAIN_TERM.fullmatch(text)
+    if m is None:
+        raise ValueError(text)
+    iri, label, lexical, language, datatype = m.groups()
+    if iri is not None:
+        return IRI(iri)
+    if label is not None:
+        return BlankNode(label)
+    if datatype is not None and not _SCHEME.match(datatype):  # no base IRI resolves it
+        raise ValueError(text)
+    return Literal(lexical, datatype, language)
+
+
 class _TermIds(dict):
-    """Term text -> id in `graph`; a text not seen yet is scanned and interned."""
+    """Term text -> id in `graph`; a text not seen yet is read by `_read_term` and interned.
+
+    A text `_read_term` refuses, or whose term `intern` rejects (a relative
+    IRI), raises before anything is interned for it, and is not kept.
+    """
 
     def __init__(self, graph: Graph):
         self.graph = graph
 
     def __missing__(self, text: str) -> int:
-        tid = self[text] = self.graph.intern(parse_term(text))
+        tid = self[text] = self.graph.intern(_read_term(text))
         return tid
 
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples: one '.'-terminated triple per non-comment line.
 
-    A line of the common shape (see `_NT_LINE`: IRI or blank subject, IRI
-    predicate, IRI, blank or plain, tagged or typed literal object, no
-    backslash, only spaces and tabs around the terms) is one whole-line
-    match, and each term text is scanned and interned once per parse.  Any
-    other line (blank, comment, CRLF, escapes, `<>`, no space between
-    terms, malformed), and one whose terms do not build (a relative IRI or
-    datatype), goes through the token scanner, so terms get the same ids
-    in the same order and errors the same message, line and column either
-    way.
+    A line with one trailing CR dropped is split at its first two spaces.
+    When it has three parts, the third ends in " .", the predicate text
+    starts with '<' and the subject text does not start with '"' (so a
+    literal subject or a predicate that is no IRI is the scanner's error),
+    each of the three term texts is looked up in a memo that lives for
+    one parse: a text not seen yet is read by `_read_term` and interned,
+    in s, p, o order.  Any other line (blank, comment, escapes, `<>`, other spacing,
+    malformed), and one whose term texts do not all read (a relative IRI
+    or datatype), goes through the token scanner, so terms get the same
+    ids in the same order and errors the same message, line and column
+    either way.
     """
     g = Graph()
     ids = _TermIds(g)
-    line_shape = _NT_LINE.fullmatch
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        m = line_shape(raw)
-        if m is not None:
-            s, p, o = m.groups()
+        parts = (raw[:-1] if raw[-1:] == "\r" else raw).split(" ", 2)
+        if len(parts) == 3 and parts[2][-2:] == " ." and parts[1][:1] == "<" and parts[0][:1] != '"':
             try:
-                g.insert_ids((ids[s], ids[p], ids[o]))
+                g.insert_ids((ids[parts[0]], ids[parts[1]], ids[parts[2][:-2]]))
                 continue
-            except (ParseError, ValidationError):
+            except (ValueError, ValidationError):
                 pass  # the scanner path reports where
         if not raw.strip():
             continue
@@ -427,7 +449,15 @@ def parse_ntriples(text: str) -> Graph:
 
 
 def parse_term(text: str) -> Term:
-    """Parse a single term in N-Triples syntax (used by model files)."""
+    """Parse a single term in N-Triples syntax (used by model files).
+
+    A text `_read_term` reads is built directly; any other goes through the
+    token scanner, which reads the same term from it or raises the error.
+    """
+    try:
+        return _read_term(text)
+    except ValueError:
+        pass
     try:
         tokens = _scan(text)
         term, pos = _term_from_tokens(tokens, 0)

@@ -853,10 +853,12 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
         else:
             # bare word: either the keyword 'a' or a qname like edu:Warsaw
             buf = []
+            escaped = False  # extension: a backslash takes the next character, so `ex:a\.` ends in its '.' (PN_LOCAL_ESC)
             while i < n and not text[i].isspace() and text[i] not in ";,()[]<>\"^@":
                 # '.' ends a statement unless it is part of the local name
-                if text[i] == "." and (i + 1 >= n or text[i + 1].isspace() or text[i + 1] in ";,()[]"):
+                if text[i] == "." and not escaped and (i + 1 >= n or text[i + 1].isspace() or text[i + 1] in ";,()[]"):
                     break
+                escaped = text[i] == "\\" and not escaped
                 buf.append(text[i])
                 advance()
             word = "".join(buf)
@@ -887,11 +889,12 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
 # own token; a relative or empty datatype IRI is an error at its token; the
 # numeric and boolean shorthand reads as XSD-typed literals; a '.' before a
 # digit starts a number, and one before a label character stays in a blank
-# node label, and 'x', '''x''' and its double-quoted twin are strings (all
-# three in `oracle_tokenize`); a non-empty `[ ... ]` may be a whole
-# statement; an @prefix token after a string is its language tag; a
-# qname's local escapes are decoded, and a bad escape or a bare ' in it
-# is an error at its token; and so is a ' in a prefix name.
+# node label, one after a backslash stays in a word, and 'x', '''x''' and
+# its double-quoted twin are strings (all four in `oracle_tokenize`); a
+# non-empty `[ ... ]` may be a whole statement; an @prefix token after a
+# string is its language tag; a qname's local escapes are decoded, and a
+# bad escape or a bare ' in it is an error at its token; and so is a ' in a
+# prefix name.
 
 
 def _oracle_is_absolute(iri: str) -> bool:

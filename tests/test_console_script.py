@@ -134,6 +134,13 @@ DEEP = "@prefix ex: <http://example.org/> .\nex:s ex:p {}ex:o{} .\n"
 
 CASES = [
     Case("parse-ntriples", "parse one.nt", {"one.nt": ONE_NT}, out=ONE_NT),
+    # a CRLF file gives the bytes of its LF twin
+    Case("parse-ntriples-crlf", "parse crlf.nt", {"crlf.nt": SAME_NT.replace("\n", "\r\n")}, out=SAME_NT),
+    # comment lines, an escaped literal and plain lines in one file, written sorted and canonical
+    Case("parse-ntriples-mixed-lines", "parse mixed.nt",
+         {"mixed.nt": f'# a comment\n<{E}b> <{E}p> "tab\\there \\u00e9" .\n\n  # indented comment\n'
+                      f'<{E}a> <{E}p> "v"@en .\n<{E}a> <{E}p> _:x . # trailing comment\n<{E}a>\t<{E}p> <{E}b> .\n'},
+         out=f'<{E}a> <{E}p> <{E}b> .\n<{E}a> <{E}p> _:x .\n<{E}a> <{E}p> "v"@en .\n<{E}b> <{E}p> "tab\\there é" .\n'),
     # a blank node property list may be a whole Turtle statement, as AllDifferent axioms are written
     Case("parse-alldifferent-statement", "parse alldiff.ttl", {"alldiff.ttl": ALLDIFFERENT_TTL}, out=ALLDIFFERENT_NT),
     # nesting 1,000 deep is a positioned parse error, not a traceback

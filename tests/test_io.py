@@ -457,11 +457,19 @@ def test_a_local_name_escape_stands_for_the_character_after_the_backslash():
     assert serialize_ntriples(g).startswith("<http://e/a.b> <http://e/p> <http://e/c#d-e~> .\n")
 
 
+def test_a_local_name_may_end_in_an_escaped_dot():
+    g = parse_turtle("@prefix ex: <http://e.x/> .\nex:a\\. ex:p ex:b\\.c\\. , ex:d\\..\n").graph
+    assert serialize_ntriples(g) == (
+        "<http://e.x/a.> <http://e.x/p> <http://e.x/b.c.> .\n<http://e.x/a.> <http://e.x/p> <http://e.x/d.> .\n"
+    )
+
+
 @pytest.mark.parametrize(
     "qname, message",
     [
         ("ex:a\\qb", "bad escape \\q in qname ex:a\\qb"),
         ("ex:a\\\\b", "bad escape \\\\ in qname ex:a\\\\b"),
+        ("ex:a\\\\.", "bad escape \\\\ in qname ex:a\\\\"),  # a '.' after an escaped backslash is not escaped
         ("e\\.x:a", "bad escape \\. in qname e\\.x:a"),  # a prefix name has no escapes
         ("ex:a\\;ex:b", "unsupported escape \\; in qname ex:a\\"),  # ';' ends the word
         ("ex:a\\,ex:b", "unsupported escape \\, in qname ex:a\\"),

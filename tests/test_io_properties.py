@@ -2,8 +2,9 @@
 
 The regular-expression scanner must produce the tokens, and raise the
 ParseError messages, lines and columns, of the per-character tokenizer kept
-in `oracles.oracle_tokenize`.  The whole-line N-Triples path must build the
-graph, or raise the error, of the token scanner alone, and the memoized
+in `oracles.oracle_tokenize`.  The split N-Triples path and `parse_term`'s
+per-text reader must build the graph or term, or raise the error, of the
+token scanner alone, and the memoized
 Turtle parser those of the Term-per-occurrence parser kept in
 `oracles.oracle_parse_turtle`.  `kgkit parse` answers any document with
 exit 0, or exit 2 and one positioned error line, and every reader raises
@@ -19,7 +20,7 @@ import random
 import re
 import tempfile
 from collections import Counter
-from contextlib import redirect_stderr
+from contextlib import contextmanager, redirect_stderr
 from io import StringIO
 from unittest import mock
 
@@ -130,6 +131,7 @@ def assert_same_as_oracle(text: str, start_line: int = 1, turtle: bool = False) 
 @given(documents(), st.integers(min_value=1, max_value=5))
 @example('<http://e.x/a> <http://e.x/p> "v\\u00e9"@fr .\n_:b <http://e.x/p> "1"^^<http://e.x/int> . # c\n', 1)
 @example("@prefix ex: <http://e.x/> .\nex:a a ex:B ; ex:p ( ex:c ex:d.e ) , [ ex:q ex:r ] .\n", 3)
+@example("ex:a\\. ex:p ex:b\\.c\\.. ex:c\\\\. ex:d\\\\\\. x\\.\n\\.\\;", 1)  # a backslash takes the '.' after it
 def test_scanner_matches_the_per_character_tokenizer(text, start_line):
     assert_same_as_oracle(text, start_line)
 
@@ -138,6 +140,7 @@ def test_scanner_matches_the_per_character_tokenizer(text, start_line):
 @given(documents(TOKENS + TURTLE_STRINGS, MALFORMED + TURTLE_MALFORMED, ALPHABET + "'"), st.integers(min_value=1, max_value=5))
 @example(":a :p '''a\n'b''c''' ; :q \"\"\"x\"\"\"\"\"\" .", 2)
 @example("'x' '''y\n'''@en \"\"\"\"\"\"\" ''", 1)
+@example("ex:a\\. ex:p ex:b\\.c\\.. ex:c\\\\. ex:d\\\\\\. x\\.\n\\.\\;", 1)
 def test_turtle_scanner_matches_the_per_character_tokenizer(text, start_line):
     assert_same_as_oracle(text, start_line, turtle=True)
 
@@ -216,10 +219,10 @@ def test_cli_rejects_an_escaped_surrogate_with_exit_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The whole-line N-Triples path against the token scanner
+# The split N-Triples path against the token scanner
 # ---------------------------------------------------------------------------
 
-# Parts of lines of the common shape, then parts that make a line fall back:
+# Parts of well-formed lines, then parts that make a line fall back:
 # escapes, relative and empty IRIs, labels next to '.' or '<', tags the
 # scanner reads otherwise, other whitespace, comments, misplaced or
 # malformed terms and missing or extra punctuation.
@@ -250,11 +253,13 @@ LINES = ["", "  ", "# comment", "\r", "\t# c\r"]
 
 @st.composite
 def ntriples_line(draw):
-    """A line of the common shape, or one with a single part that makes it fall back."""
+    """A well-formed line, or one with a single part that makes it fall back; half of them spaced as the split path takes them."""
     if draw(st.integers(min_value=0, max_value=7)) == 0:
         return draw(st.sampled_from(LINES))
     odd = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=len(FAST) - 1)))
     parts = [draw(st.sampled_from(ODD[i] if i == odd else FAST[i])) for i in range(len(FAST))]
+    if draw(st.booleans()):  # an odd separator becomes a space too
+        return " ".join(parts[0:5:2]) + (parts[5] if odd == 5 else " .") + draw(st.sampled_from(["", "\r"]))
     return draw(st.sampled_from(["", " ", "\t"])) + "".join(parts)
 
 
@@ -275,9 +280,29 @@ def parse_outcome(text: str):
     return ("graph", g._id_to_term, list(g._triples))
 
 
+@contextmanager
+def forced_scanner():
+    """The per-text reader refuses every text, so the token scanner reads it; yields the texts `_scan` is given."""
+    scanned = []
+    real_scan = io._scan
+
+    def counted(text, *args):
+        scanned.append(text)
+        return real_scan(text, *args)
+
+    with mock.patch.object(io, "_read_term", side_effect=ValueError), mock.patch.object(io, "_scan", counted):
+        yield scanned
+
+
 def scanner_outcome(text: str):
-    with mock.patch.object(io, "_NT_LINE", re.compile(r"(?!)")):  # no line takes the whole-line path
-        return parse_outcome(text)
+    """`parse_outcome` with the token scanner reading each non-blank line once."""
+    with forced_scanner() as scanned:
+        result = parse_outcome(text)
+    lines = text.split("\n")
+    if result[0] == "error":  # no line after the one that raised is read
+        lines = lines[: result[3]]
+    assert scanned == [line for line in lines if line.strip()]
+    return result
 
 
 @settings(max_examples=600)
@@ -285,15 +310,33 @@ def scanner_outcome(text: str):
 @example('<http://e.x/s> <http://e.x/p> "v"@prefix .\n')
 @example('<http://e.x/s> <http://e.x/p> "v" .\n<rel> <http://e.x/p> <http://e.x/o> .\n')
 @example('_:b1 <http://e.x/p> _:o.\n<http://e.x/s>\t<http://e.x/p>\t"v"@en-GB\t. \n_:b<http://e.x/p> <http://e.x/o> .\n')
-def test_whole_line_path_matches_the_token_scanner(text):
+@example('<http://e.x/s> <http://e.x/p> "v"^^<dt> .\n<http://e.x/s> <http://e.x/p> "v"@en .\r\n')
+@example('"v" <http://e.x/p> <http://e.x/o> .\n_:s _:p <http://e.x/o> .\n')
+@example('<http://e.x/s> <http://e.x/p> <http://e.x/o> .\x0b\n')  # only one CR is dropped before the split
+@example('<http://e.x/\\u00e9> <http://e.x/p> "v" .\r\n<http://e.x/s> <http://e.x/p> "v\\q" .\n')
+@example('<http://e.x/s> <http://e.x/p> "v"@en_GB .\n')
+@example('<http://e.x/s> <http://e.x/p> "v"@en.\n')
+def test_split_path_matches_the_token_scanner(text):
     assert parse_outcome(text) == scanner_outcome(text)
 
 
-def test_canonical_lines_take_the_whole_line_path():
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_canonical_lines_never_reach_the_scanner(newline):
     text = serialize_ntriples(fixed_random_graph())
     plain = [line for line in text.split("\n")[:-1] if "\\" not in line]
     assert len(plain) > 100
-    assert all(io._NT_LINE.fullmatch(line) for line in plain)
+    with mock.patch.object(io, "_scan", side_effect=AssertionError("a canonical line reached the scanner")):
+        g = parse_ntriples(newline.join(plain) + newline)
+    assert serialize_ntriples(g) == "".join(line + "\n" for line in plain)
+
+
+def test_a_crlf_document_reads_as_its_lf_twin():
+    lf = serialize_ntriples(fixed_random_graph())
+    assert "\\" in lf  # some lines hold escapes and go through the scanner
+    expected, got = parse_ntriples(lf), parse_ntriples(lf.replace("\n", "\r\n"))
+    assert got._id_to_term == expected._id_to_term
+    assert list(got._triples) == list(expected._triples)
+    assert serialize_ntriples(got) == lf
 
 
 def test_each_distinct_term_text_is_built_once_per_parse():
@@ -302,21 +345,70 @@ def test_each_distinct_term_text_is_built_once_per_parse():
     objects = subjects + ['"v"', '"v"@en', '"v"^^<http://e.x/dt>', '"w"']
     lines = [f"{s} {p} {o} ." for s in subjects for p in predicates for o in objects]
     text = "\n".join(lines) + "\n"
-    distinct = len(set(subjects + predicates + objects))
-    built = []
-    real = io._term_from_tokens
+    distinct = sorted(set(subjects + predicates + objects))
+    read = []
+    real = io._read_term
 
-    def counted(tokens, pos, *args, **kwargs):
-        built.append(tokens[pos][1])
-        return real(tokens, pos, *args, **kwargs)
+    def counted(term_text):
+        read.append(term_text)
+        return real(term_text)
 
-    with mock.patch.object(io, "_term_from_tokens", counted):
+    with mock.patch.object(io, "_read_term", counted):
         g = parse_ntriples(text)
-        assert len(built) == distinct < 3 * len(lines)
+        assert sorted(read) == distinct and len(read) < 3 * len(lines)
         parse_ntriples(text)  # the memo lives for one parse
-        assert len(built) == 2 * distinct
+        assert sorted(read) == sorted(distinct * 2)
     assert len(g) == len(lines)
     assert parse_outcome(text) == scanner_outcome(text)
+
+
+# ---------------------------------------------------------------------------
+# parse_term: the per-text reader against the token scanner
+# ---------------------------------------------------------------------------
+
+TERM_TEXTS = [text for parts in (FAST, ODD) for i in (0, 2, 4) for text in parts[i]] + [
+    "_:b.", "_:b", '"v"@', '"v"^^<http://e.x/dt>x', '"v\\u00e9"', "<http://e.x/\\u00e9>", '"a\nb"', "<a\nb>", "",
+]
+
+
+def term_outcome(text: str):
+    try:
+        term = parse_term(text)
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+    return ("term", term)
+
+
+@settings(max_examples=600)
+@given(
+    st.sampled_from(["", "", " ", "\t", "\n"]),
+    st.lists(st.sampled_from(TERM_TEXTS), min_size=1, max_size=2).map("".join),
+    st.sampled_from(["", "", " ", "  ", "\t", "\r", " .", "\n"]),
+)
+@example("", '"v"^^<dt>', "")
+@example("", '"v"@en-GB', "")
+@example("", "_:b.", "")
+@example("", "<rel>", " ")
+def test_parse_term_reads_as_the_token_scanner(before, text, after):
+    text = before + text + after
+    expected = term_outcome(text)
+    with forced_scanner() as scanned:
+        assert term_outcome(text) == expected
+    assert scanned == [text]
+
+
+def test_plain_term_texts_never_reach_the_scanner():
+    plain = [t for t in fixed_random_graph()._id_to_term if "\\" not in format_term(t)]
+    assert len(plain) > 100
+    with mock.patch.object(io, "_scan", side_effect=AssertionError("a plain term text reached the scanner")):
+        assert [parse_term(format_term(t)) for t in plain] == plain
+
+
+def test_model_files_round_trip_byte_for_byte():
+    from kgkit.embeddings import dump_model, init_model, load_model_text
+
+    text = dump_model(init_model(fixed_random_graph(), 2, seed=0))
+    assert dump_model(load_model_text(text)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +505,8 @@ def turtle_outcome(parse, text: str):
 @example("@prefix ex: <http://e.x/> .\nex:it\\'s ex:p 'v'^^ex:it\\'s .\n")
 @example("@prefix ex: <http://e.x/> .\nex:a\\q ex:p ex:o .\n")
 @example("@prefix e'x: <http://e.x/> .\n:a :p :b .\n")
+@example("@prefix ex: <http://e.x/> .\nex:a\\. ex:p ex:b\\.c\\. , 'v'^^ex:t\\. .\nex:a ex:p ex:o\\..\n")
+@example("@prefix ex: <http://e.x/> .\nex:a\\\\. ex:p ex:o .\n")
 def test_turtle_parser_matches_the_term_per_occurrence_parser(text):
     try:
         expected = turtle_outcome(oracle_parse_turtle, text)
@@ -480,6 +574,8 @@ ns:r ex:p [ ns:q ex:o ] , ( ex:o "v" ) .
 @example("@prefix ex: <http://e.x/> .\nex:it's ex:p ex:o .\n", "ttl")
 @example("@prefix ex: <http://e.x/> .\nex:it\\'s ex:p ex:o .\n", "ttl")
 @example("@prefix e'x: <http://e.x/> .\n", "ttl")
+@example("@prefix ex: <http://e.x/> .\nex:a\\. ex:p ex:o\\..\n", "ttl")
+@example("@prefix ex: <http://e.x/> .\nex:a\\\\. ex:p ex:o .\n", "ttl")
 def test_cli_parse_exits_0_or_2_with_one_positioned_error_line(text, fmt):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, f"doc.{fmt}")
