@@ -88,11 +88,14 @@ _STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
 _SINGLE_BODY = rf"[^'\\\n]*(?:{_ESCAPE}[^'\\\n]*)*"
 _LONG_BODIES = {q: rf"[^{q}\\]*(?:(?:{_ESCAPE}|{q}{{1,2}}(?!{q}))[^{q}\\]*)*" for q in "\"'"}
 _WORD_CHAR = r'[^\s.;,()\[\]<>"^@]'
-# A word's characters from its first on: a backslash takes the character
-# after it, so a local name may end in an escaped '.' (RDF 1.1 Turtle's
-# PN_LOCAL_ESC), as in `ex:a\.`.  Nothing after a word needs it to give
-# characters back, so its runs are possessive, which scans faster.
-_WORD_BODY = r'[^\s.;,()\[\]<>"^@\\]*+(?:\\[^\s;,()\[\]<>"^@]?[^\s.;,()\[\]<>"^@\\]*+)*+'
+# A word's characters after its start: runs of word characters, each '.'
+# that no whitespace or ;,()[] follows, and each backslash with the
+# character after it, so a local name may end in an escaped '.' (RDF 1.1
+# Turtle's PN_LOCAL_ESC), as in `ex:a\.`.  One loop takes both the '.'s and
+# the escapes: a second loop, for the escapes alone, scanned Turtle about 6%
+# slower.
+_WORD_RUN = r'[^\s.;,()\[\]<>"^@\\]*'
+_WORD_REST = rf'{_WORD_RUN}(?:(?:\.(?=[^\s;,()\[\]])|\\[^\s;,()\[\]<>"^@]?){_WORD_RUN})*'
 
 
 # Whitespace and comments, then one alternative per token kind; a match
@@ -114,9 +117,9 @@ _WORD_BODY = r'[^\s.;,()\[\]<>"^@\\]*+(?:\\[^\s;,()\[\]<>"^@]?[^\s.;,()\[\]<>"^@
 @cache
 def _scanner(turtle: bool) -> re.Pattern:
     """The scanner of N-Triples, terms and query patterns, or, given `turtle`, of Turtle; each is compiled on first use."""
-    no_long, word_start, strings = "", f"(?={_WORD_CHAR}){_WORD_BODY}", ""
+    no_long, word_start, strings = "", _WORD_CHAR, ""
     if turtle:
-        no_long, word_start = '(?!"")', rf"""(?=[^\s.;,()\[\]<>"^@']){_WORD_BODY}"""
+        no_long, word_start = '(?!"")', r"""[^\s.;,()\[\]<>"^@']"""
         quoted = [q * 3 + body + q * 3 for q, body in _LONG_BODIES.items()] + [f"'(?!''){_SINGLE_BODY}'"]
         strings = f"| (?P<quoted>{'|'.join(quoted)}) | (?P<unclosed>\"\"\"|'''|')"
     return re.compile(
@@ -129,7 +132,7 @@ def _scanner(turtle: bool) -> re.Pattern:
         | @(?P<at>(?:[^\W_]|-)*)
         | (?P<hathat>\^\^)
         | _:(?P<blank>(?:{_BLANK_LABEL})?)
-        | (?P<word>(?:{word_start}|\.(?=[0-9]){_WORD_BODY})(?:\.(?=[^\s;,()\[\]]){_WORD_BODY})*)
+        | (?P<word>(?:(?={word_start})|\.(?=[0-9])){_WORD_REST})
         | (?P<punct>[.;,\[\]()])
         {strings}
         | (?P<bad>.)

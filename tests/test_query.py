@@ -290,6 +290,9 @@ def test_escaped_query_constants_match_the_data():
     assert [b["o"] for b in query(g, q)] == [Literal("café")]
     q, _ = parse_query('PREFIX x: <http://x/caf\\u00e9>\n?s <http://x/p> ?o\nNOT { x: <http://x/p> ?o }\n')
     assert q.negations[0][0].subject == IRI("http://x/café")
+    q, _ = parse_query("PREFIX e: <http://e.x/>\ne:a\\. e:p ?o .\n?s e:p e:a\\.\n")  # a local name may end in an escaped '.'
+    assert q.patterns[0].subject == IRI("http://e.x/a.")
+    assert q.patterns[1].object == IRI("http://e.x/a.")
 
 
 @given(st.one_of(iris, literals))
@@ -318,6 +321,7 @@ def test_every_printed_term_reads_back_as_a_query_constant(term):
         ("NOT { ?x e:p <rel> }", "relative IRI 'rel' and no base IRI is declared at line 3, column 14", 3),
         ('?x e:p "1"^^<int>', "relative datatype IRI 'int' and no base IRI is declared at line 3, column 13", 3),
         ("?x e:p 4x2", "unexpected token '4x2' at line 3, column 8", 3),
+        ("?x e:p e:a\\\\.", "bad escape \\\\ in qname e:a\\\\ at line 3, column 8", 3),
     ],
 )
 def test_bad_query_constants_are_parse_errors_naming_the_line(text, message, line):
