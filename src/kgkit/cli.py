@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import owl, rdfs, reify
 from .errors import KGError, ParseError, QueryValidationError, ValidationError
-from .query import REGIMES, _answer, parse_competency, parse_query, query as run_query
+from .query import REGIMES, _answer, _projection, parse_competency, parse_query, query as run_query
 from .graph import Graph
 from .io import _serialize_ids, format_term, parse_ntriples, parse_term, parse_turtle, serialize_ntriples
 from .terms import IRI, Term
@@ -110,8 +110,13 @@ def cmd_infer(args) -> int:
     with _stats(args):
         closure = rdfs.saturate_rdfs(graph) if args.profile == "rdfs" else owl.saturate_owl(graph)[0]
     report = closure.report
-    text = _serialize_ids(closure._derived_ids, closure.work.term) if args.derived_only else serialize_ntriples(closure.graph)
-    _write_out(text, args.out)
+    if args.derived_only:
+        triples = closure._derived_ids
+    elif args.profile == "owl":  # the expanded copies, written with no expanded graph built
+        triples = [t for t, _ in closure._copies()]
+    else:
+        triples = closure.work._triples
+    _write_out(_serialize_ids(triples, closure.work.term), args.out)
     if report:
         _print_report(report)
         return EXIT_INCONSISTENT
@@ -166,7 +171,7 @@ def cmd_query(args) -> int:
     q, file_regime = parse_query(_read(args.queryfile))
     regime = args.regime or file_regime
     bindings = run_query(graph, q, regime)
-    variables = q.projection or tuple(sorted(set().union(*(p.variables() for p in q.patterns))))
+    variables = _projection(q)
     if args.tsv:
         lines = ["\t".join(f"?{v}" for v in variables)]
         for b in bindings:
@@ -203,6 +208,9 @@ def _rank_metrics(metrics: embeddings.RankMetrics) -> dict[str, float]:
 
 
 def cmd_embed(args) -> int:
+    if args.action == "train" and args.log_every is not None and args.log_every < 1:
+        print(f"--log-every must be at least 1, got {args.log_every}", file=sys.stderr)
+        return EXIT_USAGE
     from . import embeddings  # numpy loads only for this command
 
     graph = _load_graph(args.graph, args.format)
@@ -289,26 +297,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("embed", help="train, evaluate or query a TransE model")
-    p.add_argument("action", choices=["train", "eval", "predict"])
-    p.add_argument("graph")
-    p.add_argument("--format", choices=["nt", "ttl"], default=None)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dim", type=int, default=20)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--negatives", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None, help="overrides KB_SEED; default 0")
-    p.add_argument("--log-every", type=int, default=None, metavar="N", help="train: each N-th epoch's loss, and the last, on stderr")
-    p.add_argument("--norm", choices=list(_NORMS), default=_NORMS[0])
-    p.add_argument("--test", default=None, help="held-out triples (eval), read like the graph")
-    p.add_argument("--head", default=None)
-    p.add_argument("--tail", default=None)
-    p.add_argument("--relation", default=None)
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--filtered", action="store_true")
-    p.add_argument("--per-relation", action="store_true", help="add per-relation metrics to the eval JSON")
-    p.add_argument("--out", default=None)
+    actions = p.add_subparsers(dest="action", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("graph")
+    common.add_argument("--format", choices=["nt", "ttl"], default=None)
+    common.add_argument("--model", required=True)
+
+    a = actions.add_parser("train", parents=[common], help="train a model on the graph and write it to --model")
+    a.add_argument("--dim", type=int, default=20)
+    a.add_argument("--margin", type=float, default=1.0)
+    a.add_argument("--lr", type=float, default=0.01)
+    a.add_argument("--epochs", type=int, default=100)
+    a.add_argument("--negatives", type=int, default=1)
+    a.add_argument("--seed", type=int, default=None, help="overrides KB_SEED; default 0")
+    a.add_argument("--log-every", type=int, default=None, metavar="N", help="each N-th epoch's loss, and the last, on stderr")
+    a.add_argument("--norm", choices=list(_NORMS), default=_NORMS[0])
+
+    a = actions.add_parser("eval", parents=[common], help="filtered rank metrics of held-out triples, as JSON")
+    a.add_argument("--test", required=True, help="held-out triples, read like the graph")
+    a.add_argument("--per-relation", action="store_true", help="add per-relation metrics to the JSON")
+
+    a = actions.add_parser("predict", parents=[common], help="the top k completions of a triple with one free slot")
+    a.add_argument("--relation", required=True)
+    slot = a.add_mutually_exclusive_group(required=True)
+    slot.add_argument("--head")
+    slot.add_argument("--tail")
+    a.add_argument("-k", type=int, default=10)
+    a.add_argument("--filtered", action="store_true")
+    a.add_argument("--out", default=None)
 
     return parser
 
@@ -335,19 +351,6 @@ def _run(argv) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        if args.command == "embed":
-            if args.log_every is not None and args.action != "train":
-                print("--log-every applies only to embed train", file=sys.stderr)
-                return EXIT_USAGE
-            if args.log_every is not None and args.log_every < 1:
-                print(f"--log-every must be at least 1, got {args.log_every}", file=sys.stderr)
-                return EXIT_USAGE
-            if args.action == "eval" and not args.test:
-                print("embed eval requires --test", file=sys.stderr)
-                return EXIT_USAGE
-            if args.action == "predict" and (args.relation is None or (args.head is None) == (args.tail is None)):
-                print("embed predict needs --relation and exactly one of --head/--tail", file=sys.stderr)
-                return EXIT_USAGE
         return globals()[f"cmd_{args.command}"](args)  # looked up per call, as the parser outlives it
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -55,8 +55,7 @@ class Graph:
 
     equality = None  # the sameAs classes of a graph rewritten to their representatives, kept only here (`owl._Equality`)
 
-    def __init__(self, base: str | None = None):
-        self.base = base
+    def __init__(self):
         self._term_to_id: dict[Term, int] = dict(vocab.RULE_IDS)
         self._id_to_term: list[Term] = list(vocab.RULE_TERMS)
         self._triples: dict[IdTriple, None] = {}  # insertion order: see `version`
@@ -71,23 +70,10 @@ class Graph:
 
     # -- dictionary ----------------------------------------------------
 
-    def _resolve(self, iri: IRI) -> IRI:
-        if iri.is_absolute():
-            return iri
-        if self.base is None:
-            raise ValidationError(f"relative IRI {iri.value!r} and no base IRI is declared")
-        if self.base.endswith("#"):
-            return IRI(self.base + iri.value)
-        from urllib.parse import urljoin  # loaded only by a graph with a base IRI
-
-        return IRI(urljoin(self.base, iri.value))
-
     def intern(self, term: Term) -> int:
         """Return the id of `term`, assigning a fresh one on first sight.
 
-        Relative IRIs are resolved against the graph's base IRI; with no
-        base they are rejected.  Only resolved terms are stored, so a term
-        found in the dictionary needs no resolving.
+        No base IRI is declared, so a relative IRI is rejected.
         """
         try:
             tid = self._term_to_id.get(term)
@@ -96,10 +82,8 @@ class Graph:
         if tid is not None:
             return tid
         if isinstance(term, IRI):
-            term = self._resolve(term)
-            tid = self._term_to_id.get(term)  # a relative IRI may resolve to a known one
-            if tid is not None:
-                return tid
+            if not term.is_absolute():
+                raise ValidationError(f"relative IRI {term.value!r} and no base IRI is declared")
         elif not isinstance(term, (BlankNode, Literal)):
             raise ValidationError(f"not an RDF term: {term!r}")
         tid = len(self._id_to_term)
@@ -108,9 +92,7 @@ class Graph:
         return tid
 
     def lookup(self, term: Term) -> int | None:
-        """Id of `term` if already interned (relative IRIs resolved), else None; a `vocab.RULE_TERMS` IRI always has one."""
-        if isinstance(term, IRI) and self.base is not None and not term.is_absolute():
-            term = self._resolve(term)
+        """Id of `term` if already interned, else None; a `vocab.RULE_TERMS` IRI always has one."""
         return self._term_to_id.get(term)
 
     def term(self, tid: int) -> Term:
@@ -244,7 +226,7 @@ class Graph:
         list and the term dictionary.  A set that `objects` or `subjects`
         handed out never changes when the other side writes.
         """
-        g = Graph(base=self.base)
+        g = Graph()
         g._term_to_id = dict(self._term_to_id)
         g._id_to_term = list(self._id_to_term)
         g._triples = dict(self._triples)
@@ -422,7 +404,7 @@ class Overlay:
     def __init__(self, under: Graph):
         self._under = under
         self.equality = None if under.equality is None else under.equality.copy()  # as `Graph.copy` shares them
-        self._top = Graph(under.base)  # the new terms (local ids) and the added triples (layered ids)
+        self._top = Graph()  # the new terms (local ids) and the added triples (layered ids)
         self._first = len(under._id_to_term)
         self._shift = self._first - len(vocab.RULE_TERMS)  # a new term's local id -> its layered id
 
@@ -478,8 +460,8 @@ class Overlay:
         return self._top.lacking(self._under.lacking(xs, p, o), p, o)
 
 
-def graph_from_triples(triples: Iterable[Triple], base: str | None = None) -> Graph:
-    g = Graph(base=base)
+def graph_from_triples(triples: Iterable[Triple]) -> Graph:
+    g = Graph()
     for t in triples:
         g.insert(t)
     return g

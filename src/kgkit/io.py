@@ -81,11 +81,11 @@ _ESCAPE = rf"""(?:\\[tbnrf"'\\]|{_UCHAR})"""
 _IRI_EXCLUDED = r"""\x00-\x20<>"{}|^`\\"""  # RDF 1.1 N-Triples IRIREF: the characters only a UCHAR escape writes
 _IRI_CHAR = rf"[^{_IRI_EXCLUDED}]"
 _IRI_BODY = rf"{_IRI_CHAR}*(?:{_UCHAR}{_IRI_CHAR}*)*"
-_STRING_BODY = rf'[^"\\\n]*(?:{_ESCAPE}[^"\\\n]*)*'
+_STRING_BODY = rf'[^"\\\r\n]*(?:{_ESCAPE}[^"\\\r\n]*)*'
 # RDF 1.1 Turtle, section 6.4: Turtle alone also reads 'x', '''x''' and
 # """x""".  A long string may span lines, and holds a run of one or two of
 # its quotes wherever a third does not follow.
-_SINGLE_BODY = rf"[^'\\\n]*(?:{_ESCAPE}[^'\\\n]*)*"
+_SINGLE_BODY = rf"[^'\\\r\n]*(?:{_ESCAPE}[^'\\\r\n]*)*"
 _LONG_BODIES = {q: rf"[^{q}\\]*(?:(?:{_ESCAPE}|{q}{{1,2}}(?!{q}))[^{q}\\]*)*" for q in "\"'"}
 _WORD_CHAR = r'[^\s.;,()\[\]<>"^@]'
 # A word's characters after its start: runs of word characters, each '.'
@@ -208,7 +208,7 @@ def _malformed(text: str, start: int) -> tuple[str, int]:
     stop = body.match(text, start + len(opener)).end()
     if stop >= len(text):
         return f"unterminated {what}", start
-    if text[stop] == "\n":
+    if text[stop] in "\r\n":
         return f"newline inside {what}", start
     if text[stop] == ">":  # a well-formed IRI but for a character IRIREF excludes: name the first one
         at = re.compile(_IRI_BODY).match(text, start + 1).end()
@@ -370,7 +370,7 @@ def _term_from_tokens(tokens, pos: int, prefixes: PrefixMap | None = None):
 # an IRI, a blank node, or a literal with no backslash and an optional tag
 # or datatype IRI.  Labels and tags take the scanner's character sets.
 _PLAIN_TERM = re.compile(
-    rf'<({_IRI_CHAR}+)>|_:({_BLANK_LABEL})|"([^"\\\n]*)"(?:@((?:[^\W_]|-)+)|\^\^<({_IRI_CHAR}+)>)?'
+    rf'<({_IRI_CHAR}+)>|_:({_BLANK_LABEL})|"([^"\\\r\n]*)"(?:@((?:[^\W_]|-)+)|\^\^<({_IRI_CHAR}+)>)?'
 )
 
 

@@ -404,7 +404,7 @@ class OwlClosure(Closure):
 
     @cached_property
     def graph(self) -> Graph:
-        g = Graph(self.work.base)
+        g = Graph()
         g._term_to_id, g._id_to_term = dict(self.work._term_to_id), list(self.work._id_to_term)
         for t, _ in self._copies():
             g.insert_ids(t)

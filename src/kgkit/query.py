@@ -53,6 +53,11 @@ def _validate(q: Query) -> None:
             raise QueryValidationError(f"projection variable ?{v} occurs in no pattern")
 
 
+def _projection(q: Query) -> tuple[str, ...]:
+    """The variables of each answer row: the query's projection, or else every variable of its patterns, sorted."""
+    return q.projection or tuple(sorted(set().union(*(p.variables() for p in q.patterns))))
+
+
 def _resolve(work: Graph, patterns: tuple[TriplePattern, ...]) -> list[tuple] | None:
     """Planned patterns, each position (variable name, None) or (None, constant id); None if a constant is absent.
 
@@ -95,7 +100,6 @@ def query(graph: Graph, q: Query, regime: str = "none") -> list[Binding]:
     """Evaluate the query against the chosen closure; deterministic order."""
     if regime not in REGIMES:
         raise QueryValidationError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    _validate(q)
     if regime == "none":
         return _answer(graph, q)
     if regime == "rdfs":
@@ -116,7 +120,7 @@ def _answer(work: Graph, q: Query) -> list[Binding]:
     blocks = [_resolve(work, block) for block in q.negations]
     bindings = [b for b in bindings if not any(_join(work, block, b) for block in blocks)]
 
-    projection = q.projection or tuple(sorted(set().union(*(p.variables() for p in q.patterns))))
+    projection = _projection(q)
     rows: dict[tuple, Binding] = {}
     for ids in {tuple(b[v] if equality is None else equality.canonical(b[v]) for v in projection) for b in bindings}:
         row = {v: work.term(i) for v, i in zip(projection, ids)}

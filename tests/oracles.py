@@ -789,7 +789,7 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
             while i < n and not text.startswith(quote, i):
                 if text[i] == "\\":
                     buf.append(read_escape())
-                elif text[i] == "\n" and quote == c:
+                elif text[i] in "\r\n" and quote == c:  # RDF 1.1 Turtle [22], [23]: a short string excludes CR and LF
                     raise ParseError("newline inside literal", tline, tcol)
                 else:
                     buf.append(text[i])
@@ -804,7 +804,7 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
             while i < n and text[i] != '"':
                 if text[i] == "\\":
                     buf.append(read_escape())
-                elif text[i] == "\n":
+                elif text[i] in "\r\n":
                     raise ParseError("newline inside literal", tline, tcol)
                 else:
                     buf.append(text[i])

@@ -26,7 +26,7 @@ import kgkit
 from kgkit.vocab import OWL, RDF, RDFS
 
 from helpers import EDU
-from test_cli import ALLDIFFERENT_NT, ALLDIFFERENT_TTL, PURCHASE_SPEC, PURCHASES_CSV, embed_fixture
+from test_cli import ALLDIFFERENT_NT, ALLDIFFERENT_TTL, PURCHASE_SPEC, PURCHASES_CSV, embed_fixture, usage_error
 
 E = "http://example.org/"
 SRC = os.path.dirname(os.path.dirname(kgkit.__file__))
@@ -158,6 +158,17 @@ CASES = [
          err=re.compile(r"epoch=1 loss=\S+\nepoch=2 loss=\S+\nepoch=3 loss=\S+\nepochs=3 first_loss=\S+ last_loss=\S+\n")),
     Case("embed-eval-turtle-test-file", "embed eval one.nt --model model.tsv --test one.ttl",
          {"one.nt": ONE_NT, "one.ttl": ONE_TTL}, out=METRICS, setup=("embed train one.nt --model model.tsv --epochs 1",)),
+    # each embed action accepts only the options it reads; any other is a usage error that prints and writes nothing
+    Case("embed-eval-out", "embed eval one.nt --model model.tsv --test one.nt --out r.json", {"one.nt": ONE_NT}, 1,
+         err=usage_error("unrecognized arguments: --out r.json"), setup=("embed train one.nt --model model.tsv --epochs 1",)),
+    Case("embed-train-test", "embed train one.nt --model m.tsv --test x", {"one.nt": ONE_NT}, 1,
+         err=usage_error("unrecognized arguments: --test x")),
+    Case("embed-eval-without-test", "embed eval one.nt --model m.tsv", {"one.nt": ONE_NT}, 1,
+         err=usage_error("the following arguments are required: --test")),
+    Case("embed-predict-without-relation", f"embed predict one.nt --model m.tsv --head {E}a", {"one.nt": ONE_NT}, 1,
+         err=usage_error("the following arguments are required: --relation")),
+    Case("embed-predict-head-and-tail", f"embed predict one.nt --model m.tsv --relation {E}p --head {E}a --tail {E}b",
+         {"one.nt": ONE_NT}, 1, err=usage_error("argument --tail: not allowed with argument --head")),
     # a SPARQL-style PREFIX (any case, no '.') reads like @prefix
     Case("parse-at-prefix", "parse one.ttl", {"one.ttl": ONE_TTL}, out=ONE_NT),
     Case("parse-sparql-prefix", "parse one.ttl", {"one.ttl": "PREFIX ex: <http://example.org/>\nex:a ex:p ex:b .\n"}, out=ONE_NT),
@@ -237,12 +248,15 @@ def test_kgkit_as_a_real_process(tmp_path, case):
     for argv in case.setup:
         result = run([*kgkit_command(), *argv.split()], tmp_path)
         assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+    before = sorted(os.listdir(tmp_path))
     result = run([*kgkit_command(), *case.argv.split()], tmp_path)
     out, err = result.stdout.decode("utf-8"), result.stderr.decode("utf-8")
     assert "Traceback" not in err, err
     assert result.returncode == case.code, err
     assert matches(case.out, out), out
     assert matches(case.err, err), err
+    if case.code == 1:  # an error writes no file
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 COLD_START_SCRIPT = """

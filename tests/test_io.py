@@ -598,6 +598,31 @@ def test_a_malformed_turtle_string_is_a_parse_error_at_its_fault(text, message, 
 
 
 @pytest.mark.parametrize(
+    "parse, text, column",
+    [
+        (parse_ntriples, '<http://e.x/a> <http://e.x/p> "x\ry" .\n', 31),
+        (parse_turtle, '<http://e.x/a> <http://e.x/p> "x\ry" .\n', 31),
+        (parse_turtle, "<http://e.x/a> <http://e.x/p> 'x\ry' .\n", 31),
+        (oracle_parse_turtle, "<http://e.x/a> <http://e.x/p> 'x\ry' .\n", 31),
+        (parse_term, '"x\ry"', 1),
+        (parse_query, '?x <http://e.x/p> "x\ry"', 19),
+    ],
+    ids=["ntriples", "turtle", "turtle-single-quote", "oracle-turtle", "parse-term", "query-constant"],
+)
+def test_a_raw_cr_in_a_short_string_is_a_parse_error_as_a_newline_is(parse, text, column):
+    # RDF 1.1 Turtle [22] and [23] exclude CR and LF from a short string
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"newline inside literal at line 1, column {column}"
+
+
+def test_a_long_string_keeps_a_raw_cr():
+    for parse in (parse_turtle, oracle_parse_turtle):
+        for text in (':x :p """x\ry""" .', ":x :p '''x\ry''' ."):
+            assert {t.object for t in parse(text).graph.triples()} == {Literal("x\ry")}
+
+
+@pytest.mark.parametrize(
     "obj, message, column",
     [
         ("'x'", "unexpected token \"'x'\"", 31),

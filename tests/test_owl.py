@@ -958,7 +958,7 @@ def test_every_graph_copy_and_overlay_gives_the_vocabulary_its_fixed_ids():
     g = Graph()
     g.add(edu("a"), edu("p"), edu("b"))
     fixed = list(range(len(vocab.RULE_TERMS)))
-    for graph in (Graph(), Graph(base=EDU), g, g.copy(), Overlay(g), Overlay(g.copy())):
+    for graph in (Graph(), g, g.copy(), Overlay(g), Overlay(g.copy())):
         assert [graph.lookup(iri) for iri in vocab.RULE_TERMS] == fixed
         assert [graph.term(i) for i in fixed] == list(vocab.RULE_TERMS)
     # the dictionary holds them, the indexes do not: the graph mentions none of them
