@@ -38,7 +38,8 @@ EXIT_QUERY = 4
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The file's text as the library reads it: no newline translation, so a lone CR stays a CR."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -244,8 +245,8 @@ def cmd_embed(args) -> int:
         return EXIT_OK
     # predict
     relation = _term_arg(args.relation)
-    head = _term_arg(args.head) if args.head else None
-    tail = _term_arg(args.tail) if args.tail else None
+    head = _term_arg(args.head) if args.head is not None else None
+    tail = _term_arg(args.tail) if args.tail is not None else None
     ranked = embeddings.predict_links(
         model, graph, s=head, p=relation, o=tail, k=args.k, filtered=args.filtered
     )

@@ -125,7 +125,7 @@ def _scanner(turtle: bool) -> re.Pattern:
     return re.compile(
         rf"""
         (?=.)
-        (?P<skip>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+        (?P<skip>[ \t\r\n]*(?:\#[^\r\n]*[ \t\r\n]*)*)
         (?:
           <(?P<iriref>{_IRI_BODY})>
         | "{no_long}(?P<string>{_STRING_BODY})"

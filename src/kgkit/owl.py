@@ -367,6 +367,8 @@ class OwlClosure(Closure):
     closure from the base's cache, as an RDFS closure's does.
     """
 
+    profile, rules = "owl", OWL_RULES
+
     @classmethod
     def _prepare(cls, work: Graph) -> None:
         work.equality = _Equality()
@@ -411,7 +413,7 @@ class OwlClosure(Closure):
         self._expanded_version = g.version
         return g
 
-    def _copy_derivation(self, t: IdTriple, r: IdTriple) -> tuple[str, tuple[int, ...]]:
+    def _copy_derivation(self, t: IdTriple, r: IdTriple) -> tuple[str, tuple[IdTriple, ...]]:
         """A one-step derivation of t, an expanded copy that no rule derived, from other triples of the expanded graph.
 
         When t differs from its representative form r, its first differing
@@ -429,8 +431,8 @@ class OwlClosure(Closure):
             i = next(i for i in range(3) if t[i] != r[i])
             src, equal = t[:i] + (r[i],) + t[i + 1 :], (r[i], _SA, t[i])
             if equal == t:
-                return "owl-sameas-symmetry", (t[2], _SA, t[0])
-        return "owl-sameas-substitution", equal if src == equal else equal + src
+                return "owl-sameas-symmetry", ((t[2], _SA, t[0]),)
+        return "owl-sameas-substitution", (equal,) if src == equal else (equal, src)
 
     @cached_property
     def report(self) -> InconsistencyReport:
@@ -444,7 +446,7 @@ class OwlClosure(Closure):
 
 def saturate_owl(graph: Graph) -> tuple[OwlClosure, InconsistencyReport]:
     """OWL closure of the graph plus the violations found in it, cached on the graph (see `rdfs._saturate`)."""
-    closure = _saturate(graph, "owl", OWL_RULES, OwlClosure)
+    closure = _saturate(graph, OwlClosure)
     return closure, closure.report
 
 
@@ -466,7 +468,7 @@ def _breaks(closure: OwlClosure, triple: Triple) -> InconsistencyReport:
     equality = work.equality
     t = equality.map((work.intern(triple.subject), work.intern(triple.predicate), work.intern(triple.object)))
     work.insert_ids(t)
-    _, found = _fixpoint(work, OWL_RULES, [t])
+    found = _fixpoint(work, OWL_RULES, [t])
     return _report(work, _expand_violations(closure.violations | found, equality, work.term))
 
 

@@ -31,7 +31,9 @@ that has at least one premise in the delta and is not yet in the graph,
 with its rule name and premises.  Rules only add triples, so a closed
 graph takes new triples by running the same loop from a delta of just
 those triples; the closure is the least fixpoint, and finite, as rules
-only combine existing terms.
+only combine existing terms.  The fixpoint keeps no premise past its
+round: `Closure.provenance` saturates the base once more when it is read,
+recording each new triple's first candidate.
 
 Shape invariant: `_fixpoint` inserts only RDF 1.1 triples, with no
 literal subject and an IRI predicate, so rules need not check the shape
@@ -77,8 +79,6 @@ class Derivation:
     premises: tuple[Triple, ...]
 
 
-# a derived triple -> (rule name, its premises flattened: s1, p1, o1, s2, p2, o2, ...)
-IdDerivations = dict[IdTriple, tuple[str, tuple[int, ...]]]
 IdViolations = set[tuple[str, tuple[IdTriple, ...]]]  # (rule name, its premises in the rule's body order)
 
 
@@ -108,82 +108,6 @@ class EqualityPartition:
     def representative(self, term: Term) -> Term:
         tid = self._graph.lookup(term)
         return term if tid is None else self._graph.term(self.representative_id(tid))
-
-
-@dataclass
-class Closure:
-    """A saturated graph plus where each derived triple came from, and the violations found in it.
-
-    `work` is the graph the fixpoint closed, in the base's term ids, and `graph`
-    is `work` here; `owl.OwlClosure` keeps `work` in sameAs representatives and
-    expands it into `graph` on first access.  `derived`, `provenance` and
-    `report` are built on first access, for both profiles from `_copies`, which
-    pairs each triple of `graph` with its form in `work`; the sameAs `partition`
-    is a view of `work.equality`, which only an OWL closure has.  A closure that
-    `saturate_rdfs` or `saturate_owl` returned is a snapshot: kgkit never
-    changes it, and a later saturation of the grown base builds a new one.
-    """
-
-    base: Graph
-    work: Graph
-    derivations: IdDerivations
-    violations: IdViolations = field(default_factory=set)
-    profile: str = "rdfs"
-
-    def __post_init__(self):
-        self._versions = (self.base.version, self.work.version, len(self.work._id_to_term))  # what saturation closed
-
-    @classmethod
-    def _prepare(cls, work: Graph) -> None:
-        """Set up a copy of the base before its first fixpoint; an RDFS closure needs nothing."""
-
-    def _changed(self) -> bool:
-        """True once a caller has changed the graph this closure handed out: its triples or its dictionary."""
-        return (self.work.version, len(self.work._id_to_term)) != self._versions[1:]
-
-    @property
-    def graph(self) -> Graph:
-        return self.work
-
-    @cached_property
-    def report(self) -> InconsistencyReport:
-        return _report(self.graph, self.violations)
-
-    def _copies(self) -> Iterator[tuple[IdTriple, IdTriple]]:
-        """(t, r) for every triple t of `graph`, r being its form in `work`: t itself, as RDFS has no sameAs classes."""
-        return ((t, t) for t in self.work._triples)
-
-    @cached_property
-    def _asserted(self) -> set[IdTriple]:
-        """The base's triples when it was saturated: ids of `work` too, as it gives every base term the base's id."""
-        return set(islice(self.base._triples, self._versions[0]))
-
-    @cached_property
-    def _derived_ids(self) -> dict[IdTriple, IdTriple]:
-        """t -> r for every triple t of `graph` that the base did not assert, in `_copies` order."""
-        return {t: r for t, r in self._copies() if t not in self._asserted}
-
-    @cached_property
-    def derived(self) -> frozenset[Triple]:
-        return frozenset(map(self.work._to_triple, self._derived_ids))
-
-    @cached_property
-    def provenance(self) -> dict[Triple, Derivation]:
-        to_triple, out = self.work._to_triple, {}
-        for t, r in self._derived_ids.items():
-            name, premises = self.derivations.get(t) or self._copy_derivation(t, r)  # only an OWL copy lacks one
-            out[to_triple(t)] = Derivation(name, tuple(to_triple(premises[i : i + 3]) for i in range(0, len(premises), 3)))
-        return out
-
-    @cached_property
-    def partition(self) -> EqualityPartition:
-        """The owl:sameAs classes of the closed graph, each represented by its first member; only an OWL closure has them."""
-        if self.work.equality is None:  # RDFS makes sameAs neither symmetric nor transitive
-            raise ValidationError(f"the sameAs partition needs an OWL closure, got a {self.profile!r} one")
-        return EqualityPartition(self.work)
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self.graph
 
 
 class Delta(list):
@@ -464,8 +388,8 @@ def fixpoint_stats() -> Iterator[list[FixpointStats]]:
         _recording.reset(token)
 
 
-def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> tuple[IdDerivations, IdViolations]:
-    """Saturate `work` in place, starting from `delta`; returns the provenance of what it added, and the violations it found.
+def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTriple]) -> IdViolations:
+    """Saturate `work` in place, starting from `delta`; returns the violations it found.
 
     Requires `delta` to be in `work` and the rest of `work` to be closed under `rules`.
     Each round hands every rule the same `Delta`, after `work.equality`,
@@ -473,8 +397,10 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
     rewritten the delta to representatives.  A candidate already in
     `work` or found earlier in the round is dropped, and so is one that is
     not an RDF 1.1 triple: a literal subject or a predicate that is not an
-    IRI.  A round's new triples are inserted together.
-    A violation keeps its premises in its rule's body order.
+    IRI.  A round's new triples are inserted together.  Of a derived
+    triple the fixpoint keeps only its rule's name, and only for the round
+    (for the `new` counts of `FixpointStats`); a violation keeps its
+    premises in its rule's body order.
     """
     runs = _recording.get()
     stats = None
@@ -483,13 +409,12 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
         runs.append(stats)
     contains, term = work.contains_ids, work.term
     equality = work.equality
-    provenance: IdDerivations = {}
     violations: IdViolations = set()
     delta = Delta(delta)
     while delta:
         if equality is not None:
             delta = equality.absorb(work, delta)
-        fresh: IdDerivations = {}
+        fresh: dict[IdTriple, str] = {}  # a new triple -> the rule that found it first
         for rule in rules:
             candidates = rule(work, delta)
             if stats is not None:
@@ -498,19 +423,118 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
                 if t is None:
                     violations.add((name, premises))
                 elif t not in fresh and not contains(t) and type(term(t[1])) is IRI and type(term(t[0])) is not Literal:
-                    fresh[t] = (name, sum(premises, ()))
+                    fresh[t] = name
         if stats is not None:
             stats.deltas.append(len(delta))
-            stats.new.update(name for name, _ in fresh.values())
+            stats.new.update(fresh.values())
         delta = Delta(fresh)  # drops this round's groupings before the graph grows
         for t in fresh:
             work.insert_ids(t)
-        provenance.update(fresh)
-    return provenance, violations
+    return violations
 
 
-def _saturate(graph: Graph, profile: str, rules: list[Rule], kind: type[Closure] = Closure) -> Closure:
-    """The closure of `graph` under `rules`, a `kind`, cached on the graph per profile.
+@dataclass
+class Closure:
+    """A saturated graph and the violations found in it, under the `rules` of its `profile`.
+
+    `work` is the graph the fixpoint closed, in the base's term ids, and `graph`
+    is `work` here; `owl.OwlClosure` keeps `work` in sameAs representatives and
+    expands it into `graph` on first access.  `derived`, `provenance` and
+    `report` are built on first access, for both profiles from `_copies`, which
+    pairs each triple of `graph` with its form in `work`; the sameAs `partition`
+    is a view of `work.equality`, which only an OWL closure has.  No premise is
+    stored: `provenance` saturates the base again when it is first read.  A
+    closure that `saturate_rdfs` or `saturate_owl` returned is a snapshot:
+    kgkit never changes it, and a later saturation of the grown base builds a
+    new one.
+    """
+
+    profile, rules = "rdfs", RDFS_RULES  # the key of the base's closure cache, and the rules the fixpoint runs
+
+    base: Graph
+    work: Graph
+    violations: IdViolations = field(default_factory=set)
+
+    def __post_init__(self):
+        self._versions = (self.base.version, self.work.version, len(self.work._id_to_term))  # what saturation closed
+
+    @classmethod
+    def _prepare(cls, work: Graph) -> None:
+        """Set up a copy of the base before its first fixpoint; an RDFS closure needs nothing."""
+
+    def _changed(self) -> bool:
+        """True once a caller has changed the graph this closure handed out: its triples or its dictionary."""
+        return (self.work.version, len(self.work._id_to_term)) != self._versions[1:]
+
+    @property
+    def graph(self) -> Graph:
+        return self.work
+
+    @cached_property
+    def report(self) -> InconsistencyReport:
+        return _report(self.graph, self.violations)
+
+    def _copies(self) -> Iterator[tuple[IdTriple, IdTriple]]:
+        """(t, r) for every triple t of `graph`, r being its form in `work`: t itself, as RDFS has no sameAs classes."""
+        return ((t, t) for t in self.work._triples)
+
+    @cached_property
+    def _asserted(self) -> set[IdTriple]:
+        """The base's triples when it was saturated: ids of `work` too, as it gives every base term the base's id."""
+        return set(islice(self.base._triples, self._versions[0]))
+
+    @cached_property
+    def _derived_ids(self) -> dict[IdTriple, IdTriple]:
+        """t -> r for every triple t of `graph` that the base did not assert, in `_copies` order."""
+        return {t: r for t, r in self._copies() if t not in self._asserted}
+
+    @cached_property
+    def derived(self) -> frozenset[Triple]:
+        return frozenset(map(self.work._to_triple, self._derived_ids))
+
+    @cached_property
+    def provenance(self) -> dict[Triple, Derivation]:
+        """Each derived triple's rule and premises, found by saturating the base once more.
+
+        That run closes the triples the base held when this closure was made,
+        in this closure's dictionary, with a recording copy of each rule, and a
+        triple takes the first candidate any rule yields for it.  So the answer
+        depends on those triples alone, not on the resumes that built the closure.
+        """
+        # each head -> the rule name and premises of its first candidate
+        first: dict[IdTriple | None, tuple[str, tuple[IdTriple, ...]]] = {}
+
+        def recorded(rule: Rule) -> Rule:
+            def run(g: Graph | Overlay, delta: Delta):
+                for t, name, premises in rule(g, delta):
+                    first.setdefault(t, (name, premises))
+                    yield t, name, premises
+            return run
+
+        work = Graph()
+        work._term_to_id, work._id_to_term = self.work._term_to_id, self.work._id_to_term  # shared: a fixpoint interns no term
+        for t in islice(self.base._triples, self._versions[0]):
+            work.insert_ids(t)
+        self._prepare(work)
+        _fixpoint(work, [recorded(rule) for rule in self.rules], work._triples)
+        to_triple = self.work._to_triple
+        # only an expanded OWL copy that no rule derived has no candidate
+        derivations = {t: first.get(t) or self._copy_derivation(t, r) for t, r in self._derived_ids.items()}
+        return {to_triple(t): Derivation(name, tuple(map(to_triple, premises))) for t, (name, premises) in derivations.items()}
+
+    @cached_property
+    def partition(self) -> EqualityPartition:
+        """The owl:sameAs classes of the closed graph, each represented by its first member; only an OWL closure has them."""
+        if self.work.equality is None:  # RDFS makes sameAs neither symmetric nor transitive
+            raise ValidationError(f"the sameAs partition needs an OWL closure, got a {self.profile!r} one")
+        return EqualityPartition(self.work)
+
+    def __contains__(self, triple: Triple) -> bool:
+        return triple in self.graph
+
+
+def _saturate(graph: Graph, kind: type[Closure]) -> Closure:
+    """The closure of `graph` under the rules of `kind`, cached on the graph per profile.
 
     The cached closure is returned while neither the graph nor the
     closure's graph has changed since it was made.  When only the graph
@@ -520,35 +544,27 @@ def _saturate(graph: Graph, profile: str, rules: list[Rule], kind: type[Closure]
     saturated afresh.  `work` gives every term of the graph the graph's id,
     as a resume first appends the terms interned since, in order.
     """
-    closure = graph._closures.get(profile)
-    if closure is not None and closure._changed():
-        closure = None
-    if closure is None:
+    closure = graph._closures.get(kind.profile)
+    if closure is None or closure._changed():
         work = graph.copy()
         kind._prepare(work)
-        derivations, violations = _fixpoint(work, rules, work._triples)
+        violations = _fixpoint(work, kind.rules, work._triples)
     elif closure._versions[0] == graph.version:
         return closure
     else:
         work = closure.work.copy()
         for term in graph._id_to_term[len(work._id_to_term) :]:  # the terms the graph interned since, in order
             work.intern(term)
-        derivations, equality, delta = dict(closure.derivations), work.equality, []
-        for t in islice(graph._triples, closure._versions[0], None):  # the triples added since the closure
-            if work.insert_ids(r := t if equality is None else equality.map(t)):
-                delta.append(r)
-            else:
-                derivations.pop(t, None)  # derived before, asserted now
-        new, found = _fixpoint(work, rules, delta)
-        derivations.update(new)
-        violations = closure.violations | found  # the copy keeps the closure's ids
-    closure = graph._closures[profile] = kind(graph, work, derivations, violations, profile)
+        added = islice(graph._triples, closure._versions[0], None)  # the triples added since the closure
+        delta = [r for r in (added if work.equality is None else map(work.equality.map, added)) if work.insert_ids(r)]
+        violations = closure.violations | _fixpoint(work, kind.rules, delta)  # the copy keeps the closure's ids
+    closure = graph._closures[kind.profile] = kind(graph, work, violations)
     return closure
 
 
 def saturate_rdfs(graph: Graph) -> Closure:
     """Least fixpoint of the RDFS rule set over the graph, cached on it (see `_saturate`)."""
-    return _saturate(graph, "rdfs", RDFS_RULES)
+    return _saturate(graph, Closure)
 
 
 def entails(graph: Graph, triple: Triple) -> bool:

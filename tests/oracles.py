@@ -144,14 +144,16 @@ def _o_range(ts):
     return out
 
 
-RDFS_ORACLE_RULES = [
-    _o_sco_transitivity,
-    _o_type_propagation,
-    _o_spo_transitivity,
-    _o_property_propagation,
-    _o_domain,
-    _o_range,
-]
+# the RDFS rules by the names a closure's provenance cites
+RDFS_ORACLE_RULES_BY_NAME = {
+    "rdfs-subclass-transitivity": _o_sco_transitivity,
+    "rdfs-type-propagation": _o_type_propagation,
+    "rdfs-subproperty-transitivity": _o_spo_transitivity,
+    "rdfs-subproperty-propagation": _o_property_propagation,
+    "rdfs-domain": _o_domain,
+    "rdfs-range": _o_range,
+}
+RDFS_ORACLE_RULES = list(RDFS_ORACLE_RULES_BY_NAME.values())
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +365,16 @@ def naive_owl_closure(triples):
     return naive_closure(frozenset(triples), OWL_ORACLE_RULES)
 
 
-def oracle_rdfs_derived(closure) -> frozenset[Triple]:
-    """An RDFS closure's derived triples read off its id-level `derivations`, whose keys are exactly what a rule added."""
-    return frozenset(map(closure.graph._to_triple, closure.derivations))
+def oracle_rdfs_derived(asserted: frozenset[TermTriple]) -> frozenset[TermTriple]:
+    """What the RDFS rules derive from the asserted triples and they do not hold."""
+    return naive_rdfs_closure(asserted) - asserted
 
 
-def oracle_rdfs_provenance(closure) -> dict[Triple, Derivation]:
-    """An RDFS closure's provenance read off its id-level `derivations`: each key's rule and flattened premises."""
-    to_triple = closure.graph._to_triple
-    return {
-        to_triple(t): Derivation(name, tuple(to_triple(premises[i : i + 3]) for i in range(0, len(premises), 3)))
-        for t, (name, premises) in closure.derivations.items()
-    }
+def oracle_rdfs_derivation_holds(triple: Triple, derivation: Derivation, closure: frozenset[TermTriple]) -> bool:
+    """True when the derivation cites premises of the closure from which the RDFS rule it names derives the triple."""
+    premises = {(t.subject, t.predicate, t.object) for t in derivation.premises}
+    rule = RDFS_ORACLE_RULES_BY_NAME.get(derivation.rule)
+    return bool(premises) and premises <= closure and rule is not None and (triple.subject, triple.predicate, triple.object) in rule(premises)
 
 
 def naive_violation_rules(ts: frozenset[TermTriple]) -> set[str]:
@@ -755,8 +755,8 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
         if c in " \t\r\n":
             advance()
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
+        if c == "#":  # a comment ends at CR or LF (RDF 1.1 Turtle and N-Triples, COMMENT)
+            while i < n and text[i] not in "\r\n":
                 advance()
             continue
         tline, tcol = line, col

@@ -23,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import kgkit
+from kgkit import parse_ntriples, parse_turtle, serialize_ntriples
+from kgkit.errors import ParseError
 from kgkit.vocab import OWL, RDF, RDFS
 
 from helpers import EDU
@@ -132,10 +134,24 @@ METRICS = re.compile(r"\{[^\n]*\}\n")
 VIOLATIONS = re.compile(r"(?:violation: owl-[a-z-]+: [^\n]*\n){5}")
 DEEP = "@prefix ex: <http://example.org/> .\nex:s ex:p {}ex:o{} .\n"
 
-CASES = [
-    Case("parse-ntriples", "parse one.nt", {"one.nt": ONE_NT}, out=ONE_NT),
+# `kgkit parse` reads a file's bytes as the library does, with no newline translation (see test_parse_reads_what_the_library_reads)
+SAME_BYTES = [
     # a CRLF file gives the bytes of its LF twin
     Case("parse-ntriples-crlf", "parse crlf.nt", {"crlf.nt": SAME_NT.replace("\n", "\r\n")}, out=SAME_NT),
+    # a lone CR is no line break: a long string keeps it, and an N-Triples literal may not hold it raw
+    Case("parse-turtle-lone-cr-in-long-string", "parse cr.ttl", {"cr.ttl": '@prefix ex: <http://example.org/> .\nex:a ex:p """x\ry""" .\n'},
+         out=f'<{E}a> <{E}p> "x\\ry" .\n'),
+    Case("parse-ntriples-lone-cr-in-literal", "parse cr.nt", {"cr.nt": f'<{E}a> <{E}p> "x\ry" .\n'}, 2,
+         err="parse error: newline inside literal at line 1, column 47\n"),
+    # a comment ends at a lone CR, so a Turtle file with CR line ends keeps the statements after one
+    Case("parse-turtle-lone-cr-line-ends", "parse cr.ttl",
+         {"cr.ttl": "@prefix ex: <http://example.org/> .\r# a comment\rex:a ex:p ex:b .\rex:a ex:p ex:c .\r"},
+         out=nt("a", "p", "b", "a", "p", "c")),
+]
+
+CASES = [
+    Case("parse-ntriples", "parse one.nt", {"one.nt": ONE_NT}, out=ONE_NT),
+    *SAME_BYTES,
     # comment lines, an escaped literal and plain lines in one file, written sorted and canonical
     Case("parse-ntriples-mixed-lines", "parse mixed.nt",
          {"mixed.nt": f'# a comment\n<{E}b> <{E}p> "tab\\there \\u00e9" .\n\n  # indented comment\n'
@@ -169,6 +185,12 @@ CASES = [
          err=usage_error("the following arguments are required: --relation")),
     Case("embed-predict-head-and-tail", f"embed predict one.nt --model m.tsv --relation {E}p --head {E}a --tail {E}b",
          {"one.nt": ONE_NT}, 1, err=usage_error("argument --tail: not allowed with argument --head")),
+    # an empty --head or --tail names the empty IRI, which is refused, not taken for a free slot
+    *(
+        Case(f"embed-predict-empty-{slot}", f"embed predict one.nt --model m.tsv --relation {E}p --{slot}=", {"one.nt": ONE_NT}, 1,
+             err="error: IRI must be a nonempty string\n", setup=("embed train one.nt --model m.tsv --epochs 1",))
+        for slot in ("head", "tail")
+    ),
     # a SPARQL-style PREFIX (any case, no '.') reads like @prefix
     Case("parse-at-prefix", "parse one.ttl", {"one.ttl": ONE_TTL}, out=ONE_NT),
     Case("parse-sparql-prefix", "parse one.ttl", {"one.ttl": "PREFIX ex: <http://example.org/>\nex:a ex:p ex:b .\n"}, out=ONE_NT),
@@ -257,6 +279,18 @@ def test_kgkit_as_a_real_process(tmp_path, case):
     assert matches(case.err, err), err
     if case.code == 1:  # an error writes no file
         assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("case", SAME_BYTES, ids=[case.id for case in SAME_BYTES])
+def test_parse_reads_what_the_library_reads(case):
+    """The library, given the text the case's file encodes, writes the case's stdout or fails with its message."""
+    [(name, text)] = case.files.items()
+    try:
+        graph = parse_ntriples(text) if name.endswith(".nt") else parse_turtle(text).graph
+    except ParseError as exc:
+        assert (case.code, case.err) == (2, f"parse error: {exc}\n")
+    else:
+        assert (case.code, case.out) == (0, serialize_ntriples(graph))
 
 
 COLD_START_SCRIPT = """

@@ -595,12 +595,7 @@ def test_owl_closure_idempotent_and_permutation_invariant():
 
 # each fixed-arity rule name and its naive counterpart
 _ORACLE_RULES = {
-    "rdfs-subclass-transitivity": oracles._o_sco_transitivity,
-    "rdfs-type-propagation": oracles._o_type_propagation,
-    "rdfs-subproperty-transitivity": oracles._o_spo_transitivity,
-    "rdfs-subproperty-propagation": oracles._o_property_propagation,
-    "rdfs-domain": oracles._o_domain,
-    "rdfs-range": oracles._o_range,
+    **oracles.RDFS_ORACLE_RULES_BY_NAME,
     "owl-sameas-symmetry": oracles._o_sameas_symmetry,
     "owl-sameas-substitution": oracles._o_sameas_substitution,
     "owl-functional-property": oracles._o_functional,
@@ -655,11 +650,11 @@ def _resume_expanded(work: Graph, delta) -> set:
     equality = rep.equality = owl._Equality()
     equality.absorb(rep, rdfs.Delta(t for t in rep.triple_ids() if t[1] == vocab.RULE_IDS[vocab.OWL_SAMEAS]))
     before = {r: len(ms) for r, ms in equality.members.items()}
-    _, found = _fixpoint(rep, OWL_RULES, [t for t in map(equality.map, delta) if rep.insert_ids(t)])
+    found = _fixpoint(rep, OWL_RULES, [t for t in map(equality.map, delta) if rep.insert_ids(t)])
     grown = [r for r, ms in equality.members.items() if len(ms) != before.get(r)]
     mentioning = {t for r in grown for pattern in ((r, None, None), (None, r, None), (None, None, r)) for t in rep.match_ids(*pattern)}
-    found |= _fixpoint(rep, OWL_RULES, mentioning)[1]
-    for t, _ in owl.OwlClosure(Graph(), rep, {})._copies():
+    found |= _fixpoint(rep, OWL_RULES, mentioning)
+    for t, _ in owl.OwlClosure(Graph(), rep)._copies():
         work.insert_ids(t)
     return owl._expand_violations(found, equality, rep.term)
 
@@ -1003,13 +998,18 @@ def test_saturation_does_not_depend_on_the_order_triples_are_inserted(seed, rng)
 
 
 def _count_saturations(monkeypatch) -> list[bool]:
-    """Patch `_fixpoint` in both modules; each call records whether it started from every triple."""
+    """Patch `_fixpoint` in both modules; each call records whether it started from every triple.
+
+    A `provenance` read saturates the base again, on recording copies of the
+    rules; those runs are no saturation of a `saturate_*` call, and are not counted.
+    """
     runs: list[bool] = []
     real = rdfs._fixpoint
 
     def fixpoint(work, rules, delta):
         delta = list(delta)
-        runs.append(isinstance(work, Graph) and len(delta) == len(work))
+        if rules is rdfs.RDFS_RULES or rules is OWL_RULES:
+            runs.append(isinstance(work, Graph) and len(delta) == len(work))
         return real(work, rules, delta)
 
     monkeypatch.setattr(rdfs, "_fixpoint", fixpoint)
@@ -1205,6 +1205,23 @@ def test_a_closure_gives_every_term_of_its_base_the_base_id_across_resumes(seed,
             assert closure_triples(closure) == expected[name], note
             assert {(t.subject, t.predicate, t.object) for t in closure.derived} == expected[name] - asserted, note
             _assert_derivations_hold(closure, expected[name], note)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False), st.integers(1, 6), st.booleans())
+@example(4, random.Random(4), 2, False)  # an RDFS closure resumed once, whose stored derivations differed from a fresh saturation's
+@example(5, random.Random(5), 2, True)  # the same for an OWL closure
+def test_provenance_depends_on_the_base_alone_not_on_the_resumes_that_built_the_closure(seed, rng, batches, with_owl):
+    source = random_owl_graph(seed, max_triples=50) if with_owl else random_rdfs_graph(seed, max_triples=50)
+    saturate = (lambda g: saturate_owl(g)[0]) if with_owl else saturate_rdfs
+    g = Graph()
+    for k, batch in enumerate(shuffled_batches(rng, source.triples(), batches)):
+        for t in batch:
+            g.insert(t)
+        resumed = saturate(g)
+        note = f"{'owl' if with_owl else 'rdfs'}, batch {k}"
+        assert resumed.provenance.keys() == resumed.derived, note
+        assert resumed.provenance == saturate(g.copy()).provenance, note
 
 
 @pytest.mark.parametrize("profile", ["rdfs", "owl"])
