@@ -111,12 +111,7 @@ def cmd_infer(args) -> int:
     with _stats(args):
         closure = rdfs.saturate_rdfs(graph) if args.profile == "rdfs" else owl.saturate_owl(graph)[0]
     report = closure.report
-    if args.derived_only:
-        triples = closure._derived_ids
-    elif args.profile == "owl":  # the expanded copies, written with no expanded graph built
-        triples = [t for t, _ in closure._copies()]
-    else:
-        triples = closure.work._triples
+    triples = closure._derived_ids if args.derived_only else closure._copies()  # in ids: no expanded OWL graph is built
     _write_out(_serialize_ids(triples, closure.work.term), args.out)
     if report:
         _print_report(report)
@@ -264,38 +259,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgkit", description="Knowledge-graph toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a graph and emit canonical N-Triples")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["nt", "ttl"], default=None)
-    p.add_argument("--out", default=None)
+    graph_in = argparse.ArgumentParser(add_help=False)  # the options several commands share, each declared once
+    graph_in.add_argument("input")
+    graph_in.add_argument("--format", choices=["nt", "ttl"], default=None)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument("--stats", action="store_true", help=_STATS_HELP)
 
-    p = sub.add_parser("infer", help="emit the RDFS or OWL closure")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["nt", "ttl"], default=None)
+    sub.add_parser("parse", parents=[graph_in, out], help="parse a graph and emit canonical N-Triples")
+
+    p = sub.add_parser("infer", parents=[graph_in, out, stats], help="emit the RDFS or OWL closure")
     p.add_argument("--profile", choices=["rdfs", "owl"], default="rdfs")
     p.add_argument("--derived-only", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--stats", action="store_true", help=_STATS_HELP)
 
-    p = sub.add_parser("check", help="consistency check, optionally with competency questions")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["nt", "ttl"], default=None)
+    p = sub.add_parser("check", parents=[graph_in, stats], help="consistency check, optionally with competency questions")
     p.add_argument("--competency", default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--stats", action="store_true", help=_STATS_HELP)
 
-    p = sub.add_parser("query", help="run a query file against a graph")
-    p.add_argument("input")
+    p = sub.add_parser("query", parents=[graph_in, out], help="run a query file against a graph")
     p.add_argument("queryfile")
-    p.add_argument("--format", choices=["nt", "ttl"], default=None)
     p.add_argument("--regime", choices=list(REGIMES), default=None)
     p.add_argument("--tsv", action="store_true", help="TSV output instead of JSON")
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("reify", help="turn a CSV into reified relation instances")
+    p = sub.add_parser("reify", parents=[out], help="turn a CSV into reified relation instances")
     p.add_argument("csv")
     p.add_argument("--spec", required=True)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("embed", help="train, evaluate or query a TransE model")
     actions = p.add_subparsers(dest="action", required=True)
@@ -318,14 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--test", required=True, help="held-out triples, read like the graph")
     a.add_argument("--per-relation", action="store_true", help="add per-relation metrics to the JSON")
 
-    a = actions.add_parser("predict", parents=[common], help="the top k completions of a triple with one free slot")
+    a = actions.add_parser("predict", parents=[common, out], help="the top k completions of a triple with one free slot")
     a.add_argument("--relation", required=True)
     slot = a.add_mutually_exclusive_group(required=True)
     slot.add_argument("--head")
     slot.add_argument("--tail")
     a.add_argument("-k", type=int, default=10)
     a.add_argument("--filtered", action="store_true")
-    a.add_argument("--out", default=None)
 
     return parser
 

@@ -392,28 +392,33 @@ def _metrics(ranks: list[int]) -> RankMetrics:
 def _filtered_ranks(model: EmbeddingModel, train_graph: Graph, test_triples: list[Triple]) -> list[tuple[Term, int]]:
     """(relation, filtered rank) per test triple in canonical order, head side first.
 
-    The known completions of each (relation, bound entity) under test are
-    listed once as model rows; a rank counts the candidates left by the
-    filter mask that score strictly better than the truth, plus one.
+    Each test triple is mapped to model rows once, and a term the model
+    does not know raises UnknownTermError.  The known completions of each
+    (relation, bound entity) under test are listed once as model rows; a
+    rank counts the candidates left by the filter mask that score strictly
+    better than the truth, plus one.
     """
     ent, rel = model.entity_index, model.relation_index
-    ordered = sorted(test_triples, key=triple_sort_key)
-    rows = [(ent[t.subject], rel[t.predicate], ent[t.object]) for t in ordered]
+    rows = [(ent.get(t.subject), rel.get(t.predicate), ent.get(t.object)) for t in test_triples]
+    unknown = {format_term(term) for t, row in zip(test_triples, rows)
+               for term, i in zip((t.subject, t.predicate, t.object), row) if i is None}
+    if unknown:
+        raise UnknownTermError("test triples mention unknown terms: " + ", ".join(sorted(unknown)))
+    ordered = sorted(zip(test_triples, rows), key=lambda pair: triple_sort_key(pair[0]))
     heads: dict[tuple[int, int], list[int]] = {(p, o): [] for _, p, o in rows}
     tails: dict[tuple[int, int], list[int]] = {(s, p): [] for s, p, _ in rows}
     # the train graph's term ids mapped to model rows once, not per occurrence
     ent_row = [ent.get(term) for term in train_graph._id_to_term]
     rel_row = [rel.get(term) for term in train_graph._id_to_term]
     train = ((ent_row[s], rel_row[p], ent_row[o]) for s, p, o in train_graph._triples)
-    test = ((ent.get(t.subject), rel.get(t.predicate), ent.get(t.object)) for t in test_triples)
-    for s, p, o in chain(train, test):
+    for s, p, o in chain(train, rows):
         if s is not None and (p, o) in heads:
             heads[p, o].append(s)
         if o is not None and (s, p) in tails:
             tails[s, p].append(o)
     candidates = {side: _candidate_rows(model, side) for side in (True, False)}
     ranks = []
-    for t, (s, p, o) in zip(ordered, rows):
+    for t, (s, p, o) in ordered:
         for free_head, true_row, bound, known in ((True, s, o, heads[p, o]), (False, o, s, tails[s, p])):
             scores = _candidate_scores(model, free_head, p, bound)
             # the truth is one of its own known completions, and never beats itself
@@ -431,14 +436,6 @@ def evaluate(model: EmbeddingModel, train_graph: Graph, test_triples: list[Tripl
     """
     if not test_triples:
         raise ValidationError("evaluation needs at least one test triple")
-    offenders = []
-    for t in test_triples:
-        for term, known in ((t.subject, model.entity_index), (t.predicate, model.relation_index), (t.object, model.entity_index)):
-            if term not in known:
-                offenders.append(format_term(term))
-    if offenders:
-        raise UnknownTermError("test triples mention unknown terms: " + ", ".join(sorted(set(offenders))))
-
     ranks = _filtered_ranks(model, train_graph, test_triples)
     by_relation: dict[Term, list[int]] = {}
     for relation, rank in ranks:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Collection
+from typing import Callable, Collection, Iterable
 
 from . import vocab
 from .errors import ParseError, UnknownPrefixError, ValidationError
@@ -417,7 +417,10 @@ def parse_ntriples(text: str) -> Graph:
     malformed), and one whose term texts do not all read (a relative IRI
     or datatype), goes through the token scanner, so terms get the same
     ids in the same order and errors the same message, line and column
-    either way.
+    either way.  The scanner reads a lone CR after a triple's '.' as the
+    end of a line (RDF 1.1 `EOL ::= [#xD#xA]+`), and elsewhere as
+    whitespace, so a file whose lines end in CR reads as its LF twin; an
+    error names its line and column in that twin.
     """
     g = Graph()
     ids = _TermIds(g)
@@ -432,22 +435,26 @@ def parse_ntriples(text: str) -> Graph:
         if not raw.strip():
             continue
         try:
-            tokens = _scan(raw)
-            if tokens[0][0] == EOF:  # comment-only line
-                continue
-            subject, pos = _term_from_tokens(tokens, 0)
-            predicate, pos = _term_from_tokens(tokens, pos)
-            object_, pos = _term_from_tokens(tokens, pos)
-            if tokens[pos][0] != DOT:
-                raise _Fault("expected '.' terminating the triple", tokens[pos][2])
-            if tokens[pos + 1][0] != EOF:
-                raise _Fault("trailing content after '.'", tokens[pos + 1][2])
-            try:
-                g.insert(Triple(subject, predicate, object_))
-            except ValidationError as exc:  # a misplaced term or a relative IRI: the triple's position
-                raise _Fault(str(exc), tokens[0][2]) from exc
-        except _Fault as fault:  # a line holds no newline
-            raise fault.at(lineno, fault.offset + 1) from None
+            tokens, pos = _scan(raw), 0
+            while tokens[pos][0] != EOF:  # a comment-only line has no triple
+                start = pos
+                subject, pos = _term_from_tokens(tokens, pos)
+                predicate, pos = _term_from_tokens(tokens, pos)
+                object_, pos = _term_from_tokens(tokens, pos)
+                if tokens[pos][0] != DOT:
+                    raise _Fault("expected '.' terminating the triple", tokens[pos][2])
+                pos += 1
+                if tokens[pos][0] != EOF and "\r" not in raw[tokens[pos - 1][2] : tokens[pos][2]]:  # a lone CR ends a line
+                    raise _Fault("trailing content after '.'", tokens[pos][2])
+                try:
+                    g.insert(Triple(subject, predicate, object_))
+                except ValidationError as exc:  # a misplaced term or a relative IRI: the triple's position
+                    raise _Fault(str(exc), tokens[start][2]) from exc
+        except _Fault as fault:  # located in the LF twin, where a CRLF's CR is gone and each lone CR is an LF
+            line = raw[:-1] if raw[-1:] == "\r" else raw
+            head = "\n".join(text.split("\n", lineno - 1)[:-1] + [line[: fault.offset]])
+            twin = head.replace("\r\n", "\n").replace("\r", "\n")
+            raise fault.at(*_line_col(twin, len(twin))) from None
     return g
 
 
@@ -704,13 +711,15 @@ def serialize_ntriples(graph: Graph) -> str:
     return _serialize_ids(graph._triples, graph.term)
 
 
-def _serialize_ids(triples: Collection[IdTriple], term: Callable[[int], Term]) -> str:
+def _serialize_ids(triples: Iterable[IdTriple], term: Callable[[int], Term]) -> str:
     """`serialize_ntriples` of distinct id triples whose ids `term` names.
 
     Each distinct term is formatted and keyed once; the id triples are then
     sorted by the terms' canonical ranks.  No two distinct terms share a
-    sort key, so the order has no ties.
+    sort key, so the order has no ties.  An iterator is listed first, as
+    the triples are read twice.
     """
+    triples = triples if isinstance(triples, Collection) else list(triples)
     ids = sorted({i for t in triples for i in t}, key=lambda i: sort_key(term(i)))
     rank = {tid: r for r, tid in enumerate(ids)}
     text = [format_term(term(tid)) for tid in ids]

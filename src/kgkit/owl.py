@@ -22,12 +22,15 @@ in time linear in n instead of materializing its n^2 copies.
 The readers stay on the representative graph and read the classes off
 it (`Graph.equality`, their one holder, in canonical order): the
 reasoning tasks, `_breaks` probes, `query` under the owl regime, `kgkit
-check` and the `partition`.  `OwlClosure.graph` expands it over the
-classes on first access (`kgkit infer` does), and `rdfs.Closure` reads
-`derived` and `provenance` off `OwlClosure._copies`; an expanded copy
-that no rule derived follows by owl-sameas-substitution or
-owl-sameas-symmetry from triples of the expanded graph.  `report`
-expands each violation over the classes of its rule's variables.
+check` and the `partition`.  `OwlClosure._copies` lists the expanded
+triples, each triple of `work` once per choice of a class member in each
+position, and it is the one way out of the rewritten store: `graph`
+inserts them on first access, `rdfs.Closure` reads `derived` and
+`provenance` off them, and `kgkit infer` writes them with no expanded
+graph built.  An expanded copy that no rule derived follows by
+owl-sameas-substitution or owl-sameas-symmetry from triples of the
+expanded graph.  `report` expands each violation over the classes of its
+rule's variables.
 
 `OWL_RULES` extends the RDFS table (see `rdfs`) with one row per OWL 2
 RL rule of fixed arity; the violation triggers are rows with a `false`
@@ -361,8 +364,8 @@ _VIOLATION_FORMS["owl-alldifferent"] = ((("d", None, "l"), ("a", _SA, "b")), ("a
 class OwlClosure(Closure):
     """An OWL closure: `work` holds one representative per sameAs class, and `work.equality` the classes.
 
-    Membership, `mentions` and the `partition` read the classes; `graph`,
-    `report` and `_copies` (which `Closure.derived` and `provenance` read)
+    Membership, `mentions` and the `partition` read the classes; `report`
+    and `_copies` (which `graph`, `Closure.derived` and `provenance` read)
     expand `work` over them.  Changing the expanded `graph` drops the
     closure from the base's cache, as an RDFS closure's does.
     """
@@ -386,8 +389,8 @@ class OwlClosure(Closure):
         ids = self.work._pattern_ids((triple.subject, triple.predicate, triple.object))
         return ids is not None and self.work.contains_ids(self.work.equality.map(tuple(ids)))
 
-    def _copies(self) -> Iterator[tuple[IdTriple, IdTriple]]:
-        """(t, r) for every triple t of the expanded graph, r being its representative form in `work`.
+    def _copies(self) -> Iterator[IdTriple]:
+        """The triples of the expanded graph: each triple of `work` once per choice of a class member in each position.
 
         A predicate is replaced by the IRIs of its class only.
         """
@@ -396,32 +399,33 @@ class OwlClosure(Closure):
             s, p, o = r
             cs, cp, co = members.get(s), members.get(p), members.get(o)
             if cs is None and cp is None and co is None:
-                yield r, r
+                yield r
                 continue
             ps = (p,) if cp is None else [m for m in cp if isinstance(term(m), IRI)]
             for s2 in cs or (s,):
                 for p2 in ps:
                     for o2 in co or (o,):
-                        yield (s2, p2, o2), r
+                        yield s2, p2, o2
 
     @cached_property
     def graph(self) -> Graph:
         g = Graph()
         g._term_to_id, g._id_to_term = dict(self.work._term_to_id), list(self.work._id_to_term)
-        for t, _ in self._copies():
+        for t in self._copies():
             g.insert_ids(t)
         self._expanded_version = g.version
         return g
 
-    def _copy_derivation(self, t: IdTriple, r: IdTriple) -> tuple[str, tuple[IdTriple, ...]]:
+    def _copy_derivation(self, t: IdTriple) -> tuple[str, tuple[IdTriple, ...]]:
         """A one-step derivation of t, an expanded copy that no rule derived, from other triples of the expanded graph.
 
-        When t differs from its representative form r, its first differing
-        position is rewritten from r's member there by substitution, or, when
-        t is that equality, (r sameAs m), it follows by symmetry from
+        When t differs from its representative form r in `work`, its first
+        differing position is rewritten from r's member there by substitution,
+        or, when t is that equality, (r sameAs m), it follows by symmetry from
         (m sameAs r).  r itself is rewritten from the copy that has another
         member in the first position whose class has one.
         """
+        r = self.work.equality.map(t)
         if t == r:
             members, term = self.work.equality.members, self.work.term
             i, m = next((i, m) for i in range(3) for m in members.get(r[i], ())

@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import filterfalse, islice
 from typing import Callable, Iterable, Iterator
 
 from . import vocab
@@ -440,9 +440,10 @@ class Closure:
     `work` is the graph the fixpoint closed, in the base's term ids, and `graph`
     is `work` here; `owl.OwlClosure` keeps `work` in sameAs representatives and
     expands it into `graph` on first access.  `derived`, `provenance` and
-    `report` are built on first access, for both profiles from `_copies`, which
-    pairs each triple of `graph` with its form in `work`; the sameAs `partition`
-    is a view of `work.equality`, which only an OWL closure has.  No premise is
+    `report` are built on first access; `_copies`, which lists the triples of
+    `graph` in ids of `work`, is the one listing that `graph`, `derived`,
+    `provenance` and `kgkit infer` read.  The sameAs `partition` is a view of
+    `work.equality`, which only an OWL closure has.  No premise is
     stored: `provenance` saturates the base again when it is first read.  A
     closure that `saturate_rdfs` or `saturate_owl` returned is a snapshot:
     kgkit never changes it, and a later saturation of the grown base builds a
@@ -474,9 +475,9 @@ class Closure:
     def report(self) -> InconsistencyReport:
         return _report(self.graph, self.violations)
 
-    def _copies(self) -> Iterator[tuple[IdTriple, IdTriple]]:
-        """(t, r) for every triple t of `graph`, r being its form in `work`: t itself, as RDFS has no sameAs classes."""
-        return ((t, t) for t in self.work._triples)
+    def _copies(self) -> Iterable[IdTriple]:
+        """The triples of `graph`, in ids of `work`: `work`'s own, as RDFS has no sameAs classes."""
+        return self.work._triples
 
     @cached_property
     def _asserted(self) -> set[IdTriple]:
@@ -484,9 +485,9 @@ class Closure:
         return set(islice(self.base._triples, self._versions[0]))
 
     @cached_property
-    def _derived_ids(self) -> dict[IdTriple, IdTriple]:
-        """t -> r for every triple t of `graph` that the base did not assert, in `_copies` order."""
-        return {t: r for t, r in self._copies() if t not in self._asserted}
+    def _derived_ids(self) -> list[IdTriple]:
+        """The triples of `graph` that the base did not assert, in `_copies` order."""
+        return list(filterfalse(self._asserted.__contains__, self._copies()))
 
     @cached_property
     def derived(self) -> frozenset[Triple]:
@@ -519,8 +520,8 @@ class Closure:
         _fixpoint(work, [recorded(rule) for rule in self.rules], work._triples)
         to_triple = self.work._to_triple
         # only an expanded OWL copy that no rule derived has no candidate
-        derivations = {t: first.get(t) or self._copy_derivation(t, r) for t, r in self._derived_ids.items()}
-        return {to_triple(t): Derivation(name, tuple(map(to_triple, premises))) for t, (name, premises) in derivations.items()}
+        derivations = ((t, first.get(t) or self._copy_derivation(t)) for t in self._derived_ids)
+        return {to_triple(t): Derivation(name, tuple(map(to_triple, premises))) for t, (name, premises) in derivations}
 
     @cached_property
     def partition(self) -> EqualityPartition:

@@ -291,6 +291,31 @@ def test_infer_owl_writes_the_expanded_closure_and_builds_no_expanded_graph(tmp_
     assert "graph" not in loaded[-1]._closures["owl"].__dict__
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([vocab.RDF_TYPE, vocab.RDFS_SUBCLASSOF, vocab.OWL_INVERSEOF]))
+def test_infer_writes_the_closure_graph_and_derived_only_its_derived_triples(tmp_path, capsys, seed, named):
+    # sameAs classes of predicates, a sameAs to a literal, and a node stated equal to a rule-vocabulary IRI
+    g = random_owl_graph(seed, max_triples=30)
+    n0, n1, n2, n3 = (kgkit.IRI(f"http://t.example/n{i}") for i in range(4))
+    g.add(n0, vocab.OWL_SAMEAS, n1)
+    g.add(n1, vocab.OWL_SAMEAS, kgkit.Literal("v"))
+    g.add(n2, n0, n1)
+    g.add(n3, vocab.OWL_SAMEAS, named)
+    text = oracle_serialize_ntriples(g)
+    kb = write(tmp_path / "kb.nt", text)
+    for profile, saturate in (("rdfs", kgkit.saturate_rdfs), ("owl", lambda graph: owl.saturate_owl(graph)[0])):
+        try:
+            closure = saturate(parse_ntriples(text))
+        except kgkit.ValidationError:  # the closure puts two rule-vocabulary IRIs in one sameAs class, which kgkit refuses
+            assert profile == "owl"
+            assert main(["infer", kb, "--profile", profile]) == 1
+            continue
+        code = main(["infer", kb, "--profile", profile])
+        assert code in (0, 3) and capsys.readouterr().out == serialize_ntriples(closure.graph)
+        assert main(["infer", kb, "--profile", profile, "--derived-only"]) == code
+        assert capsys.readouterr().out == serialize_ntriples(kgkit.graph_from_triples(closure.derived))
+
+
 def test_infer_owl_derives_sameas(tmp_path, capsys):
     kb = write(tmp_path / "fathers.ttl", FATHERS_TTL)
     assert main(["infer", kb, "--profile", "owl"]) == 0

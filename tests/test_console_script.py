@@ -143,6 +143,9 @@ SAME_BYTES = [
          out=f'<{E}a> <{E}p> "x\\ry" .\n'),
     Case("parse-ntriples-lone-cr-in-literal", "parse cr.nt", {"cr.nt": f'<{E}a> <{E}p> "x\ry" .\n'}, 2,
          err="parse error: newline inside literal at line 1, column 47\n"),
+    # a lone CR after a triple's '.' ends the line, so an N-Triples file with CR line ends reads as its LF twin
+    Case("parse-ntriples-lone-cr-line-ends", "parse cr.nt", {"cr.nt": nt("a", "p", "b", "a", "p", "c").replace("\n", "\r")},
+         out=nt("a", "p", "b", "a", "p", "c")),
     # a comment ends at a lone CR, so a Turtle file with CR line ends keeps the statements after one
     Case("parse-turtle-lone-cr-line-ends", "parse cr.ttl",
          {"cr.ttl": "@prefix ex: <http://example.org/> .\r# a comment\rex:a ex:p ex:b .\rex:a ex:p ex:c .\r"},

@@ -616,6 +616,33 @@ def test_a_raw_cr_in_a_short_string_is_a_parse_error_as_a_newline_is(parse, text
     assert str(err.value) == f"newline inside literal at line 1, column {column}"
 
 
+def test_ntriples_lines_ended_by_a_lone_cr_read_as_their_lf_twin():
+    # RDF 1.1 N-Triples: EOL ::= [#xD#xA]+
+    lf = "<http://e.x/a> <http://e.x/p> <http://e.x/b> .\n<http://e.x/a> <http://e.x/p> <http://e.x/c> .\n"
+    for text in (lf.replace("\n", "\r"), lf.replace("\n", "\r\r"), lf.replace("\n", "\r\n").replace(" .\r\n<", " .\r<")):
+        assert list(parse_ntriples(text)._triples) == list(parse_ntriples(lf)._triples)
+    # a CR between the terms of one triple is whitespace
+    assert triples_of(parse_ntriples("<http://e.x/a>\r<http://e.x/p> <http://e.x/b> .\r")) == triples_of(parse_ntriples(lf.split("\n")[0]))
+
+
+@pytest.mark.parametrize(
+    "lines, message, line, column",
+    [
+        (['<http://e.x/a> <http://e.x/p> "x\\q" .'], "unknown escape \\q", 2, 33),
+        (["<http://e.x/a> <http://e.x/p> <http://e.x/c> . <http://e.x/d>"], "trailing content after '.'", 2, 48),
+        (["# comment", "", "<rel> <http://e.x/p> <http://e.x/c> ."], "relative IRI 'rel' and no base IRI is declared", 4, 1),
+        (["<http://e.x/a> <http://e.x/p> <http://e.x/c>"], "expected '.' terminating the triple", 2, 45),
+    ],
+    ids=["escape", "trailing", "relative-iri", "missing-dot"],
+)
+def test_an_error_in_a_cr_ended_ntriples_file_is_located_as_in_its_lf_twin(lines, message, line, column):
+    lf = "\n".join(["<http://e.x/a> <http://e.x/p> <http://e.x/b> ."] + lines) + "\n"
+    for text in (lf, lf.replace("\n", "\r"), lf.replace("\n", "\r\n"), lf.replace("\n", "\r", 1)):  # the last mixes CR and LF ends
+        with pytest.raises(ParseError) as err:
+            parse_ntriples(text)
+        assert (str(err.value), err.value.line, err.value.column) == (f"{message} at line {line}, column {column}", line, column), repr(text)
+
+
 def test_a_long_string_keeps_a_raw_cr():
     for parse in (parse_turtle, oracle_parse_turtle):
         for text in (':x :p """x\ry""" .', ":x :p '''x\ry''' ."):

@@ -19,9 +19,11 @@ import os
 import random
 import re
 import tempfile
+from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager, redirect_stderr
 from io import StringIO
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -299,8 +301,9 @@ def scanner_outcome(text: str):
     with forced_scanner() as scanned:
         result = parse_outcome(text)
     lines = text.split("\n")
-    if result[0] == "error":  # no line after the one that raised is read
-        lines = lines[: result[3]]
+    if result[0] == "error":  # no line after the one that raised is read; its error is located in the LF twin
+        ends = list(accumulate(1 + line.removesuffix("\r").count("\r") for line in lines))  # each line's last line in the twin
+        lines = lines[: bisect_left(ends, result[3]) + 1]
     assert scanned == [line for line in lines if line.strip()]
     return result
 
@@ -591,13 +594,18 @@ def test_cli_parse_exits_0_or_2_with_one_positioned_error_line(text, fmt):
         assert re.fullmatch(r"(parse )?error: [^\n]* at line \d+, column \d+\n", stderr.getvalue())
 
 
-def assert_located(read, text: str) -> None:
-    """`read(text)` returns, or raises exactly ParseError at a line and column inside `text`."""
+def lf_twin(text: str) -> str:
+    """The text with LF line ends: a CRLF's CR dropped and each lone CR an LF, as N-Triples reads it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def assert_located(read, text: str, lines_of=lambda text: text) -> None:
+    """`read(text)` returns, or raises exactly ParseError at a line and column inside `lines_of(text)`."""
     try:
         read(text)
     except ParseError as exc:
         assert type(exc) is ParseError, repr(exc)
-        lines = text.split("\n")
+        lines = lines_of(text).split("\n")
         assert exc.line is not None and 1 <= exc.line <= len(lines), str(exc)
         assert exc.column is not None and 1 <= exc.column <= len(lines[exc.line - 1]) + 1, str(exc)
 
@@ -611,7 +619,7 @@ def assert_located(read, text: str) -> None:
 @example("<a> <b>")  # one parse_term raises after the term
 def test_every_reader_raises_a_fault_as_a_located_parse_error(text):
     assert_located(parse_term, text)
-    assert_located(parse_ntriples, text)
+    assert_located(parse_ntriples, text, lf_twin)
     assert_located(parse_turtle, text)
     assert_located(parse_query, f"?x <http://e.x/p> {text}")
 

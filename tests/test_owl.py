@@ -654,7 +654,7 @@ def _resume_expanded(work: Graph, delta) -> set:
     grown = [r for r, ms in equality.members.items() if len(ms) != before.get(r)]
     mentioning = {t for r in grown for pattern in ((r, None, None), (None, r, None), (None, None, r)) for t in rep.match_ids(*pattern)}
     found |= _fixpoint(rep, OWL_RULES, mentioning)
-    for t, _ in owl.OwlClosure(Graph(), rep)._copies():
+    for t in owl.OwlClosure(Graph(), rep)._copies():
         work.insert_ids(t)
     return owl._expand_violations(found, equality, rep.term)
 
