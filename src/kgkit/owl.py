@@ -73,13 +73,13 @@ _TYPE, _FIRST, _REST, _NIL, _SCO, _SA, _INV, _EQC, _FP, _TP, _ONP, _INTER, _UNIO
 
 
 def _list_walk(g: Graph | Overlay, node: int) -> list[int] | None:
-    """Members of the complete list at node in id order, or None.
+    """Members of the complete list at node, each once in the order the walk meets them, or None.
 
     Complete means the walk reaches rdf:nil and every cell on the way has
     an rdf:first: OWL 2 RL's LIST premise.  A list whose cells are still
     arriving is no list yet.
     """
-    members: set[int] = set()
+    members: dict[int, None] = {}
     stack = [node]
     seen: set[int] = set()
     reached_nil = False
@@ -91,9 +91,9 @@ def _list_walk(g: Graph | Overlay, node: int) -> list[int] | None:
             seen.add(n)
             if not (firsts := g.objects(n, _FIRST)):
                 return None
-            members.update(firsts)
+            members.update(dict.fromkeys(firsts))
             stack.extend(g.objects(n, _REST))
-    return sorted(members) if reached_nil else None
+    return list(members) if reached_nil else None
 
 
 def _delta_cells(op: int, delta: Delta) -> list[int]:
@@ -121,7 +121,7 @@ def _expressions(g: Graph | Overlay, op: int, cells: Iterable[int]) -> list[tupl
             seen.add(n)
             found.update((c, n) for c in g.subjects(op, n))
             stack.extend(g.subjects(_REST, n))
-    return [(c, l, members) for c, l in sorted(found) if (members := _list_walk(g, l)) is not None]
+    return [(c, l, members) for c, l in found if (members := _list_walk(g, l)) is not None]
 
 
 def _r_intersection(g: Graph | Overlay, delta: Delta):
@@ -138,10 +138,10 @@ def _r_intersection(g: Graph | Overlay, delta: Delta):
         for m in members:
             yield (c, _SCO, m), "owl-intersection-subclass", ((c, _INTER, l),)
         if members:
-            for x in sorted(g.subjects(_TYPE, members[0])):
+            for x in g.subjects(_TYPE, members[0]):
                 yield from build(x, c, l, members)
     # the individuals the delta types with D, joined once per class D
-    for d, xs in sorted(delta.by_object(_TYPE).items()):
+    for d, xs in delta.by_object(_TYPE).items():
         for c, l, members in _expressions(g, _INTER, g.subjects(_FIRST, d)):
             for x in xs:
                 yield from build(x, c, l, members)
@@ -330,11 +330,11 @@ class _Equality:
         return moved
 
 
-def _expand_violations(found: IdViolations, equality: _Equality, term) -> IdViolations:
+def _expand_violations(found: IdViolations, equality: _Equality, term) -> set[tuple[str, frozenset[IdTriple]]]:
     """Each violation found on representatives once per choice of a class member for each variable of its rule.
 
-    The premises of each come out sorted, each once; an AllDifferent pair
-    keeps only members a < b in canonical term order.
+    The premises of each are a set, as `_report` orders them; an
+    AllDifferent pair keeps only members a < b in canonical term order.
     """
     out = set()
     for name, premises in found:
@@ -346,8 +346,8 @@ def _expand_violations(found: IdViolations, equality: _Equality, term) -> IdViol
             b = dict(zip(names, choice))
             if ordered and not sort_key(term(b[ordered[0]])) < sort_key(term(b[ordered[1]])):
                 continue
-            ts = {tuple(b[x] if isinstance(x, str) else tid for x, tid in zip(atom, t)) for atom, t in zip(atoms, premises)}
-            out.add((name, tuple(sorted(ts))))
+            out.add((name, frozenset(tuple(b[x] if isinstance(x, str) else tid for x, tid in zip(atom, t))
+                                     for atom, t in zip(atoms, premises))))
     return out
 
 

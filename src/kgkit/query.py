@@ -133,6 +133,11 @@ def _answer(work: Graph, q: Query) -> list[Binding]:
 # ---------------------------------------------------------------------------
 
 # Splits a query line into tokens; the data scanner then reads each term token.
+# A word ends where the data scanner ends one: before a '"' or '<', and
+# before a '.' that whitespace or the line's end follows, unless a
+# backslash escapes it (`e:a\.`).  Its first character may be any but
+# whitespace or a brace, so that a malformed IRI or literal reaches the
+# scanner, which names it.
 _TOKEN = re.compile(
     r"""
     (?P<iri><[^>]*>)
@@ -140,7 +145,7 @@ _TOKEN = re.compile(
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<brace>[{}])
   | (?P<dot>\.(?=\s|$))
-  | (?P<word>[^\s{}]+)
+  | (?P<word>[^\s{}](?:[^\s{}"<.\\]|\\[^\s{}"<]?|\.(?!\s|$))*)
     """,
     re.X,
 )

@@ -82,7 +82,7 @@ class Derivation:
 IdViolations = set[tuple[str, tuple[IdTriple, ...]]]  # (rule name, its premises in the rule's body order)
 
 
-def _report(g: Graph | Overlay, found: IdViolations) -> InconsistencyReport:
+def _report(g: Graph | Overlay, found: Iterable[tuple[str, Iterable[IdTriple]]]) -> InconsistencyReport:
     """The violations `found` in `g`, in terms, each premise once, sorted by rule and premises."""
     found = {(rule, frozenset(ts)) for rule, ts in found}
     violations = [Violation(rule, tuple(sorted(map(g._to_triple, ts), key=triple_sort_key))) for rule, ts in found]
@@ -110,19 +110,19 @@ class EqualityPartition:
         return term if tid is None else self._graph.term(self.representative_id(tid))
 
 
-class Delta(list):
-    """One round's delta: its id triples in sorted order, grouped for the rules.
+class Delta(dict):
+    """One round's delta: each new id triple -> the rule that found it first, grouped for the rules.
 
-    The groupings are built on first use and shared by every rule of the
+    `_fixpoint` fills one during a round and hands that same dict to the
+    next round; `Delta(triples)` starts one, with None for each rule.  The
+    groupings are built on first use and shared by every rule of the
     round; they hold the delta's own triples, so grouping builds no tuple.
-    A Delta is a list, so a rule may also walk the triples one by one.
+    The triples keep the order they arrived in, and nothing sorts them.
     """
 
-    def __init__(self, triples: Iterable[IdTriple]):
-        super().__init__(triples)
-        self.sort()
+    def __init__(self, triples: Iterable[IdTriple] = ()):
+        super().__init__(dict.fromkeys(triples))
         self._by_object: dict[int, dict[int, list[int]]] = {}
-        self._sets: dict[int, set[IdTriple]] = {}
 
     @cached_property
     def by_predicate(self) -> dict[int, list[IdTriple]]:
@@ -137,7 +137,7 @@ class Delta(list):
         return groups
 
     def by_object(self, p: int) -> dict[int, list[int]]:
-        """o -> the s of the delta's triples (s, p, o) in ascending order, for one predicate p.
+        """o -> the s of the delta's triples (s, p, o) in delta order, for one predicate p.
 
         For rdf:type: each class -> its new members.
         """
@@ -151,13 +151,6 @@ class Delta(list):
                 else:
                     members.append(s)
         return groups
-
-    def with_predicate(self, p: int) -> set[IdTriple]:
-        """The delta's triples with predicate p as a set, for the test that a premise is not new."""
-        triples = self._sets.get(p)
-        if triples is None:
-            triples = self._sets[p] = set(self.by_predicate.get(p, ()))
-        return triples
 
 
 # A rule yields (new id-triple, rule name, premise id-triples) for every
@@ -273,7 +266,7 @@ class Row:
             """Join atom j through the accessor its bound slots allow; an atom before atom i skips delta triples."""
             left.remove(j)
             s, p, o = atom = body[j]
-            not_new = f"{triple(atom)} not in delta.with_predicate({c(p)})" if j < i else ""
+            not_new = f"{triple(atom)} not in delta" if j < i else ""
             if known(s) and known(o):
                 return emit(f"if contains({triple(atom)}){' and ' * bool(not_new)}{not_new}:", True)
             if known(s):
@@ -397,10 +390,11 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
     rewritten the delta to representatives.  A candidate already in
     `work` or found earlier in the round is dropped, and so is one that is
     not an RDF 1.1 triple: a literal subject or a predicate that is not an
-    IRI.  A round's new triples are inserted together.  Of a derived
-    triple the fixpoint keeps only its rule's name, and only for the round
-    (for the `new` counts of `FixpointStats`); a violation keeps its
-    premises in its rule's body order.
+    IRI.  A round's new triples are inserted together, and the `Delta`
+    they fill, in the order the rules found them, is the next round's
+    delta.  Of a derived triple the fixpoint keeps only its rule's name,
+    and only for the round (for the `new` counts of `FixpointStats`); a
+    violation keeps its premises in its rule's body order.
     """
     runs = _recording.get()
     stats = None
@@ -414,7 +408,7 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
     while delta:
         if equality is not None:
             delta = equality.absorb(work, delta)
-        fresh: dict[IdTriple, str] = {}  # a new triple -> the rule that found it first
+        fresh = Delta()
         for rule in rules:
             candidates = rule(work, delta)
             if stats is not None:
@@ -427,7 +421,7 @@ def _fixpoint(work: Graph | Overlay, rules: Iterable[Rule], delta: Iterable[IdTr
         if stats is not None:
             stats.deltas.append(len(delta))
             stats.new.update(fresh.values())
-        delta = Delta(fresh)  # drops this round's groupings before the graph grows
+        delta = fresh  # drops this round's groupings before the graph grows
         for t in fresh:
             work.insert_ids(t)
     return violations

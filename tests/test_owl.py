@@ -3,8 +3,10 @@ import importlib
 import inspect
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -32,6 +34,7 @@ from kgkit import (
     retrieve_instances,
     saturate_owl,
     saturate_rdfs,
+    serialize_ntriples,
     subsumes,
     vocab,
 )
@@ -978,18 +981,49 @@ def test_the_rules_call_only_what_a_graph_and_an_overlay_both_provide():
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False))
 def test_saturation_does_not_depend_on_the_order_triples_are_inserted(seed, rng):
-    triples = random_violation_graph(seed).triples()
-    runs = []
-    for _ in range(2):
-        rng.shuffle(triples)
-        g = Graph()
-        for t in triples:
+    # a round's delta keeps the order its rules found its triples in, and no output may read that order
+    for saturate, source in ((saturate_rdfs, random_rdfs_graph(seed)), (lambda g: saturate_owl(g)[0], random_violation_graph(seed))):
+        triples, runs = source.triples(), []
+        for _ in range(3):
+            rng.shuffle(triples)
+            g = Graph()
+            for t in triples:
+                g.insert(t)
+            with rdfs.fixpoint_stats() as stats:
+                closure = saturate(g)
+            rules = {t: derivation.rule for t, derivation in closure.provenance.items()}
+            runs.append((serialize_ntriples(closure.graph), rules, closure.report, json.dumps([run.as_json() for run in stats])))
+        assert runs[0] == runs[1] == runs[2]
+
+
+# Prints the report and each derivation of the OWL closure of an N-Triples file, in the order the closure holds them.
+_DUMP_CLOSURE = """
+import sys
+from kgkit import parse_ntriples, saturate_owl
+closure, report = saturate_owl(parse_ntriples(open(sys.argv[1], encoding="utf-8").read()))
+print(report)
+for t, derivation in closure.provenance.items():
+    print(t, derivation)
+"""
+
+
+def test_outputs_do_not_depend_on_string_hashing(tmp_path):
+    g = Graph()
+    for seed in range(8):
+        for t in random_violation_graph(seed).triples():
             g.insert(t)
-        with rdfs.fixpoint_stats() as stats:
-            closure, _ = saturate_owl(g)
-        rules = {t: derivation.rule for t, derivation in closure.provenance.items()}
-        runs.append((closure.graph.triples(), rules, closure.report, json.dumps([run.as_json() for run in stats])))
-    assert runs[0] == runs[1]
+    path = tmp_path / "kb.nt"
+    path.write_text(serialize_ntriples(g), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(owl.__file__))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = [subprocess.run([sys.executable, *argv, str(path), *more], env=env, capture_output=True, timeout=120)
+                for argv, more in ((["-m", "kgkit.cli", "infer"], ["--profile", "owl", "--stats"]), (["-c", _DUMP_CLOSURE], []))]
+        assert [run.returncode for run in runs] == [3, 0], runs[0].stderr + runs[1].stderr  # 3: the KB is inconsistent
+        outputs.append([(run.stdout, run.stderr) for run in runs])
+    assert b"Violation(" in outputs[0][1][0] and b"Derivation(" in outputs[0][1][0]
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -384,3 +384,10 @@ def test_turtle_shorthand_query_constants_match_the_data():
         q, _ = parse_query(f"?s ?p {word} .\n")
         assert q.patterns[0].object == Literal(word, datatype="http://www.w3.org/2001/XMLSchema#" + kind)
         assert [b["s"] for b in query(g, q)] == [IRI("http://example.org/ns#a")]
+
+
+@pytest.mark.parametrize("line", ["?x e:p e:b.", "?x e:p 42.", '?x e:p"a" .', "?x e:p<http://e.x/o> ."])
+def test_a_query_term_ends_where_the_data_readers_end_it(line):
+    q, _ = parse_query(f"PREFIX e: <http://e.x/>\n{line}\n")
+    data = parse_turtle(f"@prefix e: <http://e.x/> .\n{line.replace('?x', 'e:s')}\n").graph.triples()
+    assert [(p.predicate, p.object) for p in q.patterns] == [(t.predicate, t.object) for t in data]
