@@ -134,8 +134,9 @@ def _answer(work: Graph, q: Query) -> list[Binding]:
 
 # Splits a query line into tokens; the data scanner then reads each term token.
 # A word ends where the data scanner ends one: before a '"' or '<', and
-# before a '.' that whitespace or the line's end follows, unless a
-# backslash escapes it (`e:a\.`).  Its first character may be any but
+# before a '.' that whitespace, a '}' or the line's end follows.  A
+# backslash takes the character after it unless that is whitespace or a
+# brace (`e:a\.`, `e:a\;b`).  Its first character may be any but
 # whitespace or a brace, so that a malformed IRI or literal reaches the
 # scanner, which names it.
 _TOKEN = re.compile(
@@ -144,8 +145,8 @@ _TOKEN = re.compile(
   | (?P<literal>"(?:[^"\\]|\\.)*"(?:@(?:[^\W_]|-)*|\^\^(?:<[^>]*>|[^\s{}.]+))?)
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<brace>[{}])
-  | (?P<dot>\.(?=\s|$))
-  | (?P<word>[^\s{}](?:[^\s{}"<.\\]|\\[^\s{}"<]?|\.(?!\s|$))*)
+  | (?P<dot>\.(?=[\s}]|$))
+  | (?P<word>[^\s{}](?:[^\s{}"<.\\]|\\[^\s{}]?|\.(?![\s}]|$))*)
     """,
     re.X,
 )

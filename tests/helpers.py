@@ -6,6 +6,8 @@ from kgkit import Graph, IRI, BlankNode, Literal, Triple, parse_turtle, vocab
 
 EDU = "http://example.edu#"
 NS = "http://example.org/ns#"
+# RDF 1.1 Turtle, section 6.4 (PN_LOCAL_ESC): the characters a backslash escapes in a local name
+PN_LOCAL_ESC = "_~.-!$&'()*+,;=/?#@%"
 
 
 def edu(name: str) -> IRI:

@@ -689,27 +689,6 @@ def oracle_shorthand_kind(word: str) -> str | None:
     return INTEGER if _digits(whole) else None
 
 
-def _oracle_qname_escapes(tok: _Token, after: str) -> str:
-    """The qname with its local name's escapes decoded (PN_LOCAL_ESC: a backslash before one of _~.-!$&'()*+,;=/?#@%).
-
-    Any other escape is an error at the qname.  A backslash that ends the
-    qname escapes `after`, the character the word stopped at.
-    """
-    word, i, decoded = tok.value, 0, []
-    while i < len(word):
-        if word[i] == "\\":
-            e = word[i + 1 : i + 2]
-            if e and e in "_~.-!$&'()*+,;=/?#@%" and i > word.index(":"):
-                decoded.append(e)
-                i += 2
-                continue
-            e = e or after
-            raise ParseError(f"{'unsupported' if e and e in ';,()@' else 'bad'} escape \\{e} in qname {word}", tok.line, tok.col)
-        decoded.append(word[i])
-        i += 1
-    return "".join(decoded)
-
-
 def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -853,8 +832,10 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
         else:
             # bare word: either the keyword 'a' or a qname like edu:Warsaw
             buf = []
-            escaped = False  # extension: a backslash takes the next character, so `ex:a\.` ends in its '.' (PN_LOCAL_ESC)
-            while i < n and not text[i].isspace() and text[i] not in ";,()[]<>\"^@":
+            # extension: a backslash takes the next non-space character, which stays in the word,
+            # so `ex:a\.` ends in its '.' and `ex:a\;b` is one qname (PN_LOCAL_ESC)
+            escaped = False
+            while i < n and not text[i].isspace() and (escaped or text[i] not in ";,()[]<>\"^@"):
                 # '.' ends a statement unless it is part of the local name
                 if text[i] == "." and not escaped and (i + 1 >= n or text[i + 1].isspace() or text[i + 1] in ";,()[]"):
                     break
@@ -871,10 +852,6 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
             elif oracle_shorthand_kind(word) is not None:
                 tokens.append(_Token(oracle_shorthand_kind(word), word, tline, tcol))
             else:
-                prev = tokens[-2:]
-                if len(prev) == 2 and prev[1].kind in [_PUNCT[c] for c in ";,()"] and prev[0].kind == QNAME and prev[0].line == prev[1].line and prev[0].col + len(prev[0].value) == prev[1].col:
-                    # extension: the qname before an escaped ;,() that ended it names its first bad escape
-                    _oracle_qname_escapes(prev[0], prev[1].value)
                 raise ParseError(f"unexpected token {word!r}", tline, tcol)
     tokens.append(_Token(EOF, "", line, col))
     return tokens
@@ -889,12 +866,12 @@ def oracle_tokenize(text: str, start_line: int = 1, turtle: bool = False) -> lis
 # own token; a relative or empty datatype IRI is an error at its token; the
 # numeric and boolean shorthand reads as XSD-typed literals; a '.' before a
 # digit starts a number, and one before a label character stays in a blank
-# node label, one after a backslash stays in a word, and 'x', '''x''' and
-# its double-quoted twin are strings (all four in `oracle_tokenize`); a
-# non-empty `[ ... ]` may be a whole statement; an @prefix token after a
-# string is its language tag; a qname's local escapes are decoded, and a
-# bad escape or a bare ' in it is an error at its token; and so is a ' in a
-# prefix name.
+# node label, a backslash in a word takes the next non-space character,
+# and 'x', '''x''' and its double-quoted twin are strings (all four in
+# `oracle_tokenize`); a non-empty `[ ... ]` may be a whole statement; an
+# @prefix token after a string is its language tag; a qname's local
+# escapes are decoded, and a bad escape or a bare ' in it is an error at
+# its token; and so is a ' in a prefix name.
 
 
 def _oracle_is_absolute(iri: str) -> bool:
@@ -909,21 +886,28 @@ def _oracle_is_absolute(iri: str) -> bool:
     return False
 
 
-def _oracle_qname(tokens: list[_Token], pos: int) -> str:
-    """Extension: the qname at tokens[pos] with its local escapes decoded (RDF 1.1 Turtle, section 6.4).
+def _oracle_qname(tok: _Token) -> str:
+    """Extension: the qname with its local escapes decoded (RDF 1.1 Turtle, section 6.4).
 
-    A bad escape is an error at the qname, and so is a ' that no backslash
-    escapes (PN_PREFIX and PN_LOCAL exclude it).  A backslash that ends the
-    qname escapes the token right after it, '@' for a language tag.
+    PN_LOCAL_ESC is a backslash before one of _~.-!$&'()*+,;=/?#@%.  Any
+    other escape, one in the prefix name, and a backslash that ends the
+    qname are errors at the qname, and so is a ' that no backslash escapes
+    (PN_PREFIX and PN_LOCAL exclude it).
     """
-    tok, nxt = tokens[pos], tokens[pos + 1]
-    after = ""
-    if nxt.line == tok.line and nxt.col == tok.col + len(tok.value):
-        after = "@" if nxt.kind in (LANGTAG, AT_PREFIX) else nxt.value
-    qname = _oracle_qname_escapes(tok, after)
-    if "'" in tok.value.replace("\\'", ""):
-        raise ParseError(f"unescaped ' in qname {tok.value}", tok.line, tok.col)
-    return qname
+    word, i, decoded = tok.value, 0, []
+    while i < len(word):
+        if word[i] == "\\":
+            e = word[i + 1 : i + 2]
+            if e and e in "_~.-!$&'()*+,;=/?#@%" and i > word.index(":"):
+                decoded.append(e)
+                i += 2
+                continue
+            raise ParseError(f"bad escape \\{e} in qname {word}", tok.line, tok.col)
+        decoded.append(word[i])
+        i += 1
+    if "'" in word.replace("\\'", ""):
+        raise ParseError(f"unescaped ' in qname {word}", tok.line, tok.col)
+    return "".join(decoded)
 
 
 def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = False, prefixes=None):
@@ -940,7 +924,7 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
     if tok.kind == QNAME and allow_qname:
         assert prefixes is not None
         try:
-            iri = prefixes.expand(_oracle_qname(tokens, pos))
+            iri = prefixes.expand(_oracle_qname(tok))
         except UnknownPrefixError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
         except ValidationError:  # extension: a qname that expands to the empty IRI
@@ -957,7 +941,7 @@ def oracle_term_from_tokens(tokens: list[_Token], pos: int, allow_qname: bool = 
             if dt_tok.kind == IRIREF:
                 datatype = dt_tok.value
             elif dt_tok.kind == QNAME and allow_qname:
-                prefix, local = _oracle_qname(tokens, pos + 2).split(":", 1)
+                prefix, local = _oracle_qname(dt_tok).split(":", 1)
                 if prefixes.namespace(prefix) is None:
                     raise ParseError(str(UnknownPrefixError(prefix)), dt_tok.line, dt_tok.col)
                 datatype = prefixes.namespace(prefix) + local

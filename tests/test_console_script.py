@@ -27,7 +27,7 @@ from kgkit import parse_ntriples, parse_turtle, serialize_ntriples
 from kgkit.errors import ParseError
 from kgkit.vocab import OWL, RDF, RDFS
 
-from helpers import EDU
+from helpers import EDU, PN_LOCAL_ESC
 from test_cli import ALLDIFFERENT_NT, ALLDIFFERENT_TTL, PURCHASE_SPEC, PURCHASES_CSV, embed_fixture, usage_error
 
 E = "http://example.org/"
@@ -143,6 +143,10 @@ SAME_BYTES = [
          out=f'<{E}a> <{E}p> "x\\ry" .\n'),
     Case("parse-ntriples-lone-cr-in-literal", "parse cr.nt", {"cr.nt": f'<{E}a> <{E}p> "x\ry" .\n'}, 2,
          err="parse error: newline inside literal at line 1, column 47\n"),
+    # each local name escape reads as its character
+    Case("parse-turtle-local-name-escapes", "parse esc.ttl",
+         {"esc.ttl": "@prefix ex: <http://example.org/> .\n" + "".join(f"ex:s ex:p ex:a\\{c}b .\n" for c in PN_LOCAL_ESC)},
+         out="".join(sorted(f"<{E}s> <{E}p> <{E}a{c}b> .\n" for c in PN_LOCAL_ESC))),
     # a lone CR after a triple's '.' ends the line, so an N-Triples file with CR line ends reads as its LF twin
     Case("parse-ntriples-lone-cr-line-ends", "parse cr.nt", {"cr.nt": nt("a", "p", "b", "a", "p", "c").replace("\n", "\r")},
          out=nt("a", "p", "b", "a", "p", "c")),

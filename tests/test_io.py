@@ -15,7 +15,7 @@ from kgkit import (
     vocab,
 )
 
-from helpers import EDU, NS, edu, random_rdfs_graph
+from helpers import EDU, NS, PN_LOCAL_ESC, edu, random_rdfs_graph
 from oracles import oracle_parse_turtle, triples_of
 
 N = lambda name: IRI(NS + name)  # noqa: E731
@@ -471,15 +471,32 @@ def test_a_local_name_may_end_in_an_escaped_dot():
         ("ex:a\\\\b", "bad escape \\\\ in qname ex:a\\\\b"),
         ("ex:a\\\\.", "bad escape \\\\ in qname ex:a\\\\"),  # a '.' after an escaped backslash is not escaped
         ("e\\.x:a", "bad escape \\. in qname e\\.x:a"),  # a prefix name has no escapes
-        ("ex:a\\;ex:b", "unsupported escape \\; in qname ex:a\\"),  # ';' ends the word
-        ("ex:a\\,ex:b", "unsupported escape \\, in qname ex:a\\"),
-        ("ex:a\\@b", "unsupported escape \\@ in qname ex:a\\"),
+        ("e\\;x:a", "bad escape \\; in qname e\\;x:a"),
+        # a backslash takes the next character, so the escape stays in its qname
+        ('ex:a\\"b\\"', 'bad escape \\" in qname ex:a\\"b\\"'),
+        ("ex:a\\[ ]", "bad escape \\[ in qname ex:a\\["),
+        ("ex:a\\<b", "bad escape \\< in qname ex:a\\<b"),
     ],
 )
 def test_other_backslashes_in_a_qname_are_parse_errors_at_the_qname(qname, message):
-    with pytest.raises(ParseError) as err:
-        parse_turtle(f"@prefix ex: <http://e/> .\nex:s ex:p\n  {qname} .")
-    assert str(err.value) == f"{message} at line 3, column 3"
+    for parse in (parse_turtle, oracle_parse_turtle):
+        with pytest.raises(ParseError) as err:
+            parse(f"@prefix ex: <http://e/> .\nex:s ex:p\n  {qname} .")
+        assert str(err.value) == f"{message} at line 3, column 3"
+
+
+@pytest.mark.parametrize(
+    "qname, iri",
+    [(f"ex:a\\{c}b", f"http://e.x/a{c}b") for c in PN_LOCAL_ESC]
+    + [("ex:a\\;ex:b", "http://e.x/a;ex:b"), ("ex:a\\,ex:b", "http://e.x/a,ex:b"), ("ex:a\\)", "http://e.x/a)")],
+)
+def test_every_local_name_escape_reads_as_its_character_in_data_and_queries(qname, iri):
+    # a backslash takes the character after it into the word, so no escape ends a qname; PN_LOCAL_ESC decides what reads
+    expected = {(IRI(iri), IRI("http://e.x/p"), IRI(iri))}
+    for parse in (parse_turtle, oracle_parse_turtle):
+        assert triples_of(parse(f"@prefix ex: <http://e.x/> .\n{qname} ex:p {qname} .").graph) == expected
+    q, _ = parse_query(f"PREFIX ex: <http://e.x/>\n{qname} ex:p ?o .\n?s ex:p {qname}\nNOT {{ ?s ex:p {qname} }}\n")
+    assert q.patterns[0].subject == q.patterns[1].object == q.negations[0][0].object == IRI(iri)
 
 
 @pytest.mark.parametrize(

@@ -428,7 +428,8 @@ TTL_DIRECTIVES = [
     "@prefix ex: <http://e.y/#> .", "@prefix ex: <http://e.x/> .", "@prefix : <http://e.z/> .",
     "@prefix ns: <http://n.s/> .", "@prefix xsd: <http://e.x/dt#> .", "@prefix e: <> .",
 ], ["@prefix ex: <rel/> .", "@prefix geo <http://g/> .", "@prefix ex: ex:b .", "@prefix e'x: <http://e/> ."]
-TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1", "_:b.1", "_:anon1", "_:anon3", "ex:it\\'s", "ex:a\\-b\\.c"], [
+TTL_SUBJECTS = ["<http://e.x/a>", "ex:a", "ex:b.c", ":x", "ex:", "ns:y", "_:b1", "_:b.1", "_:anon1", "_:anon3", "ex:it\\'s", "ex:a\\-b\\.c",
+                 "ex:a\\;b", "ex:c\\(d\\)", "ex:e\\@f"], [
     "<rel>", "<>", "geo:z", "e:", "e:x", '"v"', "42", "true", "ex:a\\q",
 ]
 TTL_OBJECTS = TTL_SUBJECTS[0] + [

@@ -23,7 +23,7 @@ from kgkit import (
 )
 from kgkit.io import format_term
 
-from helpers import GLUTEN_FREE_QUERY, allergen_kb, city_kb, edu, fathers_kb, random_owl_graph, random_rdfs_graph
+from helpers import GLUTEN_FREE_QUERY, PN_LOCAL_ESC, allergen_kb, city_kb, edu, fathers_kb, random_owl_graph, random_rdfs_graph
 from oracles import brute_join, oracle_partition, oracle_query, triples_of
 from test_io_properties import iris, literals
 
@@ -391,3 +391,26 @@ def test_a_query_term_ends_where_the_data_readers_end_it(line):
     q, _ = parse_query(f"PREFIX e: <http://e.x/>\n{line}\n")
     data = parse_turtle(f"@prefix e: <http://e.x/> .\n{line.replace('?x', 'e:s')}\n").graph.triples()
     assert [(p.predicate, p.object) for p in q.patterns] == [(t.predicate, t.object) for t in data]
+
+
+# a local name of letters, inner dots and escapes; it never ends in a bare '.', which would end the data word
+local_names = st.builds(
+    lambda first, middle, last: first + "".join(middle) + last,
+    st.sampled_from("abz"),
+    st.lists(st.one_of(st.sampled_from(["a", "b", "."]), st.sampled_from(PN_LOCAL_ESC).map("\\".__add__)), max_size=5),
+    st.one_of(st.sampled_from("ab"), st.sampled_from(PN_LOCAL_ESC).map("\\".__add__)),
+)
+
+
+@given(local_names, st.sampled_from([" .", ".", ""]), st.sampled_from([" ", ""]))
+def test_a_query_word_ends_where_the_data_word_ends(local, end, space):
+    qname = "e:" + local
+    [data] = parse_turtle(f"@prefix e: <http://e.x/> .\ne:s e:p {qname} .\n").graph.triples()
+    q, _ = parse_query(f"PREFIX e: <http://e.x/>\n?x e:p {qname}{end}\nNOT {{ ?x e:p {qname}{end}{space}}}\n")
+    assert q.patterns[0].object == q.negations[0][0].object == data.object
+
+
+@pytest.mark.parametrize("block", ["NOT { ?x e:p e:b.}", "NOT { ?x e:p e:b. }"])
+def test_a_dot_before_a_closing_brace_ends_a_negated_pattern(block):
+    q, _ = parse_query(f"PREFIX e: <http://e.x/>\n?x e:p ?y\n{block}\n")
+    assert q.negations == ((TriplePattern(Var("x"), IRI("http://e.x/p"), IRI("http://e.x/b")),),)
