@@ -70,11 +70,9 @@ def _term_arg(value: str) -> Term:
 
 
 def _print_report(report: rdfs.InconsistencyReport) -> None:
-    for v in report.violations:
-        triples = "; ".join(
-            f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)}" for t in v.triples
-        )
-        print(f"violation: {v.rule}: {triples}", file=sys.stderr)
+    for row in _report_json(report):
+        triples = "; ".join(" ".join(terms) for terms in row["triples"])
+        print(f"violation: {row['rule']}: {triples}", file=sys.stderr)
 
 
 def _report_json(report: rdfs.InconsistencyReport) -> list[dict]:

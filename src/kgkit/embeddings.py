@@ -64,14 +64,12 @@ class EmbeddingModel:
     relations: tuple[Term, ...]
     entity_vecs: np.ndarray
     relation_vecs: np.ndarray
-    entity_index: dict[Term, int] = field(repr=False, default_factory=dict)
-    relation_index: dict[Term, int] = field(repr=False, default_factory=dict)
+    entity_index: dict[Term, int] = field(init=False, repr=False)
+    relation_index: dict[Term, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.entity_index:
-            self.entity_index = {t: i for i, t in enumerate(self.entities)}
-        if not self.relation_index:
-            self.relation_index = {t: i for i, t in enumerate(self.relations)}
+        self.entity_index = {t: i for i, t in enumerate(self.entities)}
+        self.relation_index = {t: i for i, t in enumerate(self.relations)}
 
     def entity_id(self, term: Term) -> int:
         idx = self.entity_index.get(term)
@@ -113,32 +111,42 @@ def _renormalize_entities(model: EmbeddingModel) -> None:
     model.entity_vecs /= norms
 
 
-def _distance(vec: np.ndarray, norm: str) -> float:
+def _norms(vecs: np.ndarray, norm: str) -> np.ndarray:
+    """The norm of a vector, or of each row of a matrix."""
     if norm == L1:
-        return float(np.abs(vec).sum())
-    return float(np.sqrt((vec * vec).sum()))
+        return np.abs(vecs).sum(axis=-1)
+    return np.sqrt((vecs * vecs).sum(axis=-1))
+
+
+def _distance(vec: np.ndarray, norm: str) -> float:
+    return float(_norms(vec, norm))
 
 
 def _distance_grad(vec: np.ndarray, norm: str) -> np.ndarray:
     if norm == L1:
         return np.sign(vec)
-    d = np.sqrt((vec * vec).sum())
+    d = _norms(vec, L2)
     if d == 0.0:
         return np.zeros_like(vec)
     return vec / d
 
 
+IdxTriple = tuple[int, int, int]
+
+
+def _rows(model: EmbeddingModel, s: Term, p: Term, o: Term) -> IdxTriple:
+    """The model rows of a triple's terms; UnknownTermError for a term the model lacks."""
+    return model.entity_id(s), model.relation_id(p), model.entity_id(o)
+
+
+def _translation(model: EmbeddingModel, rows: IdxTriple) -> np.ndarray:
+    s, p, o = rows
+    return model.entity_vecs[s] + model.relation_vecs[p] - model.entity_vecs[o]
+
+
 def score(model: EmbeddingModel, s: Term, p: Term, o: Term) -> float:
     """Triple plausibility: negated translation distance, at most 0."""
-    vec = (
-        model.entity_vecs[model.entity_id(s)]
-        + model.relation_vecs[model.relation_id(p)]
-        - model.entity_vecs[model.entity_id(o)]
-    )
-    return -_distance(vec, model.norm)
-
-
-IdxTriple = tuple[int, int, int]
+    return -_distance(_translation(model, _rows(model, s, p, o)), model.norm)
 
 
 def loss_and_gradients(
@@ -150,30 +158,20 @@ def loss_and_gradients(
     a vector that appears on both sides accumulate.  An inactive hinge
     returns zero loss and no gradients.
     """
-    sp, pp, op = positive
-    sn, pn, on = negative
-    v_pos = model.entity_vecs[sp] + model.relation_vecs[pp] - model.entity_vecs[op]
-    v_neg = model.entity_vecs[sn] + model.relation_vecs[pn] - model.entity_vecs[on]
+    v_pos = _translation(model, positive)
+    v_neg = _translation(model, negative)
     loss = margin + _distance(v_pos, model.norm) - _distance(v_neg, model.norm)
     if loss <= 0.0:
         return 0.0, {}
-    grads: dict[tuple[str, int], np.ndarray] = {}
-
-    def accumulate(kind: str, idx: int, grad: np.ndarray):
-        key = (kind, idx)
-        if key in grads:
-            grads[key] = grads[key] + grad
-        else:
-            grads[key] = grad.copy()
-
     g_pos = _distance_grad(v_pos, model.norm)
     g_neg = _distance_grad(v_neg, model.norm)
-    accumulate("entity", sp, g_pos)
-    accumulate("relation", pp, g_pos)
-    accumulate("entity", op, -g_pos)
-    accumulate("entity", sn, -g_neg)
-    accumulate("relation", pn, -g_neg)
-    accumulate("entity", on, g_neg)
+    (sp, pp, op), (sn, pn, on) = positive, negative
+    grads: dict[tuple[str, int], np.ndarray] = {}
+    for key, grad in (
+        (("entity", sp), g_pos), (("relation", pp), g_pos), (("entity", op), -g_pos),
+        (("entity", sn), -g_neg), (("relation", pn), -g_neg), (("entity", on), g_neg),
+    ):
+        grads[key] = grads[key] + grad if key in grads else grad.copy()
     return float(loss), grads
 
 
@@ -198,40 +196,29 @@ class _Sampler:
 
     def draw(self, triple: IdTriple, config: TrainConfig, rng: np.random.Generator) -> IdTriple | None:
         """A corruption of `triple`, or None when none differs from it."""
-        entities = self.entities
-        if config.corruption == CORRUPT_BOTH:
-            corrupt_head = bool(rng.integers(0, 2))
-        else:
-            corrupt_head = config.corruption == CORRUPT_HEAD
         s, p, o = triple
+        filtered = self.known if config.filtered_sampling else ()
 
-        def build(side_head: bool, entity: int) -> IdTriple | None:
-            if side_head:
-                if entity in self.literals:
-                    return None
-                return (entity, p, o)
-            return (s, p, entity)
-
-        for _ in range(100):
-            candidate = build(corrupt_head, entities[int(rng.integers(0, len(entities)))])
-            if candidate is None or candidate == triple:
-                continue
-            if config.filtered_sampling and candidate in self.known:
-                continue
+        def corrupt(head: bool, entity: int) -> IdTriple | None:
+            """`triple` with `entity` on one side; None for the triple itself or a literal subject."""
+            candidate = (entity, p, o) if head else (s, p, entity)
+            if candidate == triple or (head and entity in self.literals):
+                return None
             return candidate
 
-        sides = [corrupt_head] if config.corruption != CORRUPT_BOTH else [corrupt_head, not corrupt_head]
-        fallback = None
-        for side in sides:
-            for entity in entities:
-                candidate = build(side, entity)
-                if candidate is None or candidate == triple:
-                    continue
-                if config.filtered_sampling and candidate in self.known:
-                    if fallback is None:
-                        fallback = candidate
-                    continue
+        both = config.corruption == CORRUPT_BOTH
+        head = bool(rng.integers(0, 2)) if both else config.corruption == CORRUPT_HEAD
+        for _ in range(100):
+            candidate = corrupt(head, self.entities[int(rng.integers(0, len(self.entities)))])
+            if candidate is not None and candidate not in filtered:
                 return candidate
+        fallback = None
+        for side in (head, not head) if both else (head,):
+            for entity in self.entities:
+                candidate = corrupt(side, entity)
+                if candidate is not None and candidate not in filtered:
+                    return candidate
+                fallback = fallback or candidate
         return fallback
 
 
@@ -282,11 +269,11 @@ def train_epoch(
     count = 0
     for idx in order:
         pos = positives[int(idx)]
-        pos_ids = (model.entity_id(pos.subject), model.relation_id(pos.predicate), model.entity_id(pos.object))
+        pos_rows = _rows(model, pos.subject, pos.predicate, pos.object)
         for _ in range(config.negatives_per_positive):
             neg = negative_sample(pos, graph, config, rng, sampler=sampler)
-            neg_ids = (model.entity_id(neg.subject), model.relation_id(neg.predicate), model.entity_id(neg.object))
-            loss, grads = loss_and_gradients(model, pos_ids, neg_ids, config.margin)
+            neg_rows = _rows(model, neg.subject, neg.predicate, neg.object)
+            loss, grads = loss_and_gradients(model, pos_rows, neg_rows, config.margin)
             total += loss
             count += 1
             for (kind, row), grad in grads.items():
@@ -307,9 +294,7 @@ def _candidate_scores(model: EmbeddingModel, free_head: bool, p: int, bound: int
     r = model.relation_vecs[p]
     e = model.entity_vecs[bound]
     diff = (model.entity_vecs + r - e) if free_head else (e + r - model.entity_vecs)
-    if model.norm == L1:
-        return -np.abs(diff).sum(axis=1)
-    return -np.sqrt((diff * diff).sum(axis=1))
+    return -_norms(diff, model.norm)
 
 
 def _candidate_rows(model: EmbeddingModel, free_head: bool) -> np.ndarray:
@@ -353,10 +338,7 @@ def predict_links(
     scores = _candidate_scores(model, free_head, model.relation_id(p), model.entity_id(bound))
     known = []
     if filtered:
-        if free_head:
-            completions = [t.subject for t in graph.match_terms(None, p, o)]
-        else:
-            completions = [t.object for t in graph.match_terms(s, p, None)]
+        completions = (t.subject if free_head else t.object for t in graph.match_terms(s, p, o))
         known = [model.entity_index[t] for t in completions if t in model.entity_index]
     allowed = _filter_mask(_candidate_rows(model, free_head), known)
     ranked = [(model.entities[i], float(scores[i])) for i in np.flatnonzero(allowed)]
@@ -441,14 +423,7 @@ def evaluate(model: EmbeddingModel, train_graph: Graph, test_triples: list[Tripl
     for relation, rank in ranks:
         by_relation.setdefault(relation, []).append(rank)
     overall = _metrics([rank for _, rank in ranks])
-    return EvalReport(
-        mean_rank=overall.mean_rank,
-        mrr=overall.mrr,
-        hits_at_1=overall.hits_at_1,
-        hits_at_3=overall.hits_at_3,
-        hits_at_10=overall.hits_at_10,
-        per_relation={rel: _metrics(rs) for rel, rs in by_relation.items()},
-    )
+    return EvalReport(**vars(overall), per_relation={rel: _metrics(rs) for rel, rs in by_relation.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -479,25 +454,21 @@ def load_model_text(text: str) -> EmbeddingModel:
     norm = header[1][5:]
     if norm not in (L1, L2):
         raise ValidationError(f"bad norm in model header: {norm!r}")
-    entities: list[Term] = []
-    relations: list[Term] = []
-    entity_rows: list[list[float]] = []
-    relation_rows: list[list[float]] = []
+    # the terms and vector rows of each row kind, in file order
+    tables: dict[str, tuple[list[Term], list[list[float]]]] = {"E": ([], []), "R": ([], [])}
     for ln in lines[1:]:
         fields = ln.split("\t")
-        if len(fields) != dim + 2 or fields[0] not in ("E", "R"):
+        if len(fields) != dim + 2 or fields[0] not in tables:
             raise ValidationError(f"bad model row: {ln!r}")
         term = parse_term(fields[1])
         try:
             values = [float(v) for v in fields[2:]]
         except ValueError:
             raise ValidationError(f"non-numeric value in model row: {ln!r}") from None
-        if fields[0] == "E":
-            entities.append(term)
-            entity_rows.append(values)
-        else:
-            relations.append(term)
-            relation_rows.append(values)
+        terms, rows = tables[fields[0]]
+        terms.append(term)
+        rows.append(values)
+    (entities, entity_rows), (relations, relation_rows) = tables.values()
     for kind, terms in (("entity", entities), ("relation", relations)):
         if len(set(terms)) != len(terms):
             raise ValidationError(f"duplicate {kind} row in model file")
@@ -505,14 +476,7 @@ def load_model_text(text: str) -> EmbeddingModel:
     relation_vecs = np.array(relation_rows, dtype=np.float64).reshape(len(relations), dim)
     if not (np.isfinite(entity_vecs).all() and np.isfinite(relation_vecs).all()):
         raise ValidationError("non-finite value (nan or inf) in model file")
-    return EmbeddingModel(
-        dim=dim,
-        norm=norm,
-        entities=tuple(entities),
-        relations=tuple(relations),
-        entity_vecs=entity_vecs,
-        relation_vecs=relation_vecs,
-    )
+    return EmbeddingModel(dim, norm, tuple(entities), tuple(relations), entity_vecs, relation_vecs)
 
 
 def save_model(model: EmbeddingModel, path) -> None:

@@ -48,9 +48,11 @@ def _validate(q: Query) -> None:
             "absence of a fact is not its negation"
         )
     positive_vars = set().union(*(p.variables() for p in q.patterns))
-    for v in q.projection:
+    for i, v in enumerate(q.projection):
         if v not in positive_vars:
             raise QueryValidationError(f"projection variable ?{v} occurs in no pattern")
+        if v in q.projection[:i]:
+            raise QueryValidationError(f"projection lists ?{v} twice")
 
 
 def _projection(q: Query) -> tuple[str, ...]:
@@ -230,6 +232,8 @@ def parse_query(text: str) -> tuple[Query, str]:
             for m in matches[1:]:
                 if not m.group().startswith("?"):
                     raise ParseError(f"SELECT lists variables, got {m.group()!r}", lineno, m.start() + 1)
+                if m.group()[1:] in projection:
+                    raise ParseError(f"SELECT lists {m.group()} twice", lineno, m.start() + 1)
                 projection.append(m.group()[1:])
         elif head == "NOT":
             if len(tokens) < 4 or tokens[1] != "{" or tokens[-1] != "}":  # `NOT { }` too

@@ -234,6 +234,8 @@ CASES = [
          err="parse error: relative datatype IRI 'rel' and no base IRI is declared at line 1, column 32\n"),
     Case("query-bare-select", "query same.nt q.txt", {"same.nt": SAME_NT, "q.txt": f"SELECT\n?x <{E}p> ?y\n"}, 2,
          err="parse error: SELECT lists no variables at line 1, column 1\n"),
+    Case("query-select-twice", "query same.nt q.txt --tsv", {"same.nt": SAME_NT, "q.txt": f"SELECT ?x ?x\n?x <{E}p> ?y\n"}, 2,
+         err="parse error: SELECT lists ?x twice at line 1, column 11\n"),
     Case("query-relative-iri", "query same.nt q.txt", {"same.nt": SAME_NT, "q.txt": f"?x <{E}p> <rel>\n"}, 2,
          err="parse error: relative IRI 'rel' and no base IRI is declared at line 1, column 27\n"),
     # a literal holding U+2028 is written raw into the model file, and the model still reads back

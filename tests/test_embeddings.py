@@ -630,13 +630,37 @@ def test_predict_links_matches_term_level_oracle(filtered):
                     assert got == oracle_predict_links(model, g, None, p, t, k, filtered)
 
 
-def test_model_file_bytes_are_pinned():
-    # the model file this graph, config and seed gave with the term-level sampler
+@pytest.mark.parametrize("norm", [L1, L2])
+@pytest.mark.parametrize("dim", [1, 8, 9, 20])
+def test_predict_links_values_are_the_scores_bit_for_bit(norm, dim):
+    # each row's norm over a candidate matrix equals the norm of that row alone
+    g = random_rdfs_graph(dim)
+    model = init_model(g, dim, seed=dim, norm=norm)
+    n = len(model.entities)
+    for p in model.relations:
+        for t in model.entities:
+            if not isinstance(t, Literal):
+                for candidate, value in predict_links(model, g, s=t, p=p, k=n):
+                    assert value.hex() == score(model, t, p, candidate).hex()
+            for candidate, value in predict_links(model, g, p=p, o=t, k=n):
+                assert value.hex() == score(model, candidate, p, t).hex()
+
+
+@pytest.mark.parametrize(
+    "norm, sampling, digest",
+    [
+        (L1, {}, "e3005125bc960209f16048982d1cd5fd2cf54ad8641b29a6dcdeffe66e582ccb"),
+        (L2, {"corruption": "head", "filtered_sampling": False},
+         "0063d26d722b4c69307fc33b431fd9695596137926b54d2ccbd7a3fb8262b6b5"),
+        (L2, {"corruption": "tail"}, "13ca5b3c92d92a3e773300a9f2638ecfc5c21ab1c4d15a6a76fc4d1faa951ef1"),
+    ],
+)
+def test_model_file_bytes_are_pinned(norm, sampling, digest):
+    # a (graph, config, seed) keeps giving the same model file byte for byte, in each norm and corruption mode
     g = random_rdfs_graph(3)
-    model = init_model(g, 6, seed=5)
-    train(model, g, TrainConfig(epochs=3, seed=5, negatives_per_positive=2, learning_rate=0.05))
-    digest = hashlib.sha256(dump_model(model).encode()).hexdigest()
-    assert digest == "e3005125bc960209f16048982d1cd5fd2cf54ad8641b29a6dcdeffe66e582ccb"
+    model = init_model(g, 6, seed=5, norm=norm)
+    train(model, g, TrainConfig(epochs=3, seed=5, negatives_per_positive=2, learning_rate=0.05, **sampling))
+    assert hashlib.sha256(dump_model(model).encode()).hexdigest() == digest
 
 
 def test_model_file_with_a_repeated_term_is_rejected():

@@ -199,6 +199,19 @@ def test_projection_variable_must_occur():
         query(allergen_kb(), q)
 
 
+def test_projection_variable_is_listed_once():
+    q = Query(patterns=(TriplePattern(Var("x"), vocab.RDF_TYPE, edu("Product")),), projection=("x", "x"))
+    with pytest.raises(QueryValidationError, match=r"^projection lists \?x twice$"):
+        query(allergen_kb(), q)
+
+
+def test_select_lines_list_a_variable_once():
+    # two SELECT lines add to one projection, so a name on both is listed twice
+    with pytest.raises(ParseError) as err:
+        parse_query("SELECT ?y\n?x <http://e.x/p> ?y\nSELECT ?x ?y\n")
+    assert str(err.value) == "SELECT lists ?y twice at line 3, column 11"
+
+
 def test_empty_pattern_list_rejected():
     with pytest.raises(QueryValidationError):
         query(allergen_kb(), Query(patterns=()))
@@ -345,6 +358,7 @@ def test_bad_query_constants_are_parse_errors_naming_the_line(text, message, lin
         ("PREFIX e: <http://e.x/> <http://f.x/>", "expected 'PREFIX p: <namespace>'", 25),
         ("SELECT ?x y", "SELECT lists variables, got 'y'", 11),
         ("SELECT", "SELECT lists no variables", 1),
+        ("SELECT ?x ?y ?x", "SELECT lists ?x twice", 14),
         ("  select ", "SELECT lists no variables", 3),
         ("PREFIX r: <rel/>", "relative IRI 'rel/' and no base IRI is declared", 11),
         ("NOT ?x e:p ?y }", "expected 'NOT { pattern ... }'", 5),
